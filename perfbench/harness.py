@@ -45,9 +45,6 @@ STAGE_NAMES = {
     "refinement": "matcher.refine",
 }
 
-Metrics = dict[str, tuple[float, str]]
-
-
 @dataclass
 class StreamRun:
     latencies: list[float] = field(default_factory=list)  # applied ops only
@@ -221,7 +218,7 @@ def untraced(inputs: Inputs, wl: Workload, seconds: float, plant: bool):
 
     attempted = sum(r.attempted for r in runs)
     failed = sum(r.failed for r in runs)
-    if not runs[0].latencies:
+    if not runs or not runs[0].latencies:
         return {}, attempted, failed, problems
     lat = per_op_minimum(runs)
     update_s = sum(lat)
@@ -356,7 +353,7 @@ def traced(inputs: Inputs, seconds: float, plant: bool, spans_path: Path):
     survivors = sum(s.survivors for s in scan_stats)
     orientations = run.inserts * 2 * sum(len(q.edges) for q in inputs.queries)
     graph_s, maintain_s = totals["graph.apply"], totals["synopsis.maintain"]
-    metrics: Metrics = {
+    metrics = {
         "graph.apply_s": (graph_s, "s"),
         "synopsis.lists_s": (lists_s, "s"),
         "synopsis.entries_s": (entries_s, "s"),
@@ -430,7 +427,9 @@ def main(argv=None) -> int:
 
     if args.trace:
         spans_path = OUT_DIR / f"{wl.name}-seed{seed}.spans.jsonl"
-        metrics, attempted, failed, problems = traced(inputs, args.seconds, args.plant_wrong_answer, spans_path)
+        metrics, attempted, failed, problems = traced(
+            inputs, args.seconds, args.plant_wrong_answer, spans_path
+        )
     else:
         metrics, attempted, failed, problems = untraced(
             inputs, wl, args.seconds, args.plant_wrong_answer
