@@ -14,6 +14,7 @@ The last line of standard output is one JSON object:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import resource
@@ -21,7 +22,7 @@ import statistics
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, process_time
 
 from dsmatch.errors import DsmatchError
 from dsmatch.graph import DELETE, INSERT, UpdateOp
@@ -55,7 +56,7 @@ class StreamRun:
     deltas: list[exactness.Delta] = field(default_factory=list)  # non-empty only
 
     @property
-    def wall_s(self) -> float:
+    def update_s(self) -> float:
         """Time spent inside process_update, summed over the applied ops."""
         return sum(self.latencies)
 
@@ -64,19 +65,21 @@ class StreamRun:
         return sum(1 for op in self.applied if op.kind == INSERT)
 
 
-def replay(engine: MatchEngine, ops, deadline: float) -> StreamRun:
-    """Apply ops in order until they run out or ``deadline`` has passed."""
+def replay(engine: MatchEngine, ops, deadline: float, clock=perf_counter) -> StreamRun:
+    """Apply ops in order until they run out or ``deadline`` has passed.
+
+    Each op's latency is read from ``clock``; ``deadline`` is wall time.
+    """
     run = StreamRun()
     for op in ops:
         run.attempted += 1
-        t0 = perf_counter()
+        t0 = clock()
         try:
             result = engine.process_update(op)
         except DsmatchError:
             run.failed += 1
         else:
-            t1 = perf_counter()
-            run.latencies.append(t1 - t0)
+            run.latencies.append(clock() - t0)
             run.applied.append(op)
             for stage, seconds in result.timings.items():
                 run.stages[stage] += seconds
@@ -107,14 +110,12 @@ def answers_of(engine: MatchEngine) -> dict[str, frozenset]:
     return {name: rq.answers.mappings() for name, rq in engine.queries.items()}
 
 
-def register_all(engine: MatchEngine, inputs: Inputs) -> list[float]:
-    """Register every query; returns each registration's wall time."""
-    times = []
+def register_all(engine: MatchEngine, inputs: Inputs) -> float:
+    """Register every query; returns the CPU time it took."""
+    t0 = process_time()
     for i, q in enumerate(inputs.queries):
-        t0 = perf_counter()
         engine.register(f"q{i}", q)
-        times.append(perf_counter() - t0)
-    return times
+    return process_time() - t0
 
 
 def gate(inputs: Inputs, initial, run: StreamRun, final, plant: bool) -> list[str]:
@@ -150,7 +151,7 @@ def print_ledger(title: str, rows: list[tuple[str, float]], wall: float) -> None
 
 def print_stage_ledger(run: StreamRun) -> float:
     """Stage ledger from UpdateResult.timings; returns the unattributed share."""
-    wall = run.wall_s
+    wall = run.update_s
     rows = [(STAGE_NAMES.get(k, k), v) for k, v in run.stages.items()]
     unattributed = wall - sum(v for _, v in rows)
     print_ledger(
@@ -164,82 +165,89 @@ def print_stage_ledger(run: StreamRun) -> float:
 # -- end-to-end run ------------------------------------------------------------
 
 
-def per_op_minimum(runs: list[StreamRun]) -> list[float]:
-    """Each op's latency as its minimum over the replays, in stream order.
+def build(inputs: Inputs) -> tuple[MatchEngine, float]:
+    """A fresh engine on a copy of the initial graph, and its set-up CPU time."""
+    g = inputs.g0.copy()
+    gc.collect()
+    t0 = process_time()
+    engine = MatchEngine(g, inputs.cfg, inputs.m_groups, inputs.k_cells)
+    return engine, process_time() - t0
 
-    As with ``timeit``, the minimum is the run least disturbed by other
-    work on the host; a slow stretch of a shared machine then moves an
-    op's figure only if it hits that op in every replay.
-    """
-    return [min(lat) for lat in zip(*(run.latencies for run in runs))]
+
+def replay_figures(run: StreamRun) -> tuple[float, float, float]:
+    """(updates per second, p50 us, p99 us) of one whole replay."""
+    lat = sorted(run.latencies)
+    return len(lat) / run.update_s, 1e6 * percentile(lat, 0.50), 1e6 * percentile(lat, 0.99)
 
 
 def untraced(inputs: Inputs, wl: Workload, seconds: float, plant: bool):
     """End-to-end metrics; every replay is checked.
 
-    The engine is built SETUP_BUILDS times, and every query is registered
-    on each of the last ``wl.registrations`` builds.  The last engine then
-    replays the stream ``wl.replays`` times, undoing each replay before the
-    next.  The replay count is fixed rather than set by the clock, because
-    a minimum over fewer samples reads higher.  ``seconds`` caps the first
+    The engine is built and every query registered.  It then replays the
+    stream once to warm up and ``wl.replays`` times more, undoing each
+    replay before the next.  After the first undos more engines are built
+    and dropped, up to SETUP_BUILDS, so the set-up samples are spread over
+    the run.  ``setup_s`` is the median of the builds.  Each stream figure
+    is worked out over each measured replay's whole stream, and the best
+    over the measured replays is reported, as ``timeit`` reports the best
+    of its repeats: brief interference on a shared host inflates the tail
+    of some replays and not others.  ``seconds`` caps the first
     replay; later ones apply the same ops.  The first replay goes through
     the exactness gate; every later one must reproduce its deltas and
     answers, and every undo must restore the initial answers.
+
+    Every time here is CPU time of this process.  The engine is single
+    threaded and does no I/O, so on a core of its own that equals wall
+    time; on a shared VM it leaves out the time the host gives the core to
+    other guests, which made wall times swing by 1.4x or more.
     """
-    setup, register, problems = [], [], []
-    initial = None
-    for i in range(SETUP_BUILDS):
-        engine = None  # free the previous build first
-        g = inputs.g0.copy()
-        t0 = perf_counter()
-        engine = MatchEngine(g, inputs.cfg, inputs.m_groups, inputs.k_cells)
-        setup.append(perf_counter() - t0)
-        if i >= SETUP_BUILDS - wl.registrations:
-            register.append(register_all(engine, inputs))
-            if initial is None:
-                initial = answers_of(engine)
-            elif answers_of(engine) != initial:
-                problems.append("registrations disagree on the initial answers")
+    problems = []
+    engine, seconds_built = build(inputs)
+    setup = [seconds_built]
+    register_s = register_all(engine, inputs)
+    initial = answers_of(engine)
 
     runs: list[StreamRun] = []
-    while not problems and len(runs) < wl.replays:
+    while not problems and len(runs) < 1 + wl.replays:
+        gc.collect()
         if not runs:
-            run = replay(engine, inputs.stream, perf_counter() + seconds)
+            run = replay(engine, inputs.stream, perf_counter() + seconds, process_time)
             rss = peak_rss_mb()
             final = answers_of(engine)
             problems += gate(inputs, initial, run, final, plant)
         else:
-            run = replay(engine, inputs.stream[: runs[0].attempted], math.inf)
+            run = replay(engine, inputs.stream[: runs[0].attempted], math.inf, process_time)
             if run.deltas != runs[0].deltas or answers_of(engine) != final:
                 problems.append(f"replay {len(runs) + 1} differs from replay 1")
         runs.append(run)
         if not undo(engine, run.applied, inputs.g0.labels, initial):
             problems.append(f"undoing replay {len(runs)} did not restore the initial answers")
+        if len(setup) < SETUP_BUILDS:
+            setup.append(build(inputs)[1])
 
     attempted = sum(r.attempted for r in runs)
     failed = sum(r.failed for r in runs)
-    if not runs or not runs[0].latencies:
+    if len(runs) < 2 or not runs[0].latencies:
         return {}, attempted, failed, problems
-    lat = per_op_minimum(runs)
-    update_s = sum(lat)
-    n = len(lat)
-    lat.sort()
+    figures = [replay_figures(run) for run in runs]
+    measured = list(zip(*figures[1:]))
+    ups, p50, p99 = max(measured[0]), min(measured[1]), min(measured[2])
+    n = len(runs[0].latencies)
     rows = [
         ("setup_s", statistics.median(setup), "s", f"median of {len(setup)} engine builds"),
-        ("register_s", sum(map(min, zip(*register))), "s",
-         f"{len(inputs.queries)} queries, each at its minimum over {len(register)} registrations"),
-        ("stream_ups", n / update_s, "1/s",
-         f"{n} updates in {update_s:.4f} s of update time"),
-        ("update_us_p50", 1e6 * percentile(lat, 0.50), "us", f"n={n}"),
-        ("update_us_p99", 1e6 * percentile(lat, 0.99), "us",
-         f"n={n}, {n - math.ceil(0.99 * n)} samples beyond"),
+        ("register_s", register_s, "s", f"{len(inputs.queries)} queries"),
+        ("stream_ups", ups, "1/s", f"{n} updates per replay"),
+        ("update_us_p50", p50, "us", f"n={n} per replay"),
+        ("update_us_p99", p99, "us", f"n={n} per replay, {n - math.ceil(0.99 * n)} samples beyond"),
         ("peak_rss_mb", rss, "MB", "read before the exactness gate"),
     ]
-    print(f"{len(runs)} replays; each update's latency is its minimum over them")
+    print(f"replay 1 warms up; stream figures are the best of replays 2-{len(runs)}")
+    for i, (u, a, b) in enumerate(figures, 1):
+        print(f"  replay {i}: {u:10.2f} updates/s  p50 {a:10.2f} us  p99 {b:10.2f} us")
+    print("  set-up: " + " ".join(f"{t:.4f}" for t in setup) + " s")
     for name, value, unit, detail in rows:
         print(f"{name:<16} {value:14.4f} {unit:<4} ({detail})")
     print(f"ops failed: {failed} of {attempted}")
-    print_stage_ledger(runs[0])
     return {name: (value, unit) for name, value, unit, _ in rows}, attempted, failed, problems
 
 
@@ -286,11 +294,14 @@ def grid_margin(engine: MatchEngine, names: list[str]) -> tuple[float, int, int]
 def traced(inputs: Inputs, seconds: float, plant: bool, spans_path: Path):
     """Per-layer metrics from a traced registration and a traced replay.
 
+    Times here are wall times, the clock of ``UpdateResult.timings``, so
+    the stage ledger adds up.
+
     After registration the engine replays the stream untraced and then,
     after undoing it, replays the same ops traced, so the difference of
     their update times is the tracing overhead.
     """
-    engine = MatchEngine(inputs.g0.copy(), inputs.cfg, inputs.m_groups, inputs.k_cells)
+    engine, _ = build(inputs)
     reg = Tracer()
     with reg.installed(engine):
         register_all(engine, inputs)
@@ -322,7 +333,7 @@ def traced(inputs: Inputs, seconds: float, plant: bool, spans_path: Path):
     if not run.latencies:
         return {}, run.attempted, run.failed, problems
 
-    wall = run.wall_s
+    wall = run.update_s
     unattributed = print_stage_ledger(run)
     totals, selfs = tr.totals(), tr.self_times()
     c, rc = tr.counts, reg.counts
@@ -342,10 +353,10 @@ def traced(inputs: Inputs, seconds: float, plant: bool, spans_path: Path):
         ],
         wall,
     )
-    overhead = wall - base.wall_s
+    overhead = wall - base.update_s
     print(
-        f"tracing overhead: traced {wall:.4f} s - untraced {base.wall_s:.4f} s "
-        f"= {overhead:.4f} s ({100.0 * overhead / base.wall_s:+.1f}%)"
+        f"tracing overhead: traced {wall:.4f} s - untraced {base.update_s:.4f} s "
+        f"= {overhead:.4f} s ({100.0 * overhead / base.update_s:+.1f}%)"
     )
     print(f"grid margin: linear filter / grid scan = {margin:.4f} over {margin_scans} scans")
 

@@ -30,7 +30,7 @@ QUERY_AVG_DEGREE = 3.0
 # hub-mixed shape: 8 hubs of ~5,000 neighbors, ~44% of ops touching a hub
 HUBS = 8
 HUB_DEGREE = 5_000
-HUB_MIXED_OPS = 3_000
+HUB_MIXED_OPS = 1_500
 HUB_OP_SHARE = 0.44
 REINSERT_SHARE = 0.02  # share of deleted edges inserted again later
 
@@ -41,31 +41,23 @@ _SEED_HUBS = 0x4B
 @dataclass(frozen=True)
 class Workload:
     name: str
-    kind: str  # "insert" or "hub-mixed"
     query_count: int
-    stream_rate: float  # share of base edges streamed by the insert kind
-    registrations: int  # registration samples per run
-    replays: int  # stream replays per run, about 20 s of replaying on a 2-vCPU VM
+    replays: int  # measured stream replays per run, after one warm-up replay
     default_seed: int
-    why: str
+    insertion_rate: float = 0.0  # share of base edges streamed as inserts
+    deletion_rate: float = 0.0  # share of base edges streamed as deletes
+    hubs: bool = False  # hub-mixed stream instead of a plain split
 
 
 WORKLOADS = {
     w.name: w
     for w in (
-        Workload(
-            name="sw-insert-q100", kind="insert", query_count=100,
-            stream_rate=0.05, registrations=1, replays=6, default_seed=1,
-            why="insert stream with 100 queries: insert seeding, filtering and "
-            "the per-query loop dominate; registration exercises the grid scan",
-        ),
-        Workload(
-            name="hub-mixed-q20", kind="hub-mixed", query_count=20,
-            stream_rate=0.0, registrations=2, replays=4, default_seed=2,
-            why="mixed inserts and deletes around 8 hubs of ~5,000 neighbors: "
-            "sorted-list edits at the hubs set throughput and p99; deletes "
-            "exercise grid upkeep and the edge-to-answers index",
-        ),
+        Workload(name="sw-insert-q100", query_count=100, replays=2,
+                 default_seed=1, insertion_rate=0.03),
+        Workload(name="hub-mixed-q20", query_count=20, replays=3,
+                 default_seed=2, hubs=True),
+        Workload(name="sw-delete-q20", query_count=20, replays=4,
+                 default_seed=3, deletion_rate=0.1),
     )
 }
 
@@ -90,36 +82,29 @@ def make_inputs(workload: Workload, seed: int) -> Inputs:
         query_count=workload.query_count,
         query_size=QUERY_SIZE,
         query_avg_deg=QUERY_AVG_DEGREE,
-        insertion_rate=workload.stream_rate if workload.kind == "insert" else 0.0,
+        insertion_rate=workload.insertion_rate,
+        deletion_rate=workload.deletion_rate,
         master_seed=seed,
     )
     full = bc.make_graph()
     queries = bc.make_queries(full)
     notes: dict = {}
-    if workload.kind == "hub-mixed":
+    if workload.hubs:
         g0, stream, notes = hub_mixed(full, seed)
     else:
         g0, stream = bc.make_split(full)
     return Inputs(g0, stream, queries, bc.embedding_config(), bc.m_groups, bc.k_cells, notes)
 
 
-def hub_mixed(
-    base: DynamicGraph,
-    seed: int,
-    hubs: int = HUBS,
-    hub_degree: int = HUB_DEGREE,
-    ops: int = HUB_MIXED_OPS,
-    hub_share: float = HUB_OP_SHARE,
-    reinsert_share: float = REINSERT_SHARE,
-) -> tuple[DynamicGraph, list[UpdateOp], dict]:
+def hub_mixed(base: DynamicGraph, seed: int) -> tuple[DynamicGraph, list[UpdateOp], dict]:
     """Add hub vertices to ``base`` and carve an interleaved stream around them.
 
     Hubs are new vertices with a label one above every base label, so no
-    query sampled from ``base`` can map onto them.  Each hub links to
-    ``hub_degree`` distinct base vertices.  ``ops`` edges are picked,
-    ``hub_share`` of them hub edges and the rest base edges; half of each
-    kind is held out of the initial graph and inserted, the other half is
-    deleted.  ``reinsert_share`` of the deleted edges are inserted again at
+    query sampled from ``base`` can map onto them.  Each of the HUBS hubs
+    links to HUB_DEGREE distinct base vertices.  HUB_MIXED_OPS edges are
+    picked, HUB_OP_SHARE of them hub edges and the rest base edges; half of
+    each kind is held out of the initial graph and inserted, the other half
+    is deleted.  REINSERT_SHARE of the deleted edges are inserted again at
     a random later point.  Ops are interleaved by random sort keys.
     """
     rng = Rng(derive_seed(seed, _SEED_HUBS))
@@ -127,17 +112,17 @@ def hub_mixed(
     base_ids = sorted(base.vertices())
     hub_label = max(base.labels.values()) + 1
     first_hub = base_ids[-1] + 1
-    hub_ids = list(range(first_hub, first_hub + hubs))
+    hub_ids = list(range(first_hub, first_hub + HUBS))
     hub_edges = []
     for h in hub_ids:
         full.add_vertex(h, hub_label)
-        for v in sorted(rng.sample(base_ids, hub_degree)):
+        for v in sorted(rng.sample(base_ids, HUB_DEGREE)):
             full.add_edge(v, h)
             hub_edges.append((v, h))
 
-    n_hub = round(ops * hub_share)
+    n_hub = round(HUB_MIXED_OPS * HUB_OP_SHARE)
     hub_pick = rng.sample(hub_edges, n_hub)
-    base_pick = rng.sample(list(base.edges()), ops - n_hub)
+    base_pick = rng.sample(list(base.edges()), HUB_MIXED_OPS - n_hub)
     inserts = hub_pick[: n_hub // 2] + base_pick[: len(base_pick) // 2]
     deletes = hub_pick[n_hub // 2 :] + base_pick[len(base_pick) // 2 :]
 
@@ -147,7 +132,7 @@ def hub_mixed(
     keyed = [(rng.random(), INSERT, e) for e in inserts]
     delete_keys = [(rng.random(), DELETE, e) for e in deletes]
     keyed += delete_keys
-    for key, _, e in rng.sample(delete_keys, round(len(deletes) * reinsert_share)):
+    for key, _, e in rng.sample(delete_keys, round(len(deletes) * REINSERT_SHARE)):
         keyed.append((key + (1.0 - key) * rng.random(), INSERT, e))
     keyed.sort()
 
