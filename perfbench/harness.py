@@ -22,7 +22,7 @@ import statistics
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from time import perf_counter, process_time
+from time import perf_counter, thread_time
 
 from dsmatch.errors import DsmatchError
 from dsmatch.graph import DELETE, INSERT, UpdateOp
@@ -30,6 +30,7 @@ from dsmatch.matcher import MatchEngine
 from dsmatch.synopsis import FILTER_EPS, dominated_within
 
 import exactness
+from gauge import GAUGE_REF_S, Gauge
 from tracer import Tracer
 from workloads import WORKLOADS, Inputs, Workload, make_inputs
 
@@ -65,11 +66,13 @@ class StreamRun:
         return sum(1 for op in self.applied if op.kind == INSERT)
 
 
-def replay(engine: MatchEngine, ops, deadline: float, clock=perf_counter) -> StreamRun:
+def replay(engine: MatchEngine, ops, deadline: float, gauge: Gauge | None = None) -> StreamRun:
     """Apply ops in order until they run out or ``deadline`` has passed.
 
-    Each op's latency is read from ``clock``; ``deadline`` is wall time.
+    Each op's latency is its CPU time scaled by ``gauge`` when one is
+    given, else its wall time; ``deadline`` is wall time.
     """
+    clock = perf_counter if gauge is None else thread_time
     run = StreamRun()
     for op in ops:
         run.attempted += 1
@@ -80,6 +83,8 @@ def replay(engine: MatchEngine, ops, deadline: float, clock=perf_counter) -> Str
             run.failed += 1
         else:
             run.latencies.append(clock() - t0)
+            if gauge is not None:
+                gauge.add(run.latencies[-1])
             run.applied.append(op)
             for stage, seconds in result.timings.items():
                 run.stages[stage] += seconds
@@ -88,6 +93,8 @@ def replay(engine: MatchEngine, ops, deadline: float, clock=perf_counter) -> Str
                     run.deltas.append((name, delta.added, delta.removed))
         if perf_counter() >= deadline:
             break
+    if gauge is not None:
+        run.latencies = gauge.close()
     return run
 
 
@@ -110,12 +117,13 @@ def answers_of(engine: MatchEngine) -> dict[str, frozenset]:
     return {name: rq.answers.mappings() for name, rq in engine.queries.items()}
 
 
-def register_all(engine: MatchEngine, inputs: Inputs) -> float:
-    """Register every query; returns the CPU time it took."""
-    t0 = process_time()
+def register_all(engine: MatchEngine, inputs: Inputs, gauge: Gauge | None = None) -> None:
+    """Register every query, each as one call timed by ``gauge`` if given."""
     for i, q in enumerate(inputs.queries):
-        engine.register(f"q{i}", q)
-    return process_time() - t0
+        if gauge is None:
+            engine.register(f"q{i}", q)
+        else:
+            gauge.call(engine.register, f"q{i}", q)
 
 
 def gate(inputs: Inputs, initial, run: StreamRun, final, plant: bool) -> list[str]:
@@ -166,12 +174,12 @@ def print_stage_ledger(run: StreamRun) -> float:
 
 
 def build(inputs: Inputs) -> tuple[MatchEngine, float]:
-    """A fresh engine on a copy of the initial graph, and its set-up CPU time."""
+    """A fresh engine on a copy of the initial graph, and its set-up CPU time, gauge-scaled."""
     g = inputs.g0.copy()
     gc.collect()
-    t0 = process_time()
-    engine = MatchEngine(g, inputs.cfg, inputs.m_groups, inputs.k_cells)
-    return engine, process_time() - t0
+    gauge = Gauge()
+    engine = gauge.call(MatchEngine, g, inputs.cfg, inputs.m_groups, inputs.k_cells)
+    return engine, gauge.close()[0]
 
 
 def replay_figures(run: StreamRun) -> tuple[float, float, float]:
@@ -184,54 +192,58 @@ def untraced(inputs: Inputs, wl: Workload, seconds: float, plant: bool):
     """End-to-end metrics; every replay is checked.
 
     The engine is built and every query registered.  It then replays the
-    stream once to warm up and ``wl.replays`` times more, undoing each
-    replay before the next.  After the first undos more engines are built
-    and dropped, up to SETUP_BUILDS, so the set-up samples are spread over
-    the run.  ``setup_s`` is the median of the builds.  Each stream figure
-    is worked out over each measured replay's whole stream, and the best
-    over the measured replays is reported, as ``timeit`` reports the best
-    of its repeats: brief interference on a shared host inflates the tail
-    of some replays and not others.  ``seconds`` caps the first
-    replay; later ones apply the same ops.  The first replay goes through
-    the exactness gate; every later one must reproduce its deltas and
-    answers, and every undo must restore the initial answers.
+    stream ``wl.warmups`` times to warm up and ``wl.replays`` times more,
+    undoing each replay before the next.  After each undo more engines are
+    built and dropped, SETUP_BUILDS in all by the last one, so the set-up
+    samples are spread over the run.  ``setup_s`` is the median of the
+    builds.  Each stream figure is worked out over each measured replay's
+    whole stream, and the median over the measured replays is reported.
+    ``seconds`` caps the first replay; later ones apply the same ops.  The
+    first replay goes through the exactness gate; every later one must
+    reproduce its deltas and answers, and every undo must restore the
+    initial answers.
 
-    Every time here is CPU time of this process.  The engine is single
-    threaded and does no I/O, so on a core of its own that equals wall
-    time; on a shared VM it leaves out the time the host gives the core to
-    other guests, which made wall times swing by 1.4x or more.
+    Every time here is CPU time of this thread, scaled to the reference
+    speed by a gauge (see ``gauge.py``).  The engine is single threaded and
+    does no I/O, so on a core of its own its CPU time equals its wall time;
+    on a shared VM CPU time leaves out the time the host gives the core to
+    other guests, and the gauge takes out the swings in the core's speed.
     """
     problems = []
     engine, seconds_built = build(inputs)
     setup = [seconds_built]
-    register_s = register_all(engine, inputs)
+    gauge = Gauge()
+    register_all(engine, inputs, gauge)
+    register_s = sum(gauge.close())
     initial = answers_of(engine)
 
     runs: list[StreamRun] = []
-    while not problems and len(runs) < 1 + wl.replays:
+    speeds = []  # per replay, the reference loop time over the median reading
+    while not problems and len(runs) < wl.warmups + wl.replays:
         gc.collect()
+        gauge = Gauge()
         if not runs:
-            run = replay(engine, inputs.stream, perf_counter() + seconds, process_time)
+            run = replay(engine, inputs.stream, perf_counter() + seconds, gauge)
             rss = peak_rss_mb()
             final = answers_of(engine)
             problems += gate(inputs, initial, run, final, plant)
         else:
-            run = replay(engine, inputs.stream[: runs[0].attempted], math.inf, process_time)
+            run = replay(engine, inputs.stream[: runs[0].attempted], math.inf, gauge)
             if run.deltas != runs[0].deltas or answers_of(engine) != final:
                 problems.append(f"replay {len(runs) + 1} differs from replay 1")
         runs.append(run)
+        speeds.append(GAUGE_REF_S / statistics.median(gauge.readings))
         if not undo(engine, run.applied, inputs.g0.labels, initial):
             problems.append(f"undoing replay {len(runs)} did not restore the initial answers")
-        if len(setup) < SETUP_BUILDS:
+        while len(setup) < SETUP_BUILDS * len(runs) / (wl.warmups + wl.replays):
             setup.append(build(inputs)[1])
 
     attempted = sum(r.attempted for r in runs)
     failed = sum(r.failed for r in runs)
-    if len(runs) < 2 or not runs[0].latencies:
+    if len(runs) <= wl.warmups or not runs[0].latencies:
         return {}, attempted, failed, problems
     figures = [replay_figures(run) for run in runs]
-    measured = list(zip(*figures[1:]))
-    ups, p50, p99 = max(measured[0]), min(measured[1]), min(measured[2])
+    ups, p50, p99 = (statistics.median(col) for col in zip(*figures[wl.warmups :]))
     n = len(runs[0].latencies)
     rows = [
         ("setup_s", statistics.median(setup), "s", f"median of {len(setup)} engine builds"),
@@ -241,9 +253,15 @@ def untraced(inputs: Inputs, wl: Workload, seconds: float, plant: bool):
         ("update_us_p99", p99, "us", f"n={n} per replay, {n - math.ceil(0.99 * n)} samples beyond"),
         ("peak_rss_mb", rss, "MB", "read before the exactness gate"),
     ]
-    print(f"replay 1 warms up; stream figures are the best of replays 2-{len(runs)}")
-    for i, (u, a, b) in enumerate(figures, 1):
-        print(f"  replay {i}: {u:10.2f} updates/s  p50 {a:10.2f} us  p99 {b:10.2f} us")
+    print(
+        f"{wl.warmups} warm-up replays; stream figures are the median of replays "
+        f"{wl.warmups + 1}-{len(runs)}"
+    )
+    for i, ((u, a, b), speed) in enumerate(zip(figures, speeds), 1):
+        print(
+            f"  replay {i}: {u:10.2f} updates/s  p50 {a:10.2f} us  p99 {b:10.2f} us"
+            f"  (machine at {speed:.2f}x the reference speed)"
+        )
     print("  set-up: " + " ".join(f"{t:.4f}" for t in setup) + " s")
     for name, value, unit, detail in rows:
         print(f"{name:<16} {value:14.4f} {unit:<4} ({detail})")

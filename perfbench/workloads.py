@@ -42,7 +42,8 @@ _SEED_HUBS = 0x4B
 class Workload:
     name: str
     query_count: int
-    replays: int  # measured stream replays per run, after one warm-up replay
+    warmups: int  # stream replays that are checked but not measured
+    replays: int  # measured stream replays per run, after the warm-ups
     default_seed: int
     insertion_rate: float = 0.0  # share of base edges streamed as inserts
     deletion_rate: float = 0.0  # share of base edges streamed as deletes
@@ -52,11 +53,11 @@ class Workload:
 WORKLOADS = {
     w.name: w
     for w in (
-        Workload(name="sw-insert-q100", query_count=100, replays=2,
+        Workload(name="sw-insert-q100", query_count=100, warmups=1, replays=2,
                  default_seed=1, insertion_rate=0.03),
-        Workload(name="hub-mixed-q20", query_count=20, replays=3,
+        Workload(name="hub-mixed-q20", query_count=20, warmups=2, replays=3,
                  default_seed=2, hubs=True),
-        Workload(name="sw-delete-q20", query_count=20, replays=4,
+        Workload(name="sw-delete-q20", query_count=20, warmups=1, replays=4,
                  default_seed=3, deletion_rate=0.1),
     )
 }
