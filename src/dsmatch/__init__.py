@@ -47,7 +47,6 @@ from .synopsis import (
     Mbr,
     SynopsisIndex,
     compute_degree_groups,
-    mbr_for_degree,
     scan_candidates,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "load_graph",
     "load_stream",
     "make_plan",
-    "mbr_for_degree",
     "neighbor_sum",
     "recompute_stream_check",
     "refine",

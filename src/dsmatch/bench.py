@@ -89,14 +89,11 @@ def run_engine(
     cfg: EmbeddingConfig,
     m_groups: int = 3,
     k_cells: int = 5,
-    deletion_mode: str = "index",
     collect_deltas: bool = False,
 ) -> tuple[RunMetrics, MatchEngine]:
     """Build, register, replay; returns metrics plus the live engine."""
     t0 = perf_counter()
-    engine = MatchEngine(
-        g0.copy(), cfg, m_groups=m_groups, k_cells=k_cells, deletion_mode=deletion_mode
-    )
+    engine = MatchEngine(g0.copy(), cfg, m_groups=m_groups, k_cells=k_cells)
     build_s = perf_counter() - t0
 
     names = [f"q{i}" for i in range(len(queries))]

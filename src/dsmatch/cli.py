@@ -133,7 +133,7 @@ def cmd_run(args) -> int:
     ecfg = cfg.embedding_config() if cfg else _config_from(args).embedding_config()
     metrics, engine = run_engine(
         g0, stream, queries, ecfg, m_groups=args.m, k_cells=args.k,
-        deletion_mode=args.deletion_mode, collect_deltas=args.emit_deltas,
+        collect_deltas=args.emit_deltas,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -191,10 +191,12 @@ def cmd_bench(args) -> int:
         g0, stream, queries, ecfg, m_groups=args.m, k_cells=args.k
     )
     rows = engine_metrics.rows()
+    status = 0
     if not args.skip_naive:
         naive_metrics = run_naive(g0, stream, queries)
         if naive_metrics.final_answers != engine_metrics.final_answers:
-            print("warning: engine and naive final answers disagree", file=sys.stderr)
+            print("error: engine and naive final answers disagree", file=sys.stderr)
+            status = 1
         rows += naive_metrics.rows()
         ratio = naive_metrics.total_seconds / max(engine_metrics.total_seconds, 1e-12)
         print(
@@ -206,7 +208,7 @@ def cmd_bench(args) -> int:
         Path(args.out).write_text(csv_text)
     else:
         print(csv_text, end="")
-    return 0
+    return status
 
 
 def cmd_sweep(args) -> int:
@@ -236,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="run the engine over a stream")
     _add_input_args(r)
     r.add_argument("--out", required=True, help="output directory")
-    r.add_argument("--deletion-mode", choices=("index", "scan"), default="index")
     r.add_argument("--emit-deltas", action="store_true",
                    help="write per-update answer deltas alongside final answers")
     r.add_argument("--dump-synopses", help="write a synopsis cell dump to this file")

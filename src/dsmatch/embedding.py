@@ -28,7 +28,7 @@ import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionMismatch, NegativeComponent, UnknownVertex
+from .errors import DimensionMismatch, UnknownVertex
 from .graph import DynamicGraph, Label, VertexId
 from .rng import mix_words, unit_open_closed
 
@@ -40,9 +40,6 @@ MODES = (MODE_PLAIN, MODE_BASE, MODE_ZIPF)
 # stream tags keep the label-vector, base-vector, and zipf draws disjoint
 _TAG_LABEL_VEC = 0x5B
 _TAG_BASE_VEC = 0xBA
-
-# tolerance for detecting a remove of a contribution that was never added
-_REMOVE_EPS = 1e-9
 
 Vec = tuple[float, ...]
 
@@ -189,32 +186,6 @@ def neighbor_sum(g: DynamicGraph, v: VertexId, cfg: EmbeddingConfig) -> Vec:
         for k in range(cfg.d):
             acc[k] += x[k]
     return tuple(acc)
-
-
-def adjust_neighbor_sum(
-    y: Vec, neighbor_label: Label, direction: str, cfg: EmbeddingConfig
-) -> Vec:
-    """O(d) incremental neighbor-sum update: add or remove one neighbor.
-
-    Removing a contribution that was never added drives a component below
-    -1e-9 and raises :class:`NegativeComponent`; sub-tolerance negatives
-    from float cancellation are clamped to zero.
-    """
-    x = label_vector(neighbor_label, cfg)
-    if direction == "add":
-        return tuple(a + b for a, b in zip(y, x))
-    if direction != "remove":
-        raise ValueError(f"direction must be 'add' or 'remove', got {direction!r}")
-    out = []
-    for a, b in zip(y, x):
-        r = a - b
-        if r < -_REMOVE_EPS:
-            raise NegativeComponent(
-                f"neighbor-sum component would drop to {r}; removal of a "
-                f"contribution that was never added"
-            )
-        out.append(r if r > 0.0 else 0.0)
-    return tuple(out)
 
 
 # -- composition, dominance, keys --------------------------------------------

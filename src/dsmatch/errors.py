@@ -57,14 +57,6 @@ class DimensionMismatch(DsmatchError):
     """Two vectors of different arity were compared."""
 
 
-class NegativeComponent(DsmatchError):
-    """A neighbor-sum removal drove a component clearly below zero.
-
-    This signals bookkeeping corruption: a contribution was removed that
-    was never added.
-    """
-
-
 class DegreeOutOfRange(DsmatchError):
     """A per-degree bound was requested outside [1, deg(v)]."""
 

@@ -10,8 +10,7 @@ Edge insertions extend answers from the inserted edge outward: every query
 edge whose endpoint labels fit is seeded onto the new edge (both
 orientations) and completed by left-deep depth-first join.  Edge deletions
 drop exactly the stored answers whose edge image contains the deleted
-edge, located through an inverted edge-to-answers index (or, behind a
-flag, a full scan that must agree with it).
+edge, located through an inverted edge-to-answers index.
 """
 
 from __future__ import annotations
@@ -298,16 +297,12 @@ class MatchEngine:
         cfg: EmbeddingConfig,
         m_groups: int = 3,
         k_cells: int = 5,
-        deletion_mode: str = "index",
     ):
-        if deletion_mode not in ("index", "scan"):
-            raise ValueError(f"deletion_mode must be 'index' or 'scan', got {deletion_mode!r}")
         self.graph = graph
         self.cfg = cfg
         self.groups: DegreeGroups = compute_degree_groups(graph, m_groups)
         self.index = SynopsisIndex.build(graph, self.groups, cfg, k_cells)
         self.queries: dict[str, RegisteredQuery] = {}
-        self.deletion_mode = deletion_mode
         # test hooks; the first must not change results (the box filter is
         # a pure pruning step), the second deliberately breaks exactness
         self._skip_box_filter = False
@@ -453,12 +448,7 @@ class MatchEngine:
         return source
 
     def _on_delete(self, rq: RegisteredQuery, edge: EdgeKey) -> set[Mapping]:
-        if self.deletion_mode == "index":
-            victims = rq.answers.answers_on_edge(edge)
-        else:
-            victims = frozenset(
-                m for m in rq.answers if edge in set(rq.answers.edge_images(m))
-            )
+        victims = rq.answers.answers_on_edge(edge)
         for m in victims:
             rq.answers.discard(m)
         return set(victims)

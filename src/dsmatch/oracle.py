@@ -9,7 +9,7 @@ the engine -- images ordered by ascending query-vertex id -- which is
 re-implemented here on purpose rather than imported.
 
 :func:`star_subset_embeddings` exhaustively embeds every star subset of a
-vertex and is the independent check for the prefix-sum bounding boxes.
+vertex and is the independent check for the histogram bounding boxes.
 """
 
 from __future__ import annotations

@@ -7,10 +7,13 @@ Cells of each grid are kept in descending order of their squared-norm key
 so scans can stop early once no remaining cell can be dominated by a query
 embedding.
 
-Per-degree bounding boxes are never materialized: each vertex keeps one
-ascending list (plus prefix sums) of its neighbors' label-vector components
-per dimension, and the box for any degree is two prefix-sum lookups per
-dimension (sum of the delta smallest / delta largest components).
+Per-degree bounding boxes are never materialized.  Every neighbor
+contributes its label's vector, so each vertex keeps only a histogram of
+its neighbors' labels.  On each dimension, the box for any degree delta
+spans the sum of the delta smallest to the sum of the delta largest
+neighbor components; both come from one walk over a store-wide order of
+labels by component, taking each present label's count until delta is
+used up.  An update is one histogram edit per endpoint.
 
 Scans and maintenance follow the single-writer contract of the graph:
 maintenance is exclusive, scans may run concurrently between updates.
@@ -29,12 +32,11 @@ from .embedding import (
     MODE_PLAIN,
     Vec,
     base_vector,
-    compose,
     embedding_key,
     label_vector,
 )
-from .errors import DegreeOutOfRange, InconsistentState, UnknownVertex
-from .graph import DynamicGraph, INSERT, UpdateEffect, VertexId
+from .errors import DegreeOutOfRange, InconsistentState
+from .graph import DynamicGraph, INSERT, Label, UpdateEffect, VertexId
 
 # Slack applied to filter comparisons only (never to the exact dominance
 # predicate): sums of identical floats taken in different orders can differ
@@ -143,63 +145,7 @@ def compute_degree_groups(g0: DynamicGraph, m: int) -> DegreeGroups:
     return DegreeGroups(tuple(cuts))
 
 
-# -- per-vertex sorted component lists ---------------------------------------
-
-
-class VertexLists:
-    """Ascending per-dimension lists of neighbor label-vector components.
-
-    ``prefix[k][i]`` is the sum of the i smallest components on dimension k,
-    so the extreme sums over any delta neighbors are O(1) lookups.  Prefix
-    sums are rebuilt from the list after every touch: cheap at graph-stream
-    degree scales, and it keeps them bit-identical to a from-scratch build.
-    """
-
-    __slots__ = ("lists", "prefix")
-
-    def __init__(self, d: int):
-        self.lists: list[list[float]] = [[] for _ in range(d)]
-        self.prefix: list[list[float]] = [[0.0] for _ in range(d)]
-
-    @property
-    def degree(self) -> int:
-        return len(self.lists[0])
-
-    def _rebuild_prefix(self) -> None:
-        for k, lst in enumerate(self.lists):
-            pre = [0.0] * (len(lst) + 1)
-            acc = 0.0
-            for i, x in enumerate(lst):
-                acc += x
-                pre[i + 1] = acc
-            self.prefix[k] = pre
-
-    def add(self, vec: Vec) -> None:
-        for k, x in enumerate(vec):
-            insort(self.lists[k], x)
-        self._rebuild_prefix()
-
-    def remove(self, vec: Vec) -> None:
-        for k, x in enumerate(vec):
-            lst = self.lists[k]
-            i = bisect_left(lst, x)
-            if i >= len(lst) or lst[i] != x:
-                raise InconsistentState(
-                    f"component {x!r} not present in sorted list {k}"
-                )
-            del lst[i]
-        self._rebuild_prefix()
-
-    def totals(self) -> Vec:
-        """Sum of all neighbor components per dimension."""
-        return tuple(pre[-1] for pre in self.prefix)
-
-    def low_sum(self, k: int, delta: int) -> float:
-        return self.prefix[k][delta]
-
-    def high_sum(self, k: int, delta: int) -> float:
-        pre = self.prefix[k]
-        return pre[-1] - pre[len(pre) - 1 - delta]
+# -- per-vertex neighbor-label histograms --------------------------------------
 
 
 @dataclass(frozen=True)
@@ -214,82 +160,118 @@ class Mbr:
         return all(lo - eps <= x <= hi + eps for lo, x, hi in zip(self.low, p, self.high))
 
 
+def _extreme_sum(hist: dict[Label, int], order, delta: int) -> float:
+    """Sum of the first ``delta`` neighbor components met along ``order``.
+
+    ``order`` yields (component, label) pairs; each label present in the
+    histogram contributes min(count, what is left of delta) copies.
+    """
+    acc = 0.0
+    for comp, lbl in order:
+        c = hist.get(lbl)
+        if c:
+            if c >= delta:
+                return acc + delta * comp
+            acc += c * comp
+            delta -= c
+    return acc
+
+
 class NeighborListStore:
-    """All per-vertex sorted lists for one graph, plus box computation."""
+    """Per-vertex neighbor-label histograms for one graph, plus boxes.
+
+    Every neighbor contributes its label's vector, so ``hist[v]`` (label ->
+    number of neighbors carrying it) is all the state a box needs.  A
+    store-wide label table holds, per label seen, its box frame: the d head
+    coordinates, and the constant added to ``alpha * raw_sum`` on each tail
+    dimension (plain mode is alpha = 1 with zero constants).  ``order[k]``
+    lists the (component on dimension k, label) pairs of every known label
+    in ascending order.  Every float read
+    from the store is a pure function of a histogram and the label table, so
+    a maintained store equals a rebuild by construction.
+    """
 
     def __init__(self, graph: DynamicGraph, cfg: EmbeddingConfig):
         self.graph = graph
         self.cfg = cfg
-        self.by_vertex: dict[VertexId, VertexLists] = {}
+        self.alpha = 1.0 if cfg.mode == MODE_PLAIN else cfg.alpha
+        self.hist: dict[VertexId, dict[Label, int]] = {}
+        self.frames: dict[Label, tuple[Vec, Vec]] = {}  # head, tail constants
+        self.order: list[list[tuple[float, Label]]] = [[] for _ in range(cfg.d)]
 
     @classmethod
     def build(cls, graph: DynamicGraph, cfg: EmbeddingConfig) -> "NeighborListStore":
         store = cls(graph, cfg)
+        labels = graph.labels
+        for lbl in set(labels.values()):
+            store._frame(lbl)
         for v in graph.vertices():
-            vl = VertexLists(cfg.d)
-            comps = [
-                label_vector(graph.labels[n], cfg) for n in graph.sorted_neighbors(v)
-            ]
-            for k in range(cfg.d):
-                vl.lists[k] = sorted(x[k] for x in comps)
-            vl._rebuild_prefix()
-            store.by_vertex[v] = vl
+            hist: dict[Label, int] = {}
+            for n in graph.adj[v]:
+                lbl = labels[n]
+                hist[lbl] = hist.get(lbl, 0) + 1
+            store.hist[v] = hist
         return store
 
-    def ensure(self, v: VertexId) -> VertexLists:
-        vl = self.by_vertex.get(v)
-        if vl is None:
-            vl = VertexLists(self.cfg.d)
-            self.by_vertex[v] = vl
-        return vl
+    def _frame(self, label: Label) -> tuple[Vec, Vec]:
+        """The label's box frame; a label seen first is also ordered."""
+        frame = self.frames.get(label)
+        if frame is None:
+            cfg = self.cfg
+            x = label_vector(label, cfg)
+            if cfg.mode == MODE_PLAIN:
+                frame = (x, (0.0,) * cfg.d)
+            else:
+                z = base_vector(label, cfg)
+                a, b = cfg.alpha, cfg.beta
+                head = tuple(a * x[k] + b * z[k] for k in range(cfg.d))
+                frame = (head, tuple(b * z[cfg.d + k] for k in range(cfg.d)))
+            self.frames[label] = frame
+            for k, order in enumerate(self.order):
+                insort(order, (x[k], label))
+        return frame
 
-    def lists_of(self, v: VertexId) -> VertexLists:
-        try:
-            return self.by_vertex[v]
-        except KeyError:
-            raise UnknownVertex(f"vertex {v} has no list state") from None
+    def count(self, v: VertexId, label: Label, step: int) -> None:
+        """Add ``step`` (+1 or -1) neighbors carrying ``label`` to v."""
+        self._frame(label)
+        hist = self.hist.setdefault(v, {})
+        c = hist.get(label, 0) + step
+        if c:
+            hist[label] = c
+        else:
+            del hist[label]
 
     def degree(self, v: VertexId) -> int:
-        vl = self.by_vertex.get(v)
-        return 0 if vl is None else vl.degree
+        hist = self.hist.get(v)
+        return sum(hist.values()) if hist else 0
 
     def neighbor_sum(self, v: VertexId) -> Vec:
-        return self.lists_of(v).totals()
+        hist = self.hist.get(v, {})
+        deg = sum(hist.values())
+        return tuple(_extreme_sum(hist, order, deg) for order in self.order)
 
     def embedding(self, v: VertexId) -> Vec:
-        """Current full-star embedding of v, from the maintained lists."""
-        lbl = self.graph.label(v)
-        return compose(label_vector(lbl, self.cfg), self.neighbor_sum(v), lbl, self.cfg)
+        """Current full-star embedding of v, from the maintained histogram."""
+        head, tail = self._frame(self.graph.label(v))
+        a = self.alpha
+        return head + tuple(a * y + t for y, t in zip(self.neighbor_sum(v), tail))
 
     def mbr(self, v: VertexId, delta: int) -> Mbr:
         """Bounds over embeddings of all delta-leaf star subsets of v."""
-        vl = self.lists_of(v)
-        deg = vl.degree
+        hist = self.hist.get(v, {})
+        deg = sum(hist.values())
         if not 1 <= delta <= deg:
             raise DegreeOutOfRange(
                 f"delta {delta} outside [1, {deg}] for vertex {v}"
             )
-        cfg = self.cfg
-        lbl = self.graph.label(v)
-        x = label_vector(lbl, cfg)
-        raw_lo = [vl.low_sum(k, delta) for k in range(cfg.d)]
-        raw_hi = [vl.high_sum(k, delta) for k in range(cfg.d)]
-        if cfg.mode == MODE_PLAIN:
-            return Mbr(low=x + tuple(raw_lo), high=x + tuple(raw_hi))
-        z = base_vector(lbl, cfg)
-        a, b = cfg.alpha, cfg.beta
-        head = tuple(a * x[k] + b * z[k] for k in range(cfg.d))
-        low = head + tuple(a * raw_lo[k] + b * z[cfg.d + k] for k in range(cfg.d))
-        high = head + tuple(a * raw_hi[k] + b * z[cfg.d + k] for k in range(cfg.d))
-        return Mbr(low=low, high=high)
-
-
-def mbr_for_degree(
-    v: VertexId, delta: int, lists: NeighborListStore, cfg: EmbeddingConfig
-) -> Mbr:
-    """Per-degree bounding box from prefix sums (see NeighborListStore.mbr)."""
-    assert lists.cfg == cfg
-    return lists.mbr(v, delta)
+        head, tail = self._frame(self.graph.label(v))
+        a = self.alpha
+        low = []
+        high = []
+        for order, t in zip(self.order, tail):
+            low.append(a * _extreme_sum(hist, order, delta) + t)
+            high.append(a * _extreme_sum(hist, reversed(order), delta) + t)
+        return Mbr(low=head + tuple(low), high=head + tuple(high))
 
 
 # -- grid synopses ------------------------------------------------------------
@@ -511,12 +493,13 @@ class MaintenanceReport:
 
 
 class SynopsisIndex:
-    """All degree-group synopses plus the shared per-vertex list store.
+    """All degree-group synopses plus the shared neighbor-label histograms.
 
     Degree groups and the grid domain are frozen at build time (from the
-    initial graph); incremental maintenance keeps entries, corners, and
-    lists exactly equal to what a from-scratch build over the current
-    snapshot (with the same frozen parameters) would produce.
+    initial graph); incremental maintenance keeps entries and corners
+    exactly equal to what a from-scratch build over the current
+    snapshot (with the same frozen parameters) would produce.  The
+    histograms equal a rebuild by construction.
     """
 
     def __init__(
@@ -581,7 +564,7 @@ class SynopsisIndex:
         return added, removed, moved, refreshed
 
     def maintain(self, effect: UpdateEffect) -> MaintenanceReport:
-        """Apply one graph update's consequences to lists and entries.
+        """Apply one graph update's consequences to histograms and entries.
 
         Must be called with the effect of the op just applied to the graph
         this index was built over, before any other op is applied.
@@ -589,15 +572,9 @@ class SynopsisIndex:
         report = MaintenanceReport()
         op = effect.op
         t0 = perf_counter()
-        lu = self.graph.label(op.u)
-        lv = self.graph.label(op.v)
-        for w, other_label in ((op.u, lv), (op.v, lu)):
-            vl = self.lists.ensure(w)
-            vec = label_vector(other_label, self.cfg)
-            if op.kind == INSERT:
-                vl.add(vec)
-            else:
-                vl.remove(vec)
+        step = 1 if op.kind == INSERT else -1
+        self.lists.count(op.u, self.graph.label(op.v), step)
+        self.lists.count(op.v, self.graph.label(op.u), step)
         t1 = perf_counter()
         for w, (_, new_deg) in effect.degrees.items():
             a, r, mv, rf = self._sync_vertex(w, new_deg)
@@ -624,9 +601,9 @@ class SynopsisIndex:
             "cutoffs": self.groups.cutoffs,
             "synopses": [syn.snapshot() for syn in self.synopses],
             "lists": {
-                v: tuple(tuple(lst) for lst in vl.lists)
-                for v, vl in self.lists.by_vertex.items()
-                if vl.degree > 0
+                v: tuple(sorted(hist.items()))
+                for v, hist in self.lists.hist.items()
+                if hist
             },
         }
 
@@ -652,9 +629,9 @@ def default_domain(lists: NeighborListStore, cfg: EmbeddingConfig) -> float:
     clamps into the unbounded top interval.
     """
     sum_max = 0.0
-    for vl in lists.by_vertex.values():
-        if vl.degree:
-            sum_max = max(sum_max, max(pre[-1] for pre in vl.prefix))
+    for v, hist in lists.hist.items():
+        if hist:
+            sum_max = max(sum_max, *lists.neighbor_sum(v))
     if cfg.mode == MODE_PLAIN:
         return (1.0 + _DOMAIN_EPS) * max(1.0, sum_max)
     return cfg.beta * (1.0 + _DOMAIN_EPS) + cfg.alpha * max(1.0, sum_max)

@@ -137,7 +137,7 @@ def test_c02_star_substructure_dominance_exhaustive():
 
 
 def test_c03_box_bounds_equal_enumeration():
-    """Prefix-sum boxes equal exhaustive substructure-enumeration bounds
+    """Histogram boxes equal exhaustive substructure-enumeration bounds
     componentwise within 1e-9, for deg <= 10 and every delta, 5 graphs."""
     checked = 0
     for seed in range(1, 6):
@@ -166,7 +166,7 @@ def test_c03_box_bounds_equal_enumeration():
 
 
 def test_c04_maintenance_equals_rebuild_after_1000_updates():
-    """After 1,000 mixed random updates the maintained lists, sums, and
+    """After 1,000 mixed random updates the maintained histograms, sums, and
     synopsis entries match a from-scratch build (entries exact, floats
     within 1e-9)."""
     from dsmatch.embedding import neighbor_sum
@@ -179,7 +179,7 @@ def test_c04_maintenance_equals_rebuild_after_1000_updates():
     for op in ops:
         index.maintain(g.apply_update(op))
     rebuilt = SynopsisIndex.build(g, index.groups, cfg, index.k_cells, domain=index.domain)
-    assert index.snapshot() == rebuilt.snapshot()  # entry sets and lists exact
+    assert index.snapshot() == rebuilt.snapshot()  # entry sets and histograms exact
     worst = 0.0
     for v in g.vertices():
         got = index.lists.neighbor_sum(v)

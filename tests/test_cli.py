@@ -113,6 +113,23 @@ def test_bench_subcommand_schema(tmp_path):
         assert er.keys() == nr.keys()
 
 
+def test_bench_exits_nonzero_when_answers_disagree(tmp_path, monkeypatch):
+    import dsmatch.cli as cli
+
+    def lossy_naive(*args):
+        metrics = run_naive(*args)
+        name, answers = next((n, a) for n, a in metrics.final_answers.items() if a)
+        metrics.final_answers[name] = answers - {min(answers)}
+        return metrics
+
+    monkeypatch.setattr(cli, "run_naive", lossy_naive)
+    rc = main([
+        "bench", "--n", "100", "--alphabet", "5", "--query-count", "2",
+        "--query-size", "4", "--seed", "5", "--out", str(tmp_path / "bench.csv"),
+    ])
+    assert rc == 1
+
+
 def test_sweep_subcommand(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main([

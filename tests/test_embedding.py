@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from dsmatch.embedding import (
     EmbeddingConfig,
     ZipfTable,
-    adjust_neighbor_sum,
     base_vector,
     compose,
     dominates,
@@ -17,7 +16,7 @@ from dsmatch.embedding import (
     neighbor_sum,
     seeded_zipf_draw,
 )
-from dsmatch.errors import DimensionMismatch, NegativeComponent, UnknownVertex
+from dsmatch.errors import DimensionMismatch, UnknownVertex
 from dsmatch.rng import Rng, mix_words, unit_open_closed
 
 from conftest import make_graph, small_world
@@ -146,27 +145,6 @@ def test_neighbor_sum_star_matches_direct_sum(any_mode_cfg):
     assert neighbor_sum(g, 0, any_mode_cfg) == tuple(want)
     with pytest.raises(UnknownVertex):
         neighbor_sum(g, 99, any_mode_cfg)
-
-
-def test_adjust_neighbor_sum_roundtrip(any_mode_cfg):
-    y = (0.5, 0.25)
-    up = adjust_neighbor_sum(y, 3, "add", any_mode_cfg)
-    back = adjust_neighbor_sum(up, 3, "remove", any_mode_cfg)
-    assert all(abs(a - b) <= 1e-12 for a, b in zip(back, y))
-
-
-def test_adjust_neighbor_sum_matches_batch(any_mode_cfg):
-    g = make_graph([(0, 1), (0, 2), (0, 3), (0, 4)], {0: 0, 1: 1, 2: 2, 3: 3, 4: 1})
-    y = (0.0, 0.0)
-    for n in g.sorted_neighbors(0):
-        y = adjust_neighbor_sum(y, g.labels[n], "add", any_mode_cfg)
-    want = neighbor_sum(g, 0, any_mode_cfg)
-    assert all(abs(a - b) <= 1e-9 for a, b in zip(y, want))
-
-
-def test_adjust_neighbor_sum_underflow(any_mode_cfg):
-    with pytest.raises(NegativeComponent):
-        adjust_neighbor_sum((0.0, 0.0), 3, "remove", any_mode_cfg)
 
 
 # -- composition -------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsmatch.embedding import EmbeddingConfig, embedding_key, label_vector
-from dsmatch.errors import DegreeOutOfRange, InconsistentState
+from dsmatch.errors import DegreeOutOfRange
 from dsmatch.graph import DELETE, INSERT, DynamicGraph, UpdateOp
 from dsmatch.oracle import star_subset_embeddings
 from dsmatch.rng import Rng
@@ -16,7 +16,6 @@ from dsmatch.synopsis import (
     SynopsisIndex,
     compute_degree_groups,
     dominated_within,
-    mbr_for_degree,
     scan_candidates,
 )
 
@@ -148,17 +147,20 @@ def test_grouping_balance_property_powerlaw():
 
 
 def test_mbr_plain_hand_example():
-    # neighbor components {0.2, 0.5, 0.7} on a dimension, delta 2 -> [0.7, 1.2]
+    # neighbor labels 4, 2, 2, 1 put components c4 < c2 = c2 < c1 on the one
+    # dimension: delta 2 spans [c4 + c2, c2 + c1], delta 3 [c4 + 2c2, 2c2 + c1]
     cfg = EmbeddingConfig(d=1, mode="plain")
-    g = make_graph([(0, 1), (0, 2), (0, 3)], {0: 0, 1: 1, 2: 2, 3: 3})
+    g = make_graph([(0, 1), (0, 2), (0, 3), (0, 4)], {0: 0, 1: 4, 2: 2, 3: 2, 4: 1})
     store = NeighborListStore.build(g, cfg)
-    vl = store.lists_of(0)
-    vl.lists[0] = [0.2, 0.5, 0.7]
-    vl._rebuild_prefix()
-    box = store.mbr(0, 2)
+    (c1,), (c2,), (c4,) = (label_vector(lbl, cfg) for lbl in (1, 2, 4))
+    assert c4 < c2 < c1
     x = label_vector(0, cfg)
-    assert box.low == (x[0], pytest.approx(0.7))
-    assert box.high == (x[0], pytest.approx(1.2))
+    box = store.mbr(0, 2)
+    assert box.low == (x[0], pytest.approx(c4 + c2))
+    assert box.high == (x[0], pytest.approx(c2 + c1))
+    box = store.mbr(0, 3)
+    assert box.low == (x[0], pytest.approx(c4 + 2 * c2))
+    assert box.high == (x[0], pytest.approx(2 * c2 + c1))
 
 
 def test_mbr_full_degree_degenerates_to_point(any_mode_cfg):
@@ -196,19 +198,6 @@ def test_mbr_equals_enumeration_bounds(any_mode_cfg):
             assert all(abs(a - b) <= 1e-9 for a, b in zip(box.high, hi))
             checked += 1
     assert checked > 100
-
-
-def test_mbr_for_degree_module_surface(cfg_base):
-    g = make_graph([(0, 1), (0, 2)], {0: 0, 1: 1, 2: 2})
-    store = NeighborListStore.build(g, cfg_base)
-    assert mbr_for_degree(0, 1, store, cfg_base) == store.mbr(0, 1)
-
-
-def test_vertex_lists_remove_unknown_component(cfg_base):
-    g = make_graph([(0, 1)], {0: 0, 1: 1})
-    store = NeighborListStore.build(g, cfg_base)
-    with pytest.raises(InconsistentState):
-        store.lists_of(0).remove((0.123, 0.456))
 
 
 # -- synopsis construction -----------------------------------------------------
@@ -365,6 +354,48 @@ def test_maintenance_equals_rebuild_after_stream(mode):
         got = idx.lists.neighbor_sum(v)
         want = neighbor_sum(g, v, cfg)
         assert all(abs(a - b) <= 1e-9 for a, b in zip(got, want))
+
+
+def test_hub_degree_boxes_and_rebuild_under_churn(any_mode_cfg):
+    # a hub of degree >= 2,000 over labels 0-15, whose zipf components tie
+    # (four labels share 1/1024 on dimension 0), churned by inserts and
+    # deletes; boxes are checked against sorted neighbor components
+    from dsmatch.embedding import compose
+
+    rng = Rng(61)
+    labels = {0: 0, **{v: rng.randint(0, 15) for v in range(1, 2401)}}
+    g = make_graph([(0, v) for v in range(1, 2401)], labels)
+    for v in range(1, 2400, 7):
+        g.add_edge(v, v + 1)
+    idx = build_index(g, any_mode_cfg)
+    next_vid = 2401
+    for i in range(300):
+        if i % 2:
+            op = UpdateOp(DELETE, 0, rng.choice(sorted(g.neighbors(0))))
+        else:
+            op = UpdateOp(INSERT, 0, next_vid, label_v=rng.randint(0, 15))
+            next_vid += 1
+        idx.maintain(g.apply_update(op))
+    if any_mode_cfg.mode == "zipf":
+        tied = {lbl for lbl in range(16) if label_vector(lbl, any_mode_cfg)[0] == 1 / 1024}
+        assert len(tied) == 4
+        assert tied <= {g.labels[n] for n in g.neighbors(0)}
+    rebuilt = SynopsisIndex.build(g, idx.groups, any_mode_cfg, idx.k_cells, domain=idx.domain)
+    assert idx.snapshot() == rebuilt.snapshot()
+
+    deg = g.degree(0)
+    assert deg >= 2000
+    comps = [
+        sorted(label_vector(g.labels[n], any_mode_cfg)[k] for n in g.neighbors(0))
+        for k in range(any_mode_cfg.d)
+    ]
+    x = label_vector(0, any_mode_cfg)
+    for delta in (1, 2, 3, deg // 2, deg):
+        low = compose(x, tuple(sum(c[:delta]) for c in comps), 0, any_mode_cfg)
+        high = compose(x, tuple(sum(c[-delta:]) for c in comps), 0, any_mode_cfg)
+        box = idx.lists.mbr(0, delta)
+        assert all(abs(a - b) <= 1e-9 for a, b in zip(box.low, low))
+        assert all(abs(a - b) <= 1e-9 for a, b in zip(box.high, high))
 
 
 # -- scans ---------------------------------------------------------------------
