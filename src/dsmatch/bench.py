@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import defaultdict
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -32,6 +33,7 @@ RUN_COLUMNS = (
     "build_s",
     "initial_match_s",
     "stream_s",
+    "graph_s",
     "filtering_s",
     "refinement_s",
     "embedding_update_s",
@@ -72,6 +74,7 @@ class RunMetrics:
                 build_s=f"{self.build_seconds:.6f}",
                 initial_match_s=f"{self.initial_match_seconds:.6f}",
                 stream_s=f"{self.stream_seconds:.6f}",
+                graph_s=f"{self.stage_seconds.get('graph', 0.0):.6f}",
                 filtering_s=f"{self.stage_seconds.get('filtering', 0.0):.6f}",
                 refinement_s=f"{self.stage_seconds.get('refinement', 0.0):.6f}",
                 embedding_update_s=f"{self.stage_seconds.get('embedding_update', 0.0):.6f}",
@@ -106,13 +109,7 @@ def run_engine(
 
     added = dict.fromkeys(names, 0)
     removed = dict.fromkeys(names, 0)
-    stages = {
-        "graph": 0.0,
-        "embedding_update": 0.0,
-        "synopsis_update": 0.0,
-        "filtering": 0.0,
-        "refinement": 0.0,
-    }
+    stages: dict[str, float] = defaultdict(float)
     delta_log: list[tuple[int, dict]] = []
     t0 = perf_counter()
     for op in stream:

@@ -91,12 +91,12 @@ def _inputs_from(args) -> tuple:
         g0 = load_graph(Path(args.graph).read_text())
         stream = load_stream(Path(args.stream).read_text()) if args.stream else []
         queries = _load_queries(args.queries or [])
-        return g0, stream, queries, None
+        return g0, stream, queries
     cfg = _config_from(args)
     full = cfg.make_graph()
     g0, stream = cfg.make_split(full)
     queries = cfg.make_queries(full)
-    return g0, stream, queries, cfg
+    return g0, stream, queries
 
 
 def _add_input_args(p: argparse.ArgumentParser, n_default: int = 50_000) -> None:
@@ -129,8 +129,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    g0, stream, queries, cfg = _inputs_from(args)
-    ecfg = cfg.embedding_config() if cfg else _config_from(args).embedding_config()
+    g0, stream, queries = _inputs_from(args)
+    ecfg = _config_from(args).embedding_config()
     metrics, engine = run_engine(
         g0, stream, queries, ecfg, m_groups=args.m, k_cells=args.k,
         collect_deltas=args.emit_deltas,
@@ -175,7 +175,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g0, stream, queries, _ = _inputs_from(args)
+    g0, stream, queries = _inputs_from(args)
     ecfg = _config_from(args).embedding_config()
     report = recompute_stream_check(
         g0, stream, queries, ecfg, m_groups=args.m, k_cells=args.k
@@ -185,8 +185,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    g0, stream, queries, cfg = _inputs_from(args)
-    ecfg = cfg.embedding_config() if cfg else _config_from(args).embedding_config()
+    g0, stream, queries = _inputs_from(args)
+    ecfg = _config_from(args).embedding_config()
     engine_metrics, _ = run_engine(
         g0, stream, queries, ecfg, m_groups=args.m, k_cells=args.k
     )

@@ -6,11 +6,11 @@ snapshot.  Answers are normalized as a tuple of data-vertex ids aligned
 with the query's vertices in ascending id order, so answer sets from any
 vertex ordering (or from the brute-force oracle) compare directly.
 
-Edge insertions extend answers from the inserted edge outward: every query
-edge whose endpoint labels fit is seeded onto the new edge (both
-orientations) and completed by left-deep depth-first join.  Edge deletions
-drop exactly the stored answers whose edge image contains the deleted
-edge, located through an inverted edge-to-answers index.
+Edge insertions extend answers from the inserted edge outward: one table
+lookup on its endpoint labels yields the query edge orientations that fit,
+each seeded onto it and completed by a left-deep join planned at
+registration.  Edge deletions drop exactly the stored answers whose edge
+image contains the deleted edge, found through an inverted edge index.
 """
 
 from __future__ import annotations
@@ -258,9 +258,7 @@ class RegisteredQuery:
     name: str
     query: QueryGraph
     embeds: dict[VertexId, Vec]
-    cand_sets: dict[VertexId, list[VertexId]]
     scan_stats: dict[VertexId, ScanStats]
-    plan: tuple[VertexId, ...]
     answers: AnswerSet
 
     @property
@@ -269,10 +267,17 @@ class RegisteredQuery:
         return sum(s.pruning_power for s in stats) / len(stats)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryDelta:
     added: frozenset[Mapping] = frozenset()
     removed: frozenset[Mapping] = frozenset()
+
+
+_UNCHANGED = QueryDelta()
+
+# (query, plan, candidate source): plan[:2] is a query edge orientation, to
+# be seeded onto an inserted data edge (u, v) as plan[0] -> u, plan[1] -> v
+SeedEntry = tuple[RegisteredQuery, tuple[VertexId, ...], CandidateSource]
 
 
 @dataclass
@@ -287,8 +292,8 @@ class MatchEngine:
 
     Owns the graph, the synopsis index (degree groups frozen from the
     graph at construction), and any number of registered queries.  All
-    mutation goes through :meth:`process_update` (single writer); reads
-    may happen freely between updates.
+    mutation goes through :meth:`register` and :meth:`process_update`
+    (the writers, one at a time); reads may happen freely between them.
     """
 
     def __init__(
@@ -303,22 +308,14 @@ class MatchEngine:
         self.groups: DegreeGroups = compute_degree_groups(graph, m_groups)
         self.index = SynopsisIndex.build(graph, self.groups, cfg, k_cells)
         self.queries: dict[str, RegisteredQuery] = {}
-        # test hooks; the first must not change results (the box filter is
-        # a pure pruning step), the second deliberately breaks exactness
-        self._skip_box_filter = False
-        self._single_orientation = False
-
-    # -- registration and initial answers --------------------------------
+        # (label_a, label_b) -> the entries whose plan[:2] has those labels;
+        # both orientations of every query edge are filed
+        self.seeds: dict[tuple[Label, Label], list[SeedEntry]] = {}
 
     def register(self, name: str, query: QueryGraph) -> RegisteredQuery:
+        """Exact answers on the current snapshot, and the query's seed entries."""
         if name in self.queries:
             raise ValueError(f"query {name!r} already registered")
-        rq = self.initial_match(name, query)
-        self.queries[name] = rq
-        return rq
-
-    def initial_match(self, name: str, query: QueryGraph) -> RegisteredQuery:
-        """Exact answers on the current snapshot via synopsis retrieval."""
         embeds = embed_query(query, self.cfg)
         cand_sets: dict[VertexId, list[VertexId]] = {}
         scan_stats: dict[VertexId, ScanStats] = {}
@@ -328,16 +325,25 @@ class MatchEngine:
             )
             cand_sets[qi] = cands
             scan_stats[qi] = stats
-        plan = make_plan(query, {qi: len(c) for qi, c in cand_sets.items()})
+        sizes = {qi: len(c) for qi, c in cand_sets.items()}
+        plan = make_plan(query, sizes)
 
         def from_cand_sets(n: int, _m: list) -> Iterable[VertexId]:
             return cand_sets[plan[n]]
 
-        found = refine(query, plan, self.graph, [], 0, from_cand_sets)
         answers = AnswerSet(query)
-        for m in found:
+        for m in refine(query, plan, self.graph, [], 0, from_cand_sets):
             answers.add(m)
-        return RegisteredQuery(name, query, embeds, cand_sets, scan_stats, plan, answers)
+        rq = RegisteredQuery(name, query, embeds, scan_stats, answers)
+        for qa, qb in query.edges:
+            for first in ((qa, qb), (qb, qa)):
+                seed_plan = make_plan(query, sizes, first=first)
+                key = (query.labels[first[0]], query.labels[first[1]])
+                self.seeds.setdefault(key, []).append(
+                    (rq, seed_plan, self._adjacency_candidates(rq, seed_plan))
+                )
+        self.queries[name] = rq
+        return rq
 
     # -- incremental maintenance ------------------------------------------
 
@@ -357,20 +363,22 @@ class MatchEngine:
         timings["embedding_update"] = report.list_update_seconds
         timings["synopsis_update"] = report.entry_update_seconds
 
-        deltas: dict[str, QueryDelta] = {}
-        for name, rq in self.queries.items():
-            if op.kind == INSERT:
-                added, t_filter, t_refine = self._on_insert(rq, op.u, op.v)
+        if op.kind == INSERT:
+            found, timings["filtering"], timings["refinement"] = self._on_insert(op.u, op.v)
+            deltas = dict.fromkeys(self.queries, _UNCHANGED)
+            for name, added in found.items():
+                answers = self.queries[name].answers
                 for m in added:
-                    rq.answers.add(m)
-                timings["filtering"] += t_filter
-                timings["refinement"] += t_refine
+                    answers.add(m)
                 deltas[name] = QueryDelta(added=frozenset(added))
-            else:
-                t1 = perf_counter()
-                removed = self._on_delete(rq, op.edge())
-                timings["refinement"] += perf_counter() - t1
-                deltas[name] = QueryDelta(removed=frozenset(removed))
+        else:
+            edge = op.edge()
+            t1 = perf_counter()
+            deltas = {
+                name: QueryDelta(removed=self._on_delete(rq, edge))
+                for name, rq in self.queries.items()
+            }
+            timings["refinement"] = perf_counter() - t1
         return UpdateResult(op=op, deltas=deltas, timings=timings)
 
     def _endpoint_ok(self, q: QueryGraph, qi: VertexId, v: VertexId, q_embed: Vec) -> bool:
@@ -380,44 +388,35 @@ class MatchEngine:
             return False
         if not dominated_within(q_embed, self.index.embedding_of(v)):
             return False
-        if self._skip_box_filter:
-            return True
         return self.index.lists.mbr(v, dq).contains(q_embed, FILTER_EPS)
 
     def _on_insert(
-        self, rq: RegisteredQuery, vi: VertexId, vj: VertexId
-    ) -> tuple[set[Mapping], float, float]:
-        """New answers that use the just-inserted edge (vi, vj).
+        self, u: VertexId, v: VertexId
+    ) -> tuple[dict[str, set[Mapping]], float, float]:
+        """New answers, per query name, that use the just-inserted edge (u, v).
 
-        Tries every query edge in both orientations; each hit seeds a
-        two-deep partial mapping and completes it by refinement.  The
-        per-level candidates come from the current adjacency (label-checked
-        and filtered by the same dominance/box conditions the synopsis
-        scan applies), so no stale candidate state is consulted.
+        Each seed entry under (label(u), label(v)) whose endpoints pass the
+        filters is completed by refinement.  Its per-level candidates come
+        from the current adjacency (label-checked and filtered by the same
+        dominance/box conditions the synopsis scan applies).
         """
-        q = rq.query
         graph = self.graph
         labels = graph.labels
-        sizes = {qi: len(c) for qi, c in rq.cand_sets.items()}
-        added: set[Mapping] = set()
+        found: dict[str, set[Mapping]] = {}
         t_refine = 0.0
         t_start = perf_counter()
-        orientations = ((vi, vj), (vj, vi)) if not self._single_orientation else ((vi, vj),)
-        for qa, qb in q.edges:
-            for va, vb in orientations:
-                if q.labels[qa] != labels[va] or q.labels[qb] != labels[vb]:
-                    continue
-                if not self._endpoint_ok(q, qa, va, rq.embeds[qa]):
-                    continue
-                if not self._endpoint_ok(q, qb, vb, rq.embeds[qb]):
-                    continue
-                plan = make_plan(q, sizes, first=(qa, qb))
-                source = self._adjacency_candidates(rq, plan)
-                t1 = perf_counter()
-                added |= refine(q, plan, graph, [va, vb], 2, source)
-                t_refine += perf_counter() - t1
+        for rq, plan, source in self.seeds.get((labels[u], labels[v]), ()):
+            q, qa, qb = rq.query, plan[0], plan[1]
+            if not self._endpoint_ok(q, qa, u, rq.embeds[qa]):
+                continue
+            if not self._endpoint_ok(q, qb, v, rq.embeds[qb]):
+                continue
+            t1 = perf_counter()
+            added = refine(q, plan, graph, [u, v], 2, source)
+            t_refine += perf_counter() - t1
+            found.setdefault(rq.name, set()).update(added)
         t_filter = perf_counter() - t_start - t_refine
-        return added, t_filter, t_refine
+        return found, t_filter, t_refine
 
     def _adjacency_candidates(
         self, rq: RegisteredQuery, plan: tuple[VertexId, ...]
@@ -447,11 +446,11 @@ class MatchEngine:
 
         return source
 
-    def _on_delete(self, rq: RegisteredQuery, edge: EdgeKey) -> set[Mapping]:
+    def _on_delete(self, rq: RegisteredQuery, edge: EdgeKey) -> frozenset[Mapping]:
         victims = rq.answers.answers_on_edge(edge)
         for m in victims:
             rq.answers.discard(m)
-        return set(victims)
+        return victims
 
 
 def format_mapping(query: QueryGraph, m: Mapping) -> str:

@@ -51,6 +51,7 @@ def test_run_from_files_and_metrics(tmp_path):
     assert len(rows) == 3
     assert rows[0]["mode"] == "engine"
     assert float(rows[0]["total_s"]) > 0
+    assert float(rows[0]["graph_s"]) >= 0
     answers = sorted(out.glob("answers_q*.txt"))
     assert len(answers) == 3
     for f in answers:

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import dsmatch.matcher as matcher_mod
 from dsmatch.embedding import EmbeddingConfig, dominates
 from dsmatch.errors import InvalidParams
 from dsmatch.generate import sample_queries, split_stream
@@ -285,6 +286,34 @@ def test_insert_symmetric_labels_needs_both_orientations(any_mode_cfg):
     engine.register("q", q_edge(0, 0))
     result = engine.process_update(UpdateOp(INSERT, 0, 1))
     assert result.deltas["q"].added == {(0, 1), (1, 0)}
+
+
+def test_inserts_never_plan_after_registration(monkeypatch, cfg_zipf):
+    # join plans are fixed at registration; "path" has a same-label edge
+    # (1-1) and shares the label pair (0, 1) with "star"
+    g = small_world(n=60, avg_deg=4.0, alphabet=3, seed=83)
+    g0, stream = split_stream(g, 0.3, 0.0, seed=5)
+    queries = {
+        "path": QueryGraph({0: 0, 1: 1, 2: 1}, [(0, 1), (1, 2)]),
+        "star": QueryGraph({0: 0, 1: 1, 2: 2}, [(0, 1), (0, 2)]),
+    }
+    engine = MatchEngine(g0.copy(), cfg_zipf)
+    for name, q in queries.items():
+        engine.register(name, q)
+    plan_calls = []
+    real_make_plan = matcher_mod.make_plan
+    monkeypatch.setattr(
+        matcher_mod, "make_plan", lambda *a, **kw: plan_calls.append(a) or real_make_plan(*a, **kw)
+    )
+    added = 0
+    for op in stream[:40]:
+        result = engine.process_update(op)
+        assert list(result.deltas) == list(queries)
+        for name, q in queries.items():
+            added += len(result.deltas[name].added)
+            assert engine.queries[name].answers.mappings() == enumerate_matches(engine.graph, q)
+    assert added > 0
+    assert plan_calls == []
 
 
 def test_delete_removes_only_hit_answers(any_mode_cfg):

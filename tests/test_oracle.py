@@ -10,6 +10,7 @@ from dsmatch.oracle import (
     recompute_stream_check,
     star_subset_embeddings,
 )
+from dsmatch.synopsis import Mbr
 
 from conftest import make_graph, small_world
 
@@ -119,12 +120,20 @@ def test_recompute_check_empty_stream(cfg_zipf):
     assert "zero divergences" in report.describe()
 
 
-def test_recompute_check_catches_missing_orientation(cfg_zipf):
-    # an engine that seeds only one orientation misses the symmetric image
+def test_recompute_check_catches_missing_orientation(cfg_zipf, monkeypatch):
+    # an engine that drops the (1, 0) orientation's seed entry after
+    # registration misses the symmetric image
     g = make_graph([], {0: 5, 1: 5})
     q = QueryGraph({0: 5, 1: 5}, [(0, 1)])
     engine = MatchEngine(g.copy(), cfg_zipf)
-    engine._single_orientation = True
+    register = engine.register
+
+    def register_then_drop(name, query):
+        rq = register(name, query)
+        engine.seeds[5, 5] = [e for e in engine.seeds[5, 5] if e[1][:2] != (1, 0)]
+        return rq
+
+    monkeypatch.setattr(engine, "register", register_then_drop)
     stream = [UpdateOp(INSERT, 0, 1, timestamp=1)]
     report = recompute_stream_check(g, stream, [q], cfg_zipf, engine=engine)
     assert not report.ok
@@ -134,16 +143,16 @@ def test_recompute_check_catches_missing_orientation(cfg_zipf):
     assert "missing" in report.describe()
 
 
-def test_recompute_check_box_filter_is_optional(cfg_zipf):
-    # the per-degree box check is pruning only; disabling it cannot change
-    # any answer set
+def test_recompute_check_box_filter_is_optional(cfg_zipf, monkeypatch):
+    # the per-degree box check, in the registration scan and at insert
+    # endpoints, is pruning only; disabling it cannot change any answer set
     g = small_world(n=60, avg_deg=4.0, alphabet=3, seed=51)
     from dsmatch.generate import sample_queries, split_stream
 
     queries = sample_queries(g, 3, 4, 2.0, seed=27)
     g0, stream = split_stream(g, 0.1, 0.0, seed=7)
+    monkeypatch.setattr(Mbr, "contains", lambda self, p, eps=0.0: True)
     engine = MatchEngine(g0.copy(), cfg_zipf)
-    engine._skip_box_filter = True
     report = recompute_stream_check(g0, stream, queries, cfg_zipf, engine=engine)
     assert report.ok, report.describe()
 
