@@ -37,7 +37,6 @@ RUN_COLUMNS = (
     "filtering_s",
     "refinement_s",
     "embedding_update_s",
-    "synopsis_update_s",
     "total_s",
 )
 
@@ -78,7 +77,6 @@ class RunMetrics:
                 filtering_s=f"{self.stage_seconds.get('filtering', 0.0):.6f}",
                 refinement_s=f"{self.stage_seconds.get('refinement', 0.0):.6f}",
                 embedding_update_s=f"{self.stage_seconds.get('embedding_update', 0.0):.6f}",
-                synopsis_update_s=f"{self.stage_seconds.get('synopsis_update', 0.0):.6f}",
                 total_s=f"{self.total_seconds:.6f}",
             )
             out.append(row)

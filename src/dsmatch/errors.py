@@ -65,10 +65,6 @@ class DegreeTooLarge(DsmatchError):
     """Exhaustive star-subset enumeration refused for very high degrees."""
 
 
-class InconsistentState(DsmatchError):
-    """An index entry expected to exist was missing (index corruption)."""
-
-
 # -- statistics and generation ----------------------------------------------
 
 class TooFewVertices(DsmatchError):

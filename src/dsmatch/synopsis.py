@@ -15,8 +15,14 @@ neighbor components; both come from one walk over a store-wide order of
 labels by component, taking each present label's count until delta is
 used up.  An update is one histogram edit per endpoint.
 
+The grids are build-only.  Only candidate scans read them, so an update
+just drops them, and the next scan, snapshot or dump rebuilds them from the
+histograms with the same frozen degree groups, domain and cell count: a
+maintained index equals a rebuild by construction.
+
 Scans and maintenance follow the single-writer contract of the graph:
-maintenance is exclusive, scans may run concurrently between updates.
+maintenance is exclusive, and so is the first scan, snapshot or dump after
+it, which rebuilds the grids; later scans may run concurrently.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from time import perf_counter
+from typing import Iterable
 
 from .embedding import (
     EmbeddingConfig,
@@ -35,7 +42,7 @@ from .embedding import (
     embedding_key,
     label_vector,
 )
-from .errors import DegreeOutOfRange, InconsistentState
+from .errors import DegreeOutOfRange
 from .graph import DynamicGraph, INSERT, Label, UpdateEffect, VertexId
 
 # Slack applied to filter comparisons only (never to the exact dominance
@@ -291,7 +298,7 @@ class Cell:
         self.coords = coords
         self.corner = corner
         self.key = embedding_key(corner)
-        self.entries: dict[VertexId, VertexEntry] = {}
+        self.entries: list[VertexEntry] = []
 
 
 @dataclass
@@ -340,13 +347,21 @@ class ScanStats:
 class GridSynopsis:
     """Equal-width grid over one degree group's capped-degree corners.
 
-    The top interval on each dimension is unbounded (its corner coordinate
-    is +inf): values beyond the frozen domain clamp into it, which keeps
-    the key cutoff and cell dominance sound when the graph drifts past the
-    initial extent estimate.
+    Built once from its entries and never edited.  The top interval on each
+    dimension is unbounded (its corner coordinate is +inf): values beyond
+    the frozen domain clamp into it, which keeps the key cutoff and cell
+    dominance sound when the graph drifts past the initial extent estimate.
     """
 
-    def __init__(self, group: int, lower: int, upper: float, k_cells: int, domain: float):
+    def __init__(
+        self,
+        group: int,
+        lower: int,
+        upper: float,
+        k_cells: int,
+        domain: float,
+        entries: Iterable[VertexEntry],
+    ):
         self.group = group
         self.lower = lower
         self.upper = upper
@@ -354,11 +369,18 @@ class GridSynopsis:
         self.domain = domain
         self.width = domain / k_cells
         self.cells: dict[tuple[int, ...], Cell] = {}
-        self.order: list[tuple[float, tuple[int, ...]]] = []  # (-key, coords)
-        self.locator: dict[VertexId, tuple[int, ...]] = {}
+        for entry in entries:
+            coords = self.cell_coords(entry.corner)
+            cell = self.cells.get(coords)
+            if cell is None:
+                cell = self.cells[coords] = Cell(coords, self._cell_corner(coords))
+            cell.entries.append(entry)
+        self.order: list[tuple[float, tuple[int, ...]]] = sorted(  # (-key, coords)
+            (-cell.key, coords) for coords, cell in self.cells.items()
+        )
 
     def __len__(self) -> int:
-        return len(self.locator)
+        return sum(len(cell.entries) for cell in self.cells.values())
 
     def cell_coords(self, point: Vec) -> tuple[int, ...]:
         k = self.k_cells
@@ -370,53 +392,10 @@ class GridSynopsis:
             math.inf if c == self.k_cells - 1 else (c + 1) * self.width for c in coords
         )
 
-    def place(self, vertex: VertexId, ub_delta: int, corner: Vec) -> None:
-        coords = self.cell_coords(corner)
-        old = self.locator.get(vertex)
-        if old == coords:
-            cell = self.cells[coords]
-            entry = cell.entries[vertex]
-            entry.ub_delta = ub_delta
-            entry.corner = corner
-            return
-        if old is not None:
-            self._remove_from_cell(vertex, old)
-        cell = self.cells.get(coords)
-        if cell is None:
-            cell = Cell(coords, self._cell_corner(coords))
-            self.cells[coords] = cell
-            insort(self.order, (-cell.key, coords))
-        cell.entries[vertex] = VertexEntry(vertex, ub_delta, corner)
-        self.locator[vertex] = coords
-
-    def remove(self, vertex: VertexId) -> None:
-        coords = self.locator.get(vertex)
-        if coords is None:
-            raise InconsistentState(
-                f"vertex {vertex} has no entry in synopsis {self.group}"
-            )
-        self._remove_from_cell(vertex, coords)
-        del self.locator[vertex]
-
-    def _remove_from_cell(self, vertex: VertexId, coords: tuple[int, ...]) -> None:
-        cell = self.cells.get(coords)
-        if cell is None or vertex not in cell.entries:
-            raise InconsistentState(
-                f"synopsis {self.group}: expected entry for vertex {vertex} "
-                f"in cell {coords}"
-            )
-        del cell.entries[vertex]
-        if not cell.entries:
-            del self.cells[coords]
-            i = bisect_left(self.order, (-cell.key, coords))
-            del self.order[i]
-
     def snapshot(self) -> dict:
         """Canonical content for equality checks (entry order independent)."""
         return {
-            coords: sorted(
-                (e.vertex, e.ub_delta, e.corner) for e in cell.entries.values()
-            )
+            coords: sorted((e.vertex, e.ub_delta, e.corner) for e in cell.entries)
             for coords, cell in self.cells.items()
         }
 
@@ -463,7 +442,7 @@ def scan_candidates(
         if not dominated_within(q_embed, cell.corner):
             stats.pruned_cell += n
             continue
-        for entry in cell.entries.values():
+        for entry in cell.entries:
             v = entry.vertex
             if not dominated_within(q_embed, entry.corner):
                 stats.pruned_dominance += 1
@@ -484,6 +463,12 @@ def scan_candidates(
 
 @dataclass
 class MaintenanceReport:
+    """Time spent on one update's histogram edits.
+
+    Grids are rebuilt rather than edited, so the entry fields stay zero;
+    they remain for readers of the report such as perfbench's tracer.
+    """
+
     entries_added: int = 0
     entries_removed: int = 0
     entries_moved: int = 0
@@ -496,10 +481,11 @@ class SynopsisIndex:
     """All degree-group synopses plus the shared neighbor-label histograms.
 
     Degree groups and the grid domain are frozen at build time (from the
-    initial graph); incremental maintenance keeps entries and corners
-    exactly equal to what a from-scratch build over the current
-    snapshot (with the same frozen parameters) would produce.  The
-    histograms equal a rebuild by construction.
+    initial graph).  Maintenance edits only the histograms, which equal a
+    rebuild by construction, and drops the grids; :attr:`synopses` rebuilds
+    them from the histograms when next read.  So every scan, ``snapshot()``
+    and ``dump()`` sees exactly what a from-scratch build over the current
+    snapshot (with the same frozen parameters) would produce.
     """
 
     def __init__(
@@ -517,10 +503,7 @@ class SynopsisIndex:
         self.k_cells = k_cells
         self.domain = domain
         self.lists = lists
-        self.synopses = [
-            GridSynopsis(j, groups.lower(j), groups.upper(j), k_cells, domain)
-            for j in range(groups.m)
-        ]
+        self._grids: list[GridSynopsis] | None = self._build_grids()
 
     @classmethod
     def build(
@@ -536,55 +519,45 @@ class SynopsisIndex:
         lists = NeighborListStore.build(graph, cfg)
         if domain is None:
             domain = default_domain(lists, cfg)
-        index = cls(graph, groups, cfg, k_cells, domain, lists)
-        for v in graph.vertices():
-            index._sync_vertex(v, graph.degree(v))
-        return index
+        return cls(graph, groups, cfg, k_cells, domain, lists)
 
-    def _sync_vertex(self, v: VertexId, degree: int) -> tuple[int, int, int, int]:
-        added = removed = moved = refreshed = 0
-        for syn in self.synopses:
-            present = syn.locator.get(v) is not None
-            belongs = degree > syn.lower
-            if belongs:
-                ub = self.groups.capped_degree(degree, syn.group)
-                corner = self.lists.mbr(v, ub).high
-                before = syn.locator.get(v)
-                syn.place(v, ub, corner)
-                after = syn.locator[v]
-                if not present:
-                    added += 1
-                elif before != after:
-                    moved += 1
-                else:
-                    refreshed += 1
-            elif present:
-                syn.remove(v)
-                removed += 1
-        return added, removed, moved, refreshed
+    def _build_grids(self) -> list[GridSynopsis]:
+        groups = self.groups
+        adj = self.graph.adj
+        mbr = self.lists.mbr
+        entries: list[list[VertexEntry]] = [[] for _ in range(groups.m)]
+        for v in self.graph.vertices():
+            degree = len(adj[v])
+            for j in range(groups.m):
+                if degree <= groups.lower(j):  # lower bounds ascend with j
+                    break
+                ub = groups.capped_degree(degree, j)
+                entries[j].append(VertexEntry(v, ub, mbr(v, ub).high))
+        return [
+            GridSynopsis(j, groups.lower(j), groups.upper(j), self.k_cells, self.domain, e)
+            for j, e in enumerate(entries)
+        ]
+
+    @property
+    def synopses(self) -> list[GridSynopsis]:
+        """The grids, rebuilt first if an update came after the last build."""
+        if self._grids is None:
+            self._grids = self._build_grids()
+        return self._grids
 
     def maintain(self, effect: UpdateEffect) -> MaintenanceReport:
-        """Apply one graph update's consequences to histograms and entries.
+        """Apply one graph update to the histograms and drop the grids.
 
         Must be called with the effect of the op just applied to the graph
         this index was built over, before any other op is applied.
         """
-        report = MaintenanceReport()
         op = effect.op
         t0 = perf_counter()
         step = 1 if op.kind == INSERT else -1
         self.lists.count(op.u, self.graph.label(op.v), step)
         self.lists.count(op.v, self.graph.label(op.u), step)
-        t1 = perf_counter()
-        for w, (_, new_deg) in effect.degrees.items():
-            a, r, mv, rf = self._sync_vertex(w, new_deg)
-            report.entries_added += a
-            report.entries_removed += r
-            report.entries_moved += mv
-            report.entries_refreshed += rf
-        report.list_update_seconds = t1 - t0
-        report.entry_update_seconds = perf_counter() - t1
-        return report
+        self._grids = None
+        return MaintenanceReport(list_update_seconds=perf_counter() - t0)
 
     def scan_for_degree(
         self, q_embed: Vec, q_degree: int, q_label: int

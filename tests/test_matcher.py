@@ -17,6 +17,7 @@ from dsmatch.matcher import (
     refine,
 )
 from dsmatch.oracle import enumerate_matches
+from dsmatch.synopsis import NeighborListStore, SynopsisIndex
 
 from conftest import make_graph, small_world
 from test_synopsis import random_update_stream
@@ -385,6 +386,29 @@ def test_deletion_modes_agree(any_mode_cfg):
     assert removed_total > 0
 
 
+def test_deletes_compute_no_boxes(any_mode_cfg, monkeypatch):
+    # a delete edits two histograms and the answer index and computes no box
+    g = small_world(n=80, avg_deg=5.0, alphabet=3, seed=23)
+    engine = MatchEngine(g.copy(), any_mode_cfg)
+    for i, q in enumerate(sample_queries(g, 3, 4, 2.0, seed=13)):
+        engine.register(f"q{i}", q)
+    calls = []
+    mbr = NeighborListStore.mbr
+
+    def counted(self, v, delta):
+        calls.append((v, delta))
+        return mbr(self, v, delta)
+
+    monkeypatch.setattr(NeighborListStore, "mbr", counted)
+    _, stream = split_stream(g, 0.0, 0.2, seed=5)
+    removed = 0
+    for op in stream:
+        assert op.kind == DELETE
+        removed += sum(len(d.removed) for d in engine.process_update(op).deltas.values())
+    assert removed > 0
+    assert calls == []
+
+
 def test_full_stream_exactness_mixed_updates(any_mode_cfg):
     # cumulative answers equal per-snapshot recompute over a mixed stream
     g = small_world(n=70, avg_deg=4.0, alphabet=3, seed=29)
@@ -453,7 +477,7 @@ def test_update_timings_present(any_mode_cfg):
     engine = MatchEngine(g.copy(), any_mode_cfg)
     engine.register("q", q_edge(0, 1))
     result = engine.process_update(UpdateOp(INSERT, 2, 3))
-    for stage in ("graph", "embedding_update", "synopsis_update", "filtering", "refinement"):
+    for stage in ("graph", "embedding_update", "filtering", "refinement"):
         assert stage in result.timings
         assert result.timings[stage] >= 0.0
 
@@ -540,6 +564,16 @@ def test_register_mid_stream(any_mode_cfg):
         engine.process_update(op)
     rq2 = engine.register("late", q2)
     assert rq2.answers.mappings() == enumerate_matches(engine.graph, q2)
+    # its scans read grids rebuilt over the current snapshot
+    rebuilt = SynopsisIndex.build(
+        engine.graph, engine.groups, any_mode_cfg, engine.index.k_cells,
+        domain=engine.index.domain,
+    )
+    for qi in q2.vertex_order:
+        args = (rq2.embeds[qi], q2.degree(qi), q2.labels[qi])
+        want, want_stats = rebuilt.scan_for_degree(*args)
+        assert sorted(engine.index.scan_for_degree(*args)[0]) == sorted(want)
+        assert rq2.scan_stats[qi] == want_stats
     for op in ops[30:]:
         engine.process_update(op)
         for name, q in (("early", q1), ("late", q2)):

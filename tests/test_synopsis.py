@@ -219,11 +219,7 @@ def test_degree5_vertex_entry_caps(cfg_base):
     # groups (0,2], (2,4], (4,inf): a degree-5 center lands in all three
     g = make_graph([(0, i) for i in range(1, 6)], {0: 0, **{i: 1 for i in range(1, 6)}})
     idx = SynopsisIndex.build(g, DegreeGroups((2, 4)), cfg_base, 5)
-    caps = {}
-    for syn in idx.synopses:
-        coords = syn.locator.get(0)
-        assert coords is not None
-        caps[syn.group] = syn.cells[coords].entries[0].ub_delta
+    caps = {syn.group: _entry(idx, syn.group, 0).ub_delta for syn in idx.synopses}
     assert caps == {0: 2, 1: 4, 2: 5}
     # leaves have degree 1: group 0 only
     assert len(idx.synopses[0]) == 6
@@ -279,10 +275,10 @@ def test_group_boundary_crossing(cfg_base):
     # group 1 while the group-0 entry stays capped at 2 with fresh content
     g = make_graph([(0, 1), (0, 2)], {0: 0, 1: 1, 2: 1, 3: 2})
     idx = SynopsisIndex.build(g, DegreeGroups((2, 4)), cfg_base, 5)
-    assert idx.synopses[1].locator.get(0) is None
+    assert _entry(idx, 1, 0) is None
     box_before = idx.lists.mbr(0, 2)
     idx.maintain(g.apply_update(UpdateOp(INSERT, 0, 3)))
-    assert idx.synopses[1].locator.get(0) is not None
+    assert _entry(idx, 1, 0) is not None
     entry0 = _entry(idx, 0, 0)
     assert entry0.ub_delta == 2
     assert _entry(idx, 1, 0).ub_delta == 3
@@ -296,12 +292,12 @@ def test_group_boundary_crossing(cfg_base):
 
 
 def _entry(idx, group, v):
-    syn = idx.synopses[group]
-    return syn.cells[syn.locator[v]].entries[v]
-
-
-def _corner(idx, group, v):
-    return _entry(idx, group, v).corner
+    """v's entry in the group's grid, found through its cells; None if absent."""
+    found = [
+        e for cell in idx.synopses[group].cells.values() for e in cell.entries if e.vertex == v
+    ]
+    assert len(found) <= 1
+    return found[0] if found else None
 
 
 def random_update_stream(g, n_ops, seed, new_vertex_rate=0.1, alphabet=5):
