@@ -25,7 +25,6 @@ from .graph import (
     DELETE,
     INSERT,
     DynamicGraph,
-    UpdateEffect,
     UpdateOp,
     dump_graph,
     dump_stream,
@@ -68,7 +67,6 @@ __all__ = [
     "QueryGraph",
     "RegisteredQuery",
     "SynopsisIndex",
-    "UpdateEffect",
     "UpdateOp",
     "compose",
     "compute_degree_groups",

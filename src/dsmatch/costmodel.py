@@ -105,10 +105,6 @@ class ModeComparisonReport:
         vals = [r.pruning_power for r in self.rows if r.mode == mode]
         return sum(vals) / len(vals)
 
-    def mean_estimated_cost(self, mode: str) -> float:
-        vals = [r.estimated_cost for r in self.rows if r.mode == mode]
-        return sum(vals) / len(vals)
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf)

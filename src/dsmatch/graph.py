@@ -1,9 +1,9 @@
 """Mutable undirected vertex-labeled graph under an edge update stream.
 
 The graph is the single source of truth for adjacency and labels.  Updates
-are applied one at a time (single writer); each application returns an
-:class:`UpdateEffect` describing exactly which endpoints changed and how,
-which downstream index maintenance consumes.
+are applied one at a time (single writer).  Each op is validated in full
+before its first mutation, so a rejected op leaves the graph untouched and
+an accepted one is the only thing downstream index maintenance needs.
 
 Text formats (UTF-8):
 
@@ -15,7 +15,7 @@ Text formats (UTF-8):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -53,21 +53,6 @@ class UpdateOp:
 
     def edge(self) -> tuple[VertexId, VertexId]:
         return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
-
-
-@dataclass
-class UpdateEffect:
-    """What one applied update changed, for index maintenance.
-
-    ``degrees`` maps each affected endpoint to its (old, new) degree;
-    ``created`` lists endpoints that did not exist before the op and
-    ``isolated`` those whose degree dropped to zero.
-    """
-
-    op: UpdateOp
-    degrees: dict[VertexId, tuple[int, int]]
-    created: set[VertexId] = field(default_factory=set)
-    isolated: set[VertexId] = field(default_factory=set)
 
 
 class DynamicGraph:
@@ -151,7 +136,7 @@ class DynamicGraph:
             raise LabelConflict(f"vertex {v} already labeled {existing}, got {label}")
 
     def add_edge(self, u: VertexId, v: VertexId) -> None:
-        """Insert edge between two existing vertices (no effect tracking)."""
+        """Insert edge between two existing vertices."""
         if u == v:
             raise SelfLoop(f"self-loop on vertex {u}")
         if u not in self.labels or v not in self.labels:
@@ -173,47 +158,41 @@ class DynamicGraph:
         self.adj[v].discard(u)
         self.num_edges -= 1
 
-    def apply_update(self, op: UpdateOp) -> UpdateEffect:
-        """Apply one stream op and report what changed.
+    def apply_update(self, op: UpdateOp) -> None:
+        """Apply one stream op, or raise and leave the graph untouched.
 
-        Insertions handle all three endpoint cases (both existing, one new,
-        both new); a new endpoint must carry a label.  The graph timestamp
+        Every check runs before the first mutation: self-loop, unknown kind,
+        and for an insert a duplicate edge, then a missing label (a new
+        endpoint must carry one) or a conflicting label on either endpoint;
+        for a delete a missing edge.  Insertions handle all three endpoint
+        cases (both existing, one new, both new).  The graph timestamp
         advances by one per applied op regardless of ``op.timestamp``.
         """
         u, v = op.u, op.v
         if u == v:
             raise SelfLoop(f"self-loop update on vertex {u}")
-
-        created: set[VertexId] = set()
         if op.kind == INSERT:
             if self.has_edge(u, v):
                 raise DuplicateEdge(f"edge ({u}, {v}) already present")
-            for w, lbl in ((u, op.label_u), (v, op.label_v)):
-                if w not in self.labels:
+            endpoints = ((u, op.label_u), (v, op.label_v))
+            for w, lbl in endpoints:
+                have = self.labels.get(w)
+                if have is None:
                     if lbl is None:
                         raise MissingLabel(f"new vertex {w} arrived without a label")
+                elif lbl is not None and have != lbl:
+                    raise LabelConflict(f"vertex {w} already labeled {have}, got {lbl}")
+            for w, lbl in endpoints:
+                if w not in self.labels:
                     self.add_vertex(w, lbl)
-                    created.add(w)
-                elif lbl is not None and self.labels[w] != lbl:
-                    raise LabelConflict(
-                        f"vertex {w} already labeled {self.labels[w]}, got {lbl}"
-                    )
-            old_u = len(self.adj[u])
-            old_v = len(self.adj[v])
             self.add_edge(u, v)
         elif op.kind == DELETE:
-            if u not in self.labels or v not in self.labels or not self.has_edge(u, v):
+            if not self.has_edge(u, v):
                 raise MissingEdge(f"edge ({u}, {v}) not present")
-            old_u = len(self.adj[u])
-            old_v = len(self.adj[v])
             self.remove_edge(u, v)
         else:
             raise ValueError(f"unknown op kind {op.kind!r}")
-
         self.timestamp += 1
-        degrees = {u: (old_u, len(self.adj[u])), v: (old_v, len(self.adj[v]))}
-        isolated = {w for w, (_, new) in degrees.items() if new == 0}
-        return UpdateEffect(op=op, degrees=degrees, created=created, isolated=isolated)
 
 
 # -- text formats ------------------------------------------------------------

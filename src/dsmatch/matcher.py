@@ -35,6 +35,8 @@ from .synopsis import (
 Mapping = tuple[VertexId, ...]  # images aligned with QueryGraph.vertex_order
 EdgeKey = tuple[VertexId, VertexId]  # data edge as (min, max)
 
+_NO_ANSWERS: frozenset[Mapping] = frozenset()
+
 
 class QueryGraph:
     """Connected undirected labeled pattern; every vertex has degree >= 1."""
@@ -83,10 +85,6 @@ class QueryGraph:
     @classmethod
     def from_text(cls, text: str) -> "QueryGraph":
         g = load_graph(text)
-        return cls(g.labels, g.edges())
-
-    @classmethod
-    def from_graph(cls, g: DynamicGraph) -> "QueryGraph":
         return cls(g.labels, g.edges())
 
     def __len__(self) -> int:
@@ -250,7 +248,9 @@ class AnswerSet:
                     del self._by_edge[key]
 
     def answers_on_edge(self, key: EdgeKey) -> frozenset[Mapping]:
-        return frozenset(self._by_edge.get(key, ()))
+        """The answers whose edge image contains ``key``; shared when none."""
+        bucket = self._by_edge.get(key)
+        return frozenset(bucket) if bucket else _NO_ANSWERS
 
 
 @dataclass
@@ -348,7 +348,14 @@ class MatchEngine:
     # -- incremental maintenance ------------------------------------------
 
     def process_update(self, op: UpdateOp) -> UpdateResult:
-        """Apply one op to graph and index, then to every registered query."""
+        """Apply one op to graph and index, then to every registered query.
+
+        The graph rejects a bad op before mutating anything, and nothing
+        after an accepted op can raise (the histogram and answer-set edits
+        are plain dict and set updates; the box read in :meth:`_endpoint_ok`
+        sits behind its degree check), so every op applies fully or not at
+        all.  Queries whose answers did not change share one empty delta.
+        """
         timings = {
             "graph": 0.0,
             "embedding_update": 0.0,
@@ -356,14 +363,13 @@ class MatchEngine:
             "refinement": 0.0,
         }
         t0 = perf_counter()
-        effect = self.graph.apply_update(op)
+        self.graph.apply_update(op)
         timings["graph"] = perf_counter() - t0
-        report = self.index.maintain(effect)
-        timings["embedding_update"] = report.list_update_seconds
+        timings["embedding_update"] = self.index.maintain(op).list_update_seconds
 
+        deltas = dict.fromkeys(self.queries, _UNCHANGED)
         if op.kind == INSERT:
             found, timings["filtering"], timings["refinement"] = self._on_insert(op.u, op.v)
-            deltas = dict.fromkeys(self.queries, _UNCHANGED)
             for name, added in found.items():
                 answers = self.queries[name].answers
                 for m in added:
@@ -372,10 +378,12 @@ class MatchEngine:
         else:
             edge = op.edge()
             t1 = perf_counter()
-            deltas = {
-                name: QueryDelta(removed=self._on_delete(rq, edge))
-                for name, rq in self.queries.items()
-            }
+            for name, rq in self.queries.items():
+                victims = rq.answers.answers_on_edge(edge)
+                if victims:
+                    for m in victims:
+                        rq.answers.discard(m)
+                    deltas[name] = QueryDelta(removed=victims)
             timings["refinement"] = perf_counter() - t1
         return UpdateResult(op=op, deltas=deltas, timings=timings)
 
@@ -416,7 +424,8 @@ class MatchEngine:
             t1 = perf_counter()
             added = refine(q, plan, graph, [u, v], 2, source)
             t_refine += perf_counter() - t1
-            found.setdefault(rq.name, set()).update(added)
+            if added:
+                found.setdefault(rq.name, set()).update(added)
         t_filter = perf_counter() - t_start - t_refine
         return found, t_filter, t_refine
 
@@ -447,12 +456,6 @@ class MatchEngine:
                     yield u
 
         return source
-
-    def _on_delete(self, rq: RegisteredQuery, edge: EdgeKey) -> frozenset[Mapping]:
-        victims = rq.answers.answers_on_edge(edge)
-        for m in victims:
-            rq.answers.discard(m)
-        return victims
 
 
 def format_mapping(query: QueryGraph, m: Mapping) -> str:

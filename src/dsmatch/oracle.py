@@ -162,14 +162,18 @@ def recompute_stream_check(
 ) -> VerdictReport:
     """Replay a stream through the engine and full recompute side by side.
 
-    Compares answer sets for every registered query after registration and
-    after every update; stops at the first divergence.  A pre-built engine
-    can be injected (test fixtures use this to plant deliberate faults).
+    The recompute runs on the check's own copy of ``g0``, to which every op
+    is applied independently of the engine, so a fault in the engine's
+    graph (a dropped op, say) shows up as a divergence.  Compares answer
+    sets for every registered query after registration and after every
+    update; stops at the first divergence.  A pre-built engine can be
+    injected (test fixtures use this to plant deliberate faults).
     """
     from .matcher import MatchEngine  # harness wiring, not ground-truth code
 
     if engine is None:
         engine = MatchEngine(g0.copy(), cfg, m_groups=m_groups, k_cells=k_cells)
+    replay = g0.copy()
     names = []
     for i, q in enumerate(queries):
         names.append(f"q{i}")
@@ -178,7 +182,7 @@ def recompute_stream_check(
     def check(timestamp: int) -> Divergence | None:
         for name, q in zip(names, queries):
             got = engine.queries[name].answers.mappings()
-            want = enumerate_matches(engine.graph, q)
+            want = enumerate_matches(replay, q)
             if got != want:
                 return Divergence(
                     timestamp=timestamp,
@@ -193,6 +197,7 @@ def recompute_stream_check(
     if div is None:
         for op in stream:
             engine.process_update(op)
+            replay.apply_update(op)
             checked += 1
             div = check(op.timestamp or checked)
             if div is not None:

@@ -43,7 +43,7 @@ from .embedding import (
     label_vector,
 )
 from .errors import DegreeOutOfRange
-from .graph import DynamicGraph, INSERT, Label, UpdateEffect, VertexId
+from .graph import DynamicGraph, INSERT, Label, UpdateOp, VertexId
 
 # Slack applied to filter comparisons only (never to the exact dominance
 # predicate): sums of identical floats taken in different orders can differ
@@ -414,7 +414,6 @@ def scan_candidates(
     q_degree: int,
     q_label: int,
     lists: NeighborListStore,
-    cfg: EmbeddingConfig,
 ) -> tuple[list[VertexId], ScanStats]:
     """Candidate vertices for one query vertex from one synopsis.
 
@@ -545,13 +544,13 @@ class SynopsisIndex:
             self._grids = self._build_grids()
         return self._grids
 
-    def maintain(self, effect: UpdateEffect) -> MaintenanceReport:
+    def maintain(self, op: UpdateOp) -> MaintenanceReport:
         """Apply one graph update to the histograms and drop the grids.
 
-        Must be called with the effect of the op just applied to the graph
-        this index was built over, before any other op is applied.
+        Must be called with the op that the graph this index was built over
+        has just accepted, before any other op is applied.  Both endpoints
+        then exist, so neither histogram edit can fail.
         """
-        op = effect.op
         t0 = perf_counter()
         step = 1 if op.kind == INSERT else -1
         self.lists.count(op.u, self.graph.label(op.v), step)
@@ -563,7 +562,7 @@ class SynopsisIndex:
         self, q_embed: Vec, q_degree: int, q_label: int
     ) -> tuple[list[VertexId], ScanStats]:
         syn = self.synopses[self.groups.group_of(q_degree)]
-        return scan_candidates(syn, q_embed, q_degree, q_label, self.lists, self.cfg)
+        return scan_candidates(syn, q_embed, q_degree, q_label, self.lists)
 
     def embedding_of(self, v: VertexId) -> Vec:
         return self.lists.embedding(v)

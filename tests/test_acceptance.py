@@ -177,7 +177,8 @@ def test_c04_maintenance_equals_rebuild_after_1000_updates():
     ops = random_update_stream(g, 1000, seed=77, alphabet=6)
     assert len(ops) == 1000
     for op in ops:
-        index.maintain(g.apply_update(op))
+        g.apply_update(op)
+        index.maintain(op)
     rebuilt = SynopsisIndex.build(g, index.groups, cfg, index.k_cells, domain=index.domain)
     assert index.snapshot() == rebuilt.snapshot()  # entry sets and histograms exact
     worst = 0.0

@@ -27,54 +27,63 @@ from conftest import make_graph
 
 def test_smallest_insertion():
     g = DynamicGraph()
-    effect = g.apply_update(UpdateOp(INSERT, 0, 1, label_u=10, label_v=11))
+    assert g.apply_update(UpdateOp(INSERT, 0, 1, label_u=10, label_v=11)) is None
     assert g.num_vertices == 2
     assert g.num_edges == 1
     assert g.degree(0) == 1 and g.degree(1) == 1
-    assert effect.created == {0, 1}
-    assert effect.degrees == {0: (0, 1), 1: (0, 1)}
+    assert g.label(0) == 10 and g.label(1) == 11
 
 
 def test_delete_reports_isolated():
     g = make_graph([(0, 1)], {0: 0, 1: 0})
-    effect = g.apply_update(UpdateOp(DELETE, 0, 1))
+    g.apply_update(UpdateOp(DELETE, 0, 1))
     assert g.num_edges == 0
-    assert effect.isolated == {0, 1}
-    assert effect.degrees == {0: (1, 0), 1: (1, 0)}
+    assert g.degree(0) == 0 and g.degree(1) == 0
     # vertices survive with their labels
+    assert 0 in g and 1 in g
     assert g.label(0) == 0 and g.label(1) == 0
 
 
 def test_path_closed_into_triangle():
     g = make_graph([(0, 1), (1, 2)], {0: 0, 1: 1, 2: 2})
-    effect = g.apply_update(UpdateOp(INSERT, 0, 2))
-    assert effect.degrees == {0: (1, 2), 2: (1, 2)}
+    g.apply_update(UpdateOp(INSERT, 0, 2))
+    assert g.degree(0) == 2 and g.degree(2) == 2 and g.degree(1) == 2
     assert g.has_edge(0, 2) and g.has_edge(2, 0)
     assert g.num_edges == 3
 
 
 def test_one_new_endpoint_and_both_new():
     g = make_graph([(0, 1)], {0: 0, 1: 1})
-    e1 = g.apply_update(UpdateOp(INSERT, 1, 5, label_v=3))
-    assert e1.created == {5}
-    assert g.label(5) == 3
-    e2 = g.apply_update(UpdateOp(INSERT, 8, 9, label_u=4, label_v=4))
-    assert e2.created == {8, 9}
+    g.apply_update(UpdateOp(INSERT, 1, 5, label_v=3))
+    assert 5 in g and g.label(5) == 3 and g.degree(5) == 1
+    assert g.label(1) == 1 and g.degree(1) == 2
+    assert 8 not in g and 9 not in g
+    g.apply_update(UpdateOp(INSERT, 8, 9, label_u=4, label_v=4))
+    assert g.label(8) == 4 and g.label(9) == 4
+    assert g.degree(8) == 1 and g.degree(9) == 1
     assert g.num_vertices == 5
 
 
 def test_update_errors():
+    # every rejected op leaves the graph exactly as it was
     g = make_graph([(0, 1)], {0: 0, 1: 1})
-    with pytest.raises(DuplicateEdge):
-        g.apply_update(UpdateOp(INSERT, 0, 1))
-    with pytest.raises(MissingEdge):
-        g.apply_update(UpdateOp(DELETE, 0, 5))
-    with pytest.raises(SelfLoop):
-        g.apply_update(UpdateOp(INSERT, 2, 2, label_u=0, label_v=0))
-    with pytest.raises(MissingLabel):
-        g.apply_update(UpdateOp(INSERT, 0, 7))
-    with pytest.raises(LabelConflict):
-        g.apply_update(UpdateOp(INSERT, 0, 2, label_u=9, label_v=9))
+    before = dump_graph(g)
+    rejected = [
+        (DuplicateEdge, UpdateOp(INSERT, 0, 1)),
+        (MissingEdge, UpdateOp(DELETE, 0, 5)),
+        (SelfLoop, UpdateOp(INSERT, 2, 2, label_u=0, label_v=0)),
+        (MissingLabel, UpdateOp(INSERT, 0, 7)),
+        (LabelConflict, UpdateOp(INSERT, 0, 2, label_u=9, label_v=9)),
+        # a new first endpoint must not survive a rejection on the second
+        (LabelConflict, UpdateOp(INSERT, 7, 0, label_u=3, label_v=9)),
+        (MissingLabel, UpdateOp(INSERT, 8, 9, label_u=3)),
+        (ValueError, UpdateOp("*", 0, 2)),
+    ]
+    for error, op in rejected:
+        with pytest.raises(error):
+            g.apply_update(op)
+        assert dump_graph(g) == before, op
+        assert g.timestamp == 0
 
 
 def test_timestamp_advances_per_applied_op():

@@ -4,9 +4,16 @@ import pytest
 
 import dsmatch.matcher as matcher_mod
 from dsmatch.embedding import EmbeddingConfig, dominates
-from dsmatch.errors import InvalidParams
+from dsmatch.errors import (
+    DuplicateEdge,
+    InvalidParams,
+    LabelConflict,
+    MissingEdge,
+    MissingLabel,
+    SelfLoop,
+)
 from dsmatch.generate import sample_queries, split_stream
-from dsmatch.graph import DELETE, INSERT, DynamicGraph, UpdateOp
+from dsmatch.graph import DELETE, INSERT, DynamicGraph, UpdateOp, dump_graph
 from dsmatch.matcher import (
     AnswerSet,
     MatchEngine,
@@ -331,6 +338,54 @@ def test_delete_removes_only_hit_answers(any_mode_cfg):
     engine.process_update(UpdateOp(INSERT, 4, 5))
     res2 = engine.process_update(UpdateOp(DELETE, 4, 5))
     assert res2.deltas["q"].removed == frozenset()
+
+
+def test_delete_removing_nothing_shares_one_empty_delta(cfg_zipf):
+    g = make_graph([(0, 1), (4, 5)], {0: 0, 1: 1, 4: 7, 5: 8})
+    engine = MatchEngine(g.copy(), cfg_zipf)
+    for name, q in (("a", q_edge(0, 1)), ("b", q_edge(1, 0)), ("c", q_edge(7, 8))):
+        engine.register(name, q)
+    result = engine.process_update(UpdateOp(DELETE, 0, 1))
+    assert result.deltas["a"].removed == {(0, 1)}
+    assert result.deltas["b"].removed == {(1, 0)}
+    unchanged = result.deltas["c"]
+    assert not unchanged.added and not unchanged.removed
+    result = engine.process_update(UpdateOp(DELETE, 4, 5))
+    assert result.deltas["c"].removed == {(4, 5)}
+    engine.process_update(UpdateOp(INSERT, 0, 5))
+    result = engine.process_update(UpdateOp(DELETE, 0, 5))
+    assert list(result.deltas) == ["a", "b", "c"]
+    assert all(d is unchanged for d in result.deltas.values())
+
+
+def test_rejected_op_leaves_engine_untouched(any_mode_cfg):
+    g = make_graph([(0, 1), (1, 2)], {0: 0, 1: 1, 2: 0})
+    engine = MatchEngine(g.copy(), any_mode_cfg)
+    engine.register("q", q_edge(0, 1))
+    engine.register("path", QueryGraph({0: 0, 1: 1, 2: 0}, [(0, 1), (1, 2)]))
+
+    def state():
+        answers = {name: rq.answers.mappings() for name, rq in engine.queries.items()}
+        return dump_graph(engine.graph), engine.index.snapshot(), answers
+
+    before = state()
+    rejected = [
+        (LabelConflict, UpdateOp(INSERT, 7, 0, label_u=3, label_v=9)),
+        (MissingLabel, UpdateOp(INSERT, 8, 9, label_u=3)),
+        (DuplicateEdge, UpdateOp(INSERT, 0, 1)),
+        (MissingEdge, UpdateOp(DELETE, 0, 2)),
+        (MissingEdge, UpdateOp(DELETE, 0, 7)),
+        (SelfLoop, UpdateOp(INSERT, 1, 1)),
+    ]
+    for error, op in rejected:
+        with pytest.raises(error):
+            engine.process_update(op)
+        assert state() == before, op
+    # the rejected vertex 7 never existed, so it may arrive with label 0
+    result = engine.process_update(UpdateOp(INSERT, 7, 1, label_u=0))
+    assert engine.graph.label(7) == 0
+    assert result.deltas["q"].added == {(7, 1)}
+    assert result.deltas["path"].added == {(0, 1, 7), (2, 1, 7), (7, 1, 0), (7, 1, 2)}
 
 
 def test_insert_then_delete_net_zero(any_mode_cfg):

@@ -143,6 +143,29 @@ def test_recompute_check_catches_missing_orientation(cfg_zipf, monkeypatch):
     assert "missing" in report.describe()
 
 
+def test_recompute_check_catches_dropped_op(cfg_zipf, monkeypatch):
+    # the recompute replays the stream on its own graph copy, so an engine
+    # that silently skips an op cannot agree with itself
+    g = make_graph([], {0: 0, 1: 1, 2: 0, 3: 1})
+    q = QueryGraph({0: 0, 1: 1}, [(0, 1)])
+    engine = MatchEngine(g.copy(), cfg_zipf)
+    process_update = engine.process_update
+    monkeypatch.setattr(
+        engine, "process_update", lambda op: None if op.timestamp == 2 else process_update(op)
+    )
+    stream = [
+        UpdateOp(INSERT, 0, 1, timestamp=1),
+        UpdateOp(INSERT, 2, 3, timestamp=2),
+        UpdateOp(INSERT, 0, 3, timestamp=3),
+    ]
+    report = recompute_stream_check(g, stream, [q], cfg_zipf, engine=engine)
+    assert not report.ok
+    assert report.updates_checked == 2
+    assert report.divergence.timestamp == 2
+    assert report.divergence.missing == {(2, 3)}
+    assert report.divergence.extra == frozenset()
+
+
 def test_recompute_check_box_filter_is_optional(cfg_zipf, monkeypatch):
     # the per-degree box check, in the registration scan and at insert
     # endpoints, is pruning only; disabling it cannot change any answer set

@@ -264,9 +264,12 @@ def test_insert_delete_involution(any_mode_cfg):
     op_in = UpdateOp(INSERT, 0, 33)
     if g.has_edge(0, 33):  # pick a guaranteed-absent edge instead
         op_in = UpdateOp(INSERT, 0, 34) if not g.has_edge(0, 34) else UpdateOp(INSERT, 1, 35)
-    idx.maintain(g.apply_update(op_in))
+    g.apply_update(op_in)
+    idx.maintain(op_in)
     assert idx.snapshot() != before
-    idx.maintain(g.apply_update(UpdateOp(DELETE, op_in.u, op_in.v)))
+    op_out = UpdateOp(DELETE, op_in.u, op_in.v)
+    g.apply_update(op_out)
+    idx.maintain(op_out)
     assert idx.snapshot() == before
 
 
@@ -277,7 +280,9 @@ def test_group_boundary_crossing(cfg_base):
     idx = SynopsisIndex.build(g, DegreeGroups((2, 4)), cfg_base, 5)
     assert _entry(idx, 1, 0) is None
     box_before = idx.lists.mbr(0, 2)
-    idx.maintain(g.apply_update(UpdateOp(INSERT, 0, 3)))
+    op = UpdateOp(INSERT, 0, 3)
+    g.apply_update(op)
+    idx.maintain(op)
     assert _entry(idx, 1, 0) is not None
     entry0 = _entry(idx, 0, 0)
     assert entry0.ub_delta == 2
@@ -340,7 +345,8 @@ def test_maintenance_equals_rebuild_after_stream(mode):
     g = small_world(n=80, avg_deg=5.0, alphabet=5, seed=8)
     idx = build_index(g, cfg)
     for op in random_update_stream(g, 500, seed=21):
-        idx.maintain(g.apply_update(op))
+        g.apply_update(op)
+        idx.maintain(op)
     rebuilt = SynopsisIndex.build(g, idx.groups, cfg, idx.k_cells, domain=idx.domain)
     assert idx.snapshot() == rebuilt.snapshot()
     # maintained neighbor sums agree with from-scratch sums
@@ -371,7 +377,8 @@ def test_hub_degree_boxes_and_rebuild_under_churn(any_mode_cfg):
         else:
             op = UpdateOp(INSERT, 0, next_vid, label_v=rng.randint(0, 15))
             next_vid += 1
-        idx.maintain(g.apply_update(op))
+        g.apply_update(op)
+        idx.maintain(op)
     if any_mode_cfg.mode == "zipf":
         tied = {lbl for lbl in range(16) if label_vector(lbl, any_mode_cfg)[0] == 1 / 1024}
         assert len(tied) == 4
@@ -431,7 +438,7 @@ def test_scan_candidates_module_surface(cfg_zipf):
     idx = build_index(g, cfg_zipf, m=1)
     q = idx.embedding_of(next(iter(g.vertices())))
     syn = idx.synopses[0]
-    direct = scan_candidates(syn, q, 1, g.labels[0], idx.lists, cfg_zipf)
+    direct = scan_candidates(syn, q, 1, g.labels[0], idx.lists)
     via_index = idx.scan_for_degree(q, 1, g.labels[0])
     assert direct[0] == via_index[0]
 
@@ -527,5 +534,6 @@ def test_scan_equals_linear_filter(mode):
 
     check()
     for op in random_update_stream(g, 150, seed=47, alphabet=4):
-        idx.maintain(g.apply_update(op))
+        g.apply_update(op)
+        idx.maintain(op)
     check()
