@@ -33,6 +33,7 @@ from .graph import (
 )
 from .matcher import (
     AnswerSet,
+    JoinPlan,
     MatchEngine,
     QueryGraph,
     RegisteredQuery,
@@ -59,6 +60,7 @@ __all__ = [
     "DynamicGraph",
     "EmbeddingConfig",
     "INSERT",
+    "JoinPlan",
     "MatchEngine",
     "Mbr",
     "MODE_BASE",

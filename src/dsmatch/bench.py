@@ -36,6 +36,7 @@ RUN_COLUMNS = (
     "graph_s",
     "filtering_s",
     "refinement_s",
+    "answers_index_s",
     "embedding_update_s",
     "total_s",
 )
@@ -76,6 +77,7 @@ class RunMetrics:
                 graph_s=f"{self.stage_seconds.get('graph', 0.0):.6f}",
                 filtering_s=f"{self.stage_seconds.get('filtering', 0.0):.6f}",
                 refinement_s=f"{self.stage_seconds.get('refinement', 0.0):.6f}",
+                answers_index_s=f"{self.stage_seconds.get('answers_index', 0.0):.6f}",
                 embedding_update_s=f"{self.stage_seconds.get('embedding_update', 0.0):.6f}",
                 total_s=f"{self.total_seconds:.6f}",
             )

@@ -32,26 +32,26 @@ def _env(name: str, default):
 
 def _add_config_args(p: argparse.ArgumentParser, n_default: int = 50_000) -> None:
     g = p.add_argument_group("scenario parameters")
-    g.add_argument("--n", type=int, default=int(_env("n", n_default)), help="graph size |V|")
-    g.add_argument("--avg-deg", type=float, default=float(_env("avg-deg", 5.0)))
-    g.add_argument("--alphabet", type=int, default=int(_env("alphabet", 15)),
+    g.add_argument("--n", type=int, default=_env("n", n_default), help="graph size |V|")
+    g.add_argument("--avg-deg", type=float, default=_env("avg-deg", 5.0))
+    g.add_argument("--alphabet", type=int, default=_env("alphabet", 15),
                    help="number of distinct labels")
     g.add_argument("--label-dist", choices=LABEL_DISTRIBUTIONS,
                    default=_env("label-dist", "uniform"))
-    g.add_argument("--d", type=int, default=int(_env("d", 2)), help="label-vector arity")
-    g.add_argument("--ratio", type=float, default=float(_env("ratio", 1000.0)),
+    g.add_argument("--d", type=int, default=_env("d", 2), help="label-vector arity")
+    g.add_argument("--ratio", type=float, default=_env("ratio", 1000.0),
                    help="beta/alpha ratio of the embedding relocation")
     g.add_argument("--mode", choices=("plain", "base", "zipf"),
                    default=_env("mode", "zipf"), help="embedding mode")
-    g.add_argument("--m", type=int, default=int(_env("m", 3)), help="degree groups")
-    g.add_argument("--k", type=int, default=int(_env("k", 5)), help="grid cells per dimension")
-    g.add_argument("--query-count", type=int, default=int(_env("query-count", 100)))
-    g.add_argument("--query-size", type=int, default=int(_env("query-size", 8)))
-    g.add_argument("--query-avg-deg", type=float, default=float(_env("query-avg-deg", 3.0)))
-    g.add_argument("--insertion-rate", type=float, default=float(_env("insertion-rate", 0.1)))
-    g.add_argument("--deletion-rate", type=float, default=float(_env("deletion-rate", 0.0)))
-    g.add_argument("--seed", type=int, default=int(_env("seed", 1)), help="master seed")
-    g.add_argument("--salt", type=int, default=int(_env("salt", 0)), help="embedding seed salt")
+    g.add_argument("--m", type=int, default=_env("m", 3), help="degree groups")
+    g.add_argument("--k", type=int, default=_env("k", 5), help="grid cells per dimension")
+    g.add_argument("--query-count", type=int, default=_env("query-count", 100))
+    g.add_argument("--query-size", type=int, default=_env("query-size", 8))
+    g.add_argument("--query-avg-deg", type=float, default=_env("query-avg-deg", 3.0))
+    g.add_argument("--insertion-rate", type=float, default=_env("insertion-rate", 0.1))
+    g.add_argument("--deletion-rate", type=float, default=_env("deletion-rate", 0.0))
+    g.add_argument("--seed", type=int, default=_env("seed", 1), help="master seed")
+    g.add_argument("--salt", type=int, default=_env("salt", 0), help="embedding seed salt")
 
 
 def _config_from(args) -> BenchConfig:

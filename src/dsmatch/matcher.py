@@ -6,11 +6,13 @@ snapshot.  Answers are normalized as a tuple of data-vertex ids aligned
 with the query's vertices in ascending id order, so answer sets from any
 vertex ordering (or from the brute-force oracle) compare directly.
 
-Edge insertions extend answers from the inserted edge outward: one table
-lookup on its endpoint labels yields the query edge orientations that fit,
-each seeded onto it and completed by a left-deep join planned at
-registration.  Edge deletions drop exactly the stored answers whose edge
-image contains the deleted edge, found through an inverted edge index.
+Every join is compiled once, at registration, into a :class:`JoinPlan`
+that :func:`refine` executes.  One table keyed by query-edge label pairs
+routes updates: an insertion seeds each query edge orientation filed under
+its endpoint labels onto the new edge and completes it by refinement; a
+deletion probes only the queries filed under its label pair and drops the
+stored answers whose edge image contains the deleted edge, found through an
+inverted edge index.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .embedding import EmbeddingConfig, Vec, compose, label_vector
 from .errors import InvalidParams
 from .graph import DynamicGraph, INSERT, Label, UpdateOp, VertexId, load_graph
 from .synopsis import (
-    FILTER_EPS,
     DegreeGroups,
+    NeighborListStore,
     ScanStats,
     SynopsisIndex,
     compute_degree_groups,
@@ -150,50 +152,83 @@ def make_plan(
     return tuple(plan)
 
 
-CandidateSource = Callable[[int, list], Iterable[VertexId]]
+@dataclass(frozen=True)
+class JoinPlan:
+    """A vertex ordering of one query with the data its join reads per level.
+
+    Level n maps ``order[n]``; ``back[n]`` lists the earlier levels joined
+    to it by a query edge, and ``labels``, ``degrees`` and ``embeds`` hold
+    its label, query degree and embedding.  ``norm_pos[n]`` is the position
+    of ``order[n]`` in ``QueryGraph.vertex_order``.
+    """
+
+    order: tuple[VertexId, ...]
+    back: tuple[tuple[int, ...], ...]
+    labels: tuple[Label, ...]
+    degrees: tuple[int, ...]
+    embeds: tuple[Vec, ...]
+    norm_pos: tuple[int, ...]
+
+    @classmethod
+    def compile(
+        cls, q: QueryGraph, order: tuple[VertexId, ...], embeds: dict[VertexId, Vec]
+    ) -> "JoinPlan":
+        return cls(
+            order=order,
+            back=tuple(
+                tuple(i for i in range(n) if q.has_edge(order[i], qn))
+                for n, qn in enumerate(order)
+            ),
+            labels=tuple(q.labels[qn] for qn in order),
+            degrees=tuple(q.degree(qn) for qn in order),
+            embeds=tuple(embeds[qn] for qn in order),
+            norm_pos=tuple(q.index_of[qn] for qn in order),
+        )
 
 
 def refine(
-    q: QueryGraph,
-    plan: tuple[VertexId, ...],
+    plan: JoinPlan,
     graph: DynamicGraph,
+    store: NeighborListStore,
     seed: list[VertexId],
     depth: int,
-    candidates_for: CandidateSource,
+    roots: Iterable[VertexId] = (),
 ) -> set[Mapping]:
     """Left-deep depth-first completion of a partial mapping.
 
-    At level n a candidate is admitted iff it is unused (injectivity) and
-    the data edge exists for every query edge from plan[n] back into the
-    mapped prefix.  Complete assignments are emitted in normalized form.
-    The caller guarantees the seed itself is consistent.
+    Level 0 draws candidates from ``roots``, every later level from the
+    neighbors of its smallest mapped back-neighbor.  A candidate is admitted
+    iff it is unused, carries the level's label, is adjacent to every
+    back-neighbor's image and passes ``store.admits``.  Complete assignments
+    are emitted in normalized form.  The caller guarantees the seed itself
+    is consistent.
     """
-    size = len(plan)
-    back = [
-        [i for i in range(n) if q.has_edge(plan[i], plan[n])] for n in range(size)
-    ]
-    norm_pos = [q.index_of[qi] for qi in plan]
+    size = len(plan.order)
+    back, want, degrees, embeds = plan.back, plan.labels, plan.degrees, plan.embeds
     M: list[VertexId] = list(seed) + [0] * (size - len(seed))
     used = set(seed)
     out: set[Mapping] = set()
     adj = graph.adj
+    labels = graph.labels
+    admits = store.admits
 
     def rec(n: int) -> None:
         if n == size:
             norm = [0] * size
-            for pos, img in zip(norm_pos, M):
+            for pos, img in zip(plan.norm_pos, M):
                 norm[pos] = img
             out.add(tuple(norm))
             return
-        for u in candidates_for(n, M):
-            if u in used:
+        cands = adj[M[min(back[n], key=lambda i: len(adj[M[i]]))]] if n else roots
+        for u in cands:
+            if u in used or labels[u] != want[n]:
                 continue
             ok = True
             for i in back[n]:
                 if u not in adj[M[i]]:
                     ok = False
                     break
-            if ok:
+            if ok and admits(u, degrees[n], embeds[n]):
                 M[n] = u
                 used.add(u)
                 rec(n + 1)
@@ -275,9 +310,9 @@ class QueryDelta:
 
 _UNCHANGED = QueryDelta()
 
-# (query, plan, candidate source): plan[:2] is a query edge orientation, to
-# be seeded onto an inserted data edge (u, v) as plan[0] -> u, plan[1] -> v
-SeedEntry = tuple[RegisteredQuery, tuple[VertexId, ...], CandidateSource]
+# plan.order[:2] is a query edge orientation, to be seeded onto an inserted
+# data edge (u, v) as order[0] -> u, order[1] -> v
+SeedEntry = tuple[RegisteredQuery, JoinPlan]
 
 
 @dataclass
@@ -308,8 +343,8 @@ class MatchEngine:
         self.groups: DegreeGroups = compute_degree_groups(graph, m_groups)
         self.index = SynopsisIndex.build(graph, self.groups, cfg, k_cells)
         self.queries: dict[str, RegisteredQuery] = {}
-        # (label_a, label_b) -> the entries whose plan[:2] has those labels;
-        # both orientations of every query edge are filed
+        # (label_a, label_b) -> the entries whose plan.order[:2] has those
+        # labels; both orientations of every query edge are filed
         self.seeds: dict[tuple[Label, Label], list[SeedEntry]] = {}
 
     def register(self, name: str, query: QueryGraph) -> RegisteredQuery:
@@ -326,41 +361,37 @@ class MatchEngine:
             cand_sets[qi] = cands
             scan_stats[qi] = stats
         sizes = {qi: len(c) for qi, c in cand_sets.items()}
-        plan = make_plan(query, sizes)
-
-        def from_cand_sets(n: int, _m: list) -> Iterable[VertexId]:
-            return cand_sets[plan[n]]
-
+        plan = JoinPlan.compile(query, make_plan(query, sizes), embeds)
         answers = AnswerSet(query)
-        for m in refine(query, plan, self.graph, [], 0, from_cand_sets):
+        for m in refine(plan, self.graph, self.index.lists, [], 0, cand_sets[plan.order[0]]):
             answers.add(m)
         rq = RegisteredQuery(name, query, embeds, scan_stats, answers)
         for qa, qb in query.edges:
             for first in ((qa, qb), (qb, qa)):
-                seed_plan = make_plan(query, sizes, first=first)
+                seed = JoinPlan.compile(query, make_plan(query, sizes, first=first), embeds)
                 key = (query.labels[first[0]], query.labels[first[1]])
-                self.seeds.setdefault(key, []).append(
-                    (rq, seed_plan, self._adjacency_candidates(rq, seed_plan))
-                )
+                self.seeds.setdefault(key, []).append((rq, seed))
         self.queries[name] = rq
         return rq
 
     # -- incremental maintenance ------------------------------------------
 
     def process_update(self, op: UpdateOp) -> UpdateResult:
-        """Apply one op to graph and index, then to every registered query.
+        """Apply one op to graph and index, then to the queries it can touch.
 
         The graph rejects a bad op before mutating anything, and nothing
         after an accepted op can raise (the histogram and answer-set edits
-        are plain dict and set updates; the box read in :meth:`_endpoint_ok`
-        sits behind its degree check), so every op applies fully or not at
-        all.  Queries whose answers did not change share one empty delta.
+        are plain dict and set updates; the box read in ``admits`` sits
+        behind its degree check), so every op applies fully or not at all.
+        Only the queries filed under the edge's label pair are visited;
+        every query whose answers did not change shares one empty delta.
         """
         timings = {
             "graph": 0.0,
             "embedding_update": 0.0,
             "filtering": 0.0,
             "refinement": 0.0,
+            "answers_index": 0.0,
         }
         t0 = perf_counter()
         self.graph.apply_update(op)
@@ -370,92 +401,51 @@ class MatchEngine:
         deltas = dict.fromkeys(self.queries, _UNCHANGED)
         if op.kind == INSERT:
             found, timings["filtering"], timings["refinement"] = self._on_insert(op.u, op.v)
+            t1 = perf_counter()
             for name, added in found.items():
                 answers = self.queries[name].answers
                 for m in added:
                     answers.add(m)
                 deltas[name] = QueryDelta(added=frozenset(added))
         else:
-            edge = op.edge()
             t1 = perf_counter()
-            for name, rq in self.queries.items():
+            edge = op.edge()
+            entries = self.seeds.get((self.graph.labels[op.u], self.graph.labels[op.v]), ())
+            for name, rq in {rq.name: rq for rq, _ in entries}.items():
                 victims = rq.answers.answers_on_edge(edge)
                 if victims:
                     for m in victims:
                         rq.answers.discard(m)
                     deltas[name] = QueryDelta(removed=victims)
-            timings["refinement"] = perf_counter() - t1
+        timings["answers_index"] = perf_counter() - t1
         return UpdateResult(op=op, deltas=deltas, timings=timings)
-
-    def _endpoint_ok(self, q: QueryGraph, qi: VertexId, v: VertexId, q_embed: Vec) -> bool:
-        """Necessary-conditions filter for mapping query vertex qi onto v.
-
-        The caller has checked v's label.  Label vectors lie in (0, 1], so
-        the box's high corner at dq <= deg(v) is <= v's full embedding on
-        every dimension: box membership implies the dominance test.
-        """
-        dq = q.degree(qi)
-        if dq > len(self.graph.adj[v]):
-            return False
-        return self.index.lists.mbr(v, dq).contains(q_embed, FILTER_EPS)
 
     def _on_insert(
         self, u: VertexId, v: VertexId
     ) -> tuple[dict[str, set[Mapping]], float, float]:
         """New answers, per query name, that use the just-inserted edge (u, v).
 
-        Each seed entry under (label(u), label(v)) whose endpoints pass the
-        filters is completed by refinement.  Its per-level candidates come
-        from the current adjacency (label-checked and filtered by the
-        synopsis scan's degree and box conditions, which imply its
-        dominance test).
+        Each seed entry under (label(u), label(v)) whose endpoints both pass
+        the box admission test is completed by refinement from [u, v].
         """
         graph = self.graph
         labels = graph.labels
+        store = self.index.lists
+        admits = store.admits
         found: dict[str, set[Mapping]] = {}
         t_refine = 0.0
         t_start = perf_counter()
-        for rq, plan, source in self.seeds.get((labels[u], labels[v]), ()):
-            q, qa, qb = rq.query, plan[0], plan[1]
-            if not self._endpoint_ok(q, qa, u, rq.embeds[qa]):
-                continue
-            if not self._endpoint_ok(q, qb, v, rq.embeds[qb]):
+        for rq, plan in self.seeds.get((labels[u], labels[v]), ()):
+            degrees, embeds = plan.degrees, plan.embeds
+            if not (admits(u, degrees[0], embeds[0]) and admits(v, degrees[1], embeds[1])):
                 continue
             t1 = perf_counter()
-            added = refine(q, plan, graph, [u, v], 2, source)
+            added = refine(plan, graph, store, [u, v], 2)
             t_refine += perf_counter() - t1
             if added:
                 found.setdefault(rq.name, set()).update(added)
         t_filter = perf_counter() - t_start - t_refine
         return found, t_filter, t_refine
-
-    def _adjacency_candidates(
-        self, rq: RegisteredQuery, plan: tuple[VertexId, ...]
-    ) -> CandidateSource:
-        """Candidates for plan levels >= 1, derived from current adjacency.
-
-        Prefix connectivity guarantees at least one back-edge, so every
-        admissible image is a neighbor of an already-mapped vertex; the
-        smallest such neighborhood is enumerated and filtered.
-        """
-        q = rq.query
-        graph = self.graph
-        labels = graph.labels
-        back = [
-            [i for i in range(n) if q.has_edge(plan[i], plan[n])]
-            for n in range(len(plan))
-        ]
-
-        def source(n: int, M: list) -> Iterator[VertexId]:
-            qn = plan[n]
-            want = q.labels[qn]
-            anchor = min(back[n], key=lambda i: len(graph.adj[M[i]]))
-            embed = rq.embeds[qn]
-            for u in graph.adj[M[anchor]]:
-                if labels[u] == want and self._endpoint_ok(q, qn, u, embed):
-                    yield u
-
-        return source
 
 
 def format_mapping(query: QueryGraph, m: Mapping) -> str:

@@ -38,7 +38,7 @@ from .embedding import (
     EmbeddingConfig,
     MODE_PLAIN,
     Vec,
-    base_vector,
+    compose,
     embedding_key,
     label_vector,
 )
@@ -224,16 +224,10 @@ class NeighborListStore:
         """The label's box frame; a label seen first is also ordered."""
         frame = self.frames.get(label)
         if frame is None:
-            cfg = self.cfg
-            x = label_vector(label, cfg)
-            if cfg.mode == MODE_PLAIN:
-                frame = (x, (0.0,) * cfg.d)
-            else:
-                z = base_vector(label, cfg)
-                a, b = cfg.alpha, cfg.beta
-                head = tuple(a * x[k] + b * z[k] for k in range(cfg.d))
-                frame = (head, tuple(b * z[cfg.d + k] for k in range(cfg.d)))
-            self.frames[label] = frame
+            d = self.cfg.d
+            x = label_vector(label, self.cfg)
+            e = compose(x, (0.0,) * d, label, self.cfg)  # a star with no leaves
+            frame = self.frames[label] = (e[:d], e[d:])
             for k, order in enumerate(self.order):
                 insort(order, (x[k], label))
         return frame
@@ -279,6 +273,13 @@ class NeighborListStore:
             low.append(a * _extreme_sum(hist, order, delta) + t)
             high.append(a * _extreme_sum(hist, reversed(order), delta) + t)
         return Mbr(low=head + tuple(low), high=head + tuple(high))
+
+    def admits(self, v: VertexId, delta: int, q_embed: Vec) -> bool:
+        """delta <= deg(v) and ``q_embed`` in v's box at delta, within FILTER_EPS.
+
+        A box's high corner is <= v's full embedding, so admission implies dominance.
+        """
+        return delta <= self.degree(v) and self.mbr(v, delta).contains(q_embed, FILTER_EPS)
 
 
 # -- grid synopses ------------------------------------------------------------
@@ -447,9 +448,7 @@ def scan_candidates(
                 stats.pruned_dominance += 1
             elif labels.get(v) != q_label:
                 stats.pruned_label += 1
-            elif q_degree > lists.degree(v) or not lists.mbr(v, q_degree).contains(
-                q_embed, FILTER_EPS
-            ):
+            elif not lists.admits(v, q_degree, q_embed):
                 stats.pruned_box += 1
             else:
                 out.append(v)

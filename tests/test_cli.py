@@ -1,5 +1,7 @@
 import csv
 
+import pytest
+
 from dsmatch.bench import run_engine, run_naive, sweep
 from dsmatch.cli import main
 from dsmatch.generate import BenchConfig
@@ -52,6 +54,7 @@ def test_run_from_files_and_metrics(tmp_path):
     assert rows[0]["mode"] == "engine"
     assert float(rows[0]["total_s"]) > 0
     assert float(rows[0]["graph_s"]) >= 0
+    assert float(rows[0]["answers_index_s"]) >= 0
     answers = sorted(out.glob("answers_q*.txt"))
     assert len(answers) == 3
     for f in answers:
@@ -152,6 +155,19 @@ def test_env_override(tmp_path, monkeypatch):
 
     args = build_parser().parse_args(["gen", "--out", str(tmp_path)])
     assert args.n == 64
+
+
+def test_malformed_env_value_is_a_usage_error_only_where_used(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DSMATCH_N", "foo")
+    graph = tmp_path / "g.txt"
+    graph.write_text("v 0 1\nv 1 2\ne 0 1\n")
+    # oracle has no --n, so the value is never read
+    assert main(["oracle", "--graph", str(graph), "--queries", str(graph)]) == 0
+    assert "# query 0: 1 matches" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "invalid int value: 'foo'" in capsys.readouterr().err
 
 
 def test_cli_error_exit_code(tmp_path):

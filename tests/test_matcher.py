@@ -16,6 +16,7 @@ from dsmatch.generate import sample_queries, split_stream
 from dsmatch.graph import DELETE, INSERT, DynamicGraph, UpdateOp, dump_graph
 from dsmatch.matcher import (
     AnswerSet,
+    JoinPlan,
     MatchEngine,
     QueryGraph,
     embed_query,
@@ -130,44 +131,54 @@ def test_make_plan_seeded_first_pair():
 # -- refinement ------------------------------------------------------------------
 
 
-def test_refine_full_seed_returns_it(triangle):
-    q = q_triangle()
-    plan = (0, 1, 2)
-    out = refine(q, plan, triangle, [0, 1, 2], 3, lambda n, M: [])
-    assert out == {(0, 1, 2)}
+def compiled(q, order, graph, cfg):
+    """q's JoinPlan for ``order``, and a histogram store over ``graph``."""
+    plan = JoinPlan.compile(q, tuple(order), embed_query(q, cfg))
+    return plan, NeighborListStore.build(graph, cfg)
 
 
-def test_refine_empty_candidates(triangle):
-    q = q_triangle()
-    out = refine(q, (0, 1, 2), triangle, [], 0, lambda n, M: [])
-    assert out == set()
+def test_join_plan_levels(cfg_zipf):
+    q = QueryGraph({5: 1, 7: 2, 9: 3}, [(5, 7), (7, 9)])
+    plan, _ = compiled(q, (7, 9, 5), DynamicGraph(), cfg_zipf)
+    embeds = embed_query(q, cfg_zipf)
+    assert plan.back == ((), (0,), (0,))
+    assert plan.labels == (2, 3, 1)
+    assert plan.degrees == (2, 1, 1)
+    assert plan.embeds == (embeds[7], embeds[9], embeds[5])
+    assert plan.norm_pos == (1, 2, 0)
 
 
-def test_refine_matches_seeded_oracle():
+def test_refine_full_seed_returns_it(triangle, cfg_zipf):
+    plan, store = compiled(q_triangle(), (0, 1, 2), triangle, cfg_zipf)
+    assert refine(plan, triangle, store, [0, 1, 2], 3) == {(0, 1, 2)}
+
+
+def test_refine_empty_candidates(triangle, cfg_zipf):
+    plan, store = compiled(q_triangle(), (0, 1, 2), triangle, cfg_zipf)
+    assert refine(plan, triangle, store, [], 0) == set()  # no roots
+    # the root admitted, but no neighbor of it carries the level-1 label
+    plan, store = compiled(q_triangle((0, 1, 1)), (0, 1, 2), triangle, cfg_zipf)
+    assert refine(plan, triangle, store, [], 0, [0]) == set()
+
+
+def test_refine_matches_seeded_oracle(cfg_zipf):
     g = small_world(n=60, avg_deg=5.0, alphabet=3, seed=14)
     q = sample_queries(g, 1, 4, 2.0, seed=8)[0]
     matches = enumerate_matches(g, q)
-    by_label = {}
-    for v in g.vertices():
-        by_label.setdefault(g.labels[v], []).append(v)
-    sizes = {qi: len(by_label.get(q.labels[qi], ())) for qi in q.vertex_order}
-    plan = make_plan(q, sizes)
+    sizes = {qi: 1 for qi in q.vertex_order}
+    plan, store = compiled(q, make_plan(q, sizes), g, cfg_zipf)
 
-    def label_cands(n, _m):
-        return by_label.get(q.labels[plan[n]], ())
-
-    # unseeded: refine over label-filtered candidates equals the oracle
-    assert refine(q, plan, g, [], 0, label_cands) == matches
+    # unseeded: refine from every vertex as a root equals the oracle
+    assert refine(plan, g, store, [], 0, sorted(g.vertices())) == matches
     # seeded: equals the oracle restricted to mappings extending the seed
-    if matches:
-        some = sorted(matches)[0]
-        pos0 = q.index_of[plan[0]]
-        seeded = refine(q, plan, g, [some[pos0]], 1, label_cands)
-        want = {m for m in matches if m[pos0] == some[pos0]}
-        assert seeded == want
+    assert matches
+    some = sorted(matches)[0]
+    pos0 = plan.norm_pos[0]
+    seeded = refine(plan, g, store, [some[pos0]], 1)
+    assert seeded == {m for m in matches if m[pos0] == some[pos0]}
 
 
-def test_refine_plan_invariance():
+def test_refine_plan_invariance(cfg_zipf):
     # any valid plan yields the same normalized mapping set
     g = small_world(n=50, avg_deg=5.0, alphabet=3, seed=15)
     q = sample_queries(g, 1, 4, 2.5, seed=9)[0]
@@ -184,10 +195,12 @@ def test_refine_plan_invariance():
         if not ok:
             continue
         seen_plans.add(perm)
-        out = refine(q, perm, g, [], 0, lambda n, _m, p=perm: by_label.get(q.labels[p[n]], ()))
-        results.add(out if isinstance(out, frozenset) else frozenset(out))
+        plan, store = compiled(q, perm, g, cfg_zipf)
+        out = refine(plan, g, store, [], 0, by_label.get(q.labels[perm[0]], ()))
+        results.add(frozenset(out))
     assert len(seen_plans) > 1
     assert len(results) == 1
+    assert results == {frozenset(enumerate_matches(g, q))}
 
 
 # -- answer sets -----------------------------------------------------------------
@@ -531,10 +544,31 @@ def test_update_timings_present(any_mode_cfg):
     g = make_graph([(0, 1)], {0: 0, 1: 1, 2: 0, 3: 1})
     engine = MatchEngine(g.copy(), any_mode_cfg)
     engine.register("q", q_edge(0, 1))
-    result = engine.process_update(UpdateOp(INSERT, 2, 3))
-    for stage in ("graph", "embedding_update", "filtering", "refinement"):
-        assert stage in result.timings
-        assert result.timings[stage] >= 0.0
+    stages = ["graph", "embedding_update", "filtering", "refinement", "answers_index"]
+    for op in (UpdateOp(INSERT, 2, 3), UpdateOp(DELETE, 0, 1)):
+        result = engine.process_update(op)
+        assert sorted(result.timings) == sorted(stages), op
+        assert all(seconds >= 0.0 for seconds in result.timings.values())
+
+
+def test_delete_probes_only_queries_filed_under_its_label_pair(cfg_zipf, monkeypatch):
+    # "ab" is filed under (0, 1) twice, once per query edge; "cd" never is
+    g = make_graph([(0, 1), (1, 2), (3, 4)], {0: 0, 1: 1, 2: 0, 3: 2, 4: 3})
+    engine = MatchEngine(g.copy(), cfg_zipf)
+    engine.register("ab", QueryGraph({0: 0, 1: 1, 2: 0}, [(0, 1), (1, 2)]))
+    engine.register("cd", q_edge(2, 3))
+    probed = []
+    answers_on_edge = AnswerSet.answers_on_edge
+
+    def counted(self, key):
+        probed.append(self.query)
+        return answers_on_edge(self, key)
+
+    monkeypatch.setattr(AnswerSet, "answers_on_edge", counted)
+    result = engine.process_update(UpdateOp(DELETE, 0, 1))
+    assert probed == [engine.queries["ab"].query]
+    assert result.deltas["ab"].removed == {(0, 1, 2), (2, 1, 0)}
+    assert list(result.deltas) == ["ab", "cd"]
 
 
 def test_answer_output_format():

@@ -130,7 +130,7 @@ def test_recompute_check_catches_missing_orientation(cfg_zipf, monkeypatch):
 
     def register_then_drop(name, query):
         rq = register(name, query)
-        engine.seeds[5, 5] = [e for e in engine.seeds[5, 5] if e[1][:2] != (1, 0)]
+        engine.seeds[5, 5] = [e for e in engine.seeds[5, 5] if e[1].order[:2] != (1, 0)]
         return rq
 
     monkeypatch.setattr(engine, "register", register_then_drop)
