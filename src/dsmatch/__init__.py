@@ -33,7 +33,6 @@ from .graph import (
 )
 from .matcher import (
     AnswerSet,
-    JoinPlan,
     MatchEngine,
     QueryGraph,
     RegisteredQuery,
@@ -60,7 +59,6 @@ __all__ = [
     "DynamicGraph",
     "EmbeddingConfig",
     "INSERT",
-    "JoinPlan",
     "MatchEngine",
     "Mbr",
     "MODE_BASE",

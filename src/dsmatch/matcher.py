@@ -7,10 +7,10 @@ with the query's vertices in ascending id order, so answer sets from any
 vertex ordering (or from the brute-force oracle) compare directly.
 
 Every join is compiled once, at registration, into a :class:`JoinPlan`
-that :func:`refine` executes.  One table keyed by query-edge label pairs
-routes updates: an insertion seeds each query edge orientation filed under
-its endpoint labels onto the new edge and completes it by refinement; a
-deletion probes only the queries filed under its label pair and drops the
+that :func:`refine` executes.  Updates are routed by the edge's label pair:
+an insertion seeds each query edge orientation filed under its endpoint
+labels onto the new edge and completes it by refinement; a deletion probes
+only the queries with an edge on its label pair, each once, and drops the
 stored answers whose edge image contains the deleted edge, found through an
 inverted edge index.
 """
@@ -346,6 +346,9 @@ class MatchEngine:
         # (label_a, label_b) -> the entries whose plan.order[:2] has those
         # labels; both orientations of every query edge are filed
         self.seeds: dict[tuple[Label, Label], list[SeedEntry]] = {}
+        # (label_a, label_b) -> the queries with an edge on that label pair,
+        # each once, by name: the only queries a delete there can reach
+        self.pair_queries: dict[tuple[Label, Label], dict[str, RegisteredQuery]] = {}
 
     def register(self, name: str, query: QueryGraph) -> RegisteredQuery:
         """Exact answers on the current snapshot, and the query's seed entries."""
@@ -371,6 +374,7 @@ class MatchEngine:
                 seed = JoinPlan.compile(query, make_plan(query, sizes, first=first), embeds)
                 key = (query.labels[first[0]], query.labels[first[1]])
                 self.seeds.setdefault(key, []).append((rq, seed))
+                self.pair_queries.setdefault(key, {})[name] = rq
         self.queries[name] = rq
         return rq
 
@@ -410,8 +414,8 @@ class MatchEngine:
         else:
             t1 = perf_counter()
             edge = op.edge()
-            entries = self.seeds.get((self.graph.labels[op.u], self.graph.labels[op.v]), ())
-            for name, rq in {rq.name: rq for rq, _ in entries}.items():
+            pair = (self.graph.labels[op.u], self.graph.labels[op.v])
+            for name, rq in self.pair_queries.get(pair, {}).items():
                 victims = rq.answers.answers_on_edge(edge)
                 if victims:
                     for m in victims:

@@ -277,9 +277,11 @@ class NeighborListStore:
     def admits(self, v: VertexId, delta: int, q_embed: Vec) -> bool:
         """delta <= deg(v) and ``q_embed`` in v's box at delta, within FILTER_EPS.
 
-        A box's high corner is <= v's full embedding, so admission implies dominance.
+        A box's high corner is <= v's full embedding, so admission implies
+        dominance.  deg(v) is read from the graph, which the store tracks.
         """
-        return delta <= self.degree(v) and self.mbr(v, delta).contains(q_embed, FILTER_EPS)
+        deg = len(self.graph.adj[v])
+        return delta <= deg and self.mbr(v, delta).contains(q_embed, FILTER_EPS)
 
 
 # -- grid synopses ------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Hashes of everything an engine answers on one perfbench workload.
 
-    python3 tools/fingerprint.py --workload sw-delete-q20 [--seed N]
+    python3 tools/fingerprint.py --workload sw-delete-q20
 
-Builds the workload's inputs with ``perfbench/workloads.py`` (at the
-workload's default seed unless ``--seed`` is given), registers every query
+Builds the workload's inputs with ``perfbench/workloads.py`` at the
+workload's default seed, registers every query
 as ``q0``, ``q1``, ... and replays the stream once.  It prints one SHA-256
 per line for:
 
@@ -41,9 +41,9 @@ def answers(engine: MatchEngine) -> dict[str, list]:
     return {name: sorted(rq.answers) for name, rq in engine.queries.items()}
 
 
-def fingerprint(workload: str, seed: int | None = None) -> dict[str, str]:
+def fingerprint(workload: str) -> dict[str, str]:
     wl = WORKLOADS[workload]
-    inputs = make_inputs(wl, wl.default_seed if seed is None else seed)
+    inputs = make_inputs(wl, wl.default_seed)
     engine = MatchEngine(inputs.g0.copy(), inputs.cfg, inputs.m_groups, inputs.k_cells)
     for i, q in enumerate(inputs.queries):
         engine.register(f"q{i}", q)
@@ -75,9 +75,8 @@ def fingerprint(workload: str, seed: int | None = None) -> dict[str, str]:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="tools/fingerprint.py", description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True, choices=list(WORKLOADS))
-    p.add_argument("--seed", type=int, help="input seed (default: the workload's own)")
     args = p.parse_args(argv)
-    for part, h in fingerprint(args.workload, args.seed).items():
+    for part, h in fingerprint(args.workload).items():
         print(f"{part:<10} {h}")
     return 0
 
