@@ -199,9 +199,9 @@ def refine(
     Level 0 draws candidates from ``roots``, every later level from the
     neighbors of its smallest mapped back-neighbor.  A candidate is admitted
     iff it is unused, carries the level's label, is adjacent to every
-    back-neighbor's image and passes ``store.admits``.  Complete assignments
-    are emitted in normalized form.  The caller guarantees the seed itself
-    is consistent.
+    back-neighbor's image and passes ``store.admits``; roots skip that box
+    test, which the caller's scan has run.  Complete assignments are emitted
+    in normalized form.  The caller guarantees the seed itself is consistent.
     """
     size = len(plan.order)
     back, want, degrees, embeds = plan.back, plan.labels, plan.degrees, plan.embeds
@@ -228,7 +228,7 @@ def refine(
                 if u not in adj[M[i]]:
                     ok = False
                     break
-            if ok and admits(u, degrees[n], embeds[n]):
+            if ok and (not n or admits(u, degrees[n], embeds[n])):
                 M[n] = u
                 used.add(u)
                 rec(n + 1)

@@ -11,9 +11,10 @@ Per-degree bounding boxes are never materialized.  Every neighbor
 contributes its label's vector, so each vertex keeps only a histogram of
 its neighbors' labels.  On each dimension, the box for any degree delta
 spans the sum of the delta smallest to the sum of the delta largest
-neighbor components; both come from one walk over a store-wide order of
-labels by component, taking each present label's count until delta is
-used up.  An update is one histogram edit per endpoint.
+neighbor components; both come from one walk over the histogram's labels
+sorted by component, taking each label's count until delta is used up.
+An update is one histogram edit per endpoint.  A grid cell buckets its
+entries by label, whose d head coordinates a scan tests once per bucket.
 
 The grids are build-only.  Only candidate scans read them, so an update
 just drops them, and the next scan, snapshot or dump rebuilds them from the
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable
@@ -167,20 +168,20 @@ class Mbr:
         return all(lo - eps <= x <= hi + eps for lo, x, hi in zip(self.low, p, self.high))
 
 
-def _extreme_sum(hist: dict[Label, int], order, delta: int) -> float:
-    """Sum of the first ``delta`` neighbor components met along ``order``.
+def _extreme_sum(hist: dict[Label, int], labels: Iterable[Label], keys: dict, delta: int) -> float:
+    """Sum of the first ``delta`` neighbor components met walking ``labels``.
 
-    ``order`` yields (component, label) pairs; each label present in the
-    histogram contributes min(count, what is left of delta) copies.
+    ``keys[label]`` is (the label's component on one dimension, label);
+    each label contributes min(hist count, what is left of delta) copies.
     """
     acc = 0.0
-    for comp, lbl in order:
-        c = hist.get(lbl)
-        if c:
-            if c >= delta:
-                return acc + delta * comp
-            acc += c * comp
-            delta -= c
+    for lbl in labels:
+        c = hist[lbl]
+        comp = keys[lbl][0]
+        if c >= delta:
+            return acc + delta * comp
+        acc += c * comp
+        delta -= c
     return acc
 
 
@@ -191,11 +192,11 @@ class NeighborListStore:
     number of neighbors carrying it) is all the state a box needs.  A
     store-wide label table holds, per label seen, its box frame: the d head
     coordinates, and the constant added to ``alpha * raw_sum`` on each tail
-    dimension (plain mode is alpha = 1 with zero constants).  ``order[k]``
-    lists the (component on dimension k, label) pairs of every known label
-    in ascending order.  Every float read
-    from the store is a pure function of a histogram and the label table, so
-    a maintained store equals a rebuild by construction.
+    dimension (plain mode is alpha = 1 with zero constants).  ``keys[k]``
+    maps each label seen to its sort key on dimension k: its label-vector
+    component, then the label.  Every float read from the store is a pure
+    function of a histogram and the label table, so a maintained store
+    equals a rebuild by construction.
     """
 
     def __init__(self, graph: DynamicGraph, cfg: EmbeddingConfig):
@@ -204,7 +205,7 @@ class NeighborListStore:
         self.alpha = 1.0 if cfg.mode == MODE_PLAIN else cfg.alpha
         self.hist: dict[VertexId, dict[Label, int]] = {}
         self.frames: dict[Label, tuple[Vec, Vec]] = {}  # head, tail constants
-        self.order: list[list[tuple[float, Label]]] = [[] for _ in range(cfg.d)]
+        self.keys: list[dict[Label, tuple[float, Label]]] = [{} for _ in range(cfg.d)]
 
     @classmethod
     def build(cls, graph: DynamicGraph, cfg: EmbeddingConfig) -> "NeighborListStore":
@@ -221,15 +222,15 @@ class NeighborListStore:
         return store
 
     def _frame(self, label: Label) -> tuple[Vec, Vec]:
-        """The label's box frame; a label seen first is also ordered."""
+        """The label's box frame; a label seen first also gets its sort keys."""
         frame = self.frames.get(label)
         if frame is None:
             d = self.cfg.d
             x = label_vector(label, self.cfg)
+            for comp, keys in zip(x, self.keys):
+                keys[label] = (comp, label)
             e = compose(x, (0.0,) * d, label, self.cfg)  # a star with no leaves
             frame = self.frames[label] = (e[:d], e[d:])
-            for k, order in enumerate(self.order):
-                insort(order, (x[k], label))
         return frame
 
     def count(self, v: VertexId, label: Label, step: int) -> None:
@@ -249,7 +250,7 @@ class NeighborListStore:
     def neighbor_sum(self, v: VertexId) -> Vec:
         hist = self.hist.get(v, {})
         deg = sum(hist.values())
-        return tuple(_extreme_sum(hist, order, deg) for order in self.order)
+        return tuple(_extreme_sum(hist, sorted(hist, key=k.__getitem__), k, deg) for k in self.keys)
 
     def embedding(self, v: VertexId) -> Vec:
         """Current full-star embedding of v, from the maintained histogram."""
@@ -267,21 +268,32 @@ class NeighborListStore:
             )
         head, tail = self._frame(self.graph.label(v))
         a = self.alpha
-        low = []
-        high = []
-        for order, t in zip(self.order, tail):
-            low.append(a * _extreme_sum(hist, order, delta) + t)
-            high.append(a * _extreme_sum(hist, reversed(order), delta) + t)
+        low, high = [], []
+        for keys, t in zip(self.keys, tail):
+            labels = sorted(hist, key=keys.__getitem__)
+            low.append(a * _extreme_sum(hist, labels, keys, delta) + t)
+            high.append(a * _extreme_sum(hist, reversed(labels), keys, delta) + t)
         return Mbr(low=head + tuple(low), high=head + tuple(high))
 
     def admits(self, v: VertexId, delta: int, q_embed: Vec) -> bool:
         """delta <= deg(v) and ``q_embed`` in v's box at delta, within FILTER_EPS.
 
-        A box's high corner is <= v's full embedding, so admission implies
-        dominance.  deg(v) is read from the graph, which the store tracks.
+        Precondition: ``q_embed`` embeds a vertex labeled label(v), so its d
+        head coordinates equal the box's (``compose``).  Per tail dimension
+        the low bound, then the high bound is tested, returning at the first
+        failure.  Admission implies dominance; deg(v) is read from the graph.
         """
-        deg = len(self.graph.adj[v])
-        return delta <= deg and self.mbr(v, delta).contains(q_embed, FILTER_EPS)
+        if delta > len(self.graph.adj[v]):
+            return False
+        hist, a = self.hist[v], self.alpha
+        tail = self.frames[self.graph.labels[v]][1]
+        for x, keys, t in zip(q_embed[self.cfg.d:], self.keys, tail):
+            labels = sorted(hist, key=keys.__getitem__)
+            if x < a * _extreme_sum(hist, labels, keys, delta) + t - FILTER_EPS:
+                return False
+            if x > a * _extreme_sum(hist, reversed(labels), keys, delta) + t + FILTER_EPS:
+                return False
+        return True
 
 
 # -- grid synopses ------------------------------------------------------------
@@ -295,13 +307,15 @@ class VertexEntry:
 
 
 class Cell:
-    __slots__ = ("coords", "corner", "key", "entries")
+    __slots__ = ("corner", "key", "buckets")
 
-    def __init__(self, coords: tuple[int, ...], corner: Vec):
-        self.coords = coords
+    def __init__(self, corner: Vec):
         self.corner = corner
         self.key = embedding_key(corner)
-        self.entries: list[VertexEntry] = []
+        self.buckets: dict[Label, list[VertexEntry]] = {}  # entries by vertex label
+
+    def __len__(self) -> int:
+        return sum(map(len, self.buckets.values()))
 
 
 @dataclass
@@ -364,6 +378,7 @@ class GridSynopsis:
         k_cells: int,
         domain: float,
         entries: Iterable[VertexEntry],
+        labels: dict[VertexId, Label],
     ):
         self.group = group
         self.lower = lower
@@ -376,14 +391,14 @@ class GridSynopsis:
             coords = self.cell_coords(entry.corner)
             cell = self.cells.get(coords)
             if cell is None:
-                cell = self.cells[coords] = Cell(coords, self._cell_corner(coords))
-            cell.entries.append(entry)
+                cell = self.cells[coords] = Cell(self._cell_corner(coords))
+            cell.buckets.setdefault(labels[entry.vertex], []).append(entry)
         self.order: list[tuple[float, tuple[int, ...]]] = sorted(  # (-key, coords)
             (-cell.key, coords) for coords, cell in self.cells.items()
         )
 
     def __len__(self) -> int:
-        return sum(len(cell.entries) for cell in self.cells.values())
+        return sum(map(len, self.cells.values()))
 
     def cell_coords(self, point: Vec) -> tuple[int, ...]:
         k = self.k_cells
@@ -398,8 +413,8 @@ class GridSynopsis:
     def snapshot(self) -> dict:
         """Canonical content for equality checks (entry order independent)."""
         return {
-            coords: sorted((e.vertex, e.ub_delta, e.corner) for e in cell.entries)
-            for coords, cell in self.cells.items()
+            coords: sorted((e.vertex, e.ub_delta, e.corner) for b in c.buckets.values() for e in b)
+            for coords, c in self.cells.items()
         }
 
     def dump(self) -> str:
@@ -407,7 +422,7 @@ class GridSynopsis:
         for negkey, coords in self.order:
             cell = self.cells[coords]
             cs = ",".join(map(str, coords))
-            lines.append(f"cell {cs} key={-negkey:.6g} entries={len(cell.entries)}")
+            lines.append(f"cell {cs} key={-negkey:.6g} entries={len(cell)}")
         return "\n".join(lines)
 
 
@@ -433,28 +448,37 @@ def scan_candidates(
     # dominance is checked with +eps per dimension; widen the key cutoff by
     # the worst-case key growth so the two filters cannot disagree
     cutoff = key_q - 2.0 * FILTER_EPS * len(q_embed) * syn.domain - 1e-12
-    labels = lists.graph.labels
+    d = lists.cfg.d
+    q_head, tail = q_embed[:d], range(d, 2 * d)
     for negkey, coords in syn.order:
         if -negkey < cutoff:
             break
         cell = syn.cells[coords]
-        n = len(cell.entries)
+        n = len(cell)
         stats.cells_scanned += 1
         stats.examined += n
         if not dominated_within(q_embed, cell.corner):
             stats.pruned_cell += n
             continue
-        for entry in cell.entries:
-            v = entry.vertex
-            if not dominated_within(q_embed, entry.corner):
-                stats.pruned_dominance += 1
-            elif labels.get(v) != q_label:
-                stats.pruned_label += 1
-            elif not lists.admits(v, q_degree, q_embed):
-                stats.pruned_box += 1
-            else:
-                out.append(v)
-                stats.survivors += 1
+        for label, bucket in cell.buckets.items():
+            # every corner in the bucket has its label's frame head
+            if not dominated_within(q_head, lists.frames[label][0]):
+                stats.pruned_dominance += len(bucket)
+                continue
+            for entry in bucket:
+                corner = entry.corner
+                for k in tail:
+                    if q_embed[k] > corner[k] + FILTER_EPS:
+                        stats.pruned_dominance += 1
+                        break
+                else:
+                    if label != q_label:
+                        stats.pruned_label += 1
+                    elif not lists.admits(entry.vertex, q_degree, q_embed):
+                        stats.pruned_box += 1
+                    else:
+                        out.append(entry.vertex)
+    stats.survivors = len(out)
     return out, stats
 
 
@@ -533,8 +557,9 @@ class SynopsisIndex:
                     break
                 ub = groups.capped_degree(degree, j)
                 entries[j].append(VertexEntry(v, ub, mbr(v, ub).high))
+        labels = self.graph.labels
         return [
-            GridSynopsis(j, groups.lower(j), groups.upper(j), self.k_cells, self.domain, e)
+            GridSynopsis(j, groups.lower(j), groups.upper(j), self.k_cells, self.domain, e, labels)
             for j, e in enumerate(entries)
         ]
 

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -257,6 +258,38 @@ def test_initial_match_equals_oracle_many(mode):
             assert rq.answers.mappings() == enumerate_matches(g, q)
 
 
+def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
+    # the scan admits plan.order[0]'s candidates; refine takes them as roots
+    # without boxing them again.  Distinct query labels keep every other
+    # scan and join level off the roots' (vertex, degree, embedding) keys.
+    g = small_world(n=120, avg_deg=5.0, alphabet=3, seed=3)
+    engine = MatchEngine(g.copy(), any_mode_cfg)
+    store = engine.index.lists
+    box_tests = Counter()
+    admits = store.admits
+
+    def counted(v, delta, q_embed):
+        box_tests[v, delta, q_embed] += 1
+        return admits(v, delta, q_embed)
+
+    runs = []
+    real_refine = matcher_mod.refine
+
+    def recording(plan, graph, st, seed, depth, roots=()):
+        roots = list(roots)
+        runs.append((plan, roots))
+        return real_refine(plan, graph, st, seed, depth, roots)
+
+    monkeypatch.setattr(store, "admits", counted)
+    monkeypatch.setattr(matcher_mod, "refine", recording)
+    q = QueryGraph({0: 0, 1: 1, 2: 2}, [(0, 1), (1, 2)])
+    rq = engine.register("path", q)
+    assert rq.answers.mappings() == enumerate_matches(g, q) != set()
+    [(plan, roots)] = runs
+    assert roots
+    assert all(box_tests[r, plan.degrees[0], plan.embeds[0]] == 1 for r in roots)
+
+
 @pytest.mark.slow
 def test_initial_match_oracle_equivalence_50_graphs():
     # 50 random small-world graphs x 20 sampled queries each
@@ -461,13 +494,18 @@ def test_deletes_compute_no_boxes(any_mode_cfg, monkeypatch):
     for i, q in enumerate(sample_queries(g, 3, 4, 2.0, seed=13)):
         engine.register(f"q{i}", q)
     calls = []
-    mbr = NeighborListStore.mbr
+    mbr, admits = NeighborListStore.mbr, NeighborListStore.admits
 
     def counted(self, v, delta):
         calls.append((v, delta))
         return mbr(self, v, delta)
 
+    def counted_admits(self, v, delta, q_embed):
+        calls.append((v, delta))
+        return admits(self, v, delta, q_embed)
+
     monkeypatch.setattr(NeighborListStore, "mbr", counted)
+    monkeypatch.setattr(NeighborListStore, "admits", counted_admits)
     _, stream = split_stream(g, 0.0, 0.2, seed=5)
     removed = 0
     for op in stream:

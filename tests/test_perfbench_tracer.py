@@ -27,7 +27,7 @@ def test_tracer_on_small_engine(cfg_zipf, monkeypatch):
 
     g = small_world(n=80, avg_deg=5.0, alphabet=3, seed=23)
     engine = MatchEngine(g.copy(), cfg_zipf)
-    q = sample_queries(g, 1, 4, 2.0, seed=13)[0]
+    q, q1 = sample_queries(g, 2, 4, 2.0, seed=13)
     ops = random_update_stream(g, 20, seed=41, alphabet=3)
     assert {op.kind for op in ops} == {INSERT, DELETE}
     apply_update, refine = DynamicGraph.apply_update, matcher_mod.refine
@@ -42,6 +42,9 @@ def test_tracer_on_small_engine(cfg_zipf, monkeypatch):
     with tr.installed(engine):
         for op in ops:
             engine.process_update(op)
+        # the stream dropped the grids; this registration rebuilds them,
+        # boxing every entry's corner through lists.mbr
+        engine.register("q1", q1)
     names = [name for _, _, name, _, _ in tr.spans]
     for name in ("matcher.process_update", "graph.apply", "synopsis.maintain"):
         assert names.count(name) == len(ops)
@@ -59,4 +62,5 @@ def test_tracer_on_small_engine(cfg_zipf, monkeypatch):
     # grid scans over the updated graph agree with the probe's linear filter
     _, scans, mismatches = grid_margin(engine, ["q0"])
     assert (scans, mismatches) == (len(q), 0)
-    assert engine.queries["q0"].answers.mappings() == enumerate_matches(engine.graph, q)
+    for name, query in (("q0", q), ("q1", q1)):
+        assert engine.queries[name].answers.mappings() == enumerate_matches(engine.graph, query)

@@ -11,8 +11,10 @@ from dsmatch.graph import DELETE, INSERT, DynamicGraph, UpdateOp
 from dsmatch.oracle import star_subset_embeddings
 from dsmatch.rng import Rng
 from dsmatch.synopsis import (
+    FILTER_EPS,
     DegreeGroups,
     NeighborListStore,
+    ScanStats,
     SynopsisIndex,
     compute_degree_groups,
     dominated_within,
@@ -299,7 +301,11 @@ def test_group_boundary_crossing(cfg_base):
 def _entry(idx, group, v):
     """v's entry in the group's grid, found through its cells; None if absent."""
     found = [
-        e for cell in idx.synopses[group].cells.values() for e in cell.entries if e.vertex == v
+        e
+        for cell in idx.synopses[group].cells.values()
+        for bucket in cell.buckets.values()
+        for e in bucket
+        if e.vertex == v
     ]
     assert len(found) <= 1
     return found[0] if found else None
@@ -399,6 +405,45 @@ def test_hub_degree_boxes_and_rebuild_under_churn(any_mode_cfg):
         box = idx.lists.mbr(0, delta)
         assert all(abs(a - b) <= 1e-9 for a, b in zip(box.low, low))
         assert all(abs(a - b) <= 1e-9 for a, b in zip(box.high, high))
+
+
+@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
+def test_admits_equals_box_containment(mode):
+    # the tail-only, early-exit box test against the full box's contains,
+    # for every vertex and delta in 1..deg+1, probed at the low and high
+    # corners and the centre of the boxes at delta - 1, delta and delta + 1,
+    # and 2 * FILTER_EPS outside each of their tail bounds
+    cfg = EmbeddingConfig(d=2, mode=mode)
+    g = small_world(n=60, avg_deg=5.0, alphabet=4, seed=19)
+    idx = build_index(g, cfg)
+    lists = idx.lists
+
+    def probes(box):
+        centre = tuple((lo + hi) / 2 for lo, hi in zip(box.low, box.high))
+        out = [box.low, box.high, centre]
+        for j in range(cfg.d, 2 * cfg.d):
+            for bound, step in ((box.low[j], -2 * FILTER_EPS), (box.high[j], 2 * FILTER_EPS)):
+                out.append(centre[:j] + (bound + step,) + centre[j + 1:])
+        return out
+
+    def check():
+        outcomes = []
+        for v in g.vertices():
+            deg = g.degree(v)
+            boxes = {delta: lists.mbr(v, delta) for delta in range(1, deg + 1)}
+            for delta in range(1, deg + 2):
+                near = [boxes[n] for n in (delta - 1, delta, delta + 1) if n in boxes]
+                for p in (p for box in near for p in probes(box)):
+                    want = delta <= deg and boxes[delta].contains(p, FILTER_EPS)
+                    assert lists.admits(v, delta, p) == want
+                    outcomes.append(want)
+        assert True in outcomes and False in outcomes
+
+    check()
+    for op in random_update_stream(g, 150, seed=29, alphabet=4):
+        g.apply_update(op)
+        idx.maintain(op)
+    check()
 
 
 # -- scans ---------------------------------------------------------------------
@@ -509,6 +554,79 @@ def naive_candidates(idx, q_embed, q_degree, q_label):
             continue
         out.add(v)
     return out
+
+
+def reference_scan(syn, q_embed, q_degree, q_label, lists):
+    """The per-entry scan loop that label buckets replaced.
+
+    Every entry meets every filter in turn: full-corner dominance, label,
+    then the box at the query degree through ``mbr().contains``.
+    """
+    stats = ScanStats()
+    out = []
+    cutoff = embedding_key(q_embed) - 2.0 * FILTER_EPS * len(q_embed) * syn.domain - 1e-12
+    for negkey, coords in syn.order:
+        if -negkey < cutoff:
+            break
+        cell = syn.cells[coords]
+        entries = [e for bucket in cell.buckets.values() for e in bucket]
+        stats.cells_scanned += 1
+        stats.examined += len(entries)
+        if not dominated_within(q_embed, cell.corner):
+            stats.pruned_cell += len(entries)
+            continue
+        for entry in entries:
+            v = entry.vertex
+            if not dominated_within(q_embed, entry.corner):
+                stats.pruned_dominance += 1
+            elif lists.graph.labels.get(v) != q_label:
+                stats.pruned_label += 1
+            elif not (
+                q_degree <= lists.degree(v)
+                and lists.mbr(v, q_degree).contains(q_embed, FILTER_EPS)
+            ):
+                stats.pruned_box += 1
+            else:
+                out.append(v)
+                stats.survivors += 1
+    return out, stats
+
+
+@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
+def test_scan_stats_equal_reference_scan(mode):
+    # bucketed scan and per-entry reference: equal candidate lists and
+    # equal ScanStats, before and after incremental maintenance
+    from dsmatch.matcher import embed_query
+    from dsmatch.generate import sample_queries
+
+    cfg = EmbeddingConfig(d=2, mode=mode)
+    g = small_world(n=120, avg_deg=5.0, alphabet=4, seed=71)
+    idx = build_index(g, cfg)
+    queries = sample_queries(g, 6, 4, 2.0, seed=43)
+
+    def check():
+        total = ScanStats()
+        for q in queries:
+            embeds = embed_query(q, cfg)
+            for qi in q.vertex_order:
+                args = (embeds[qi], q.degree(qi), q.labels[qi], idx.lists)
+                syn = idx.synopses[idx.groups.group_of(q.degree(qi))]
+                got = scan_candidates(syn, *args)
+                assert got == reference_scan(syn, *args)
+                for f in ("pruned_cell", "pruned_dominance", "pruned_label", "pruned_box",
+                          "survivors"):
+                    setattr(total, f, getattr(total, f) + getattr(got[1], f))
+        # every filter removed something; in base and zipf modes no other
+        # label's corner is dominated, so only plain mode prunes by label
+        assert min(total.pruned_cell, total.pruned_dominance, total.pruned_box) > 0
+        assert total.survivors > 0
+        assert (total.pruned_label > 0) == (mode == "plain")
+
+    check()
+    for op in random_update_stream(g, 150, seed=47, alphabet=4):
+        g.apply_update(op)
+        idx.maintain(op)
+    check()
 
 
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])

@@ -1,8 +1,12 @@
-"""Hashes of everything an engine answers on one perfbench workload.
+"""Hashes of everything an engine answers on perfbench workloads.
 
     python3 tools/fingerprint.py --workload sw-delete-q20
+    python3 tools/fingerprint.py
 
-Builds the workload's inputs with ``perfbench/workloads.py`` at the
+With ``--workload`` it hashes that workload; without, every workload, each
+as a block headed ``# <workload>``.
+
+For each workload, builds its inputs with ``perfbench/workloads.py`` at the
 workload's default seed, registers every query
 as ``q0``, ``q1``, ... and replays the stream once.  It prints one SHA-256
 per line for:
@@ -74,10 +78,13 @@ def fingerprint(workload: str) -> dict[str, str]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="tools/fingerprint.py", description=__doc__.splitlines()[0])
-    p.add_argument("--workload", required=True, choices=list(WORKLOADS))
+    p.add_argument("--workload", choices=list(WORKLOADS), help="default: every workload")
     args = p.parse_args(argv)
-    for part, h in fingerprint(args.workload).items():
-        print(f"{part:<10} {h}")
+    for workload in [args.workload] if args.workload else WORKLOADS:
+        if not args.workload:
+            print(f"# {workload}")
+        for part, h in fingerprint(workload).items():
+            print(f"{part:<10} {h}")
     return 0
 
 
