@@ -11,10 +11,11 @@ Per-degree bounding boxes are never materialized.  Every neighbor
 contributes its label's vector, so each vertex keeps only a histogram of
 its neighbors' labels.  On each dimension, the box for any degree delta
 spans the sum of the delta smallest to the sum of the delta largest
-neighbor components; both come from one walk over the histogram's labels
-sorted by component, taking each label's count until delta is used up.
-An update is one histogram edit per endpoint.  A grid cell buckets its
-entries by label, whose d head coordinates a scan tests once per bucket.
+neighbor components; both come from one pass over the vertex's walk, its
+(component, count) pairs sorted once per histogram state, taking each count
+until delta is used up.  An update is one histogram edit per endpoint.  A
+grid cell buckets its vertices by label, whose d head coordinates a scan
+tests once per bucket, and keeps only their tail coordinates.
 
 The grids are build-only.  Only candidate scans read them, so an update
 just drops them, and the next scan, snapshot or dump rebuilds them from the
@@ -23,7 +24,8 @@ maintained index equals a rebuild by construction.
 
 Scans and maintenance follow the single-writer contract of the graph:
 maintenance is exclusive, and so is the first scan, snapshot or dump after
-it, which rebuilds the grids; later scans may run concurrently.
+it, which rebuilds the grids, and the first box read of a vertex after it,
+which fills the vertex's walk; later reads may run concurrently.
 """
 
 from __future__ import annotations
@@ -168,20 +170,20 @@ class Mbr:
         return all(lo - eps <= x <= hi + eps for lo, x, hi in zip(self.low, p, self.high))
 
 
-def _extreme_sum(hist: dict[Label, int], labels: Iterable[Label], keys: dict, delta: int) -> float:
-    """Sum of the first ``delta`` neighbor components met walking ``labels``.
-
-    ``keys[label]`` is (the label's component on one dimension, label);
-    each label contributes min(hist count, what is left of delta) copies.
-    """
+def _walk_sum(walk: tuple, start: int, stop: int, step: int, delta: int) -> float:
+    """Sum of the first ``delta`` components on a walk segment: step 2 reads
+    its (component, count) pairs ascending from ``start`` (a low bound),
+    step -2 descending (a high bound), each pair giving min(count, what is
+    left of delta) copies of its component."""
     acc = 0.0
-    for lbl in labels:
-        c = hist[lbl]
-        comp = keys[lbl][0]
+    i = start
+    while i != stop:  # a while loop: a range() costs more than these short walks
+        c = walk[i + 1]
         if c >= delta:
-            return acc + delta * comp
-        acc += c * comp
+            return acc + delta * walk[i]
+        acc += c * walk[i]
         delta -= c
+        i += step
     return acc
 
 
@@ -194,9 +196,12 @@ class NeighborListStore:
     coordinates, and the constant added to ``alpha * raw_sum`` on each tail
     dimension (plain mode is alpha = 1 with zero constants).  ``keys[k]``
     maps each label seen to its sort key on dimension k: its label-vector
-    component, then the label.  Every float read from the store is a pure
-    function of a histogram and the label table, so a maintained store
-    equals a rebuild by construction.
+    component, then the label.  Boxes and neighbor sums read a vertex's
+    walk: one flat tuple holding, per dimension in turn, the (component,
+    count) pairs of its histogram's labels in ``keys`` order.  It is built
+    when first read, and any histogram edit drops every walk.  Every float
+    read from the store is a pure function of a histogram and the label
+    table, so a maintained store equals a rebuild by construction.
     """
 
     def __init__(self, graph: DynamicGraph, cfg: EmbeddingConfig):
@@ -206,6 +211,7 @@ class NeighborListStore:
         self.hist: dict[VertexId, dict[Label, int]] = {}
         self.frames: dict[Label, tuple[Vec, Vec]] = {}  # head, tail constants
         self.keys: list[dict[Label, tuple[float, Label]]] = [{} for _ in range(cfg.d)]
+        self._walks: dict[VertexId, tuple] = {}
 
     @classmethod
     def build(cls, graph: DynamicGraph, cfg: EmbeddingConfig) -> "NeighborListStore":
@@ -236,6 +242,8 @@ class NeighborListStore:
     def count(self, v: VertexId, label: Label, step: int) -> None:
         """Add ``step`` (+1 or -1) neighbors carrying ``label`` to v."""
         self._frame(label)
+        if self._walks:  # all of them: later edits then pay one truthiness test
+            self._walks.clear()
         hist = self.hist.setdefault(v, {})
         c = hist.get(label, 0) + step
         if c:
@@ -247,10 +255,23 @@ class NeighborListStore:
         hist = self.hist.get(v)
         return sum(hist.values()) if hist else 0
 
+    def walk(self, v: VertexId) -> tuple:
+        """v's walk: d segments of (component, count) pairs, one sort each."""
+        walk = self._walks.get(v)
+        if walk is None:
+            hist = self.hist.get(v, {})
+            pairs = []
+            for keys in self.keys:
+                for lbl in sorted(hist, key=keys.__getitem__):
+                    pairs.append(keys[lbl][0])
+                    pairs.append(hist[lbl])
+            walk = self._walks[v] = tuple(pairs)
+        return walk
+
     def neighbor_sum(self, v: VertexId) -> Vec:
-        hist = self.hist.get(v, {})
-        deg = sum(hist.values())
-        return tuple(_extreme_sum(hist, sorted(hist, key=k.__getitem__), k, deg) for k in self.keys)
+        walk, deg = self.walk(v), self.degree(v)
+        n = len(walk) // self.cfg.d
+        return tuple(_walk_sum(walk, k * n, k * n + n, 2, deg) for k in range(self.cfg.d))
 
     def embedding(self, v: VertexId) -> Vec:
         """Current full-star embedding of v, from the maintained histogram."""
@@ -260,19 +281,18 @@ class NeighborListStore:
 
     def mbr(self, v: VertexId, delta: int) -> Mbr:
         """Bounds over embeddings of all delta-leaf star subsets of v."""
-        hist = self.hist.get(v, {})
-        deg = sum(hist.values())
+        deg = self.degree(v)
         if not 1 <= delta <= deg:
             raise DegreeOutOfRange(
                 f"delta {delta} outside [1, {deg}] for vertex {v}"
             )
         head, tail = self._frame(self.graph.label(v))
-        a = self.alpha
+        walk, a = self.walk(v), self.alpha
+        n = len(walk) // self.cfg.d
         low, high = [], []
-        for keys, t in zip(self.keys, tail):
-            labels = sorted(hist, key=keys.__getitem__)
-            low.append(a * _extreme_sum(hist, labels, keys, delta) + t)
-            high.append(a * _extreme_sum(hist, reversed(labels), keys, delta) + t)
+        for lo, t in zip(range(0, len(walk), n), tail):
+            low.append(a * _walk_sum(walk, lo, lo + n, 2, delta) + t)
+            high.append(a * _walk_sum(walk, lo + n - 2, lo - 2, -2, delta) + t)
         return Mbr(low=head + tuple(low), high=head + tuple(high))
 
     def admits(self, v: VertexId, delta: int, q_embed: Vec) -> bool:
@@ -285,25 +305,20 @@ class NeighborListStore:
         """
         if delta > len(self.graph.adj[v]):
             return False
-        hist, a = self.hist[v], self.alpha
+        walk, a, d = self.walk(v), self.alpha, self.cfg.d
+        n = len(walk) // d
         tail = self.frames[self.graph.labels[v]][1]
-        for x, keys, t in zip(q_embed[self.cfg.d:], self.keys, tail):
-            labels = sorted(hist, key=keys.__getitem__)
-            if x < a * _extreme_sum(hist, labels, keys, delta) + t - FILTER_EPS:
+        for k in range(d):
+            lo = k * n
+            x, t = q_embed[d + k], tail[k]
+            if x < a * _walk_sum(walk, lo, lo + n, 2, delta) + t - FILTER_EPS:
                 return False
-            if x > a * _extreme_sum(hist, reversed(labels), keys, delta) + t + FILTER_EPS:
+            if x > a * _walk_sum(walk, lo + n - 2, lo - 2, -2, delta) + t + FILTER_EPS:
                 return False
         return True
 
 
 # -- grid synopses ------------------------------------------------------------
-
-
-@dataclass
-class VertexEntry:
-    vertex: VertexId
-    ub_delta: int
-    corner: Vec  # upper corner of the box at the capped degree
 
 
 class Cell:
@@ -312,10 +327,11 @@ class Cell:
     def __init__(self, corner: Vec):
         self.corner = corner
         self.key = embedding_key(corner)
-        self.buckets: dict[Label, list[VertexEntry]] = {}  # entries by vertex label
+        # vertex label -> (vertices, their d tail coordinates each, flat)
+        self.buckets: dict[Label, tuple[list[VertexId], list[float]]] = {}
 
     def __len__(self) -> int:
-        return sum(map(len, self.buckets.values()))
+        return sum(len(vs) for vs, _ in self.buckets.values())
 
 
 @dataclass
@@ -377,8 +393,7 @@ class GridSynopsis:
         upper: float,
         k_cells: int,
         domain: float,
-        entries: Iterable[VertexEntry],
-        labels: dict[VertexId, Label],
+        entries: Iterable[tuple[VertexId, Label, Vec, list[float]]],
     ):
         self.group = group
         self.lower = lower
@@ -387,12 +402,14 @@ class GridSynopsis:
         self.domain = domain
         self.width = domain / k_cells
         self.cells: dict[tuple[int, ...], Cell] = {}
-        for entry in entries:
-            coords = self.cell_coords(entry.corner)
+        for v, label, head, tail in entries:
+            coords = self.cell_coords(head) + self.cell_coords(tail)
             cell = self.cells.get(coords)
             if cell is None:
                 cell = self.cells[coords] = Cell(self._cell_corner(coords))
-            cell.buckets.setdefault(labels[entry.vertex], []).append(entry)
+            vs, tails = cell.buckets.setdefault(label, ([], []))
+            vs.append(v)
+            tails += tail
         self.order: list[tuple[float, tuple[int, ...]]] = sorted(  # (-key, coords)
             (-cell.key, coords) for coords, cell in self.cells.items()
         )
@@ -410,10 +427,16 @@ class GridSynopsis:
             math.inf if c == self.k_cells - 1 else (c + 1) * self.width for c in coords
         )
 
-    def snapshot(self) -> dict:
-        """Canonical content for equality checks (entry order independent)."""
+    def snapshot(self, lists: NeighborListStore) -> dict:
+        """Canonical content for equality checks (entry order independent):
+        per cell, sorted (vertex, capped degree, corner)."""
+        adj, d, frames = lists.graph.adj, lists.cfg.d, lists.frames
         return {
-            coords: sorted((e.vertex, e.ub_delta, e.corner) for b in c.buckets.values() for e in b)
+            coords: sorted(
+                (v, min(len(adj[v]), self.upper), frames[lbl][0] + tuple(tails[i * d:i * d + d]))
+                for lbl, (vs, tails) in c.buckets.items()
+                for i, v in enumerate(vs)
+            )
             for coords, c in self.cells.items()
         }
 
@@ -449,7 +472,7 @@ def scan_candidates(
     # the worst-case key growth so the two filters cannot disagree
     cutoff = key_q - 2.0 * FILTER_EPS * len(q_embed) * syn.domain - 1e-12
     d = lists.cfg.d
-    q_head, tail = q_embed[:d], range(d, 2 * d)
+    q_head, q_tail = q_embed[:d], q_embed[d:]
     for negkey, coords in syn.order:
         if -negkey < cutoff:
             break
@@ -460,24 +483,25 @@ def scan_candidates(
         if not dominated_within(q_embed, cell.corner):
             stats.pruned_cell += n
             continue
-        for label, bucket in cell.buckets.items():
+        for label, (vs, tails) in cell.buckets.items():
             # every corner in the bucket has its label's frame head
             if not dominated_within(q_head, lists.frames[label][0]):
-                stats.pruned_dominance += len(bucket)
+                stats.pruned_dominance += len(vs)
                 continue
-            for entry in bucket:
-                corner = entry.corner
-                for k in tail:
-                    if q_embed[k] > corner[k] + FILTER_EPS:
+            j = 0  # v's tail coordinates are tails[j:j + d]
+            for v in vs:
+                for k in range(d):
+                    if q_tail[k] > tails[j + k] + FILTER_EPS:
                         stats.pruned_dominance += 1
                         break
                 else:
                     if label != q_label:
                         stats.pruned_label += 1
-                    elif not lists.admits(entry.vertex, q_degree, q_embed):
+                    elif not lists.admits(v, q_degree, q_embed):
                         stats.pruned_box += 1
                     else:
-                        out.append(entry.vertex)
+                        out.append(v)
+                j += d
     stats.survivors = len(out)
     return out, stats
 
@@ -546,21 +570,27 @@ class SynopsisIndex:
         return cls(graph, groups, cfg, k_cells, domain, lists)
 
     def _build_grids(self) -> list[GridSynopsis]:
-        groups = self.groups
-        adj = self.graph.adj
-        mbr = self.lists.mbr
-        entries: list[list[VertexEntry]] = [[] for _ in range(groups.m)]
-        for v in self.graph.vertices():
-            degree = len(adj[v])
-            for j in range(groups.m):
-                if degree <= groups.lower(j):  # lower bounds ascend with j
-                    break
-                ub = groups.capped_degree(degree, j)
-                entries[j].append(VertexEntry(v, ub, mbr(v, ub).high))
-        labels = self.graph.labels
+        """One grid per degree group: each vertex above its lower bound, filed
+        under its box's high corner at the group-capped degree."""
+        lists, adj, labels, groups = self.lists, self.graph.adj, self.graph.labels, self.groups
+        a, d = lists.alpha, self.cfg.d
+
+        def entries(j: int):
+            lower, upper = groups.lower(j), groups.upper(j)
+            for v in self.graph.vertices():
+                degree = len(adj[v])
+                if degree > lower:
+                    walk, label, ub = lists.walk(v), labels[v], min(degree, upper)
+                    n = len(walk) // d
+                    head, tail = lists.frames[label]
+                    yield v, label, head, [
+                        a * _walk_sum(walk, lo + n - 2, lo - 2, -2, ub) + t
+                        for lo, t in zip(range(0, len(walk), n), tail)
+                    ]
+
         return [
-            GridSynopsis(j, groups.lower(j), groups.upper(j), self.k_cells, self.domain, e, labels)
-            for j, e in enumerate(entries)
+            GridSynopsis(j, groups.lower(j), groups.upper(j), self.k_cells, self.domain, entries(j))
+            for j in range(groups.m)
         ]
 
     @property
@@ -597,7 +627,7 @@ class SynopsisIndex:
         return {
             "domain": self.domain,
             "cutoffs": self.groups.cutoffs,
-            "synopses": [syn.snapshot() for syn in self.synopses],
+            "synopses": [syn.snapshot(self.lists) for syn in self.synopses],
             "lists": {
                 v: tuple(sorted(hist.items()))
                 for v, hist in self.lists.hist.items()

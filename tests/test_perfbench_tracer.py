@@ -42,15 +42,18 @@ def test_tracer_on_small_engine(cfg_zipf, monkeypatch):
     with tr.installed(engine):
         for op in ops:
             engine.process_update(op)
-        # the stream dropped the grids; this registration rebuilds them,
-        # boxing every entry's corner through lists.mbr
+        # the stream dropped the grids; this registration rebuilds them from
+        # the vertices' walks, without calling lists.mbr
         engine.register("q1", q1)
+        boxed = [v for v in engine.graph.vertices() if engine.graph.degree(v)][:3]
+        for v in boxed:
+            engine.index.lists.mbr(v, 1)
     names = [name for _, _, name, _, _ in tr.spans]
     for name in ("matcher.process_update", "graph.apply", "synopsis.maintain"):
         assert names.count(name) == len(ops)
     assert tr.counts["synopsis.lists_s"] > 0.0
     assert tr.counts["synopsis.entries_s"] == 0.0
-    assert reg.counts["synopsis.mbr_calls"] + tr.counts["synopsis.mbr_calls"] > 0
+    assert reg.counts["synopsis.mbr_calls"] + tr.counts["synopsis.mbr_calls"] == len(boxed) == 3
     assert "embedding.label_vector_calls" in tr.counts
 
     # every wrapped attribute is restored

@@ -1,11 +1,12 @@
 import itertools
 import math
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsmatch.embedding import EmbeddingConfig, embedding_key, label_vector
+from dsmatch.embedding import EmbeddingConfig, embed_vertex, embedding_key, label_vector
 from dsmatch.errors import DegreeOutOfRange
 from dsmatch.graph import DELETE, INSERT, DynamicGraph, UpdateOp
 from dsmatch.oracle import star_subset_embeddings
@@ -13,6 +14,7 @@ from dsmatch.rng import Rng
 from dsmatch.synopsis import (
     FILTER_EPS,
     DegreeGroups,
+    Mbr,
     NeighborListStore,
     ScanStats,
     SynopsisIndex,
@@ -223,6 +225,10 @@ def test_degree5_vertex_entry_caps(cfg_base):
     idx = SynopsisIndex.build(g, DegreeGroups((2, 4)), cfg_base, 5)
     caps = {syn.group: _entry(idx, syn.group, 0).ub_delta for syn in idx.synopses}
     assert caps == {0: 2, 1: 4, 2: 5}
+    # each entry is filed under the high corner of the box at its cap
+    for syn in idx.synopses:
+        entry = _entry(idx, syn.group, 0)
+        assert entry.corner == idx.lists.mbr(0, entry.ub_delta).high
     # leaves have degree 1: group 0 only
     assert len(idx.synopses[0]) == 6
     assert len(idx.synopses[1]) == 1
@@ -298,17 +304,25 @@ def test_group_boundary_crossing(cfg_base):
     assert idx.snapshot() == rebuilt.snapshot()
 
 
+Entry = namedtuple("Entry", "vertex ub_delta corner")
+
+
 def _entry(idx, group, v):
-    """v's entry in the group's grid, found through its cells; None if absent."""
+    """v's entry in the group's grid, found through its cells' buckets, as
+    its snapshot row (vertex, ub_delta, corner); None if absent."""
+    syn = idx.synopses[group]
     found = [
-        e
-        for cell in idx.synopses[group].cells.values()
-        for bucket in cell.buckets.values()
-        for e in bucket
-        if e.vertex == v
+        coords
+        for coords, cell in syn.cells.items()
+        for vs, _ in cell.buckets.values()
+        for u in vs
+        if u == v
     ]
     assert len(found) <= 1
-    return found[0] if found else None
+    if not found:
+        return None
+    (row,) = [r for r in syn.snapshot(idx.lists)[found[0]] if r[0] == v]
+    return Entry(*row)
 
 
 def random_update_stream(g, n_ops, seed, new_vertex_rate=0.1, alphabet=5):
@@ -446,6 +460,138 @@ def test_admits_equals_box_containment(mode):
     check()
 
 
+def _extreme_sum(hist, labels, keys, delta):
+    """Sum of the first ``delta`` neighbor components met walking ``labels``."""
+    acc = 0.0
+    for lbl in labels:
+        c = hist[lbl]
+        comp = keys[lbl][0]
+        if c >= delta:
+            return acc + delta * comp
+        acc += c * comp
+        delta -= c
+    return acc
+
+
+def reference_box(lists, v, delta):
+    """v's box at delta, sorting its histogram's labels on every call."""
+    hist = lists.hist.get(v, {})
+    head, tail = lists.frames[lists.graph.labels[v]]
+    a = lists.alpha
+    low, high = [], []
+    for keys, t in zip(lists.keys, tail):
+        labels = sorted(hist, key=keys.__getitem__)
+        low.append(a * _extreme_sum(hist, labels, keys, delta) + t)
+        high.append(a * _extreme_sum(hist, reversed(labels), keys, delta) + t)
+    return Mbr(low=head + tuple(low), high=head + tuple(high))
+
+
+def reference_neighbor_sum(lists, v):
+    hist = lists.hist.get(v, {})
+    deg = sum(hist.values())
+    return tuple(_extreme_sum(hist, sorted(hist, key=k.__getitem__), k, deg) for k in lists.keys)
+
+
+def reference_admits(lists, v, delta, q_embed):
+    if delta > lists.degree(v):
+        return False
+    box = reference_box(lists, v, delta)
+    d = lists.cfg.d
+    return all(
+        lo - FILTER_EPS <= x <= hi + FILTER_EPS
+        for lo, x, hi in zip(box.low[d:], q_embed[d:], box.high[d:])
+    )
+
+
+def assert_walk_reads_equal_reference(lists, g):
+    """mbr, admits and neighbor_sum are bit-equal to the sort-per-call box,
+    for every vertex and every delta in 1..deg; admits is probed on both
+    sides of each tail bound's exact FILTER_EPS threshold."""
+    d = lists.cfg.d
+    outcomes = set()
+    for v in g.vertices():
+        assert lists.neighbor_sum(v) == reference_neighbor_sum(lists, v)
+        deg = g.degree(v)
+        for delta in range(1, deg + 1):
+            box = reference_box(lists, v, delta)
+            assert lists.mbr(v, delta) == box
+            centre = tuple((lo + hi) / 2 for lo, hi in zip(box.low, box.high))
+            for j in range(d, 2 * d):
+                for edge in (box.low[j] - FILTER_EPS, box.high[j] + FILTER_EPS):
+                    below, above = math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)
+                    for x in (below, edge, above):
+                        p = centre[:j] + (x,) + centre[j + 1:]
+                        want = reference_admits(lists, v, delta, p)
+                        assert lists.admits(v, delta, p) == want
+                        outcomes.add(want)
+        assert not lists.admits(v, deg + 1, lists.embedding(v))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
+def test_walk_reads_equal_sort_per_call_reference(mode):
+    # a small-world graph plus a hub of degree 240 over labels 0-15, whose
+    # zipf components tie on dimension 0, checked before a mixed stream,
+    # with one vertex isolated, after its revival and after more churn
+    cfg = EmbeddingConfig(d=2, mode=mode)
+    rng = Rng(83)
+    g = small_world(n=60, avg_deg=5.0, alphabet=4, seed=37)
+    hub = max(g.labels) + 1
+    g.add_vertex(hub, 0)
+    for v in range(hub + 1, hub + 241):
+        g.add_vertex(v, rng.randint(0, 15))
+        g.add_edge(hub, v)
+    idx = build_index(g, cfg)
+    lists = idx.lists
+    if mode == "zipf":
+        tied = {lbl for lbl in range(16) if label_vector(lbl, cfg)[0] == 1 / 1024}
+        assert len(tied) == 4 and tied <= {g.labels[n] for n in g.neighbors(hub)}
+
+    def apply(op):
+        g.apply_update(op)
+        idx.maintain(op)
+
+    assert_walk_reads_equal_reference(lists, g)
+    ops = random_update_stream(g, 150, seed=89, alphabet=4)
+    assert {op.kind for op in ops} == {INSERT, DELETE}
+    for op in ops:
+        apply(op)
+    loner = next(v for v in sorted(g.vertices()) if v != hub and g.degree(v) >= 2)
+    lbl = g.labels[loner]
+    for n in sorted(g.neighbors(loner)):
+        apply(UpdateOp(DELETE, loner, n))
+    assert g.degree(loner) == 0
+    assert lists.neighbor_sum(loner) == (0.0,) * cfg.d
+    assert_walk_reads_equal_reference(lists, g)
+    apply(UpdateOp(INSERT, loner, hub))
+    for i in range(200):
+        if i % 2:
+            apply(UpdateOp(DELETE, hub, rng.choice(sorted(g.neighbors(hub)))))
+        else:
+            v = max(g.labels) + 1
+            apply(UpdateOp(INSERT, hub, v, label_v=rng.randint(0, 15)))
+    assert g.degree(loner) == 1 and g.labels[loner] == lbl
+    assert_walk_reads_equal_reference(lists, g)
+
+
+def test_walk_is_dropped_by_a_histogram_edit(cfg_zipf):
+    # a box read before an update must not be served after it
+    g = make_graph([(0, 1), (0, 2), (3, 4)], {0: 0, 1: 1, 2: 2, 3: 3, 4: 4})
+    idx = build_index(g, cfg_zipf, m=1)
+    lists = idx.lists
+    steps = [UpdateOp(INSERT, 0, 3), UpdateOp(DELETE, 0, 1), UpdateOp(INSERT, 0, 4)]
+    for op in steps:
+        before = lists.mbr(0, 2), lists.neighbor_sum(0), lists.embedding(0)
+        g.apply_update(op)
+        idx.maintain(op)
+        after = lists.mbr(0, 2), lists.neighbor_sum(0), lists.embedding(0)
+        assert after[:2] == (reference_box(lists, 0, 2), reference_neighbor_sum(lists, 0))
+        assert after[2] == pytest.approx(embed_vertex(g, 0, cfg_zipf), abs=1e-9)
+        assert all(a != b for a, b in zip(after, before))
+        probe = after[0].low
+        assert lists.admits(0, 2, probe) == reference_admits(lists, 0, 2, probe) is True
+
+
 # -- scans ---------------------------------------------------------------------
 
 
@@ -559,8 +705,10 @@ def naive_candidates(idx, q_embed, q_degree, q_label):
 def reference_scan(syn, q_embed, q_degree, q_label, lists):
     """The per-entry scan loop that label buckets replaced.
 
-    Every entry meets every filter in turn: full-corner dominance, label,
-    then the box at the query degree through ``mbr().contains``.
+    Every entry meets every filter in turn: dominance of the full corner,
+    boxed through ``mbr`` at the group-capped degree rather than read from
+    the grid, then label, then the box at the query degree through
+    ``mbr().contains``.
     """
     stats = ScanStats()
     out = []
@@ -569,15 +717,15 @@ def reference_scan(syn, q_embed, q_degree, q_label, lists):
         if -negkey < cutoff:
             break
         cell = syn.cells[coords]
-        entries = [e for bucket in cell.buckets.values() for e in bucket]
+        entries = [v for vs, _ in cell.buckets.values() for v in vs]
         stats.cells_scanned += 1
         stats.examined += len(entries)
         if not dominated_within(q_embed, cell.corner):
             stats.pruned_cell += len(entries)
             continue
-        for entry in entries:
-            v = entry.vertex
-            if not dominated_within(q_embed, entry.corner):
+        for v in entries:
+            ub = min(lists.degree(v), syn.upper)  # the group-capped degree
+            if not dominated_within(q_embed, lists.mbr(v, ub).high):
                 stats.pruned_dominance += 1
             elif lists.graph.labels.get(v) != q_label:
                 stats.pruned_label += 1
