@@ -14,10 +14,11 @@ from __future__ import annotations
 import csv
 import io
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 from .embedding import EmbeddingConfig
+from .generate import SCENARIO_PARAMS
 from .graph import DynamicGraph, UpdateOp
 from .matcher import MatchEngine, Mapping, QueryGraph
 from .oracle import enumerate_matches
@@ -224,18 +225,8 @@ SWEEP_COLUMNS = (
     "total_s",
 )
 
-# sweepable BenchConfig fields, keyed by the CLI spelling
-SWEEP_PARAMS = {
-    "d": ("d", int),
-    "ratio": ("beta_alpha_ratio", float),
-    "m": ("m_groups", int),
-    "k": ("k_cells", int),
-    "alphabet": ("alphabet", int),
-    "query_size": ("query_size", int),
-    "query_avg_deg": ("query_avg_deg", float),
-    "avg_deg": ("avg_deg", float),
-    "n": ("n_vertices", int),
-}
+# sweepable BenchConfig fields and their types, keyed by the CLI spelling
+SWEEP_PARAMS = {p.dest: (p.field, p.kind) for p in SCENARIO_PARAMS if p.sweep}
 
 
 def sweep(base_config, param: str, values: list) -> list[dict]:
@@ -244,8 +235,6 @@ def sweep(base_config, param: str, values: list) -> list[dict]:
     The master seed is held fixed, so runs that share the same graph
     parameters also share the graph, stream, and query sample.
     """
-    from dataclasses import replace
-
     if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {param!r}; choose from {sorted(SWEEP_PARAMS)}")
     attr, cast = SWEEP_PARAMS[param]

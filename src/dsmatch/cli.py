@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .bench import RUN_COLUMNS, SWEEP_COLUMNS, SWEEP_PARAMS, rows_to_csv, run_engine, run_naive, sweep
 from .errors import DsmatchError
-from .generate import BenchConfig, LABEL_DISTRIBUTIONS
+from .generate import SCENARIO_PARAMS, BenchConfig
 from .graph import dump_graph, dump_stream, load_graph, load_stream
 from .matcher import QueryGraph, format_answers, format_delta
 from .oracle import enumerate_matches, recompute_stream_check
@@ -32,47 +32,15 @@ def _env(name: str, default):
 
 def _add_config_args(p: argparse.ArgumentParser, n_default: int = 50_000) -> None:
     g = p.add_argument_group("scenario parameters")
-    g.add_argument("--n", type=int, default=_env("n", n_default), help="graph size |V|")
-    g.add_argument("--avg-deg", type=float, default=_env("avg-deg", 5.0))
-    g.add_argument("--alphabet", type=int, default=_env("alphabet", 15),
-                   help="number of distinct labels")
-    g.add_argument("--label-dist", choices=LABEL_DISTRIBUTIONS,
-                   default=_env("label-dist", "uniform"))
-    g.add_argument("--d", type=int, default=_env("d", 2), help="label-vector arity")
-    g.add_argument("--ratio", type=float, default=_env("ratio", 1000.0),
-                   help="beta/alpha ratio of the embedding relocation")
-    g.add_argument("--mode", choices=("plain", "base", "zipf"),
-                   default=_env("mode", "zipf"), help="embedding mode")
-    g.add_argument("--m", type=int, default=_env("m", 3), help="degree groups")
-    g.add_argument("--k", type=int, default=_env("k", 5), help="grid cells per dimension")
-    g.add_argument("--query-count", type=int, default=_env("query-count", 100))
-    g.add_argument("--query-size", type=int, default=_env("query-size", 8))
-    g.add_argument("--query-avg-deg", type=float, default=_env("query-avg-deg", 3.0))
-    g.add_argument("--insertion-rate", type=float, default=_env("insertion-rate", 0.1))
-    g.add_argument("--deletion-rate", type=float, default=_env("deletion-rate", 0.0))
-    g.add_argument("--seed", type=int, default=_env("seed", 1), help="master seed")
-    g.add_argument("--salt", type=int, default=_env("salt", 0), help="embedding seed salt")
+    defaults = BenchConfig(n_vertices=n_default)
+    for param in SCENARIO_PARAMS:
+        kind = {"choices": param.kind} if isinstance(param.kind, tuple) else {"type": param.kind}
+        default = _env(param.flag, getattr(defaults, param.field))
+        g.add_argument("--" + param.flag, default=default, help=param.help, **kind)
 
 
 def _config_from(args) -> BenchConfig:
-    return BenchConfig(
-        n_vertices=args.n,
-        avg_deg=args.avg_deg,
-        alphabet=args.alphabet,
-        label_dist=args.label_dist,
-        d=args.d,
-        beta_alpha_ratio=args.ratio,
-        mode=args.mode,
-        m_groups=args.m,
-        k_cells=args.k,
-        query_count=args.query_count,
-        query_size=args.query_size,
-        query_avg_deg=args.query_avg_deg,
-        insertion_rate=args.insertion_rate,
-        deletion_rate=args.deletion_rate,
-        master_seed=args.seed,
-        seed_salt=args.salt,
-    )
+    return BenchConfig(**{p.field: getattr(args, p.dest) for p in SCENARIO_PARAMS})
 
 
 def _load_queries(paths: list[str]) -> list[QueryGraph]:
@@ -86,17 +54,15 @@ def _load_queries(paths: list[str]) -> list[QueryGraph]:
 
 
 def _inputs_from(args) -> tuple:
-    """(g0, stream, queries) either from files or generated from flags."""
+    """(config, g0, stream, queries), inputs from files or generated from flags."""
+    cfg = _config_from(args)
     if args.graph:
         g0 = load_graph(Path(args.graph).read_text())
         stream = load_stream(Path(args.stream).read_text()) if args.stream else []
-        queries = _load_queries(args.queries or [])
-        return g0, stream, queries
-    cfg = _config_from(args)
+        return cfg, g0, stream, _load_queries(args.queries or [])
     full = cfg.make_graph()
     g0, stream = cfg.make_split(full)
-    queries = cfg.make_queries(full)
-    return g0, stream, queries
+    return cfg, g0, stream, cfg.make_queries(full)
 
 
 def _add_input_args(p: argparse.ArgumentParser, n_default: int = 50_000) -> None:
@@ -129,10 +95,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    g0, stream, queries = _inputs_from(args)
-    ecfg = _config_from(args).embedding_config()
+    cfg, g0, stream, queries = _inputs_from(args)
     metrics, engine = run_engine(
-        g0, stream, queries, ecfg, m_groups=args.m, k_cells=args.k,
+        g0, stream, queries, cfg.embedding_config(), cfg.m_groups, cfg.k_cells,
         collect_deltas=args.emit_deltas,
     )
     out = Path(args.out)
@@ -175,20 +140,18 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g0, stream, queries = _inputs_from(args)
-    ecfg = _config_from(args).embedding_config()
+    cfg, g0, stream, queries = _inputs_from(args)
     report = recompute_stream_check(
-        g0, stream, queries, ecfg, m_groups=args.m, k_cells=args.k
+        g0, stream, queries, cfg.embedding_config(), cfg.m_groups, cfg.k_cells
     )
     print(report.describe())
     return 0 if report.ok else 1
 
 
 def cmd_bench(args) -> int:
-    g0, stream, queries = _inputs_from(args)
-    ecfg = _config_from(args).embedding_config()
+    cfg, g0, stream, queries = _inputs_from(args)
     engine_metrics, _ = run_engine(
-        g0, stream, queries, ecfg, m_groups=args.m, k_cells=args.k
+        g0, stream, queries, cfg.embedding_config(), cfg.m_groups, cfg.k_cells
     )
     rows = engine_metrics.rows()
     status = 0

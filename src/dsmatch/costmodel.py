@@ -8,8 +8,7 @@ product over dimensions.
 
 As printed in its source derivation the CDF argument divides by the
 variance rather than the standard deviation; that form is implemented
-verbatim and is the default, with the conventional form available behind
-``use_std``.  The estimate is an analysis tool (it motivates the skewed
+verbatim.  The estimate is an analysis tool (it motivates the skewed
 embedding mode), not part of the query path.
 """
 
@@ -65,9 +64,7 @@ class CostEstimate:
         return self.estimate
 
 
-def estimate_cost(
-    q_embed: Vec, stats: DimStats, n_vertices: int, use_std: bool = False
-) -> CostEstimate:
+def estimate_cost(q_embed: Vec, stats: DimStats, n_vertices: int) -> CostEstimate:
     """Estimated count of data vertices whose embedding q_embed dominates.
 
     A zero-variance dimension is a point mass: its factor is 1 when the
@@ -78,8 +75,7 @@ def estimate_cost(
         if var == 0.0:
             factors.append(1.0 if q_embed[j] <= mu else 0.0)
             continue
-        scale = math.sqrt(var) if use_std else var
-        factors.append(normal_cdf((mu - q_embed[j]) / scale))
+        factors.append(normal_cdf((mu - q_embed[j]) / var))
     est = float(n_vertices)
     for f in factors:
         est *= f

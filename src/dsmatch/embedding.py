@@ -41,6 +41,10 @@ MODES = (MODE_PLAIN, MODE_BASE, MODE_ZIPF)
 _TAG_LABEL_VEC = 0x5B
 _TAG_BASE_VEC = 0xBA
 
+# the zipf mode's label-vector components: exponent s over ranks 1..1024
+ZIPF_S = 1.2
+ZIPF_RANKS = 1024
+
 Vec = tuple[float, ...]
 
 
@@ -57,9 +61,6 @@ class EmbeddingConfig:
     alpha: float = 0.1
     beta: float = 100.0
     mode: str = MODE_ZIPF
-    zipf_s: float = 1.2
-    zipf_ranks: int = 1024
-    zipf_buckets: int = 64
     seed_salt: int = 0
 
     def __post_init__(self):
@@ -74,32 +75,21 @@ class EmbeddingConfig:
                 f"beta/alpha must be >= 10 for mode {self.mode!r}, "
                 f"got {self.beta / self.alpha:g}"
             )
-        if self.zipf_s <= 0:
-            raise ValueError("zipf_s must be positive")
-        if not 1 <= self.zipf_buckets <= self.zipf_ranks:
-            raise ValueError("need zipf_ranks >= zipf_buckets >= 1")
 
 
 # -- seeded Zipf draws --------------------------------------------------------
 
 
 class ZipfTable:
-    """Inverse-CDF sampler for Zipf(s) over ranks 1..n with a bucket index.
+    """Inverse-CDF sampler for Zipf(s) over ranks 1..n.
 
-    Both the uniform source and the rank distribution are cut into
-    ``buckets`` equal-mass pieces; a uniform draw selects its bucket in
-    O(1) and is then placed at its proportional position inside the
-    corresponding rank bucket (i.e. by the conditional inverse CDF), so
-    the result follows the Zipf distribution exactly.  With one bucket
-    this degenerates to a plain inverse-CDF lookup over all ranks.
+    A uniform draw is placed by bisecting the cumulative rank masses, so
+    the result follows the Zipf distribution exactly.  The ``zipf`` mode
+    draws from one table, at ``ZIPF_S`` over ``ZIPF_RANKS`` ranks.
     """
 
-    def __init__(self, s: float, n: int, buckets: int):
-        if not 1 <= buckets <= n:
-            raise ValueError("need n >= buckets >= 1")
-        self.s = s
+    def __init__(self, s: float, n: int):
         self.n = n
-        self.buckets = buckets
         weights = [r ** -s for r in range(1, n + 1)]
         total = sum(weights)
         cdf = []
@@ -109,32 +99,20 @@ class ZipfTable:
             cdf.append(acc / total)
         cdf[-1] = 1.0  # guard against rounding just below one
         self._cdf = cdf
-        # bucket i covers cumulative mass (i/b, (i+1)/b]; starts[i] is the
-        # index of the first rank whose cdf can exceed i/b
-        self._starts = [bisect.bisect_right(cdf, i / buckets) for i in range(buckets)]
-        self._starts.append(n)
 
     def draw(self, u: float) -> float:
         """Map a uniform u in (0, 1] to rank/n in (0, 1]."""
         if not 0.0 < u <= 1.0:
             raise ValueError(f"u must be in (0, 1], got {u}")
-        b = min(int(u * self.buckets), self.buckets - 1)
-        lo, hi = self._starts[b], self._starts[b + 1]
-        idx = bisect.bisect_left(self._cdf, u, lo, hi)
-        if idx >= self.n:  # float guard: u == 1.0 lands on the last rank
-            idx = self.n - 1
-        return (idx + 1) / self.n
+        return (bisect.bisect_left(self._cdf, u) + 1) / self.n
 
 
-@lru_cache(maxsize=None)
-def _zipf_table(s: float, n: int, buckets: int) -> ZipfTable:
-    return ZipfTable(s, n, buckets)
+_ZIPF_TABLE = ZipfTable(ZIPF_S, ZIPF_RANKS)
 
 
-def seeded_zipf_draw(seed: int, cfg: EmbeddingConfig) -> float:
+def seeded_zipf_draw(seed: int) -> float:
     """Deterministic Zipf-distributed value in (0, 1] for a 64-bit seed."""
-    u = unit_open_closed(mix_words(seed))
-    return _zipf_table(cfg.zipf_s, cfg.zipf_ranks, cfg.zipf_buckets).draw(u)
+    return _ZIPF_TABLE.draw(unit_open_closed(mix_words(seed)))
 
 
 # -- label-seeded vectors -----------------------------------------------------
@@ -151,7 +129,7 @@ def label_vector(label: Label, cfg: EmbeddingConfig) -> Vec:
     for k in range(cfg.d):
         seed = mix_words(_TAG_LABEL_VEC, cfg.seed_salt, label, k)
         if cfg.mode == MODE_ZIPF:
-            out.append(seeded_zipf_draw(seed, cfg))
+            out.append(seeded_zipf_draw(seed))
         else:
             out.append(unit_open_closed(mix_words(seed)))
     return tuple(out)

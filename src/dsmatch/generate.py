@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from .embedding import MODES, EmbeddingConfig
 from .errors import InvalidParams, InvalidRate, Unsatisfiable
 from .graph import DELETE, INSERT, DynamicGraph, UpdateOp
 from .matcher import QueryGraph
@@ -235,20 +237,20 @@ def _thin_edges(
 class BenchConfig:
     """Knobs for one benchmark scenario, seed included.
 
-    Embedding parameters mirror EmbeddingConfig; ``beta_alpha_ratio`` fixes
-    beta = 100 and derives alpha.  Ring parameters are derived from
-    ``avg_deg`` unless given explicitly.
+    Embedding parameters mirror EmbeddingConfig; beta keeps its
+    EmbeddingConfig default and ``beta_alpha_ratio`` derives alpha.  The
+    ring lattice's k and shortcut probability are derived from ``avg_deg``.
+    Each field is a CLI flag through ``SCENARIO_PARAMS``, which reads its
+    default from here.
     """
 
     n_vertices: int = 50_000
     avg_deg: float = 5.0
-    ring_k: int | None = None
-    shortcut_p: float | None = None
     alphabet: int = 15
     label_dist: str = LABEL_UNIFORM
-    d: int = 2
+    d: int = EmbeddingConfig.d
     beta_alpha_ratio: float = 1000.0
-    mode: str = "zipf"
+    mode: str = EmbeddingConfig.mode
     m_groups: int = 3
     k_cells: int = 5
     query_count: int = 100
@@ -257,27 +259,18 @@ class BenchConfig:
     insertion_rate: float = 0.1
     deletion_rate: float = 0.0
     master_seed: int = 1
-    seed_salt: int = 0
+    seed_salt: int = EmbeddingConfig.seed_salt
 
-    def embedding_config(self):
-        from .embedding import EmbeddingConfig
-
-        beta = 100.0
+    def embedding_config(self) -> EmbeddingConfig:
         return EmbeddingConfig(
             d=self.d,
-            alpha=beta / self.beta_alpha_ratio,
-            beta=beta,
+            alpha=EmbeddingConfig.beta / self.beta_alpha_ratio,
             mode=self.mode,
             seed_salt=self.seed_salt,
         )
 
-    def ring(self) -> tuple[int, float]:
-        if self.ring_k is not None:
-            return self.ring_k, self.shortcut_p if self.shortcut_p is not None else 0.0
-        return ring_params_for_avg_degree(self.avg_deg)
-
     def make_graph(self) -> DynamicGraph:
-        k, p = self.ring()
+        k, p = ring_params_for_avg_degree(self.avg_deg)
         return generate_graph(
             self.n_vertices,
             k,
@@ -303,3 +296,43 @@ class BenchConfig:
             self.query_avg_deg,
             seed=derive_seed(self.master_seed, _SEED_QUERIES),
         )
+
+
+class ScenarioParam(NamedTuple):
+    """A scenario flag ``--<flag>`` setting BenchConfig's ``field``.
+
+    ``kind`` is the flag's type, or its tuple of choices; ``sweep`` marks
+    the numeric parameters the ``sweep`` subcommand may vary.
+    """
+
+    flag: str
+    field: str
+    kind: type | tuple[str, ...]
+    help: str | None = None
+    sweep: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flag.replace("-", "_")
+
+
+# every scenario flag in CLI order; defaults are BenchConfig's
+SCENARIO_PARAMS = (
+    ScenarioParam("n", "n_vertices", int, "graph size |V|", sweep=True),
+    ScenarioParam("avg-deg", "avg_deg", float, sweep=True),
+    ScenarioParam("alphabet", "alphabet", int, "number of distinct labels", sweep=True),
+    ScenarioParam("label-dist", "label_dist", LABEL_DISTRIBUTIONS),
+    ScenarioParam("d", "d", int, "label-vector arity", sweep=True),
+    ScenarioParam("ratio", "beta_alpha_ratio", float,
+                  "beta/alpha ratio of the embedding relocation", sweep=True),
+    ScenarioParam("mode", "mode", MODES, "embedding mode"),
+    ScenarioParam("m", "m_groups", int, "degree groups", sweep=True),
+    ScenarioParam("k", "k_cells", int, "grid cells per dimension", sweep=True),
+    ScenarioParam("query-count", "query_count", int),
+    ScenarioParam("query-size", "query_size", int, sweep=True),
+    ScenarioParam("query-avg-deg", "query_avg_deg", float, sweep=True),
+    ScenarioParam("insertion-rate", "insertion_rate", float),
+    ScenarioParam("deletion-rate", "deletion_rate", float),
+    ScenarioParam("seed", "master_seed", int, "master seed"),
+    ScenarioParam("salt", "seed_salt", int, "embedding seed salt"),
+)

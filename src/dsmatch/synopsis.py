@@ -94,11 +94,6 @@ class DegreeGroups:
             raise ValueError(f"degree {degree} belongs to no group")
         return bisect_left(self.cutoffs, degree)
 
-    def capped_degree(self, degree: int, j: int) -> int:
-        """min(degree, upper_j); equals degree in the unbounded last group."""
-        up = self.upper(j)
-        return degree if math.isinf(up) else min(degree, int(up))
-
 
 def compute_degree_groups(g0: DynamicGraph, m: int) -> DegreeGroups:
     """Choose m degree intervals with near-equal vertex mass over g0.

@@ -1,10 +1,13 @@
+import argparse
 import csv
+import os
 
 import pytest
 
-from dsmatch.bench import run_engine, run_naive, sweep
-from dsmatch.cli import main
-from dsmatch.generate import BenchConfig
+from dsmatch.bench import SWEEP_PARAMS, run_engine, run_naive, sweep
+from dsmatch.cli import build_parser, main
+from dsmatch.embedding import MODES
+from dsmatch.generate import SCENARIO_PARAMS, BenchConfig
 
 
 BASE_FLAGS = [
@@ -227,3 +230,27 @@ def test_verify_deletion_stream(capsys):
     ])
     assert rc == 0
     assert "zero divergences" in capsys.readouterr().out
+
+
+def test_scenario_flags_take_bench_config_defaults(monkeypatch):
+    for name in list(os.environ):
+        if name.startswith("DSMATCH_"):
+            monkeypatch.delenv(name)
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    n_defaults = {"gen": 50_000, "run": 50_000, "verify": 200, "bench": 1000, "sweep": 1000}
+    defaults = BenchConfig()
+    for command, n_default in n_defaults.items():
+        actions = {a.dest: a for a in subparsers[command]._actions}
+        for param in SCENARIO_PARAMS:
+            got = actions[param.dest].default
+            want = n_default if param.dest == "n" else getattr(defaults, param.field)
+            assert (got, type(got)) == (want, type(want)), (command, param.flag)
+        assert actions["mode"].choices == MODES
+
+
+def test_sweep_params_are_the_documented_nine():
+    assert set(SWEEP_PARAMS) == {
+        "d", "ratio", "m", "k", "alphabet", "query_size", "query_avg_deg", "avg_deg", "n",
+    }

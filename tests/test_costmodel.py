@@ -61,14 +61,11 @@ def test_estimate_point_mass_dimension():
 
 
 def test_variance_vs_std_divisor():
-    # the verbatim form divides by the variance; the conventional form is
-    # available behind a switch and differs whenever variance != 1
+    # the verbatim form divides by the variance (4), not the standard
+    # deviation (2), which would give normal_cdf(-0.5)
     stats = DimStats(mean=(1.0,), variance=(4.0,), count=10)
     verbatim = estimate_cost((2.0,), stats, 100)
-    conventional = estimate_cost((2.0,), stats, 100, use_std=True)
     assert verbatim.factors[0] == pytest.approx(normal_cdf(-0.25))
-    assert conventional.factors[0] == pytest.approx(normal_cdf(-0.5))
-    assert verbatim.estimate != conventional.estimate
 
 
 @given(

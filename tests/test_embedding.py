@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 
 import pytest
@@ -17,7 +18,7 @@ from dsmatch.embedding import (
     seeded_zipf_draw,
 )
 from dsmatch.errors import DimensionMismatch, UnknownVertex
-from dsmatch.rng import Rng, mix_words, unit_open_closed
+from dsmatch.rng import mix_words, unit_open_closed
 
 from conftest import make_graph, small_world
 
@@ -27,8 +28,6 @@ def test_config_validation():
         EmbeddingConfig(d=0)
     with pytest.raises(ValueError):
         EmbeddingConfig(mode="base", alpha=50.0, beta=100.0)  # ratio below 10
-    with pytest.raises(ValueError):
-        EmbeddingConfig(zipf_ranks=8, zipf_buckets=16)
     EmbeddingConfig(mode="plain", alpha=50.0, beta=100.0)  # ratio unconstrained
 
 
@@ -64,6 +63,18 @@ def test_label_vector_golden_regression():
     assert label_vector(7, czipf) == (0.0068359375, 0.009765625)
 
 
+def test_zipf_label_vectors_golden_digest():
+    # one SHA-256 over 40,000 zipf-mode label vectors: every Zipf draw
+    # they make must keep its exact value
+    h = hashlib.sha256()
+    for d in (2, 3):
+        for salt in (0, 1):
+            cfg = EmbeddingConfig(d=d, mode="zipf", seed_salt=salt)
+            for label in range(10_000):
+                h.update(repr(label_vector(label, cfg)).encode())
+    assert h.hexdigest() == "bfeffe9ab024fe4541b8317b8da73d629c39f9fbc74d8cb9773434dfd10febbb"
+
+
 def test_salt_changes_vectors():
     a = label_vector(7, EmbeddingConfig(mode="plain", seed_salt=0))
     b = label_vector(7, EmbeddingConfig(mode="plain", seed_salt=1))
@@ -74,7 +85,7 @@ def test_salt_changes_vectors():
 
 
 def test_zipf_single_bucket_is_inverse_cdf():
-    cfg = EmbeddingConfig(mode="zipf", zipf_s=1.2, zipf_ranks=64, zipf_buckets=1)
+    table = ZipfTable(1.2, 64)
     # independent inverse-CDF oracle
     weights = [r ** -1.2 for r in range(1, 65)]
     total = sum(weights)
@@ -89,23 +100,12 @@ def test_zipf_single_bucket_is_inverse_cdf():
 
     for seed in range(500):
         u = unit_open_closed(mix_words(seed))
-        assert seeded_zipf_draw(seed, cfg) == pytest.approx(inverse_cdf(u), abs=1e-12)
-
-
-def test_zipf_bucketed_equals_unbucketed():
-    # the bucket table is an accelerator, not a different distribution
-    t1 = ZipfTable(1.2, 1024, 1)
-    t64 = ZipfTable(1.2, 1024, 64)
-    rng = Rng(3)
-    for _ in range(2000):
-        u = max(rng.random(), 1e-12)
-        assert t1.draw(u) == t64.draw(u)
+        assert table.draw(u) == pytest.approx(inverse_cdf(u), abs=1e-12)
 
 
 def test_zipf_low_mean_high_variance():
-    cfg = EmbeddingConfig(mode="zipf")
     n = 100_000
-    zipf = [seeded_zipf_draw(i, cfg) for i in range(n)]
+    zipf = [seeded_zipf_draw(i) for i in range(n)]
     uni = [unit_open_closed(mix_words(i)) for i in range(n)]
     assert statistics.fmean(zipf) < statistics.fmean(uni)
     rel_var = lambda xs: statistics.variance(xs) / statistics.fmean(xs) ** 2
@@ -116,8 +116,8 @@ def test_zipf_low_mean_high_variance():
 def test_zipf_small_exponent_approaches_uniform():
     from scipy.stats import kstest
 
-    cfg = EmbeddingConfig(mode="zipf", zipf_s=0.01, zipf_ranks=1024, zipf_buckets=64)
-    draws = [seeded_zipf_draw(i, cfg) for i in range(100_000)]
+    table = ZipfTable(0.01, 1024)
+    draws = [table.draw(unit_open_closed(mix_words(i))) for i in range(100_000)]
     stat = kstest(draws, "uniform").statistic
     assert stat < 0.02
 

@@ -1,7 +1,10 @@
-"""``tools/fingerprint.py``'s output layout, with the hashing stubbed out."""
+"""``tools/fingerprint.py``: its output layout with the hashing stubbed
+out, and its hashes against the committed ``tools/fingerprints.txt``."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "fingerprint.py"
 
@@ -22,3 +25,12 @@ def test_one_workload_prints_bare_lines_and_none_prints_every_block(monkeypatch,
     want = "".join(f"# {w}\nscan_stats h-{w}\nfinal      f\n" for w in tool.WORKLOADS)
     assert capsys.readouterr().out == want
     assert list(tool.WORKLOADS) == ["sw-insert-q100", "hub-mixed-q20", "sw-delete-q20"]
+
+
+@pytest.mark.slow
+def test_fingerprints_match_committed_file(capsys):
+    # tools/fingerprints.txt holds the tool's output for every workload; a
+    # change that moves a hash on purpose rewrites the file
+    tool = load_tool()
+    assert tool.main([]) == 0
+    assert capsys.readouterr().out == (TOOL.parent / "fingerprints.txt").read_text()

@@ -690,7 +690,7 @@ def naive_candidates(idx, q_embed, q_degree, q_label):
         deg = idx.graph.degree(v)
         if deg <= syn.lower:
             continue
-        ub = idx.groups.capped_degree(deg, group)
+        ub = min(deg, idx.groups.upper(group))
         corner = idx.lists.mbr(v, ub).high
         if not dominated_within(q_embed, corner):
             continue
