@@ -22,6 +22,7 @@ from .generate import SCENARIO_PARAMS
 from .graph import DynamicGraph, UpdateOp
 from .matcher import MatchEngine, Mapping, QueryGraph
 from .oracle import enumerate_matches
+from .synopsis import K_CELLS, M_GROUPS
 
 RUN_COLUMNS = (
     "mode",
@@ -91,8 +92,8 @@ def run_engine(
     stream: list[UpdateOp],
     queries: list[QueryGraph],
     cfg: EmbeddingConfig,
-    m_groups: int = 3,
-    k_cells: int = 5,
+    m_groups: int = M_GROUPS,
+    k_cells: int = K_CELLS,
     collect_deltas: bool = False,
 ) -> tuple[RunMetrics, MatchEngine]:
     """Build, register, replay; returns metrics plus the live engine."""
@@ -241,9 +242,7 @@ def sweep(base_config, param: str, values: list) -> list[dict]:
     rows = []
     for value in values:
         cfg = replace(base_config, **{attr: cast(value)})
-        g = cfg.make_graph()
-        g0, stream = cfg.make_split(g)
-        queries = cfg.make_queries(g)
+        _, g0, stream, queries = cfg.make_inputs()
         metrics, _ = run_engine(
             g0, stream, queries, cfg.embedding_config(), cfg.m_groups, cfg.k_cells
         )

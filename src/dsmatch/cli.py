@@ -60,9 +60,8 @@ def _inputs_from(args) -> tuple:
         g0 = load_graph(Path(args.graph).read_text())
         stream = load_stream(Path(args.stream).read_text()) if args.stream else []
         return cfg, g0, stream, _load_queries(args.queries or [])
-    full = cfg.make_graph()
-    g0, stream = cfg.make_split(full)
-    return cfg, g0, stream, cfg.make_queries(full)
+    _, g0, stream, queries = cfg.make_inputs()
+    return cfg, g0, stream, queries
 
 
 def _add_input_args(p: argparse.ArgumentParser, n_default: int = 50_000) -> None:
@@ -77,9 +76,7 @@ def cmd_gen(args) -> int:
     cfg = _config_from(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    full = cfg.make_graph()
-    g0, stream = cfg.make_split(full)
-    queries = cfg.make_queries(full)
+    full, g0, stream, queries = cfg.make_inputs()
     (out / "graph.txt").write_text(dump_graph(full))
     (out / "g0.txt").write_text(dump_graph(g0))
     (out / "stream.txt").write_text(dump_stream(stream))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DimensionMismatch, UnknownVertex
-from .graph import DynamicGraph, Label, VertexId
+from .graph import Label, VertexId
 from .rng import mix_words, unit_open_closed
 
 MODE_PLAIN = "plain"
@@ -149,17 +149,18 @@ def base_vector(label: Label, cfg: EmbeddingConfig) -> Vec:
     return tuple(x / total for x in raw)
 
 
-def neighbor_sum(g: DynamicGraph, v: VertexId, cfg: EmbeddingConfig) -> Vec:
+def neighbor_sum(g, v: VertexId, cfg: EmbeddingConfig) -> Vec:
     """Componentwise sum of label vectors over v's 1-hop neighbors.
 
-    Summation runs in ascending neighbor-id order; keeping one canonical
-    order makes subset sums float-monotone against the full sum, which the
-    exhaustive dominance tests rely on.
+    ``g`` is any graph with ``labels`` and ``adj`` dicts (a DynamicGraph or
+    a QueryGraph).  Summation runs in ascending neighbor-id order; keeping
+    one canonical order makes subset sums float-monotone against the full
+    sum, which the exhaustive dominance tests rely on.
     """
-    if v not in g:
+    if v not in g.labels:
         raise UnknownVertex(f"vertex {v} not in graph")
     acc = [0.0] * cfg.d
-    for n in g.sorted_neighbors(v):
+    for n in sorted(g.adj[v]):
         x = label_vector(g.labels[n], cfg)
         for k in range(cfg.d):
             acc[k] += x[k]
@@ -179,10 +180,11 @@ def compose(x: Vec, y: Vec, label: Label, cfg: EmbeddingConfig) -> Vec:
     return tuple(a * concat[j] + b * z[j] for j in range(2 * cfg.d))
 
 
-def embed_vertex(g: DynamicGraph, v: VertexId, cfg: EmbeddingConfig) -> Vec:
-    """Embedding of v's full 1-hop star in the current snapshot."""
-    lbl = g.label(v)
-    return compose(label_vector(lbl, cfg), neighbor_sum(g, v, cfg), lbl, cfg)
+def embed_vertex(g, v: VertexId, cfg: EmbeddingConfig) -> Vec:
+    """Embedding of v's full 1-hop star; ``g`` is as for :func:`neighbor_sum`."""
+    y = neighbor_sum(g, v, cfg)
+    lbl = g.labels[v]
+    return compose(label_vector(lbl, cfg), y, lbl, cfg)
 
 
 def dominates(a: Vec, b: Vec) -> bool:

@@ -19,6 +19,7 @@ from .errors import InvalidParams, InvalidRate, Unsatisfiable
 from .graph import DELETE, INSERT, DynamicGraph, UpdateOp
 from .matcher import QueryGraph
 from .rng import Rng, derive_seed
+from .synopsis import K_CELLS, M_GROUPS
 
 LABEL_UNIFORM = "uniform"
 LABEL_GAUSSIAN = "gaussian"
@@ -251,8 +252,8 @@ class BenchConfig:
     d: int = EmbeddingConfig.d
     beta_alpha_ratio: float = 1000.0
     mode: str = EmbeddingConfig.mode
-    m_groups: int = 3
-    k_cells: int = 5
+    m_groups: int = M_GROUPS
+    k_cells: int = K_CELLS
     query_count: int = 100
     query_size: int = 8
     query_avg_deg: float = 3.0
@@ -296,6 +297,12 @@ class BenchConfig:
             self.query_avg_deg,
             seed=derive_seed(self.master_seed, _SEED_QUERIES),
         )
+
+    def make_inputs(self) -> tuple[DynamicGraph, DynamicGraph, list[UpdateOp], list[QueryGraph]]:
+        """The scenario's (full graph, initial graph, stream, queries)."""
+        full = self.make_graph()
+        g0, stream = self.make_split(full)
+        return full, g0, stream, self.make_queries(full)
 
 
 class ScenarioParam(NamedTuple):

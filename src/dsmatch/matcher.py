@@ -22,10 +22,12 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, Iterator
 
-from .embedding import EmbeddingConfig, Vec, compose, label_vector
+from .embedding import EmbeddingConfig, Vec, embed_vertex
 from .errors import InvalidParams
 from .graph import DynamicGraph, INSERT, Label, UpdateOp, VertexId, load_graph
 from .synopsis import (
+    K_CELLS,
+    M_GROUPS,
     DegreeGroups,
     NeighborListStore,
     ScanStats,
@@ -107,16 +109,7 @@ class QueryGraph:
 
 def embed_query(q: QueryGraph, cfg: EmbeddingConfig) -> dict[VertexId, Vec]:
     """Embed each query vertex exactly as a data vertex would be."""
-    out = {}
-    for qi in q.vertex_order:
-        acc = [0.0] * cfg.d
-        for n in sorted(q.adj[qi]):
-            x = label_vector(q.labels[n], cfg)
-            for k in range(cfg.d):
-                acc[k] += x[k]
-        lbl = q.labels[qi]
-        out[qi] = compose(label_vector(lbl, cfg), tuple(acc), lbl, cfg)
-    return out
+    return {qi: embed_vertex(q, qi, cfg) for qi in q.vertex_order}
 
 
 def make_plan(
@@ -335,8 +328,8 @@ class MatchEngine:
         self,
         graph: DynamicGraph,
         cfg: EmbeddingConfig,
-        m_groups: int = 3,
-        k_cells: int = 5,
+        m_groups: int = M_GROUPS,
+        k_cells: int = K_CELLS,
     ):
         self.graph = graph
         self.cfg = cfg

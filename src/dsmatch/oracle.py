@@ -19,6 +19,7 @@ from itertools import combinations
 
 from .errors import DegreeOutOfRange, DegreeTooLarge
 from .graph import DynamicGraph, UpdateOp, VertexId
+from .synopsis import K_CELLS, M_GROUPS  # the recompute harness's grid defaults
 
 Mapping = tuple[VertexId, ...]
 
@@ -156,8 +157,8 @@ def recompute_stream_check(
     stream: list[UpdateOp],
     queries: list,
     cfg,
-    m_groups: int = 3,
-    k_cells: int = 5,
+    m_groups: int = M_GROUPS,
+    k_cells: int = K_CELLS,
     engine=None,
 ) -> VerdictReport:
     """Replay a stream through the engine and full recompute side by side.

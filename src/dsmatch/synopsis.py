@@ -60,6 +60,10 @@ _DOMAIN_EPS = 0.01
 # cap on exhaustive search over degree-group boundary placements
 _MAX_BOUNDARY_COMBOS = 200_000
 
+# default degree-group count m and grid cells per dimension k
+M_GROUPS = 3
+K_CELLS = 5
+
 
 def dominated_within(a: Vec, b: Vec, eps: float = FILTER_EPS) -> bool:
     """Filter-grade dominance: a[j] <= b[j] + eps on every dimension."""
@@ -135,14 +139,16 @@ def compute_degree_groups(g0: DynamicGraph, m: int) -> DegreeGroups:
                 best_cuts = cuts
         return DegreeGroups(tuple(degrees[c - 1] for c in best_cuts))
 
-    # greedy: close a bucket once it reaches its fair share of what remains
+    # greedy: close a bucket once it reaches its fair share of what remains,
+    # or once the distinct degrees after this one are just enough to give
+    # every later bucket one
     cuts = []
     remaining = sum(masses)
     groups_left = m
     acc = 0
     for i, mass in enumerate(masses):
         acc += mass
-        if len(cuts) < n_cuts and acc >= remaining / groups_left:
+        if len(cuts) < n_cuts and (acc >= remaining / groups_left or n - 1 - i < groups_left):
             cuts.append(degrees[i])
             remaining -= acc
             acc = 0

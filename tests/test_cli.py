@@ -1,5 +1,6 @@
 import argparse
 import csv
+import inspect
 import os
 
 import pytest
@@ -8,6 +9,9 @@ from dsmatch.bench import SWEEP_PARAMS, run_engine, run_naive, sweep
 from dsmatch.cli import build_parser, main
 from dsmatch.embedding import MODES
 from dsmatch.generate import SCENARIO_PARAMS, BenchConfig
+from dsmatch.matcher import MatchEngine
+from dsmatch.oracle import recompute_stream_check
+from dsmatch.synopsis import K_CELLS, M_GROUPS
 
 
 BASE_FLAGS = [
@@ -254,3 +258,12 @@ def test_sweep_params_are_the_documented_nine():
     assert set(SWEEP_PARAMS) == {
         "d", "ratio", "m", "k", "alphabet", "query_size", "query_avg_deg", "avg_deg", "n",
     }
+
+
+def test_grid_defaults_have_one_definition():
+    for fn in (MatchEngine, run_engine, recompute_stream_check):
+        params = inspect.signature(fn).parameters
+        assert params["m_groups"].default == M_GROUPS, fn
+        assert params["k_cells"].default == K_CELLS, fn
+    defaults = BenchConfig()
+    assert (defaults.m_groups, defaults.k_cells) == (M_GROUPS, K_CELLS)

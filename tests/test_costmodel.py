@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from dsmatch.costmodel import (
     DimStats,
     collect_stats,
-    compare_embedding_modes,
     estimate_cost,
     normal_cdf,
 )
@@ -107,52 +106,3 @@ def test_zipf_mode_population_has_lower_means():
             if means["zipf"][j] < means["base"][j]:
                 wins += 1
     assert wins / total >= 0.95
-
-
-def test_compare_modes_deterministic_and_csv():
-    from dsmatch.generate import sample_queries
-
-    g = small_world(n=120, avg_deg=5.0, alphabet=5, label_dist="zipf", seed=3)
-    queries = sample_queries(g, 4, 4, 2.0, seed=2)
-    cfgs = [EmbeddingConfig(d=2, mode="zipf")]
-    r1 = compare_embedding_modes(g, queries, cfgs, graph_name="toy")
-    r2 = compare_embedding_modes(g, queries, cfgs, graph_name="toy")
-    for a, b in zip(r1.rows, r2.rows):
-        assert (a.pruning_power, a.estimated_cost, a.measured_candidates) == (
-            b.pruning_power,
-            b.estimated_cost,
-            b.measured_candidates,
-        )
-    csv_text = r1.to_csv()
-    header = csv_text.splitlines()[0]
-    assert header == "mode,graph,query_id,pruning_power,estimated_cost,measured_candidates,wall_clock_us"
-    assert len(csv_text.splitlines()) == 1 + len(queries)
-
-
-@pytest.mark.slow
-def test_estimate_correlates_with_measured_candidates():
-    # rank correlation between estimates and measured pre-box candidate
-    # counts across 50 query vertices on a 500-vertex graph
-    from scipy.stats import spearmanr
-
-    from dsmatch.generate import sample_queries
-    from dsmatch.matcher import embed_query
-    from dsmatch.synopsis import SynopsisIndex, compute_degree_groups
-
-    g = small_world(n=500, avg_deg=5.0, alphabet=8, label_dist="zipf", seed=5)
-    cfg = EmbeddingConfig(d=2, mode="zipf")
-    index = SynopsisIndex.build(g, compute_degree_groups(g, 3), cfg, 5)
-    stats = collect_stats(index.embedding_of(v) for v in g.vertices())
-    queries = sample_queries(g, 13, 4, 2.0, seed=6)
-    estimates, measured = [], []
-    for q in queries:
-        embeds = embed_query(q, cfg)
-        for qi in q.vertex_order:
-            if len(estimates) >= 50:
-                break
-            _, s = index.scan_for_degree(embeds[qi], q.degree(qi), q.labels[qi])
-            estimates.append(estimate_cost(embeds[qi], stats, g.num_vertices).estimate)
-            measured.append(s.survivors + s.pruned_box)
-    assert len(estimates) == 50
-    rho = spearmanr(estimates, measured).statistic
-    assert rho >= 0.5

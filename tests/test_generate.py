@@ -10,7 +10,7 @@ from dsmatch.generate import (
     sample_queries,
     split_stream,
 )
-from dsmatch.graph import DELETE, INSERT, dump_graph
+from dsmatch.graph import DELETE, INSERT, dump_graph, dump_stream
 from dsmatch.oracle import enumerate_matches
 
 
@@ -166,3 +166,7 @@ def test_bench_config_wiring():
     ecfg = cfg.embedding_config()
     assert ecfg.beta / ecfg.alpha == pytest.approx(1000.0)
     assert ecfg.mode == "zipf"
+    full, g0_, stream_, queries_ = cfg.make_inputs()
+    assert (dump_graph(full), dump_graph(g0_)) == (dump_graph(g), dump_graph(g0))
+    assert dump_stream(stream_) == dump_stream(stream)
+    assert [q.to_text() for q in queries_] == [q.to_text() for q in queries]

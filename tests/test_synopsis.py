@@ -128,6 +128,27 @@ def test_grouping_m_exceeding_distinct_collapses():
     assert groups.m == 3
 
 
+def test_greedy_grouping_fills_every_group_when_mass_sits_on_top():
+    # degrees 1..60 once each plus 2,000 vertices of degree 61: C(60, 4)
+    # boundary placements exceed the exhaustive cap, so the greedy path runs,
+    # and no bucket reaches its fair share before the top degree
+    class DegreeStub:
+        degrees = list(range(1, 61)) + [61] * 2000
+
+        def vertices(self):
+            return range(len(self.degrees))
+
+        def degree(self, v):
+            return self.degrees[v]
+
+    groups = compute_degree_groups(DegreeStub(), 5)
+    assert groups.m == 5
+    assert all(a < b for a, b in zip(groups.cutoffs, groups.cutoffs[1:]))
+    masses = bucket_masses(groups, DegreeStub.degrees)
+    assert min(masses) > 0
+    assert max(masses) - min(masses) <= 2000  # c08: the largest single-degree mass
+
+
 @pytest.mark.slow
 def test_grouping_balance_property_powerlaw():
     # bucket masses never differ by more than the largest single-degree mass
