@@ -228,10 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # run, verify and bench read --stream and --queries only alongside --graph
+    if getattr(args, "graph", "") is None and (args.stream, args.queries) != (None, None):
+        parser.error(f"{args.command}: --stream and --queries need --graph")
     try:
         return args.func(args)
-    except DsmatchError as exc:
+    except (DsmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

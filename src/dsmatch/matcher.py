@@ -193,8 +193,9 @@ def refine(
     neighbors of its smallest mapped back-neighbor.  A candidate is admitted
     iff it is unused, carries the level's label, is adjacent to every
     back-neighbor's image and passes ``store.admits``; roots skip that box
-    test, which the caller's scan has run.  Complete assignments are emitted
-    in normalized form.  The caller guarantees the seed itself is consistent.
+    test, which the caller's scan has run against its buckets' box tables.
+    Complete assignments are emitted in normalized form.  The caller
+    guarantees the seed itself is consistent.
     """
     size = len(plan.order)
     back, want, degrees, embeds = plan.back, plan.labels, plan.degrees, plan.embeds

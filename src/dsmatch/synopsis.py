@@ -15,23 +15,30 @@ neighbor components; both come from one pass over the vertex's walk, its
 (component, count) pairs sorted once per histogram state, taking each count
 until delta is used up.  An update is one histogram edit per endpoint.  A
 grid cell buckets its vertices by label, whose d head coordinates a scan
-tests once per bucket, and keeps only their tail coordinates.
+tests once per bucket, and keeps only their tail coordinates.  A scan
+skips a bucket whole when a query tail coordinate exceeds the bucket's
+maximum, and box-tests an entry against its bucket's box table at the
+query degree: every entry's tail bounds at that degree, computed once.
 
 The grids are build-only.  Only candidate scans read them, so an update
-just drops them, and the next scan, snapshot or dump rebuilds them from the
-histograms with the same frozen degree groups, domain and cell count: a
-maintained index equals a rebuild by construction.
+just drops them, with their tail maxima and box tables, and the next scan,
+snapshot or dump rebuilds them from the histograms with the same frozen
+degree groups, domain and cell count: a maintained index equals a rebuild
+by construction.
 
 Scans and maintenance follow the single-writer contract of the graph:
 maintenance is exclusive, and so is the first scan, snapshot or dump after
-it, which rebuilds the grids, and the first box read of a vertex after it,
-which fills the vertex's walk; later reads may run concurrently.
+it, which rebuilds the grids, the first box read of a vertex after it,
+which fills the vertex's walk, and the first scan to reach a bucket at a
+query degree, which fills its tail maximum and box table; later reads may
+run concurrently.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from time import perf_counter
@@ -63,6 +70,9 @@ _MAX_BOUNDARY_COMBOS = 200_000
 # default degree-group count m and grid cells per dimension k
 M_GROUPS = 3
 K_CELLS = 5
+
+# one tail dimension's (low, high) for a vertex whose degree is below delta
+_NO_BOX = (math.inf, -math.inf)
 
 
 def dominated_within(a: Vec, b: Vec, eps: float = FILTER_EPS) -> bool:
@@ -287,14 +297,28 @@ class NeighborListStore:
             raise DegreeOutOfRange(
                 f"delta {delta} outside [1, {deg}] for vertex {v}"
             )
-        head, tail = self._frame(self.graph.label(v))
-        walk, a = self.walk(v), self.alpha
-        n = len(walk) // self.cfg.d
-        low, high = [], []
-        for lo, t in zip(range(0, len(walk), n), tail):
-            low.append(a * _walk_sum(walk, lo, lo + n, 2, delta) + t)
-            high.append(a * _walk_sum(walk, lo + n - 2, lo - 2, -2, delta) + t)
-        return Mbr(low=head + tuple(low), high=head + tuple(high))
+        head = self._frame(self.graph.label(v))[0]
+        box = self.box_table((v,), delta)
+        return Mbr(low=head + tuple(box[0::2]), high=head + tuple(box[1::2]))
+
+    def box_table(self, vs: Iterable[VertexId], delta: int) -> array:
+        """Per vertex of ``vs``, per tail dimension, the low then the high
+        bound of its box at delta, each computed as ``admits`` computes it.
+        A vertex of degree below delta gets (+inf, -inf) on every dimension,
+        a box that no point lies in."""
+        adj, labels, frames = self.graph.adj, self.graph.labels, self.frames
+        a, d = self.alpha, self.cfg.d
+        out = array("d")
+        for v in vs:
+            if delta > len(adj[v]):
+                out.extend(_NO_BOX * d)
+                continue
+            walk = self.walk(v)
+            n = len(walk) // d
+            for lo, t in zip(range(0, len(walk), n), frames[labels[v]][1]):
+                out.append(a * _walk_sum(walk, lo, lo + n, 2, delta) + t)
+                out.append(a * _walk_sum(walk, lo + n - 2, lo - 2, -2, delta) + t)
+        return out
 
     def admits(self, v: VertexId, delta: int, q_embed: Vec) -> bool:
         """delta <= deg(v) and ``q_embed`` in v's box at delta, within FILTER_EPS.
@@ -323,16 +347,41 @@ class NeighborListStore:
 
 
 class Cell:
-    __slots__ = ("corner", "key", "buckets")
+    """One grid cell: its corner, its key and its entries bucketed by label.
+
+    A bucket holds its vertices and, flat in one array, their d tail
+    coordinates each.  Two reads of a bucket are kept once the first scan
+    that needs them has computed them: its maximum tail coordinate per
+    dimension, and per query degree its box table (``box_table``).  Both die
+    with the grid, so they always describe the current graph.
+    """
+
+    __slots__ = ("corner", "key", "buckets", "tail_max", "tables")
 
     def __init__(self, corner: Vec):
         self.corner = corner
         self.key = embedding_key(corner)
-        # vertex label -> (vertices, their d tail coordinates each, flat)
-        self.buckets: dict[Label, tuple[list[VertexId], list[float]]] = {}
+        self.buckets: dict[Label, tuple[list[VertexId], array]] = {}
+        self.tail_max: dict[Label, tuple[float, ...]] = {}
+        self.tables: dict[tuple[Label, int], array] = {}  # (label, delta) -> box table
 
     def __len__(self) -> int:
         return sum(len(vs) for vs, _ in self.buckets.values())
+
+    def max_tail(self, label: Label, d: int) -> tuple[float, ...]:
+        """The label bucket's largest tail coordinate per dimension, found once."""
+        top = self.tail_max.get(label)
+        if top is None:
+            tails = self.buckets[label][1]
+            top = self.tail_max[label] = tuple(max(tails[k::d]) for k in range(d))
+        return top
+
+    def box_table(self, label: Label, delta: int, lists: NeighborListStore) -> array:
+        """The label bucket's ``lists.box_table`` at delta, filled once."""
+        table = self.tables.get((label, delta))
+        if table is None:
+            table = self.tables[label, delta] = lists.box_table(self.buckets[label][0], delta)
+        return table
 
 
 @dataclass
@@ -408,9 +457,11 @@ class GridSynopsis:
             cell = self.cells.get(coords)
             if cell is None:
                 cell = self.cells[coords] = Cell(self._cell_corner(coords))
-            vs, tails = cell.buckets.setdefault(label, ([], []))
-            vs.append(v)
-            tails += tail
+            bucket = cell.buckets.get(label)
+            if bucket is None:
+                bucket = cell.buckets[label] = ([], array("d"))
+            bucket[0].append(v)
+            bucket[1].fromlist(tail)
         self.order: list[tuple[float, tuple[int, ...]]] = sorted(  # (-key, coords)
             (-cell.key, coords) for coords, cell in self.cells.items()
         )
@@ -465,6 +516,10 @@ def scan_candidates(
     corner, its label matches, and the query embedding lies inside the
     vertex's box at exactly the query degree.  All three are necessary
     conditions for a match, so no true match image is ever dropped.
+
+    A bucket fails dominance whole when the query's head coordinates exceed
+    its label's, or a tail coordinate exceeds the bucket's maximum.  The box
+    test reads the bucket's box table at the query degree.
     """
     stats = ScanStats()
     out: list[VertexId] = []
@@ -474,6 +529,7 @@ def scan_candidates(
     cutoff = key_q - 2.0 * FILTER_EPS * len(q_embed) * syn.domain - 1e-12
     d = lists.cfg.d
     q_head, q_tail = q_embed[:d], q_embed[d:]
+    pruned_dominance = pruned_label = pruned_box = 0
     for negkey, coords in syn.order:
         if -negkey < cutoff:
             break
@@ -486,23 +542,38 @@ def scan_candidates(
             continue
         for label, (vs, tails) in cell.buckets.items():
             # every corner in the bucket has its label's frame head
-            if not dominated_within(q_head, lists.frames[label][0]):
-                stats.pruned_dominance += len(vs)
+            if not (
+                dominated_within(q_head, lists.frames[label][0])
+                and dominated_within(q_tail, cell.max_tail(label, d))
+            ):
+                pruned_dominance += len(vs)
                 continue
-            j = 0  # v's tail coordinates are tails[j:j + d]
+            other_label = label != q_label
+            box = None  # filled when the first entry reaches the box test
+            j = 0  # v's tail coordinates are tails[j:j + d], its bounds box[2j:2j + 2d]
             for v in vs:
                 for k in range(d):
                     if q_tail[k] > tails[j + k] + FILTER_EPS:
-                        stats.pruned_dominance += 1
+                        pruned_dominance += 1
                         break
                 else:
-                    if label != q_label:
-                        stats.pruned_label += 1
-                    elif not lists.admits(v, q_degree, q_embed):
-                        stats.pruned_box += 1
+                    if other_label:
+                        pruned_label += 1
                     else:
-                        out.append(v)
+                        if box is None:
+                            box = cell.box_table(label, q_degree, lists)
+                        b = 2 * j
+                        for x in q_tail:
+                            if x < box[b] - FILTER_EPS or x > box[b + 1] + FILTER_EPS:
+                                pruned_box += 1
+                                break
+                            b += 2
+                        else:
+                            out.append(v)
                 j += d
+    stats.pruned_dominance = pruned_dominance
+    stats.pruned_label = pruned_label
+    stats.pruned_box = pruned_box
     stats.survivors = len(out)
     return out, stats
 

@@ -184,6 +184,37 @@ def test_cli_error_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "bench"])
+@pytest.mark.parametrize("given", [["--stream", "s.txt"], ["--queries", "q"], ["--queries"]])
+def test_input_files_without_graph_are_a_usage_error(tmp_path, monkeypatch, capsys, command, given):
+    # generating the inputs instead would silently ignore the named files
+    def no_generation(self):
+        raise AssertionError("inputs generated")
+
+    monkeypatch.setattr(BenchConfig, "make_inputs", no_generation)
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "300", *given, *out])
+    assert exc.value.code == 2
+    assert f"{command}: --stream and --queries need --graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--graph", "{missing}", "--out", "{tmp}/out"],
+    ["run", "--graph", "{graph}", "--stream", "{missing}", "--out", "{tmp}/out"],
+    ["verify", "--graph", "{graph}", "--queries", "{missing}"],
+    ["bench", "--graph", "{tmp}", "--skip-naive"],  # a directory: unreadable
+    ["oracle", "--graph", "{missing}", "--queries", "{graph}"],
+])
+def test_unreadable_input_file_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    graph = tmp_path / "g.txt"
+    graph.write_text("v 0 1\nv 1 2\ne 0 1\n")
+    paths = {"missing": tmp_path / "missing.txt", "graph": graph, "tmp": tmp_path}
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_engine_and_naive_final_answers_agree():
     cfg = BenchConfig(
         n_vertices=120, alphabet=5, label_dist="zipf",

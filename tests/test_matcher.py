@@ -1,5 +1,5 @@
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -26,7 +26,7 @@ from dsmatch.matcher import (
     refine,
 )
 from dsmatch.oracle import enumerate_matches
-from dsmatch.synopsis import NeighborListStore, SynopsisIndex
+from dsmatch.synopsis import FILTER_EPS, NeighborListStore, SynopsisIndex
 
 from conftest import make_graph, small_world
 from test_synopsis import random_update_stream
@@ -259,18 +259,27 @@ def test_initial_match_equals_oracle_many(mode):
 
 
 def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
-    # the scan admits plan.order[0]'s candidates; refine takes them as roots
-    # without boxing them again.  Distinct query labels keep every other
-    # scan and join level off the roots' (vertex, degree, embedding) keys.
+    # the scan box-tests plan.order[0]'s candidates against its bucket's box
+    # table; refine takes them as roots without boxing them again.  Distinct
+    # query labels keep every other scan and join level off the roots'
+    # (vertex, degree, embedding) keys.
     g = small_world(n=120, avg_deg=5.0, alphabet=3, seed=3)
     engine = MatchEngine(g.copy(), any_mode_cfg)
     store = engine.index.lists
+    d = any_mode_cfg.d
     box_tests = Counter()
-    admits = store.admits
+    admits, box_table = store.admits, store.box_table
+    fills = defaultdict(list)  # (vertex, delta) -> its tail bounds, per fill
 
     def counted(v, delta, q_embed):
         box_tests[v, delta, q_embed] += 1
         return admits(v, delta, q_embed)
+
+    def recorded(vs, delta):
+        table = box_table(vs, delta)
+        for i, v in enumerate(vs):
+            fills[v, delta].append(table[2 * d * i:2 * d * (i + 1)])
+        return table
 
     runs = []
     real_refine = matcher_mod.refine
@@ -281,13 +290,21 @@ def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
         return real_refine(plan, graph, st, seed, depth, roots)
 
     monkeypatch.setattr(store, "admits", counted)
+    monkeypatch.setattr(store, "box_table", recorded)
     monkeypatch.setattr(matcher_mod, "refine", recording)
     q = QueryGraph({0: 0, 1: 1, 2: 2}, [(0, 1), (1, 2)])
     rq = engine.register("path", q)
     assert rq.answers.mappings() == enumerate_matches(g, q) != set()
     [(plan, roots)] = runs
     assert roots
-    assert all(box_tests[r, plan.degrees[0], plan.embeds[0]] == 1 for r in roots)
+    delta, q_embed = plan.degrees[0], plan.embeds[0]
+    for r in roots:
+        assert box_tests[r, delta, q_embed] == 0
+        [bounds] = fills[r, delta]  # one table fill holds r's box at delta
+        assert all(
+            lo - FILTER_EPS <= x <= hi + FILTER_EPS
+            for x, lo, hi in zip(q_embed[d:], bounds[0::2], bounds[1::2])
+        )
 
 
 @pytest.mark.slow

@@ -549,11 +549,11 @@ def assert_walk_reads_equal_reference(lists, g):
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
-def test_walk_reads_equal_sort_per_call_reference(mode):
-    # a small-world graph plus a hub of degree 240 over labels 0-15, whose
-    # zipf components tie on dimension 0, checked before a mixed stream,
-    # with one vertex isolated, after its revival and after more churn
+def run_hub_churn(mode, check):
+    """A small-world graph plus a hub of degree 240 over labels 0-15, whose
+    zipf components tie on dimension 0, with its index; ``check(idx, g)``
+    runs on it before a mixed stream, with one vertex isolated after it,
+    and after that vertex's revival and more churn at the hub."""
     cfg = EmbeddingConfig(d=2, mode=mode)
     rng = Rng(83)
     g = small_world(n=60, avg_deg=5.0, alphabet=4, seed=37)
@@ -572,7 +572,7 @@ def test_walk_reads_equal_sort_per_call_reference(mode):
         g.apply_update(op)
         idx.maintain(op)
 
-    assert_walk_reads_equal_reference(lists, g)
+    check(idx, g)
     ops = random_update_stream(g, 150, seed=89, alphabet=4)
     assert {op.kind for op in ops} == {INSERT, DELETE}
     for op in ops:
@@ -583,7 +583,7 @@ def test_walk_reads_equal_sort_per_call_reference(mode):
         apply(UpdateOp(DELETE, loner, n))
     assert g.degree(loner) == 0
     assert lists.neighbor_sum(loner) == (0.0,) * cfg.d
-    assert_walk_reads_equal_reference(lists, g)
+    check(idx, g)
     apply(UpdateOp(INSERT, loner, hub))
     for i in range(200):
         if i % 2:
@@ -592,7 +592,57 @@ def test_walk_reads_equal_sort_per_call_reference(mode):
             v = max(g.labels) + 1
             apply(UpdateOp(INSERT, hub, v, label_v=rng.randint(0, 15)))
     assert g.degree(loner) == 1 and g.labels[loner] == lbl
-    assert_walk_reads_equal_reference(lists, g)
+    check(idx, g)
+
+
+@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
+def test_walk_reads_equal_sort_per_call_reference(mode):
+    run_hub_churn(mode, lambda idx, g: assert_walk_reads_equal_reference(idx.lists, g))
+
+
+def assert_box_tables_equal_admits(idx, g):
+    """Fill every bucket's box table at every delta from 1 to one past the
+    bucket's largest degree, as a scan fills it; then each filled table's
+    test, ``lo - FILTER_EPS <= x <= hi + FILTER_EPS`` per tail dimension,
+    must give ``admits``' verdict on every entry it covers, probed at each
+    bound's FILTER_EPS threshold and one ulp either side of it."""
+    lists, d = idx.lists, idx.cfg.d
+    outcomes = set()
+    for syn in idx.synopses:
+        for cell in syn.cells.values():
+            for label, (vs, _) in cell.buckets.items():
+                for delta in range(1, max(g.degree(v) for v in vs) + 2):
+                    cell.box_table(label, delta, lists)
+            for (label, delta), table in cell.tables.items():
+                vs = cell.buckets[label][0]
+                head = lists.frames[label][0]
+                assert len(table) == 2 * d * len(vs)
+                for i, v in enumerate(vs):
+                    bounds = table[2 * d * i:2 * d * (i + 1)]
+                    lows, highs = bounds[0::2], bounds[1::2]
+                    if delta > g.degree(v):  # no box: nothing passes either test
+                        assert tuple(bounds) == (math.inf, -math.inf) * d
+                        assert not lists.admits(v, delta, head + (0.0,) * d)
+                        continue
+                    centre = tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))
+                    for k in range(d):
+                        for edge in (lows[k] - FILTER_EPS, highs[k] + FILTER_EPS):
+                            for x in (math.nextafter(edge, -math.inf), edge,
+                                      math.nextafter(edge, math.inf)):
+                                q_tail = centre[:k] + (x,) + centre[k + 1:]
+                                want = lists.admits(v, delta, head + q_tail)
+                                assert want == all(
+                                    lo - FILTER_EPS <= y <= hi + FILTER_EPS
+                                    for y, lo, hi in zip(q_tail, lows, highs)
+                                )
+                                outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
+def test_box_tables_equal_admits(mode):
+    # tables die with the grid: after maintenance each is filled afresh
+    run_hub_churn(mode, assert_box_tables_equal_admits)
 
 
 def test_walk_is_dropped_by_a_histogram_edit(cfg_zipf):
