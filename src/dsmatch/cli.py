@@ -44,10 +44,15 @@ def _config_from(args) -> BenchConfig:
 
 
 def _load_queries(paths: list[str]) -> list[QueryGraph]:
+    """Query graphs from files, and from the ``*.txt`` files of directories;
+    a directory holding none is a mistyped path, not an empty query set."""
     files: list[Path] = []
     for p in map(Path, paths):
         if p.is_dir():
-            files.extend(sorted(p.glob("*.txt")))
+            found = sorted(p.glob("*.txt"))
+            if not found:
+                raise FileNotFoundError(f"{p}: directory holds no *.txt query file")
+            files.extend(found)
         else:
             files.append(p)
     return [QueryGraph.from_text(f.read_text()) for f in files]

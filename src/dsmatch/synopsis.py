@@ -15,23 +15,25 @@ neighbor components; both come from one pass over the vertex's walk, its
 (component, count) pairs sorted once per histogram state, taking each count
 until delta is used up.  An update is one histogram edit per endpoint.  A
 grid cell buckets its vertices by label, whose d head coordinates a scan
-tests once per bucket, and keeps only their tail coordinates.  A scan
-skips a bucket whole when a query tail coordinate exceeds the bucket's
-maximum, and box-tests an entry against its bucket's box table at the
-query degree: every entry's tail bounds at that degree, computed once.
+tests once per bucket, and keeps only their tail coordinates: one column
+per dimension, with the bucket sorted on the first.  A scan bisects that
+column, since the entries passing the first dominance test form a suffix,
+and tests the suffix column-wise: the other dominance dimensions against
+the tail columns, and the box at the query degree against the bucket's box
+table, every entry's tail bounds at that degree as columns, computed once.
 
 The grids are build-only.  Only candidate scans read them, so an update
-just drops them, with their tail maxima and box tables, and the next scan,
-snapshot or dump rebuilds them from the histograms with the same frozen
-degree groups, domain and cell count: a maintained index equals a rebuild
-by construction.
+just drops them, with their box tables, and the next scan, snapshot or
+dump rebuilds them from the histograms with the same frozen degree groups,
+domain and cell count: a maintained index equals a rebuild by
+construction.
 
 Scans and maintenance follow the single-writer contract of the graph:
 maintenance is exclusive, and so is the first scan, snapshot or dump after
 it, which rebuilds the grids, the first box read of a vertex after it,
-which fills the vertex's walk, and the first scan to reach a bucket at a
-query degree, which fills its tail maximum and box table; later reads may
-run concurrently.
+which fills the vertex's walk, and the first scan whose entries reach the
+box test in a bucket at a query degree, which fills its box table; later
+reads may run concurrently.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, le
 from time import perf_counter
 from typing import Iterable
 
@@ -71,8 +75,15 @@ _MAX_BOUNDARY_COMBOS = 200_000
 M_GROUPS = 3
 K_CELLS = 5
 
-# one tail dimension's (low, high) for a vertex whose degree is below delta
-_NO_BOX = (math.inf, -math.inf)
+
+def _plus_eps(t: float) -> float:
+    """The right-hand side of the dominance test ``x <= t + FILTER_EPS``."""
+    return t + FILTER_EPS
+
+
+def _both(a: bytes, b: bytes) -> bytes:
+    """Bytewise AND of two 0/1 masks of equal length."""
+    return (int.from_bytes(a, "big") & int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def dominated_within(a: Vec, b: Vec, eps: float = FILTER_EPS) -> bool:
@@ -298,27 +309,34 @@ class NeighborListStore:
                 f"delta {delta} outside [1, {deg}] for vertex {v}"
             )
         head = self._frame(self.graph.label(v))[0]
-        box = self.box_table((v,), delta)
-        return Mbr(low=head + tuple(box[0::2]), high=head + tuple(box[1::2]))
+        cols = self.box_columns((v,), delta, 0.0)  # x - 0.0 == x: the raw bounds
+        return Mbr(
+            low=head + tuple(lows[0] for lows, _ in cols),
+            high=head + tuple(highs[0] for _, highs in cols),
+        )
 
-    def box_table(self, vs: Iterable[VertexId], delta: int) -> array:
-        """Per vertex of ``vs``, per tail dimension, the low then the high
-        bound of its box at delta, each computed as ``admits`` computes it.
-        A vertex of degree below delta gets (+inf, -inf) on every dimension,
-        a box that no point lies in."""
+    def box_columns(
+        self, vs: Iterable[VertexId], delta: int, slack: float
+    ) -> list[tuple[array, array]]:
+        """Per tail dimension, the columns ``low - slack`` and ``high + slack``
+        of the boxes at delta of ``vs``, in order, each bound computed as
+        ``admits`` computes it.  A vertex of degree below delta gets (+inf,
+        -inf) on every dimension, a box that no point lies in."""
         adj, labels, frames = self.graph.adj, self.graph.labels, self.frames
         a, d = self.alpha, self.cfg.d
-        out = array("d")
+        cols = [(array("d"), array("d")) for _ in range(d)]
         for v in vs:
             if delta > len(adj[v]):
-                out.extend(_NO_BOX * d)
+                for lows, highs in cols:
+                    lows.append(math.inf)
+                    highs.append(-math.inf)
                 continue
             walk = self.walk(v)
             n = len(walk) // d
-            for lo, t in zip(range(0, len(walk), n), frames[labels[v]][1]):
-                out.append(a * _walk_sum(walk, lo, lo + n, 2, delta) + t)
-                out.append(a * _walk_sum(walk, lo + n - 2, lo - 2, -2, delta) + t)
-        return out
+            for (lows, highs), lo, t in zip(cols, range(0, len(walk), n), frames[labels[v]][1]):
+                lows.append(a * _walk_sum(walk, lo, lo + n, 2, delta) + t - slack)
+                highs.append(a * _walk_sum(walk, lo + n - 2, lo - 2, -2, delta) + t + slack)
+        return cols
 
     def admits(self, v: VertexId, delta: int, q_embed: Vec) -> bool:
         """delta <= deg(v) and ``q_embed`` in v's box at delta, within FILTER_EPS.
@@ -349,38 +367,35 @@ class NeighborListStore:
 class Cell:
     """One grid cell: its corner, its key and its entries bucketed by label.
 
-    A bucket holds its vertices and, flat in one array, their d tail
-    coordinates each.  Two reads of a bucket are kept once the first scan
-    that needs them has computed them: its maximum tail coordinate per
-    dimension, and per query degree its box table (``box_table``).  Both die
-    with the grid, so they always describe the current graph.
+    A bucket holds its vertices in ascending order of their first tail
+    coordinate (a stable sort) and, per tail dimension, one column of their
+    tail coordinates in that order.  Per query degree, the first scan whose
+    entries reach the box test fills the bucket's box table
+    (``box_table``).  Tables die with the grid, so they always describe the
+    current graph.
     """
 
-    __slots__ = ("corner", "key", "buckets", "tail_max", "tables")
+    __slots__ = ("corner", "key", "buckets", "tables")
 
     def __init__(self, corner: Vec):
         self.corner = corner
         self.key = embedding_key(corner)
-        self.buckets: dict[Label, tuple[list[VertexId], array]] = {}
-        self.tail_max: dict[Label, tuple[float, ...]] = {}
-        self.tables: dict[tuple[Label, int], array] = {}  # (label, delta) -> box table
+        self.buckets: dict[Label, tuple[list[VertexId], tuple[array, ...]]] = {}
+        # (label, delta) -> per tail dimension, its (low - FILTER_EPS, high + FILTER_EPS) columns
+        self.tables: dict[tuple[Label, int], list[tuple[array, array]]] = {}
 
     def __len__(self) -> int:
         return sum(len(vs) for vs, _ in self.buckets.values())
 
-    def max_tail(self, label: Label, d: int) -> tuple[float, ...]:
-        """The label bucket's largest tail coordinate per dimension, found once."""
-        top = self.tail_max.get(label)
-        if top is None:
-            tails = self.buckets[label][1]
-            top = self.tail_max[label] = tuple(max(tails[k::d]) for k in range(d))
-        return top
-
-    def box_table(self, label: Label, delta: int, lists: NeighborListStore) -> array:
-        """The label bucket's ``lists.box_table`` at delta, filled once."""
+    def box_table(
+        self, label: Label, delta: int, lists: NeighborListStore
+    ) -> list[tuple[array, array]]:
+        """The label bucket's box columns at delta, widened by FILTER_EPS, filled once."""
         table = self.tables.get((label, delta))
         if table is None:
-            table = self.tables[label, delta] = lists.box_table(self.buckets[label][0], delta)
+            table = self.tables[label, delta] = lists.box_columns(
+                self.buckets[label][0], delta, FILTER_EPS
+            )
         return table
 
 
@@ -452,8 +467,12 @@ class GridSynopsis:
         self.domain = domain
         self.width = domain / k_cells
         self.cells: dict[tuple[int, ...], Cell] = {}
+        heads: dict[Label, tuple[int, ...]] = {}  # label -> its head's cell coordinates
         for v, label, head, tail in entries:
-            coords = self.cell_coords(head) + self.cell_coords(tail)
+            head_coords = heads.get(label)
+            if head_coords is None:
+                head_coords = heads[label] = self.cell_coords(head)
+            coords = head_coords + self.cell_coords(tail)
             cell = self.cells.get(coords)
             if cell is None:
                 cell = self.cells[coords] = Cell(self._cell_corner(coords))
@@ -462,6 +481,14 @@ class GridSynopsis:
                 bucket = cell.buckets[label] = ([], array("d"))
             bucket[0].append(v)
             bucket[1].fromlist(tail)
+        for cell in self.cells.values():  # flat tails -> columns, sorted on the first
+            for label, (vs, tails) in cell.buckets.items():
+                d = len(tails) // len(vs)
+                order = sorted(range(len(vs)), key=tails[0::d].__getitem__)
+                cell.buckets[label] = (
+                    [vs[i] for i in order],
+                    tuple(array("d", map(tails[k::d].__getitem__, order)) for k in range(d)),
+                )
         self.order: list[tuple[float, tuple[int, ...]]] = sorted(  # (-key, coords)
             (-cell.key, coords) for coords, cell in self.cells.items()
         )
@@ -482,12 +509,12 @@ class GridSynopsis:
     def snapshot(self, lists: NeighborListStore) -> dict:
         """Canonical content for equality checks (entry order independent):
         per cell, sorted (vertex, capped degree, corner)."""
-        adj, d, frames = lists.graph.adj, lists.cfg.d, lists.frames
+        adj, frames = lists.graph.adj, lists.frames
         return {
             coords: sorted(
-                (v, min(len(adj[v]), self.upper), frames[lbl][0] + tuple(tails[i * d:i * d + d]))
-                for lbl, (vs, tails) in c.buckets.items()
-                for i, v in enumerate(vs)
+                (v, min(len(adj[v]), self.upper), frames[lbl][0] + tail)
+                for lbl, (vs, cols) in c.buckets.items()
+                for v, tail in zip(vs, zip(*cols))
             )
             for coords, c in self.cells.items()
         }
@@ -518,8 +545,12 @@ def scan_candidates(
     conditions for a match, so no true match image is ever dropped.
 
     A bucket fails dominance whole when the query's head coordinates exceed
-    its label's, or a tail coordinate exceeds the bucket's maximum.  The box
-    test reads the bucket's box table at the query degree.
+    its label's.  Otherwise, as the bucket is sorted on its first tail
+    column, a bisection finds the suffix passing the first tail dimension;
+    the other dimensions, and for a same-label bucket the box test against
+    its box table at the query degree, run column-wise on that suffix.
+    Each comparison is the same float operation a per-entry test makes, so
+    the candidates, in bucket order, and the counts are the same.
     """
     stats = ScanStats()
     out: list[VertexId] = []
@@ -540,37 +571,29 @@ def scan_candidates(
         if not dominated_within(q_embed, cell.corner):
             stats.pruned_cell += n
             continue
-        for label, (vs, tails) in cell.buckets.items():
+        for label, (vs, cols) in cell.buckets.items():
             # every corner in the bucket has its label's frame head
-            if not (
-                dominated_within(q_head, lists.frames[label][0])
-                and dominated_within(q_tail, cell.max_tail(label, d))
-            ):
+            if not dominated_within(q_head, lists.frames[label][0]):
                 pruned_dominance += len(vs)
                 continue
-            other_label = label != q_label
-            box = None  # filled when the first entry reaches the box test
-            j = 0  # v's tail coordinates are tails[j:j + d], its bounds box[2j:2j + 2d]
-            for v in vs:
-                for k in range(d):
-                    if q_tail[k] > tails[j + k] + FILTER_EPS:
-                        pruned_dominance += 1
-                        break
-                else:
-                    if other_label:
-                        pruned_label += 1
-                    else:
-                        if box is None:
-                            box = cell.box_table(label, q_degree, lists)
-                        b = 2 * j
-                        for x in q_tail:
-                            if x < box[b] - FILTER_EPS or x > box[b + 1] + FILTER_EPS:
-                                pruned_box += 1
-                                break
-                            b += 2
-                        else:
-                            out.append(v)
-                j += d
+            # x0 <= t0 + FILTER_EPS holds exactly on the suffix [p:] of the
+            # bucket, sorted on t0; the other tests run column-wise on it
+            p = bisect_left(cols[0], q_tail[0], key=_plus_eps)
+            mask = b"\x01" * (len(vs) - p)  # per suffix entry: 1 while it passes every test
+            for x, col in zip(q_tail[1:], cols[1:]):
+                mask = _both(mask, bytes(map(le, repeat(x), map(add, col[p:], repeat(FILTER_EPS)))))
+            dominated = mask.count(1)
+            pruned_dominance += len(vs) - dominated
+            if not dominated:
+                continue
+            if label != q_label:
+                pruned_label += dominated
+                continue
+            for x, (lows, highs) in zip(q_tail, cell.box_table(label, q_degree, lists)):
+                mask = _both(mask, bytes(map(le, lows[p:], repeat(x))))
+                mask = _both(mask, bytes(map(le, repeat(x), highs[p:])))
+            pruned_box += dominated - mask.count(1)
+            out.extend(compress(vs[p:], mask))
     stats.pruned_dominance = pruned_dominance
     stats.pruned_label = pruned_label
     stats.pruned_box = pruned_box

@@ -215,6 +215,21 @@ def test_unreadable_input_file_is_an_error_not_a_traceback(tmp_path, capsys, arg
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "oracle"])
+def test_query_directory_without_query_files_is_an_error(tmp_path, capsys, command):
+    # zero queries from a mistyped directory would pass for an empty query set
+    graph = tmp_path / "g.txt"
+    graph.write_text("v 0 1\nv 1 2\ne 0 1\n")
+    empty = tmp_path / "queries"
+    empty.mkdir()
+    (empty / "notes.md").write_text("not a query\n")
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, "--graph", str(graph), "--queries", str(empty), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no *.txt query file" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_engine_and_naive_final_answers_agree():
     cfg = BenchConfig(
         n_vertices=120, alphabet=5, label_dist="zipf",

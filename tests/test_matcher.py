@@ -26,7 +26,7 @@ from dsmatch.matcher import (
     refine,
 )
 from dsmatch.oracle import enumerate_matches
-from dsmatch.synopsis import FILTER_EPS, NeighborListStore, SynopsisIndex
+from dsmatch.synopsis import NeighborListStore, SynopsisIndex
 
 from conftest import make_graph, small_world
 from test_synopsis import random_update_stream
@@ -268,17 +268,17 @@ def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
     store = engine.index.lists
     d = any_mode_cfg.d
     box_tests = Counter()
-    admits, box_table = store.admits, store.box_table
-    fills = defaultdict(list)  # (vertex, delta) -> its tail bounds, per fill
+    admits, box_columns = store.admits, store.box_columns
+    fills = defaultdict(list)  # (vertex, delta) -> its widened tail bounds, per fill
 
     def counted(v, delta, q_embed):
         box_tests[v, delta, q_embed] += 1
         return admits(v, delta, q_embed)
 
-    def recorded(vs, delta):
-        table = box_table(vs, delta)
+    def recorded(vs, delta, slack):
+        table = box_columns(vs, delta, slack)
         for i, v in enumerate(vs):
-            fills[v, delta].append(table[2 * d * i:2 * d * (i + 1)])
+            fills[v, delta].append([(lows[i], highs[i]) for lows, highs in table])
         return table
 
     runs = []
@@ -290,7 +290,7 @@ def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
         return real_refine(plan, graph, st, seed, depth, roots)
 
     monkeypatch.setattr(store, "admits", counted)
-    monkeypatch.setattr(store, "box_table", recorded)
+    monkeypatch.setattr(store, "box_columns", recorded)
     monkeypatch.setattr(matcher_mod, "refine", recording)
     q = QueryGraph({0: 0, 1: 1, 2: 2}, [(0, 1), (1, 2)])
     rq = engine.register("path", q)
@@ -301,10 +301,7 @@ def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
     for r in roots:
         assert box_tests[r, delta, q_embed] == 0
         [bounds] = fills[r, delta]  # one table fill holds r's box at delta
-        assert all(
-            lo - FILTER_EPS <= x <= hi + FILTER_EPS
-            for x, lo, hi in zip(q_embed[d:], bounds[0::2], bounds[1::2])
-        )
+        assert all(lo <= x <= hi for x, (lo, hi) in zip(q_embed[d:], bounds))
 
 
 @pytest.mark.slow

@@ -602,10 +602,12 @@ def test_walk_reads_equal_sort_per_call_reference(mode):
 
 def assert_box_tables_equal_admits(idx, g):
     """Fill every bucket's box table at every delta from 1 to one past the
-    bucket's largest degree, as a scan fills it; then each filled table's
-    test, ``lo - FILTER_EPS <= x <= hi + FILTER_EPS`` per tail dimension,
-    must give ``admits``' verdict on every entry it covers, probed at each
-    bound's FILTER_EPS threshold and one ulp either side of it."""
+    bucket's largest degree, as a scan fills it.  Each filled table holds,
+    per tail dimension, the columns ``low - FILTER_EPS`` and ``high +
+    FILTER_EPS`` in bucket order, the raw bounds being ``mbr``'s; its test,
+    ``lo <= x <= hi`` per tail dimension, must give ``admits``' verdict on
+    every entry it covers, probed at each bound's FILTER_EPS threshold and
+    one ulp either side of it."""
     lists, d = idx.lists, idx.cfg.d
     outcomes = set()
     for syn in idx.synopses:
@@ -616,24 +618,27 @@ def assert_box_tables_equal_admits(idx, g):
             for (label, delta), table in cell.tables.items():
                 vs = cell.buckets[label][0]
                 head = lists.frames[label][0]
-                assert len(table) == 2 * d * len(vs)
+                assert len(table) == d
+                assert all(len(lows) == len(highs) == len(vs) for lows, highs in table)
                 for i, v in enumerate(vs):
-                    bounds = table[2 * d * i:2 * d * (i + 1)]
-                    lows, highs = bounds[0::2], bounds[1::2]
+                    lows = tuple(col[i] for col, _ in table)
+                    highs = tuple(col[i] for _, col in table)
                     if delta > g.degree(v):  # no box: nothing passes either test
-                        assert tuple(bounds) == (math.inf, -math.inf) * d
+                        assert (lows, highs) == ((math.inf,) * d, (-math.inf,) * d)
                         assert not lists.admits(v, delta, head + (0.0,) * d)
                         continue
+                    box = lists.mbr(v, delta)
+                    assert lows == tuple(lo - FILTER_EPS for lo in box.low[d:])
+                    assert highs == tuple(hi + FILTER_EPS for hi in box.high[d:])
                     centre = tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))
                     for k in range(d):
-                        for edge in (lows[k] - FILTER_EPS, highs[k] + FILTER_EPS):
+                        for edge in (lows[k], highs[k]):
                             for x in (math.nextafter(edge, -math.inf), edge,
                                       math.nextafter(edge, math.inf)):
                                 q_tail = centre[:k] + (x,) + centre[k + 1:]
                                 want = lists.admits(v, delta, head + q_tail)
                                 assert want == all(
-                                    lo - FILTER_EPS <= y <= hi + FILTER_EPS
-                                    for y, lo, hi in zip(q_tail, lows, highs)
+                                    lo <= y <= hi for y, lo, hi in zip(q_tail, lows, highs)
                                 )
                                 outcomes.add(want)
     assert outcomes == {True, False}
@@ -874,3 +879,39 @@ def test_scan_equals_linear_filter(mode):
         g.apply_update(op)
         idx.maintain(op)
     check()
+
+
+def assert_scan_equals_reference_at_first_tail_thresholds(idx, g):
+    """For each distinct first tail coordinate t0 of each bucket, scan for a
+    query whose first tail coordinate is t0 + FILTER_EPS, the float the
+    dominance test compares against, and one ulp either side of it; the
+    query's other coordinates are those of an entry with that t0, its head
+    the bucket label's and its degree the entry's.  Each scan must equal
+    ``reference_scan``, list and counts."""
+    lists, d = idx.lists, idx.cfg.d
+    tied = 0
+    for syn in idx.synopses:
+        for cell in syn.cells.values():
+            for label, (vs, cols) in cell.buckets.items():
+                head = lists.frames[label][0]
+                first = {}  # t0 -> the bucket position of its first entry
+                for i, t0 in enumerate(cols[0]):
+                    first.setdefault(t0, i)
+                tied += len(first) < len(vs)
+                for t0, i in first.items():
+                    tail = tuple(col[i] for col in cols)
+                    edge = t0 + FILTER_EPS
+                    for x in (math.nextafter(edge, -math.inf), edge,
+                              math.nextafter(edge, math.inf)):
+                        args = (head + (x,) + tail[1:], g.degree(vs[i]), label, lists)
+                        assert scan_candidates(syn, *args) == reference_scan(syn, *args)
+    assert tied  # some bucket holds entries that tie on t0
+
+
+@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
+def test_scan_bisects_first_tail_column_at_the_threshold(mode):
+    # a bucket's entries passing the first dominance test form the suffix
+    # that bisect_left finds; bisect_right would drop the ties sitting
+    # exactly on the threshold
+    run_hub_churn(mode, assert_scan_equals_reference_at_first_tail_thresholds)
+
