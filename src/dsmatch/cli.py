@@ -22,7 +22,7 @@ from .bench import RUN_COLUMNS, SWEEP_COLUMNS, SWEEP_PARAMS, rows_to_csv, run_en
 from .errors import DsmatchError
 from .generate import SCENARIO_PARAMS, BenchConfig
 from .graph import dump_graph, dump_stream, load_graph, load_stream
-from .matcher import QueryGraph, format_answers, format_delta
+from .matcher import UNCHANGED, QueryGraph, format_answers, format_delta
 from .oracle import enumerate_matches, recompute_stream_check
 
 
@@ -114,7 +114,7 @@ def cmd_run(args) -> int:
             name = f"q{i}"
             blocks = []
             for ts, deltas in metrics.delta_log:
-                body = format_delta(q, deltas[name])
+                body = format_delta(q, deltas.get(name, UNCHANGED))
                 if body:
                     blocks.append(f"# t={ts}\n{body}")
             (out / f"deltas_q{i:03d}.txt").write_text(

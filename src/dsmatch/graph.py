@@ -149,13 +149,12 @@ class DynamicGraph:
         self.num_edges += 1
 
     def remove_edge(self, u: VertexId, v: VertexId) -> None:
-        if u not in self.labels or v not in self.labels:
-            missing = u if u not in self.labels else v
-            raise UnknownVertex(f"vertex {missing} not in graph")
-        if v not in self.adj[u]:
+        """Delete edge (u, v) after one adjacency probe, or raise MissingEdge."""
+        nbrs = self.adj.get(u)
+        if nbrs is None or v not in nbrs:
             raise MissingEdge(f"edge ({u}, {v}) not present")
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
+        nbrs.remove(v)
+        self.adj[v].remove(u)
         self.num_edges -= 1
 
     def apply_update(self, op: UpdateOp) -> None:
@@ -187,8 +186,6 @@ class DynamicGraph:
                     self.add_vertex(w, lbl)
             self.add_edge(u, v)
         elif op.kind == DELETE:
-            if not self.has_edge(u, v):
-                raise MissingEdge(f"edge ({u}, {v}) not present")
             self.remove_edge(u, v)
         else:
             raise ValueError(f"unknown op kind {op.kind!r}")

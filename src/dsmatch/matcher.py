@@ -18,7 +18,7 @@ inverted edge index.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Iterator
 
@@ -302,18 +302,22 @@ class QueryDelta:
     removed: frozenset[Mapping] = frozenset()
 
 
-_UNCHANGED = QueryDelta()
+UNCHANGED = QueryDelta()
 
 # plan.order[:2] is a query edge orientation, to be seeded onto an inserted
 # data edge (u, v) as order[0] -> u, order[1] -> v
 SeedEntry = tuple[RegisteredQuery, JoinPlan]
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateResult:
+    """One applied op, its seconds per stage, and the deltas of the queries
+    whose answers changed, in registration order; read ``deltas`` with
+    ``.get(name, UNCHANGED)``."""
+
     op: UpdateOp
     deltas: dict[str, QueryDelta]
-    timings: dict[str, float] = field(default_factory=dict)
+    timings: dict[str, float]
 
 
 class MatchEngine:
@@ -381,24 +385,17 @@ class MatchEngine:
         after an accepted op can raise (the histogram and answer-set edits
         are plain dict and set updates; the box read in ``admits`` sits
         behind its degree check), so every op applies fully or not at all.
-        Only the queries filed under the edge's label pair are visited;
-        every query whose answers did not change shares one empty delta.
+        Only the queries filed under the edge's label pair are visited, and
+        the result's deltas name only the queries whose answers changed.
         """
-        timings = {
-            "graph": 0.0,
-            "embedding_update": 0.0,
-            "filtering": 0.0,
-            "refinement": 0.0,
-            "answers_index": 0.0,
-        }
         t0 = perf_counter()
         self.graph.apply_update(op)
-        timings["graph"] = perf_counter() - t0
-        timings["embedding_update"] = self.index.maintain(op).list_update_seconds
+        graph_s = perf_counter() - t0
+        lists_s = self.index.maintain(op).list_update_seconds
 
-        deltas = dict.fromkeys(self.queries, _UNCHANGED)
+        deltas: dict[str, QueryDelta] = {}
         if op.kind == INSERT:
-            found, timings["filtering"], timings["refinement"] = self._on_insert(op.u, op.v)
+            found, filter_s, refine_s = self._on_insert(op.u, op.v)
             t1 = perf_counter()
             for name, added in found.items():
                 answers = self.queries[name].answers
@@ -406,17 +403,22 @@ class MatchEngine:
                     answers.add(m)
                 deltas[name] = QueryDelta(added=frozenset(added))
         else:
+            filter_s = refine_s = 0.0
             t1 = perf_counter()
-            edge = op.edge()
-            pair = (self.graph.labels[op.u], self.graph.labels[op.v])
-            for name, rq in self.pair_queries.get(pair, {}).items():
-                victims = rq.answers.answers_on_edge(edge)
-                if victims:
-                    for m in victims:
-                        rq.answers.discard(m)
-                    deltas[name] = QueryDelta(removed=victims)
-        timings["answers_index"] = perf_counter() - t1
-        return UpdateResult(op=op, deltas=deltas, timings=timings)
+            labels = self.graph.labels
+            rqs = self.pair_queries.get((labels[op.u], labels[op.v]))
+            if rqs:
+                edge = op.edge()
+                for name, rq in rqs.items():
+                    victims = rq.answers.answers_on_edge(edge)
+                    if victims:
+                        for m in victims:
+                            rq.answers.discard(m)
+                        deltas[name] = QueryDelta(removed=victims)
+        return UpdateResult(op, deltas, {
+            "graph": graph_s, "embedding_update": lists_s, "filtering": filter_s,
+            "refinement": refine_s, "answers_index": perf_counter() - t1,
+        })
 
     def _on_insert(
         self, u: VertexId, v: VertexId

@@ -263,10 +263,13 @@ class NeighborListStore:
 
     def count(self, v: VertexId, label: Label, step: int) -> None:
         """Add ``step`` (+1 or -1) neighbors carrying ``label`` to v."""
-        self._frame(label)
+        if label not in self.frames:
+            self._frame(label)
         if self._walks:  # all of them: later edits then pay one truthiness test
             self._walks.clear()
-        hist = self.hist.setdefault(v, {})
+        hist = self.hist.get(v)
+        if hist is None:
+            hist = self.hist[v] = {}
         c = hist.get(label, 0) + step
         if c:
             hist[label] = c
@@ -604,13 +607,10 @@ def scan_candidates(
 # -- the full index -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class MaintenanceReport:
-    """Time spent on one update's histogram edits.
-
-    Grids are rebuilt rather than edited, so the entry fields stay zero;
-    they remain for readers of the report such as perfbench's tracer.
-    """
+    """Time spent on one update's histogram edits.  Grids are rebuilt, not
+    edited, so the entry fields stay zero for the report's readers."""
 
     entries_added: int = 0
     entries_removed: int = 0
@@ -703,9 +703,10 @@ class SynopsisIndex:
         then exist, so neither histogram edit can fail.
         """
         t0 = perf_counter()
+        labels, count = self.graph.labels, self.lists.count
         step = 1 if op.kind == INSERT else -1
-        self.lists.count(op.u, self.graph.label(op.v), step)
-        self.lists.count(op.v, self.graph.label(op.u), step)
+        count(op.u, labels[op.v], step)
+        count(op.v, labels[op.u], step)
         self._grids = None
         return MaintenanceReport(list_update_seconds=perf_counter() - t0)
 

@@ -9,7 +9,8 @@ from dsmatch.bench import SWEEP_PARAMS, run_engine, run_naive, sweep
 from dsmatch.cli import build_parser, main
 from dsmatch.embedding import MODES
 from dsmatch.generate import SCENARIO_PARAMS, BenchConfig
-from dsmatch.matcher import MatchEngine
+from dsmatch.graph import DELETE, UpdateOp, dump_stream, load_graph, load_stream
+from dsmatch.matcher import MatchEngine, QueryDelta, QueryGraph, format_delta
 from dsmatch.oracle import recompute_stream_check
 from dsmatch.synopsis import K_CELLS, M_GROUPS
 
@@ -270,6 +271,40 @@ def test_run_emit_deltas(tmp_path):
             assert line.startswith(("# t=", "+ match ", "- match "))
             saw_delta_line |= line.startswith(("+ match ", "- match "))
     assert saw_delta_line  # a 10% insert stream produces at least one delta
+
+
+def test_emitted_deltas_equal_answer_snapshot_differences(tmp_path):
+    # a fresh engine replays the run's inputs; each deltas_q*.txt must equal
+    # the file rebuilt from the answers before and after every op
+    data = tmp_path / "data"
+    assert main(["gen", *BASE_FLAGS, "--out", str(data)]) == 0
+    inserts = load_stream((data / "stream.txt").read_text())
+    mixed = inserts + [UpdateOp(DELETE, op.u, op.v) for op in inserts[::2]]
+    (data / "mixed.txt").write_text(dump_stream(mixed))
+    out = tmp_path / "run"
+    assert main([
+        "run", "--graph", str(data / "g0.txt"), "--stream", str(data / "mixed.txt"),
+        "--queries", str(data / "queries"), "--emit-deltas", "--out", str(out),
+    ]) == 0
+
+    queries = [QueryGraph.from_text(f.read_text()) for f in sorted((data / "queries").glob("*.txt"))]
+    engine = MatchEngine(load_graph((data / "g0.txt").read_text()), BenchConfig().embedding_config())
+    for i, q in enumerate(queries):
+        engine.register(f"q{i}", q)
+    blocks = [[] for _ in queries]
+    for op in load_stream((data / "mixed.txt").read_text()):
+        before = [rq.answers.mappings() for rq in engine.queries.values()]
+        engine.process_update(op)
+        for i, rq in enumerate(engine.queries.values()):
+            after = rq.answers.mappings()
+            delta = QueryDelta(added=after - before[i], removed=before[i] - after)
+            if after != before[i]:
+                blocks[i].append(f"# t={op.timestamp}\n{format_delta(queries[i], delta)}")
+    assert sum(map(len, blocks)) > 0
+    assert any(line.startswith("- match ") for b in blocks for block in b for line in block.splitlines())
+    for i, qblocks in enumerate(blocks):
+        want = "\n".join(qblocks) + ("\n" if qblocks else "")
+        assert (out / f"deltas_q{i:03d}.txt").read_bytes() == want.encode()
 
 
 def test_verify_deletion_stream(capsys):

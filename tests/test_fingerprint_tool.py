@@ -1,5 +1,6 @@
-"""``tools/fingerprint.py``: its output layout with the hashing stubbed
-out, and its hashes against the committed ``tools/fingerprints.txt``."""
+"""``tools/fingerprint.py``: its output layout and its ``--check`` verdicts
+with the hashing stubbed out, and its hashes against the committed
+``tools/fingerprints.txt``."""
 
 import importlib.util
 from pathlib import Path
@@ -25,6 +26,36 @@ def test_one_workload_prints_bare_lines_and_none_prints_every_block(monkeypatch,
     want = "".join(f"# {w}\nscan_stats h-{w}\nfinal      f\n" for w in tool.WORKLOADS)
     assert capsys.readouterr().out == want
     assert list(tool.WORKLOADS) == ["sw-insert-q100", "hub-mixed-q20", "sw-delete-q20"]
+
+
+def test_check_names_each_differing_hash_and_exits_1(monkeypatch, capsys):
+    tool = load_tool()
+    want = tool.committed()
+    assert len(want) == 4 * len(tool.WORKLOADS)
+
+    def committed_parts(workload):
+        return {part: h for (w, part), h in want.items() if w == workload}
+
+    monkeypatch.setattr(tool, "fingerprint", committed_parts)
+    assert tool.main(["--check"]) == 0
+    assert capsys.readouterr().out == "all hashes match tools/fingerprints.txt\n"
+
+    def two_moved(workload):
+        parts = committed_parts(workload)
+        if workload == "hub-mixed-q20":
+            parts["deltas"] = "0" * 64
+        if workload == "sw-delete-q20":
+            parts["scan_stats"] = "1" * 64
+        return parts
+
+    monkeypatch.setattr(tool, "fingerprint", two_moved)
+    assert tool.main(["--check"]) == 1
+    assert capsys.readouterr().out == (
+        "differs: hub-mixed-q20 deltas\ndiffers: sw-delete-q20 scan_stats\n"
+    )
+    assert tool.main(["--check", "--workload", "sw-insert-q100"]) == 0
+    assert tool.main(["--check", "--workload", "sw-delete-q20"]) == 1
+    assert capsys.readouterr().out.endswith("differs: sw-delete-q20 scan_stats\n")
 
 
 @pytest.mark.slow

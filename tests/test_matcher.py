@@ -16,6 +16,7 @@ from dsmatch.errors import (
 from dsmatch.generate import sample_queries, split_stream
 from dsmatch.graph import DELETE, INSERT, DynamicGraph, UpdateOp, dump_graph
 from dsmatch.matcher import (
+    UNCHANGED,
     AnswerSet,
     JoinPlan,
     MatchEngine,
@@ -344,7 +345,8 @@ def test_insert_irrelevant_labels_empty_delta(any_mode_cfg):
     engine = MatchEngine(g.copy(), any_mode_cfg)
     engine.register("q", q_edge(0, 1))
     result = engine.process_update(UpdateOp(INSERT, 2, 3))
-    assert result.deltas["q"].added == frozenset()
+    assert result.deltas == {}
+    assert result.deltas.get("q", UNCHANGED) is UNCHANGED
 
 
 def test_insert_symmetric_labels_needs_both_orientations(any_mode_cfg):
@@ -375,10 +377,13 @@ def test_inserts_never_plan_after_registration(monkeypatch, cfg_zipf):
     )
     added = 0
     for op in stream[:40]:
+        before = {name: engine.queries[name].answers.mappings() for name in queries}
         result = engine.process_update(op)
-        assert list(result.deltas) == list(queries)
+        assert list(result.deltas) == [
+            name for name in queries if engine.queries[name].answers.mappings() != before[name]
+        ]
         for name, q in queries.items():
-            added += len(result.deltas[name].added)
+            added += len(result.deltas.get(name, UNCHANGED).added)
             assert engine.queries[name].answers.mappings() == enumerate_matches(engine.graph, q)
     assert added > 0
     assert plan_calls == []
@@ -397,7 +402,7 @@ def test_delete_removes_only_hit_answers(any_mode_cfg):
     # an edge whose labels match no query edge never appears in any image
     engine.process_update(UpdateOp(INSERT, 4, 5))
     res2 = engine.process_update(UpdateOp(DELETE, 4, 5))
-    assert res2.deltas["q"].removed == frozenset()
+    assert res2.deltas == {}
 
 
 def test_delete_removing_nothing_shares_one_empty_delta(cfg_zipf):
@@ -405,17 +410,21 @@ def test_delete_removing_nothing_shares_one_empty_delta(cfg_zipf):
     engine = MatchEngine(g.copy(), cfg_zipf)
     for name, q in (("a", q_edge(0, 1)), ("b", q_edge(1, 0)), ("c", q_edge(7, 8))):
         engine.register(name, q)
+    # a query the op left alone has no delta; readers take the shared
+    # empty one in its place
+    assert not UNCHANGED.added and not UNCHANGED.removed
     result = engine.process_update(UpdateOp(DELETE, 0, 1))
+    assert list(result.deltas) == ["a", "b"]
     assert result.deltas["a"].removed == {(0, 1)}
     assert result.deltas["b"].removed == {(1, 0)}
-    unchanged = result.deltas["c"]
-    assert not unchanged.added and not unchanged.removed
+    assert result.deltas.get("c", UNCHANGED) is UNCHANGED
     result = engine.process_update(UpdateOp(DELETE, 4, 5))
+    assert list(result.deltas) == ["c"]
     assert result.deltas["c"].removed == {(4, 5)}
     engine.process_update(UpdateOp(INSERT, 0, 5))
     result = engine.process_update(UpdateOp(DELETE, 0, 5))
-    assert list(result.deltas) == ["a", "b", "c"]
-    assert all(d is unchanged for d in result.deltas.values())
+    assert result.deltas == {}
+    assert all(result.deltas.get(name, UNCHANGED) is UNCHANGED for name in "abc")
 
 
 def test_rejected_op_leaves_engine_untouched(any_mode_cfg):
@@ -459,8 +468,9 @@ def test_insert_then_delete_net_zero(any_mode_cfg):
     assert not engine.graph.has_edge(u, v)
     r1 = engine.process_update(UpdateOp(INSERT, u, v))
     r2 = engine.process_update(UpdateOp(DELETE, u, v))
+    assert list(r1.deltas) == list(r2.deltas)
     for name in engine.queries:
-        assert r1.deltas[name].added == r2.deltas[name].removed
+        assert r1.deltas.get(name, UNCHANGED).added == r2.deltas.get(name, UNCHANGED).removed
         assert engine.queries[name].answers.mappings() == before[name]
 
 
@@ -494,7 +504,7 @@ def test_deletion_modes_agree(any_mode_cfg):
             for name, rq in engine.queries.items()
         }
         result = engine.process_update(op)
-        assert result.deltas.keys() == want.keys()
+        assert list(result.deltas) == [name for name, hit in want.items() if hit]
         for name, delta in result.deltas.items():
             assert delta.removed == want[name]
             removed_total += len(delta.removed)
@@ -546,7 +556,7 @@ def test_full_stream_exactness_mixed_updates(any_mode_cfg):
                 # every removed mapping contained the deleted edge; no
                 # surviving mapping contains it
                 key = op.edge()
-                for m in result.deltas[f"q{i}"].removed:
+                for m in result.deltas.get(f"q{i}", UNCHANGED).removed:
                     images = set()
                     for ia, ib in q.edge_index_pairs:
                         a, b = m[ia], m[ib]
@@ -584,7 +594,8 @@ def test_insertion_delta_contains_inserted_edge(any_mode_cfg):
             continue
         key = op.edge()
         for i, q in enumerate(queries):
-            for m in result.deltas[f"q{i}"].added:
+            assert not result.deltas.get(f"q{i}", UNCHANGED).removed
+            for m in result.deltas.get(f"q{i}", UNCHANGED).added:
                 images = set()
                 for ia, ib in q.edge_index_pairs:
                     a, b = m[ia], m[ib]
@@ -620,7 +631,42 @@ def test_delete_probes_only_queries_filed_under_its_label_pair(cfg_zipf, monkeyp
     result = engine.process_update(UpdateOp(DELETE, 0, 1))
     assert probed == [engine.queries["ab"].query]
     assert result.deltas["ab"].removed == {(0, 1, 2), (2, 1, 0)}
-    assert list(result.deltas) == ["ab", "cd"]
+    assert list(result.deltas) == ["ab"]
+
+
+def test_deltas_name_exactly_the_changed_queries_in_registration_order(cfg_zipf):
+    # "edge" and "path" share the label pair (0, 1); "absent" has labels no
+    # vertex carries, so no op ever reaches it
+    g = small_world(n=70, avg_deg=4.0, alphabet=3, seed=29)
+    queries = {
+        "edge": q_edge(0, 1),
+        "s0": sample_queries(g, 1, 4, 2.0, seed=17)[0],
+        "path": QueryGraph({0: 0, 1: 1, 2: 1}, [(0, 1), (1, 2)]),
+        "absent": q_edge(7, 8),
+        "tri": q_triangle((0, 1, 2)),
+    }
+    engine = MatchEngine(g.copy(), cfg_zipf)
+    for name, q in queries.items():
+        engine.register(name, q)
+    seen = Counter()
+    kinds = set()
+    for op in random_update_stream(g, 120, seed=41, alphabet=3):
+        before = {name: engine.queries[name].answers.mappings() for name in queries}
+        result = engine.process_update(op)
+        after = {name: engine.queries[name].answers.mappings() for name in queries}
+        changed = [name for name in queries if after[name] != before[name]]
+        assert list(result.deltas) == changed, op
+        for name in changed:
+            delta = result.deltas[name]
+            assert delta.added == after[name] - before[name]
+            assert delta.removed == before[name] - after[name]
+            seen[name] += 1
+            kinds.add((op.kind, name))
+    for name, q in queries.items():
+        assert engine.queries[name].answers.mappings() == enumerate_matches(engine.graph, q)
+    assert seen["absent"] == 0
+    assert {(INSERT, "edge"), (DELETE, "edge"), (INSERT, "path"), (DELETE, "path")} <= kinds
+    assert len(seen) == 4
 
 
 def test_answer_output_format():

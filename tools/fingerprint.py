@@ -2,9 +2,13 @@
 
     python3 tools/fingerprint.py --workload sw-delete-q20
     python3 tools/fingerprint.py
+    python3 tools/fingerprint.py --check
 
 With ``--workload`` it hashes that workload; without, every workload, each
-as a block headed ``# <workload>``.
+as a block headed ``# <workload>``.  With ``--check`` it compares the
+hashes against ``tools/fingerprints.txt`` instead of printing them: it
+names each differing (workload, part) and exits 1, or exits 0 when all
+match.
 
 For each workload, builds its inputs with ``perfbench/workloads.py`` at the
 workload's default seed, registers every query
@@ -45,6 +49,18 @@ def answers(engine: MatchEngine) -> dict[str, list]:
     return {name: sorted(rq.answers) for name, rq in engine.queries.items()}
 
 
+def committed() -> dict[tuple[str, str], str]:
+    """The hashes in ``tools/fingerprints.txt``, by (workload, part)."""
+    out, workload = {}, None
+    for line in (ROOT / "tools" / "fingerprints.txt").read_text().splitlines():
+        if line.startswith("# "):
+            workload = line[2:]
+        elif line:
+            part, h = line.split()
+            out[workload, part] = h
+    return out
+
+
 def fingerprint(workload: str) -> dict[str, str]:
     wl = WORKLOADS[workload]
     inputs = make_inputs(wl, wl.default_seed)
@@ -79,14 +95,29 @@ def fingerprint(workload: str) -> dict[str, str]:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="tools/fingerprint.py", description=__doc__.splitlines()[0])
     p.add_argument("--workload", choices=list(WORKLOADS), help="default: every workload")
+    p.add_argument("--check", action="store_true",
+                   help="compare with tools/fingerprints.txt; exit 1 on any difference")
     args = p.parse_args(argv)
-    for workload in [args.workload] if args.workload else WORKLOADS:
+    workloads = [args.workload] if args.workload else list(WORKLOADS)
+    if args.check:
+        want = committed()
+        differing = [
+            (workload, part)
+            for workload in workloads
+            for part, h in fingerprint(workload).items()
+            if want.get((workload, part)) != h
+        ]
+        for workload, part in differing:
+            print(f"differs: {workload} {part}")
+        if not differing:
+            print("all hashes match tools/fingerprints.txt")
+        return 1 if differing else 0
+    for workload in workloads:
         if not args.workload:
             print(f"# {workload}")
         for part, h in fingerprint(workload).items():
             print(f"{part:<10} {h}")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
