@@ -20,7 +20,11 @@ per dimension, with the bucket sorted on the first.  A scan bisects that
 column, since the entries passing the first dominance test form a suffix,
 and tests the suffix column-wise: the other dominance dimensions against
 the tail columns, and the box at the query degree against the bucket's box
-table, every entry's tail bounds at that degree as columns, computed once.
+table at that degree, every entry's tail bounds as columns.  The first scan
+to need one of a bucket's tables fills them at every degree of the grid's
+group, from one ascending and one descending pass per entry and dimension
+over its walk; a scan of the open last group fills the query degree's
+alone.
 
 The grids are build-only.  Only candidate scans read them, so an update
 just drops them, with their box tables, and the next scan, snapshot or
@@ -32,8 +36,8 @@ Scans and maintenance follow the single-writer contract of the graph:
 maintenance is exclusive, and so is the first scan, snapshot or dump after
 it, which rebuilds the grids, the first box read of a vertex after it,
 which fills the vertex's walk, and the first scan whose entries reach the
-box test in a bucket at a query degree, which fills its box table; later
-reads may run concurrently.
+box test in a bucket at a degree without a table, which fills the bucket's
+tables; later reads may run concurrently.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, le
 from time import perf_counter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .embedding import (
     EmbeddingConfig,
@@ -312,34 +316,72 @@ class NeighborListStore:
                 f"delta {delta} outside [1, {deg}] for vertex {v}"
             )
         head = self._frame(self.graph.label(v))[0]
-        cols = self.box_columns((v,), delta, 0.0)  # x - 0.0 == x: the raw bounds
+        [cols] = self.box_columns((v,), delta, delta, 0.0)  # no slack: the raw bounds
         return Mbr(
             low=head + tuple(lows[0] for lows, _ in cols),
             high=head + tuple(highs[0] for _, highs in cols),
         )
 
     def box_columns(
-        self, vs: Iterable[VertexId], delta: int, slack: float
-    ) -> list[tuple[array, array]]:
-        """Per tail dimension, the columns ``low - slack`` and ``high + slack``
-        of the boxes at delta of ``vs``, in order, each bound computed as
-        ``admits`` computes it.  A vertex of degree below delta gets (+inf,
-        -inf) on every dimension, a box that no point lies in."""
-        adj, labels, frames = self.graph.adj, self.graph.labels, self.frames
-        a, d = self.alpha, self.cfg.d
-        cols = [(array("d"), array("d")) for _ in range(d)]
-        for v in vs:
-            if delta > len(adj[v]):
-                for lows, highs in cols:
-                    lows.append(math.inf)
-                    highs.append(-math.inf)
-                continue
-            walk = self.walk(v)
-            n = len(walk) // d
-            for (lows, highs), lo, t in zip(cols, range(0, len(walk), n), frames[labels[v]][1]):
-                lows.append(a * _walk_sum(walk, lo, lo + n, 2, delta) + t - slack)
-                highs.append(a * _walk_sum(walk, lo + n - 2, lo - 2, -2, delta) + t + slack)
-        return cols
+        self, vs: Sequence[VertexId], first: int, last: int, slack: float
+    ) -> list[list[tuple[array, array]]]:
+        """Per delta in first..last, the box table of ``vs``, one or more
+        vertices of one label, at delta: per tail dimension, the columns
+        ``low - slack`` and ``high + slack`` of their boxes at delta, in
+        order, each bound the float ``admits`` computes.  A vertex of degree
+        below delta gets (+inf, -inf) on every dimension, a box that no
+        point lies in.
+
+        One ascending pass (the lows) and one descending pass (the highs)
+        per vertex and tail dimension serve every delta.  A pass reads the
+        walk's (component, count) pairs in ``_walk_sum``'s order and with
+        its float operations: a delta ending inside a pair gets ``acc + r *
+        comp``, r being what is left of delta after the whole pairs summed
+        into acc (``acc + comp`` for a count of 1, as 1 * comp == comp),
+        and the pair then adds ``c * comp`` to acc.  Each pass writes one
+        flat column per dimension and direction, a row of the deltas per
+        vertex, that the tables slice.
+        """
+        adj, a, d = self.graph.adj, self.alpha, self.cfg.d
+        m = last - first + 1
+        tail = self.frames[self.graph.labels[vs[0]]][1]
+        walks = [self.walk(v) for v in vs]
+        ns = [len(walk) // d for walk in walks]  # per vertex, its walk's segment length
+        # per vertex, the last delta with a box, or 0 if none in first..last has one
+        tops = [min(deg, last) if deg >= first else 0 for deg in map(len, map(adj.__getitem__, vs))]
+        cols = []
+        for k, t in enumerate(tail):
+            # lows read each segment up from its start, highs down from its end;
+            # x + -slack == x - slack
+            for fill, starts, step, s in (
+                (math.inf, [k * n for n in ns], 2, -slack),
+                (-math.inf, [k * n + n - 2 for n in ns], -2, slack),
+            ):
+                col = array("d", [fill]) * (len(vs) * m)
+                pos = 0
+                for walk, top, i in zip(walks, tops, starts):
+                    acc, used, p = 0.0, 0, pos  # used: the components summed into acc
+                    while used < top:
+                        comp, c = walk[i], walk[i + 1]
+                        i += step
+                        if c == 1 and used >= first - 1:
+                            acc += comp
+                            used += 1
+                            col[p] = a * acc + t + s
+                            p += 1
+                            continue
+                        # the deltas used + 1..used + c end in this pair
+                        end = used + c if used + c < top else top
+                        for delta in range(used + 1 if used >= first else first, end + 1):
+                            col[p] = a * (acc + (delta - used) * comp) + t + s
+                            p += 1
+                        acc += c * comp
+                        used += c
+                    pos += m
+                cols.append(col)
+        return [
+            [(cols[2 * k][j::m], cols[2 * k + 1][j::m]) for k in range(d)] for j in range(m)
+        ]
 
     def admits(self, v: VertexId, delta: int, q_embed: Vec) -> bool:
         """delta <= deg(v) and ``q_embed`` in v's box at delta, within FILTER_EPS.
@@ -372,10 +414,11 @@ class Cell:
 
     A bucket holds its vertices in ascending order of their first tail
     coordinate (a stable sort) and, per tail dimension, one column of their
-    tail coordinates in that order.  Per query degree, the first scan whose
-    entries reach the box test fills the bucket's box table
-    (``box_table``).  Tables die with the grid, so they always describe the
-    current graph.
+    tail coordinates in that order.  The first scan whose entries reach the
+    box test at a degree without a table fills the bucket's box tables at
+    every degree of the grid's group in one pass over its entries, or at
+    that degree alone in the open last group (``box_table``).  Tables die
+    with the grid, so they always describe the current graph.
     """
 
     __slots__ = ("corner", "key", "buckets", "tables")
@@ -391,14 +434,22 @@ class Cell:
         return sum(len(vs) for vs, _ in self.buckets.values())
 
     def box_table(
-        self, label: Label, delta: int, lists: NeighborListStore
+        self, label: Label, delta: int, lists: NeighborListStore, lower: int, upper: float
     ) -> list[tuple[array, array]]:
-        """The label bucket's box columns at delta, widened by FILTER_EPS, filled once."""
+        """The label bucket's box columns at delta, widened by FILTER_EPS.
+
+        A miss fills the bucket's tables at every degree of the grid's group
+        (lower, upper] in one ``box_columns`` call when upper is finite and
+        the group holds delta, else at delta alone."""
         table = self.tables.get((label, delta))
         if table is None:
-            table = self.tables[label, delta] = lists.box_columns(
-                self.buckets[label][0], delta, FILTER_EPS
-            )
+            in_finite_group = lower < delta <= upper < math.inf
+            first, last = (lower + 1, upper) if in_finite_group else (delta, delta)
+            for j, filled in enumerate(
+                lists.box_columns(self.buckets[label][0], first, last, FILTER_EPS)
+            ):
+                self.tables[label, first + j] = filled
+            table = self.tables[label, delta]
         return table
 
 
@@ -592,7 +643,8 @@ def scan_candidates(
             if label != q_label:
                 pruned_label += dominated
                 continue
-            for x, (lows, highs) in zip(q_tail, cell.box_table(label, q_degree, lists)):
+            table = cell.box_table(label, q_degree, lists, syn.lower, syn.upper)
+            for x, (lows, highs) in zip(q_tail, table):
                 mask = _both(mask, bytes(map(le, lows[p:], repeat(x))))
                 mask = _both(mask, bytes(map(le, repeat(x), highs[p:])))
             pruned_box += dominated - mask.count(1)

@@ -27,7 +27,7 @@ from dsmatch.matcher import (
     refine,
 )
 from dsmatch.oracle import enumerate_matches
-from dsmatch.synopsis import NeighborListStore, SynopsisIndex
+from dsmatch.synopsis import Cell, NeighborListStore, SynopsisIndex
 
 from conftest import make_graph, small_world
 from test_synopsis import random_update_stream
@@ -276,11 +276,12 @@ def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
         box_tests[v, delta, q_embed] += 1
         return admits(v, delta, q_embed)
 
-    def recorded(vs, delta, slack):
-        table = box_columns(vs, delta, slack)
-        for i, v in enumerate(vs):
-            fills[v, delta].append([(lows[i], highs[i]) for lows, highs in table])
-        return table
+    def recorded(vs, first, last, slack):
+        tables = box_columns(vs, first, last, slack)
+        for delta, table in zip(range(first, last + 1), tables):
+            for i, v in enumerate(vs):
+                fills[v, delta].append([(lows[i], highs[i]) for lows, highs in table])
+        return tables
 
     runs = []
     real_refine = matcher_mod.refine
@@ -303,6 +304,46 @@ def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
         assert box_tests[r, delta, q_embed] == 0
         [bounds] = fills[r, delta]  # one table fill holds r's box at delta
         assert all(lo <= x <= hi for x, (lo, hi) in zip(q_embed[d:], bounds))
+
+
+def test_register_fills_each_bucket_of_a_finite_group_once(any_mode_cfg, monkeypatch):
+    # query vertices of one label at every degree of group 0, (0, 4]: the
+    # first scan to box-test a bucket fills its tables at all four degrees
+    # in one box_columns call, and the scans at the other degrees read them
+    g = small_world(n=120, avg_deg=5.0, alphabet=3, seed=3)
+    engine = MatchEngine(g.copy(), any_mode_cfg)
+    index = engine.index
+    assert (index.groups.lower(0), index.groups.upper(0)) == (0, 4)
+    q = QueryGraph({i: 0 for i in range(5)}, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
+    assert sorted(q.degree(u) for u in q.vertex_order) == [1, 2, 2, 3, 4]
+    cells = {  # bucket -> its cell and label
+        id(vs): (cell, label)
+        for syn in index.synopses
+        for cell in syn.cells.values()
+        for label, (vs, _) in cell.buckets.items()
+    }
+    calls = Counter()  # bucket -> box_columns calls, each filling (1, 4]
+    reads = defaultdict(set)  # bucket -> the degrees a scan read its tables at
+    box_columns, box_table = index.lists.box_columns, Cell.box_table
+
+    def recorded(vs, first, last, slack):
+        assert (first, last) == (1, 4)
+        calls[id(vs)] += 1
+        return box_columns(vs, first, last, slack)
+
+    def read(cell, label, delta, lists, lower, upper):
+        reads[id(cell.buckets[label][0])].add(delta)
+        return box_table(cell, label, delta, lists, lower, upper)
+
+    monkeypatch.setattr(index.lists, "box_columns", recorded)
+    monkeypatch.setattr(Cell, "box_table", read)
+    rq = engine.register("degrees", q)
+    assert rq.answers.mappings() == enumerate_matches(g, q)
+    assert set(calls) == set(reads) and set(calls.values()) == {1}  # no table filled twice
+    assert {1, 2, 3, 4} in reads.values()
+    for bucket in calls:
+        cell, label = cells[bucket]
+        assert {delta for lbl, delta in cell.tables if lbl == label} == {1, 2, 3, 4}
 
 
 @pytest.mark.slow

@@ -601,20 +601,22 @@ def test_walk_reads_equal_sort_per_call_reference(mode):
 
 
 def assert_box_tables_equal_admits(idx, g):
-    """Fill every bucket's box table at every delta from 1 to one past the
-    bucket's largest degree, as a scan fills it.  Each filled table holds,
-    per tail dimension, the columns ``low - FILTER_EPS`` and ``high +
-    FILTER_EPS`` in bucket order, the raw bounds being ``mbr``'s; its test,
-    ``lo <= x <= hi`` per tail dimension, must give ``admits``' verdict on
-    every entry it covers, probed at each bound's FILTER_EPS threshold and
-    one ulp either side of it."""
+    """Fill every bucket's box tables as scans fill them: through the grid's
+    group range at once in a finite group, and at each delta from the
+    group's lowest to one past the bucket's largest degree in the open one.
+    Each filled table holds, per tail dimension, the columns ``low -
+    FILTER_EPS`` and ``high + FILTER_EPS`` in bucket order, the raw bounds
+    being ``mbr``'s; its test, ``lo <= x <= hi`` per tail dimension, must
+    give ``admits``' verdict on every entry it covers, probed at each
+    bound's FILTER_EPS threshold and one ulp either side of it."""
     lists, d = idx.lists, idx.cfg.d
     outcomes = set()
     for syn in idx.synopses:
         for cell in syn.cells.values():
             for label, (vs, _) in cell.buckets.items():
-                for delta in range(1, max(g.degree(v) for v in vs) + 2):
-                    cell.box_table(label, delta, lists)
+                top = min(max(g.degree(v) for v in vs) + 1, syn.upper)
+                for delta in range(syn.lower + 1, top + 1):
+                    cell.box_table(label, delta, lists, syn.lower, syn.upper)
             for (label, delta), table in cell.tables.items():
                 vs = cell.buckets[label][0]
                 head = lists.frames[label][0]
@@ -648,6 +650,45 @@ def assert_box_tables_equal_admits(idx, g):
 def test_box_tables_equal_admits(mode):
     # tables die with the grid: after maintenance each is filled afresh
     run_hub_churn(mode, assert_box_tables_equal_admits)
+
+
+def assert_ranged_fills_equal_single_degree_fills(idx, g):
+    """Fill each bucket's tables over delta ranges below, around and above
+    each of its entries' degrees in one ``box_columns`` call; each table
+    must equal, byte for byte, the one filled at its delta alone, its
+    (+inf, -inf) rows included."""
+    lists = idx.lists
+    rows = set()  # (has a box, is a hub's row)
+    for syn in idx.synopses:
+        for cell in syn.cells.values():
+            for vs, _ in cell.buckets.values():
+                ranges = set()
+                for deg in {g.degree(v) for v in vs}:
+                    ranges |= {(max(deg - 3, 1), deg - 1), (max(deg - 2, 1), deg + 2),
+                               (deg + 1, deg + 3)}
+                for first, last in sorted(r for r in ranges if r[0] <= r[1]):
+                    tables = lists.box_columns(vs, first, last, FILTER_EPS)
+                    assert len(tables) == last - first + 1
+                    for delta, table in zip(range(first, last + 1), tables):
+                        [alone] = lists.box_columns(vs, delta, delta, FILTER_EPS)
+                        assert [(lo.tobytes(), hi.tobytes()) for lo, hi in table] == [
+                            (lo.tobytes(), hi.tobytes()) for lo, hi in alone
+                        ]
+                        for i, v in enumerate(vs):
+                            boxed = delta <= g.degree(v)
+                            assert all(
+                                (lows[i] < math.inf and highs[i] > -math.inf) == boxed
+                                for lows, highs in table
+                            )
+                            rows.add((boxed, g.degree(v) > 100))
+    assert rows == {(True, False), (False, False), (True, True), (False, True)}
+
+
+@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
+def test_ranged_box_fills_equal_single_degree_fills(mode):
+    # one ascending and one descending pass per entry serve every delta of
+    # a range with the floats a fill at each delta alone computes
+    run_hub_churn(mode, assert_ranged_fills_equal_single_degree_fills)
 
 
 def test_walk_is_dropped_by_a_histogram_edit(cfg_zipf):
