@@ -28,7 +28,7 @@ import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionMismatch, UnknownVertex
+from .errors import DimensionMismatch, InvalidParams, UnknownVertex
 from .graph import Label, VertexId
 from .rng import mix_words, unit_open_closed
 
@@ -65,13 +65,13 @@ class EmbeddingConfig:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+            raise InvalidParams(f"d must be >= 1, got {self.d}")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise InvalidParams(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+            raise InvalidParams("alpha and beta must be positive")
         if self.mode != MODE_PLAIN and self.beta / self.alpha < 10:
-            raise ValueError(
+            raise InvalidParams(
                 f"beta/alpha must be >= 10 for mode {self.mode!r}, "
                 f"got {self.beta / self.alpha:g}"
             )
@@ -85,7 +85,8 @@ class ZipfTable:
 
     A uniform draw is placed by bisecting the cumulative rank masses, so
     the result follows the Zipf distribution exactly.  The ``zipf`` mode
-    draws from one table, at ``ZIPF_S`` over ``ZIPF_RANKS`` ranks.
+    draws from one table, at ``ZIPF_S`` over ``ZIPF_RANKS`` ranks, and
+    the generator's zipf labels are ranks of a table over the alphabet.
     """
 
     def __init__(self, s: float, n: int):
@@ -100,11 +101,15 @@ class ZipfTable:
         cdf[-1] = 1.0  # guard against rounding just below one
         self._cdf = cdf
 
+    def rank(self, u: float) -> int:
+        """The rank in 1..n whose CDF interval holds u; 0 maps to rank 1."""
+        return bisect.bisect_left(self._cdf, u) + 1
+
     def draw(self, u: float) -> float:
         """Map a uniform u in (0, 1] to rank/n in (0, 1]."""
         if not 0.0 < u <= 1.0:
             raise ValueError(f"u must be in (0, 1], got {u}")
-        return (bisect.bisect_left(self._cdf, u) + 1) / self.n
+        return self.rank(u) / self.n
 
 
 _ZIPF_TABLE = ZipfTable(ZIPF_S, ZIPF_RANKS)

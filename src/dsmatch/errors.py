@@ -71,8 +71,8 @@ class TooFewVertices(DsmatchError):
     """Per-dimension statistics need at least two embedded vertices."""
 
 
-class InvalidParams(DsmatchError):
-    """Generator or query parameters outside their documented domain."""
+class InvalidParams(DsmatchError, ValueError):
+    """Generator, query, embedding or index parameters outside their domain."""
 
 
 class InvalidRate(DsmatchError):

@@ -10,11 +10,10 @@ kept, so expected average degree is k * (1 + p)).
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .embedding import MODES, EmbeddingConfig
+from .embedding import MODES, EmbeddingConfig, ZipfTable
 from .errors import InvalidParams, InvalidRate, Unsatisfiable
 from .graph import DELETE, INSERT, DynamicGraph, UpdateOp
 from .matcher import QueryGraph
@@ -55,14 +54,7 @@ class _LabelSampler:
         self.alphabet = alphabet
         self.rng = rng
         if dist == LABEL_ZIPF:
-            weights = [r ** -_ZIPF_LABEL_EXPONENT for r in range(1, alphabet + 1)]
-            total = sum(weights)
-            acc = 0.0
-            self._cdf = []
-            for w in weights:
-                acc += w
-                self._cdf.append(acc / total)
-            self._cdf[-1] = 1.0
+            self._zipf = ZipfTable(_ZIPF_LABEL_EXPONENT, alphabet)
 
     def draw(self) -> int:
         if self.dist == LABEL_UNIFORM:
@@ -73,8 +65,7 @@ class _LabelSampler:
             std = self.alphabet / 6
             rank = round(self.rng.gauss(mean, std))
             return min(max(rank, 1), self.alphabet) - 1
-        u = self.rng.random()
-        return bisect.bisect_left(self._cdf, u)
+        return self._zipf.rank(self.rng.random()) - 1
 
 
 def generate_graph(

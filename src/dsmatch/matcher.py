@@ -6,13 +6,13 @@ snapshot.  Answers are normalized as a tuple of data-vertex ids aligned
 with the query's vertices in ascending id order, so answer sets from any
 vertex ordering (or from the brute-force oracle) compare directly.
 
-Every join is compiled once, at registration, into a :class:`JoinPlan`
-that :func:`refine` executes.  Updates are routed by the edge's label pair:
-an insertion seeds each query edge orientation filed under its endpoint
-labels onto the new edge and completes it by refinement; a deletion probes
-only the queries with an edge on its label pair, each once, and drops the
-stored answers whose edge image contains the deleted edge, found through an
-inverted edge index.
+Registration compiles one :class:`JoinPlan` per query edge, which
+:func:`refine` executes, and files it in one label-pair table under both
+orientations of the edge's labels.  An update reads only the queries filed
+under its edge's label pair: an insertion seeds each of their plans onto
+the new edge in the orientation it is filed under and completes it by
+refinement; a deletion drops each query's stored answers whose edge image
+contains the deleted edge, found through an inverted edge index.
 """
 
 from __future__ import annotations
@@ -115,23 +115,18 @@ def embed_query(q: QueryGraph, cfg: EmbeddingConfig) -> dict[VertexId, Vec]:
 def make_plan(
     q: QueryGraph,
     cand_sizes: dict[VertexId, int],
-    first: tuple[VertexId, VertexId] | None = None,
+    first: tuple[VertexId, VertexId],
 ) -> tuple[VertexId, ...]:
-    """Connected vertex ordering, greedily by smallest candidate set.
+    """Connected vertex ordering led by the query edge ``first``.
 
-    Starts from the globally smallest candidate set (ties to the smallest
-    id) and repeatedly appends the cheapest neighbor of the chosen prefix.
-    ``first`` pins the two leading vertices (they must form a query edge),
-    which the insertion path uses to seed the join on a new data edge.
+    After the two pinned vertices it repeatedly appends the neighbor of the
+    chosen prefix with the smallest candidate set (ties to the smallest id),
+    so the continuation depends only on the set ``first`` names.
     """
-    if first is not None:
-        qa, qb = first
-        if not q.has_edge(qa, qb):
-            raise InvalidParams(f"({qa}, {qb}) is not a query edge")
-        plan = [qa, qb]
-    else:
-        start = min(q.vertex_order, key=lambda v: (cand_sizes[v], v))
-        plan = [start]
+    qa, qb = first
+    if not q.has_edge(qa, qb):
+        raise InvalidParams(f"({qa}, {qb}) is not a query edge")
+    plan = [qa, qb]
     chosen = set(plan)
     while len(plan) < len(q.vertex_order):
         frontier = [
@@ -304,10 +299,6 @@ class QueryDelta:
 
 UNCHANGED = QueryDelta()
 
-# plan.order[:2] is a query edge orientation, to be seeded onto an inserted
-# data edge (u, v) as order[0] -> u, order[1] -> v
-SeedEntry = tuple[RegisteredQuery, JoinPlan]
-
 
 @dataclass(slots=True)
 class UpdateResult:
@@ -341,15 +332,20 @@ class MatchEngine:
         self.groups: DegreeGroups = compute_degree_groups(graph, m_groups)
         self.index = SynopsisIndex.build(graph, self.groups, cfg, k_cells)
         self.queries: dict[str, RegisteredQuery] = {}
-        # (label_a, label_b) -> the entries whose plan.order[:2] has those
-        # labels; both orientations of every query edge are filed
-        self.seeds: dict[tuple[Label, Label], list[SeedEntry]] = {}
-        # (label_a, label_b) -> the queries with an edge on that label pair,
-        # each once, by name: the only queries a delete there can reach
-        self.pair_queries: dict[tuple[Label, Label], dict[str, RegisteredQuery]] = {}
+        # (label_a, label_b) -> by name, in registration order, each query
+        # with an edge on that pair and its (edge plan, flip) entries: an
+        # insert (u, v) there seeds a plan with [v, u] if flipped, else with
+        # [u, v], and a delete there reaches only these queries
+        self.pairs: dict[tuple[Label, Label],
+                         dict[str, tuple[RegisteredQuery, list[tuple[JoinPlan, bool]]]]] = {}
 
     def register(self, name: str, query: QueryGraph) -> RegisteredQuery:
-        """Exact answers on the current snapshot, and the query's seed entries."""
+        """Exact answers on the current snapshot, and one plan per query edge.
+
+        Each plan leads with its edge's endpoint of smaller (candidate count,
+        id); the initial join runs the plan of the edge from the cheapest
+        vertex to its cheapest neighbor.
+        """
         if name in self.queries:
             raise ValueError(f"query {name!r} already registered")
         embeds = embed_query(query, self.cfg)
@@ -362,17 +358,20 @@ class MatchEngine:
             cand_sets[qi] = cands
             scan_stats[qi] = stats
         sizes = {qi: len(c) for qi, c in cand_sets.items()}
-        plan = JoinPlan.compile(query, make_plan(query, sizes), embeds)
+        plans: dict[tuple[VertexId, VertexId], JoinPlan] = {}  # by leading pair
+        for qa, qb in query.edges:  # qa < qb, so a tie leads with qa
+            first = (qa, qb) if sizes[qa] <= sizes[qb] else (qb, qa)
+            plans[first] = JoinPlan.compile(query, make_plan(query, sizes, first), embeds)
+        start = min(query.vertex_order, key=lambda v: (sizes[v], v))
+        plan = plans[start, min(query.adj[start], key=lambda v: (sizes[v], v))]
         answers = AnswerSet(query)
-        for m in refine(plan, self.graph, self.index.lists, [], 0, cand_sets[plan.order[0]]):
+        for m in refine(plan, self.graph, self.index.lists, [], 0, cand_sets[start]):
             answers.add(m)
         rq = RegisteredQuery(name, query, embeds, scan_stats, answers)
-        for qa, qb in query.edges:
-            for first in ((qa, qb), (qb, qa)):
-                seed = JoinPlan.compile(query, make_plan(query, sizes, first=first), embeds)
-                key = (query.labels[first[0]], query.labels[first[1]])
-                self.seeds.setdefault(key, []).append((rq, seed))
-                self.pair_queries.setdefault(key, {})[name] = rq
+        for (qa, qb), plan in plans.items():
+            la, lb = query.labels[qa], query.labels[qb]
+            for key, flip in (((la, lb), False), ((lb, la), True)):  # one key if la == lb
+                self.pairs.setdefault(key, {}).setdefault(name, (rq, []))[1].append((plan, flip))
         self.queries[name] = rq
         return rq
 
@@ -406,10 +405,10 @@ class MatchEngine:
             filter_s = refine_s = 0.0
             t1 = perf_counter()
             labels = self.graph.labels
-            rqs = self.pair_queries.get((labels[op.u], labels[op.v]))
-            if rqs:
+            filed = self.pairs.get((labels[op.u], labels[op.v]))
+            if filed:
                 edge = op.edge()
-                for name, rq in rqs.items():
+                for name, (rq, _) in filed.items():
                     victims = rq.answers.answers_on_edge(edge)
                     if victims:
                         for m in victims:
@@ -425,8 +424,9 @@ class MatchEngine:
     ) -> tuple[dict[str, set[Mapping]], float, float]:
         """New answers, per query name, that use the just-inserted edge (u, v).
 
-        Each seed entry under (label(u), label(v)) whose endpoints both pass
-        the box admission test is completed by refinement from [u, v].
+        Each plan filed under (label(u), label(v)) whose seeded endpoints both
+        pass the box admission test is completed by refinement from [u, v],
+        or from [v, u] when it is filed flipped.
         """
         graph = self.graph
         labels = graph.labels
@@ -435,15 +435,17 @@ class MatchEngine:
         found: dict[str, set[Mapping]] = {}
         t_refine = 0.0
         t_start = perf_counter()
-        for rq, plan in self.seeds.get((labels[u], labels[v]), ()):
-            degrees, embeds = plan.degrees, plan.embeds
-            if not (admits(u, degrees[0], embeds[0]) and admits(v, degrees[1], embeds[1])):
-                continue
-            t1 = perf_counter()
-            added = refine(plan, graph, store, [u, v], 2)
-            t_refine += perf_counter() - t1
-            if added:
-                found.setdefault(rq.name, set()).update(added)
+        for name, (_, plans) in self.pairs.get((labels[u], labels[v]), {}).items():
+            for plan, flip in plans:
+                a, b = (v, u) if flip else (u, v)
+                degrees, embeds = plan.degrees, plan.embeds
+                if not (admits(a, degrees[0], embeds[0]) and admits(b, degrees[1], embeds[1])):
+                    continue
+                t1 = perf_counter()
+                added = refine(plan, graph, store, [a, b], 2)
+                t_refine += perf_counter() - t1
+                if added:
+                    found.setdefault(name, set()).update(added)
         t_filter = perf_counter() - t_start - t_refine
         return found, t_filter, t_refine
 

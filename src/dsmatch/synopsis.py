@@ -60,7 +60,7 @@ from .embedding import (
     embedding_key,
     label_vector,
 )
-from .errors import DegreeOutOfRange
+from .errors import DegreeOutOfRange, InvalidParams
 from .graph import DynamicGraph, INSERT, Label, UpdateOp, VertexId
 
 # Slack applied to filter comparisons only (never to the exact dominance
@@ -135,7 +135,7 @@ def compute_degree_groups(g0: DynamicGraph, m: int) -> DegreeGroups:
     placements (greedy fallback above a combination-count cap).
     """
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise InvalidParams(f"m must be >= 1, got {m}")
     freq: dict[int, int] = {}
     for v in g0.vertices():
         d = g0.degree(v)
@@ -710,7 +710,7 @@ class SynopsisIndex:
         domain: float | None = None,
     ) -> "SynopsisIndex":
         if k_cells < 1:
-            raise ValueError(f"k_cells must be >= 1, got {k_cells}")
+            raise InvalidParams(f"k_cells must be >= 1, got {k_cells}")
         lists = NeighborListStore.build(graph, cfg)
         if domain is None:
             domain = default_domain(lists, cfg)

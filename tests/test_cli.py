@@ -185,6 +185,26 @@ def test_cli_error_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "bench", "sweep"])
+@pytest.mark.parametrize("flag, value, says", [
+    ("--k", "0", "k_cells must be >= 1"),
+    ("--m", "0", "m must be >= 1"),
+    ("--d", "0", "d must be >= 1"),
+    ("--ratio", "5", "beta/alpha must be >= 10"),
+])
+def test_out_of_domain_index_parameter_is_an_error_not_a_traceback(
+    tmp_path, capsys, command, flag, value, says
+):
+    # exit 1 from verify means a divergence was found; a bad flag is exit 2
+    extra = {
+        "run": ["--out", str(tmp_path / "out")],
+        "sweep": ["--param", "n", "--values", "120"],
+    }.get(command, [])
+    assert main([command, *BASE_FLAGS, flag, value, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and says in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["run", "verify", "bench"])
 @pytest.mark.parametrize("given", [["--stream", "s.txt"], ["--queries", "q"], ["--queries"]])
 def test_input_files_without_graph_are_a_usage_error(tmp_path, monkeypatch, capsys, command, given):

@@ -17,7 +17,7 @@ from dsmatch.embedding import (
     neighbor_sum,
     seeded_zipf_draw,
 )
-from dsmatch.errors import DimensionMismatch, UnknownVertex
+from dsmatch.errors import DimensionMismatch, InvalidParams, UnknownVertex
 from dsmatch.rng import mix_words, unit_open_closed
 
 from conftest import make_graph, small_world
@@ -28,7 +28,20 @@ def test_config_validation():
         EmbeddingConfig(d=0)
     with pytest.raises(ValueError):
         EmbeddingConfig(mode="base", alpha=50.0, beta=100.0)  # ratio below 10
+    with pytest.raises(InvalidParams):
+        EmbeddingConfig(d=0)
     EmbeddingConfig(mode="plain", alpha=50.0, beta=100.0)  # ratio unconstrained
+
+
+def test_zipf_rank_takes_zero_and_draw_reads_it():
+    # Rng.random() is in [0, 1): rank takes 0, draw keeps its (0, 1] domain
+    table = ZipfTable(1.0, 5)
+    assert table.rank(0.0) == 1
+    assert table.rank(1.0) == 5
+    for u in (1e-9, 0.3, 0.5, 0.77, 1.0):
+        assert table.draw(u) == table.rank(u) / 5
+    with pytest.raises(ValueError):
+        table.draw(0.0)
 
 
 # -- label vectors ---------------------------------------------------------

@@ -101,25 +101,32 @@ def test_query_anchor_dominates_data_vertex(any_mode_cfg):
 
 
 def test_make_plan_greedy_trace():
-    q = QueryGraph({0: 0, 1: 1, 2: 2}, [(0, 1), (1, 2)])  # path a-b-c
-    plan = make_plan(q, {0: 5, 1: 1, 2: 3})
-    assert plan == (1, 2, 0)  # b first, then the cheaper neighbor c, then a
+    # path 0-1-2-3 with 4 hanging off 1, pinned on the edge 1-2
+    q = QueryGraph({i: i for i in range(5)}, [(0, 1), (1, 2), (2, 3), (1, 4)])
+    plan = make_plan(q, {0: 5, 1: 1, 2: 3, 3: 0, 4: 2}, (1, 2))
+    # then the cheapest neighbor of the prefix each time: 3 (via 2), 4, 0
+    assert plan == (1, 2, 3, 4, 0)
 
 
 def test_make_plan_tie_break_is_bfs_like():
-    q = QueryGraph({i: 0 for i in range(4)}, [(0, 1), (1, 2), (2, 3)])
-    plan = make_plan(q, {i: 2 for i in range(4)})
-    assert plan == (0, 1, 2, 3)
+    q = QueryGraph({i: 0 for i in range(5)}, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    sizes = {i: 2 for i in range(5)}
+    assert make_plan(q, sizes, (0, 1)) == (0, 1, 2, 3, 4)
+    # equal sizes: the smallest id on the frontier of the prefix goes next
+    assert make_plan(q, sizes, (2, 3)) == (2, 3, 1, 0, 4)
 
 
 def test_make_plan_prefix_connectivity():
     g = small_world(n=60, avg_deg=4.0, alphabet=3, seed=12)
     for q in sample_queries(g, 10, 5, 2.5, seed=3):
         sizes = {qi: (qi * 7919) % 13 for qi in q.vertex_order}
-        plan = make_plan(q, sizes)
-        assert sorted(plan) == list(q.vertex_order)
-        for n in range(1, len(plan)):
-            assert any(q.has_edge(plan[i], plan[n]) for i in range(n))
+        for qa, qb in q.edges:
+            for first in ((qa, qb), (qb, qa)):
+                plan = make_plan(q, sizes, first)
+                assert plan[:2] == first
+                assert sorted(plan) == list(q.vertex_order)
+                for n in range(1, len(plan)):
+                    assert any(q.has_edge(plan[i], plan[n]) for i in range(n))
 
 
 def test_make_plan_seeded_first_pair():
@@ -168,7 +175,7 @@ def test_refine_matches_seeded_oracle(cfg_zipf):
     q = sample_queries(g, 1, 4, 2.0, seed=8)[0]
     matches = enumerate_matches(g, q)
     sizes = {qi: 1 for qi in q.vertex_order}
-    plan, store = compiled(q, make_plan(q, sizes), g, cfg_zipf)
+    plan, store = compiled(q, make_plan(q, sizes, q.edges[0]), g, cfg_zipf)
 
     # unseeded: refine from every vertex as a root equals the oracle
     assert refine(plan, g, store, [], 0, sorted(g.vertices())) == matches
@@ -428,6 +435,56 @@ def test_inserts_never_plan_after_registration(monkeypatch, cfg_zipf):
             assert engine.queries[name].answers.mappings() == enumerate_matches(engine.graph, q)
     assert added > 0
     assert plan_calls == []
+
+
+def test_register_files_one_plan_per_query_edge(monkeypatch, cfg_zipf):
+    # one plan object per query edge, read by both orientations of its
+    # label pair; the registration join runs the greedy order from the
+    # cheapest vertex, which is one of those plans
+    g = small_world(n=80, avg_deg=5.0, alphabet=3, seed=21)
+    engine = MatchEngine(g.copy(), cfg_zipf)
+    root_plans = []
+    real_refine = matcher_mod.refine
+
+    def recording_refine(plan, graph, store, seed, depth, roots=()):
+        if depth == 0:
+            root_plans.append(plan)
+        return real_refine(plan, graph, store, seed, depth, roots)
+
+    monkeypatch.setattr(matcher_mod, "refine", recording_refine)
+    queries = sample_queries(g, 8, 5, 2.5, seed=4)
+    assert any(len(q.edges) >= len(q) for q in queries)  # some have a cycle
+    for i, q in enumerate(queries):
+        name = f"q{i}"
+        rq = engine.register(name, q)
+        embeds = embed_query(q, cfg_zipf)
+        sizes = {
+            qi: len(engine.index.scan_for_degree(embeds[qi], q.degree(qi), q.labels[qi])[0])
+            for qi in q.vertex_order
+        }
+        plans, filed = {}, defaultdict(list)
+        for key, by_name in engine.pairs.items():
+            if name in by_name:
+                owner, entries = by_name[name]
+                assert owner is rq
+                for plan, flip in entries:
+                    plans[id(plan)] = plan
+                    filed[id(plan)].append((key, flip))
+        assert len(plans) == len(q.edges)
+        assert sorted(tuple(sorted(p.order[:2])) for p in plans.values()) == list(q.edges)
+        for pid, plan in plans.items():
+            qa, qb = plan.order[:2]
+            assert (sizes[qa], qa) < (sizes[qb], qb)
+            la, lb = q.labels[qa], q.labels[qb]
+            assert sorted(filed[pid]) == sorted([((la, lb), False), ((lb, la), True)])
+
+        ref = [min(q.vertex_order, key=lambda v: (sizes[v], v))]
+        while len(ref) < len(q):
+            frontier = [v for v in q.vertex_order if v not in ref and q.adj[v] & set(ref)]
+            ref.append(min(frontier, key=lambda v: (sizes[v], v)))
+        assert root_plans[-1].order == tuple(ref)
+        assert id(root_plans[-1]) in plans
+    assert len(root_plans) == len(queries)
 
 
 def test_delete_removes_only_hit_answers(any_mode_cfg):

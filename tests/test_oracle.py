@@ -121,7 +121,7 @@ def test_recompute_check_empty_stream(cfg_zipf):
 
 
 def test_recompute_check_catches_missing_orientation(cfg_zipf, monkeypatch):
-    # an engine that drops the (1, 0) orientation's seed entry after
+    # an engine that drops the flipped entry of the query edge's plan after
     # registration misses the symmetric image
     g = make_graph([], {0: 5, 1: 5})
     q = QueryGraph({0: 5, 1: 5}, [(0, 1)])
@@ -130,7 +130,8 @@ def test_recompute_check_catches_missing_orientation(cfg_zipf, monkeypatch):
 
     def register_then_drop(name, query):
         rq = register(name, query)
-        engine.seeds[5, 5] = [e for e in engine.seeds[5, 5] if e[1].order[:2] != (1, 0)]
+        entries = engine.pairs[5, 5][name][1]
+        entries[:] = [(plan, flip) for plan, flip in entries if not flip]
         return rq
 
     monkeypatch.setattr(engine, "register", register_then_drop)
