@@ -20,13 +20,21 @@ Three modes share that property:
 
 All draws come from the integer mixer in :mod:`dsmatch.rng`, so every
 vector is a pure, bit-stable function of (label, dimension, salt).
+
+Dominance holds in floats, with no slack.  Label-vector components are
+multiples of 2^-10 (``zipf``) or 2^-20 (``plain``, ``base``) in (0, 1], so
+every neighbor sum below degree 2^33 is exact in any order; and rounding is
+monotone, so exact sums s <= s' give ``alpha * s + t <= alpha * s' + t`` in
+floats when both sides add the same label term t.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 
 from .errors import DimensionMismatch, InvalidParams, UnknownVertex
 from .graph import Label, VertexId
@@ -44,6 +52,9 @@ _TAG_BASE_VEC = 0xBA
 # the zipf mode's label-vector components: exponent s over ranks 1..1024
 ZIPF_S = 1.2
 ZIPF_RANKS = 1024
+
+# the plain and base modes' label-vector components: multiples of 2^-20
+GRID_BITS = 20
 
 Vec = tuple[float, ...]
 
@@ -68,6 +79,8 @@ class EmbeddingConfig:
             raise InvalidParams(f"d must be >= 1, got {self.d}")
         if self.mode not in MODES:
             raise InvalidParams(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise InvalidParams(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         if self.alpha <= 0 or self.beta <= 0:
             raise InvalidParams("alpha and beta must be positive")
         if self.mode != MODE_PLAIN and self.beta / self.alpha < 10:
@@ -128,7 +141,8 @@ def label_vector(label: Label, cfg: EmbeddingConfig) -> Vec:
     """The d-vector determined by a vertex label, components in (0, 1].
 
     Per-dimension seeds mix (stream tag, salt, label, dimension); the
-    ``zipf`` mode pushes each uniform draw through the Zipf table.
+    ``zipf`` mode pushes each uniform draw through the Zipf table, the
+    others keep the top ``GRID_BITS`` bits of the mixed seed.
     """
     out = []
     for k in range(cfg.d):
@@ -136,7 +150,7 @@ def label_vector(label: Label, cfg: EmbeddingConfig) -> Vec:
         if cfg.mode == MODE_ZIPF:
             out.append(seeded_zipf_draw(seed))
         else:
-            out.append(unit_open_closed(mix_words(seed)))
+            out.append(unit_open_closed(mix_words(seed), GRID_BITS))
     return tuple(out)
 
 
@@ -158,18 +172,12 @@ def neighbor_sum(g, v: VertexId, cfg: EmbeddingConfig) -> Vec:
     """Componentwise sum of label vectors over v's 1-hop neighbors.
 
     ``g`` is any graph with ``labels`` and ``adj`` dicts (a DynamicGraph or
-    a QueryGraph).  Summation runs in ascending neighbor-id order; keeping
-    one canonical order makes subset sums float-monotone against the full
-    sum, which the exhaustive dominance tests rely on.
+    a QueryGraph).  The sum is exact, so the neighbors' order is immaterial.
     """
     if v not in g.labels:
         raise UnknownVertex(f"vertex {v} not in graph")
-    acc = [0.0] * cfg.d
-    for n in sorted(g.adj[v]):
-        x = label_vector(g.labels[n], cfg)
-        for k in range(cfg.d):
-            acc[k] += x[k]
-    return tuple(acc)
+    vecs = [label_vector(g.labels[n], cfg) for n in g.adj[v]]
+    return tuple(math.fsum(x[k] for x in vecs) for k in range(cfg.d))
 
 
 # -- composition, dominance, keys --------------------------------------------
@@ -196,9 +204,12 @@ def dominates(a: Vec, b: Vec) -> bool:
     """True iff a[j] <= b[j] on every dimension (equality allowed)."""
     if len(a) != len(b):
         raise DimensionMismatch(f"arity {len(a)} vs {len(b)}")
-    return all(ai <= bi for ai, bi in zip(a, b))
+    return all(map(le, a, b))
 
 
 def embedding_key(a: Vec) -> float:
-    """Sum of squared components (monotone under dominance on >=0 vectors)."""
-    return sum(c * c for c in a)
+    """Sum of squares, one rounding per step: monotone under dominance."""
+    acc = 0.0
+    for c in a:
+        acc += c * c
+    return acc

@@ -10,6 +10,7 @@ kept, so expected average degree is k * (1 + p)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,8 +37,8 @@ _SEED_QUERIES = 3
 
 def ring_params_for_avg_degree(avg_deg: float) -> tuple[int, float]:
     """(k, p) hitting a target average degree, since avg = k * (1 + p)."""
-    if avg_deg < 2:
-        raise InvalidParams(f"average degree must be >= 2, got {avg_deg}")
+    if not 2 <= avg_deg < math.inf:
+        raise InvalidParams(f"average degree must be finite and >= 2, got {avg_deg}")
     k = 2 * int(avg_deg // 2)
     return k, (avg_deg - k) / k
 
@@ -159,6 +160,8 @@ def sample_queries(
     """
     if size < 2:
         raise InvalidParams(f"query size must be >= 2, got {size}")
+    if not math.isfinite(avg_deg):
+        raise InvalidParams(f"query average degree must be finite, got {avg_deg}")
     rng = Rng(seed)
     starts = sorted(v for v in g.vertices() if g.degree(v) >= 1)
     if not starts:
@@ -254,9 +257,12 @@ class BenchConfig:
     seed_salt: int = EmbeddingConfig.seed_salt
 
     def embedding_config(self) -> EmbeddingConfig:
+        ratio = self.beta_alpha_ratio
+        if not 0 < ratio < math.inf:
+            raise InvalidParams(f"beta/alpha ratio must be positive and finite, got {ratio}")
         return EmbeddingConfig(
             d=self.d,
-            alpha=EmbeddingConfig.beta / self.beta_alpha_ratio,
+            alpha=EmbeddingConfig.beta / ratio,
             mode=self.mode,
             seed_salt=self.seed_salt,
         )

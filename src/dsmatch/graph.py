@@ -102,10 +102,6 @@ class DynamicGraph:
         except KeyError:
             raise UnknownVertex(f"vertex {v} not in graph") from None
 
-    def sorted_neighbors(self, v: VertexId) -> list[VertexId]:
-        """Neighbors in ascending id order (the canonical summation order)."""
-        return sorted(self.neighbors(v))
-
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
         nbrs = self.adj.get(u)
         return nbrs is not None and v in nbrs

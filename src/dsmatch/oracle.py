@@ -103,8 +103,8 @@ def star_subset_embeddings(
     """Embeddings of every delta-leaf star subset centered at v.
 
     Exponential by design; refuses degrees above the enumeration cap.
-    Leaf subsets are summed in ascending neighbor-id order (the canonical
-    order), so results are directly comparable with the engine's vectors.
+    Neighbor sums are exact, so results compare with the engine's vectors
+    with ``==``.
     """
     from .embedding import compose, label_vector  # this oracle checks embeddings
 
@@ -114,8 +114,7 @@ def star_subset_embeddings(
     if not 1 <= delta <= deg:
         raise DegreeOutOfRange(f"delta {delta} outside [1, {deg}]")
     lbl = g.labels[v]
-    nbrs = g.sorted_neighbors(v)
-    vecs = [label_vector(g.labels[n], cfg) for n in nbrs]
+    vecs = [label_vector(g.labels[n], cfg) for n in g.neighbors(v)]
     x = label_vector(lbl, cfg)
     out = set()
     for subset in combinations(range(deg), delta):

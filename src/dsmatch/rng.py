@@ -41,13 +41,14 @@ def mix_words(*words: int) -> int:
     return h
 
 
-def unit_open_closed(h: int) -> float:
+def unit_open_closed(h: int, bits: int = 53) -> float:
     """Map a mixed 64-bit value to a float in (0, 1].
 
-    Uses the top 53 bits shifted into (0, 1]; zero is impossible so the
-    result is always a valid strictly-positive coordinate.
+    Uses the top ``bits`` bits (at most 53) shifted into (0, 1], so the
+    result is a multiple of 2**-bits; zero is impossible so the result is
+    always a valid strictly-positive coordinate.
     """
-    return ((h >> 11) + 1) * (2.0 ** -53)
+    return ((h >> (64 - bits)) + 1) * (2.0 ** -bits)
 
 
 class Rng:

@@ -12,19 +12,23 @@ contributes its label's vector, so each vertex keeps only a histogram of
 its neighbors' labels.  On each dimension, the box for any degree delta
 spans the sum of the delta smallest to the sum of the delta largest
 neighbor components; both come from one pass over the vertex's walk, its
-(component, count) pairs sorted once per histogram state, taking each count
-until delta is used up.  An update is one histogram edit per endpoint.  A
-grid cell buckets its vertices by label, whose d head coordinates a scan
-tests once per bucket, and keeps only their tail coordinates: one column
-per dimension, with the bucket sorted on the first.  A scan bisects that
-column, since the entries passing the first dominance test form a suffix,
-and tests the suffix column-wise: the other dominance dimensions against
-the tail columns, and the box at the query degree against the bucket's box
-table at that degree, every entry's tail bounds as columns.  The first scan
-to need one of a bucket's tables fills them at every degree of the grid's
-group, from one ascending and one descending pass per entry and dimension
-over its walk; a scan of the open last group fills the query degree's
-alone.
+(component, count) pairs sorted on the component once per histogram
+state, taking each count until delta is used up.  An update is one
+histogram edit per endpoint.  A grid cell buckets its vertices by label,
+whose d head coordinates a scan tests once per bucket, and keeps only their
+tail coordinates: one column per dimension, with the bucket sorted on the
+first.  A scan bisects that column, since the entries passing the first
+dominance test form a suffix, and tests the suffix column-wise: the other
+dominance dimensions against the tail columns, and the box at the query
+degree against the bucket's box table at that degree, every entry's tail
+bounds as columns.  The first scan to need one of a bucket's tables fills
+them at every degree of the grid's group, from one ascending and one
+descending pass per entry and dimension over its walk; a scan of the open
+last group fills the query degree's alone.
+
+No comparison carries a slack: neighbor sums are exact and rounding is
+monotone (:mod:`dsmatch.embedding`), so every filter admits each true match
+image by construction.
 
 The grids are build-only.  Only candidate scans read them, so an update
 just drops them, with their box tables, and the next scan, snapshot or
@@ -48,7 +52,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import add, le
+from operator import le
 from time import perf_counter
 from typing import Iterable, Sequence
 
@@ -57,17 +61,16 @@ from .embedding import (
     MODE_PLAIN,
     Vec,
     compose,
+    dominates,
     embedding_key,
     label_vector,
 )
 from .errors import DegreeOutOfRange, InvalidParams
 from .graph import DynamicGraph, INSERT, Label, UpdateOp, VertexId
 
-# Slack applied to filter comparisons only (never to the exact dominance
-# predicate): sums of identical floats taken in different orders can differ
-# in the last ulps, and a pruning filter must never drop a true match over
-# rounding.  False positives this lets through are removed by refinement.
-FILTER_EPS = 1e-9
+# unused here, as no filter has a slack; the benchmark harness imports both
+FILTER_EPS = 0.0
+dominated_within = dominates
 
 # grid domain headroom over the initial-graph estimate of embedding extents
 _DOMAIN_EPS = 0.01
@@ -80,19 +83,9 @@ M_GROUPS = 3
 K_CELLS = 5
 
 
-def _plus_eps(t: float) -> float:
-    """The right-hand side of the dominance test ``x <= t + FILTER_EPS``."""
-    return t + FILTER_EPS
-
-
 def _both(a: bytes, b: bytes) -> bytes:
     """Bytewise AND of two 0/1 masks of equal length."""
     return (int.from_bytes(a, "big") & int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
-def dominated_within(a: Vec, b: Vec, eps: float = FILTER_EPS) -> bool:
-    """Filter-grade dominance: a[j] <= b[j] + eps on every dimension."""
-    return all(ai <= bi + eps for ai, bi in zip(a, b))
 
 
 # -- degree grouping ----------------------------------------------------------
@@ -220,14 +213,15 @@ class NeighborListStore:
     number of neighbors carrying it) is all the state a box needs.  A
     store-wide label table holds, per label seen, its box frame: the d head
     coordinates, and the constant added to ``alpha * raw_sum`` on each tail
-    dimension (plain mode is alpha = 1 with zero constants).  ``keys[k]``
-    maps each label seen to its sort key on dimension k: its label-vector
-    component, then the label.  Boxes and neighbor sums read a vertex's
-    walk: one flat tuple holding, per dimension in turn, the (component,
-    count) pairs of its histogram's labels in ``keys`` order.  It is built
-    when first read, and any histogram edit drops every walk.  Every float
-    read from the store is a pure function of a histogram and the label
-    table, so a maintained store equals a rebuild by construction.
+    dimension (plain mode is alpha = 1 with zero constants).  ``comps[k]``
+    maps each label seen to its label-vector component on dimension k.
+    Boxes and neighbor sums read a vertex's walk: one flat tuple holding,
+    per dimension in turn, the (component, count) pairs of its histogram's
+    labels in ascending component order.  It is built when first read, and
+    any histogram edit drops every walk.  Sums over a walk are exact, so
+    every float read from the store is a pure function of a histogram and
+    the label table, whatever order equal components take: a maintained
+    store equals a rebuild by construction.
     """
 
     def __init__(self, graph: DynamicGraph, cfg: EmbeddingConfig):
@@ -236,7 +230,7 @@ class NeighborListStore:
         self.alpha = 1.0 if cfg.mode == MODE_PLAIN else cfg.alpha
         self.hist: dict[VertexId, dict[Label, int]] = {}
         self.frames: dict[Label, tuple[Vec, Vec]] = {}  # head, tail constants
-        self.keys: list[dict[Label, tuple[float, Label]]] = [{} for _ in range(cfg.d)]
+        self.comps: list[dict[Label, float]] = [{} for _ in range(cfg.d)]
         self._walks: dict[VertexId, tuple] = {}
 
     @classmethod
@@ -254,13 +248,13 @@ class NeighborListStore:
         return store
 
     def _frame(self, label: Label) -> tuple[Vec, Vec]:
-        """The label's box frame; a label seen first also gets its sort keys."""
+        """The label's box frame; a label seen first also gets its components."""
         frame = self.frames.get(label)
         if frame is None:
             d = self.cfg.d
             x = label_vector(label, self.cfg)
-            for comp, keys in zip(x, self.keys):
-                keys[label] = (comp, label)
+            for comp, comps in zip(x, self.comps):
+                comps[label] = comp
             e = compose(x, (0.0,) * d, label, self.cfg)  # a star with no leaves
             frame = self.frames[label] = (e[:d], e[d:])
         return frame
@@ -290,10 +284,9 @@ class NeighborListStore:
         if walk is None:
             hist = self.hist.get(v, {})
             pairs = []
-            for keys in self.keys:
-                for lbl in sorted(hist, key=keys.__getitem__):
-                    pairs.append(keys[lbl][0])
-                    pairs.append(hist[lbl])
+            for comps in self.comps:
+                for lbl in sorted(hist, key=comps.__getitem__):
+                    pairs += comps[lbl], hist[lbl]
             walk = self._walks[v] = tuple(pairs)
         return walk
 
@@ -316,31 +309,27 @@ class NeighborListStore:
                 f"delta {delta} outside [1, {deg}] for vertex {v}"
             )
         head = self._frame(self.graph.label(v))[0]
-        [cols] = self.box_columns((v,), delta, delta, 0.0)  # no slack: the raw bounds
+        [cols] = self.box_columns((v,), delta, delta)
         return Mbr(
             low=head + tuple(lows[0] for lows, _ in cols),
             high=head + tuple(highs[0] for _, highs in cols),
         )
 
     def box_columns(
-        self, vs: Sequence[VertexId], first: int, last: int, slack: float
+        self, vs: Sequence[VertexId], first: int, last: int
     ) -> list[list[tuple[array, array]]]:
         """Per delta in first..last, the box table of ``vs``, one or more
-        vertices of one label, at delta: per tail dimension, the columns
-        ``low - slack`` and ``high + slack`` of their boxes at delta, in
-        order, each bound the float ``admits`` computes.  A vertex of degree
-        below delta gets (+inf, -inf) on every dimension, a box that no
-        point lies in.
+        vertices of one label, at delta: per tail dimension, the columns of
+        the low and the high bounds of their boxes at delta, in order.  A
+        vertex of degree below delta gets (+inf, -inf) on every dimension,
+        a box that no point lies in.
 
         One ascending pass (the lows) and one descending pass (the highs)
-        per vertex and tail dimension serve every delta.  A pass reads the
-        walk's (component, count) pairs in ``_walk_sum``'s order and with
-        its float operations: a delta ending inside a pair gets ``acc + r *
-        comp``, r being what is left of delta after the whole pairs summed
-        into acc (``acc + comp`` for a count of 1, as 1 * comp == comp),
-        and the pair then adds ``c * comp`` to acc.  Each pass writes one
-        flat column per dimension and direction, a row of the deltas per
-        vertex, that the tables slice.
+        per vertex and tail dimension serve every delta: a delta ending
+        inside a (component, count) pair adds what is left of it, times the
+        component, to the exact sum of the pairs before.  Each pass writes
+        one flat column per dimension and direction, a row of the deltas
+        per vertex, that the tables slice.
         """
         adj, a, d = self.graph.adj, self.alpha, self.cfg.d
         m = last - first + 1
@@ -351,11 +340,10 @@ class NeighborListStore:
         tops = [min(deg, last) if deg >= first else 0 for deg in map(len, map(adj.__getitem__, vs))]
         cols = []
         for k, t in enumerate(tail):
-            # lows read each segment up from its start, highs down from its end;
-            # x + -slack == x - slack
-            for fill, starts, step, s in (
-                (math.inf, [k * n for n in ns], 2, -slack),
-                (-math.inf, [k * n + n - 2 for n in ns], -2, slack),
+            # lows read each segment up from its start, highs down from its end
+            for fill, starts, step in (
+                (math.inf, [k * n for n in ns], 2),
+                (-math.inf, [k * n + n - 2 for n in ns], -2),
             ):
                 col = array("d", [fill]) * (len(vs) * m)
                 pos = 0
@@ -364,16 +352,18 @@ class NeighborListStore:
                     while used < top:
                         comp, c = walk[i], walk[i + 1]
                         i += step
+                        # a count of 1 skips the range() below; without this branch
+                        # register_s on sw-insert-q100 measured 12% higher
                         if c == 1 and used >= first - 1:
                             acc += comp
                             used += 1
-                            col[p] = a * acc + t + s
+                            col[p] = a * acc + t
                             p += 1
                             continue
                         # the deltas used + 1..used + c end in this pair
                         end = used + c if used + c < top else top
                         for delta in range(used + 1 if used >= first else first, end + 1):
-                            col[p] = a * (acc + (delta - used) * comp) + t + s
+                            col[p] = a * (acc + (delta - used) * comp) + t
                             p += 1
                         acc += c * comp
                         used += c
@@ -384,7 +374,7 @@ class NeighborListStore:
         ]
 
     def admits(self, v: VertexId, delta: int, q_embed: Vec) -> bool:
-        """delta <= deg(v) and ``q_embed`` in v's box at delta, within FILTER_EPS.
+        """delta <= deg(v) and ``q_embed`` in v's box at delta.
 
         Precondition: ``q_embed`` embeds a vertex labeled label(v), so its d
         head coordinates equal the box's (``compose``).  Per tail dimension
@@ -399,9 +389,9 @@ class NeighborListStore:
         for k in range(d):
             lo = k * n
             x, t = q_embed[d + k], tail[k]
-            if x < a * _walk_sum(walk, lo, lo + n, 2, delta) + t - FILTER_EPS:
+            if x < a * _walk_sum(walk, lo, lo + n, 2, delta) + t:
                 return False
-            if x > a * _walk_sum(walk, lo + n - 2, lo - 2, -2, delta) + t + FILTER_EPS:
+            if x > a * _walk_sum(walk, lo + n - 2, lo - 2, -2, delta) + t:
                 return False
         return True
 
@@ -427,7 +417,7 @@ class Cell:
         self.corner = corner
         self.key = embedding_key(corner)
         self.buckets: dict[Label, tuple[list[VertexId], tuple[array, ...]]] = {}
-        # (label, delta) -> per tail dimension, its (low - FILTER_EPS, high + FILTER_EPS) columns
+        # (label, delta) -> per tail dimension, its (low, high) columns
         self.tables: dict[tuple[Label, int], list[tuple[array, array]]] = {}
 
     def __len__(self) -> int:
@@ -436,7 +426,7 @@ class Cell:
     def box_table(
         self, label: Label, delta: int, lists: NeighborListStore, lower: int, upper: float
     ) -> list[tuple[array, array]]:
-        """The label bucket's box columns at delta, widened by FILTER_EPS.
+        """The label bucket's box columns at delta.
 
         A miss fills the bucket's tables at every degree of the grid's group
         (lower, upper] in one ``box_columns`` call when upper is finite and
@@ -446,7 +436,7 @@ class Cell:
             in_finite_group = lower < delta <= upper < math.inf
             first, last = (lower + 1, upper) if in_finite_group else (delta, delta)
             for j, filled in enumerate(
-                lists.box_columns(self.buckets[label][0], first, last, FILTER_EPS)
+                lists.box_columns(self.buckets[label][0], first, last)
             ):
                 self.tables[label, first + j] = filled
             table = self.tables[label, delta]
@@ -592,26 +582,21 @@ def scan_candidates(
     """Candidate vertices for one query vertex from one synopsis.
 
     Walks cells in descending key order and stops once a cell key falls
-    below the query key (minus a float-safety slack); inside surviving
-    cells keeps a vertex only if the query embedding dominates the stored
-    corner, its label matches, and the query embedding lies inside the
-    vertex's box at exactly the query degree.  All three are necessary
-    conditions for a match, so no true match image is ever dropped.
+    below the query key; inside surviving cells keeps a vertex only if the
+    query embedding dominates the stored corner, its label matches, and the
+    query embedding lies inside the vertex's box at exactly the query
+    degree.  All three are necessary conditions for a match, so no true
+    match image is ever dropped.
 
     A bucket fails dominance whole when the query's head coordinates exceed
     its label's.  Otherwise, as the bucket is sorted on its first tail
     column, a bisection finds the suffix passing the first tail dimension;
     the other dimensions, and for a same-label bucket the box test against
     its box table at the query degree, run column-wise on that suffix.
-    Each comparison is the same float operation a per-entry test makes, so
-    the candidates, in bucket order, and the counts are the same.
     """
     stats = ScanStats()
     out: list[VertexId] = []
-    key_q = embedding_key(q_embed)
-    # dominance is checked with +eps per dimension; widen the key cutoff by
-    # the worst-case key growth so the two filters cannot disagree
-    cutoff = key_q - 2.0 * FILTER_EPS * len(q_embed) * syn.domain - 1e-12
+    cutoff = embedding_key(q_embed)
     d = lists.cfg.d
     q_head, q_tail = q_embed[:d], q_embed[d:]
     pruned_dominance = pruned_label = pruned_box = 0
@@ -622,20 +607,20 @@ def scan_candidates(
         n = len(cell)
         stats.cells_scanned += 1
         stats.examined += n
-        if not dominated_within(q_embed, cell.corner):
+        if not dominates(q_embed, cell.corner):
             stats.pruned_cell += n
             continue
         for label, (vs, cols) in cell.buckets.items():
             # every corner in the bucket has its label's frame head
-            if not dominated_within(q_head, lists.frames[label][0]):
+            if not dominates(q_head, lists.frames[label][0]):
                 pruned_dominance += len(vs)
                 continue
-            # x0 <= t0 + FILTER_EPS holds exactly on the suffix [p:] of the
-            # bucket, sorted on t0; the other tests run column-wise on it
-            p = bisect_left(cols[0], q_tail[0], key=_plus_eps)
+            # x0 <= t0 holds exactly on the suffix [p:] of the bucket, sorted
+            # on t0; the other tests run column-wise on it
+            p = bisect_left(cols[0], q_tail[0])
             mask = b"\x01" * (len(vs) - p)  # per suffix entry: 1 while it passes every test
             for x, col in zip(q_tail[1:], cols[1:]):
-                mask = _both(mask, bytes(map(le, repeat(x), map(add, col[p:], repeat(FILTER_EPS)))))
+                mask = _both(mask, bytes(map(le, repeat(x), col[p:])))
             dominated = mask.count(1)
             pruned_dominance += len(vs) - dominated
             if not dominated:

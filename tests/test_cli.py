@@ -191,6 +191,11 @@ def test_cli_error_exit_code(tmp_path):
     ("--m", "0", "m must be >= 1"),
     ("--d", "0", "d must be >= 1"),
     ("--ratio", "5", "beta/alpha must be >= 10"),
+    ("--ratio", "0", "beta/alpha ratio must be positive and finite"),
+    ("--ratio", "nan", "beta/alpha ratio must be positive and finite"),
+    ("--ratio", "inf", "beta/alpha ratio must be positive and finite"),
+    ("--avg-deg", "nan", "average degree must be finite"),
+    ("--query-avg-deg", "nan", "query average degree must be finite"),
 ])
 def test_out_of_domain_index_parameter_is_an_error_not_a_traceback(
     tmp_path, capsys, command, flag, value, says

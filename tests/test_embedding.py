@@ -1,4 +1,5 @@
 import hashlib
+import math
 import statistics
 
 import pytest
@@ -26,6 +27,12 @@ from conftest import make_graph, small_world
 def test_config_validation():
     with pytest.raises(ValueError):
         EmbeddingConfig(d=0)
+    # nan passes every ordered comparison, so it needs its own check
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParams, match="finite"):
+            EmbeddingConfig(alpha=bad)
+        with pytest.raises(InvalidParams, match="finite"):
+            EmbeddingConfig(mode="plain", beta=bad)
     with pytest.raises(ValueError):
         EmbeddingConfig(mode="base", alpha=50.0, beta=100.0)  # ratio below 10
     with pytest.raises(InvalidParams):
@@ -69,9 +76,12 @@ def test_label_vector_collisions_absent():
 
 def test_label_vector_golden_regression():
     # frozen reference output of the documented mixer; a change here means
-    # every persisted synopsis/answer ordering in the wild changes too
+    # every persisted synopsis/answer ordering in the wild changes too.
+    # plain and base keep the top 20 bits of the mixed word: 525882 and
+    # 587839 of 2^20, plus one
     cfg = EmbeddingConfig(d=2, mode="plain", seed_salt=0)
-    assert label_vector(7, cfg) == (0.5015206654322307, 0.5606071761094276)
+    assert label_vector(7, cfg) == (525883 / 2 ** 20, 587840 / 2 ** 20)
+    assert label_vector(7, EmbeddingConfig(d=2, mode="base", seed_salt=0)) == label_vector(7, cfg)
     czipf = EmbeddingConfig(d=2, mode="zipf", seed_salt=0)
     assert label_vector(7, czipf) == (0.0068359375, 0.009765625)
 
@@ -86,6 +96,31 @@ def test_zipf_label_vectors_golden_digest():
             for label in range(10_000):
                 h.update(repr(label_vector(label, cfg)).encode())
     assert h.hexdigest() == "bfeffe9ab024fe4541b8317b8da73d629c39f9fbc74d8cb9773434dfd10febbb"
+
+
+def test_label_vector_components_sit_on_a_binary_grid(any_mode_cfg):
+    # multiples of 2^-10 (zipf) or 2^-20 (plain, base) in (0, 1]: neighbor
+    # sums below degree 2^33 are then exact in any order
+    grid = 2.0 ** (10 if any_mode_cfg.mode == "zipf" else 20)
+    for d in (1, 3):
+        cfg = EmbeddingConfig(d=d, mode=any_mode_cfg.mode)
+        for label in range(2000):
+            assert all(0 < c <= 1 and (c * grid).is_integer() for c in label_vector(label, cfg))
+
+
+def test_neighbor_sum_is_exact_in_any_order(any_mode_cfg):
+    # a star of 3,000 leaves over 40 labels, summed in its own order, in
+    # ascending and descending neighbor id, and correctly rounded by fsum
+    labels = {0: 0, **{i: (i * 7) % 40 for i in range(1, 3001)}}
+    g = make_graph([(0, i) for i in range(1, 3001)], labels)
+    vecs = [label_vector(labels[i], any_mode_cfg) for i in range(1, 3001)]
+    want = tuple(math.fsum(x[k] for x in vecs) for k in range(2))
+    for order in (vecs, vecs[::-1]):
+        acc = [0.0, 0.0]
+        for x in order:
+            acc = [a + c for a, c in zip(acc, x)]
+        assert tuple(acc) == want
+    assert neighbor_sum(g, 0, any_mode_cfg) == want
 
 
 def test_salt_changes_vectors():
@@ -224,7 +259,7 @@ def test_star_substructures_dominated_exhaustively(any_mode_cfg):
     g = make_graph([(0, i) for i in range(1, 7)], labels)
     full = embed_vertex(g, 0, any_mode_cfg)
     x = label_vector(0, any_mode_cfg)
-    nbrs = g.sorted_neighbors(0)
+    nbrs = g.neighbors(0)
     count = 0
     for r in range(0, 7):
         for subset in combinations(nbrs, r):

@@ -277,14 +277,14 @@ def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
     d = any_mode_cfg.d
     box_tests = Counter()
     admits, box_columns = store.admits, store.box_columns
-    fills = defaultdict(list)  # (vertex, delta) -> its widened tail bounds, per fill
+    fills = defaultdict(list)  # (vertex, delta) -> its tail bounds, per fill
 
     def counted(v, delta, q_embed):
         box_tests[v, delta, q_embed] += 1
         return admits(v, delta, q_embed)
 
-    def recorded(vs, first, last, slack):
-        tables = box_columns(vs, first, last, slack)
+    def recorded(vs, first, last):
+        tables = box_columns(vs, first, last)
         for delta, table in zip(range(first, last + 1), tables):
             for i, v in enumerate(vs):
                 fills[v, delta].append([(lows[i], highs[i]) for lows, highs in table])
@@ -333,10 +333,10 @@ def test_register_fills_each_bucket_of_a_finite_group_once(any_mode_cfg, monkeyp
     reads = defaultdict(set)  # bucket -> the degrees a scan read its tables at
     box_columns, box_table = index.lists.box_columns, Cell.box_table
 
-    def recorded(vs, first, last, slack):
+    def recorded(vs, first, last):
         assert (first, last) == (1, 4)
         calls[id(vs)] += 1
-        return box_columns(vs, first, last, slack)
+        return box_columns(vs, first, last)
 
     def read(cell, label, delta, lists, lower, upper):
         reads[id(cell.buckets[label][0])].add(delta)

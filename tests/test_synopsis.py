@@ -6,13 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsmatch.embedding import EmbeddingConfig, embed_vertex, embedding_key, label_vector
+from dsmatch.embedding import (
+    EmbeddingConfig,
+    compose,
+    embed_vertex,
+    embedding_key,
+    label_vector,
+    neighbor_sum,
+)
 from dsmatch.errors import DegreeOutOfRange
 from dsmatch.graph import DELETE, INSERT, DynamicGraph, UpdateOp
 from dsmatch.oracle import star_subset_embeddings
 from dsmatch.rng import Rng
 from dsmatch.synopsis import (
-    FILTER_EPS,
     DegreeGroups,
     Mbr,
     NeighborListStore,
@@ -390,21 +396,15 @@ def test_maintenance_equals_rebuild_after_stream(mode):
         idx.maintain(op)
     rebuilt = SynopsisIndex.build(g, idx.groups, cfg, idx.k_cells, domain=idx.domain)
     assert idx.snapshot() == rebuilt.snapshot()
-    # maintained neighbor sums agree with from-scratch sums
-    from dsmatch.embedding import neighbor_sum
-
+    # maintained neighbor sums equal from-scratch sums
     for v in g.vertices():
-        got = idx.lists.neighbor_sum(v)
-        want = neighbor_sum(g, v, cfg)
-        assert all(abs(a - b) <= 1e-9 for a, b in zip(got, want))
+        assert idx.lists.neighbor_sum(v) == neighbor_sum(g, v, cfg)
 
 
 def test_hub_degree_boxes_and_rebuild_under_churn(any_mode_cfg):
     # a hub of degree >= 2,000 over labels 0-15, whose zipf components tie
     # (four labels share 1/1024 on dimension 0), churned by inserts and
     # deletes; boxes are checked against sorted neighbor components
-    from dsmatch.embedding import compose
-
     rng = Rng(61)
     labels = {0: 0, **{v: rng.randint(0, 15) for v in range(1, 2401)}}
     g = make_graph([(0, v) for v in range(1, 2401)], labels)
@@ -437,9 +437,7 @@ def test_hub_degree_boxes_and_rebuild_under_churn(any_mode_cfg):
     for delta in (1, 2, 3, deg // 2, deg):
         low = compose(x, tuple(sum(c[:delta]) for c in comps), 0, any_mode_cfg)
         high = compose(x, tuple(sum(c[-delta:]) for c in comps), 0, any_mode_cfg)
-        box = idx.lists.mbr(0, delta)
-        assert all(abs(a - b) <= 1e-9 for a, b in zip(box.low, low))
-        assert all(abs(a - b) <= 1e-9 for a, b in zip(box.high, high))
+        assert idx.lists.mbr(0, delta) == Mbr(low, high)
 
 
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
@@ -447,7 +445,7 @@ def test_admits_equals_box_containment(mode):
     # the tail-only, early-exit box test against the full box's contains,
     # for every vertex and delta in 1..deg+1, probed at the low and high
     # corners and the centre of the boxes at delta - 1, delta and delta + 1,
-    # and 2 * FILTER_EPS outside each of their tail bounds
+    # and one float step outside each of their tail bounds
     cfg = EmbeddingConfig(d=2, mode=mode)
     g = small_world(n=60, avg_deg=5.0, alphabet=4, seed=19)
     idx = build_index(g, cfg)
@@ -457,8 +455,8 @@ def test_admits_equals_box_containment(mode):
         centre = tuple((lo + hi) / 2 for lo, hi in zip(box.low, box.high))
         out = [box.low, box.high, centre]
         for j in range(cfg.d, 2 * cfg.d):
-            for bound, step in ((box.low[j], -2 * FILTER_EPS), (box.high[j], 2 * FILTER_EPS)):
-                out.append(centre[:j] + (bound + step,) + centre[j + 1:])
+            for bound, outward in ((box.low[j], -math.inf), (box.high[j], math.inf)):
+                out.append(centre[:j] + (math.nextafter(bound, outward),) + centre[j + 1:])
         return out
 
     def check():
@@ -469,7 +467,7 @@ def test_admits_equals_box_containment(mode):
             for delta in range(1, deg + 2):
                 near = [boxes[n] for n in (delta - 1, delta, delta + 1) if n in boxes]
                 for p in (p for box in near for p in probes(box)):
-                    want = delta <= deg and boxes[delta].contains(p, FILTER_EPS)
+                    want = delta <= deg and boxes[delta].contains(p)
                     assert lists.admits(v, delta, p) == want
                     outcomes.append(want)
         assert True in outcomes and False in outcomes
@@ -481,72 +479,63 @@ def test_admits_equals_box_containment(mode):
     check()
 
 
-def _extreme_sum(hist, labels, keys, delta):
-    """Sum of the first ``delta`` neighbor components met walking ``labels``."""
-    acc = 0.0
-    for lbl in labels:
-        c = hist[lbl]
-        comp = keys[lbl][0]
-        if c >= delta:
-            return acc + delta * comp
-        acc += c * comp
-        delta -= c
-    return acc
-
-
-def reference_box(lists, v, delta):
-    """v's box at delta, sorting its histogram's labels on every call."""
-    hist = lists.hist.get(v, {})
-    head, tail = lists.frames[lists.graph.labels[v]]
-    a = lists.alpha
-    low, high = [], []
-    for keys, t in zip(lists.keys, tail):
-        labels = sorted(hist, key=keys.__getitem__)
-        low.append(a * _extreme_sum(hist, labels, keys, delta) + t)
-        high.append(a * _extreme_sum(hist, reversed(labels), keys, delta) + t)
-    return Mbr(low=head + tuple(low), high=head + tuple(high))
-
-
-def reference_neighbor_sum(lists, v):
-    hist = lists.hist.get(v, {})
-    deg = sum(hist.values())
-    return tuple(_extreme_sum(hist, sorted(hist, key=k.__getitem__), k, deg) for k in lists.keys)
-
-
-def reference_admits(lists, v, delta, q_embed):
-    if delta > lists.degree(v):
-        return False
-    box = reference_box(lists, v, delta)
-    d = lists.cfg.d
-    return all(
-        lo - FILTER_EPS <= x <= hi + FILTER_EPS
-        for lo, x, hi in zip(box.low[d:], q_embed[d:], box.high[d:])
+def reference_box(g, v, delta, cfg):
+    """v's box at delta: the componentwise min and max of its delta-leaf
+    star-subset embeddings, enumerated up to degree 8; above it, the same
+    bounds from the sums of the delta smallest and the delta largest
+    neighbor components on each dimension."""
+    if g.degree(v) <= 8:
+        vecs = star_subset_embeddings(g, v, delta, cfg)
+        return Mbr(low=tuple(map(min, zip(*vecs))), high=tuple(map(max, zip(*vecs))))
+    lbl = g.labels[v]
+    x = label_vector(lbl, cfg)
+    comps = [sorted(label_vector(g.labels[n], cfg)[k] for n in g.neighbors(v)) for k in range(cfg.d)]
+    return Mbr(
+        low=compose(x, tuple(sum(c[:delta]) for c in comps), lbl, cfg),
+        high=compose(x, tuple(sum(c[-delta:]) for c in comps), lbl, cfg),
     )
 
 
-def assert_walk_reads_equal_reference(lists, g):
-    """mbr, admits and neighbor_sum are bit-equal to the sort-per-call box,
-    for every vertex and every delta in 1..deg; admits is probed on both
-    sides of each tail bound's exact FILTER_EPS threshold."""
-    d = lists.cfg.d
-    outcomes = set()
+def assert_reads_equal_enumeration(idx, g):
+    """Everything the store reads is exact, checked with ``==``: label
+    vectors sit on their grid; both neighbor sums equal ``math.fsum`` of
+    the components; ``mbr`` and every ``box_columns`` row equal
+    ``reference_box``, a row of (+inf, -inf) past the vertex's degree; and
+    ``admits`` accepts a query tail exactly on each bound and rejects one
+    float step outside it."""
+    lists, cfg = idx.lists, idx.cfg
+    d = cfg.d
+    grid = 2.0 ** (10 if cfg.mode == "zipf" else 20)
+    for lbl in set(g.labels.values()):
+        assert all(0 < c <= 1 and (c * grid).is_integer() for c in label_vector(lbl, cfg))
+    boxes = {}
     for v in g.vertices():
-        assert lists.neighbor_sum(v) == reference_neighbor_sum(lists, v)
+        vecs = [label_vector(g.labels[n], cfg) for n in g.neighbors(v)]
+        exact = tuple(math.fsum(x[k] for x in vecs) for k in range(d))
+        assert lists.neighbor_sum(v) == neighbor_sum(g, v, cfg) == exact
         deg = g.degree(v)
         for delta in range(1, deg + 1):
-            box = reference_box(lists, v, delta)
+            box = boxes[v, delta] = reference_box(g, v, delta, cfg)
             assert lists.mbr(v, delta) == box
             centre = tuple((lo + hi) / 2 for lo, hi in zip(box.low, box.high))
             for j in range(d, 2 * d):
-                for edge in (box.low[j] - FILTER_EPS, box.high[j] + FILTER_EPS):
-                    below, above = math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)
-                    for x in (below, edge, above):
-                        p = centre[:j] + (x,) + centre[j + 1:]
-                        want = reference_admits(lists, v, delta, p)
-                        assert lists.admits(v, delta, p) == want
-                        outcomes.add(want)
+                for bound, outward in ((box.low[j], -math.inf), (box.high[j], math.inf)):
+                    for x, inside in ((bound, True), (math.nextafter(bound, outward), False)):
+                        assert lists.admits(v, delta, centre[:j] + (x,) + centre[j + 1:]) == inside
         assert not lists.admits(v, deg + 1, lists.embedding(v))
-    assert outcomes == {True, False}
+    for syn in idx.synopses:
+        for cell in syn.cells.values():
+            for vs, _ in cell.buckets.values():
+                top = max(g.degree(v) for v in vs) + 1
+                for delta, table in enumerate(lists.box_columns(vs, 1, top), start=1):
+                    for i, v in enumerate(vs):
+                        box = boxes.get((v, delta))
+                        lows = tuple(col[i] for col, _ in table)
+                        highs = tuple(col[i] for _, col in table)
+                        if box is None:
+                            assert (lows, highs) == ((math.inf,) * d, (-math.inf,) * d)
+                        else:
+                            assert (lows, highs) == (box.low[d:], box.high[d:])
 
 
 def run_hub_churn(mode, check):
@@ -596,19 +585,18 @@ def run_hub_churn(mode, check):
 
 
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
-def test_walk_reads_equal_sort_per_call_reference(mode):
-    run_hub_churn(mode, lambda idx, g: assert_walk_reads_equal_reference(idx.lists, g))
+def test_reads_equal_star_subset_enumeration(mode):
+    run_hub_churn(mode, assert_reads_equal_enumeration)
 
 
 def assert_box_tables_equal_admits(idx, g):
     """Fill every bucket's box tables as scans fill them: through the grid's
     group range at once in a finite group, and at each delta from the
     group's lowest to one past the bucket's largest degree in the open one.
-    Each filled table holds, per tail dimension, the columns ``low -
-    FILTER_EPS`` and ``high + FILTER_EPS`` in bucket order, the raw bounds
-    being ``mbr``'s; its test, ``lo <= x <= hi`` per tail dimension, must
-    give ``admits``' verdict on every entry it covers, probed at each
-    bound's FILTER_EPS threshold and one ulp either side of it."""
+    Each filled table holds, per tail dimension, the columns of ``mbr``'s
+    low and high bounds in bucket order; its test, ``lo <= x <= hi`` per
+    tail dimension, must give ``admits``' verdict on every entry it covers,
+    probed at each bound and one ulp either side of it."""
     lists, d = idx.lists, idx.cfg.d
     outcomes = set()
     for syn in idx.synopses:
@@ -630,8 +618,7 @@ def assert_box_tables_equal_admits(idx, g):
                         assert not lists.admits(v, delta, head + (0.0,) * d)
                         continue
                     box = lists.mbr(v, delta)
-                    assert lows == tuple(lo - FILTER_EPS for lo in box.low[d:])
-                    assert highs == tuple(hi + FILTER_EPS for hi in box.high[d:])
+                    assert (lows, highs) == (box.low[d:], box.high[d:])
                     centre = tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))
                     for k in range(d):
                         for edge in (lows[k], highs[k]):
@@ -667,10 +654,10 @@ def assert_ranged_fills_equal_single_degree_fills(idx, g):
                     ranges |= {(max(deg - 3, 1), deg - 1), (max(deg - 2, 1), deg + 2),
                                (deg + 1, deg + 3)}
                 for first, last in sorted(r for r in ranges if r[0] <= r[1]):
-                    tables = lists.box_columns(vs, first, last, FILTER_EPS)
+                    tables = lists.box_columns(vs, first, last)
                     assert len(tables) == last - first + 1
                     for delta, table in zip(range(first, last + 1), tables):
-                        [alone] = lists.box_columns(vs, delta, delta, FILTER_EPS)
+                        [alone] = lists.box_columns(vs, delta, delta)
                         assert [(lo.tobytes(), hi.tobytes()) for lo, hi in table] == [
                             (lo.tobytes(), hi.tobytes()) for lo, hi in alone
                         ]
@@ -702,11 +689,12 @@ def test_walk_is_dropped_by_a_histogram_edit(cfg_zipf):
         g.apply_update(op)
         idx.maintain(op)
         after = lists.mbr(0, 2), lists.neighbor_sum(0), lists.embedding(0)
-        assert after[:2] == (reference_box(lists, 0, 2), reference_neighbor_sum(lists, 0))
-        assert after[2] == pytest.approx(embed_vertex(g, 0, cfg_zipf), abs=1e-9)
+        assert after == (
+            reference_box(g, 0, 2, cfg_zipf), neighbor_sum(g, 0, cfg_zipf),
+            embed_vertex(g, 0, cfg_zipf),
+        )
         assert all(a != b for a, b in zip(after, before))
-        probe = after[0].low
-        assert lists.admits(0, 2, probe) == reference_admits(lists, 0, 2, probe) is True
+        assert lists.admits(0, 2, after[0].low) and lists.admits(0, 2, after[0].high)
 
 
 # -- scans ---------------------------------------------------------------------
@@ -728,8 +716,6 @@ def test_scan_star_center_survives(any_mode_cfg):
         [(0, 1), (0, 2), (0, 3)], {0: 7, 1: 1, 2: 2, 3: 3}
     )
     idx = SynopsisIndex.build(g, DegreeGroups((2,)), any_mode_cfg, 5)
-    from dsmatch.embedding import compose
-
     x = label_vector(7, any_mode_cfg)
     acc = [0.0] * any_mode_cfg.d
     for lbl in (1, 3):  # two of the three leaf labels
@@ -782,10 +768,8 @@ def test_key_cutoff_never_skips_dominated_cell(any_mode_cfg):
                 max(0.0, c - rng.random()) if c != math.inf else rng.random() * idx.domain
                 for c in corner
             )
-            from dsmatch.synopsis import dominated_within
-
             if dominated_within(q, corner):
-                assert embedding_key(q) <= syn.cells[coords].key + 1e-6
+                assert embedding_key(q) <= syn.cells[coords].key
 
 
 def test_synopsis_dump_format(cfg_base):
@@ -798,8 +782,6 @@ def test_synopsis_dump_format(cfg_base):
 
 def naive_candidates(idx, q_embed, q_degree, q_label):
     """Linear-scan reference: same per-vertex predicates, no grid at all."""
-    from dsmatch.synopsis import FILTER_EPS
-
     group = idx.groups.group_of(q_degree)
     syn = idx.synopses[group]
     out = set()
@@ -813,7 +795,7 @@ def naive_candidates(idx, q_embed, q_degree, q_label):
             continue
         if idx.graph.labels[v] != q_label:
             continue
-        if q_degree > deg or not idx.lists.mbr(v, q_degree).contains(q_embed, FILTER_EPS):
+        if q_degree > deg or not idx.lists.mbr(v, q_degree).contains(q_embed):
             continue
         out.add(v)
     return out
@@ -829,7 +811,7 @@ def reference_scan(syn, q_embed, q_degree, q_label, lists):
     """
     stats = ScanStats()
     out = []
-    cutoff = embedding_key(q_embed) - 2.0 * FILTER_EPS * len(q_embed) * syn.domain - 1e-12
+    cutoff = embedding_key(q_embed)
     for negkey, coords in syn.order:
         if -negkey < cutoff:
             break
@@ -848,7 +830,7 @@ def reference_scan(syn, q_embed, q_degree, q_label, lists):
                 stats.pruned_label += 1
             elif not (
                 q_degree <= lists.degree(v)
-                and lists.mbr(v, q_degree).contains(q_embed, FILTER_EPS)
+                and lists.mbr(v, q_degree).contains(q_embed)
             ):
                 stats.pruned_box += 1
             else:
@@ -924,10 +906,12 @@ def test_scan_equals_linear_filter(mode):
 
 def assert_scan_equals_reference_at_first_tail_thresholds(idx, g):
     """For each distinct first tail coordinate t0 of each bucket, scan for a
-    query whose first tail coordinate is t0 + FILTER_EPS, the float the
-    dominance test compares against, and one ulp either side of it; the
-    query's other coordinates are those of an entry with that t0, its head
-    the bucket label's and its degree the entry's.  Each scan must equal
+    query whose first tail coordinate is t0, the float the dominance test
+    compares against, and one ulp either side of it; the query's other
+    coordinates are those of an entry with that t0, its head the bucket
+    label's and its degree the entry's.  Then, per other tail dimension,
+    scan at the entry's tail with that coordinate one ulp above it, which
+    the entry's column-wise dominance test must fail.  Each scan must equal
     ``reference_scan``, list and counts."""
     lists, d = idx.lists, idx.cfg.d
     tied = 0
@@ -941,10 +925,12 @@ def assert_scan_equals_reference_at_first_tail_thresholds(idx, g):
                 tied += len(first) < len(vs)
                 for t0, i in first.items():
                     tail = tuple(col[i] for col in cols)
-                    edge = t0 + FILTER_EPS
-                    for x in (math.nextafter(edge, -math.inf), edge,
-                              math.nextafter(edge, math.inf)):
+                    for x in (math.nextafter(t0, -math.inf), t0, math.nextafter(t0, math.inf)):
                         args = (head + (x,) + tail[1:], g.degree(vs[i]), label, lists)
+                        assert scan_candidates(syn, *args) == reference_scan(syn, *args)
+                    for k in range(1, d):
+                        q_tail = tail[:k] + (math.nextafter(tail[k], math.inf),) + tail[k + 1:]
+                        args = (head + q_tail, g.degree(vs[i]), label, lists)
                         assert scan_candidates(syn, *args) == reference_scan(syn, *args)
     assert tied  # some bucket holds entries that tie on t0
 
