@@ -196,20 +196,14 @@ def _thin_edges(
     g: DynamicGraph, chosen: list[int], avg_deg: float, rng: Rng
 ) -> QueryGraph:
     chosen_set = set(chosen)
-    induced = [
-        (u, v) for u, v in g.edges() if u in chosen_set and v in chosen_set
-    ]
+    induced = sorted((u, v) for u in chosen for v in g.adj[u] & chosen_set if u < v)
     # spanning tree over the induced subgraph (connected by construction)
-    adj: dict[int, list[int]] = {v: [] for v in chosen}
-    for u, v in induced:
-        adj[u].append(v)
-        adj[v].append(u)
     tree = []
     seen = {chosen[0]}
     stack = [chosen[0]]
     while stack:
         u = stack.pop()
-        for v in sorted(adj[u]):
+        for v in sorted(g.adj[u] & chosen_set):
             if v not in seen:
                 seen.add(v)
                 tree.append((u, v) if u < v else (v, u))

@@ -13,7 +13,7 @@ its neighbors' labels.  On each dimension, the box for any degree delta
 spans the sum of the delta smallest to the sum of the delta largest
 neighbor components; both come from one pass over the vertex's walk, its
 (component, count) pairs sorted on the component once per histogram
-state, taking each count until delta is used up.  An update is one
+state, adding one component per degree.  An update is one
 histogram edit per endpoint.  A grid cell buckets its vertices by label,
 whose d head coordinates a scan tests once per bucket, and keeps only their
 tail coordinates: one column per dimension, with the bucket sorted on the
@@ -275,8 +275,7 @@ class NeighborListStore:
             del hist[label]
 
     def degree(self, v: VertexId) -> int:
-        hist = self.hist.get(v)
-        return sum(hist.values()) if hist else 0
+        return len(self.graph.adj.get(v, ()))
 
     def walk(self, v: VertexId) -> tuple:
         """v's walk: d segments of (component, count) pairs, one sort each."""
@@ -325,19 +324,19 @@ class NeighborListStore:
         a box that no point lies in.
 
         One ascending pass (the lows) and one descending pass (the highs)
-        per vertex and tail dimension serve every delta: a delta ending
-        inside a (component, count) pair adds what is left of it, times the
-        component, to the exact sum of the pairs before.  Each pass writes
-        one flat column per dimension and direction, a row of the deltas
-        per vertex, that the tables slice.
+        per vertex and tail dimension serve every delta: each delta adds
+        one more component, read off the walk's (component, count) pairs,
+        to the exact sum of the delta - 1 before it.  Each pass writes one
+        flat column per dimension and direction, a row of the deltas per
+        vertex, that the tables slice.
         """
         adj, a, d = self.graph.adj, self.alpha, self.cfg.d
         m = last - first + 1
         tail = self.frames[self.graph.labels[vs[0]]][1]
         walks = [self.walk(v) for v in vs]
         ns = [len(walk) // d for walk in walks]  # per vertex, its walk's segment length
-        # per vertex, the last delta with a box, or 0 if none in first..last has one
-        tops = [min(deg, last) if deg >= first else 0 for deg in map(len, map(adj.__getitem__, vs))]
+        # per vertex, the last delta with a box; one below first writes none
+        tops = [min(deg, last) for deg in map(len, map(adj.__getitem__, vs))]
         cols = []
         for k, t in enumerate(tail):
             # lows read each segment up from its start, highs down from its end
@@ -348,25 +347,16 @@ class NeighborListStore:
                 col = array("d", [fill]) * (len(vs) * m)
                 pos = 0
                 for walk, top, i in zip(walks, tops, starts):
-                    acc, used, p = 0.0, 0, pos  # used: the components summed into acc
-                    while used < top:
-                        comp, c = walk[i], walk[i + 1]
-                        i += step
-                        # a count of 1 skips the range() below; without this branch
-                        # register_s on sw-insert-q100 measured 12% higher
-                        if c == 1 and used >= first - 1:
-                            acc += comp
-                            used += 1
+                    acc, c, p = 0.0, 0, pos  # c: what is left of the current pair's count
+                    for delta in range(1, top + 1):
+                        if not c:
+                            comp, c = walk[i], walk[i + 1]
+                            i += step
+                        c -= 1
+                        acc += comp
+                        if delta >= first:
                             col[p] = a * acc + t
                             p += 1
-                            continue
-                        # the deltas used + 1..used + c end in this pair
-                        end = used + c if used + c < top else top
-                        for delta in range(used + 1 if used >= first else first, end + 1):
-                            col[p] = a * (acc + (delta - used) * comp) + t
-                            p += 1
-                        acc += c * comp
-                        used += c
                     pos += m
                 cols.append(col)
         return [

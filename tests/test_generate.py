@@ -5,13 +5,16 @@ import pytest
 from dsmatch.errors import InvalidParams, InvalidRate
 from dsmatch.generate import (
     BenchConfig,
+    _grow_connected,
     generate_graph,
     ring_params_for_avg_degree,
     sample_queries,
     split_stream,
 )
 from dsmatch.graph import DELETE, INSERT, dump_graph, dump_stream
+from dsmatch.matcher import QueryGraph
 from dsmatch.oracle import enumerate_matches
+from dsmatch.rng import Rng
 
 
 def test_pure_ring_lattice_degrees():
@@ -152,6 +155,51 @@ def test_sample_determinism():
     a = sample_queries(g, 6, 4, 2.0, seed=8)
     b = sample_queries(g, 6, 4, 2.0, seed=8)
     assert [q.to_text() for q in a] == [q.to_text() for q in b]
+
+
+def _full_scan_thin_edges(g, chosen, avg_deg, rng):
+    """Reference thinning: the induced edges from a scan of every graph edge."""
+    chosen_set = set(chosen)
+    induced = [(u, v) for u, v in g.edges() if u in chosen_set and v in chosen_set]
+    adj = {v: [] for v in chosen}
+    for u, v in induced:
+        adj[u].append(v)
+        adj[v].append(u)
+    tree, seen, stack = [], {chosen[0]}, [chosen[0]]
+    while stack:
+        u = stack.pop()
+        for v in sorted(adj[u]):
+            if v not in seen:
+                seen.add(v)
+                tree.append((u, v) if u < v else (v, u))
+                stack.append(v)
+    target = max(len(chosen) - 1, round(avg_deg * len(chosen) / 2))
+    keep = set(tree)
+    extras = [e for e in induced if e not in keep]
+    rng.shuffle(extras)
+    for e in extras:
+        if len(keep) >= target:
+            break
+        keep.add(e)
+    relabel = {v: i for i, v in enumerate(sorted(chosen))}
+    labels = {relabel[v]: g.labels[v] for v in chosen}
+    return QueryGraph(labels, [(relabel[u], relabel[v]) for u, v in keep])
+
+
+@pytest.mark.parametrize("n, avg_deg, seed", [(60, 4, 21), (150, 6, 22), (300, 8, 23)])
+def test_sampling_equals_full_edge_scan(n, avg_deg, seed):
+    # the induced edges come from the chosen vertices' adjacency alone
+    g = generate_graph(n, avg_deg, 0.3, alphabet=5, seed=seed)
+    starts = sorted(v for v in g.vertices() if g.degree(v) >= 1)
+    # query degrees below the induced ones, so the extras are shuffled and cut
+    for size, q_deg, q_seed in ((3, 2.0, 1), (6, 2.0, 2), (10, 2.5, 3)):
+        rng = Rng(q_seed)
+        expected = [
+            _full_scan_thin_edges(g, _grow_connected(g, starts, size, rng), q_deg, rng)
+            for _ in range(8)
+        ]
+        got = sample_queries(g, 8, size, q_deg, seed=q_seed)
+        assert [(q.labels, q.edges) for q in got] == [(q.labels, q.edges) for q in expected]
 
 
 def test_bench_config_wiring():

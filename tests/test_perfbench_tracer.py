@@ -1,4 +1,4 @@
-"""The benchmark's tracer and grid-margin probe, run on a small live engine.
+"""The benchmark's tracer, grid-margin probe and exactness gate.
 
 ``perfbench/tracer.py`` wraps engine attributes by name and reads
 ``MaintenanceReport`` fields; ``perfbench/harness.py``'s grid-margin probe
@@ -6,6 +6,8 @@ reads ``scan_for_degree``, ``embedding_of`` and the histogram store.  A
 change to any of them fails here, not only under ``--trace 1``.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import dsmatch.matcher as matcher_mod
@@ -67,3 +69,14 @@ def test_tracer_on_small_engine(cfg_zipf, monkeypatch):
     assert (scans, mismatches) == (len(q), 0)
     for name, query in (("q0", q), ("q1", q1)):
         assert engine.queries[name].answers.mappings() == enumerate_matches(engine.graph, query)
+
+
+def test_exactness_gate_fails_on_a_planted_wrong_answer():
+    # a gate that cannot fail would pass every benchmark run it guards
+    run = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "sw-delete-q20",
+         "--seconds", "1", "--plant-wrong-answer"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "exactness gate: FAILED" in run.stdout

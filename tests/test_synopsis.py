@@ -155,25 +155,6 @@ def test_greedy_grouping_fills_every_group_when_mass_sits_on_top():
     assert max(masses) - min(masses) <= 2000  # c08: the largest single-degree mass
 
 
-@pytest.mark.slow
-def test_grouping_balance_property_powerlaw():
-    # bucket masses never differ by more than the largest single-degree mass
-    rng = Rng(99)
-    for trial in range(100):
-        n = rng.randint(30, 300)
-        degrees = [max(1, int((1.0 - rng.random()) ** -0.7)) for _ in range(n)]
-        degrees = [min(d, 40) for d in degrees]
-        g = graph_with_degrees(degrees)
-        all_degrees = [g.degree(v) for v in g.vertices() if g.degree(v) >= 1]
-        freq = {}
-        for d in all_degrees:
-            freq[d] = freq.get(d, 0) + 1
-        m = rng.randint(1, 5)
-        groups = compute_degree_groups(g, m)
-        masses = bucket_masses(groups, all_degrees)
-        assert max(masses) - min(masses) <= max(freq.values())
-
-
 # -- per-degree boxes ----------------------------------------------------------
 
 
