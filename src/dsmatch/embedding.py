@@ -10,9 +10,9 @@ what all index pruning in this package relies on.
 Three modes share that property:
 
 * ``plain``      -- the raw concatenation.
-* ``base``       -- affine re-location ``alpha * concat + beta * z`` where
+* ``base``       -- affine re-location ``alpha * concat + BETA * z`` where
   ``z`` is a label-seeded point on the L1-unit diagonal; with
-  ``alpha << beta`` embeddings of equal-label vertices cluster tightly
+  ``alpha << BETA`` embeddings of equal-label vertices cluster tightly
   around their diagonal point, which sharpens pruning.
 * ``zipf``       -- like ``base`` but label-vector components are drawn from
   a seeded Zipf distribution (low mean, high variance) instead of a
@@ -56,6 +56,9 @@ ZIPF_RANKS = 1024
 # the plain and base modes' label-vector components: multiples of 2^-20
 GRID_BITS = 20
 
+# the base and zipf modes' scale of the diagonal term; alpha scales the concat
+BETA = 100.0
+
 Vec = tuple[float, ...]
 
 
@@ -63,14 +66,13 @@ Vec = tuple[float, ...]
 class EmbeddingConfig:
     """Embedding parameters; hashable so derived tables can be cached.
 
-    ``alpha``/``beta`` only matter for the ``base`` and ``zipf`` modes and
-    must satisfy ``beta / alpha >= 10`` there (the re-location argument
-    needs the concat term to act as small noise on the diagonal term).
+    ``alpha`` only matters for the ``base`` and ``zipf`` modes and must
+    satisfy ``BETA / alpha >= 10`` there (the re-location argument needs
+    the concat term to act as small noise on the diagonal term).
     """
 
     d: int = 2
     alpha: float = 0.1
-    beta: float = 100.0
     mode: str = MODE_ZIPF
     seed_salt: int = 0
 
@@ -79,14 +81,14 @@ class EmbeddingConfig:
             raise InvalidParams(f"d must be >= 1, got {self.d}")
         if self.mode not in MODES:
             raise InvalidParams(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise InvalidParams(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise InvalidParams("alpha and beta must be positive")
-        if self.mode != MODE_PLAIN and self.beta / self.alpha < 10:
+        if not math.isfinite(self.alpha):
+            raise InvalidParams(f"alpha must be finite, got {self.alpha}")
+        if self.alpha <= 0:
+            raise InvalidParams("alpha must be positive")
+        if self.mode != MODE_PLAIN and BETA / self.alpha < 10:
             raise InvalidParams(
                 f"beta/alpha must be >= 10 for mode {self.mode!r}, "
-                f"got {self.beta / self.alpha:g}"
+                f"got {BETA / self.alpha:g}"
             )
 
 
@@ -188,9 +190,9 @@ def compose(x: Vec, y: Vec, label: Label, cfg: EmbeddingConfig) -> Vec:
     if cfg.mode == MODE_PLAIN:
         return x + y
     z = base_vector(label, cfg)
-    a, b = cfg.alpha, cfg.beta
+    a = cfg.alpha
     concat = x + y
-    return tuple(a * concat[j] + b * z[j] for j in range(2 * cfg.d))
+    return tuple(a * concat[j] + BETA * z[j] for j in range(2 * cfg.d))
 
 
 def embed_vertex(g, v: VertexId, cfg: EmbeddingConfig) -> Vec:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .embedding import MODES, EmbeddingConfig, ZipfTable
+from .embedding import BETA, MODES, EmbeddingConfig, ZipfTable
 from .errors import InvalidParams, InvalidRate, Unsatisfiable
 from .graph import DELETE, INSERT, DynamicGraph, UpdateOp
 from .matcher import QueryGraph
@@ -226,8 +226,8 @@ def _thin_edges(
 class BenchConfig:
     """Knobs for one benchmark scenario, seed included.
 
-    Embedding parameters mirror EmbeddingConfig; beta keeps its
-    EmbeddingConfig default and ``beta_alpha_ratio`` derives alpha.  The
+    Embedding parameters mirror EmbeddingConfig; beta is the fixed
+    ``embedding.BETA`` and ``beta_alpha_ratio`` derives alpha.  The
     ring lattice's k and shortcut probability are derived from ``avg_deg``.
     Each field is a CLI flag through ``SCENARIO_PARAMS``, which reads its
     default from here.
@@ -256,7 +256,7 @@ class BenchConfig:
             raise InvalidParams(f"beta/alpha ratio must be positive and finite, got {ratio}")
         return EmbeddingConfig(
             d=self.d,
-            alpha=EmbeddingConfig.beta / ratio,
+            alpha=BETA / ratio,
             mode=self.mode,
             seed_salt=self.seed_salt,
         )

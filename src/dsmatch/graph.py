@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 
 from .errors import (
     DuplicateEdge,
+    InvalidParams,
     LabelConflict,
     MissingEdge,
     MissingLabel,
@@ -64,13 +65,12 @@ class DynamicGraph:
     their label so later insertions can revive them.
     """
 
-    __slots__ = ("labels", "adj", "num_edges", "timestamp")
+    __slots__ = ("labels", "adj", "num_edges")
 
     def __init__(self) -> None:
         self.labels: dict[VertexId, Label] = {}
         self.adj: dict[VertexId, set[VertexId]] = {}
         self.num_edges = 0
-        self.timestamp = 0
 
     # -- read access ---------------------------------------------------
 
@@ -118,7 +118,6 @@ class DynamicGraph:
         g.labels = dict(self.labels)
         g.adj = {v: set(nbrs) for v, nbrs in self.adj.items()}
         g.num_edges = self.num_edges
-        g.timestamp = self.timestamp
         return g
 
     # -- construction and mutation ---------------------------------------
@@ -160,8 +159,7 @@ class DynamicGraph:
         and for an insert a duplicate edge, then a missing label (a new
         endpoint must carry one) or a conflicting label on either endpoint;
         for a delete a missing edge.  Insertions handle all three endpoint
-        cases (both existing, one new, both new).  The graph timestamp
-        advances by one per applied op regardless of ``op.timestamp``.
+        cases (both existing, one new, both new).
         """
         u, v = op.u, op.v
         if u == v:
@@ -184,8 +182,7 @@ class DynamicGraph:
         elif op.kind == DELETE:
             self.remove_edge(u, v)
         else:
-            raise ValueError(f"unknown op kind {op.kind!r}")
-        self.timestamp += 1
+            raise InvalidParams(f"unknown op kind {op.kind!r}")
 
 
 # -- text formats ------------------------------------------------------------

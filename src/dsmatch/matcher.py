@@ -28,7 +28,6 @@ from .graph import DynamicGraph, INSERT, Label, UpdateOp, VertexId, load_graph
 from .synopsis import (
     K_CELLS,
     M_GROUPS,
-    DegreeGroups,
     NeighborListStore,
     ScanStats,
     SynopsisIndex,
@@ -329,8 +328,7 @@ class MatchEngine:
     ):
         self.graph = graph
         self.cfg = cfg
-        self.groups: DegreeGroups = compute_degree_groups(graph, m_groups)
-        self.index = SynopsisIndex.build(graph, self.groups, cfg, k_cells)
+        self.index = SynopsisIndex(graph, compute_degree_groups(graph, m_groups), cfg, k_cells)
         self.queries: dict[str, RegisteredQuery] = {}
         # (label_a, label_b) -> by name, in registration order, each query
         # with an edge on that pair and its (edge plan, flip) entries: an
@@ -347,7 +345,7 @@ class MatchEngine:
         vertex to its cheapest neighbor.
         """
         if name in self.queries:
-            raise ValueError(f"query {name!r} already registered")
+            raise InvalidParams(f"query {name!r} already registered")
         embeds = embed_query(query, self.cfg)
         cand_sets: dict[VertexId, list[VertexId]] = {}
         scan_stats: dict[VertexId, ScanStats] = {}

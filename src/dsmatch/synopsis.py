@@ -21,10 +21,10 @@ first.  A scan bisects that column, since the entries passing the first
 dominance test form a suffix, and tests the suffix column-wise: the other
 dominance dimensions against the tail columns, and the box at the query
 degree against the bucket's box table at that degree, every entry's tail
-bounds as columns.  The first scan to need one of a bucket's tables fills
-them at every degree of the grid's group, from one ascending and one
-descending pass per entry and dimension over its walk; a scan of the open
-last group fills the query degree's alone.
+bounds as columns.  The grid owns the fills: when a scan first needs one of
+a bucket's tables, the grid fills them at every degree of its group, from
+one ascending and one descending pass per entry and dimension over its
+walk; the open last group fills the query degree's alone.
 
 No comparison carries a slack: neighbor sums are exact and rounding is
 monotone (:mod:`dsmatch.embedding`), so every filter admits each true match
@@ -36,12 +36,13 @@ dump rebuilds them from the histograms with the same frozen degree groups,
 domain and cell count: a maintained index equals a rebuild by
 construction.
 
-Scans and maintenance follow the single-writer contract of the graph:
-maintenance is exclusive, and so is the first scan, snapshot or dump after
-it, which rebuilds the grids, the first box read of a vertex after it,
-which fills the vertex's walk, and the first scan whose entries reach the
-box test in a bucket at a degree without a table, which fills the bucket's
-tables; later reads may run concurrently.
+Scans and maintenance follow the single-writer contract of the graph.
+Maintenance is exclusive, and so are three kinds of first read after it:
+the first scan, snapshot or dump, which rebuilds the grids; the first box
+read of a vertex, which fills the vertex's walk in the store; and the
+first scan whose entries reach the box test in a bucket at a degree
+without a table, in which the grid fills the bucket's tables.  Later reads
+may run concurrently.
 """
 
 from __future__ import annotations
@@ -54,14 +55,16 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import le
 from time import perf_counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .embedding import (
+    BETA,
     EmbeddingConfig,
     MODE_PLAIN,
     Vec,
     compose,
     dominates,
+    embed_vertex,
     embedding_key,
     label_vector,
 )
@@ -228,24 +231,18 @@ class NeighborListStore:
         self.graph = graph
         self.cfg = cfg
         self.alpha = 1.0 if cfg.mode == MODE_PLAIN else cfg.alpha
-        self.hist: dict[VertexId, dict[Label, int]] = {}
         self.frames: dict[Label, tuple[Vec, Vec]] = {}  # head, tail constants
         self.comps: list[dict[Label, float]] = [{} for _ in range(cfg.d)]
         self._walks: dict[VertexId, tuple] = {}
-
-    @classmethod
-    def build(cls, graph: DynamicGraph, cfg: EmbeddingConfig) -> "NeighborListStore":
-        store = cls(graph, cfg)
         labels = graph.labels
         for lbl in set(labels.values()):
-            store._frame(lbl)
+            self._frame(lbl)
+        self.hist: dict[VertexId, dict[Label, int]] = {}
         for v in graph.vertices():
-            hist: dict[Label, int] = {}
+            hist = self.hist[v] = {}
             for n in graph.adj[v]:
                 lbl = labels[n]
                 hist[lbl] = hist.get(lbl, 0) + 1
-            store.hist[v] = hist
-        return store
 
     def _frame(self, label: Label) -> tuple[Vec, Vec]:
         """The label's box frame; a label seen first also gets its components."""
@@ -293,12 +290,6 @@ class NeighborListStore:
         walk, deg = self.walk(v), self.degree(v)
         n = len(walk) // self.cfg.d
         return tuple(_walk_sum(walk, k * n, k * n + n, 2, deg) for k in range(self.cfg.d))
-
-    def embedding(self, v: VertexId) -> Vec:
-        """Current full-star embedding of v, from the maintained histogram."""
-        head, tail = self._frame(self.graph.label(v))
-        a = self.alpha
-        return head + tuple(a * y + t for y, t in zip(self.neighbor_sum(v), tail))
 
     def mbr(self, v: VertexId, delta: int) -> Mbr:
         """Bounds over embeddings of all delta-leaf star subsets of v."""
@@ -390,20 +381,20 @@ class NeighborListStore:
 
 
 class Cell:
-    """One grid cell: its corner, its key and its entries bucketed by label.
+    """One grid cell: its coordinates, corner and key, and its entries
+    bucketed by label.
 
     A bucket holds its vertices in ascending order of their first tail
     coordinate (a stable sort) and, per tail dimension, one column of their
-    tail coordinates in that order.  The first scan whose entries reach the
-    box test at a degree without a table fills the bucket's box tables at
-    every degree of the grid's group in one pass over its entries, or at
-    that degree alone in the open last group (``box_table``).  Tables die
-    with the grid, so they always describe the current graph.
+    tail coordinates in that order.  ``tables`` holds the buckets' box
+    tables, which the owning grid fills (:meth:`GridSynopsis.box_table`).
+    Tables die with the grid, so they always describe the current graph.
     """
 
-    __slots__ = ("corner", "key", "buckets", "tables")
+    __slots__ = ("coords", "corner", "key", "buckets", "tables")
 
-    def __init__(self, corner: Vec):
+    def __init__(self, coords: tuple[int, ...], corner: Vec):
+        self.coords = coords
         self.corner = corner
         self.key = embedding_key(corner)
         self.buckets: dict[Label, tuple[list[VertexId], tuple[array, ...]]] = {}
@@ -412,25 +403,6 @@ class Cell:
 
     def __len__(self) -> int:
         return sum(len(vs) for vs, _ in self.buckets.values())
-
-    def box_table(
-        self, label: Label, delta: int, lists: NeighborListStore, lower: int, upper: float
-    ) -> list[tuple[array, array]]:
-        """The label bucket's box columns at delta.
-
-        A miss fills the bucket's tables at every degree of the grid's group
-        (lower, upper] in one ``box_columns`` call when upper is finite and
-        the group holds delta, else at delta alone."""
-        table = self.tables.get((label, delta))
-        if table is None:
-            in_finite_group = lower < delta <= upper < math.inf
-            first, last = (lower + 1, upper) if in_finite_group else (delta, delta)
-            for j, filled in enumerate(
-                lists.box_columns(self.buckets[label][0], first, last)
-            ):
-                self.tables[label, first + j] = filled
-            table = self.tables[label, delta]
-        return table
 
 
 @dataclass
@@ -479,56 +451,70 @@ class ScanStats:
 class GridSynopsis:
     """Equal-width grid over one degree group's capped-degree corners.
 
-    Built once from its entries and never edited.  The top interval on each
-    dimension is unbounded (its corner coordinate is +inf): values beyond
-    the frozen domain clamp into it, which keeps the key cutoff and cell
-    dominance sound when the graph drifts past the initial extent estimate.
+    Built once from the store's histograms and never edited: each vertex
+    above the group's lower bound is filed under the high corner of its box
+    at the group-capped degree.  ``cells`` lists the non-empty cells in scan
+    order, descending key with ties on coordinates.  The top interval on
+    each dimension is unbounded (its corner coordinate is +inf): values
+    beyond the frozen domain clamp into it, which keeps the key cutoff and
+    cell dominance sound when the graph drifts past the initial extent
+    estimate.  The grid fills its cells' box tables from the store.
     """
 
     def __init__(
         self,
+        store: NeighborListStore,
         group: int,
         lower: int,
         upper: float,
         k_cells: int,
         domain: float,
-        entries: Iterable[tuple[VertexId, Label, Vec, list[float]]],
     ):
+        self.store = store
         self.group = group
         self.lower = lower
         self.upper = upper
         self.k_cells = k_cells
         self.domain = domain
         self.width = domain / k_cells
-        self.cells: dict[tuple[int, ...], Cell] = {}
+        adj, labels = store.graph.adj, store.graph.labels
+        a, d = store.alpha, store.cfg.d
+        cells: dict[tuple[int, ...], Cell] = {}
         heads: dict[Label, tuple[int, ...]] = {}  # label -> its head's cell coordinates
-        for v, label, head, tail in entries:
+        for v in store.graph.vertices():
+            degree = len(adj[v])
+            if degree <= lower:
+                continue
+            walk, label, ub = store.walk(v), labels[v], min(degree, upper)
+            n = len(walk) // d
+            head, frame_tail = store.frames[label]
+            tail = [
+                a * _walk_sum(walk, lo + n - 2, lo - 2, -2, ub) + t
+                for lo, t in zip(range(0, len(walk), n), frame_tail)
+            ]
             head_coords = heads.get(label)
             if head_coords is None:
                 head_coords = heads[label] = self.cell_coords(head)
             coords = head_coords + self.cell_coords(tail)
-            cell = self.cells.get(coords)
+            cell = cells.get(coords)
             if cell is None:
-                cell = self.cells[coords] = Cell(self._cell_corner(coords))
+                cell = cells[coords] = Cell(coords, self._cell_corner(coords))
             bucket = cell.buckets.get(label)
             if bucket is None:
                 bucket = cell.buckets[label] = ([], array("d"))
             bucket[0].append(v)
             bucket[1].fromlist(tail)
-        for cell in self.cells.values():  # flat tails -> columns, sorted on the first
+        for cell in cells.values():  # flat tails -> columns, sorted on the first
             for label, (vs, tails) in cell.buckets.items():
-                d = len(tails) // len(vs)
                 order = sorted(range(len(vs)), key=tails[0::d].__getitem__)
                 cell.buckets[label] = (
                     [vs[i] for i in order],
                     tuple(array("d", map(tails[k::d].__getitem__, order)) for k in range(d)),
                 )
-        self.order: list[tuple[float, tuple[int, ...]]] = sorted(  # (-key, coords)
-            (-cell.key, coords) for coords, cell in self.cells.items()
-        )
+        self.cells: list[Cell] = sorted(cells.values(), key=lambda c: (-c.key, c.coords))
 
     def __len__(self) -> int:
-        return sum(map(len, self.cells.values()))
+        return sum(map(len, self.cells))
 
     def cell_coords(self, point: Vec) -> tuple[int, ...]:
         k = self.k_cells
@@ -540,26 +526,41 @@ class GridSynopsis:
             math.inf if c == self.k_cells - 1 else (c + 1) * self.width for c in coords
         )
 
-    def snapshot(self, lists: NeighborListStore) -> dict:
+    def box_table(self, cell: Cell, label: Label, delta: int) -> list[tuple[array, array]]:
+        """The box columns of the cell's label bucket at delta, a degree of
+        the grid's group (lower, upper].
+
+        A miss fills the bucket's tables at every degree of a finite group
+        in one ``box_columns`` call, or at delta alone in the open last
+        group."""
+        table = cell.tables.get((label, delta))
+        if table is None:
+            upper = self.upper
+            first, last = (self.lower + 1, upper) if upper < math.inf else (delta, delta)
+            vs = cell.buckets[label][0]
+            for at, filled in enumerate(self.store.box_columns(vs, first, last), first):
+                cell.tables[label, at] = filled
+            table = cell.tables[label, delta]
+        return table
+
+    def snapshot(self) -> dict:
         """Canonical content for equality checks (entry order independent):
         per cell, sorted (vertex, capped degree, corner)."""
-        adj, frames = lists.graph.adj, lists.frames
+        adj, frames = self.store.graph.adj, self.store.frames
         return {
-            coords: sorted(
+            c.coords: sorted(
                 (v, min(len(adj[v]), self.upper), frames[lbl][0] + tail)
                 for lbl, (vs, cols) in c.buckets.items()
                 for v, tail in zip(vs, zip(*cols))
             )
-            for coords, c in self.cells.items()
+            for c in self.cells
         }
 
     def dump(self) -> str:
-        lines = []
-        for negkey, coords in self.order:
-            cell = self.cells[coords]
-            cs = ",".join(map(str, coords))
-            lines.append(f"cell {cs} key={-negkey:.6g} entries={len(cell)}")
-        return "\n".join(lines)
+        return "\n".join(
+            f"cell {','.join(map(str, c.coords))} key={c.key:.6g} entries={len(c)}"
+            for c in self.cells
+        )
 
 
 def scan_candidates(
@@ -567,9 +568,9 @@ def scan_candidates(
     q_embed: Vec,
     q_degree: int,
     q_label: int,
-    lists: NeighborListStore,
 ) -> tuple[list[VertexId], ScanStats]:
-    """Candidate vertices for one query vertex from one synopsis.
+    """Candidate vertices for one query vertex from one synopsis, whose
+    degree group must hold ``q_degree``.
 
     Walks cells in descending key order and stops once a cell key falls
     below the query key; inside surviving cells keeps a vertex only if the
@@ -587,13 +588,12 @@ def scan_candidates(
     stats = ScanStats()
     out: list[VertexId] = []
     cutoff = embedding_key(q_embed)
-    d = lists.cfg.d
+    frames, d = syn.store.frames, syn.store.cfg.d
     q_head, q_tail = q_embed[:d], q_embed[d:]
     pruned_dominance = pruned_label = pruned_box = 0
-    for negkey, coords in syn.order:
-        if -negkey < cutoff:
+    for cell in syn.cells:
+        if cell.key < cutoff:
             break
-        cell = syn.cells[coords]
         n = len(cell)
         stats.cells_scanned += 1
         stats.examined += n
@@ -602,7 +602,7 @@ def scan_candidates(
             continue
         for label, (vs, cols) in cell.buckets.items():
             # every corner in the bucket has its label's frame head
-            if not dominates(q_head, lists.frames[label][0]):
+            if not dominates(q_head, frames[label][0]):
                 pruned_dominance += len(vs)
                 continue
             # x0 <= t0 holds exactly on the suffix [p:] of the bucket, sorted
@@ -618,7 +618,7 @@ def scan_candidates(
             if label != q_label:
                 pruned_label += dominated
                 continue
-            table = cell.box_table(label, q_degree, lists, syn.lower, syn.upper)
+            table = syn.box_table(cell, label, q_degree)
             for x, (lows, highs) in zip(q_tail, table):
                 mask = _both(mask, bytes(map(le, lows[p:], repeat(x))))
                 mask = _both(mask, bytes(map(le, repeat(x), highs[p:])))
@@ -650,11 +650,12 @@ class MaintenanceReport:
 class SynopsisIndex:
     """All degree-group synopses plus the shared neighbor-label histograms.
 
-    Degree groups and the grid domain are frozen at build time (from the
-    initial graph).  Maintenance edits only the histograms, which equal a
-    rebuild by construction, and drops the grids; :attr:`synopses` rebuilds
-    them from the histograms when next read.  So every scan, ``snapshot()``
-    and ``dump()`` sees exactly what a from-scratch build over the current
+    Degree groups and the grid domain are frozen at construction (from the
+    initial graph; the domain defaults to :func:`default_domain`'s estimate).
+    Maintenance edits only the histograms, which equal a rebuild by
+    construction, and drops the grids; :attr:`synopses` rebuilds them from
+    the histograms when next read.  So every scan, ``snapshot()`` and
+    ``dump()`` sees exactly what a from-scratch build over the current
     snapshot (with the same frozen parameters) would produce.
     """
 
@@ -664,54 +665,22 @@ class SynopsisIndex:
         groups: DegreeGroups,
         cfg: EmbeddingConfig,
         k_cells: int,
-        domain: float,
-        lists: NeighborListStore,
+        domain: float | None = None,
     ):
+        if k_cells < 1:
+            raise InvalidParams(f"k_cells must be >= 1, got {k_cells}")
         self.graph = graph
         self.groups = groups
         self.cfg = cfg
         self.k_cells = k_cells
-        self.domain = domain
-        self.lists = lists
+        self.lists = NeighborListStore(graph, cfg)
+        self.domain = default_domain(self.lists) if domain is None else domain
         self._grids: list[GridSynopsis] | None = self._build_grids()
 
-    @classmethod
-    def build(
-        cls,
-        graph: DynamicGraph,
-        groups: DegreeGroups,
-        cfg: EmbeddingConfig,
-        k_cells: int,
-        domain: float | None = None,
-    ) -> "SynopsisIndex":
-        if k_cells < 1:
-            raise InvalidParams(f"k_cells must be >= 1, got {k_cells}")
-        lists = NeighborListStore.build(graph, cfg)
-        if domain is None:
-            domain = default_domain(lists, cfg)
-        return cls(graph, groups, cfg, k_cells, domain, lists)
-
     def _build_grids(self) -> list[GridSynopsis]:
-        """One grid per degree group: each vertex above its lower bound, filed
-        under its box's high corner at the group-capped degree."""
-        lists, adj, labels, groups = self.lists, self.graph.adj, self.graph.labels, self.groups
-        a, d = lists.alpha, self.cfg.d
-
-        def entries(j: int):
-            lower, upper = groups.lower(j), groups.upper(j)
-            for v in self.graph.vertices():
-                degree = len(adj[v])
-                if degree > lower:
-                    walk, label, ub = lists.walk(v), labels[v], min(degree, upper)
-                    n = len(walk) // d
-                    head, tail = lists.frames[label]
-                    yield v, label, head, [
-                        a * _walk_sum(walk, lo + n - 2, lo - 2, -2, ub) + t
-                        for lo, t in zip(range(0, len(walk), n), tail)
-                    ]
-
+        groups = self.groups
         return [
-            GridSynopsis(j, groups.lower(j), groups.upper(j), self.k_cells, self.domain, entries(j))
+            GridSynopsis(self.lists, j, groups.lower(j), groups.upper(j), self.k_cells, self.domain)
             for j in range(groups.m)
         ]
 
@@ -741,16 +710,16 @@ class SynopsisIndex:
         self, q_embed: Vec, q_degree: int, q_label: int
     ) -> tuple[list[VertexId], ScanStats]:
         syn = self.synopses[self.groups.group_of(q_degree)]
-        return scan_candidates(syn, q_embed, q_degree, q_label, self.lists)
+        return scan_candidates(syn, q_embed, q_degree, q_label)
 
     def embedding_of(self, v: VertexId) -> Vec:
-        return self.lists.embedding(v)
+        return embed_vertex(self.graph, v, self.cfg)
 
     def snapshot(self) -> dict:
         return {
             "domain": self.domain,
             "cutoffs": self.groups.cutoffs,
-            "synopses": [syn.snapshot(self.lists) for syn in self.synopses],
+            "synopses": [syn.snapshot() for syn in self.synopses],
             "lists": {
                 v: tuple(sorted(hist.items()))
                 for v, hist in self.lists.hist.items()
@@ -771,18 +740,19 @@ class SynopsisIndex:
         return "\n".join(parts) + "\n"
 
 
-def default_domain(lists: NeighborListStore, cfg: EmbeddingConfig) -> float:
+def default_domain(lists: NeighborListStore) -> float:
     """Grid extent from the current graph's largest neighbor-sum component.
 
-    Optimized modes are dominated by the beta term, so the extent is beta
+    Optimized modes are dominated by the BETA term, so the extent is BETA
     plus headroom plus the (small) alpha image of the sum estimate; plain
     mode just covers the raw concat range.  Later growth past the estimate
     clamps into the unbounded top interval.
     """
+    cfg = lists.cfg
     sum_max = 0.0
     for v, hist in lists.hist.items():
         if hist:
             sum_max = max(sum_max, *lists.neighbor_sum(v))
     if cfg.mode == MODE_PLAIN:
         return (1.0 + _DOMAIN_EPS) * max(1.0, sum_max)
-    return cfg.beta * (1.0 + _DOMAIN_EPS) + cfg.alpha * max(1.0, sum_max)
+    return BETA * (1.0 + _DOMAIN_EPS) + cfg.alpha * max(1.0, sum_max)

@@ -144,7 +144,7 @@ def test_c03_box_bounds_equal_enumeration():
         g = small_world(n=150, avg_deg=5.0, alphabet=6, seed=seed)
         for mode in ALL_MODES:
             cfg = EmbeddingConfig(d=2, mode=mode)
-            store = NeighborListStore.build(g, cfg)
+            store = NeighborListStore(g, cfg)
             dims = 2 * cfg.d
             for v in g.vertices():
                 deg = g.degree(v)
@@ -173,13 +173,13 @@ def test_c04_maintenance_equals_rebuild_after_1000_updates():
 
     cfg = EmbeddingConfig(d=2, mode="zipf")
     g = small_world(n=200, avg_deg=5.0, alphabet=6, seed=33)
-    index = SynopsisIndex.build(g, compute_degree_groups(g, 3), cfg, 5)
+    index = SynopsisIndex(g, compute_degree_groups(g, 3), cfg, 5)
     ops = random_update_stream(g, 1000, seed=77, alphabet=6)
     assert len(ops) == 1000
     for op in ops:
         g.apply_update(op)
         index.maintain(op)
-    rebuilt = SynopsisIndex.build(g, index.groups, cfg, index.k_cells, domain=index.domain)
+    rebuilt = SynopsisIndex(g, index.groups, cfg, index.k_cells, domain=index.domain)
     assert index.snapshot() == rebuilt.snapshot()  # entry sets and histograms exact
     worst = 0.0
     for v in g.vertices():
@@ -212,8 +212,8 @@ def test_c06_pruning_power_and_mode_ordering():
         queries = cfg.make_queries(g)
         groups = compute_degree_groups(g, 3)
         for mode in ALL_MODES:
-            ecfg = EmbeddingConfig(d=2, alpha=0.1, beta=100.0, mode=mode)
-            index = SynopsisIndex.build(g, groups, ecfg, 5)
+            ecfg = EmbeddingConfig(d=2, alpha=0.1, mode=mode)
+            index = SynopsisIndex(g, groups, ecfg, 5)
             for q in queries:
                 embeds = embed_query(q, ecfg)
                 for qi in q.vertex_order:
@@ -305,7 +305,7 @@ def test_c09_cost_model_sanity():
 
     g = small_world(n=500, avg_deg=5.0, alphabet=8, label_dist="zipf", seed=5)
     cfg = EmbeddingConfig(d=2, mode="zipf")
-    index = SynopsisIndex.build(g, compute_degree_groups(g, 3), cfg, 5)
+    index = SynopsisIndex(g, compute_degree_groups(g, 3), cfg, 5)
     stats = collect_stats(index.embedding_of(v) for v in g.vertices())
 
     # monotonicity: bumping any query coordinate never raises the estimate

@@ -31,13 +31,11 @@ def test_config_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidParams, match="finite"):
             EmbeddingConfig(alpha=bad)
-        with pytest.raises(InvalidParams, match="finite"):
-            EmbeddingConfig(mode="plain", beta=bad)
     with pytest.raises(ValueError):
-        EmbeddingConfig(mode="base", alpha=50.0, beta=100.0)  # ratio below 10
+        EmbeddingConfig(mode="base", alpha=50.0)  # ratio below 10
     with pytest.raises(InvalidParams):
         EmbeddingConfig(d=0)
-    EmbeddingConfig(mode="plain", alpha=50.0, beta=100.0)  # ratio unconstrained
+    EmbeddingConfig(mode="plain", alpha=50.0)  # ratio unconstrained
 
 
 def test_zipf_rank_takes_zero_and_draw_reads_it():
@@ -204,7 +202,7 @@ def test_compose_plain_is_concatenation():
 
 
 def test_compose_base_affine():
-    cfg = EmbeddingConfig(d=2, mode="base", alpha=0.01, beta=100.0)
+    cfg = EmbeddingConfig(d=2, mode="base", alpha=0.01)
     z = base_vector(5, cfg)
     x, y = (0.5, 0.5), (1.0, 2.0)
     got = compose(x, y, 5, cfg)
@@ -217,7 +215,7 @@ def test_compose_base_affine():
 
 def test_compose_degenerate_alpha_scaling():
     # alpha -> tiny makes the embedding indistinguishable from beta * z
-    cfg = EmbeddingConfig(d=2, mode="base", alpha=1e-12, beta=100.0)
+    cfg = EmbeddingConfig(d=2, mode="base", alpha=1e-12)
     z = base_vector(3, cfg)
     got = compose((1.0, 1.0), (5.0, 5.0), 3, cfg)
     for j in range(4):

@@ -2,6 +2,7 @@ import statistics
 
 import pytest
 
+from dsmatch.embedding import BETA
 from dsmatch.errors import InvalidParams, InvalidRate
 from dsmatch.generate import (
     BenchConfig,
@@ -212,7 +213,7 @@ def test_bench_config_wiring():
     queries = cfg.make_queries(g)
     assert len(queries) == 3
     ecfg = cfg.embedding_config()
-    assert ecfg.beta / ecfg.alpha == pytest.approx(1000.0)
+    assert BETA / ecfg.alpha == pytest.approx(1000.0)
     assert ecfg.mode == "zipf"
     full, g0_, stream_, queries_ = cfg.make_inputs()
     assert (dump_graph(full), dump_graph(g0_)) == (dump_graph(g), dump_graph(g0))

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from dsmatch.errors import (
     DuplicateEdge,
+    InvalidParams,
     LabelConflict,
     MissingEdge,
     MissingLabel,
@@ -77,20 +78,12 @@ def test_update_errors():
         # a new first endpoint must not survive a rejection on the second
         (LabelConflict, UpdateOp(INSERT, 7, 0, label_u=3, label_v=9)),
         (MissingLabel, UpdateOp(INSERT, 8, 9, label_u=3)),
-        (ValueError, UpdateOp("*", 0, 2)),
+        (InvalidParams, UpdateOp("*", 0, 2)),
     ]
     for error, op in rejected:
         with pytest.raises(error):
             g.apply_update(op)
         assert dump_graph(g) == before, op
-        assert g.timestamp == 0
-
-
-def test_timestamp_advances_per_applied_op():
-    g = DynamicGraph()
-    g.apply_update(UpdateOp(INSERT, 0, 1, 0, 0, timestamp=99))
-    g.apply_update(UpdateOp(INSERT, 1, 2, 0, 0, timestamp=5))
-    assert g.timestamp == 2  # file timestamps do not drive ordering
 
 
 # -- parsing -------------------------------------------------------------

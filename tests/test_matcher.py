@@ -6,6 +6,7 @@ import pytest
 import dsmatch.matcher as matcher_mod
 from dsmatch.embedding import EmbeddingConfig, dominates
 from dsmatch.errors import (
+    DsmatchError,
     DuplicateEdge,
     InvalidParams,
     LabelConflict,
@@ -27,7 +28,7 @@ from dsmatch.matcher import (
     refine,
 )
 from dsmatch.oracle import enumerate_matches
-from dsmatch.synopsis import Cell, NeighborListStore, SynopsisIndex
+from dsmatch.synopsis import GridSynopsis, NeighborListStore, SynopsisIndex
 
 from conftest import make_graph, small_world
 from test_synopsis import random_update_stream
@@ -143,7 +144,7 @@ def test_make_plan_seeded_first_pair():
 def compiled(q, order, graph, cfg):
     """q's JoinPlan for ``order``, and a histogram store over ``graph``."""
     plan = JoinPlan.compile(q, tuple(order), embed_query(q, cfg))
-    return plan, NeighborListStore.build(graph, cfg)
+    return plan, NeighborListStore(graph, cfg)
 
 
 def test_join_plan_levels(cfg_zipf):
@@ -326,24 +327,24 @@ def test_register_fills_each_bucket_of_a_finite_group_once(any_mode_cfg, monkeyp
     cells = {  # bucket -> its cell and label
         id(vs): (cell, label)
         for syn in index.synopses
-        for cell in syn.cells.values()
+        for cell in syn.cells
         for label, (vs, _) in cell.buckets.items()
     }
     calls = Counter()  # bucket -> box_columns calls, each filling (1, 4]
     reads = defaultdict(set)  # bucket -> the degrees a scan read its tables at
-    box_columns, box_table = index.lists.box_columns, Cell.box_table
+    box_columns, box_table = index.lists.box_columns, GridSynopsis.box_table
 
     def recorded(vs, first, last):
         assert (first, last) == (1, 4)
         calls[id(vs)] += 1
         return box_columns(vs, first, last)
 
-    def read(cell, label, delta, lists, lower, upper):
+    def read(syn, cell, label, delta):
         reads[id(cell.buckets[label][0])].add(delta)
-        return box_table(cell, label, delta, lists, lower, upper)
+        return box_table(syn, cell, label, delta)
 
     monkeypatch.setattr(index.lists, "box_columns", recorded)
-    monkeypatch.setattr(Cell, "box_table", read)
+    monkeypatch.setattr(GridSynopsis, "box_table", read)
     rq = engine.register("degrees", q)
     assert rq.answers.mappings() == enumerate_matches(g, q)
     assert set(calls) == set(reads) and set(calls.values()) == {1}  # no table filled twice
@@ -555,6 +556,29 @@ def test_rejected_op_leaves_engine_untouched(any_mode_cfg):
     assert result.deltas["path"].added == {(0, 1, 7), (2, 1, 7), (7, 1, 0), (7, 1, 2)}
 
 
+def test_duplicate_registration_leaves_engine_untouched(cfg_zipf):
+    g = make_graph([(0, 1), (1, 2)], {0: 0, 1: 1, 2: 0})
+    engine = MatchEngine(g.copy(), cfg_zipf)
+    engine.register("q", q_edge(0, 1))
+    engine.register("path", QueryGraph({0: 0, 1: 1, 2: 0}, [(0, 1), (1, 2)]))
+
+    def state():
+        pairs = {
+            key: {name: (rq, list(plans)) for name, (rq, plans) in filed.items()}
+            for key, filed in engine.pairs.items()
+        }
+        answers = {name: rq.answers.mappings() for name, rq in engine.queries.items()}
+        return dict(engine.queries), pairs, answers
+
+    before = state()
+    # the package's own error, so an ``except DsmatchError`` handler sees it;
+    # the second query shares the first's label pair (0, 1)
+    with pytest.raises(DsmatchError, match="already registered"):
+        engine.register("q", QueryGraph({0: 1, 1: 0, 2: 1}, [(0, 1), (1, 2)]))
+    assert state() == before
+    assert engine.queries["q"].query.edges == ((0, 1),)
+
+
 def test_insert_then_delete_net_zero(any_mode_cfg):
     g = small_world(n=80, avg_deg=4.0, alphabet=3, seed=19)
     engine = MatchEngine(g.copy(), any_mode_cfg)
@@ -578,8 +602,8 @@ def test_zero_registered_queries_graph_still_maintained(any_mode_cfg):
     result = engine.process_update(UpdateOp(INSERT, 0, 2, label_v=4))
     assert result.deltas == {}
     assert engine.graph.has_edge(0, 2)
-    rebuilt = type(engine.index).build(
-        engine.graph, engine.groups, any_mode_cfg, engine.index.k_cells,
+    rebuilt = SynopsisIndex(
+        engine.graph, engine.index.groups, any_mode_cfg, engine.index.k_cells,
         domain=engine.index.domain,
     )
     assert engine.index.snapshot() == rebuilt.snapshot()
@@ -800,7 +824,7 @@ def test_engine_bootstraps_from_empty_graph(any_mode_cfg):
     [
         ({"d": 1, "mode": "zipf"}, {}),
         ({"d": 3, "mode": "base"}, {}),
-        ({"d": 2, "mode": "zipf", "alpha": 10.0, "beta": 100.0}, {}),  # ratio 10
+        ({"d": 2, "mode": "zipf", "alpha": 10.0}, {}),  # ratio 10
         ({"d": 2, "mode": "zipf"}, {"m_groups": 1}),
         ({"d": 2, "mode": "plain"}, {"k_cells": 1}),
         ({"d": 2, "mode": "base"}, {"m_groups": 8, "k_cells": 10}),
@@ -850,8 +874,8 @@ def test_register_mid_stream(any_mode_cfg):
     rq2 = engine.register("late", q2)
     assert rq2.answers.mappings() == enumerate_matches(engine.graph, q2)
     # its scans read grids rebuilt over the current snapshot
-    rebuilt = SynopsisIndex.build(
-        engine.graph, engine.groups, any_mode_cfg, engine.index.k_cells,
+    rebuilt = SynopsisIndex(
+        engine.graph, engine.index.groups, any_mode_cfg, engine.index.k_cells,
         domain=engine.index.domain,
     )
     for qi in q2.vertex_order:

@@ -1,0 +1,146 @@
+"""Stateful differential fuzzing of MatchEngine.
+
+A hypothesis rule-based machine drives one engine over a small labeled
+graph with inserts (some of them creating a labeled vertex), deletes,
+re-inserts of deleted edges, rejected ops and queries registered
+mid-stream.  A shadow graph receives the same accepted ops.  After every
+step each registered query's answers equal the brute-force oracle's on
+the shadow graph, and the engine's index equals a fresh build over the
+engine's graph with the same degree groups, cell count and domain.  Each
+accepted op's deltas are the answer-set differences it caused, naming
+only the queries it changed; a rejected op changes neither graph, index
+nor answers.
+"""
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from dsmatch.embedding import EmbeddingConfig
+from dsmatch.errors import DuplicateEdge, MissingEdge, SelfLoop
+from dsmatch.generate import sample_queries
+from dsmatch.graph import DELETE, INSERT, UpdateOp, dump_graph
+from dsmatch.matcher import UNCHANGED, MatchEngine
+from dsmatch.oracle import enumerate_matches
+from dsmatch.synopsis import SynopsisIndex
+
+from conftest import small_world
+
+ALPHABET = 3  # new vertices may also carry label ALPHABET, which g0 lacks
+
+
+class EngineMachine(RuleBasedStateMachine):
+    @initialize(
+        mode=st.sampled_from(["plain", "base", "zipf"]),
+        seed=st.integers(0, 3),
+        m_groups=st.integers(1, 3),
+    )
+    def build(self, mode, seed, m_groups):
+        self.shadow = small_world(n=16, avg_deg=3.0, alphabet=ALPHABET, seed=seed)
+        self.engine = MatchEngine(self.shadow.copy(), EmbeddingConfig(d=2, mode=mode), m_groups)
+        self.pool = sample_queries(self.shadow, 4, 3, 2.0, seed=seed) + sample_queries(
+            self.shadow, 2, 4, 2.0, seed=seed + 10
+        )
+        self.queries = {}
+        self.deleted = []  # edges this run deleted, maybe inserted again since
+        self.engine.register("q0", self.pool.pop())
+        self.queries["q0"] = self.engine.queries["q0"].query
+
+    def answers(self):
+        return {name: rq.answers.mappings() for name, rq in self.engine.queries.items()}
+
+    def state(self):
+        return dump_graph(self.engine.graph), self.engine.index.snapshot(), self.answers()
+
+    def apply(self, op):
+        before = self.answers()
+        result = self.engine.process_update(op)
+        self.shadow.apply_update(op)
+        after = self.answers()
+        for name in self.queries:
+            delta = result.deltas.get(name, UNCHANGED)
+            assert delta.added == after[name] - before[name]
+            assert delta.removed == before[name] - after[name]
+        assert all(d.added or d.removed for d in result.deltas.values())
+
+    def absent_pairs(self):
+        vs = sorted(self.shadow.labels)
+        return [(u, v) for u in vs for v in vs if u < v and not self.shadow.has_edge(u, v)]
+
+    @rule(data=st.data())
+    def insert(self, data):
+        u, v = data.draw(st.sampled_from(self.absent_pairs()))
+        self.apply(UpdateOp(INSERT, *data.draw(st.permutations([u, v]))))
+
+    @rule(data=st.data(), label=st.integers(0, ALPHABET), both_new=st.booleans())
+    def insert_new_vertex(self, data, label, both_new):
+        new = max(self.shadow.labels) + 1
+        if both_new:
+            op = UpdateOp(INSERT, new, new + 1, label_u=label, label_v=(label + 1) % ALPHABET)
+        else:
+            u = data.draw(st.sampled_from(sorted(self.shadow.labels)))
+            op = UpdateOp(INSERT, u, new, label_v=label)
+        self.apply(op)
+
+    @precondition(lambda self: self.shadow.num_edges)
+    @rule(data=st.data())
+    def delete(self, data):
+        u, v = data.draw(st.sampled_from(list(self.shadow.edges())))
+        self.apply(UpdateOp(DELETE, v, u) if data.draw(st.booleans()) else UpdateOp(DELETE, u, v))
+        self.deleted.append((u, v))
+
+    @precondition(lambda self: any(not self.shadow.has_edge(*e) for e in self.deleted))
+    @rule(data=st.data())
+    def reinsert(self, data):
+        gone = [e for e in self.deleted if not self.shadow.has_edge(*e)]
+        self.apply(UpdateOp(INSERT, *data.draw(st.sampled_from(gone))))
+
+    @rule(data=st.data(), kind=st.sampled_from(["duplicate", "missing", "self-loop"]))
+    def rejected(self, data, kind):
+        if kind == "duplicate" and self.shadow.num_edges:
+            edge = data.draw(st.sampled_from(list(self.shadow.edges())))
+            error, op = DuplicateEdge, UpdateOp(INSERT, *edge)
+        elif kind == "missing":
+            pair = data.draw(st.sampled_from(self.absent_pairs()))
+            error, op = MissingEdge, UpdateOp(DELETE, *pair)
+        else:
+            v = data.draw(st.sampled_from(sorted(self.shadow.labels)))
+            error, op = SelfLoop, UpdateOp(INSERT, v, v)
+        before = self.state()
+        try:
+            self.engine.process_update(op)
+        except error:
+            pass
+        else:
+            raise AssertionError(f"{op} was accepted")
+        assert self.state() == before
+
+    @precondition(lambda self: self.pool)
+    @rule()
+    def register(self):
+        name = f"q{len(self.queries)}"
+        rq = self.engine.register(name, self.pool.pop())
+        self.queries[name] = rq.query
+
+    @invariant()
+    def exact(self):
+        assert dump_graph(self.engine.graph) == dump_graph(self.shadow)
+        for name, q in self.queries.items():
+            assert self.engine.queries[name].answers.mappings() == enumerate_matches(self.shadow, q)
+        index = self.engine.index
+        fresh = SynopsisIndex(
+            self.engine.graph, index.groups, index.cfg, index.k_cells, domain=index.domain
+        )
+        assert index.snapshot() == fresh.snapshot()
+
+
+EngineMachine.TestCase.settings = settings(
+    max_examples=50, stateful_step_count=30, derandomize=True, deadline=None
+)
+TestEngineMachine = EngineMachine.TestCase

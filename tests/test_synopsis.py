@@ -163,7 +163,7 @@ def test_mbr_plain_hand_example():
     # dimension: delta 2 spans [c4 + c2, c2 + c1], delta 3 [c4 + 2c2, 2c2 + c1]
     cfg = EmbeddingConfig(d=1, mode="plain")
     g = make_graph([(0, 1), (0, 2), (0, 3), (0, 4)], {0: 0, 1: 4, 2: 2, 3: 2, 4: 1})
-    store = NeighborListStore.build(g, cfg)
+    store = NeighborListStore(g, cfg)
     (c1,), (c2,), (c4,) = (label_vector(lbl, cfg) for lbl in (1, 2, 4))
     assert c4 < c2 < c1
     x = label_vector(0, cfg)
@@ -177,15 +177,15 @@ def test_mbr_plain_hand_example():
 
 def test_mbr_full_degree_degenerates_to_point(any_mode_cfg):
     g = make_graph([(0, 1), (0, 2), (0, 3)], {0: 0, 1: 1, 2: 2, 3: 1})
-    store = NeighborListStore.build(g, any_mode_cfg)
+    store = NeighborListStore(g, any_mode_cfg)
     box = store.mbr(0, 3)
     assert all(abs(l - h) <= 1e-12 for l, h in zip(box.low, box.high))
-    assert box.high == pytest.approx(store.embedding(0), abs=1e-9)
+    assert box.high == pytest.approx(embed_vertex(g, 0, any_mode_cfg), abs=1e-9)
 
 
 def test_mbr_out_of_range(any_mode_cfg):
     g = make_graph([(0, 1)], {0: 0, 1: 1})
-    store = NeighborListStore.build(g, any_mode_cfg)
+    store = NeighborListStore(g, any_mode_cfg)
     for bad in (0, 2):
         with pytest.raises(DegreeOutOfRange):
             store.mbr(0, bad)
@@ -194,7 +194,7 @@ def test_mbr_out_of_range(any_mode_cfg):
 def test_mbr_equals_enumeration_bounds(any_mode_cfg):
     # exhaustive subset enumeration is the box oracle (degrees <= 10)
     g = small_world(n=80, avg_deg=5.0, alphabet=4, seed=11)
-    store = NeighborListStore.build(g, any_mode_cfg)
+    store = NeighborListStore(g, any_mode_cfg)
     dims = 2 * any_mode_cfg.d
     checked = 0
     for v in g.vertices():
@@ -216,21 +216,21 @@ def test_mbr_equals_enumeration_bounds(any_mode_cfg):
 
 
 def build_index(g, cfg, m=3, k=5):
-    return SynopsisIndex.build(g, compute_degree_groups(g, m), cfg, k)
+    return SynopsisIndex(g, compute_degree_groups(g, m), cfg, k)
 
 
 def test_build_empty_graph(any_mode_cfg):
     g = DynamicGraph()
     for v in range(3):
         g.add_vertex(v, v)
-    idx = SynopsisIndex.build(g, DegreeGroups((2, 4)), any_mode_cfg, 5)
+    idx = SynopsisIndex(g, DegreeGroups((2, 4)), any_mode_cfg, 5)
     assert all(len(syn) == 0 for syn in idx.synopses)
 
 
 def test_degree5_vertex_entry_caps(cfg_base):
     # groups (0,2], (2,4], (4,inf): a degree-5 center lands in all three
     g = make_graph([(0, i) for i in range(1, 6)], {0: 0, **{i: 1 for i in range(1, 6)}})
-    idx = SynopsisIndex.build(g, DegreeGroups((2, 4)), cfg_base, 5)
+    idx = SynopsisIndex(g, DegreeGroups((2, 4)), cfg_base, 5)
     caps = {syn.group: _entry(idx, syn.group, 0).ub_delta for syn in idx.synopses}
     assert caps == {0: 2, 1: 4, 2: 5}
     # each entry is filed under the high corner of the box at its cap
@@ -258,16 +258,12 @@ def test_cell_order_matches_keys(any_mode_cfg):
     g = small_world(n=100, avg_deg=5.0, alphabet=5, seed=4)
     idx = build_index(g, any_mode_cfg)
     for syn in idx.synopses:
-        keys = [-negkey for negkey, _ in syn.order]
-        assert keys == sorted(keys, reverse=True)
-        for negkey, coords in syn.order:
-            assert syn.cells[coords].key == -negkey
-            assert embedding_key_matches(syn, coords)
-
-
-def embedding_key_matches(syn, coords):
-    cell = syn.cells[coords]
-    return cell.key == embedding_key(cell.corner)
+        order = [(-cell.key, cell.coords) for cell in syn.cells]
+        assert order == sorted(order)
+        assert len(set(order)) == len(order)  # one cell per coordinates
+        for cell in syn.cells:
+            assert cell.key == embedding_key(cell.corner)
+            assert cell.corner == syn._cell_corner(cell.coords)
 
 
 # -- incremental maintenance ---------------------------------------------------
@@ -293,7 +289,7 @@ def test_group_boundary_crossing(cfg_base):
     # degree 2 -> 3 crosses the (0,2],(2,4] boundary: new entry appears in
     # group 1 while the group-0 entry stays capped at 2 with fresh content
     g = make_graph([(0, 1), (0, 2)], {0: 0, 1: 1, 2: 1, 3: 2})
-    idx = SynopsisIndex.build(g, DegreeGroups((2, 4)), cfg_base, 5)
+    idx = SynopsisIndex(g, DegreeGroups((2, 4)), cfg_base, 5)
     assert _entry(idx, 1, 0) is None
     box_before = idx.lists.mbr(0, 2)
     op = UpdateOp(INSERT, 0, 3)
@@ -308,7 +304,7 @@ def test_group_boundary_crossing(cfg_base):
     box_after = idx.lists.mbr(0, 2)
     assert box_after != box_before
     # validated against a full rebuild with identical frozen parameters
-    rebuilt = SynopsisIndex.build(g, idx.groups, cfg_base, 5, domain=idx.domain)
+    rebuilt = SynopsisIndex(g, idx.groups, cfg_base, 5, domain=idx.domain)
     assert idx.snapshot() == rebuilt.snapshot()
 
 
@@ -320,8 +316,8 @@ def _entry(idx, group, v):
     its snapshot row (vertex, ub_delta, corner); None if absent."""
     syn = idx.synopses[group]
     found = [
-        coords
-        for coords, cell in syn.cells.items()
+        cell.coords
+        for cell in syn.cells
         for vs, _ in cell.buckets.values()
         for u in vs
         if u == v
@@ -329,7 +325,7 @@ def _entry(idx, group, v):
     assert len(found) <= 1
     if not found:
         return None
-    (row,) = [r for r in syn.snapshot(idx.lists)[found[0]] if r[0] == v]
+    (row,) = [r for r in syn.snapshot()[found[0]] if r[0] == v]
     return Entry(*row)
 
 
@@ -375,7 +371,7 @@ def test_maintenance_equals_rebuild_after_stream(mode):
     for op in random_update_stream(g, 500, seed=21):
         g.apply_update(op)
         idx.maintain(op)
-    rebuilt = SynopsisIndex.build(g, idx.groups, cfg, idx.k_cells, domain=idx.domain)
+    rebuilt = SynopsisIndex(g, idx.groups, cfg, idx.k_cells, domain=idx.domain)
     assert idx.snapshot() == rebuilt.snapshot()
     # maintained neighbor sums equal from-scratch sums
     for v in g.vertices():
@@ -405,7 +401,7 @@ def test_hub_degree_boxes_and_rebuild_under_churn(any_mode_cfg):
         tied = {lbl for lbl in range(16) if label_vector(lbl, any_mode_cfg)[0] == 1 / 1024}
         assert len(tied) == 4
         assert tied <= {g.labels[n] for n in g.neighbors(0)}
-    rebuilt = SynopsisIndex.build(g, idx.groups, any_mode_cfg, idx.k_cells, domain=idx.domain)
+    rebuilt = SynopsisIndex(g, idx.groups, any_mode_cfg, idx.k_cells, domain=idx.domain)
     assert idx.snapshot() == rebuilt.snapshot()
 
     deg = g.degree(0)
@@ -503,9 +499,9 @@ def assert_reads_equal_enumeration(idx, g):
                 for bound, outward in ((box.low[j], -math.inf), (box.high[j], math.inf)):
                     for x, inside in ((bound, True), (math.nextafter(bound, outward), False)):
                         assert lists.admits(v, delta, centre[:j] + (x,) + centre[j + 1:]) == inside
-        assert not lists.admits(v, deg + 1, lists.embedding(v))
+        assert not lists.admits(v, deg + 1, embed_vertex(g, v, cfg))
     for syn in idx.synopses:
-        for cell in syn.cells.values():
+        for cell in syn.cells:
             for vs, _ in cell.buckets.values():
                 top = max(g.degree(v) for v in vs) + 1
                 for delta, table in enumerate(lists.box_columns(vs, 1, top), start=1):
@@ -581,11 +577,11 @@ def assert_box_tables_equal_admits(idx, g):
     lists, d = idx.lists, idx.cfg.d
     outcomes = set()
     for syn in idx.synopses:
-        for cell in syn.cells.values():
+        for cell in syn.cells:
             for label, (vs, _) in cell.buckets.items():
                 top = min(max(g.degree(v) for v in vs) + 1, syn.upper)
                 for delta in range(syn.lower + 1, top + 1):
-                    cell.box_table(label, delta, lists, syn.lower, syn.upper)
+                    syn.box_table(cell, label, delta)
             for (label, delta), table in cell.tables.items():
                 vs = cell.buckets[label][0]
                 head = lists.frames[label][0]
@@ -628,7 +624,7 @@ def assert_ranged_fills_equal_single_degree_fills(idx, g):
     lists = idx.lists
     rows = set()  # (has a box, is a hub's row)
     for syn in idx.synopses:
-        for cell in syn.cells.values():
+        for cell in syn.cells:
             for vs, _ in cell.buckets.values():
                 ranges = set()
                 for deg in {g.degree(v) for v in vs}:
@@ -666,14 +662,11 @@ def test_walk_is_dropped_by_a_histogram_edit(cfg_zipf):
     lists = idx.lists
     steps = [UpdateOp(INSERT, 0, 3), UpdateOp(DELETE, 0, 1), UpdateOp(INSERT, 0, 4)]
     for op in steps:
-        before = lists.mbr(0, 2), lists.neighbor_sum(0), lists.embedding(0)
+        before = lists.mbr(0, 2), lists.neighbor_sum(0)
         g.apply_update(op)
         idx.maintain(op)
-        after = lists.mbr(0, 2), lists.neighbor_sum(0), lists.embedding(0)
-        assert after == (
-            reference_box(g, 0, 2, cfg_zipf), neighbor_sum(g, 0, cfg_zipf),
-            embed_vertex(g, 0, cfg_zipf),
-        )
+        after = lists.mbr(0, 2), lists.neighbor_sum(0)
+        assert after == (reference_box(g, 0, 2, cfg_zipf), neighbor_sum(g, 0, cfg_zipf))
         assert all(a != b for a, b in zip(after, before))
         assert lists.admits(0, 2, after[0].low) and lists.admits(0, 2, after[0].high)
 
@@ -696,7 +689,7 @@ def test_scan_star_center_survives(any_mode_cfg):
     g = make_graph(
         [(0, 1), (0, 2), (0, 3)], {0: 7, 1: 1, 2: 2, 3: 3}
     )
-    idx = SynopsisIndex.build(g, DegreeGroups((2,)), any_mode_cfg, 5)
+    idx = SynopsisIndex(g, DegreeGroups((2,)), any_mode_cfg, 5)
     x = label_vector(7, any_mode_cfg)
     acc = [0.0] * any_mode_cfg.d
     for lbl in (1, 3):  # two of the three leaf labels
@@ -713,7 +706,7 @@ def test_scan_candidates_module_surface(cfg_zipf):
     idx = build_index(g, cfg_zipf, m=1)
     q = idx.embedding_of(next(iter(g.vertices())))
     syn = idx.synopses[0]
-    direct = scan_candidates(syn, q, 1, g.labels[0], idx.lists)
+    direct = scan_candidates(syn, q, 1, g.labels[0])
     via_index = idx.scan_for_degree(q, 1, g.labels[0])
     assert direct[0] == via_index[0]
 
@@ -743,14 +736,14 @@ def test_key_cutoff_never_skips_dominated_cell(any_mode_cfg):
     idx = build_index(g, any_mode_cfg)
     rng = Rng(17)
     for syn in idx.synopses:
-        for _, coords in syn.order[:20]:
-            corner = syn.cells[coords].corner
+        for cell in syn.cells[:20]:
+            corner = cell.corner
             q = tuple(
                 max(0.0, c - rng.random()) if c != math.inf else rng.random() * idx.domain
                 for c in corner
             )
             if dominated_within(q, corner):
-                assert embedding_key(q) <= syn.cells[coords].key
+                assert embedding_key(q) <= cell.key
 
 
 def test_synopsis_dump_format(cfg_base):
@@ -782,7 +775,7 @@ def naive_candidates(idx, q_embed, q_degree, q_label):
     return out
 
 
-def reference_scan(syn, q_embed, q_degree, q_label, lists):
+def reference_scan(syn, q_embed, q_degree, q_label):
     """The per-entry scan loop that label buckets replaced.
 
     Every entry meets every filter in turn: dominance of the full corner,
@@ -790,13 +783,13 @@ def reference_scan(syn, q_embed, q_degree, q_label, lists):
     the grid, then label, then the box at the query degree through
     ``mbr().contains``.
     """
+    lists = syn.store
     stats = ScanStats()
     out = []
     cutoff = embedding_key(q_embed)
-    for negkey, coords in syn.order:
-        if -negkey < cutoff:
+    for cell in syn.cells:
+        if cell.key < cutoff:
             break
-        cell = syn.cells[coords]
         entries = [v for vs, _ in cell.buckets.values() for v in vs]
         stats.cells_scanned += 1
         stats.examined += len(entries)
@@ -837,7 +830,7 @@ def test_scan_stats_equal_reference_scan(mode):
         for q in queries:
             embeds = embed_query(q, cfg)
             for qi in q.vertex_order:
-                args = (embeds[qi], q.degree(qi), q.labels[qi], idx.lists)
+                args = (embeds[qi], q.degree(qi), q.labels[qi])
                 syn = idx.synopses[idx.groups.group_of(q.degree(qi))]
                 got = scan_candidates(syn, *args)
                 assert got == reference_scan(syn, *args)
@@ -890,14 +883,15 @@ def assert_scan_equals_reference_at_first_tail_thresholds(idx, g):
     query whose first tail coordinate is t0, the float the dominance test
     compares against, and one ulp either side of it; the query's other
     coordinates are those of an entry with that t0, its head the bucket
-    label's and its degree the entry's.  Then, per other tail dimension,
+    label's and its degree the entry's, capped at the grid's upper bound
+    as a scan reads a grid only at degrees of its group.  Then, per other tail dimension,
     scan at the entry's tail with that coordinate one ulp above it, which
     the entry's column-wise dominance test must fail.  Each scan must equal
     ``reference_scan``, list and counts."""
     lists, d = idx.lists, idx.cfg.d
     tied = 0
     for syn in idx.synopses:
-        for cell in syn.cells.values():
+        for cell in syn.cells:
             for label, (vs, cols) in cell.buckets.items():
                 head = lists.frames[label][0]
                 first = {}  # t0 -> the bucket position of its first entry
@@ -906,12 +900,13 @@ def assert_scan_equals_reference_at_first_tail_thresholds(idx, g):
                 tied += len(first) < len(vs)
                 for t0, i in first.items():
                     tail = tuple(col[i] for col in cols)
+                    q_degree = min(g.degree(vs[i]), syn.upper)
                     for x in (math.nextafter(t0, -math.inf), t0, math.nextafter(t0, math.inf)):
-                        args = (head + (x,) + tail[1:], g.degree(vs[i]), label, lists)
+                        args = (head + (x,) + tail[1:], q_degree, label)
                         assert scan_candidates(syn, *args) == reference_scan(syn, *args)
                     for k in range(1, d):
                         q_tail = tail[:k] + (math.nextafter(tail[k], math.inf),) + tail[k + 1:]
-                        args = (head + q_tail, g.degree(vs[i]), label, lists)
+                        args = (head + q_tail, q_degree, label)
                         assert scan_candidates(syn, *args) == reference_scan(syn, *args)
     assert tied  # some bucket holds entries that tie on t0
 
