@@ -58,7 +58,8 @@ class DimensionMismatch(DsmatchError):
 
 
 class DegreeOutOfRange(DsmatchError):
-    """A per-degree bound was requested outside [1, deg(v)]."""
+    """A degree outside what a request covers: a box outside [1, deg(v)], a
+    degree group outside [1, inf), or a scan outside its grid's group."""
 
 
 class DegreeTooLarge(DsmatchError):

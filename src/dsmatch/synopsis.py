@@ -13,18 +13,17 @@ its neighbors' labels.  On each dimension, the box for any degree delta
 spans the sum of the delta smallest to the sum of the delta largest
 neighbor components; both come from one pass over the vertex's walk, its
 (component, count) pairs sorted on the component once per histogram
-state, adding one component per degree.  An update is one
-histogram edit per endpoint.  A grid cell buckets its vertices by label,
-whose d head coordinates a scan tests once per bucket, and keeps only their
-tail coordinates: one column per dimension, with the bucket sorted on the
-first.  A scan bisects that column, since the entries passing the first
-dominance test form a suffix, and tests the suffix column-wise: the other
-dominance dimensions against the tail columns, and the box at the query
-degree against the bucket's box table at that degree, every entry's tail
-bounds as columns.  The grid owns the fills: when a scan first needs one of
-a bucket's tables, the grid fills them at every degree of its group, from
-one ascending and one descending pass per entry and dimension over its
-walk; the open last group fills the query degree's alone.
+state, adding one component per degree.  An update is one histogram edit
+per endpoint.  A grid cell buckets its vertices by label, whose d head
+coordinates a scan tests once per bucket, and keeps their tail coordinates
+in filing order, one packed column per dimension (:func:`pack`).  A scan
+tests a whole column against a query coordinate with a few big-int
+operations (:func:`at_least`, :func:`at_most`): the tail columns for
+dominance, and the bucket's box table at the query degree, every entry's
+tail bounds as packed columns, for the box.  When a scan first needs one
+of a bucket's tables, the grid fills them at every degree of its group,
+from one ascending and one descending pass per entry and dimension over
+its walk; the open last group fills the query degree's alone.
 
 No comparison carries a slack: neighbor sums are exact and rounding is
 monotone (:mod:`dsmatch.embedding`), so every filter admits each true match
@@ -49,11 +48,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
+import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import le
+from itertools import compress
 from time import perf_counter
 from typing import Sequence
 
@@ -85,10 +85,40 @@ _MAX_BOUNDARY_COMBOS = 200_000
 M_GROUPS = 3
 K_CELLS = 5
 
+_SIGN = bytes(7) + b"\x80"  # a packed field with only bit 63 set
 
-def _both(a: bytes, b: bytes) -> bytes:
-    """Bytewise AND of two 0/1 masks of equal length."""
-    return (int.from_bytes(a, "big") & int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+def pack(col: Sequence[float]) -> int:
+    """One int whose i-th 8-byte little-endian field holds the IEEE-754 bits
+    of ``col[i]``, whatever the host's byte order.  Every packed value is
+    +0.0 or above, or -inf (a high bound past a vertex's degree)."""
+    col = array("d", col)
+    if sys.byteorder == "big":
+        col.byteswap()
+    return int.from_bytes(col.tobytes(), "little")
+
+
+def unpack(packed: int, n: int) -> tuple[float, ...]:
+    """The n floats of a packed column."""
+    return struct.unpack(f"<{n}d", packed.to_bytes(8 * n, "little"))
+
+
+def at_least(col: int, xs: int, signs: int) -> int:
+    """Bit 63 of field i set iff ``col[i] >= x``, where each field of ``xs``
+    holds a packed x >= +0.0 and each field of ``signs`` bit 63 alone.
+
+    Bit 63 is clear in x and in every non-negative value, whose bits then
+    order as unsigned ints as the floats do: setting it puts a field 2^63
+    above x, and the difference keeps it iff the float is at least x.
+    Flipping it on -inf leaves +inf's bits, at most 2^63 - 1 after the
+    subtraction, so -inf fails.  No field goes negative: no borrow crosses."""
+    return ((col ^ signs) - xs) & signs
+
+
+def at_most(col: int, xs: int, signs: int) -> int:
+    """:func:`at_least` with the sides swapped: ``col[i] <= x``, for every
+    field of ``col`` +0.0 or above."""
+    return ((xs | signs) - col) & signs
 
 
 # -- degree grouping ----------------------------------------------------------
@@ -116,7 +146,7 @@ class DegreeGroups:
 
     def group_of(self, degree: int) -> int:
         if degree < 1:
-            raise ValueError(f"degree {degree} belongs to no group")
+            raise DegreeOutOfRange(f"degree {degree} outside every group's range [1, inf)")
         return bisect_left(self.cutoffs, degree)
 
 
@@ -149,11 +179,7 @@ def compute_degree_groups(g0: DynamicGraph, m: int) -> DegreeGroups:
     if math.comb(n - 1, n_cuts) <= _MAX_BOUNDARY_COMBOS:
         best = None
         for cuts in itertools.combinations(range(1, n), n_cuts):
-            sizes = []
-            prev = 0
-            for c in (*cuts, n):
-                sizes.append(sum(masses[prev:c]))
-                prev = c
+            sizes = [sum(masses[a:b]) for a, b in zip((0, *cuts), (*cuts, n))]
             key = (max(sizes) - min(sizes), max(sizes), cuts)
             if best is None or key < best:
                 best = key
@@ -381,28 +407,26 @@ class NeighborListStore:
 
 
 class Cell:
-    """One grid cell: its coordinates, corner and key, and its entries
-    bucketed by label.
+    """One grid cell: its coordinates, corner and key, its entry count, and
+    its entries bucketed by label.
 
-    A bucket holds its vertices in ascending order of their first tail
-    coordinate (a stable sort) and, per tail dimension, one column of their
-    tail coordinates in that order.  ``tables`` holds the buckets' box
-    tables, which the owning grid fills (:meth:`GridSynopsis.box_table`).
-    Tables die with the grid, so they always describe the current graph.
+    A bucket holds its vertices in filing order and, per tail dimension,
+    their tail coordinates in that order as one packed column (:func:`pack`).
+    ``tables`` holds the buckets' box tables, packed alike, which the owning
+    grid fills (:meth:`GridSynopsis.box_table`).  Tables die with the grid,
+    so they always describe the current graph.
     """
 
-    __slots__ = ("coords", "corner", "key", "buckets", "tables")
+    __slots__ = ("coords", "corner", "key", "size", "buckets", "tables")
 
     def __init__(self, coords: tuple[int, ...], corner: Vec):
         self.coords = coords
         self.corner = corner
         self.key = embedding_key(corner)
-        self.buckets: dict[Label, tuple[list[VertexId], tuple[array, ...]]] = {}
-        # (label, delta) -> per tail dimension, its (low, high) columns
-        self.tables: dict[tuple[Label, int], list[tuple[array, array]]] = {}
-
-    def __len__(self) -> int:
-        return sum(len(vs) for vs, _ in self.buckets.values())
+        self.size = 0
+        self.buckets: dict[Label, tuple[list[VertexId], tuple[int, ...]]] = {}
+        # (label, delta) -> per tail dimension, its packed (low, high) columns
+        self.tables: dict[tuple[Label, int], list[tuple[int, int]]] = {}
 
 
 @dataclass
@@ -427,25 +451,19 @@ class ScanStats:
     @property
     def pruning_power(self) -> float:
         """1 - survivors/examined; 1.0 when the key cutoff examined nothing."""
-        if self.examined == 0:
-            return 1.0
-        return 1.0 - self.survivors / self.examined
+        return 1.0 - self.survivors / self.examined if self.examined else 1.0
 
     @property
     def dominated(self) -> int:
-        """Entries the query embedding dominates, labels disregarded.
-
-        This is the false-alarm count the embedding-mode designs compete
-        on; the label and box filters downstream are mode-insensitive.
-        """
+        """Entries the query embedding dominates, labels disregarded: the
+        false-alarm count the embedding modes compete on, as the label and
+        box filters downstream are mode-insensitive."""
         return self.examined - self.pruned_cell - self.pruned_dominance
 
     @property
     def dominance_pruning_power(self) -> float:
         """1 - dominated/examined: pruning by dominance filters alone."""
-        if self.examined == 0:
-            return 1.0
-        return 1.0 - self.dominated / self.examined
+        return 1.0 - self.dominated / self.examined if self.examined else 1.0
 
 
 class GridSynopsis:
@@ -462,12 +480,7 @@ class GridSynopsis:
     """
 
     def __init__(
-        self,
-        store: NeighborListStore,
-        group: int,
-        lower: int,
-        upper: float,
-        k_cells: int,
+        self, store: NeighborListStore, group: int, lower: int, upper: float, k_cells: int,
         domain: float,
     ):
         self.store = store
@@ -504,21 +517,17 @@ class GridSynopsis:
                 bucket = cell.buckets[label] = ([], array("d"))
             bucket[0].append(v)
             bucket[1].fromlist(tail)
-        for cell in cells.values():  # flat tails -> columns, sorted on the first
+        for cell in cells.values():  # flat tails -> one packed column per dimension
             for label, (vs, tails) in cell.buckets.items():
-                order = sorted(range(len(vs)), key=tails[0::d].__getitem__)
-                cell.buckets[label] = (
-                    [vs[i] for i in order],
-                    tuple(array("d", map(tails[k::d].__getitem__, order)) for k in range(d)),
-                )
+                cell.buckets[label] = (vs, tuple(pack(tails[k::d]) for k in range(d)))
+                cell.size += len(vs)
         self.cells: list[Cell] = sorted(cells.values(), key=lambda c: (-c.key, c.coords))
 
     def __len__(self) -> int:
-        return sum(map(len, self.cells))
+        return sum(c.size for c in self.cells)
 
     def cell_coords(self, point: Vec) -> tuple[int, ...]:
-        k = self.k_cells
-        w = self.width
+        k, w = self.k_cells, self.width
         return tuple(min(int(x / w) if x > 0 else 0, k - 1) for x in point)
 
     def _cell_corner(self, coords: tuple[int, ...]) -> Vec:
@@ -526,48 +535,46 @@ class GridSynopsis:
             math.inf if c == self.k_cells - 1 else (c + 1) * self.width for c in coords
         )
 
-    def box_table(self, cell: Cell, label: Label, delta: int) -> list[tuple[array, array]]:
-        """The box columns of the cell's label bucket at delta, a degree of
-        the grid's group (lower, upper].
+    def box_table(self, cell: Cell, label: Label, delta: int) -> list[tuple[int, int]]:
+        """The packed box columns of the cell's label bucket at delta, a
+        degree of the grid's group (lower, upper].
 
         A miss fills the bucket's tables at every degree of a finite group
         in one ``box_columns`` call, or at delta alone in the open last
-        group."""
+        group, and packs them."""
         table = cell.tables.get((label, delta))
         if table is None:
             upper = self.upper
             first, last = (self.lower + 1, upper) if upper < math.inf else (delta, delta)
             vs = cell.buckets[label][0]
             for at, filled in enumerate(self.store.box_columns(vs, first, last), first):
-                cell.tables[label, at] = filled
+                cell.tables[label, at] = [(pack(lows), pack(highs)) for lows, highs in filled]
             table = cell.tables[label, delta]
         return table
 
     def snapshot(self) -> dict:
         """Canonical content for equality checks (entry order independent):
-        per cell, sorted (vertex, capped degree, corner)."""
+        per cell, sorted (vertex, capped degree, corner), its tail decoded
+        from the packed columns."""
         adj, frames = self.store.graph.adj, self.store.frames
         return {
             c.coords: sorted(
                 (v, min(len(adj[v]), self.upper), frames[lbl][0] + tail)
                 for lbl, (vs, cols) in c.buckets.items()
-                for v, tail in zip(vs, zip(*cols))
+                for v, tail in zip(vs, zip(*(unpack(col, len(vs)) for col in cols)))
             )
             for c in self.cells
         }
 
     def dump(self) -> str:
         return "\n".join(
-            f"cell {','.join(map(str, c.coords))} key={c.key:.6g} entries={len(c)}"
+            f"cell {','.join(map(str, c.coords))} key={c.key:.6g} entries={c.size}"
             for c in self.cells
         )
 
 
 def scan_candidates(
-    syn: GridSynopsis,
-    q_embed: Vec,
-    q_degree: int,
-    q_label: int,
+    syn: GridSynopsis, q_embed: Vec, q_degree: int, q_label: int
 ) -> tuple[list[VertexId], ScanStats]:
     """Candidate vertices for one query vertex from one synopsis, whose
     degree group must hold ``q_degree``.
@@ -580,55 +587,58 @@ def scan_candidates(
     match image is ever dropped.
 
     A bucket fails dominance whole when the query's head coordinates exceed
-    its label's.  Otherwise, as the bucket is sorted on its first tail
-    column, a bisection finds the suffix passing the first tail dimension;
-    the other dimensions, and for a same-label bucket the box test against
-    its box table at the query degree, run column-wise on that suffix.
+    its label's.  Otherwise each tail dimension tests the whole bucket at
+    once: its packed column against the query coordinate repeated in every
+    field (:func:`at_least`), and for a same-label bucket the packed low and
+    high columns of its box table at the query degree (:func:`at_most`,
+    :func:`at_least`).  The masks AND into one whose set bits count and
+    select the survivors, in bucket order.  The query's tail coordinates
+    must be +0.0 or above, as every embedding's are.
     """
-    stats = ScanStats()
+    if not syn.lower < q_degree <= syn.upper:
+        raise DegreeOutOfRange(
+            f"query degree {q_degree} outside synopsis {syn.group}'s group "
+            f"({syn.lower}, {syn.upper}]"
+        )
     out: list[VertexId] = []
     cutoff = embedding_key(q_embed)
     frames, d = syn.store.frames, syn.store.cfg.d
-    q_head, q_tail = q_embed[:d], q_embed[d:]
-    pruned_dominance = pruned_label = pruned_box = 0
+    q_head = q_embed[:d]
+    q_fields = [struct.pack("<d", x) for x in q_embed[d:]]
+    scanned = examined = pruned_cell = pruned_dominance = pruned_label = pruned_box = 0
     for cell in syn.cells:
         if cell.key < cutoff:
             break
-        n = len(cell)
-        stats.cells_scanned += 1
-        stats.examined += n
+        scanned += 1
+        examined += cell.size
         if not dominates(q_embed, cell.corner):
-            stats.pruned_cell += n
+            pruned_cell += cell.size
             continue
         for label, (vs, cols) in cell.buckets.items():
+            n = len(vs)
             # every corner in the bucket has its label's frame head
             if not dominates(q_head, frames[label][0]):
-                pruned_dominance += len(vs)
+                pruned_dominance += n
                 continue
-            # x0 <= t0 holds exactly on the suffix [p:] of the bucket, sorted
-            # on t0; the other tests run column-wise on it
-            p = bisect_left(cols[0], q_tail[0])
-            mask = b"\x01" * (len(vs) - p)  # per suffix entry: 1 while it passes every test
-            for x, col in zip(q_tail[1:], cols[1:]):
-                mask = _both(mask, bytes(map(le, repeat(x), col[p:])))
-            dominated = mask.count(1)
-            pruned_dominance += len(vs) - dominated
+            signs = int.from_bytes(_SIGN * n, "little")
+            xs = [int.from_bytes(x * n, "little") for x in q_fields]
+            mask = signs  # bit 63 of an entry's field: set while it passes every test
+            for x, col in zip(xs, cols):
+                mask &= at_least(col, x, signs)
+            dominated = mask.bit_count()
+            pruned_dominance += n - dominated
             if not dominated:
                 continue
             if label != q_label:
                 pruned_label += dominated
                 continue
-            table = syn.box_table(cell, label, q_degree)
-            for x, (lows, highs) in zip(q_tail, table):
-                mask = _both(mask, bytes(map(le, lows[p:], repeat(x))))
-                mask = _both(mask, bytes(map(le, repeat(x), highs[p:])))
-            pruned_box += dominated - mask.count(1)
-            out.extend(compress(vs[p:], mask))
-    stats.pruned_dominance = pruned_dominance
-    stats.pruned_label = pruned_label
-    stats.pruned_box = pruned_box
-    stats.survivors = len(out)
-    return out, stats
+            for x, (lows, highs) in zip(xs, syn.box_table(cell, label, q_degree)):
+                mask &= at_most(lows, x, signs) & at_least(highs, x, signs)
+            pruned_box += dominated - mask.bit_count()
+            out.extend(compress(vs, mask.to_bytes(8 * n, "little")[7::8]))
+    return out, ScanStats(
+        scanned, examined, pruned_cell, pruned_dominance, pruned_label, pruned_box, len(out)
+    )
 
 
 # -- the full index -----------------------------------------------------------
@@ -660,11 +670,7 @@ class SynopsisIndex:
     """
 
     def __init__(
-        self,
-        graph: DynamicGraph,
-        groups: DegreeGroups,
-        cfg: EmbeddingConfig,
-        k_cells: int,
+        self, graph: DynamicGraph, groups: DegreeGroups, cfg: EmbeddingConfig, k_cells: int,
         domain: float | None = None,
     ):
         if k_cells < 1:
@@ -720,20 +726,14 @@ class SynopsisIndex:
             "domain": self.domain,
             "cutoffs": self.groups.cutoffs,
             "synopses": [syn.snapshot() for syn in self.synopses],
-            "lists": {
-                v: tuple(sorted(hist.items()))
-                for v, hist in self.lists.hist.items()
-                if hist
-            },
+            "lists": {v: tuple(sorted(h.items())) for v, h in self.lists.hist.items() if h},
         }
 
     def dump(self) -> str:
         parts = []
         for syn in self.synopses:
-            parts.append(
-                f"# synopsis {syn.group} degrees ({syn.lower}, {syn.upper}] "
-                f"entries={len(syn)}"
-            )
+            parts.append(f"# synopsis {syn.group} degrees ({syn.lower}, {syn.upper}] "
+                         f"entries={len(syn)}")
             text = syn.dump()
             if text:
                 parts.append(text)

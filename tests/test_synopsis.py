@@ -1,5 +1,7 @@
 import itertools
 import math
+import struct
+from array import array
 from collections import namedtuple
 
 import pytest
@@ -24,9 +26,13 @@ from dsmatch.synopsis import (
     NeighborListStore,
     ScanStats,
     SynopsisIndex,
+    at_least,
+    at_most,
     compute_degree_groups,
     dominated_within,
+    pack,
     scan_candidates,
+    unpack,
 )
 
 from conftest import make_graph, small_world
@@ -570,10 +576,11 @@ def assert_box_tables_equal_admits(idx, g):
     """Fill every bucket's box tables as scans fill them: through the grid's
     group range at once in a finite group, and at each delta from the
     group's lowest to one past the bucket's largest degree in the open one.
-    Each filled table holds, per tail dimension, the columns of ``mbr``'s
-    low and high bounds in bucket order; its test, ``lo <= x <= hi`` per
-    tail dimension, must give ``admits``' verdict on every entry it covers,
-    probed at each bound and one ulp either side of it."""
+    Each filled table holds, per tail dimension, the packed columns of
+    ``mbr``'s low and high bounds in bucket order; decoded, its test,
+    ``lo <= x <= hi`` per tail dimension, must give ``admits``' verdict on
+    every entry it covers, probed at each bound and one ulp either side of
+    it."""
     lists, d = idx.lists, idx.cfg.d
     outcomes = set()
     for syn in idx.synopses:
@@ -582,11 +589,12 @@ def assert_box_tables_equal_admits(idx, g):
                 top = min(max(g.degree(v) for v in vs) + 1, syn.upper)
                 for delta in range(syn.lower + 1, top + 1):
                     syn.box_table(cell, label, delta)
-            for (label, delta), table in cell.tables.items():
+            for (label, delta), packed in cell.tables.items():
                 vs = cell.buckets[label][0]
                 head = lists.frames[label][0]
-                assert len(table) == d
-                assert all(len(lows) == len(highs) == len(vs) for lows, highs in table)
+                assert len(packed) == d
+                # unpack raises OverflowError on a column wider than the bucket
+                table = [(unpack(lows, len(vs)), unpack(highs, len(vs))) for lows, highs in packed]
                 for i, v in enumerate(vs):
                     lows = tuple(col[i] for col, _ in table)
                     highs = tuple(col[i] for _, col in table)
@@ -878,43 +886,162 @@ def test_scan_equals_linear_filter(mode):
     check()
 
 
-def assert_scan_equals_reference_at_first_tail_thresholds(idx, g):
-    """For each distinct first tail coordinate t0 of each bucket, scan for a
-    query whose first tail coordinate is t0, the float the dominance test
-    compares against, and one ulp either side of it; the query's other
-    coordinates are those of an entry with that t0, its head the bucket
-    label's and its degree the entry's, capped at the grid's upper bound
-    as a scan reads a grid only at degrees of its group.  Then, per other tail dimension,
-    scan at the entry's tail with that coordinate one ulp above it, which
-    the entry's column-wise dominance test must fail.  Each scan must equal
-    ``reference_scan``, list and counts."""
-    lists, d = idx.lists, idx.cfg.d
+def assert_scan_equals_reference_at_tail_thresholds(idx, g):
+    """For each tail dimension k and each distinct value t of a bucket's
+    decoded column k, scan for a query whose coordinate k is t, the float
+    the dominance test compares against, and one ulp either side of it; the
+    query's other coordinates are those of an entry with that t, its head
+    the bucket label's and its degree the entry's, capped at the grid's
+    upper bound as a scan reads a grid only at degrees of its group.  Each
+    scan must equal ``reference_scan``, list and counts."""
+    lists = idx.lists
     tied = 0
     for syn in idx.synopses:
         for cell in syn.cells:
-            for label, (vs, cols) in cell.buckets.items():
+            for label, (vs, packed) in cell.buckets.items():
                 head = lists.frames[label][0]
-                first = {}  # t0 -> the bucket position of its first entry
-                for i, t0 in enumerate(cols[0]):
-                    first.setdefault(t0, i)
-                tied += len(first) < len(vs)
-                for t0, i in first.items():
-                    tail = tuple(col[i] for col in cols)
-                    q_degree = min(g.degree(vs[i]), syn.upper)
-                    for x in (math.nextafter(t0, -math.inf), t0, math.nextafter(t0, math.inf)):
-                        args = (head + (x,) + tail[1:], q_degree, label)
-                        assert scan_candidates(syn, *args) == reference_scan(syn, *args)
-                    for k in range(1, d):
-                        q_tail = tail[:k] + (math.nextafter(tail[k], math.inf),) + tail[k + 1:]
-                        args = (head + q_tail, q_degree, label)
-                        assert scan_candidates(syn, *args) == reference_scan(syn, *args)
-    assert tied  # some bucket holds entries that tie on t0
+                cols = [unpack(col, len(vs)) for col in packed]
+                for k, col in enumerate(cols):
+                    first = {}  # t -> the bucket position of its first entry
+                    for i, t in enumerate(col):
+                        first.setdefault(t, i)
+                    tied += len(first) < len(vs)
+                    for t, i in first.items():
+                        tail = tuple(c[i] for c in cols)
+                        q_degree = min(g.degree(vs[i]), syn.upper)
+                        for x in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)):
+                            args = (head + tail[:k] + (x,) + tail[k + 1:], q_degree, label)
+                            assert scan_candidates(syn, *args) == reference_scan(syn, *args)
+    assert tied  # some bucket holds entries that tie on a tail coordinate
 
 
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
-def test_scan_bisects_first_tail_column_at_the_threshold(mode):
-    # a bucket's entries passing the first dominance test form the suffix
-    # that bisect_left finds; bisect_right would drop the ties sitting
-    # exactly on the threshold
-    run_hub_churn(mode, assert_scan_equals_reference_at_first_tail_thresholds)
+def test_scan_at_each_tail_threshold(mode):
+    # an entry whose tail coordinate ties the query's passes the packed
+    # dominance test; one ulp above it, it fails
+    run_hub_churn(mode, assert_scan_equals_reference_at_tail_thresholds)
 
+
+def assert_snapshot_corners_equal_boxes(idx, g):
+    """Every grid holds each vertex above its lower bound once, and the
+    corner ``snapshot`` decodes for it is the high bound of its box at the
+    group-capped degree."""
+    for syn in idx.synopses:
+        rows = [row for cell_rows in syn.snapshot().values() for row in cell_rows]
+        assert sorted(v for v, _, _ in rows) == sorted(
+            v for v in g.vertices() if g.degree(v) > syn.lower
+        )
+        for v, ub, corner in rows:
+            assert ub == min(g.degree(v), syn.upper)
+            assert corner == idx.lists.mbr(v, ub).high
+
+
+@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
+def test_snapshot_decodes_each_corner(mode):
+    # a maintained and a fresh snapshot decode alike, so comparing them
+    # cannot catch a decoding fault; the box oracle can
+    run_hub_churn(mode, assert_snapshot_corners_equal_boxes)
+
+
+def test_scan_outside_its_group_raises_degree_out_of_range(cfg_zipf):
+    # vertex 0 has degree 2, the top of group 0, (0, 2]: a query equal to
+    # its embedding dominates its corner and reaches its bucket's box test
+    g = make_graph([(0, 1), (0, 2), (3, 4), (3, 5), (3, 6)], {v: v % 2 for v in range(7)})
+    idx = SynopsisIndex(g, DegreeGroups((2, 4)), cfg_zipf, 5)
+    q = idx.embedding_of(0)
+    assert scan_candidates(idx.synopses[0], q, 2, 0)[0] == [0]
+    with pytest.raises(DegreeOutOfRange, match=r"degree 3 .*\(0, 2\]"):
+        scan_candidates(idx.synopses[0], q, 3, 0)
+    with pytest.raises(DegreeOutOfRange, match=r"degree 2 .*\(2, 4\]"):
+        scan_candidates(idx.synopses[1], q, 2, 0)
+    for bad in (0, -1):
+        with pytest.raises(DegreeOutOfRange, match=rf"degree {bad} .*\[1, inf\)"):
+            idx.scan_for_degree(q, bad, 0)
+
+
+# -- the packed column tests ---------------------------------------------------
+
+
+def _is_nonnegative(x):
+    """+0.0 or above, +inf included; -0.0 and NaN are not."""
+    return x >= 0.0 and math.copysign(1.0, x) == 1.0
+
+
+NONNEGATIVE = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                     1.0, 1 / 1024, 100.0, math.inf]),
+    st.floats(min_value=0.0, allow_nan=False).filter(_is_nonnegative),
+)
+
+
+def _fields(mask, n):
+    """Per field of a test's mask, whether bit 63 is set; no other bit may be."""
+    signs = int.from_bytes((bytes(7) + b"\x80") * n, "little")
+    assert mask & ~signs == 0
+    return [bool(mask >> (64 * i + 63) & 1) for i in range(n)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_packed_tests_equal_float_comparisons(data):
+    # columns mixing zero, subnormals, +inf, exact ties with x and x one
+    # float step either side; a high column may also hold -inf
+    x = data.draw(NONNEGATIVE, label="x")
+    near = st.sampled_from([x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)])
+    col = data.draw(st.lists(st.one_of(near, NONNEGATIVE), min_size=1, max_size=24), label="col")
+    n = len(col)
+    packed = pack(array("d", col))
+    assert packed == pack(col) == int.from_bytes(struct.pack(f"<{n}d", *col), "little")
+    assert unpack(packed, n) == tuple(col)
+    signs = int.from_bytes((bytes(7) + b"\x80") * n, "little")
+    xs = int.from_bytes(struct.pack("<d", x) * n, "little")
+    assert _fields(at_least(packed, xs, signs), n) == [c >= x for c in col]
+    assert _fields(at_most(packed, xs, signs), n) == [c <= x for c in col]
+    highs = [-math.inf if i % 3 == 1 else c for i, c in enumerate(col)]
+    assert _fields(at_least(pack(highs), xs, signs), n) == [c >= x for c in highs]
+    # a row past a vertex's degree, (+inf, -inf), fails whatever x is
+    no_box = at_most(pack([math.inf] * n), xs, signs) & at_least(pack([-math.inf] * n), xs, signs)
+    assert no_box == 0
+
+
+def test_rows_past_a_vertex_degree_fail_the_box_test(cfg_plain):
+    # vertices 0 (degree 1) and 2 (degree 3) share label 0 in the open
+    # group; a query at degree 2 equal to vertex 0's embedding dominates its
+    # corner, but its table row at degree 2 is (+inf, -inf): pruned by box
+    g = make_graph([(0, 1), (2, 3), (2, 4), (2, 5)], {0: 0, 1: 1, 2: 0, 3: 1, 4: 1, 5: 1})
+    idx = SynopsisIndex(g, DegreeGroups(()), cfg_plain, 1)
+    [syn] = idx.synopses
+    [cell] = syn.cells
+    assert cell.buckets[0][0] == [0, 2]
+    q = idx.embedding_of(0)
+    cands, stats = scan_candidates(syn, q, 2, 0)
+    assert (cands, stats) == reference_scan(syn, q, 2, 0)
+    assert cands == [] and stats.pruned_box == 2  # 0 by its fill, 2 by its box low
+    for lows, highs in syn.box_table(cell, 0, 2):
+        assert (unpack(lows, 2)[0], unpack(highs, 2)[0]) == (math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
+def test_every_packed_value_and_query_tail_is_nonnegative(mode):
+    # the packed tests' precondition: query tails, corners and box lows are
+    # +0.0 or above, box highs too or -inf past a vertex's degree
+    from dsmatch.generate import sample_queries
+    from dsmatch.matcher import embed_query
+
+    cfg = EmbeddingConfig(d=2, mode=mode)
+    g = small_world(n=120, avg_deg=5.0, alphabet=4, seed=71)
+    idx = build_index(g, cfg)
+    d = cfg.d
+    for q in sample_queries(g, 6, 4, 2.0, seed=43):
+        for embed in embed_query(q, cfg).values():
+            assert all(map(_is_nonnegative, embed[d:]))
+    for syn in idx.synopses:
+        for cell in syn.cells:
+            for label, (vs, packed) in cell.buckets.items():
+                for col in packed:
+                    assert all(map(_is_nonnegative, unpack(col, len(vs))))
+                top = max(g.degree(v) for v in vs) + 1
+                for table in idx.lists.box_columns(vs, 1, top):
+                    for lows, highs in table:
+                        assert all(map(_is_nonnegative, lows))
+                        assert all(_is_nonnegative(h) or h == -math.inf for h in highs)

@@ -16,11 +16,13 @@ as ``q0``, ``q1``, ... and replays the stream once.  It prints one SHA-256
 per line for:
 
 * ``scan_stats``: every query's per-vertex ``ScanStats``;
+* ``candidates``: every query vertex's sorted ``scan_for_degree``
+  candidates, scanned again right after registration;
 * ``initial``:    the answers right after registration;
 * ``deltas``:     each op's non-empty per-query deltas, or that it raised;
 * ``final``:      the answers after the last op.
 
-Two trees that print the same four hashes found the same candidates with
+Two trees that print the same five hashes found the same candidates with
 the same pruning counts and kept the same answers after every op.
 """
 
@@ -71,6 +73,14 @@ def fingerprint(workload: str) -> dict[str, str]:
         name: [[qi, dataclasses.asdict(s)] for qi, s in rq.scan_stats.items()]
         for name, rq in engine.queries.items()
     }
+    candidates = {
+        name: [
+            [qi, sorted(engine.index.scan_for_degree(
+                rq.embeds[qi], rq.query.degree(qi), rq.query.labels[qi])[0])]
+            for qi in rq.query.vertex_order
+        ]
+        for name, rq in engine.queries.items()
+    }
     initial = answers(engine)
     deltas = []
     for op in inputs.stream:
@@ -86,6 +96,7 @@ def fingerprint(workload: str) -> dict[str, str]:
         ])
     return {
         "scan_stats": digest(scan_stats),
+        "candidates": digest(candidates),
         "initial": digest(initial),
         "deltas": digest(deltas),
         "final": digest(answers(engine)),
