@@ -29,11 +29,15 @@ No comparison carries a slack: neighbor sums are exact and rounding is
 monotone (:mod:`dsmatch.embedding`), so every filter admits each true match
 image by construction.
 
-The grids are build-only.  Only candidate scans read them, so an update
-just drops them, with their box tables, and the next scan, snapshot or
-dump rebuilds them from the histograms with the same frozen degree groups,
-domain and cell count: a maintained index equals a rebuild by
-construction.
+The grids are build-only.  One pass over the vertices builds all of them:
+one descending pass per vertex and dimension over its walk gives the
+exact sum at each of its group caps in ascending order, the last at its
+degree, so the same pass yields the full neighbor sums the default grid
+domain is read off (:func:`default_domain`).  Only candidate scans read
+the grids, so an update just drops them, with their box tables, and the
+next scan, snapshot or dump rebuilds them from the histograms with the
+same frozen degree groups, domain and cell count: a maintained index
+equals a rebuild by construction.
 
 Scans and maintenance follow the single-writer contract of the graph.
 Maintenance is exclusive, and so are three kinds of first read after it:
@@ -133,6 +137,13 @@ class DegreeGroups:
     """
 
     cutoffs: tuple[int, ...]
+
+    def __post_init__(self):
+        c = self.cutoffs
+        if not all(isinstance(x, int) for x in c) or not all(a < b for a, b in zip((0, *c), c)):
+            raise InvalidParams(
+                f"degree-group cutoffs must be strictly increasing integers >= 1, got {c}"
+            )
 
     @property
     def m(self) -> int:
@@ -317,6 +328,32 @@ class NeighborListStore:
         n = len(walk) // self.cfg.d
         return tuple(_walk_sum(walk, k * n, k * n + n, 2, deg) for k in range(self.cfg.d))
 
+    def capped_sums(self, v: VertexId, caps: Sequence[int]) -> list[float]:
+        """Per dimension in turn, the sum of v's ``cap`` largest neighbor
+        components at each cap of ``caps``, ascending from 1 to at most
+        deg(v), which must be 1 or more: the raw high bounds of its boxes
+        at those degrees.
+
+        One descending pass per walk segment serves every cap, adding the
+        components past the cap before to the exact sum at that cap."""
+        walk = self.walk(v)
+        n = len(walk) // self.cfg.d
+        sums = []
+        for end in range(n - 2, len(walk), n):
+            acc, taken, i = 0.0, 0, end
+            comp, c = walk[i], walk[i + 1]  # c: what is left of the current pair's count
+            for cap in caps:
+                while cap - taken > c:
+                    acc += c * comp
+                    taken += c
+                    i -= 2
+                    comp, c = walk[i], walk[i + 1]
+                acc += (cap - taken) * comp
+                c -= cap - taken
+                taken = cap
+                sums.append(acc)
+        return sums
+
     def mbr(self, v: VertexId, delta: int) -> Mbr:
         """Bounds over embeddings of all delta-leaf star subsets of v."""
         deg = self.degree(v)
@@ -469,20 +506,26 @@ class ScanStats:
 class GridSynopsis:
     """Equal-width grid over one degree group's capped-degree corners.
 
-    Built once from the store's histograms and never edited: each vertex
-    above the group's lower bound is filed under the high corner of its box
-    at the group-capped degree.  ``cells`` lists the non-empty cells in scan
-    order, descending key with ties on coordinates.  The top interval on
-    each dimension is unbounded (its corner coordinate is +inf): values
-    beyond the frozen domain clamp into it, which keeps the key cutoff and
-    cell dominance sound when the graph drifts past the initial extent
-    estimate.  The grid fills its cells' box tables from the store.
+    Built once and never edited, from the entries its index stages: each
+    vertex above the group's lower bound, filed under the high corner of
+    its box at the group-capped degree.  ``cells`` lists the non-empty
+    cells in scan order, descending key with ties on coordinates.  The top
+    interval on each dimension is unbounded (its corner coordinate is
+    +inf): values beyond the frozen domain clamp into it, which keeps the
+    key cutoff and cell dominance sound when the graph drifts past the
+    initial extent estimate.  The grid fills its cells' box tables from the
+    store.
     """
 
     def __init__(
         self, store: NeighborListStore, group: int, lower: int, upper: float, k_cells: int,
-        domain: float,
+        domain: float, staged: dict[Label, tuple[list[VertexId], array]],
     ):
+        """File the staged entries under their corners, emptying ``staged``:
+        per label, its vertices in graph order and, flat and in turn, their
+        d raw capped sums.  A cell keeps its buckets in the graph order of
+        their first vertices, the order in which filing one vertex at a time
+        makes them."""
         self.store = store
         self.group = group
         self.lower = lower
@@ -490,45 +533,45 @@ class GridSynopsis:
         self.k_cells = k_cells
         self.domain = domain
         self.width = domain / k_cells
-        adj, labels = store.graph.adj, store.graph.labels
         a, d = store.alpha, store.cfg.d
         cells: dict[tuple[int, ...], Cell] = {}
-        heads: dict[Label, tuple[int, ...]] = {}  # label -> its head's cell coordinates
-        for v in store.graph.vertices():
-            degree = len(adj[v])
-            if degree <= lower:
-                continue
-            walk, label, ub = store.walk(v), labels[v], min(degree, upper)
-            n = len(walk) // d
+        while staged:  # each label's sums are freed once read
+            label, (vs, sums) = staged.popitem()
             head, frame_tail = store.frames[label]
-            tail = [
-                a * _walk_sum(walk, lo + n - 2, lo - 2, -2, ub) + t
-                for lo, t in zip(range(0, len(walk), n), frame_tail)
-            ]
-            head_coords = heads.get(label)
-            if head_coords is None:
-                head_coords = heads[label] = self.cell_coords(head)
-            coords = head_coords + self.cell_coords(tail)
-            cell = cells.get(coords)
-            if cell is None:
-                cell = cells[coords] = Cell(coords, self._cell_corner(coords))
-            bucket = cell.buckets.get(label)
-            if bucket is None:
-                bucket = cell.buckets[label] = ([], array("d"))
-            bucket[0].append(v)
-            bucket[1].fromlist(tail)
-        for cell in cells.values():  # flat tails -> one packed column per dimension
-            for label, (vs, tails) in cell.buckets.items():
-                cell.buckets[label] = (vs, tuple(pack(tails[k::d]) for k in range(d)))
-                cell.size += len(vs)
+            tails = [[a * s + t for s in sums[k::d]] for k, t in enumerate(frame_tail)]
+            by_coords: dict[tuple[int, ...], list[int]] = {}  # tail cell -> entry positions
+            for i, coords in enumerate(zip(*map(self.intervals, tails))):
+                by_coords.setdefault(coords, []).append(i)
+            head_coords = self.cell_coords(head)
+            for tail_coords, at in by_coords.items():
+                coords = head_coords + tail_coords
+                cell = cells.get(coords)
+                if cell is None:
+                    cell = cells[coords] = Cell(coords, self._cell_corner(coords))
+                members, cols = vs, tails  # the whole label, unless it spans cells
+                if len(by_coords) > 1:
+                    members, cols = [vs[i] for i in at], [[col[i] for i in at] for col in tails]
+                cell.buckets[label] = (members, tuple(map(pack, cols)))
+                cell.size += len(members)
+        shared = [cell for cell in cells.values() if len(cell.buckets) > 1]
+        if shared:
+            firsts = {vs[0] for cell in shared for vs, _ in cell.buckets.values()}
+            rank = {v: i for i, v in enumerate(store.graph.vertices()) if v in firsts}
+            for cell in shared:
+                cell.buckets = dict(sorted(cell.buckets.items(), key=lambda b: rank[b[1][0][0]]))
         self.cells: list[Cell] = sorted(cells.values(), key=lambda c: (-c.key, c.coords))
 
     def __len__(self) -> int:
         return sum(c.size for c in self.cells)
 
+    def intervals(self, xs: Sequence[float]) -> list[int]:
+        """Per value, the index of its interval on a dimension; values past
+        the domain clamp into the top one."""
+        top, w = self.k_cells - 1, self.width
+        return [min(int(x / w) if x > 0 else 0, top) for x in xs]
+
     def cell_coords(self, point: Vec) -> tuple[int, ...]:
-        k, w = self.k_cells, self.width
-        return tuple(min(int(x / w) if x > 0 else 0, k - 1) for x in point)
+        return tuple(self.intervals(point))
 
     def _cell_corner(self, coords: tuple[int, ...]) -> Vec:
         return tuple(
@@ -660,13 +703,14 @@ class MaintenanceReport:
 class SynopsisIndex:
     """All degree-group synopses plus the shared neighbor-label histograms.
 
-    Degree groups and the grid domain are frozen at construction (from the
-    initial graph; the domain defaults to :func:`default_domain`'s estimate).
-    Maintenance edits only the histograms, which equal a rebuild by
-    construction, and drops the grids; :attr:`synopses` rebuilds them from
-    the histograms when next read.  So every scan, ``snapshot()`` and
-    ``dump()`` sees exactly what a from-scratch build over the current
-    snapshot (with the same frozen parameters) would produce.
+    Degree groups and the grid domain are frozen at construction: the
+    domain, finite and positive, defaults to :func:`default_domain`'s
+    estimate from the first build's neighbor sums.  Maintenance edits only
+    the histograms, which equal a rebuild by construction, and drops the
+    grids; :attr:`synopses` rebuilds them from the histograms when next
+    read.  So every scan, ``snapshot()`` and ``dump()`` sees exactly what a
+    from-scratch build over the current snapshot (with the same frozen
+    parameters) would produce.
     """
 
     def __init__(
@@ -675,18 +719,51 @@ class SynopsisIndex:
     ):
         if k_cells < 1:
             raise InvalidParams(f"k_cells must be >= 1, got {k_cells}")
+        if domain is not None and not (math.isfinite(domain) and domain > 0):
+            raise InvalidParams(f"domain must be finite and > 0, got {domain}")
         self.graph = graph
         self.groups = groups
         self.cfg = cfg
         self.k_cells = k_cells
         self.lists = NeighborListStore(graph, cfg)
-        self.domain = default_domain(self.lists) if domain is None else domain
+        self.domain = domain
         self._grids: list[GridSynopsis] | None = self._build_grids()
 
     def _build_grids(self) -> list[GridSynopsis]:
-        groups = self.groups
+        """Every group's grid from one pass over the vertices.
+
+        Each vertex of degree deg >= 1 enters groups 0..group_of(deg), at
+        caps min(deg, upper_j): the cutoffs below deg, then deg itself.  One
+        ``capped_sums`` call gives its raw high sums at every cap, and its
+        entries are staged per group and label, the sums in one flat
+        ``array('d')``.  The last cap's sums are the full neighbor sums,
+        whose largest component sets the domain on the first build; each
+        grid then files its staged entries a label at a time."""
+        store, groups = self.lists, self.groups
+        adj, labels = self.graph.adj, self.graph.labels
+        cutoffs, capped_sums = groups.cutoffs, store.capped_sums
+        staged: list[dict[Label, tuple[list[VertexId], array]]] = [{} for _ in range(groups.m)]
+        sum_max = 0.0
+        for v in self.graph.vertices():
+            deg = len(adj[v])
+            if not deg:
+                continue
+            caps = (*cutoffs[: bisect_left(cutoffs, deg)], deg)
+            sums = capped_sums(v, caps)
+            r = len(caps)
+            sum_max = max(sum_max, *sums[r - 1 :: r])
+            label = labels[v]
+            for j in range(r):
+                entries = staged[j].get(label)
+                if entries is None:
+                    entries = staged[j][label] = ([], array("d"))
+                entries[0].append(v)
+                entries[1].extend(sums[j::r])
+        if self.domain is None:
+            self.domain = default_domain(self.cfg, sum_max)
         return [
-            GridSynopsis(self.lists, j, groups.lower(j), groups.upper(j), self.k_cells, self.domain)
+            GridSynopsis(store, j, groups.lower(j), groups.upper(j), self.k_cells, self.domain,
+                         staged[j])
             for j in range(groups.m)
         ]
 
@@ -740,19 +817,15 @@ class SynopsisIndex:
         return "\n".join(parts) + "\n"
 
 
-def default_domain(lists: NeighborListStore) -> float:
-    """Grid extent from the current graph's largest neighbor-sum component.
+def default_domain(cfg: EmbeddingConfig, sum_max: float) -> float:
+    """Grid extent from ``sum_max``, the largest neighbor-sum component over
+    the graph, which the index's first build reads off its own pass.
 
     Optimized modes are dominated by the BETA term, so the extent is BETA
     plus headroom plus the (small) alpha image of the sum estimate; plain
     mode just covers the raw concat range.  Later growth past the estimate
     clamps into the unbounded top interval.
     """
-    cfg = lists.cfg
-    sum_max = 0.0
-    for v, hist in lists.hist.items():
-        if hist:
-            sum_max = max(sum_max, *lists.neighbor_sum(v))
     if cfg.mode == MODE_PLAIN:
         return (1.0 + _DOMAIN_EPS) * max(1.0, sum_max)
     return BETA * (1.0 + _DOMAIN_EPS) + cfg.alpha * max(1.0, sum_max)

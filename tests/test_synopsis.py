@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import struct
 from array import array
 from collections import namedtuple
@@ -16,7 +17,7 @@ from dsmatch.embedding import (
     label_vector,
     neighbor_sum,
 )
-from dsmatch.errors import DegreeOutOfRange
+from dsmatch.errors import DegreeOutOfRange, InvalidParams
 from dsmatch.graph import DELETE, INSERT, DynamicGraph, UpdateOp
 from dsmatch.oracle import star_subset_embeddings
 from dsmatch.rng import Rng
@@ -29,6 +30,7 @@ from dsmatch.synopsis import (
     at_least,
     at_most,
     compute_degree_groups,
+    default_domain,
     dominated_within,
     pack,
     scan_candidates,
@@ -272,6 +274,66 @@ def test_cell_order_matches_keys(any_mode_cfg):
             assert cell.corner == syn._cell_corner(cell.coords)
 
 
+@pytest.mark.parametrize("cutoffs", [(5, 4), (4, 4), (0, 3), (-2, 3), (2.5, 4)])
+def test_malformed_cutoffs_are_rejected(cutoffs):
+    # the build reads each vertex's caps in ascending order off the cutoffs
+    with pytest.raises(InvalidParams, match=re.escape(str(cutoffs))):
+        DegreeGroups(cutoffs)
+
+
+@pytest.mark.parametrize("domain", [0.0, math.nan, -1.0, math.inf])
+def test_bad_domain_is_rejected(cfg_plain, domain):
+    # at -1.0 the grid would file vertex 0 where its own embedding's scan
+    # at degree 1 cannot reach it
+    g = make_graph([(0, 1)], {0: 0, 1: 1})
+    with pytest.raises(InvalidParams, match="domain"):
+        SynopsisIndex(g, DegreeGroups(()), cfg_plain, 5, domain=domain)
+    idx = SynopsisIndex(g, DegreeGroups(()), cfg_plain, 5)
+    assert idx.scan_for_degree(idx.embedding_of(0), 1, 0)[0] == [0]
+
+
+def hub_and_loner(cfg):
+    """A small-world graph plus an isolated vertex and a hub of degree 40
+    in the open group (4, inf), with their index."""
+    g = small_world(n=60, avg_deg=4.0, alphabet=4, seed=11)
+    loner, hub = max(g.labels) + 1, max(g.labels) + 2
+    g.add_vertex(loner, 1)
+    g.add_vertex(hub, 0)
+    for v in range(hub + 1, hub + 41):
+        g.add_vertex(v, v % 7)
+        g.add_edge(hub, v)
+    idx = SynopsisIndex(g, DegreeGroups((2, 4)), cfg, 5)
+    assert g.degree(loner) == 0 and idx.groups.group_of(g.degree(hub)) == 2
+    return g, idx, hub
+
+
+def largest_neighbor_sum(g, cfg):
+    return max(c for v in g.vertices() for c in neighbor_sum(g, v, cfg))
+
+
+@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
+def test_domain_comes_from_every_neighbor_sum(mode):
+    cfg = EmbeddingConfig(d=2, mode=mode)
+    g, idx, _ = hub_and_loner(cfg)
+    assert idx.domain == default_domain(cfg, largest_neighbor_sum(g, cfg))
+
+
+@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
+def test_rebuild_keeps_the_domain_frozen(mode):
+    cfg = EmbeddingConfig(d=2, mode=mode)
+    g, idx, hub = hub_and_loner(cfg)
+    old, sum_max = idx.domain, largest_neighbor_sum(g, cfg)
+    for v in range(hub + 41, hub + 81):  # the hub's neighbor sum grows
+        op = UpdateOp(INSERT, hub, v, label_v=v % 3)
+        g.apply_update(op)
+        idx.maintain(op)
+    assert largest_neighbor_sum(g, cfg) > sum_max
+    assert default_domain(cfg, largest_neighbor_sum(g, cfg)) != old
+    snapshot = idx.snapshot()
+    assert snapshot["domain"] == idx.domain == old
+    assert snapshot == SynopsisIndex(g, idx.groups, cfg, idx.k_cells, domain=old).snapshot()
+
+
 # -- incremental maintenance ---------------------------------------------------
 
 
@@ -481,11 +543,11 @@ def reference_box(g, v, delta, cfg):
 
 def assert_reads_equal_enumeration(idx, g):
     """Everything the store reads is exact, checked with ``==``: label
-    vectors sit on their grid; both neighbor sums equal ``math.fsum`` of
-    the components; ``mbr`` and every ``box_columns`` row equal
-    ``reference_box``, a row of (+inf, -inf) past the vertex's degree; and
-    ``admits`` accepts a query tail exactly on each bound and rejects one
-    float step outside it."""
+    vectors sit on their grid; both neighbor sums, and ``capped_sums`` at
+    every degree, equal ``math.fsum`` of the components; ``mbr`` and every
+    ``box_columns`` row equal ``reference_box``, a row of (+inf, -inf) past
+    the vertex's degree; and ``admits`` accepts a query tail exactly on
+    each bound and rejects one float step outside it."""
     lists, cfg = idx.lists, idx.cfg
     d = cfg.d
     grid = 2.0 ** (10 if cfg.mode == "zipf" else 20)
@@ -497,6 +559,11 @@ def assert_reads_equal_enumeration(idx, g):
         exact = tuple(math.fsum(x[k] for x in vecs) for k in range(d))
         assert lists.neighbor_sum(v) == neighbor_sum(g, v, cfg) == exact
         deg = g.degree(v)
+        if deg:
+            largest = [sorted((x[k] for x in vecs), reverse=True) for k in range(d)]
+            caps = range(1, deg + 1)
+            want = [math.fsum(c[:cap]) for c in largest for cap in caps]
+            assert lists.capped_sums(v, caps) == want
         for delta in range(1, deg + 1):
             box = boxes[v, delta] = reference_box(g, v, delta, cfg)
             assert lists.mbr(v, delta) == box
@@ -521,11 +588,12 @@ def assert_reads_equal_enumeration(idx, g):
                             assert (lows, highs) == (box.low[d:], box.high[d:])
 
 
-def run_hub_churn(mode, check):
+def run_hub_churn(mode, check, m=3):
     """A small-world graph plus a hub of degree 240 over labels 0-15, whose
-    zipf components tie on dimension 0, with its index; ``check(idx, g)``
-    runs on it before a mixed stream, with one vertex isolated after it,
-    and after that vertex's revival and more churn at the hub."""
+    zipf components tie on dimension 0, with its index over m degree
+    groups; ``check(idx, g)`` runs on it before a mixed stream, with one
+    vertex isolated after it, and after that vertex's revival and more
+    churn at the hub."""
     cfg = EmbeddingConfig(d=2, mode=mode)
     rng = Rng(83)
     g = small_world(n=60, avg_deg=5.0, alphabet=4, seed=37)
@@ -534,7 +602,7 @@ def run_hub_churn(mode, check):
     for v in range(hub + 1, hub + 241):
         g.add_vertex(v, rng.randint(0, 15))
         g.add_edge(hub, v)
-    idx = build_index(g, cfg)
+    idx = build_index(g, cfg, m)
     lists = idx.lists
     if mode == "zipf":
         tied = {lbl for lbl in range(16) if label_vector(lbl, cfg)[0] == 1 / 1024}
@@ -936,11 +1004,18 @@ def assert_snapshot_corners_equal_boxes(idx, g):
             assert corner == idx.lists.mbr(v, ub).high
 
 
+@pytest.mark.parametrize("m", [1, 3, 8])
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
-def test_snapshot_decodes_each_corner(mode):
+def test_snapshot_decodes_each_corner(mode, m):
     # a maintained and a fresh snapshot decode alike, so comparing them
-    # cannot catch a decoding fault; the box oracle can
-    run_hub_churn(mode, assert_snapshot_corners_equal_boxes)
+    # cannot catch a decoding fault; the box oracle can.  At m = 8 the build
+    # files some vertices in many grids, at caps below and at their degree
+    def check(idx, g):
+        assert_snapshot_corners_equal_boxes(idx, g)
+        most = max(sum(g.degree(v) > syn.lower for syn in idx.synopses) for v in g.vertices())
+        assert most == idx.groups.m >= min(m, 5)  # m = 8 gives 5 groups here
+
+    run_hub_churn(mode, check, m)
 
 
 def test_scan_outside_its_group_raises_degree_out_of_range(cfg_zipf):

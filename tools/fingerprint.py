@@ -15,6 +15,8 @@ workload's default seed, registers every query
 as ``q0``, ``q1``, ... and replays the stream once.  It prints one SHA-256
 per line for:
 
+* ``index``:      ``engine.index.snapshot()`` right after construction,
+  each grid's cells as ``[coords, rows]`` lists;
 * ``scan_stats``: every query's per-vertex ``ScanStats``;
 * ``candidates``: every query vertex's sorted ``scan_for_degree``
   candidates, scanned again right after registration;
@@ -22,8 +24,9 @@ per line for:
 * ``deltas``:     each op's non-empty per-query deltas, or that it raised;
 * ``final``:      the answers after the last op.
 
-Two trees that print the same five hashes found the same candidates with
-the same pruning counts and kept the same answers after every op.
+Two trees that print the same six hashes built the same index, found the
+same candidates with the same pruning counts and kept the same answers
+after every op.
 """
 
 from __future__ import annotations
@@ -51,6 +54,19 @@ def answers(engine: MatchEngine) -> dict[str, list]:
     return {name: sorted(rq.answers) for name, rq in engine.queries.items()}
 
 
+def index_view(snapshot: dict) -> dict:
+    """A ``SynopsisIndex.snapshot()`` in canonical JSON form: cells as
+    ``[coords, rows]`` lists and histograms as ``[vertex, pairs]`` lists,
+    each sorted."""
+    return {
+        "domain": snapshot["domain"],
+        "cutoffs": list(snapshot["cutoffs"]),
+        "synopses": [sorted([list(c), rows] for c, rows in syn.items())
+                     for syn in snapshot["synopses"]],
+        "lists": sorted([v, pairs] for v, pairs in snapshot["lists"].items()),
+    }
+
+
 def committed() -> dict[tuple[str, str], str]:
     """The hashes in ``tools/fingerprints.txt``, by (workload, part)."""
     out, workload = {}, None
@@ -67,6 +83,7 @@ def fingerprint(workload: str) -> dict[str, str]:
     wl = WORKLOADS[workload]
     inputs = make_inputs(wl, wl.default_seed)
     engine = MatchEngine(inputs.g0.copy(), inputs.cfg, inputs.m_groups, inputs.k_cells)
+    index = index_view(engine.index.snapshot())
     for i, q in enumerate(inputs.queries):
         engine.register(f"q{i}", q)
     scan_stats = {
@@ -95,6 +112,7 @@ def fingerprint(workload: str) -> dict[str, str]:
             if d.added or d.removed
         ])
     return {
+        "index": digest(index),
         "scan_stats": digest(scan_stats),
         "candidates": digest(candidates),
         "initial": digest(initial),
