@@ -189,7 +189,9 @@ def refine(
     back-neighbor's image and passes ``store.admits``; roots skip that box
     test, which the caller's scan has run against its buckets' box tables.
     Complete assignments are emitted in normalized form.  The caller
-    guarantees the seed itself is consistent.
+    guarantees the seed itself is consistent.  The join allocates no
+    reference cycle (``rec`` is deleted once done, which breaks the one its
+    closure makes), so a call leaves nothing for the cyclic collector.
     """
     size = len(plan.order)
     back, want, degrees, embeds = plan.back, plan.labels, plan.degrees, plan.embeds
@@ -223,6 +225,7 @@ def refine(
                 used.discard(u)
 
     rec(depth)
+    del rec
     return out
 
 

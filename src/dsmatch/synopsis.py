@@ -140,9 +140,10 @@ class DegreeGroups:
 
     def __post_init__(self):
         c = self.cutoffs
-        if not all(isinstance(x, int) for x in c) or not all(a < b for a, b in zip((0, *c), c)):
+        ints = isinstance(c, tuple) and all(isinstance(x, int) for x in c)
+        if not ints or not all(a < b for a, b in zip((0, *c), c)):
             raise InvalidParams(
-                f"degree-group cutoffs must be strictly increasing integers >= 1, got {c}"
+                f"degree-group cutoffs must be a tuple of strictly increasing ints >= 1, got {c}"
             )
 
     @property
@@ -523,9 +524,7 @@ class GridSynopsis:
     ):
         """File the staged entries under their corners, emptying ``staged``:
         per label, its vertices in graph order and, flat and in turn, their
-        d raw capped sums.  A cell keeps its buckets in the graph order of
-        their first vertices, the order in which filing one vertex at a time
-        makes them."""
+        d raw capped sums."""
         self.store = store
         self.group = group
         self.lower = lower
@@ -553,12 +552,6 @@ class GridSynopsis:
                     members, cols = [vs[i] for i in at], [[col[i] for i in at] for col in tails]
                 cell.buckets[label] = (members, tuple(map(pack, cols)))
                 cell.size += len(members)
-        shared = [cell for cell in cells.values() if len(cell.buckets) > 1]
-        if shared:
-            firsts = {vs[0] for cell in shared for vs, _ in cell.buckets.values()}
-            rank = {v: i for i, v in enumerate(store.graph.vertices()) if v in firsts}
-            for cell in shared:
-                cell.buckets = dict(sorted(cell.buckets.items(), key=lambda b: rank[b[1][0][0]]))
         self.cells: list[Cell] = sorted(cells.values(), key=lambda c: (-c.key, c.coords))
 
     def __len__(self) -> int:

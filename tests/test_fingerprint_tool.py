@@ -1,7 +1,8 @@
 """``tools/fingerprint.py``: its output layout and its ``--check`` verdicts
-with the hashing stubbed out, and its hashes against the committed
-``tools/fingerprints.txt``."""
+on hashes and cyclic garbage with the replay stubbed out, its garbage
+counts, and its hashes against the committed ``tools/fingerprints.txt``."""
 
+import gc
 import importlib.util
 from pathlib import Path
 
@@ -19,7 +20,8 @@ def load_tool():
 
 def test_one_workload_prints_bare_lines_and_none_prints_every_block(monkeypatch, capsys):
     tool = load_tool()
-    monkeypatch.setattr(tool, "fingerprint", lambda w: {"scan_stats": f"h-{w}", "final": "f"})
+    monkeypatch.setattr(
+        tool, "fingerprint", lambda w: ({"scan_stats": f"h-{w}", "final": "f"}, {"stream": 0}))
     assert tool.main(["--workload", "sw-delete-q20"]) == 0
     assert capsys.readouterr().out == "scan_stats h-sw-delete-q20\nfinal      f\n"
     assert tool.main([]) == 0
@@ -36,9 +38,13 @@ def test_check_names_each_differing_hash_and_exits_1(monkeypatch, capsys):
     def committed_parts(workload):
         return {part: h for (w, part), h in want.items() if w == workload}
 
-    monkeypatch.setattr(tool, "fingerprint", committed_parts)
+    clean = {"build": 0, "register": 0, "stream": 0}
+    monkeypatch.setattr(tool, "fingerprint", lambda w: (committed_parts(w), clean))
     assert tool.main(["--check"]) == 0
-    assert capsys.readouterr().out == "all hashes match tools/fingerprints.txt\n"
+    assert capsys.readouterr().out == (
+        "all hashes match tools/fingerprints.txt\n"
+        "no cyclic garbage after build, register or stream\n"
+    )
 
     def two_moved(workload):
         parts = committed_parts(workload)
@@ -46,16 +52,54 @@ def test_check_names_each_differing_hash_and_exits_1(monkeypatch, capsys):
             parts["deltas"] = "0" * 64
         if workload == "sw-delete-q20":
             parts["scan_stats"] = "1" * 64
-        return parts
+        return parts, clean
 
     monkeypatch.setattr(tool, "fingerprint", two_moved)
     assert tool.main(["--check"]) == 1
     assert capsys.readouterr().out == (
         "differs: hub-mixed-q20 deltas\ndiffers: sw-delete-q20 scan_stats\n"
+        "no cyclic garbage after build, register or stream\n"
     )
     assert tool.main(["--check", "--workload", "sw-insert-q100"]) == 0
     assert tool.main(["--check", "--workload", "sw-delete-q20"]) == 1
-    assert capsys.readouterr().out.endswith("differs: sw-delete-q20 scan_stats\n")
+    assert "differs: sw-delete-q20 scan_stats\n" in capsys.readouterr().out
+
+
+def test_check_names_each_phase_that_left_cyclic_garbage_and_exits_1(monkeypatch, capsys):
+    # every hash matches, but one phase of one workload left reference cycles
+    tool = load_tool()
+    want = tool.committed()
+
+    def littered(workload):
+        garbage = {"build": 0, "register": 0, "stream": 0}
+        if workload == "sw-insert-q100":
+            garbage["register"] = 2100
+        return {part: h for (w, part), h in want.items() if w == workload}, garbage
+
+    monkeypatch.setattr(tool, "fingerprint", littered)
+    assert tool.main(["--check"]) == 1
+    assert capsys.readouterr().out == (
+        "all hashes match tools/fingerprints.txt\n"
+        "cyclic garbage: sw-insert-q100 register left 2100 unreachable objects\n"
+    )
+    assert tool.main(["--check", "--workload", "hub-mixed-q20"]) == 0
+
+
+def test_garbage_is_counted_in_the_phase_that_left_it(monkeypatch):
+    # a cycle made per registration is counted, and freed, under register
+    # alone; the collector is back on afterwards
+    tool = load_tool()
+    register = tool.MatchEngine.register
+
+    def leaky(self, name, q):
+        cycle = []
+        cycle.append(cycle)
+        return register(self, name, q)
+
+    monkeypatch.setattr(tool.MatchEngine, "register", leaky)
+    _, garbage = tool.fingerprint("sw-delete-q20")
+    assert garbage == {"build": 0, "register": 20, "stream": 0}  # one list per query
+    assert gc.isenabled()
 
 
 @pytest.mark.slow

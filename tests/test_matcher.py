@@ -1,3 +1,4 @@
+import gc
 import itertools
 from collections import Counter, defaultdict
 
@@ -888,3 +889,36 @@ def test_register_mid_stream(any_mode_cfg):
         for name, q in (("early", q1), ("late", q2)):
             got = engine.queries[name].answers.mappings()
             assert got == enumerate_matches(engine.graph, q)
+
+
+def test_engine_leaves_no_cyclic_garbage(cfg_zipf):
+    # build, registration and every update free what they allocate by
+    # reference counting alone: a cycle left per join would make a stream
+    # of inserts pay for the cyclic collector's passes
+    g = small_world(n=80, avg_deg=5.0, alphabet=3, seed=23)
+    queries = sample_queries(g, 3, 4, 2.0, seed=13)
+    mixed = random_update_stream(g, 40, seed=41, alphabet=3)
+    gc.collect()
+    gc.disable()
+    try:
+        engine = MatchEngine(g.copy(), cfg_zipf)
+        assert gc.collect() == 0
+        for i, q in enumerate(queries):
+            engine.register(f"q{i}", q)
+        assert gc.collect() == 0
+        hit = sorted({e for rq in engine.queries.values()
+                      for m in rq.answers for e in rq.answers.edge_images(m)})[:5]
+        undo = [UpdateOp(DELETE if op.kind == INSERT else INSERT, op.u, op.v)
+                for op in reversed(mixed)]
+        phases = {
+            "deletes that remove answers": [UpdateOp(DELETE, u, v) for u, v in hit],
+            "re-inserts that seed joins": [UpdateOp(INSERT, u, v) for u, v in hit],
+            "mixed stream": mixed,
+            "its inverse": undo,
+        }
+        for phase, ops in phases.items():
+            changed = [engine.process_update(op).deltas for op in ops]
+            assert any(changed), phase
+            assert gc.collect() == 0, phase
+    finally:
+        gc.enable()

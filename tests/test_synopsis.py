@@ -274,9 +274,10 @@ def test_cell_order_matches_keys(any_mode_cfg):
             assert cell.corner == syn._cell_corner(cell.coords)
 
 
-@pytest.mark.parametrize("cutoffs", [(5, 4), (4, 4), (0, 3), (-2, 3), (2.5, 4)])
+@pytest.mark.parametrize("cutoffs", [(5, 4), (4, 4), (0, 3), (-2, 3), (2.5, 4), [2, 4]])
 def test_malformed_cutoffs_are_rejected(cutoffs):
-    # the build reads each vertex's caps in ascending order off the cutoffs
+    # the build reads each vertex's caps in ascending order off the cutoffs;
+    # a list would build groups that the frozen dataclass cannot hash
     with pytest.raises(InvalidParams, match=re.escape(str(cutoffs))):
         DegreeGroups(cutoffs)
 

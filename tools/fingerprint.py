@@ -6,9 +6,10 @@
 
 With ``--workload`` it hashes that workload; without, every workload, each
 as a block headed ``# <workload>``.  With ``--check`` it compares the
-hashes against ``tools/fingerprints.txt`` instead of printing them: it
-names each differing (workload, part) and exits 1, or exits 0 when all
-match.
+hashes against ``tools/fingerprints.txt`` instead of printing them, and
+checks that the engine left no cyclic garbage: it names each differing
+(workload, part) and each (workload, phase) that left some, and exits 1,
+or exits 0 when all match and no phase left any.
 
 For each workload, builds its inputs with ``perfbench/workloads.py`` at the
 workload's default seed, registers every query
@@ -27,12 +28,19 @@ per line for:
 Two trees that print the same six hashes built the same index, found the
 same candidates with the same pruning counts and kept the same answers
 after every op.
+
+The collector is off while the engine is built, registers and replays, and
+``gc.collect()`` after each of those phases (``build``, ``register``,
+``stream``) counts the unreachable objects that reference counting left,
+which the engine keeps at zero: a reference cycle per update would make a
+stream pay for the cyclic collector's passes.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import sys
@@ -79,13 +87,26 @@ def committed() -> dict[tuple[str, str], str]:
     return out
 
 
-def fingerprint(workload: str) -> dict[str, str]:
+def fingerprint(workload: str) -> tuple[dict[str, str], dict[str, int]]:
+    """The workload's hashes by part, and the cyclic garbage by phase."""
     wl = WORKLOADS[workload]
     inputs = make_inputs(wl, wl.default_seed)
+    gc.collect()
+    gc.disable()
+    try:
+        return replay(inputs)
+    finally:
+        gc.enable()
+
+
+def replay(inputs) -> tuple[dict[str, str], dict[str, int]]:
+    """:func:`fingerprint` on built inputs, run with the collector off."""
     engine = MatchEngine(inputs.g0.copy(), inputs.cfg, inputs.m_groups, inputs.k_cells)
+    garbage = {"build": gc.collect()}
     index = index_view(engine.index.snapshot())
     for i, q in enumerate(inputs.queries):
         engine.register(f"q{i}", q)
+    garbage["register"] = gc.collect()
     scan_stats = {
         name: [[qi, dataclasses.asdict(s)] for qi, s in rq.scan_stats.items()]
         for name, rq in engine.queries.items()
@@ -111,7 +132,8 @@ def fingerprint(workload: str) -> dict[str, str]:
             for name, d in result.deltas.items()
             if d.added or d.removed
         ])
-    return {
+    garbage["stream"] = gc.collect()
+    hashes = {
         "index": digest(index),
         "scan_stats": digest(scan_stats),
         "candidates": digest(candidates),
@@ -119,32 +141,38 @@ def fingerprint(workload: str) -> dict[str, str]:
         "deltas": digest(deltas),
         "final": digest(answers(engine)),
     }
+    return hashes, garbage
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="tools/fingerprint.py", description=__doc__.splitlines()[0])
     p.add_argument("--workload", choices=list(WORKLOADS), help="default: every workload")
     p.add_argument("--check", action="store_true",
-                   help="compare with tools/fingerprints.txt; exit 1 on any difference")
+                   help="compare with tools/fingerprints.txt and check for cyclic garbage; "
+                        "exit 1 on any difference or garbage")
     args = p.parse_args(argv)
     workloads = [args.workload] if args.workload else list(WORKLOADS)
     if args.check:
         want = committed()
-        differing = [
-            (workload, part)
-            for workload in workloads
-            for part, h in fingerprint(workload).items()
-            if want.get((workload, part)) != h
-        ]
+        differing, littered = [], []
+        for workload in workloads:
+            hashes, garbage = fingerprint(workload)
+            differing += [(workload, part) for part, h in hashes.items()
+                          if want.get((workload, part)) != h]
+            littered += [(workload, phase, n) for phase, n in garbage.items() if n]
         for workload, part in differing:
             print(f"differs: {workload} {part}")
         if not differing:
             print("all hashes match tools/fingerprints.txt")
-        return 1 if differing else 0
+        for workload, phase, n in littered:
+            print(f"cyclic garbage: {workload} {phase} left {n} unreachable objects")
+        if not littered:
+            print("no cyclic garbage after build, register or stream")
+        return 1 if differing or littered else 0
     for workload in workloads:
         if not args.workload:
             print(f"# {workload}")
-        for part, h in fingerprint(workload).items():
+        for part, h in fingerprint(workload)[0].items():
             print(f"{part:<10} {h}")
     return 0
 
