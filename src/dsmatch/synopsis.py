@@ -11,27 +11,29 @@ Per-degree bounding boxes are never materialized.  Every neighbor
 contributes its label's vector, so each vertex keeps only a histogram of
 its neighbors' labels.  On each dimension, the box for any degree delta
 spans the sum of the delta smallest to the sum of the delta largest
-neighbor components; both come from one pass over the vertex's walk, its
-(component, count) pairs sorted on the component once per histogram
-state, adding one component per degree.  An update is one histogram edit
-per endpoint.  A grid cell buckets its vertices by label, whose d head
-coordinates a scan tests once per bucket, and keeps their tail coordinates
-in filing order, one packed column per dimension (:func:`pack`).  A scan
-tests a whole column against a query coordinate with a few big-int
-operations (:func:`at_least`, :func:`at_most`): the tail columns for
-dominance, and the bucket's box table at the query degree, every entry's
-tail bounds as packed columns, for the box.  When a scan first needs one
-of a bucket's tables, the grid fills them at every degree of its group,
-from one ascending and one descending pass per entry and dimension over
-its walk; the open last group fills the query degree's alone.
+neighbor components: the sums of the first and the last delta entries of
+that dimension's segment of the vertex's walk, its deg(v) neighbor
+components in ascending order, expanded from the histogram once per
+histogram state.  An update is one histogram edit per endpoint.  A grid
+cell buckets its vertices by label, whose d head coordinates a scan tests
+once per bucket, and keeps their tail coordinates in filing order, one
+packed column per dimension (:func:`pack`).  A scan tests a whole column
+against a query coordinate with a few big-int operations
+(:func:`at_least`, :func:`at_most`): the tail columns for dominance, and
+the bucket's box table at the query degree, every entry's tail bounds as
+packed columns, for the box.  When a scan first needs one of a bucket's
+tables, the grid fills them at every degree of its group, one column per
+degree, dimension and bound across the whole bucket, each adding every
+entry's next walk component to the column before it; the open last group
+fills the query degree's alone.
 
 No comparison carries a slack: neighbor sums are exact and rounding is
 monotone (:mod:`dsmatch.embedding`), so every filter admits each true match
 image by construction.
 
 The grids are build-only.  One pass over the vertices builds all of them:
-one descending pass per vertex and dimension over its walk gives the
-exact sum at each of its group caps in ascending order, the last at its
+per vertex and dimension, the sums of the last entries of its walk
+segment give the exact sum at each of its group caps, the last at its
 degree, so the same pass yields the full neighbor sums the default grid
 domain is read off (:func:`default_domain`).  Only candidate scans read
 the grids, so an update just drops them, with their box tables, and the
@@ -57,7 +59,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from time import perf_counter
 from typing import Sequence
 
@@ -230,23 +232,6 @@ class Mbr:
         return all(lo - eps <= x <= hi + eps for lo, x, hi in zip(self.low, p, self.high))
 
 
-def _walk_sum(walk: tuple, start: int, stop: int, step: int, delta: int) -> float:
-    """Sum of the first ``delta`` components on a walk segment: step 2 reads
-    its (component, count) pairs ascending from ``start`` (a low bound),
-    step -2 descending (a high bound), each pair giving min(count, what is
-    left of delta) copies of its component."""
-    acc = 0.0
-    i = start
-    while i != stop:  # a while loop: a range() costs more than these short walks
-        c = walk[i + 1]
-        if c >= delta:
-            return acc + delta * walk[i]
-        acc += c * walk[i]
-        delta -= c
-        i += step
-    return acc
-
-
 class NeighborListStore:
     """Per-vertex neighbor-label histograms for one graph, plus boxes.
 
@@ -256,13 +241,14 @@ class NeighborListStore:
     coordinates, and the constant added to ``alpha * raw_sum`` on each tail
     dimension (plain mode is alpha = 1 with zero constants).  ``comps[k]``
     maps each label seen to its label-vector component on dimension k.
-    Boxes and neighbor sums read a vertex's walk: one flat tuple holding,
-    per dimension in turn, the (component, count) pairs of its histogram's
-    labels in ascending component order.  It is built when first read, and
-    any histogram edit drops every walk.  Sums over a walk are exact, so
-    every float read from the store is a pure function of a histogram and
-    the label table, whatever order equal components take: a maintained
-    store equals a rebuild by construction.
+    Boxes and neighbor sums read a vertex's walk: one flat list holding,
+    per dimension in turn, a segment of its deg(v) neighbor components in
+    ascending order, the histogram expanded (a label counted c times gives
+    c copies).  It is built when first read, and any histogram edit drops
+    every walk.  Every bound is a sum over a slice of a segment, and sums
+    of components are exact, so every float read from the store is a pure
+    function of a histogram and the label table, whatever order equal
+    components take: a maintained store equals a rebuild by construction.
     """
 
     def __init__(self, graph: DynamicGraph, cfg: EmbeddingConfig):
@@ -312,48 +298,32 @@ class NeighborListStore:
     def degree(self, v: VertexId) -> int:
         return len(self.graph.adj.get(v, ()))
 
-    def walk(self, v: VertexId) -> tuple:
-        """v's walk: d segments of (component, count) pairs, one sort each."""
+    def walk(self, v: VertexId) -> list[float]:
+        """v's walk: d segments of deg(v) neighbor components, each ascending."""
         walk = self._walks.get(v)
         if walk is None:
             hist = self.hist.get(v, {})
-            pairs = []
+            walk = self._walks[v] = []
             for comps in self.comps:
                 for lbl in sorted(hist, key=comps.__getitem__):
-                    pairs += comps[lbl], hist[lbl]
-            walk = self._walks[v] = tuple(pairs)
+                    c = hist[lbl]
+                    if c == 1:
+                        walk.append(comps[lbl])
+                    else:
+                        walk += repeat(comps[lbl], c)
         return walk
 
     def neighbor_sum(self, v: VertexId) -> Vec:
-        walk, deg = self.walk(v), self.degree(v)
-        n = len(walk) // self.cfg.d
-        return tuple(_walk_sum(walk, k * n, k * n + n, 2, deg) for k in range(self.cfg.d))
+        walk, n = self.walk(v), self.degree(v)
+        return tuple(math.fsum(walk[k * n : k * n + n]) for k in range(self.cfg.d))
 
     def capped_sums(self, v: VertexId, caps: Sequence[int]) -> list[float]:
         """Per dimension in turn, the sum of v's ``cap`` largest neighbor
-        components at each cap of ``caps``, ascending from 1 to at most
-        deg(v), which must be 1 or more: the raw high bounds of its boxes
-        at those degrees.
-
-        One descending pass per walk segment serves every cap, adding the
-        components past the cap before to the exact sum at that cap."""
-        walk = self.walk(v)
-        n = len(walk) // self.cfg.d
-        sums = []
-        for end in range(n - 2, len(walk), n):
-            acc, taken, i = 0.0, 0, end
-            comp, c = walk[i], walk[i + 1]  # c: what is left of the current pair's count
-            for cap in caps:
-                while cap - taken > c:
-                    acc += c * comp
-                    taken += c
-                    i -= 2
-                    comp, c = walk[i], walk[i + 1]
-                acc += (cap - taken) * comp
-                c -= cap - taken
-                taken = cap
-                sums.append(acc)
-        return sums
+        components at each cap of ``caps``, each from 1 to deg(v), which
+        must be 1 or more: the raw high bounds of its boxes at those
+        degrees, each the sum of a walk segment's last ``cap`` entries."""
+        walk, n = self.walk(v), self.degree(v)
+        return [sum(walk[end - cap : end]) for end in range(n, len(walk) + 1, n) for cap in caps]
 
     def mbr(self, v: VertexId, delta: int) -> Mbr:
         """Bounds over embeddings of all delta-leaf star subsets of v."""
@@ -378,65 +348,53 @@ class NeighborListStore:
         vertex of degree below delta gets (+inf, -inf) on every dimension,
         a box that no point lies in.
 
-        One ascending pass (the lows) and one descending pass (the highs)
-        per vertex and tail dimension serve every delta: each delta adds
-        one more component, read off the walk's (component, count) pairs,
-        to the exact sum of the delta - 1 before it.  Each pass writes one
-        flat column per dimension and direction, a row of the deltas per
-        vertex, that the tables slice.
+        Per tail dimension, a running low and a running high column over the
+        whole bucket serve every delta: each delta adds, one column at a
+        time, each vertex's delta-th smallest (largest) component on its
+        walk segment to the exact sum of the delta - 1 before it, or +inf
+        (-inf) once delta is past its degree.
         """
-        adj, a, d = self.graph.adj, self.alpha, self.cfg.d
-        m = last - first + 1
+        adj, a = self.graph.adj, self.alpha
         tail = self.frames[self.graph.labels[vs[0]]][1]
         walks = [self.walk(v) for v in vs]
-        ns = [len(walk) // d for walk in walks]  # per vertex, its walk's segment length
-        # per vertex, the last delta with a box; one below first writes none
-        tops = [min(deg, last) for deg in map(len, map(adj.__getitem__, vs))]
-        cols = []
+        ns = [len(adj[v]) for v in vs]  # per vertex, its degree: its segments' length
+        tables: list[list[tuple[array, array]]] = [[] for _ in range(first, last + 1)]
         for k, t in enumerate(tail):
-            # lows read each segment up from its start, highs down from its end
-            for fill, starts, step in (
-                (math.inf, [k * n for n in ns], 2),
-                (-math.inf, [k * n + n - 2 for n in ns], -2),
-            ):
-                col = array("d", [fill]) * (len(vs) * m)
-                pos = 0
-                for walk, top, i in zip(walks, tops, starts):
-                    acc, c, p = 0.0, 0, pos  # c: what is left of the current pair's count
-                    for delta in range(1, top + 1):
-                        if not c:
-                            comp, c = walk[i], walk[i + 1]
-                            i += step
-                        c -= 1
-                        acc += comp
-                        if delta >= first:
-                            col[p] = a * acc + t
-                            p += 1
-                    pos += m
-                cols.append(col)
-        return [
-            [(cols[2 * k][j::m], cols[2 * k + 1][j::m]) for k in range(d)] for j in range(m)
-        ]
+            rows = list(zip(walks, [k * n for n in ns], ns))  # each segment starts at k * n
+            lows = highs = [0.0] * len(vs)
+            for delta in range(1, last + 1):
+                lows = [s + w[i + delta - 1] if delta <= n else math.inf
+                        for s, (w, i, n) in zip(lows, rows)]
+                highs = [s + w[i + n - delta] if delta <= n else -math.inf
+                         for s, (w, i, n) in zip(highs, rows)]
+                if delta >= first:
+                    tables[delta - first].append((
+                        array("d", [a * s + t for s in lows]),
+                        array("d", [a * s + t for s in highs]),
+                    ))
+        return tables
 
     def admits(self, v: VertexId, delta: int, q_embed: Vec) -> bool:
         """delta <= deg(v) and ``q_embed`` in v's box at delta.
 
         Precondition: ``q_embed`` embeds a vertex labeled label(v), so its d
         head coordinates equal the box's (``compose``).  Per tail dimension
-        the low bound, then the high bound is tested, returning at the first
-        failure.  Admission implies dominance; deg(v) is read from the graph.
+        the low bound, the sum of the first delta entries of v's walk
+        segment, then the high bound, the sum of its last delta, is tested,
+        returning at the first failure.  Admission implies dominance; deg(v)
+        is read from the graph.
         """
-        if delta > len(self.graph.adj[v]):
+        n = len(self.graph.adj[v])
+        if delta > n:
             return False
         walk, a, d = self.walk(v), self.alpha, self.cfg.d
-        n = len(walk) // d
         tail = self.frames[self.graph.labels[v]][1]
         for k in range(d):
-            lo = k * n
+            lo, hi = k * n, k * n + n
             x, t = q_embed[d + k], tail[k]
-            if x < a * _walk_sum(walk, lo, lo + n, 2, delta) + t:
+            if x < a * sum(walk[lo : lo + delta]) + t:
                 return False
-            if x > a * _walk_sum(walk, lo + n - 2, lo - 2, -2, delta) + t:
+            if x > a * sum(walk[hi - delta : hi]) + t:
                 return False
         return True
 

@@ -1,0 +1,198 @@
+"""``tools/bench_record.py``: it parses perfbench's output, its summaries
+and verdicts are right on synthetic pairs, it alternates which tree runs
+first, and it exits nonzero on a run that reports ``correct: false``.
+Perfbench itself is never run here."""
+
+import importlib.util
+import json
+from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+
+# perfbench/run.py --workload sw-delete-q20 at its default seed, untraced
+CAPTURED = """\
+workload sw-delete-q20, seed 3: |V|=20000 |E|=50105, 5010 ops (0 inserts, 5010 deletes), \
+20 queries; generated in 0.4 s
+1 warm-up replays; stream figures are the median of replays 2-5
+  replay 1:  160557.74 updates/s  p50       5.68 us  p99       9.28 us  \
+(machine at 0.72x the reference speed)
+  replay 2:  152550.59 updates/s  p50       6.41 us  p99       9.08 us  \
+(machine at 0.76x the reference speed)
+  replay 3:  152481.99 updates/s  p50       6.41 us  p99       9.12 us  \
+(machine at 0.78x the reference speed)
+  replay 4:  152629.07 updates/s  p50       6.41 us  p99       8.81 us  \
+(machine at 0.77x the reference speed)
+  replay 5:  155653.52 updates/s  p50       6.28 us  p99       8.25 us  \
+(machine at 0.72x the reference speed)
+  set-up: 0.2447 0.2442 0.2564 s
+setup_s                  0.2447 s    (median of 3 engine builds)
+register_s               0.2203 s    (20 queries)
+stream_ups          152589.8276 1/s  (5010 updates per replay)
+update_us_p50            6.4092 us   (n=5010 per replay)
+update_us_p99            8.9458 us   (n=5010 per replay, 50 samples beyond)
+peak_rss_mb             52.0898 MB   (read before the exactness gate)
+ops failed: 0 of 25050
+exactness gate: passed
+{"correct": true, "attempted": 25050, "failed": 0, "metrics": \
+{"setup_s": {"value": 0.2447108877268503, "unit": "s"}, \
+"register_s": {"value": 0.22032364991519418, "unit": "s"}, \
+"stream_ups": {"value": 152589.8275656768, "unit": "1/s"}, \
+"update_us_p50": {"value": 6.409187841630296, "unit": "us"}, \
+"update_us_p99": {"value": 8.9458144335585, "unit": "us"}, \
+"peak_rss_mb": {"value": 52.08984375, "unit": "MB"}}}
+"""
+
+METRICS = ["setup_s", "register_s", "stream_ups", "update_us_p50", "update_us_p99", "peak_rss_mb"]
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_record_tool", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def run(values, correct=True, seed=3):
+    """A parsed run whose metrics take ``values``, in ``METRICS`` order."""
+    return {"seed": seed, "correct": correct, "attempted": 10, "failed": 0,
+            "metrics": dict(zip(METRICS, values)), "speeds": [1.0]}
+
+
+def test_parses_captured_perfbench_output():
+    tool = load_tool()
+    rec = tool.parse(CAPTURED)
+    assert rec == {
+        "seed": 3,
+        "correct": True,
+        "attempted": 25050,
+        "failed": 0,
+        "metrics": {
+            "setup_s": 0.2447108877268503,
+            "register_s": 0.22032364991519418,
+            "stream_ups": 152589.8275656768,
+            "update_us_p50": 6.409187841630296,
+            "update_us_p99": 8.9458144335585,
+            "peak_rss_mb": 52.08984375,
+        },
+        "speeds": [0.72, 0.76, 0.78, 0.77, 0.72],
+    }
+    assert list(rec["metrics"]) == list(tool.benchmark()["metrics"]) == METRICS
+
+
+@pytest.mark.parametrize("stdout", ["", "perfbench: no dsmatch sources under src\n",
+                                    CAPTURED.rsplit("\n", 2)[0] + "\n"])
+def test_output_without_a_result_raises(stdout):
+    tool = load_tool()
+    with pytest.raises(tool.NoResult):
+        tool.parse(stdout)
+
+
+def test_verdicts_on_synthetic_pairs():
+    tool = load_tool()
+    # per metric, the working tree's runs against the other tree's, pair by pair
+    base = [[1.0, 1.0, 100.0, 10.0, 20.0, 50.0] for _ in range(4)]
+    new = [
+        [0.5, 1.30, 70.0, 9.0, 21.0, 52.0],
+        [0.6, 1.20, 80.0, 11.0, 21.0, 52.0],
+        [0.7, 1.40, 90.0, 9.5, 19.0, 52.0],
+        [1.1, 1.20, 101.0, 9.5, 21.0, 53.0],
+    ]
+    summary = tool.summarize([run(v) for v in new], [run(v) for v in base])
+    # lower is better: 3 of 4 won, median -35%
+    assert summary["setup_s"]["median"] == pytest.approx(0.65)
+    assert summary["setup_s"]["pairs_won"] == 3
+    assert summary["setup_s"]["change"] == pytest.approx(-0.35)
+    assert summary["setup_s"]["within_bound"]
+    # lower is better, median +25% against a bound of 0.25: just within
+    assert summary["register_s"]["pairs_won"] == 0
+    assert summary["register_s"]["median"] == pytest.approx(1.25)
+    assert summary["register_s"]["within_bound"]
+    # higher is better: median 85 is -15%, within 0.25; one pair won
+    assert summary["stream_ups"]["pairs_won"] == 1
+    assert summary["stream_ups"]["within_bound"]
+    assert summary["update_us_p50"]["pairs_won"] == 3
+    assert summary["update_us_p99"]["pairs_won"] == 1
+    # peak_rss_mb's bound is 0.05: +4% is within it, +6% is not
+    assert summary["peak_rss_mb"]["within_bound"]
+    assert summary["peak_rss_mb"]["bound"] == 0.05
+    worse = tool.summarize([run([1.0] * 5 + [53.0])] * 4, [run(v) for v in base])
+    assert not worse["peak_rss_mb"]["within_bound"]
+    slower = tool.summarize([run([1.0, 1.0, 74.0, 10.0, 20.0, 50.0])] * 4, [run(v) for v in base])
+    assert not slower["stream_ups"]["within_bound"]
+    assert all(row["pairs"] == 4 for row in summary.values())
+    assert summary["setup_s"]["quartiles"] == pytest.approx((0.575, 0.8))
+    assert summary["setup_s"]["against_quartiles"] == (1.0, 1.0)
+
+
+def test_runs_alone_have_no_verdict():
+    tool = load_tool()
+    summary = tool.summarize([run([float(i)] * 6) for i in (1, 2, 3)], None)
+    assert summary["setup_s"] == {"median": 2.0, "quartiles": (1.5, 2.5)}
+    assert tool.quartiles([4.0]) == (4.0, 4.0)
+
+
+def stub_trees(monkeypatch, tool, results):
+    """Run perfbench from ``results[tree]`` in turn, and log each tree run."""
+    order = []
+
+    def fake_run(tree, args):
+        name = "work" if tree == tool.ROOT else "other"
+        order.append(name)
+        assert args[:2] == ["--workload", "sw-delete-q20"]
+        return results[name].pop(0)
+
+    @contextmanager
+    def fake_checkout(rev):
+        yield Path("/nonexistent/other")
+
+    monkeypatch.setattr(tool, "run_perfbench", fake_run)
+    monkeypatch.setattr(tool, "checkout", fake_checkout)
+    monkeypatch.setattr(tool, "git", lambda *args, **kw: "abc123")
+    return order
+
+
+def test_pairs_alternate_and_the_record_is_written(monkeypatch, tmp_path, capsys):
+    tool = load_tool()
+    results = {"work": [run([0.5] * 6) for _ in range(4)],
+               "other": [run([1.0] * 6) for _ in range(4)]}
+    order = stub_trees(monkeypatch, tool, results)
+    out = tmp_path / "bench.json"
+    args = ["--workload", "sw-delete-q20", "--runs", "4", "--against", "HEAD~1", "--out", str(out)]
+    assert tool.main(args) == 0
+    assert order == ["work", "other", "other", "work", "work", "other", "other", "work"]
+    rec = json.loads(out.read_text())
+    assert rec["commit"] == rec["against"] == "abc123"
+    assert rec["seed"] == 3 and rec["correct"]
+    assert rec["python"].count(".") == 2
+    assert len(rec["runs"]) == len(rec["against_runs"]) == 4
+    assert rec["summary"]["register_s"]["pairs_won"] == 4
+    assert not rec["summary"]["stream_ups"]["within_bound"]  # higher is better there
+    assert "written to" in capsys.readouterr().out
+
+
+def test_a_run_that_is_not_correct_exits_nonzero(monkeypatch, tmp_path, capsys):
+    tool = load_tool()
+    results = {"work": [run([1.0] * 6), run([1.0] * 6, correct=False)],
+               "other": [run([1.0] * 6) for _ in range(2)]}
+    stub_trees(monkeypatch, tool, results)
+    out = tmp_path / "bench.json"
+    args = ["--workload", "sw-delete-q20", "--runs", "2", "--against", "HEAD~1", "--out", str(out)]
+    assert tool.main(args) == 1
+    assert not json.loads(out.read_text())["correct"]
+    assert "correct: false" in capsys.readouterr().err
+    # alone, too
+    stub_trees(monkeypatch, tool, {"work": [run([1.0] * 6, correct=False)]})
+    assert tool.main(["--workload", "sw-delete-q20", "--runs", "1", "--out", str(out)]) == 1
+
+
+def test_a_run_without_a_result_exits_2(monkeypatch, tmp_path, capsys):
+    tool = load_tool()
+    stub_trees(monkeypatch, tool, {})
+    monkeypatch.setattr(tool, "run_perfbench", lambda tree, args: tool.parse(""))
+    out = tmp_path / "bench.json"
+    assert tool.main(["--workload", "sw-delete-q20", "--runs", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "no perfbench result" in capsys.readouterr().err

@@ -6,11 +6,18 @@ re-inserts of deleted edges, rejected ops and queries registered
 mid-stream.  A shadow graph receives the same accepted ops.  After every
 step each registered query's answers equal the brute-force oracle's on
 the shadow graph, and the engine's index equals a fresh build over the
-engine's graph with the same degree groups, cell count and domain.  Each
-accepted op's deltas are the answer-set differences it caused, naming
-only the queries it changed; a rejected op changes neither graph, index
-nor answers.
+engine's graph with the same degree groups, cell count and domain: its
+snapshot, and every box table its grids have filled, once the latest
+query's vertices are scanned again as a registration now would.
+``admits`` agrees with ``mbr`` containment on a third of the vertices,
+in turn, on probes at and one float step past each bound of a vertex's
+box at its degree, tested at its top two degrees and one past them.
+Each accepted op's deltas are the answer-set differences it caused,
+naming only the queries it changed; a rejected op changes neither graph,
+index nor answers.
 """
+
+import math
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -49,6 +56,7 @@ class EngineMachine(RuleBasedStateMachine):
         )
         self.queries = {}
         self.deleted = []  # edges this run deleted, maybe inserted again since
+        self.checks = 0  # invariant checks run, which rotate the vertices probed
         self.engine.register("q0", self.pool.pop())
         self.queries["q0"] = self.engine.queries["q0"].query
 
@@ -137,7 +145,34 @@ class EngineMachine(RuleBasedStateMachine):
         fresh = SynopsisIndex(
             self.engine.graph, index.groups, index.cfg, index.k_cells, domain=index.domain
         )
+        rq = self.engine.queries[f"q{len(self.queries) - 1}"]
+        for qi in rq.query.vertex_order:
+            index.scan_for_degree(rq.embeds[qi], rq.query.degree(qi), rq.query.labels[qi])
+        for syn, twin in zip(index.synopses, fresh.synopses):
+            cells = {cell.coords: cell for cell in twin.cells}
+            for cell in syn.cells:
+                for (label, delta), table in cell.tables.items():
+                    assert twin.box_table(cells[cell.coords], label, delta) == table
         assert index.snapshot() == fresh.snapshot()
+
+    @invariant()
+    def admits_is_box_containment(self):
+        lists, d = self.engine.index.lists, self.engine.cfg.d
+        self.checks += 1
+        for v in sorted(self.shadow.labels)[self.checks % 3 :: 3]:  # a third per step
+            deg = self.shadow.degree(v)
+            if not deg:
+                continue
+            boxes = {delta: lists.mbr(v, delta) for delta in range(max(deg - 1, 1), deg + 1)}
+            box = boxes[deg]
+            probes = [box.low, box.high]
+            for j in range(d, 2 * d):
+                for p, outward in ((box.low, -math.inf), (box.high, math.inf)):
+                    probes.append(p[:j] + (math.nextafter(p[j], outward),) + p[j + 1:])
+            for delta in (*boxes, deg + 1):  # the top two degrees and one past
+                for p in probes:
+                    want = delta <= deg and boxes[delta].contains(p)
+                    assert lists.admits(v, delta, p) == want
 
 
 EngineMachine.TestCase.settings = settings(

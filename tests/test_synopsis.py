@@ -544,10 +544,13 @@ def reference_box(g, v, delta, cfg):
 
 def assert_reads_equal_enumeration(idx, g):
     """Everything the store reads is exact, checked with ``==``: label
-    vectors sit on their grid; both neighbor sums, and ``capped_sums`` at
-    every degree, equal ``math.fsum`` of the components; ``mbr`` and every
-    ``box_columns`` row equal ``reference_box``, a row of (+inf, -inf) past
-    the vertex's degree; and ``admits`` accepts a query tail exactly on
+    vectors sit on their grid; each walk is d ascending segments of deg(v)
+    entries, the sorted neighbor components; both neighbor sums, and
+    ``capped_sums`` at every degree, equal ``math.fsum`` of the components;
+    ``mbr`` and every ``box_columns`` row equal ``reference_box``, a row of
+    (+inf, -inf) past the vertex's degree, in fills from degree 1 and in
+    fills over a range that some of the bucket's degrees fall below, some
+    inside and some above; and ``admits`` accepts a query tail exactly on
     each bound and rejects one float step outside it."""
     lists, cfg = idx.lists, idx.cfg
     d = cfg.d
@@ -557,6 +560,7 @@ def assert_reads_equal_enumeration(idx, g):
     boxes = {}
     for v in g.vertices():
         vecs = [label_vector(g.labels[n], cfg) for n in g.neighbors(v)]
+        assert lists.walk(v) == [c for k in range(d) for c in sorted(x[k] for x in vecs)]
         exact = tuple(math.fsum(x[k] for x in vecs) for k in range(d))
         assert lists.neighbor_sum(v) == neighbor_sum(g, v, cfg) == exact
         deg = g.degree(v)
@@ -574,27 +578,36 @@ def assert_reads_equal_enumeration(idx, g):
                     for x, inside in ((bound, True), (math.nextafter(bound, outward), False)):
                         assert lists.admits(v, delta, centre[:j] + (x,) + centre[j + 1:]) == inside
         assert not lists.admits(v, deg + 1, embed_vertex(g, v, cfg))
+    straddled = False  # some bucket had degrees below, inside and above a range
     for syn in idx.synopses:
         for cell in syn.cells:
             for vs, _ in cell.buckets.values():
-                top = max(g.degree(v) for v in vs) + 1
-                for delta, table in enumerate(lists.box_columns(vs, 1, top), start=1):
-                    for i, v in enumerate(vs):
-                        box = boxes.get((v, delta))
-                        lows = tuple(col[i] for col, _ in table)
-                        highs = tuple(col[i] for _, col in table)
-                        if box is None:
-                            assert (lows, highs) == ((math.inf,) * d, (-math.inf,) * d)
-                        else:
-                            assert (lows, highs) == (box.low[d:], box.high[d:])
+                degs = sorted({g.degree(v) for v in vs})
+                ranges = [(1, degs[-1] + 1)]
+                if len(degs) >= 3:
+                    ranges.append((degs[1], degs[-2]))
+                    straddled = True
+                for first, last in ranges:
+                    tables = lists.box_columns(vs, first, last)
+                    assert len(tables) == last - first + 1
+                    for delta, table in enumerate(tables, start=first):
+                        for i, v in enumerate(vs):
+                            box = boxes.get((v, delta))
+                            lows = tuple(col[i] for col, _ in table)
+                            highs = tuple(col[i] for _, col in table)
+                            if box is None:
+                                assert (lows, highs) == ((math.inf,) * d, (-math.inf,) * d)
+                            else:
+                                assert (lows, highs) == (box.low[d:], box.high[d:])
+    assert straddled
 
 
 def run_hub_churn(mode, check, m=3):
     """A small-world graph plus a hub of degree 240 over labels 0-15, whose
     zipf components tie on dimension 0, with its index over m degree
     groups; ``check(idx, g)`` runs on it before a mixed stream, with one
-    vertex isolated after it, and after that vertex's revival and more
-    churn at the hub."""
+    vertex isolated after it and a label first seen there, and after that
+    vertex's revival and more churn at the hub."""
     cfg = EmbeddingConfig(d=2, mode=mode)
     rng = Rng(83)
     g = small_world(n=60, avg_deg=5.0, alphabet=4, seed=37)
@@ -618,6 +631,11 @@ def run_hub_churn(mode, check, m=3):
     assert {op.kind for op in ops} == {INSERT, DELETE}
     for op in ops:
         apply(op)
+    # label 16 is first seen here, at the hub and at a vertex of the graph
+    assert 16 not in lists.frames
+    fresh = max(g.labels) + 1
+    apply(UpdateOp(INSERT, hub, fresh, label_v=16))
+    apply(UpdateOp(INSERT, fresh, min(g.vertices())))
     loner = next(v for v in sorted(g.vertices()) if v != hub and g.degree(v) >= 2)
     lbl = g.labels[loner]
     for n in sorted(g.neighbors(loner)):
