@@ -7,18 +7,21 @@ with the query's vertices in ascending id order, so answer sets from any
 vertex ordering (or from the brute-force oracle) compare directly.
 
 Registration compiles one :class:`JoinPlan` per query edge, which
-:func:`refine` executes, and files it in one label-pair table under both
-orientations of the edge's labels.  An update reads only the queries filed
-under its edge's label pair: an insertion seeds each of their plans onto
-the new edge in the orientation it is filed under and completes it by
-refinement; a deletion drops each query's stored answers whose edge image
-contains the deleted edge, found through an inverted edge index.
+:func:`refine` executes, and appends a seed entry for it to one label-pair
+table under each orientation of the edge's labels, holding the degree and
+tail coordinates each endpoint of an inserted edge must admit.  An update
+reads only its edge's label pair: an insertion computes each endpoint's
+box rows once (``NeighborListStore.bounds``), tests every seed there
+against them, and completes each admitted seed on the new edge by
+refinement; a deletion drops each of the pair's queries' stored answers
+whose edge image contains the deleted edge, found through an inverted edge
+index.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, Iterator
 
@@ -301,6 +304,29 @@ class QueryDelta:
 
 UNCHANGED = QueryDelta()
 
+# (query name, plan, flip, degree and tail coordinates u must admit, the
+# same for v): seeds the plan on an inserted edge (u, v) with [v, u] if
+# flipped, else with [u, v], so u takes level 1 of the plan if flipped
+Seed = tuple[str, JoinPlan, bool, int, Vec, int, Vec]
+
+
+@dataclass(slots=True)
+class LabelPair:
+    """What one label pair (label(u), label(v)) files, in registration
+    order: the seed entries of every query edge on it, the largest degree
+    any of them needs u and v to admit, and its queries by name."""
+
+    seeds: list[Seed] = field(default_factory=list)
+    last_u: int = 0
+    last_v: int = 0
+    queries: dict[str, RegisteredQuery] = field(default_factory=dict)
+
+    def file(self, seed: Seed, rq: RegisteredQuery) -> None:
+        self.seeds.append(seed)
+        self.last_u = max(self.last_u, seed[3])
+        self.last_v = max(self.last_v, seed[5])
+        self.queries[rq.name] = rq
+
 
 @dataclass(slots=True)
 class UpdateResult:
@@ -333,12 +359,10 @@ class MatchEngine:
         self.cfg = cfg
         self.index = SynopsisIndex(graph, compute_degree_groups(graph, m_groups), cfg, k_cells)
         self.queries: dict[str, RegisteredQuery] = {}
-        # (label_a, label_b) -> by name, in registration order, each query
-        # with an edge on that pair and its (edge plan, flip) entries: an
-        # insert (u, v) there seeds a plan with [v, u] if flipped, else with
-        # [u, v], and a delete there reaches only these queries
-        self.pairs: dict[tuple[Label, Label],
-                         dict[str, tuple[RegisteredQuery, list[tuple[JoinPlan, bool]]]]] = {}
+        # (label(u), label(v)) -> the seeds an insert (u, v) tests against
+        # u's and v's box rows, and the only queries a delete there reaches;
+        # only register writes it
+        self.pairs: dict[tuple[Label, Label], LabelPair] = {}
 
     def register(self, name: str, query: QueryGraph) -> RegisteredQuery:
         """Exact answers on the current snapshot, and one plan per query edge.
@@ -369,10 +393,18 @@ class MatchEngine:
         for m in refine(plan, self.graph, self.index.lists, [], 0, cand_sets[start]):
             answers.add(m)
         rq = RegisteredQuery(name, query, embeds, scan_stats, answers)
-        for (qa, qb), plan in plans.items():
-            la, lb = query.labels[qa], query.labels[qb]
-            for key, flip in (((la, lb), False), ((lb, la), True)):  # one key if la == lb
-                self.pairs.setdefault(key, {}).setdefault(name, (rq, []))[1].append((plan, flip))
+        d = self.cfg.d
+        for plan in plans.values():
+            (la, lb), (da, db) = plan.labels[:2], plan.degrees[:2]
+            ta, tb = (e[d:] for e in plan.embeds[:2])
+            for key, seed in (
+                ((la, lb), (name, plan, False, da, ta, db, tb)),
+                ((lb, la), (name, plan, True, db, tb, da, ta)),
+            ):  # one key if la == lb
+                pair = self.pairs.get(key)
+                if pair is None:
+                    pair = self.pairs[key] = LabelPair()
+                pair.file(seed, rq)
         self.queries[name] = rq
         return rq
 
@@ -383,8 +415,9 @@ class MatchEngine:
 
         The graph rejects a bad op before mutating anything, and nothing
         after an accepted op can raise (the histogram and answer-set edits
-        are plain dict and set updates; the box read in ``admits`` sits
-        behind its degree check), so every op applies fully or not at all.
+        are plain dict and set updates; ``bounds`` reads no row past an
+        endpoint's degree, and ``admits`` sits behind its degree check), so
+        every op applies fully or not at all.
         Only the queries filed under the edge's label pair are visited, and
         the result's deltas name only the queries whose answers changed.
         """
@@ -406,10 +439,10 @@ class MatchEngine:
             filter_s = refine_s = 0.0
             t1 = perf_counter()
             labels = self.graph.labels
-            filed = self.pairs.get((labels[op.u], labels[op.v]))
-            if filed:
+            pair = self.pairs.get((labels[op.u], labels[op.v]))
+            if pair is not None:
                 edge = op.edge()
-                for name, (rq, _) in filed.items():
+                for name, rq in pair.queries.items():
                     victims = rq.answers.answers_on_edge(edge)
                     if victims:
                         for m in victims:
@@ -425,28 +458,39 @@ class MatchEngine:
     ) -> tuple[dict[str, set[Mapping]], float, float]:
         """New answers, per query name, that use the just-inserted edge (u, v).
 
-        Each plan filed under (label(u), label(v)) whose seeded endpoints both
-        pass the box admission test is completed by refinement from [u, v],
-        or from [v, u] when it is filed flipped.
+        The box rows of u and v, up to the largest degree any seed filed
+        under (label(u), label(v)) needs, are computed once per endpoint
+        (``store.bounds``), and every seed there is tested against them by
+        lookup: one whose degrees both endpoints reach and whose tail
+        coordinates lie in both boxes is completed by refinement from
+        [u, v], or from [v, u] when it is filed flipped.  ``admits`` runs
+        only inside the join, at its later levels.
         """
         graph = self.graph
         labels = graph.labels
         store = self.index.lists
-        admits = store.admits
         found: dict[str, set[Mapping]] = {}
         t_refine = 0.0
         t_start = perf_counter()
-        for name, (_, plans) in self.pairs.get((labels[u], labels[v]), {}).items():
-            for plan, flip in plans:
-                a, b = (v, u) if flip else (u, v)
-                degrees, embeds = plan.degrees, plan.embeds
-                if not (admits(a, degrees[0], embeds[0]) and admits(b, degrees[1], embeds[1])):
+        pair = self.pairs.get((labels[u], labels[v]))
+        if pair is not None:
+            rows_u, rows_v = store.bounds(u, pair.last_u), store.bounds(v, pair.last_v)
+            nu, nv = len(rows_u), len(rows_v)
+            dims = range(self.cfg.d)
+            for name, plan, flip, du, xu, dv, xv in pair.seeds:
+                if du > nu or dv > nv:
                     continue
-                t1 = perf_counter()
-                added = refine(plan, graph, store, [a, b], 2)
-                t_refine += perf_counter() - t1
-                if added:
-                    found.setdefault(name, set()).update(added)
+                ru, rv = rows_u[du - 1], rows_v[dv - 1]
+                for k in dims:
+                    if not (ru[2 * k] <= xu[k] <= ru[2 * k + 1]
+                            and rv[2 * k] <= xv[k] <= rv[2 * k + 1]):
+                        break
+                else:
+                    t1 = perf_counter()
+                    added = refine(plan, graph, store, [v, u] if flip else [u, v], 2)
+                    t_refine += perf_counter() - t1
+                    if added:
+                        found.setdefault(name, set()).update(added)
         t_filter = perf_counter() - t_start - t_refine
         return found, t_filter, t_refine
 

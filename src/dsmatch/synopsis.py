@@ -241,7 +241,7 @@ class NeighborListStore:
     coordinates, and the constant added to ``alpha * raw_sum`` on each tail
     dimension (plain mode is alpha = 1 with zero constants).  ``comps[k]``
     maps each label seen to its label-vector component on dimension k.
-    Boxes and neighbor sums read a vertex's walk: one flat list holding,
+    Boxes and capped sums read a vertex's walk: one flat list holding,
     per dimension in turn, a segment of its deg(v) neighbor components in
     ascending order, the histogram expanded (a label counted c times gives
     c copies).  It is built when first read, and any histogram edit drops
@@ -312,10 +312,6 @@ class NeighborListStore:
                     else:
                         walk += repeat(comps[lbl], c)
         return walk
-
-    def neighbor_sum(self, v: VertexId) -> Vec:
-        walk, n = self.walk(v), self.degree(v)
-        return tuple(math.fsum(walk[k * n : k * n + n]) for k in range(self.cfg.d))
 
     def capped_sums(self, v: VertexId, caps: Sequence[int]) -> list[float]:
         """Per dimension in turn, the sum of v's ``cap`` largest neighbor
@@ -397,6 +393,27 @@ class NeighborListStore:
             if x > a * sum(walk[hi - delta : hi]) + t:
                 return False
         return True
+
+    def bounds(self, v: VertexId, last: int) -> list[list[float]]:
+        """Per delta in 1..min(last, deg(v)), v's box tail bounds at delta:
+        per tail dimension in turn, the low then the high bound, the floats
+        :meth:`admits` compares against.  Running sums step inward from
+        both ends of each walk segment; sums of components are exact, so
+        each equals the slice sum ``admits`` takes."""
+        n = len(self.graph.adj[v])
+        walk, a = self.walk(v), self.alpha
+        rows: list[list[float]] = [[] for _ in range(min(last, n))]
+        for k, t in enumerate(self.frames[self.graph.labels[v]][1]):
+            lo = hi = 0.0
+            i = k * n
+            j = i + n
+            for row in rows:
+                j -= 1
+                lo += walk[i]
+                hi += walk[j]
+                i += 1
+                row += (a * lo + t, a * hi + t)
+        return rows
 
 
 # -- grid synopses ------------------------------------------------------------

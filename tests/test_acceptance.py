@@ -183,7 +183,10 @@ def test_c04_maintenance_equals_rebuild_after_1000_updates():
     assert index.snapshot() == rebuilt.snapshot()  # entry sets and histograms exact
     worst = 0.0
     for v in g.vertices():
-        got = index.lists.neighbor_sum(v)
+        deg = g.degree(v)
+        # the store's sum of all deg(v) neighbor components; none if isolated
+        got = tuple(index.lists.capped_sums(v, (deg,))) if deg else (0.0,) * cfg.d
+        assert deg or index.lists.walk(v) == []
         want = neighbor_sum(g, v, cfg)
         worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
     assert worst <= 1e-9

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import sys
 from collections import Counter, defaultdict
 
 import pytest
@@ -29,6 +30,7 @@ from dsmatch.matcher import (
     refine,
 )
 from dsmatch.oracle import enumerate_matches
+from dsmatch.rng import Rng
 from dsmatch.synopsis import GridSynopsis, NeighborListStore, SynopsisIndex
 
 from conftest import make_graph, small_world
@@ -456,6 +458,7 @@ def test_register_files_one_plan_per_query_edge(monkeypatch, cfg_zipf):
     monkeypatch.setattr(matcher_mod, "refine", recording_refine)
     queries = sample_queries(g, 8, 5, 2.5, seed=4)
     assert any(len(q.edges) >= len(q) for q in queries)  # some have a cycle
+    d = cfg_zipf.d
     for i, q in enumerate(queries):
         name = f"q{i}"
         rq = engine.register(name, q)
@@ -465,13 +468,18 @@ def test_register_files_one_plan_per_query_edge(monkeypatch, cfg_zipf):
             for qi in q.vertex_order
         }
         plans, filed = {}, defaultdict(list)
-        for key, by_name in engine.pairs.items():
-            if name in by_name:
-                owner, entries = by_name[name]
-                assert owner is rq
-                for plan, flip in entries:
-                    plans[id(plan)] = plan
-                    filed[id(plan)].append((key, flip))
+        for key, pair in engine.pairs.items():
+            for owner, plan, flip, du, xu, dv, xv in pair.seeds:
+                if owner != name:
+                    continue
+                assert pair.queries[name] is rq
+                plans[id(plan)] = plan
+                filed[id(plan)].append((key, flip))
+                # the flip is resolved at filing: u takes level 1 if flipped
+                lu, lv = (1, 0) if flip else (0, 1)
+                assert key == (plan.labels[lu], plan.labels[lv])
+                assert (du, xu) == (plan.degrees[lu], plan.embeds[lu][d:]) and du <= pair.last_u
+                assert (dv, xv) == (plan.degrees[lv], plan.embeds[lv][d:]) and dv <= pair.last_v
         assert len(plans) == len(q.edges)
         assert sorted(tuple(sorted(p.order[:2])) for p in plans.values()) == list(q.edges)
         for pid, plan in plans.items():
@@ -565,8 +573,8 @@ def test_duplicate_registration_leaves_engine_untouched(cfg_zipf):
 
     def state():
         pairs = {
-            key: {name: (rq, list(plans)) for name, (rq, plans) in filed.items()}
-            for key, filed in engine.pairs.items()
+            key: (list(pair.seeds), pair.last_u, pair.last_v, dict(pair.queries))
+            for key, pair in engine.pairs.items()
         }
         answers = {name: rq.answers.mappings() for name, rq in engine.queries.items()}
         return dict(engine.queries), pairs, answers
@@ -641,7 +649,7 @@ def test_deletes_compute_no_boxes(any_mode_cfg, monkeypatch):
     for i, q in enumerate(sample_queries(g, 3, 4, 2.0, seed=13)):
         engine.register(f"q{i}", q)
     calls = []
-    mbr, admits = NeighborListStore.mbr, NeighborListStore.admits
+    mbr, admits, bounds = NeighborListStore.mbr, NeighborListStore.admits, NeighborListStore.bounds
 
     def counted(self, v, delta):
         calls.append((v, delta))
@@ -651,8 +659,13 @@ def test_deletes_compute_no_boxes(any_mode_cfg, monkeypatch):
         calls.append((v, delta))
         return admits(self, v, delta, q_embed)
 
+    def counted_bounds(self, v, last):
+        calls.append((v, last))
+        return bounds(self, v, last)
+
     monkeypatch.setattr(NeighborListStore, "mbr", counted)
     monkeypatch.setattr(NeighborListStore, "admits", counted_admits)
+    monkeypatch.setattr(NeighborListStore, "bounds", counted_bounds)
     _, stream = split_stream(g, 0.0, 0.2, seed=5)
     removed = 0
     for op in stream:
@@ -660,6 +673,134 @@ def test_deletes_compute_no_boxes(any_mode_cfg, monkeypatch):
         removed += sum(len(d.removed) for d in engine.process_update(op).deltas.values())
     assert removed > 0
     assert calls == []
+
+
+def test_insert_reads_each_endpoints_box_rows_once(any_mode_cfg, monkeypatch):
+    # an insert under a filed label pair computes one box row list per
+    # endpoint, up to the largest degree the pair's seeds need, however many
+    # seeds it tests; ``admits`` runs only inside the join, below its first
+    # level; an insert under no filed pair computes no box
+    g = small_world(n=80, avg_deg=5.0, alphabet=3, seed=23)
+    g0, stream = split_stream(g, 0.2, 0.0, seed=5)
+    engine = MatchEngine(g0.copy(), any_mode_cfg)
+    for i, q in enumerate(sample_queries(g, 6, 4, 2.0, seed=13)):
+        engine.register(f"q{i}", q)
+    bounds, admits = NeighborListStore.bounds, NeighborListStore.admits
+    reads, levels = [], []
+
+    def counted_bounds(self, v, last):
+        reads.append((v, last))
+        return bounds(self, v, last)
+
+    def counted_admits(self, v, delta, q_embed):
+        caller = sys._getframe(1)  # the join's level, if the join called
+        in_join = caller.f_code.co_name == "rec" and caller.f_globals is vars(matcher_mod)
+        levels.append(caller.f_locals["n"] if in_join else None)
+        return admits(self, v, delta, q_embed)
+
+    monkeypatch.setattr(NeighborListStore, "bounds", counted_bounds)
+    monkeypatch.setattr(NeighborListStore, "admits", counted_admits)
+    most_seeds = unfiled = 0
+    for op in [*stream, UpdateOp(INSERT, 0, max(g.labels) + 1, label_v=7)]:  # no query has 7
+        assert op.kind == INSERT
+        reads.clear()
+        engine.process_update(op)
+        labels = engine.graph.labels
+        pair = engine.pairs.get((labels[op.u], labels[op.v]))
+        if pair is None:
+            unfiled += 1
+            assert reads == []
+        else:
+            most_seeds = max(most_seeds, len(pair.seeds))
+            assert reads == [(op.u, pair.last_u), (op.v, pair.last_v)]
+    assert most_seeds >= 4 and unfiled > 0
+    assert levels and all(n is not None and n >= 1 for n in levels)
+
+
+@pytest.mark.parametrize("cfg_kw", [
+    {"d": 2, "mode": "plain"},
+    {"d": 2, "mode": "base"},
+    {"d": 2, "mode": "zipf"},
+    {"d": 1, "mode": "zipf"},
+    {"d": 3, "mode": "base"},
+], ids=["plain", "base", "zipf", "zipf-d1", "base-d3"])
+def test_batched_admission_equals_admits(cfg_kw, monkeypatch):
+    # on every insert, the seeds refined are exactly those whose two seeded
+    # endpoints pass ``admits`` at the plan's first two levels: over a mixed
+    # stream that brings in label 3, which a query has but the graph lacks,
+    # and then churns at a hub, attaching new vertices of degree 1
+    cfg = EmbeddingConfig(**cfg_kw)
+    rng = Rng(29)
+    g = small_world(n=60, avg_deg=4.0, alphabet=3, seed=71)
+    hub = max(g.labels) + 1
+    g.add_vertex(hub, 0)
+    for v in range(hub + 1, hub + 41):
+        g.add_vertex(v, rng.randint(0, 2))
+        g.add_edge(hub, v)
+    engine = MatchEngine(g.copy(), cfg)
+    queries = sample_queries(g, 4, 4, 2.0, seed=17) + [
+        QueryGraph({0: 3, 1: 0, 2: 1}, [(0, 1), (0, 2), (1, 2)]),
+        QueryGraph({0: 0, 1: 3, 2: 2}, [(0, 1), (0, 2)]),
+    ]
+    for i, q in enumerate(queries):
+        engine.register(f"q{i}", q)
+    assert 3 not in engine.index.lists.frames
+    live = g.copy()
+    ops = random_update_stream(g, 150, seed=31, alphabet=4)
+    for op in ops:
+        live.apply_update(op)
+    for i in range(60):
+        if i % 2:
+            op = UpdateOp(DELETE, hub, rng.choice(sorted(live.neighbors(hub))))
+        else:
+            op = UpdateOp(INSERT, hub, max(live.labels) + 1, label_v=rng.randint(0, 3))
+        live.apply_update(op)
+        ops.append(op)
+
+    seeded = []
+    real_refine = matcher_mod.refine
+
+    def recording_refine(plan, graph, store, seed, depth, roots=()):
+        if depth == 2:
+            seeded.append((plan, list(seed)))
+        return real_refine(plan, graph, store, seed, depth, roots)
+
+    monkeypatch.setattr(matcher_mod, "refine", recording_refine)
+    admits, degree = engine.index.lists.admits, engine.graph.degree
+    verdicts = Counter()  # (admitted, an endpoint below its seed's degree)
+    new_label = 0
+    for op in ops:
+        seeded.clear()
+        engine.process_update(op)
+        if op.kind != INSERT:
+            assert seeded == []
+            continue
+        u, v = op.u, op.v
+        key = engine.graph.labels[u], engine.graph.labels[v]
+        new_label += 3 in key and key in engine.pairs
+        want = []
+        for _, plan, flip, du, _, dv, _ in engine.pairs[key].seeds if key in engine.pairs else ():
+            a, b = (v, u) if flip else (u, v)
+            ok = admits(a, plan.degrees[0], plan.embeds[0]) and admits(
+                b, plan.degrees[1], plan.embeds[1]
+            )
+            verdicts[ok, du > degree(u) or dv > degree(v)] += 1
+            if ok:
+                want.append((plan, [a, b]))
+        assert seeded == want
+    assert verdicts[True, False] and verdicts[False, False] and verdicts[False, True]
+    assert verdicts[True, True] == 0 and new_label > 0
+    # each endpoint's rows are its boxes' tails, and none past its degree
+    store, d = engine.index.lists, cfg.d
+    for v in engine.graph.vertices():
+        deg = degree(v)
+        rows = store.bounds(v, deg + 1)
+        assert len(rows) == deg
+        for delta, row in enumerate(rows, 1):
+            box = store.mbr(v, delta)
+            assert row == [b for k in range(d, 2 * d) for b in (box.low[k], box.high[k])]
+    for name, rq in engine.queries.items():
+        assert rq.answers.mappings() == enumerate_matches(engine.graph, rq.query)
 
 
 def test_full_stream_exactness_mixed_updates(any_mode_cfg):

@@ -130,8 +130,8 @@ def test_recompute_check_catches_missing_orientation(cfg_zipf, monkeypatch):
 
     def register_then_drop(name, query):
         rq = register(name, query)
-        entries = engine.pairs[5, 5][name][1]
-        entries[:] = [(plan, flip) for plan, flip in entries if not flip]
+        seeds = engine.pairs[5, 5].seeds
+        seeds[:] = [seed for seed in seeds if not seed[2]]
         return rq
 
     monkeypatch.setattr(engine, "register", register_then_drop)

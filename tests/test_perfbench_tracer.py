@@ -32,6 +32,14 @@ def test_tracer_on_small_engine(cfg_zipf, monkeypatch):
     q, q1 = sample_queries(g, 2, 4, 2.0, seed=13)
     ops = random_update_stream(g, 20, seed=41, alphabet=3)
     assert {op.kind for op in ops} == {INSERT, DELETE}
+    seeds = []  # depth-2 joins: inserts seeding a plan, under the tracer's wrapper
+    real_refine = matcher_mod.refine
+
+    def counted_refine(plan, graph, store, seed, depth, roots=()):
+        seeds.append(depth == 2)
+        return real_refine(plan, graph, store, seed, depth, roots)
+
+    monkeypatch.setattr(matcher_mod, "refine", counted_refine)
     apply_update, refine = DynamicGraph.apply_update, matcher_mod.refine
 
     reg = Tracer()
@@ -42,8 +50,12 @@ def test_tracer_on_small_engine(cfg_zipf, monkeypatch):
 
     tr = Tracer()
     with tr.installed(engine):
+        seeds.clear()
         for op in ops:
             engine.process_update(op)
+        # the tracer counts seeds from the module's refine, which the insert
+        # path must call by name for the count to see them
+        assert tr.counts["matcher.seeds"] == sum(seeds) > 0
         # the stream dropped the grids; this registration rebuilds them from
         # the vertices' walks, without calling lists.mbr
         engine.register("q1", q1)

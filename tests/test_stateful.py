@@ -14,7 +14,8 @@ in turn, on probes at and one float step past each bound of a vertex's
 box at its degree, tested at its top two degrees and one past them.
 Each accepted op's deltas are the answer-set differences it caused,
 naming only the queries it changed; a rejected op changes neither graph,
-index nor answers.
+index nor answers.  The label-pair table equals a refiling of every
+registered query's plans.
 """
 
 import math
@@ -154,6 +155,32 @@ class EngineMachine(RuleBasedStateMachine):
                 for (label, delta), table in cell.tables.items():
                     assert twin.box_table(cells[cell.coords], label, delta) == table
         assert index.snapshot() == fresh.snapshot()
+
+    @invariant()
+    def label_pairs_equal_a_rebuild(self):
+        # refiling every registered query's plans, in registration order,
+        # gives the same seeds per label pair, flips, largest degrees and
+        # queries as the table that registration appended to
+        pairs, d = self.engine.pairs, self.engine.cfg.d
+        plans = {name: {} for name in self.engine.queries}
+        for pair in pairs.values():
+            for name, plan, *_ in pair.seeds:
+                plans[name][frozenset(plan.order[:2])] = plan
+        want = {}
+        for name, rq in self.engine.queries.items():
+            assert set(plans[name]) == {frozenset(e) for e in rq.query.edges}
+            for edge in rq.query.edges:
+                plan = plans[name][frozenset(edge)]
+                levels = [(plan.labels[i], plan.degrees[i], plan.embeds[i][d:]) for i in (0, 1)]
+                for flip, (a, b) in ((False, levels), (True, levels[::-1])):
+                    seeds, last_u, last_v, queries = want.get((a[0], b[0]), ([], 0, 0, {}))
+                    seeds.append((name, plan, flip, a[1], a[2], b[1], b[2]))
+                    queries[name] = rq
+                    want[a[0], b[0]] = seeds, max(last_u, a[1]), max(last_v, b[1]), queries
+        got = {
+            key: (pair.seeds, pair.last_u, pair.last_v, pair.queries) for key, pair in pairs.items()
+        }
+        assert got == want
 
     @invariant()
     def admits_is_box_containment(self):

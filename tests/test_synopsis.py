@@ -444,7 +444,11 @@ def test_maintenance_equals_rebuild_after_stream(mode):
     assert idx.snapshot() == rebuilt.snapshot()
     # maintained neighbor sums equal from-scratch sums
     for v in g.vertices():
-        assert idx.lists.neighbor_sum(v) == neighbor_sum(g, v, cfg)
+        deg = g.degree(v)
+        if deg:
+            assert tuple(idx.lists.capped_sums(v, (deg,))) == neighbor_sum(g, v, cfg)
+        else:
+            assert idx.lists.walk(v) == []
 
 
 def test_hub_degree_boxes_and_rebuild_under_churn(any_mode_cfg):
@@ -545,9 +549,10 @@ def reference_box(g, v, delta, cfg):
 def assert_reads_equal_enumeration(idx, g):
     """Everything the store reads is exact, checked with ``==``: label
     vectors sit on their grid; each walk is d ascending segments of deg(v)
-    entries, the sorted neighbor components; both neighbor sums, and
+    entries, the sorted neighbor components; the neighbor sum, and
     ``capped_sums`` at every degree, equal ``math.fsum`` of the components;
-    ``mbr`` and every ``box_columns`` row equal ``reference_box``, a row of
+    ``mbr``, each ``bounds`` row (none past the degree) and every
+    ``box_columns`` row equal ``reference_box``, a row of
     (+inf, -inf) past the vertex's degree, in fills from degree 1 and in
     fills over a range that some of the bucket's degrees fall below, some
     inside and some above; and ``admits`` accepts a query tail exactly on
@@ -562,16 +567,21 @@ def assert_reads_equal_enumeration(idx, g):
         vecs = [label_vector(g.labels[n], cfg) for n in g.neighbors(v)]
         assert lists.walk(v) == [c for k in range(d) for c in sorted(x[k] for x in vecs)]
         exact = tuple(math.fsum(x[k] for x in vecs) for k in range(d))
-        assert lists.neighbor_sum(v) == neighbor_sum(g, v, cfg) == exact
+        assert neighbor_sum(g, v, cfg) == exact
         deg = g.degree(v)
         if deg:
+            assert tuple(lists.capped_sums(v, (deg,))) == exact
             largest = [sorted((x[k] for x in vecs), reverse=True) for k in range(d)]
             caps = range(1, deg + 1)
             want = [math.fsum(c[:cap]) for c in largest for cap in caps]
             assert lists.capped_sums(v, caps) == want
+        rows = lists.bounds(v, deg + 2)  # no row past the degree
+        shorter = max(deg - 1, 0)
+        assert len(rows) == deg and lists.bounds(v, shorter) == rows[:shorter]
         for delta in range(1, deg + 1):
             box = boxes[v, delta] = reference_box(g, v, delta, cfg)
             assert lists.mbr(v, delta) == box
+            assert rows[delta - 1] == [b for k in range(d, 2 * d) for b in (box.low[k], box.high[k])]
             centre = tuple((lo + hi) / 2 for lo, hi in zip(box.low, box.high))
             for j in range(d, 2 * d):
                 for bound, outward in ((box.low[j], -math.inf), (box.high[j], math.inf)):
@@ -641,7 +651,7 @@ def run_hub_churn(mode, check, m=3):
     for n in sorted(g.neighbors(loner)):
         apply(UpdateOp(DELETE, loner, n))
     assert g.degree(loner) == 0
-    assert lists.neighbor_sum(loner) == (0.0,) * cfg.d
+    assert lists.walk(loner) == [] and neighbor_sum(g, loner, cfg) == (0.0,) * cfg.d
     check(idx, g)
     apply(UpdateOp(INSERT, loner, hub))
     for i in range(200):
@@ -757,10 +767,10 @@ def test_walk_is_dropped_by_a_histogram_edit(cfg_zipf):
     lists = idx.lists
     steps = [UpdateOp(INSERT, 0, 3), UpdateOp(DELETE, 0, 1), UpdateOp(INSERT, 0, 4)]
     for op in steps:
-        before = lists.mbr(0, 2), lists.neighbor_sum(0)
+        before = lists.mbr(0, 2), tuple(lists.capped_sums(0, (g.degree(0),)))
         g.apply_update(op)
         idx.maintain(op)
-        after = lists.mbr(0, 2), lists.neighbor_sum(0)
+        after = lists.mbr(0, 2), tuple(lists.capped_sums(0, (g.degree(0),)))
         assert after == (reference_box(g, 0, 2, cfg_zipf), neighbor_sum(g, 0, cfg_zipf))
         assert all(a != b for a, b in zip(after, before))
         assert lists.admits(0, 2, after[0].low) and lists.admits(0, 2, after[0].high)
