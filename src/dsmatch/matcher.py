@@ -8,19 +8,22 @@ vertex ordering (or from the brute-force oracle) compare directly.
 
 Registration compiles one :class:`JoinPlan` per query edge, which
 :func:`refine` executes, and appends a seed entry for it to one label-pair
-table under each orientation of the edge's labels, holding the degree and
-tail coordinates each endpoint of an inserted edge must admit.  An update
-reads only its edge's label pair: an insertion computes each endpoint's
-box rows once (``NeighborListStore.bounds``), tests every seed there
-against them, and completes each admitted seed on the new edge by
-refinement; a deletion drops each of the pair's queries' stored answers
-whose edge image contains the deleted edge, found through an inverted edge
-index.
+table under each orientation of the edge's labels, holding the neighbor
+label counts each endpoint of an inserted edge must cover.  A data vertex
+can take a query vertex only if, for every label, it has at least as many
+neighbors carrying it as the query vertex has: the count test, read off
+the store's neighbor-label histograms.  It implies the per-degree box
+test, so it prunes at least as much, and reads no walk.  An update reads
+only its edge's label pair: an insertion count-tests every seed there
+against both endpoints' histograms and completes each admitted seed on the
+new edge by refinement; a deletion drops each of the pair's queries'
+stored answers whose edge image contains the deleted edge, found through
+an inverted edge index.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, Iterator
@@ -40,6 +43,7 @@ from .synopsis import (
 
 Mapping = tuple[VertexId, ...]  # images aligned with QueryGraph.vertex_order
 EdgeKey = tuple[VertexId, VertexId]  # data edge as (min, max)
+Need = tuple[tuple[Label, int], ...]  # (label, neighbors carrying it), by label
 
 _NO_ANSWERS: frozenset[Mapping] = frozenset()
 
@@ -114,6 +118,16 @@ def embed_query(q: QueryGraph, cfg: EmbeddingConfig) -> dict[VertexId, Vec]:
     return {qi: embed_vertex(q, qi, cfg) for qi in q.vertex_order}
 
 
+def label_needs(q: QueryGraph) -> dict[VertexId, Need]:
+    """Per query vertex, its neighbors' labels with their counts, sorted:
+    a data vertex can take it only if it has at least that many neighbors
+    of each label."""
+    return {
+        qi: tuple(sorted(Counter(q.labels[n] for n in q.adj[qi]).items()))
+        for qi in q.vertex_order
+    }
+
+
 def make_plan(
     q: QueryGraph,
     cand_sizes: dict[VertexId, int],
@@ -147,21 +161,21 @@ class JoinPlan:
     """A vertex ordering of one query with the data its join reads per level.
 
     Level n maps ``order[n]``; ``back[n]`` lists the earlier levels joined
-    to it by a query edge, and ``labels``, ``degrees`` and ``embeds`` hold
-    its label, query degree and embedding.  ``norm_pos[n]`` is the position
-    of ``order[n]`` in ``QueryGraph.vertex_order``.
+    to it by a query edge, and ``labels`` and ``needs`` hold its label and
+    its neighbor label counts (:func:`label_needs`, each tuple shared with
+    every plan of the query).  ``norm_pos[n]`` is the position of
+    ``order[n]`` in ``QueryGraph.vertex_order``.
     """
 
     order: tuple[VertexId, ...]
     back: tuple[tuple[int, ...], ...]
     labels: tuple[Label, ...]
-    degrees: tuple[int, ...]
-    embeds: tuple[Vec, ...]
+    needs: tuple[Need, ...]
     norm_pos: tuple[int, ...]
 
     @classmethod
     def compile(
-        cls, q: QueryGraph, order: tuple[VertexId, ...], embeds: dict[VertexId, Vec]
+        cls, q: QueryGraph, order: tuple[VertexId, ...], needs: dict[VertexId, Need]
     ) -> "JoinPlan":
         return cls(
             order=order,
@@ -170,8 +184,7 @@ class JoinPlan:
                 for n, qn in enumerate(order)
             ),
             labels=tuple(q.labels[qn] for qn in order),
-            degrees=tuple(q.degree(qn) for qn in order),
-            embeds=tuple(embeds[qn] for qn in order),
+            needs=tuple(needs[qn] for qn in order),
             norm_pos=tuple(q.index_of[qn] for qn in order),
         )
 
@@ -189,21 +202,21 @@ def refine(
     Level 0 draws candidates from ``roots``, every later level from the
     neighbors of its smallest mapped back-neighbor.  A candidate is admitted
     iff it is unused, carries the level's label, is adjacent to every
-    back-neighbor's image and passes ``store.admits``; roots skip that box
-    test, which the caller's scan has run against its buckets' box tables.
-    Complete assignments are emitted in normalized form.  The caller
-    guarantees the seed itself is consistent.  The join allocates no
-    reference cycle (``rec`` is deleted once done, which breaks the one its
-    closure makes), so a call leaves nothing for the cyclic collector.
+    back-neighbor's image and covers the level's neighbor label counts in
+    ``store.hist``, roots included.  Complete assignments are emitted in
+    normalized form.  The caller guarantees the seed itself is consistent.
+    The join allocates no reference cycle (``rec`` is deleted once done,
+    which breaks the one its closure makes), so a call leaves nothing for
+    the cyclic collector.
     """
     size = len(plan.order)
-    back, want, degrees, embeds = plan.back, plan.labels, plan.degrees, plan.embeds
+    back, want, needs = plan.back, plan.labels, plan.needs
     M: list[VertexId] = list(seed) + [0] * (size - len(seed))
     used = set(seed)
     out: set[Mapping] = set()
     adj = graph.adj
     labels = graph.labels
-    admits = store.admits
+    hist = store.hist
 
     def rec(n: int) -> None:
         if n == size:
@@ -216,16 +229,19 @@ def refine(
         for u in cands:
             if u in used or labels[u] != want[n]:
                 continue
-            ok = True
             for i in back[n]:
                 if u not in adj[M[i]]:
-                    ok = False
                     break
-            if ok and (not n or admits(u, degrees[n], embeds[n])):
-                M[n] = u
-                used.add(u)
-                rec(n + 1)
-                used.discard(u)
+            else:
+                h = hist[u]
+                for lbl, c in needs[n]:
+                    if h.get(lbl, 0) < c:
+                        break
+                else:
+                    M[n] = u
+                    used.add(u)
+                    rec(n + 1)
+                    used.discard(u)
 
     rec(depth)
     del rec
@@ -304,27 +320,23 @@ class QueryDelta:
 
 UNCHANGED = QueryDelta()
 
-# (query name, plan, flip, degree and tail coordinates u must admit, the
-# same for v): seeds the plan on an inserted edge (u, v) with [v, u] if
-# flipped, else with [u, v], so u takes level 1 of the plan if flipped
-Seed = tuple[str, JoinPlan, bool, int, Vec, int, Vec]
+# (query name, plan, flip, neighbor label counts u must cover, the same
+# for v): seeds the plan on an inserted edge (u, v) with [v, u] if flipped,
+# else with [u, v], so u takes level 1 of the plan if flipped
+Seed = tuple[str, JoinPlan, bool, Need, Need]
 
 
 @dataclass(slots=True)
 class LabelPair:
     """What one label pair (label(u), label(v)) files, in registration
-    order: the seed entries of every query edge on it, the largest degree
-    any of them needs u and v to admit, and its queries by name."""
+    order: the seed entries of every query edge on it, and its queries by
+    name."""
 
     seeds: list[Seed] = field(default_factory=list)
-    last_u: int = 0
-    last_v: int = 0
     queries: dict[str, RegisteredQuery] = field(default_factory=dict)
 
     def file(self, seed: Seed, rq: RegisteredQuery) -> None:
         self.seeds.append(seed)
-        self.last_u = max(self.last_u, seed[3])
-        self.last_v = max(self.last_v, seed[5])
         self.queries[rq.name] = rq
 
 
@@ -360,8 +372,8 @@ class MatchEngine:
         self.index = SynopsisIndex(graph, compute_degree_groups(graph, m_groups), cfg, k_cells)
         self.queries: dict[str, RegisteredQuery] = {}
         # (label(u), label(v)) -> the seeds an insert (u, v) tests against
-        # u's and v's box rows, and the only queries a delete there reaches;
-        # only register writes it
+        # u's and v's histograms, and the only queries a delete there
+        # reaches; only register writes it
         self.pairs: dict[tuple[Label, Label], LabelPair] = {}
 
     def register(self, name: str, query: QueryGraph) -> RegisteredQuery:
@@ -374,6 +386,7 @@ class MatchEngine:
         if name in self.queries:
             raise InvalidParams(f"query {name!r} already registered")
         embeds = embed_query(query, self.cfg)
+        needs = label_needs(query)
         cand_sets: dict[VertexId, list[VertexId]] = {}
         scan_stats: dict[VertexId, ScanStats] = {}
         for qi in query.vertex_order:
@@ -386,20 +399,18 @@ class MatchEngine:
         plans: dict[tuple[VertexId, VertexId], JoinPlan] = {}  # by leading pair
         for qa, qb in query.edges:  # qa < qb, so a tie leads with qa
             first = (qa, qb) if sizes[qa] <= sizes[qb] else (qb, qa)
-            plans[first] = JoinPlan.compile(query, make_plan(query, sizes, first), embeds)
+            plans[first] = JoinPlan.compile(query, make_plan(query, sizes, first), needs)
         start = min(query.vertex_order, key=lambda v: (sizes[v], v))
         plan = plans[start, min(query.adj[start], key=lambda v: (sizes[v], v))]
         answers = AnswerSet(query)
         for m in refine(plan, self.graph, self.index.lists, [], 0, cand_sets[start]):
             answers.add(m)
         rq = RegisteredQuery(name, query, embeds, scan_stats, answers)
-        d = self.cfg.d
         for plan in plans.values():
-            (la, lb), (da, db) = plan.labels[:2], plan.degrees[:2]
-            ta, tb = (e[d:] for e in plan.embeds[:2])
+            (la, lb), (na, nb) = plan.labels[:2], plan.needs[:2]
             for key, seed in (
-                ((la, lb), (name, plan, False, da, ta, db, tb)),
-                ((lb, la), (name, plan, True, db, tb, da, ta)),
+                ((la, lb), (name, plan, False, na, nb)),
+                ((lb, la), (name, plan, True, nb, na)),
             ):  # one key if la == lb
                 pair = self.pairs.get(key)
                 if pair is None:
@@ -415,9 +426,9 @@ class MatchEngine:
 
         The graph rejects a bad op before mutating anything, and nothing
         after an accepted op can raise (the histogram and answer-set edits
-        are plain dict and set updates; ``bounds`` reads no row past an
-        endpoint's degree, and ``admits`` sits behind its degree check), so
-        every op applies fully or not at all.
+        are plain dict and set updates, and the count tests read histograms
+        that maintenance has just given both endpoints), so every op applies
+        fully or not at all.  No step reads a walk or computes a box.
         Only the queries filed under the edge's label pair are visited, and
         the result's deltas name only the queries whose answers changed.
         """
@@ -458,13 +469,9 @@ class MatchEngine:
     ) -> tuple[dict[str, set[Mapping]], float, float]:
         """New answers, per query name, that use the just-inserted edge (u, v).
 
-        The box rows of u and v, up to the largest degree any seed filed
-        under (label(u), label(v)) needs, are computed once per endpoint
-        (``store.bounds``), and every seed there is tested against them by
-        lookup: one whose degrees both endpoints reach and whose tail
-        coordinates lie in both boxes is completed by refinement from
-        [u, v], or from [v, u] when it is filed flipped.  ``admits`` runs
-        only inside the join, at its later levels.
+        Every seed filed under (label(u), label(v)) is count-tested against
+        u's and then v's histogram, and one that both cover is completed by
+        refinement from [u, v], or from [v, u] when it is filed flipped.
         """
         graph = self.graph
         labels = graph.labels
@@ -474,23 +481,21 @@ class MatchEngine:
         t_start = perf_counter()
         pair = self.pairs.get((labels[u], labels[v]))
         if pair is not None:
-            rows_u, rows_v = store.bounds(u, pair.last_u), store.bounds(v, pair.last_v)
-            nu, nv = len(rows_u), len(rows_v)
-            dims = range(self.cfg.d)
-            for name, plan, flip, du, xu, dv, xv in pair.seeds:
-                if du > nu or dv > nv:
-                    continue
-                ru, rv = rows_u[du - 1], rows_v[dv - 1]
-                for k in dims:
-                    if not (ru[2 * k] <= xu[k] <= ru[2 * k + 1]
-                            and rv[2 * k] <= xv[k] <= rv[2 * k + 1]):
+            hu, hv = store.hist[u], store.hist[v]
+            for name, plan, flip, need_u, need_v in pair.seeds:
+                for lbl, c in need_u:
+                    if hu.get(lbl, 0) < c:
                         break
                 else:
-                    t1 = perf_counter()
-                    added = refine(plan, graph, store, [v, u] if flip else [u, v], 2)
-                    t_refine += perf_counter() - t1
-                    if added:
-                        found.setdefault(name, set()).update(added)
+                    for lbl, c in need_v:
+                        if hv.get(lbl, 0) < c:
+                            break
+                    else:
+                        t1 = perf_counter()
+                        added = refine(plan, graph, store, [v, u] if flip else [u, v], 2)
+                        t_refine += perf_counter() - t1
+                        if added:
+                            found.setdefault(name, set()).update(added)
         t_filter = perf_counter() - t_start - t_refine
         return found, t_filter, t_refine
 

@@ -44,10 +44,11 @@ equals a rebuild by construction.
 Scans and maintenance follow the single-writer contract of the graph.
 Maintenance is exclusive, and so are three kinds of first read after it:
 the first scan, snapshot or dump, which rebuilds the grids; the first box
-read of a vertex, which fills the vertex's walk in the store; and the
-first scan whose entries reach the box test in a bucket at a degree
-without a table, in which the grid fills the bucket's tables.  Later reads
-may run concurrently.
+read of a vertex (``mbr``, ``capped_sums``, ``box_columns``), which fills
+the vertex's walk in the store; and the first scan whose entries reach the
+box test in a bucket at a degree without a table, in which the grid fills
+the bucket's tables.  Later reads may run concurrently.  The matcher reads
+only the histograms on updates, never a walk.
 """
 
 from __future__ import annotations
@@ -369,51 +370,6 @@ class NeighborListStore:
                         array("d", [a * s + t for s in highs]),
                     ))
         return tables
-
-    def admits(self, v: VertexId, delta: int, q_embed: Vec) -> bool:
-        """delta <= deg(v) and ``q_embed`` in v's box at delta.
-
-        Precondition: ``q_embed`` embeds a vertex labeled label(v), so its d
-        head coordinates equal the box's (``compose``).  Per tail dimension
-        the low bound, the sum of the first delta entries of v's walk
-        segment, then the high bound, the sum of its last delta, is tested,
-        returning at the first failure.  Admission implies dominance; deg(v)
-        is read from the graph.
-        """
-        n = len(self.graph.adj[v])
-        if delta > n:
-            return False
-        walk, a, d = self.walk(v), self.alpha, self.cfg.d
-        tail = self.frames[self.graph.labels[v]][1]
-        for k in range(d):
-            lo, hi = k * n, k * n + n
-            x, t = q_embed[d + k], tail[k]
-            if x < a * sum(walk[lo : lo + delta]) + t:
-                return False
-            if x > a * sum(walk[hi - delta : hi]) + t:
-                return False
-        return True
-
-    def bounds(self, v: VertexId, last: int) -> list[list[float]]:
-        """Per delta in 1..min(last, deg(v)), v's box tail bounds at delta:
-        per tail dimension in turn, the low then the high bound, the floats
-        :meth:`admits` compares against.  Running sums step inward from
-        both ends of each walk segment; sums of components are exact, so
-        each equals the slice sum ``admits`` takes."""
-        n = len(self.graph.adj[v])
-        walk, a = self.walk(v), self.alpha
-        rows: list[list[float]] = [[] for _ in range(min(last, n))]
-        for k, t in enumerate(self.frames[self.graph.labels[v]][1]):
-            lo = hi = 0.0
-            i = k * n
-            j = i + n
-            for row in rows:
-                j -= 1
-                lo += walk[i]
-                hi += walk[j]
-                i += 1
-                row += (a * lo + t, a * hi + t)
-        return rows
 
 
 # -- grid synopses ------------------------------------------------------------

@@ -1,12 +1,11 @@
 import gc
 import itertools
-import sys
 from collections import Counter, defaultdict
 
 import pytest
 
 import dsmatch.matcher as matcher_mod
-from dsmatch.embedding import EmbeddingConfig, dominates
+from dsmatch.embedding import EmbeddingConfig, dominates, embed_vertex
 from dsmatch.errors import (
     DsmatchError,
     DuplicateEdge,
@@ -26,6 +25,7 @@ from dsmatch.matcher import (
     QueryGraph,
     embed_query,
     format_answers,
+    label_needs,
     make_plan,
     refine,
 )
@@ -146,19 +146,21 @@ def test_make_plan_seeded_first_pair():
 
 def compiled(q, order, graph, cfg):
     """q's JoinPlan for ``order``, and a histogram store over ``graph``."""
-    plan = JoinPlan.compile(q, tuple(order), embed_query(q, cfg))
+    plan = JoinPlan.compile(q, tuple(order), label_needs(q))
     return plan, NeighborListStore(graph, cfg)
 
 
 def test_join_plan_levels(cfg_zipf):
-    q = QueryGraph({5: 1, 7: 2, 9: 3}, [(5, 7), (7, 9)])
-    plan, _ = compiled(q, (7, 9, 5), DynamicGraph(), cfg_zipf)
-    embeds = embed_query(q, cfg_zipf)
-    assert plan.back == ((), (0,), (0,))
-    assert plan.labels == (2, 3, 1)
-    assert plan.degrees == (2, 1, 1)
-    assert plan.embeds == (embeds[7], embeds[9], embeds[5])
-    assert plan.norm_pos == (1, 2, 0)
+    # each level holds its vertex's neighbor labels with their counts,
+    # sorted by label, the very tuples label_needs built
+    q = QueryGraph({5: 1, 7: 2, 9: 3, 11: 1}, [(5, 7), (7, 9), (7, 11)])
+    needs = label_needs(q)
+    plan = JoinPlan.compile(q, (7, 9, 5, 11), needs)
+    assert plan.back == ((), (0,), (0,), (0,))
+    assert plan.labels == (2, 3, 1, 1)
+    assert plan.needs == (((1, 2), (3, 1)), ((2, 1),), ((2, 1),), ((2, 1),))
+    assert all(plan.needs[n] is needs[qn] for n, qn in enumerate(plan.order))
+    assert plan.norm_pos == (1, 2, 0, 3)
 
 
 def test_refine_full_seed_returns_it(triangle, cfg_zipf):
@@ -272,20 +274,28 @@ def test_initial_match_equals_oracle_many(mode):
 
 def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
     # the scan box-tests plan.order[0]'s candidates against its bucket's box
-    # table; refine takes them as roots without boxing them again.  Distinct
-    # query labels keep every other scan and join level off the roots'
-    # (vertex, degree, embedding) keys.
+    # table; refine takes them as roots and count-tests them against their
+    # histograms, reading no walk, so no root is boxed again.  The leaves'
+    # labels differ from the centre's, which keeps their scans off the
+    # roots' buckets.
     g = small_world(n=120, avg_deg=5.0, alphabet=3, seed=3)
     engine = MatchEngine(g.copy(), any_mode_cfg)
     store = engine.index.lists
     d = any_mode_cfg.d
-    box_tests = Counter()
-    admits, box_columns = store.admits, store.box_columns
+    box_columns, walk = store.box_columns, NeighborListStore.walk
     fills = defaultdict(list)  # (vertex, delta) -> its tail bounds, per fill
+    joining, join_walks = [False], []
 
-    def counted(v, delta, q_embed):
-        box_tests[v, delta, q_embed] += 1
-        return admits(v, delta, q_embed)
+    class Recording(dict):
+        """A mapping that counts, in ``reads``, the join's reads of each key."""
+
+        def __getitem__(self, v):
+            if joining[0]:
+                self.reads[v] += 1
+            return super().__getitem__(v)
+
+    hist, adj = Recording(store.hist), Recording(engine.graph.adj)
+    hist.reads, adj.reads = Counter(), Counter()
 
     def recorded(vs, first, last):
         tables = box_columns(vs, first, last)
@@ -294,27 +304,46 @@ def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
                 fills[v, delta].append([(lows[i], highs[i]) for lows, highs in table])
         return tables
 
+    def counted_walk(self, v):
+        if joining[0]:
+            join_walks.append(v)
+        return walk(self, v)
+
     runs = []
     real_refine = matcher_mod.refine
 
     def recording(plan, graph, st, seed, depth, roots=()):
         roots = list(roots)
         runs.append((plan, roots))
-        return real_refine(plan, graph, st, seed, depth, roots)
+        joining[0] = True
+        try:
+            return real_refine(plan, graph, st, seed, depth, roots)
+        finally:
+            joining[0] = False
 
-    monkeypatch.setattr(store, "admits", counted)
     monkeypatch.setattr(store, "box_columns", recorded)
+    monkeypatch.setattr(store, "hist", hist)
+    monkeypatch.setattr(engine.graph, "adj", adj)
+    monkeypatch.setattr(NeighborListStore, "walk", counted_walk)
     monkeypatch.setattr(matcher_mod, "refine", recording)
-    q = QueryGraph({0: 0, 1: 1, 2: 2}, [(0, 1), (1, 2)])
-    rq = engine.register("path", q)
+    q = QueryGraph({0: 0, 1: 1, 2: 2, 3: 1}, [(0, 1), (0, 2), (0, 3)])
+    rq = engine.register("star", q)
     assert rq.answers.mappings() == enumerate_matches(g, q) != set()
     [(plan, roots)] = runs
-    assert roots
-    delta, q_embed = plan.degrees[0], plan.embeds[0]
+    assert plan.order[0] == 0
+    assert roots and join_walks == []
+    delta, q_embed = q.degree(plan.order[0]), rq.embeds[plan.order[0]]
     for r in roots:
-        assert box_tests[r, delta, q_embed] == 0
         [bounds] = fills[r, delta]  # one table fill holds r's box at delta
         assert all(lo <= x <= hi for x, (lo, hi) in zip(q_embed[d:], bounds))
+    # the join reads each root's histogram once, as no later level draws
+    # the centre's label; some roots pass the box but not the level's
+    # label counts, and the join extends none of them: it never reads
+    # their neighbors
+    assert all(hist.reads[r] == 1 for r in roots)
+    short = {r for r in roots if any(hist[r].get(l, 0) < c for l, c in plan.needs[0])}
+    assert short and all(adj.reads[r] == 0 for r in short)
+    assert any(adj.reads[r] for r in roots)
 
 
 def test_register_fills_each_bucket_of_a_finite_group_once(any_mode_cfg, monkeypatch):
@@ -443,7 +472,9 @@ def test_inserts_never_plan_after_registration(monkeypatch, cfg_zipf):
 
 def test_register_files_one_plan_per_query_edge(monkeypatch, cfg_zipf):
     # one plan object per query edge, read by both orientations of its
-    # label pair; the registration join runs the greedy order from the
+    # label pair, each entry carrying the label counts of the plan's level
+    # its endpoint takes; every plan of a query shares one count tuple per
+    # query vertex; the registration join runs the greedy order from the
     # cheapest vertex, which is one of those plans
     g = small_world(n=80, avg_deg=5.0, alphabet=3, seed=21)
     engine = MatchEngine(g.copy(), cfg_zipf)
@@ -458,18 +489,19 @@ def test_register_files_one_plan_per_query_edge(monkeypatch, cfg_zipf):
     monkeypatch.setattr(matcher_mod, "refine", recording_refine)
     queries = sample_queries(g, 8, 5, 2.5, seed=4)
     assert any(len(q.edges) >= len(q) for q in queries)  # some have a cycle
-    d = cfg_zipf.d
     for i, q in enumerate(queries):
         name = f"q{i}"
         rq = engine.register(name, q)
         embeds = embed_query(q, cfg_zipf)
+        needs = label_needs(q)
+        shared = {}  # query vertex -> the one count tuple its plans hold
         sizes = {
             qi: len(engine.index.scan_for_degree(embeds[qi], q.degree(qi), q.labels[qi])[0])
             for qi in q.vertex_order
         }
         plans, filed = {}, defaultdict(list)
         for key, pair in engine.pairs.items():
-            for owner, plan, flip, du, xu, dv, xv in pair.seeds:
+            for owner, plan, flip, need_u, need_v in pair.seeds:
                 if owner != name:
                     continue
                 assert pair.queries[name] is rq
@@ -478,9 +510,11 @@ def test_register_files_one_plan_per_query_edge(monkeypatch, cfg_zipf):
                 # the flip is resolved at filing: u takes level 1 if flipped
                 lu, lv = (1, 0) if flip else (0, 1)
                 assert key == (plan.labels[lu], plan.labels[lv])
-                assert (du, xu) == (plan.degrees[lu], plan.embeds[lu][d:]) and du <= pair.last_u
-                assert (dv, xv) == (plan.degrees[lv], plan.embeds[lv][d:]) and dv <= pair.last_v
+                assert need_u is plan.needs[lu] and need_v is plan.needs[lv]
         assert len(plans) == len(q.edges)
+        for plan in plans.values():
+            for qn, need in zip(plan.order, plan.needs):
+                assert need == needs[qn] and shared.setdefault(qn, need) is need
         assert sorted(tuple(sorted(p.order[:2])) for p in plans.values()) == list(q.edges)
         for pid, plan in plans.items():
             qa, qb = plan.order[:2]
@@ -573,7 +607,7 @@ def test_duplicate_registration_leaves_engine_untouched(cfg_zipf):
 
     def state():
         pairs = {
-            key: (list(pair.seeds), pair.last_u, pair.last_v, dict(pair.queries))
+            key: (list(pair.seeds), dict(pair.queries))
             for key, pair in engine.pairs.items()
         }
         answers = {name: rq.answers.mappings() for name, rq in engine.queries.items()}
@@ -642,94 +676,21 @@ def test_deletion_modes_agree(any_mode_cfg):
     assert removed_total > 0
 
 
-def test_deletes_compute_no_boxes(any_mode_cfg, monkeypatch):
-    # a delete edits two histograms and the answer index and computes no box
-    g = small_world(n=80, avg_deg=5.0, alphabet=3, seed=23)
-    engine = MatchEngine(g.copy(), any_mode_cfg)
-    for i, q in enumerate(sample_queries(g, 3, 4, 2.0, seed=13)):
-        engine.register(f"q{i}", q)
-    calls = []
-    mbr, admits, bounds = NeighborListStore.mbr, NeighborListStore.admits, NeighborListStore.bounds
-
-    def counted(self, v, delta):
-        calls.append((v, delta))
-        return mbr(self, v, delta)
-
-    def counted_admits(self, v, delta, q_embed):
-        calls.append((v, delta))
-        return admits(self, v, delta, q_embed)
-
-    def counted_bounds(self, v, last):
-        calls.append((v, last))
-        return bounds(self, v, last)
-
-    monkeypatch.setattr(NeighborListStore, "mbr", counted)
-    monkeypatch.setattr(NeighborListStore, "admits", counted_admits)
-    monkeypatch.setattr(NeighborListStore, "bounds", counted_bounds)
-    _, stream = split_stream(g, 0.0, 0.2, seed=5)
-    removed = 0
-    for op in stream:
-        assert op.kind == DELETE
-        removed += sum(len(d.removed) for d in engine.process_update(op).deltas.values())
-    assert removed > 0
-    assert calls == []
-
-
-def test_insert_reads_each_endpoints_box_rows_once(any_mode_cfg, monkeypatch):
-    # an insert under a filed label pair computes one box row list per
-    # endpoint, up to the largest degree the pair's seeds need, however many
-    # seeds it tests; ``admits`` runs only inside the join, below its first
-    # level; an insert under no filed pair computes no box
-    g = small_world(n=80, avg_deg=5.0, alphabet=3, seed=23)
-    g0, stream = split_stream(g, 0.2, 0.0, seed=5)
-    engine = MatchEngine(g0.copy(), any_mode_cfg)
-    for i, q in enumerate(sample_queries(g, 6, 4, 2.0, seed=13)):
-        engine.register(f"q{i}", q)
-    bounds, admits = NeighborListStore.bounds, NeighborListStore.admits
-    reads, levels = [], []
-
-    def counted_bounds(self, v, last):
-        reads.append((v, last))
-        return bounds(self, v, last)
-
-    def counted_admits(self, v, delta, q_embed):
-        caller = sys._getframe(1)  # the join's level, if the join called
-        in_join = caller.f_code.co_name == "rec" and caller.f_globals is vars(matcher_mod)
-        levels.append(caller.f_locals["n"] if in_join else None)
-        return admits(self, v, delta, q_embed)
-
-    monkeypatch.setattr(NeighborListStore, "bounds", counted_bounds)
-    monkeypatch.setattr(NeighborListStore, "admits", counted_admits)
-    most_seeds = unfiled = 0
-    for op in [*stream, UpdateOp(INSERT, 0, max(g.labels) + 1, label_v=7)]:  # no query has 7
-        assert op.kind == INSERT
-        reads.clear()
-        engine.process_update(op)
-        labels = engine.graph.labels
-        pair = engine.pairs.get((labels[op.u], labels[op.v]))
-        if pair is None:
-            unfiled += 1
-            assert reads == []
-        else:
-            most_seeds = max(most_seeds, len(pair.seeds))
-            assert reads == [(op.u, pair.last_u), (op.v, pair.last_v)]
-    assert most_seeds >= 4 and unfiled > 0
-    assert levels and all(n is not None and n >= 1 for n in levels)
-
-
-@pytest.mark.parametrize("cfg_kw", [
+HUB_CONFIGS = pytest.mark.parametrize("cfg_kw", [
     {"d": 2, "mode": "plain"},
     {"d": 2, "mode": "base"},
     {"d": 2, "mode": "zipf"},
     {"d": 1, "mode": "zipf"},
     {"d": 3, "mode": "base"},
 ], ids=["plain", "base", "zipf", "zipf-d1", "base-d3"])
-def test_batched_admission_equals_admits(cfg_kw, monkeypatch):
-    # on every insert, the seeds refined are exactly those whose two seeded
-    # endpoints pass ``admits`` at the plan's first two levels: over a mixed
-    # stream that brings in label 3, which a query has but the graph lacks,
-    # and then churns at a hub, attaching new vertices of degree 1
-    cfg = EmbeddingConfig(**cfg_kw)
+
+
+def hub_stream_engine(cfg):
+    """An engine over a small-world graph plus a hub of degree 40, the
+    graph before the stream, and a mixed stream: the engine holds six
+    queries, two of them on label 3, which the graph lacks and the stream
+    brings in, and the stream ends churning at the hub, attaching new
+    vertices of degree 1."""
     rng = Rng(29)
     g = small_world(n=60, avg_deg=4.0, alphabet=3, seed=71)
     hub = max(g.labels) + 1
@@ -756,7 +717,51 @@ def test_batched_admission_equals_admits(cfg_kw, monkeypatch):
             op = UpdateOp(INSERT, hub, max(live.labels) + 1, label_v=rng.randint(0, 3))
         live.apply_update(op)
         ops.append(op)
+    return engine, g, ops
 
+
+@HUB_CONFIGS
+def test_updates_read_no_walk(cfg_kw, monkeypatch):
+    # inserts count-test seeds against histograms and deletes edit them and
+    # the answer index: no update expands a walk, so none computes a box
+    engine, _, ops = hub_stream_engine(EmbeddingConfig(**cfg_kw))
+    walks = []
+    walk = NeighborListStore.walk
+
+    def counted(self, v):
+        walks.append(v)
+        return walk(self, v)
+
+    monkeypatch.setattr(NeighborListStore, "walk", counted)
+    seen = Counter()  # (kind, filed pair, created a vertex)
+    added = removed = 0
+    for op in ops:
+        created = op.u not in engine.graph.labels or op.v not in engine.graph.labels
+        result = engine.process_update(op)
+        labels = engine.graph.labels
+        seen[op.kind, (labels[op.u], labels[op.v]) in engine.pairs, created] += 1
+        added += sum(len(d.added) for d in result.deltas.values())
+        removed += sum(len(d.removed) for d in result.deltas.values())
+    assert walks == []
+    assert seen[INSERT, True, False] and seen[INSERT, True, True] and seen[DELETE, True, False]
+    assert added > 0 and removed > 0
+
+
+def covers(graph, v, need):
+    """v has at least c neighbors labeled l for every (l, c) of ``need``,
+    counted from the graph's adjacency."""
+    have = Counter(graph.labels[n] for n in graph.adj[v])
+    return all(have[lbl] >= c for lbl, c in need)
+
+
+@HUB_CONFIGS
+def test_seeded_joins_equal_label_count_cover(cfg_kw, monkeypatch):
+    # on every insert, the seeds refined are exactly those whose two seeded
+    # endpoints cover the label counts of the plan's first two levels:
+    # over a mixed stream that brings in label 3, which a query has but the
+    # graph lacks, and then churns at a hub, attaching new vertices of
+    # degree 1
+    engine, _, ops = hub_stream_engine(EmbeddingConfig(**cfg_kw))
     seeded = []
     real_refine = matcher_mod.refine
 
@@ -766,8 +771,8 @@ def test_batched_admission_equals_admits(cfg_kw, monkeypatch):
         return real_refine(plan, graph, store, seed, depth, roots)
 
     monkeypatch.setattr(matcher_mod, "refine", recording_refine)
-    admits, degree = engine.index.lists.admits, engine.graph.degree
-    verdicts = Counter()  # (admitted, an endpoint below its seed's degree)
+    graph, degree = engine.graph, engine.graph.degree
+    verdicts = Counter()  # (seeded, an endpoint of degree below its counts' sum)
     new_label = 0
     for op in ops:
         seeded.clear()
@@ -776,31 +781,56 @@ def test_batched_admission_equals_admits(cfg_kw, monkeypatch):
             assert seeded == []
             continue
         u, v = op.u, op.v
-        key = engine.graph.labels[u], engine.graph.labels[v]
+        key = graph.labels[u], graph.labels[v]
         new_label += 3 in key and key in engine.pairs
         want = []
-        for _, plan, flip, du, _, dv, _ in engine.pairs[key].seeds if key in engine.pairs else ():
+        for _, plan, flip, need_u, need_v in engine.pairs[key].seeds if key in engine.pairs else ():
             a, b = (v, u) if flip else (u, v)
-            ok = admits(a, plan.degrees[0], plan.embeds[0]) and admits(
-                b, plan.degrees[1], plan.embeds[1]
-            )
-            verdicts[ok, du > degree(u) or dv > degree(v)] += 1
+            ok = covers(graph, a, plan.needs[0]) and covers(graph, b, plan.needs[1])
+            short = sum(c for _, c in need_u) > degree(u) or sum(c for _, c in need_v) > degree(v)
+            verdicts[ok, short] += 1
             if ok:
                 want.append((plan, [a, b]))
         assert seeded == want
     assert verdicts[True, False] and verdicts[False, False] and verdicts[False, True]
     assert verdicts[True, True] == 0 and new_label > 0
-    # each endpoint's rows are its boxes' tails, and none past its degree
-    store, d = engine.index.lists, cfg.d
-    for v in engine.graph.vertices():
-        deg = degree(v)
-        rows = store.bounds(v, deg + 1)
-        assert len(rows) == deg
-        for delta, row in enumerate(rows, 1):
-            box = store.mbr(v, delta)
-            assert row == [b for k in range(d, 2 * d) for b in (box.low[k], box.high[k])]
     for name, rq in engine.queries.items():
         assert rq.answers.mappings() == enumerate_matches(engine.graph, rq.query)
+
+
+@HUB_CONFIGS
+def test_label_count_cover_implies_box_containment(cfg_kw):
+    # the count test is sound against the box test and strictly stronger:
+    # over every same-label (data vertex, query vertex) pair, before and
+    # after the hub stream, a vertex covering the query vertex's label
+    # counts has its box at the query degree around the query embedding,
+    # while some vertices boxed around it miss a count
+    cfg = EmbeddingConfig(**cfg_kw)
+    engine, _, ops = hub_stream_engine(cfg)
+    graph, store = engine.graph, engine.index.lists
+    outcomes = Counter()  # (counts covered, box contains)
+
+    def check():
+        by_label = defaultdict(list)
+        for v in graph.vertices():
+            by_label[graph.labels[v]].append(v)
+        for rq in engine.queries.values():
+            q = rq.query
+            needs = label_needs(q)
+            for qi in q.vertex_order:
+                p, delta = embed_vertex(q, qi, cfg), q.degree(qi)
+                for v in by_label[q.labels[qi]]:
+                    covered = all(store.hist[v].get(l, 0) >= c for l, c in needs[qi])
+                    assert covered == covers(graph, v, needs[qi])
+                    boxed = delta <= graph.degree(v) and store.mbr(v, delta).contains(p)
+                    outcomes[covered, boxed] += 1
+
+    check()
+    for op in ops:
+        engine.process_update(op)
+    check()
+    assert outcomes[True, False] == 0
+    assert outcomes[True, True] and outcomes[False, True] and outcomes[False, False]
 
 
 def test_full_stream_exactness_mixed_updates(any_mode_cfg):

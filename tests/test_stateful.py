@@ -8,17 +8,18 @@ step each registered query's answers equal the brute-force oracle's on
 the shadow graph, and the engine's index equals a fresh build over the
 engine's graph with the same degree groups, cell count and domain: its
 snapshot, and every box table its grids have filled, once the latest
-query's vertices are scanned again as a registration now would.
-``admits`` agrees with ``mbr`` containment on a third of the vertices,
-in turn, on probes at and one float step past each bound of a vertex's
-box at its degree, tested at its top two degrees and one past them.
+query's vertices are scanned again as a registration now would.  On a
+third of the vertices in turn, the count test the matcher runs is sound
+against the box test: a vertex whose histogram covers a registered
+query vertex's neighbor label counts (as its shadow adjacency does too)
+has the query vertex's embedding in its box at the query degree.
 Each accepted op's deltas are the answer-set differences it caused,
 naming only the queries it changed; a rejected op changes neither graph,
 index nor answers.  The label-pair table equals a refiling of every
 registered query's plans.
 """
 
-import math
+from collections import Counter
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -34,7 +35,7 @@ from dsmatch.embedding import EmbeddingConfig
 from dsmatch.errors import DuplicateEdge, MissingEdge, SelfLoop
 from dsmatch.generate import sample_queries
 from dsmatch.graph import DELETE, INSERT, UpdateOp, dump_graph
-from dsmatch.matcher import UNCHANGED, MatchEngine
+from dsmatch.matcher import UNCHANGED, MatchEngine, label_needs
 from dsmatch.oracle import enumerate_matches
 from dsmatch.synopsis import SynopsisIndex
 
@@ -159,9 +160,9 @@ class EngineMachine(RuleBasedStateMachine):
     @invariant()
     def label_pairs_equal_a_rebuild(self):
         # refiling every registered query's plans, in registration order,
-        # gives the same seeds per label pair, flips, largest degrees and
+        # gives the same seeds per label pair, flips, label counts and
         # queries as the table that registration appended to
-        pairs, d = self.engine.pairs, self.engine.cfg.d
+        pairs = self.engine.pairs
         plans = {name: {} for name in self.engine.queries}
         for pair in pairs.values():
             for name, plan, *_ in pair.seeds:
@@ -171,35 +172,29 @@ class EngineMachine(RuleBasedStateMachine):
             assert set(plans[name]) == {frozenset(e) for e in rq.query.edges}
             for edge in rq.query.edges:
                 plan = plans[name][frozenset(edge)]
-                levels = [(plan.labels[i], plan.degrees[i], plan.embeds[i][d:]) for i in (0, 1)]
+                levels = [(plan.labels[i], plan.needs[i]) for i in (0, 1)]
                 for flip, (a, b) in ((False, levels), (True, levels[::-1])):
-                    seeds, last_u, last_v, queries = want.get((a[0], b[0]), ([], 0, 0, {}))
-                    seeds.append((name, plan, flip, a[1], a[2], b[1], b[2]))
+                    seeds, queries = want.setdefault((a[0], b[0]), ([], {}))
+                    seeds.append((name, plan, flip, a[1], b[1]))
                     queries[name] = rq
-                    want[a[0], b[0]] = seeds, max(last_u, a[1]), max(last_v, b[1]), queries
-        got = {
-            key: (pair.seeds, pair.last_u, pair.last_v, pair.queries) for key, pair in pairs.items()
-        }
+        got = {key: (pair.seeds, pair.queries) for key, pair in pairs.items()}
         assert got == want
 
     @invariant()
-    def admits_is_box_containment(self):
-        lists, d = self.engine.index.lists, self.engine.cfg.d
+    def label_counts_imply_box_containment(self):
+        lists, shadow = self.engine.index.lists, self.shadow
         self.checks += 1
-        for v in sorted(self.shadow.labels)[self.checks % 3 :: 3]:  # a third per step
-            deg = self.shadow.degree(v)
-            if not deg:
-                continue
-            boxes = {delta: lists.mbr(v, delta) for delta in range(max(deg - 1, 1), deg + 1)}
-            box = boxes[deg]
-            probes = [box.low, box.high]
-            for j in range(d, 2 * d):
-                for p, outward in ((box.low, -math.inf), (box.high, math.inf)):
-                    probes.append(p[:j] + (math.nextafter(p[j], outward),) + p[j + 1:])
-            for delta in (*boxes, deg + 1):  # the top two degrees and one past
-                for p in probes:
-                    want = delta <= deg and boxes[delta].contains(p)
-                    assert lists.admits(v, delta, p) == want
+        for v in sorted(shadow.labels)[self.checks % 3 :: 3]:  # a third per step
+            have = Counter(shadow.labels[n] for n in shadow.adj[v])
+            for rq in self.engine.queries.values():
+                q = rq.query
+                for qi, need in label_needs(q).items():
+                    if q.labels[qi] != shadow.labels[v]:
+                        continue
+                    covered = all(lists.hist[v].get(lbl, 0) >= c for lbl, c in need)
+                    assert covered == all(have[lbl] >= c for lbl, c in need)
+                    if covered:
+                        assert lists.mbr(v, q.degree(qi)).contains(rq.embeds[qi])
 
 
 EngineMachine.TestCase.settings = settings(

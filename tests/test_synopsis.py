@@ -491,11 +491,12 @@ def test_hub_degree_boxes_and_rebuild_under_churn(any_mode_cfg):
 
 
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
-def test_admits_equals_box_containment(mode):
-    # the tail-only, early-exit box test against the full box's contains,
-    # for every vertex and delta in 1..deg+1, probed at the low and high
-    # corners and the centre of the boxes at delta - 1, delta and delta + 1,
-    # and one float step outside each of their tail bounds
+def test_mbr_containment_equals_reference_box(mode):
+    # the store's box, containing or not, against the enumerated reference
+    # box, for every vertex and delta in 1..deg+1, probed at the low and
+    # high corners and the centre of the reference boxes at delta - 1,
+    # delta and delta + 1, and one float step outside each of their tail
+    # bounds; past the degree there is no box to read
     cfg = EmbeddingConfig(d=2, mode=mode)
     g = small_world(n=60, avg_deg=5.0, alphabet=4, seed=19)
     idx = build_index(g, cfg)
@@ -513,12 +514,17 @@ def test_admits_equals_box_containment(mode):
         outcomes = []
         for v in g.vertices():
             deg = g.degree(v)
-            boxes = {delta: lists.mbr(v, delta) for delta in range(1, deg + 1)}
+            refs = {delta: reference_box(g, v, delta, cfg) for delta in range(1, deg + 1)}
             for delta in range(1, deg + 2):
-                near = [boxes[n] for n in (delta - 1, delta, delta + 1) if n in boxes]
-                for p in (p for box in near for p in probes(box)):
-                    want = delta <= deg and boxes[delta].contains(p)
-                    assert lists.admits(v, delta, p) == want
+                near = [refs[n] for n in (delta - 1, delta, delta + 1) if n in refs]
+                if delta > deg:
+                    with pytest.raises(DegreeOutOfRange):
+                        lists.mbr(v, delta)
+                    continue
+                box = lists.mbr(v, delta)
+                for p in (p for ref in near for p in probes(ref)):
+                    want = all(lo <= x <= hi for lo, x, hi in zip(refs[delta].low, p, refs[delta].high))
+                    assert box.contains(p) == want
                     outcomes.append(want)
         assert True in outcomes and False in outcomes
 
@@ -551,12 +557,12 @@ def assert_reads_equal_enumeration(idx, g):
     vectors sit on their grid; each walk is d ascending segments of deg(v)
     entries, the sorted neighbor components; the neighbor sum, and
     ``capped_sums`` at every degree, equal ``math.fsum`` of the components;
-    ``mbr``, each ``bounds`` row (none past the degree) and every
-    ``box_columns`` row equal ``reference_box``, a row of
+    ``mbr`` and every ``box_columns`` row equal ``reference_box``, a row of
     (+inf, -inf) past the vertex's degree, in fills from degree 1 and in
     fills over a range that some of the bucket's degrees fall below, some
-    inside and some above; and ``admits`` accepts a query tail exactly on
-    each bound and rejects one float step outside it."""
+    inside and some above; and ``mbr`` contains a query tail exactly on
+    each bound and not one float step outside it, and has no box past the
+    degree."""
     lists, cfg = idx.lists, idx.cfg
     d = cfg.d
     grid = 2.0 ** (10 if cfg.mode == "zipf" else 20)
@@ -575,19 +581,17 @@ def assert_reads_equal_enumeration(idx, g):
             caps = range(1, deg + 1)
             want = [math.fsum(c[:cap]) for c in largest for cap in caps]
             assert lists.capped_sums(v, caps) == want
-        rows = lists.bounds(v, deg + 2)  # no row past the degree
-        shorter = max(deg - 1, 0)
-        assert len(rows) == deg and lists.bounds(v, shorter) == rows[:shorter]
         for delta in range(1, deg + 1):
             box = boxes[v, delta] = reference_box(g, v, delta, cfg)
-            assert lists.mbr(v, delta) == box
-            assert rows[delta - 1] == [b for k in range(d, 2 * d) for b in (box.low[k], box.high[k])]
+            read = lists.mbr(v, delta)
+            assert read == box
             centre = tuple((lo + hi) / 2 for lo, hi in zip(box.low, box.high))
             for j in range(d, 2 * d):
                 for bound, outward in ((box.low[j], -math.inf), (box.high[j], math.inf)):
                     for x, inside in ((bound, True), (math.nextafter(bound, outward), False)):
-                        assert lists.admits(v, delta, centre[:j] + (x,) + centre[j + 1:]) == inside
-        assert not lists.admits(v, deg + 1, embed_vertex(g, v, cfg))
+                        assert read.contains(centre[:j] + (x,) + centre[j + 1:]) == inside
+        with pytest.raises(DegreeOutOfRange):
+            lists.mbr(v, deg + 1)
     straddled = False  # some bucket had degrees below, inside and above a range
     for syn in idx.synopses:
         for cell in syn.cells:
@@ -669,15 +673,16 @@ def test_reads_equal_star_subset_enumeration(mode):
     run_hub_churn(mode, assert_reads_equal_enumeration)
 
 
-def assert_box_tables_equal_admits(idx, g):
+def assert_box_tables_equal_reference_boxes(idx, g):
     """Fill every bucket's box tables as scans fill them: through the grid's
     group range at once in a finite group, and at each delta from the
     group's lowest to one past the bucket's largest degree in the open one.
     Each filled table holds, per tail dimension, the packed columns of
-    ``mbr``'s low and high bounds in bucket order; decoded, its test,
-    ``lo <= x <= hi`` per tail dimension, must give ``admits``' verdict on
-    every entry it covers, probed at each bound and one ulp either side of
-    it."""
+    ``reference_box``'s low and high bounds in bucket order; decoded, its
+    test, ``lo <= x <= hi`` per tail dimension, must give the reference
+    box's containment on every entry it covers, probed at each bound and
+    one ulp either side of it; past an entry's degree it holds (+inf,
+    -inf), which no probe passes."""
     lists, d = idx.lists, idx.cfg.d
     outcomes = set()
     for syn in idx.synopses:
@@ -695,11 +700,10 @@ def assert_box_tables_equal_admits(idx, g):
                 for i, v in enumerate(vs):
                     lows = tuple(col[i] for col, _ in table)
                     highs = tuple(col[i] for _, col in table)
-                    if delta > g.degree(v):  # no box: nothing passes either test
+                    if delta > g.degree(v):  # no box: nothing passes the test
                         assert (lows, highs) == ((math.inf,) * d, (-math.inf,) * d)
-                        assert not lists.admits(v, delta, head + (0.0,) * d)
                         continue
-                    box = lists.mbr(v, delta)
+                    box = reference_box(g, v, delta, idx.cfg)
                     assert (lows, highs) == (box.low[d:], box.high[d:])
                     centre = tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))
                     for k in range(d):
@@ -707,7 +711,7 @@ def assert_box_tables_equal_admits(idx, g):
                             for x in (math.nextafter(edge, -math.inf), edge,
                                       math.nextafter(edge, math.inf)):
                                 q_tail = centre[:k] + (x,) + centre[k + 1:]
-                                want = lists.admits(v, delta, head + q_tail)
+                                want = box.contains(head + q_tail)
                                 assert want == all(
                                     lo <= y <= hi for y, lo, hi in zip(q_tail, lows, highs)
                                 )
@@ -716,9 +720,9 @@ def assert_box_tables_equal_admits(idx, g):
 
 
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
-def test_box_tables_equal_admits(mode):
+def test_box_tables_equal_reference_boxes(mode):
     # tables die with the grid: after maintenance each is filled afresh
-    run_hub_churn(mode, assert_box_tables_equal_admits)
+    run_hub_churn(mode, assert_box_tables_equal_reference_boxes)
 
 
 def assert_ranged_fills_equal_single_degree_fills(idx, g):
@@ -773,7 +777,9 @@ def test_walk_is_dropped_by_a_histogram_edit(cfg_zipf):
         after = lists.mbr(0, 2), tuple(lists.capped_sums(0, (g.degree(0),)))
         assert after == (reference_box(g, 0, 2, cfg_zipf), neighbor_sum(g, 0, cfg_zipf))
         assert all(a != b for a, b in zip(after, before))
-        assert lists.admits(0, 2, after[0].low) and lists.admits(0, 2, after[0].high)
+        [table] = lists.box_columns((0,), 2, 2)  # the fills read the new walk too
+        d = cfg_zipf.d
+        assert [(lo[0], hi[0]) for lo, hi in table] == list(zip(after[0].low[d:], after[0].high[d:]))
 
 
 # -- scans ---------------------------------------------------------------------
