@@ -1,9 +1,10 @@
 """Benchmark runs: the engine over a stream, and a full-recompute baseline.
 
-The baseline replays the same stream on a bare graph and re-enumerates
-every query's answers from scratch after each update with the brute-force
-enumerator; it is the reference point for incremental speedup claims and a
-secondary correctness check (final answers must agree).
+The baseline is the oracle's full-recompute replay: the same stream on a
+bare graph, every query's answers re-enumerated from scratch after each
+update by the brute-force enumerator.  It is the reference point for
+incremental speedup claims and a secondary correctness check (final
+answers must agree).
 
 Metric rows are plain dicts with a fixed column order so the ``bench``
 and ``sweep`` subcommands can emit stable CSV.
@@ -11,8 +12,6 @@ and ``sweep`` subcommands can emit stable CSV.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from time import perf_counter
@@ -20,9 +19,12 @@ from time import perf_counter
 from .embedding import EmbeddingConfig
 from .generate import SCENARIO_PARAMS
 from .graph import DynamicGraph, UpdateOp
-from .matcher import MatchEngine, Mapping, QueryGraph
-from .oracle import enumerate_matches
+from .matcher import UNCHANGED, MatchEngine, Mapping, QueryDelta, QueryGraph
+from .oracle import _recompute
 from .synopsis import K_CELLS, M_GROUPS
+
+# UpdateResult.timings keys, in column order
+_STAGES = ("graph", "filtering", "refinement", "answers_index", "embedding_update")
 
 RUN_COLUMNS = (
     "mode",
@@ -35,11 +37,7 @@ RUN_COLUMNS = (
     "build_s",
     "initial_match_s",
     "stream_s",
-    "graph_s",
-    "filtering_s",
-    "refinement_s",
-    "answers_index_s",
-    "embedding_update_s",
+    *(f"{stage}_s" for stage in _STAGES),
     "total_s",
 )
 
@@ -62,29 +60,44 @@ class RunMetrics:
         return self.build_seconds + self.initial_match_seconds + self.stream_seconds
 
     def rows(self) -> list[dict]:
+        seconds = {
+            "build_s": self.build_seconds,
+            "initial_match_s": self.initial_match_seconds,
+            "stream_s": self.stream_seconds,
+            **{f"{stage}_s": self.stage_seconds.get(stage, 0.0) for stage in _STAGES},
+            "total_s": self.total_seconds,
+        }
+        run = {"mode": self.mode, **{c: f"{s:.6f}" for c, s in seconds.items()}}
         out = []
         for q in self.per_query:
-            row = {c: "" for c in RUN_COLUMNS}
-            row.update(
-                mode=self.mode,
-                query_id=q["query_id"],
-                initial_answers=q["initial_answers"],
-                final_answers=q["final_answers"],
-                added=q["added"],
-                removed=q["removed"],
-                pruning_power=f"{q['pruning_power']:.6f}" if q["pruning_power"] != "" else "",
-                build_s=f"{self.build_seconds:.6f}",
-                initial_match_s=f"{self.initial_match_seconds:.6f}",
-                stream_s=f"{self.stream_seconds:.6f}",
-                graph_s=f"{self.stage_seconds.get('graph', 0.0):.6f}",
-                filtering_s=f"{self.stage_seconds.get('filtering', 0.0):.6f}",
-                refinement_s=f"{self.stage_seconds.get('refinement', 0.0):.6f}",
-                answers_index_s=f"{self.stage_seconds.get('answers_index', 0.0):.6f}",
-                embedding_update_s=f"{self.stage_seconds.get('embedding_update', 0.0):.6f}",
-                total_s=f"{self.total_seconds:.6f}",
-            )
-            out.append(row)
+            power = q["pruning_power"]
+            out.append({**run, **q, "pruning_power": "" if power is None else f"{power:.6f}"})
         return out
+
+
+def _per_query(
+    names: list[str],
+    initial: list[int],
+    log: list[tuple[int, dict]],
+    finals: dict[str, frozenset[Mapping]],
+    powers: list[float | None],
+) -> list[dict]:
+    """Each query's answer counts after registration and after the stream,
+    and the answers its ops added and removed, from the per-op deltas."""
+    per_query = []
+    for name, start, power in zip(names, initial, powers):
+        deltas = [op_deltas.get(name, UNCHANGED) for _, op_deltas in log]
+        per_query.append(
+            {
+                "query_id": name,
+                "initial_answers": start,
+                "final_answers": len(finals[name]),
+                "added": sum(len(d.added) for d in deltas),
+                "removed": sum(len(d.removed) for d in deltas),
+                "pruning_power": power,
+            }
+        )
+    return per_query
 
 
 def run_engine(
@@ -102,54 +115,33 @@ def run_engine(
     build_s = perf_counter() - t0
 
     names = [f"q{i}" for i in range(len(queries))]
-    initial: dict[str, int] = {}
     t0 = perf_counter()
-    for name, q in zip(names, queries):
-        rq = engine.register(name, q)
-        initial[name] = len(rq.answers)
+    initial = [len(engine.register(name, q).answers) for name, q in zip(names, queries)]
     initial_s = perf_counter() - t0
 
-    added = dict.fromkeys(names, 0)
-    removed = dict.fromkeys(names, 0)
     stages: dict[str, float] = defaultdict(float)
-    delta_log: list[tuple[int, dict]] = []
+    log: list[tuple[int, dict]] = []
     t0 = perf_counter()
     for op in stream:
         result = engine.process_update(op)
         for k, v in result.timings.items():
             stages[k] += v
-        for name, delta in result.deltas.items():
-            added[name] += len(delta.added)
-            removed[name] += len(delta.removed)
-        if collect_deltas:
-            delta_log.append((op.timestamp, result.deltas))
+        log.append((op.timestamp, result.deltas))
     stream_s = perf_counter() - t0
 
-    per_query = []
-    finals: dict[str, frozenset[Mapping]] = {}
-    for name in names:
-        rq = engine.queries[name]
-        finals[name] = rq.answers.mappings()
-        per_query.append(
-            {
-                "query_id": name,
-                "initial_answers": initial[name],
-                "final_answers": len(rq.answers),
-                "added": added[name],
-                "removed": removed[name],
-                "pruning_power": rq.mean_pruning_power,
-            }
-        )
+    registered = [engine.queries[name] for name in names]
+    finals = {rq.name: rq.answers.mappings() for rq in registered}
+    powers = [rq.mean_pruning_power for rq in registered]
     metrics = RunMetrics(
         mode="engine",
         build_seconds=build_s,
         initial_match_seconds=initial_s,
         stream_seconds=stream_s,
         stage_seconds=stages,
-        per_query=per_query,
+        per_query=_per_query(names, initial, log, finals, powers),
         final_answers=finals,
         updates=len(stream),
-        delta_log=delta_log,
+        delta_log=log if collect_deltas else [],
     )
     return metrics, engine
 
@@ -158,58 +150,36 @@ def run_naive(
     g0: DynamicGraph, stream: list[UpdateOp], queries: list[QueryGraph]
 ) -> RunMetrics:
     """Per-update full recompute with the brute-force enumerator."""
-    graph = g0.copy()
     names = [f"q{i}" for i in range(len(queries))]
+    replay = _recompute(g0, stream, queries)
 
     t0 = perf_counter()
-    answers = {
-        name: enumerate_matches(graph, q) for name, q in zip(names, queries)
-    }
+    _, answers = next(replay)
     initial_s = perf_counter() - t0
-    initial = {name: len(a) for name, a in answers.items()}
+    initial = [len(a) for a in answers]
 
-    added = dict.fromkeys(names, 0)
-    removed = dict.fromkeys(names, 0)
+    log: list[tuple[int, dict]] = []
     t0 = perf_counter()
-    for op in stream:
-        graph.apply_update(op)
-        for name, q in zip(names, queries):
-            fresh = enumerate_matches(graph, q)
-            added[name] += len(fresh - answers[name])
-            removed[name] += len(answers[name] - fresh)
-            answers[name] = fresh
+    for op, fresh in replay:
+        deltas = {
+            name: QueryDelta(added=new - old, removed=old - new)
+            for name, old, new in zip(names, answers, fresh)
+        }
+        log.append((op.timestamp, deltas))
+        answers = fresh
     stream_s = perf_counter() - t0
 
-    per_query = [
-        {
-            "query_id": name,
-            "initial_answers": initial[name],
-            "final_answers": len(answers[name]),
-            "added": added[name],
-            "removed": removed[name],
-            "pruning_power": "",
-        }
-        for name in names
-    ]
+    finals = dict(zip(names, answers))
     return RunMetrics(
         mode="naive",
         build_seconds=0.0,
         initial_match_seconds=initial_s,
         stream_seconds=stream_s,
         stage_seconds={},
-        per_query=per_query,
-        final_answers=dict(answers),
+        per_query=_per_query(names, initial, log, finals, [None] * len(names)),
+        final_answers=finals,
         updates=len(stream),
     )
-
-
-def rows_to_csv(columns: tuple[str, ...], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=list(columns))
-    w.writeheader()
-    for row in rows:
-        w.writerow(row)
-    return buf.getvalue()
 
 
 SWEEP_COLUMNS = (

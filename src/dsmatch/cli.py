@@ -14,11 +14,13 @@ default from the environment when set.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
-from .bench import RUN_COLUMNS, SWEEP_COLUMNS, SWEEP_PARAMS, rows_to_csv, run_engine, run_naive, sweep
+from .bench import RUN_COLUMNS, SWEEP_COLUMNS, SWEEP_PARAMS, run_engine, run_naive, sweep
 from .errors import DsmatchError
 from .generate import SCENARIO_PARAMS, BenchConfig
 from .graph import dump_graph, dump_stream, load_graph, load_stream
@@ -77,6 +79,15 @@ def _add_input_args(p: argparse.ArgumentParser, n_default: int = 50_000) -> None
     _add_config_args(p, n_default=n_default)
 
 
+def _write_csv(path: str | Path | None, columns: tuple[str, ...], rows: list[dict]) -> None:
+    """A header line, then one line per row: to the file at ``path``, or to
+    stdout when it is None."""
+    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def cmd_gen(args) -> int:
     cfg = _config_from(args)
     out = Path(args.out)
@@ -104,14 +115,10 @@ def cmd_run(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i, q in enumerate(queries):
-        rq = engine.queries[f"q{i}"]
-        text = format_answers(q, rq.answers.mappings())
+    for i, (q, (name, answers)) in enumerate(zip(queries, metrics.final_answers.items())):
+        text = format_answers(q, answers)
         (out / f"answers_q{i:03d}.txt").write_text(text + ("\n" if text else ""))
-    (out / "metrics.csv").write_text(rows_to_csv(RUN_COLUMNS, metrics.rows()))
-    if args.emit_deltas:
-        for i, q in enumerate(queries):
-            name = f"q{i}"
+        if args.emit_deltas:
             blocks = []
             for ts, deltas in metrics.delta_log:
                 body = format_delta(q, deltas.get(name, UNCHANGED))
@@ -120,10 +127,11 @@ def cmd_run(args) -> int:
             (out / f"deltas_q{i:03d}.txt").write_text(
                 "\n".join(blocks) + ("\n" if blocks else "")
             )
+    _write_csv(out / "metrics.csv", RUN_COLUMNS, metrics.rows())
     if args.dump_synopses:
         Path(args.dump_synopses).write_text(engine.index.dump())
     print(
-        f"{len(stream)} updates, {sum(len(engine.queries[f'q{i}'].answers) for i in range(len(queries)))} "
+        f"{len(stream)} updates, {sum(map(len, metrics.final_answers.values()))} "
         f"final answers, total {metrics.total_seconds:.3f}s -> {out}"
     )
     return 0
@@ -168,22 +176,12 @@ def cmd_bench(args) -> int:
             f"engine {engine_metrics.total_seconds:.3f}s vs naive "
             f"{naive_metrics.total_seconds:.3f}s ({ratio:.1f}x)"
         )
-    csv_text = rows_to_csv(RUN_COLUMNS, rows)
-    if args.out:
-        Path(args.out).write_text(csv_text)
-    else:
-        print(csv_text, end="")
+    _write_csv(args.out, RUN_COLUMNS, rows)
     return status
 
 
 def cmd_sweep(args) -> int:
-    base = _config_from(args)
-    rows = sweep(base, args.param, args.values)
-    csv_text = rows_to_csv(SWEEP_COLUMNS, rows)
-    if args.out:
-        Path(args.out).write_text(csv_text)
-    else:
-        print(csv_text, end="")
+    _write_csv(args.out, SWEEP_COLUMNS, sweep(_config_from(args), args.param, args.values))
     return 0
 
 

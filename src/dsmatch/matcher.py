@@ -282,8 +282,6 @@ class AnswerSet:
         return True
 
     def discard(self, m: Mapping) -> None:
-        if m not in self._maps:
-            return
         self._maps.discard(m)
         for key in self.edge_images(m):
             bucket = self._by_edge.get(key)

@@ -151,6 +151,17 @@ class VerdictReport:
         )
 
 
+def _recompute(g0: DynamicGraph, stream: list[UpdateOp], queries: list):
+    """Full recompute on a copy of ``g0``: yields ``(None, answers)``, then
+    ``(op, answers)`` after applying each op, with ``answers`` every query's
+    matches in query order."""
+    graph = g0.copy()
+    yield None, [enumerate_matches(graph, q) for q in queries]
+    for op in stream:
+        graph.apply_update(op)
+        yield op, [enumerate_matches(graph, q) for q in queries]
+
+
 def recompute_stream_check(
     g0: DynamicGraph,
     stream: list[UpdateOp],
@@ -173,33 +184,18 @@ def recompute_stream_check(
 
     if engine is None:
         engine = MatchEngine(g0.copy(), cfg, m_groups=m_groups, k_cells=k_cells)
-    replay = g0.copy()
-    names = []
-    for i, q in enumerate(queries):
-        names.append(f"q{i}")
-        engine.register(names[-1], q)
-
-    def check(timestamp: int) -> Divergence | None:
-        for name, q in zip(names, queries):
-            got = engine.queries[name].answers.mappings()
-            want = enumerate_matches(replay, q)
-            if got != want:
-                return Divergence(
-                    timestamp=timestamp,
-                    query_name=name,
-                    missing=frozenset(want - got),
-                    extra=frozenset(got - want),
-                )
-        return None
-
-    div = check(0)
+    names = [f"q{i}" for i in range(len(queries))]
+    for name, q in zip(names, queries):
+        engine.register(name, q)
     checked = 0
-    if div is None:
-        for op in stream:
+    for op, wants in _recompute(g0, stream, queries):
+        if op is not None:
             engine.process_update(op)
-            replay.apply_update(op)
             checked += 1
-            div = check(op.timestamp or checked)
-            if div is not None:
-                break
-    return VerdictReport(ok=div is None, updates_checked=checked, divergence=div)
+        for name, want in zip(names, wants):
+            got = engine.queries[name].answers.mappings()
+            if got != want:
+                timestamp = 0 if op is None else op.timestamp or checked
+                div = Divergence(timestamp, name, missing=want - got, extra=got - want)
+                return VerdictReport(ok=False, updates_checked=checked, divergence=div)
+    return VerdictReport(ok=True, updates_checked=checked)

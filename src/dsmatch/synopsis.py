@@ -461,7 +461,6 @@ class GridSynopsis:
         self.lower = lower
         self.upper = upper
         self.k_cells = k_cells
-        self.domain = domain
         self.width = domain / k_cells
         a, d = store.alpha, store.cfg.d
         cells: dict[tuple[int, ...], Cell] = {}
@@ -472,7 +471,7 @@ class GridSynopsis:
             by_coords: dict[tuple[int, ...], list[int]] = {}  # tail cell -> entry positions
             for i, coords in enumerate(zip(*map(self.intervals, tails))):
                 by_coords.setdefault(coords, []).append(i)
-            head_coords = self.cell_coords(head)
+            head_coords = tuple(self.intervals(head))
             for tail_coords, at in by_coords.items():
                 coords = head_coords + tail_coords
                 cell = cells.get(coords)
@@ -493,9 +492,6 @@ class GridSynopsis:
         the domain clamp into the top one."""
         top, w = self.k_cells - 1, self.width
         return [min(int(x / w) if x > 0 else 0, top) for x in xs]
-
-    def cell_coords(self, point: Vec) -> tuple[int, ...]:
-        return tuple(self.intervals(point))
 
     def _cell_corner(self, coords: tuple[int, ...]) -> Vec:
         return tuple(

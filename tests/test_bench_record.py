@@ -196,3 +196,25 @@ def test_a_run_without_a_result_exits_2(monkeypatch, tmp_path, capsys):
     assert tool.main(["--workload", "sw-delete-q20", "--runs", "1", "--out", str(out)]) == 2
     assert not out.exists()
     assert "no perfbench result" in capsys.readouterr().err
+
+
+def test_uncommitted_changes_ignore_the_records_the_tool_writes(monkeypatch, tmp_path):
+    # a second record in one tree must not count the BENCH_*.json the first wrote
+    tool = load_tool()
+    git = tool.git
+
+    def git_in_repo(*args, **kw):
+        return git(*args, cwd=tmp_path)
+
+    for name in ("BENCH_x.json", "engine.py"):
+        (tmp_path / name).write_text("1\n")
+    git_in_repo("init", "-q")
+    git_in_repo("add", "-A")
+    git_in_repo("-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+                "commit", "-q", "-m", "init")
+    monkeypatch.setattr(tool, "git", git_in_repo)
+    monkeypatch.setattr(tool, "run_perfbench", lambda tree, args: run([1.0] * 6))
+    (tmp_path / "BENCH_x.json").write_text("2\n")
+    assert tool.record("sw-delete-q20", 1, None, [])["uncommitted_changes"] is False
+    (tmp_path / "engine.py").write_text("2\n")
+    assert tool.record("sw-delete-q20", 1, None, [])["uncommitted_changes"] is True

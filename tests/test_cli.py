@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from dsmatch.bench import SWEEP_PARAMS, run_engine, run_naive, sweep
+from dsmatch.bench import RUN_COLUMNS, SWEEP_PARAMS, run_engine, run_naive, sweep
 from dsmatch.cli import build_parser, main
 from dsmatch.embedding import MODES
 from dsmatch.generate import SCENARIO_PARAMS, BenchConfig
@@ -267,6 +267,29 @@ def test_engine_and_naive_final_answers_agree():
     engine_metrics, _ = run_engine(g0, stream, queries, cfg.embedding_config())
     naive_metrics = run_naive(g0, stream, queries)
     assert engine_metrics.final_answers == naive_metrics.final_answers
+
+
+def test_metric_rows_fill_every_run_column():
+    cfg = BenchConfig(n_vertices=100, alphabet=5, query_count=2, query_size=4, master_seed=5)
+    _, g0, stream, queries = cfg.make_inputs()
+    engine_metrics, _ = run_engine(g0, stream, queries, cfg.embedding_config())
+    for row in engine_metrics.rows() + run_naive(g0, stream, queries).rows():
+        assert set(row) == set(RUN_COLUMNS), row["mode"]
+
+
+def test_csv_to_stdout_equals_csv_to_file(tmp_path, capsys):
+    argv = ["sweep", *BASE_FLAGS, "--param", "k", "--values", "2", "5"]
+    assert main([*argv, "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert main(argv) == 0
+
+    def untimed(text):
+        lines = [line.split(",") for line in text.split("\r\n")]
+        keep = [i for i, c in enumerate(lines[0]) if not c.endswith("_s")]
+        return [[cells[i] for i in keep] for cells in lines if cells != [""]]
+
+    file_text = (tmp_path / "sweep.csv").read_bytes().decode()
+    assert file_text.endswith("\r\n") and "\n" not in file_text.replace("\r\n", "")
+    assert untimed(capsys.readouterr().out) == untimed(file_text)
 
 
 def test_gen_then_run_metrics_deterministic(tmp_path):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsmatch.errors import (
+    DsmatchError,
     DuplicateEdge,
     InvalidParams,
     LabelConflict,
@@ -11,6 +12,7 @@ from dsmatch.errors import (
     ParseError,
     SelfLoop,
     UndeclaredVertex,
+    UnknownVertex,
 )
 from dsmatch.graph import (
     DELETE,
@@ -125,6 +127,34 @@ def test_load_graph_errors_carry_line_numbers():
         load_graph("t 5 0\nv 0 1\n")  # header mismatch
     with pytest.raises(ParseError):
         load_graph("v 0 1\nv 1 1\ne 0 1\ne 1 0\n")  # duplicate edge
+
+
+def edge01() -> DynamicGraph:
+    return make_graph([(0, 1)], {0: 0, 1: 1})
+
+
+@pytest.mark.parametrize("call, error, line_no", [
+    pytest.param(lambda: load_graph("v 0 1\nt 1\n"), ParseError, 2, id="header-fields"),
+    pytest.param(lambda: load_graph("v 0 1\nv 1\n"), ParseError, 2, id="vertex-fields"),
+    pytest.param(lambda: load_graph("v 0 1\nv 1 1\ne 0 1 1\n"), ParseError, 3, id="edge-fields"),
+    pytest.param(lambda: load_graph("v 0 1\nx 0 1\n"), ParseError, 2, id="graph-tag"),
+    pytest.param(lambda: load_graph("v 0 1\nv 0 2\n"), ParseError, 2, id="relabeled"),
+    pytest.param(lambda: load_graph("v 0 1\nv -1 1\n"), ParseError, 2, id="negative-id"),
+    pytest.param(lambda: load_stream("+ 0 1\n+ 0 1 5\n"), ParseError, 2, id="insert-fields"),
+    pytest.param(lambda: load_stream("+ 0 1\n- 0 1 5\n"), ParseError, 2, id="delete-fields"),
+    pytest.param(lambda: load_stream("+ 0 1\n* 0 1\n"), ParseError, 2, id="stream-tag"),
+    pytest.param(lambda: edge01().label(9), UnknownVertex, None, id="label-unknown"),
+    pytest.param(lambda: edge01().degree(9), UnknownVertex, None, id="degree-unknown"),
+    pytest.param(lambda: edge01().neighbors(9), UnknownVertex, None, id="neighbors-unknown"),
+    pytest.param(lambda: edge01().add_vertex(0, 1), LabelConflict, None, id="add-vertex-relabel"),
+    pytest.param(lambda: edge01().add_edge(0, 0), SelfLoop, None, id="add-edge-self-loop"),
+    pytest.param(lambda: edge01().add_edge(0, 9), UnknownVertex, None, id="add-edge-unknown"),
+])
+def test_malformed_lines_and_unknown_vertices_raise(call, error, line_no):
+    with pytest.raises(DsmatchError) as exc:
+        call()
+    assert type(exc.value) is error
+    assert getattr(exc.value, "line_no", None) == line_no
 
 
 def test_load_stream_assigns_positional_timestamps():

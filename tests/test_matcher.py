@@ -235,6 +235,20 @@ def test_answer_set_inverted_index_covers_edges():
     assert len(a) == 0
 
 
+def test_discarding_an_absent_answer_changes_nothing():
+    # absent images share every edge, some edges or none with stored ones
+    q = q_triangle((0, 0, 0))
+    a = AnswerSet(q)
+    for m in ((1, 2, 3), (2, 3, 4)):
+        a.add(m)
+    absent = [(3, 2, 1), (1, 2, 4), (7, 8, 9)]
+    edges = {key for m in [*a, *absent] for key in a.edge_images(m)}
+    before = (a.mappings(), {key: a.answers_on_edge(key) for key in edges})
+    for m in absent:
+        a.discard(m)
+        assert (a.mappings(), {key: a.answers_on_edge(key) for key in edges}) == before, m
+
+
 # -- initial match ----------------------------------------------------------------
 
 

@@ -160,7 +160,10 @@ def record(workload: str, n: int, rev: str | None, extra: list[str]) -> dict:
     return {
         "workload": workload,
         "commit": git("rev-parse", "HEAD"),
-        "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no")),
+        # the BENCH_*.json files this tool rewrites are not changes to what it measures
+        "uncommitted_changes": bool(
+            git("status", "--porcelain", "--untracked-files=no", "--", ":(exclude)BENCH_*.json")
+        ),
         "against": git("rev-parse", rev) if rev else None,
         "seed": every[0]["seed"],
         "python": platform.python_version(),
