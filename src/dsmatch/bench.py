@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 from .embedding import EmbeddingConfig
+from .errors import InvalidParams
 from .generate import SCENARIO_PARAMS
 from .graph import DynamicGraph, UpdateOp
 from .matcher import UNCHANGED, MatchEngine, Mapping, QueryDelta, QueryGraph
@@ -201,7 +202,8 @@ SWEEP_PARAMS = {p.dest: (p.field, p.kind) for p in SCENARIO_PARAMS if p.sweep}
 
 
 def sweep(base_config, param: str, values: list) -> list[dict]:
-    """Re-run the engine once per value of one parameter.
+    """Re-run the engine once per value of one parameter, converting every
+    value first: a malformed one raises ``InvalidParams`` before any run.
 
     The master seed is held fixed, so runs that share the same graph
     parameters also share the graph, stream, and query sample.
@@ -209,9 +211,12 @@ def sweep(base_config, param: str, values: list) -> list[dict]:
     if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {param!r}; choose from {sorted(SWEEP_PARAMS)}")
     attr, cast = SWEEP_PARAMS[param]
+    try:
+        configs = [replace(base_config, **{attr: cast(value)}) for value in values]
+    except ValueError as exc:
+        raise InvalidParams(f"sweep --param {param} --values: {exc}") from None
     rows = []
-    for value in values:
-        cfg = replace(base_config, **{attr: cast(value)})
+    for value, cfg in zip(values, configs):
         _, g0, stream, queries = cfg.make_inputs()
         metrics, _ = run_engine(
             g0, stream, queries, cfg.embedding_config(), cfg.m_groups, cfg.k_cells

@@ -338,6 +338,9 @@ class LabelPair:
         self.queries[rq.name] = rq
 
 
+_NO_PAIR = LabelPair()  # the empty filing of every label pair that no query edge has
+
+
 @dataclass(slots=True)
 class UpdateResult:
     """One applied op, its seconds per stage, and the deltas of the queries
@@ -429,73 +432,71 @@ class MatchEngine:
         fully or not at all.  No step reads a walk or computes a box.
         Only the queries filed under the edge's label pair are visited, and
         the result's deltas name only the queries whose answers changed.
+        Each stage time is the difference of neighbouring clock stamps, the
+        refinement calls' spans split off the seeding stage's, so the
+        stages add up to the op's stamped span.
         """
         t0 = perf_counter()
         self.graph.apply_update(op)
-        graph_s = perf_counter() - t0
-        lists_s = self.index.maintain(op).list_update_seconds
+        t1 = perf_counter()
+        self.index.maintain(op)
+        t2 = t3 = perf_counter()  # a delete seeds nothing
 
+        labels = self.graph.labels
+        pair = self.pairs.get((labels[op.u], labels[op.v]), _NO_PAIR)
         deltas: dict[str, QueryDelta] = {}
+        refine_s = 0.0
         if op.kind == INSERT:
-            found, filter_s, refine_s = self._on_insert(op.u, op.v)
-            t1 = perf_counter()
+            found, refine_s = self._on_insert(pair, op.u, op.v)
+            t3 = perf_counter()
             for name, added in found.items():
                 answers = self.queries[name].answers
                 for m in added:
                     answers.add(m)
                 deltas[name] = QueryDelta(added=frozenset(added))
-        else:
-            filter_s = refine_s = 0.0
-            t1 = perf_counter()
-            labels = self.graph.labels
-            pair = self.pairs.get((labels[op.u], labels[op.v]))
-            if pair is not None:
-                edge = op.edge()
-                for name, rq in pair.queries.items():
-                    victims = rq.answers.answers_on_edge(edge)
-                    if victims:
-                        for m in victims:
-                            rq.answers.discard(m)
-                        deltas[name] = QueryDelta(removed=victims)
+        elif pair.queries:
+            edge = op.edge()
+            for name, rq in pair.queries.items():
+                victims = rq.answers.answers_on_edge(edge)
+                if victims:
+                    for m in victims:
+                        rq.answers.discard(m)
+                    deltas[name] = QueryDelta(removed=victims)
+        t4 = perf_counter()
         return UpdateResult(op, deltas, {
-            "graph": graph_s, "embedding_update": lists_s, "filtering": filter_s,
-            "refinement": refine_s, "answers_index": perf_counter() - t1,
+            "graph": t1 - t0, "embedding_update": t2 - t1, "filtering": t3 - t2 - refine_s,
+            "refinement": refine_s, "answers_index": t4 - t3,
         })
 
     def _on_insert(
-        self, u: VertexId, v: VertexId
-    ) -> tuple[dict[str, set[Mapping]], float, float]:
-        """New answers, per query name, that use the just-inserted edge (u, v).
+        self, pair: LabelPair, u: VertexId, v: VertexId
+    ) -> tuple[dict[str, set[Mapping]], float]:
+        """New answers, per query name, that use the just-inserted edge (u, v),
+        and the seconds spent refining them.
 
-        Every seed filed under (label(u), label(v)) is count-tested against
-        u's and then v's histogram, and one that both cover is completed by
-        refinement from [u, v], or from [v, u] when it is filed flipped.
+        Each seed of ``pair``, the label pair (label(u), label(v)), is
+        count-tested against u's and then v's histograms; one both cover is
+        refined from [u, v], or from [v, u] when it is filed flipped.
         """
-        graph = self.graph
-        labels = graph.labels
-        store = self.index.lists
+        graph, store = self.graph, self.index.lists
         found: dict[str, set[Mapping]] = {}
-        t_refine = 0.0
-        t_start = perf_counter()
-        pair = self.pairs.get((labels[u], labels[v]))
-        if pair is not None:
-            hu, hv = store.hist[u], store.hist[v]
-            for name, plan, flip, need_u, need_v in pair.seeds:
-                for lbl, c in need_u:
-                    if hu.get(lbl, 0) < c:
+        refine_s = 0.0
+        hu, hv = store.hist[u], store.hist[v]
+        for name, plan, flip, need_u, need_v in pair.seeds:
+            for lbl, c in need_u:
+                if hu.get(lbl, 0) < c:
+                    break
+            else:
+                for lbl, c in need_v:
+                    if hv.get(lbl, 0) < c:
                         break
                 else:
-                    for lbl, c in need_v:
-                        if hv.get(lbl, 0) < c:
-                            break
-                    else:
-                        t1 = perf_counter()
-                        added = refine(plan, graph, store, [v, u] if flip else [u, v], 2)
-                        t_refine += perf_counter() - t1
-                        if added:
-                            found.setdefault(name, set()).update(added)
-        t_filter = perf_counter() - t_start - t_refine
-        return found, t_filter, t_refine
+                    t0 = perf_counter()
+                    added = refine(plan, graph, store, [v, u] if flip else [u, v], 2)
+                    refine_s += perf_counter() - t0
+                    if added:
+                        found.setdefault(name, set()).update(added)
+        return found, refine_s
 
 
 def format_mapping(query: QueryGraph, m: Mapping) -> str:

@@ -13,42 +13,40 @@ its neighbors' labels.  On each dimension, the box for any degree delta
 spans the sum of the delta smallest to the sum of the delta largest
 neighbor components: the sums of the first and the last delta entries of
 that dimension's segment of the vertex's walk, its deg(v) neighbor
-components in ascending order, expanded from the histogram once per
-histogram state.  An update is one histogram edit per endpoint.  A grid
-cell buckets its vertices by label, whose d head coordinates a scan tests
-once per bucket, and keeps their tail coordinates in filing order, one
-packed column per dimension (:func:`pack`).  A scan tests a whole column
-against a query coordinate with a few big-int operations
-(:func:`at_least`, :func:`at_most`): the tail columns for dominance, and
-the bucket's box table at the query degree, every entry's tail bounds as
-packed columns, for the box.  When a scan first needs one of a bucket's
-tables, the grid fills them at every degree of its group, one column per
-degree, dimension and bound across the whole bucket, each adding every
-entry's next walk component to the column before it; the open last group
-fills the query degree's alone.
+components in ascending order, expanded from the histogram.  An update is
+one histogram edit per endpoint.  A grid cell buckets its vertices by
+label, whose d head coordinates a scan tests once per bucket, and keeps
+their walks and, one packed column per dimension (:func:`pack`), their
+tail coordinates in filing order.  A scan tests a whole column against a
+query coordinate with a few big-int operations (:func:`at_least`,
+:func:`at_most`): the tail columns for dominance, and the bucket's box
+table at the query degree, every entry's tail bounds as packed columns,
+for the box.  The first scan to need one of a bucket's tables fills them
+from its walks at every degree of its group, one column per degree,
+dimension and bound, each adding every entry's next walk component to the
+column before it; the open last group fills the query degree's alone.
 
 No comparison carries a slack: neighbor sums are exact and rounding is
 monotone (:mod:`dsmatch.embedding`), so every filter admits each true match
 image by construction.
 
-The grids are build-only.  One pass over the vertices builds all of them:
-per vertex and dimension, the sums of the last entries of its walk
-segment give the exact sum at each of its group caps, the last at its
-degree, so the same pass yields the full neighbor sums the default grid
-domain is read off (:func:`default_domain`).  Only candidate scans read
-the grids, so an update just drops them, with their box tables, and the
-next scan, snapshot or dump rebuilds them from the histograms with the
-same frozen degree groups, domain and cell count: a maintained index
-equals a rebuild by construction.
+The grids are build-only.  One pass over the vertices builds all of them,
+expanding each vertex's walk once: per vertex and dimension, the sums of
+the last entries of its walk segment give the exact sum at each of its
+group caps, the last at its degree, so the same pass yields the full
+neighbor sums the default grid domain is read off (:func:`default_domain`).
+Only candidate scans read the grids, so an update just drops them, with
+their walks and box tables, and the next scan, snapshot or dump rebuilds
+them from the histograms with the same frozen degree groups, domain and
+cell count: a maintained index equals a rebuild by construction.
 
 Scans and maintenance follow the single-writer contract of the graph.
-Maintenance is exclusive, and so are three kinds of first read after it:
-the first scan, snapshot or dump, which rebuilds the grids; the first box
-read of a vertex (``mbr``, ``capped_sums``, ``box_columns``), which fills
-the vertex's walk in the store; and the first scan whose entries reach the
-box test in a bucket at a degree without a table, in which the grid fills
-the bucket's tables.  Later reads may run concurrently.  The matcher reads
-only the histograms on updates, never a walk.
+Maintenance is exclusive, and so are two kinds of first read after it:
+the first scan, snapshot or dump, which rebuilds the grids, and the first
+scan to reach the box test in a bucket at a degree without a table, which
+fills the bucket's tables.  Later reads may run concurrently.  The store
+keeps no walk, so its box reads write nothing, and the matcher reads only
+the histograms on updates, never a walk.
 """
 
 from __future__ import annotations
@@ -242,14 +240,12 @@ class NeighborListStore:
     coordinates, and the constant added to ``alpha * raw_sum`` on each tail
     dimension (plain mode is alpha = 1 with zero constants).  ``comps[k]``
     maps each label seen to its label-vector component on dimension k.
-    Boxes and capped sums read a vertex's walk: one flat list holding,
-    per dimension in turn, a segment of its deg(v) neighbor components in
-    ascending order, the histogram expanded (a label counted c times gives
-    c copies).  It is built when first read, and any histogram edit drops
-    every walk.  Every bound is a sum over a slice of a segment, and sums
-    of components are exact, so every float read from the store is a pure
-    function of a histogram and the label table, whatever order equal
-    components take: a maintained store equals a rebuild by construction.
+    Boxes and capped sums read walks (:meth:`walk`), which the store
+    expands afresh and never keeps.  Every bound is a sum over a slice of a
+    walk segment, and sums of components are exact, so every float read
+    from the store is a pure function of a histogram and the label table,
+    whatever order equal components take: a maintained store equals a
+    rebuild by construction.
     """
 
     def __init__(self, graph: DynamicGraph, cfg: EmbeddingConfig):
@@ -258,7 +254,6 @@ class NeighborListStore:
         self.alpha = 1.0 if cfg.mode == MODE_PLAIN else cfg.alpha
         self.frames: dict[Label, tuple[Vec, Vec]] = {}  # head, tail constants
         self.comps: list[dict[Label, float]] = [{} for _ in range(cfg.d)]
-        self._walks: dict[VertexId, tuple] = {}
         labels = graph.labels
         for lbl in set(labels.values()):
             self._frame(lbl)
@@ -285,8 +280,6 @@ class NeighborListStore:
         """Add ``step`` (+1 or -1) neighbors carrying ``label`` to v."""
         if label not in self.frames:
             self._frame(label)
-        if self._walks:  # all of them: later edits then pay one truthiness test
-            self._walks.clear()
         hist = self.hist.get(v)
         if hist is None:
             hist = self.hist[v] = {}
@@ -300,65 +293,59 @@ class NeighborListStore:
         return len(self.graph.adj.get(v, ()))
 
     def walk(self, v: VertexId) -> list[float]:
-        """v's walk: d segments of deg(v) neighbor components, each ascending."""
-        walk = self._walks.get(v)
-        if walk is None:
-            hist = self.hist.get(v, {})
-            walk = self._walks[v] = []
-            for comps in self.comps:
-                for lbl in sorted(hist, key=comps.__getitem__):
-                    c = hist[lbl]
-                    if c == 1:
-                        walk.append(comps[lbl])
-                    else:
-                        walk += repeat(comps[lbl], c)
+        """v's walk, expanded from its histogram: one flat list of d segments
+        of deg(v) neighbor components, each ascending."""
+        hist = self.hist.get(v, {})
+        walk: list[float] = []
+        for comps in self.comps:
+            for lbl in sorted(hist, key=comps.__getitem__):
+                c = hist[lbl]
+                if c == 1:
+                    walk.append(comps[lbl])
+                else:
+                    walk += repeat(comps[lbl], c)
         return walk
 
-    def capped_sums(self, v: VertexId, caps: Sequence[int]) -> list[float]:
-        """Per dimension in turn, the sum of v's ``cap`` largest neighbor
-        components at each cap of ``caps``, each from 1 to deg(v), which
-        must be 1 or more: the raw high bounds of its boxes at those
-        degrees, each the sum of a walk segment's last ``cap`` entries."""
-        walk, n = self.walk(v), self.degree(v)
+    def capped_sums(self, walk: Sequence[float], caps: Sequence[int]) -> list[float]:
+        """Per segment of a walk in turn, the sum of its last ``cap`` entries
+        at each cap of ``caps``, from 1 to its length, 1 or more: the
+        vertex's raw high box bounds at those degrees."""
+        n = len(walk) // self.cfg.d
         return [sum(walk[end - cap : end]) for end in range(n, len(walk) + 1, n) for cap in caps]
 
     def mbr(self, v: VertexId, delta: int) -> Mbr:
         """Bounds over embeddings of all delta-leaf star subsets of v."""
         deg = self.degree(v)
         if not 1 <= delta <= deg:
-            raise DegreeOutOfRange(
-                f"delta {delta} outside [1, {deg}] for vertex {v}"
-            )
-        head = self._frame(self.graph.label(v))[0]
-        [cols] = self.box_columns((v,), delta, delta)
+            raise DegreeOutOfRange(f"delta {delta} outside [1, {deg}] for vertex {v}")
+        label = self.graph.label(v)
+        head = self._frame(label)[0]
+        [cols] = self.box_columns(label, [self.walk(v)], delta, delta)
         return Mbr(
             low=head + tuple(lows[0] for lows, _ in cols),
             high=head + tuple(highs[0] for _, highs in cols),
         )
 
     def box_columns(
-        self, vs: Sequence[VertexId], first: int, last: int
+        self, label: Label, walks: Sequence[Sequence[float]], first: int, last: int
     ) -> list[list[tuple[array, array]]]:
-        """Per delta in first..last, the box table of ``vs``, one or more
-        vertices of one label, at delta: per tail dimension, the columns of
-        the low and the high bounds of their boxes at delta, in order.  A
-        vertex of degree below delta gets (+inf, -inf) on every dimension,
-        a box that no point lies in.
+        """Per delta in first..last, the box table at delta of vertices of
+        ``label`` given by their walks, one or more: per tail dimension, the
+        columns of the low and the high bounds of their boxes, in order, and
+        (+inf, -inf), a box no point lies in, past a vertex's degree.
 
-        Per tail dimension, a running low and a running high column over the
-        whole bucket serve every delta: each delta adds, one column at a
-        time, each vertex's delta-th smallest (largest) component on its
-        walk segment to the exact sum of the delta - 1 before it, or +inf
-        (-inf) once delta is past its degree.
+        Per tail dimension, a running low and a running high column serve
+        every delta: each delta adds each walk's delta-th smallest (largest)
+        component on its segment to the exact sum of the delta - 1 before
+        it, or +inf (-inf) once delta is past its degree.
         """
-        adj, a = self.graph.adj, self.alpha
-        tail = self.frames[self.graph.labels[vs[0]]][1]
-        walks = [self.walk(v) for v in vs]
-        ns = [len(adj[v]) for v in vs]  # per vertex, its degree: its segments' length
+        a, d = self.alpha, self.cfg.d
+        tail = self.frames[label][1]
+        ns = [len(w) // d for w in walks]  # per vertex, its degree: its segments' length
         tables: list[list[tuple[array, array]]] = [[] for _ in range(first, last + 1)]
         for k, t in enumerate(tail):
             rows = list(zip(walks, [k * n for n in ns], ns))  # each segment starts at k * n
-            lows = highs = [0.0] * len(vs)
+            lows = highs = [0.0] * len(walks)
             for delta in range(1, last + 1):
                 lows = [s + w[i + delta - 1] if delta <= n else math.inf
                         for s, (w, i, n) in zip(lows, rows)]
@@ -381,12 +368,13 @@ class Cell:
 
     A bucket holds its vertices in filing order and, per tail dimension,
     their tail coordinates in that order as one packed column (:func:`pack`).
-    ``tables`` holds the buckets' box tables, packed alike, which the owning
-    grid fills (:meth:`GridSynopsis.box_table`).  Tables die with the grid,
-    so they always describe the current graph.
+    ``walks`` holds each bucket's walks in that order, and ``tables`` its
+    box tables, packed alike, which the owning grid fills from the walks
+    (:meth:`GridSynopsis.box_table`).  Both die with the grid, so they
+    always describe the current graph.
     """
 
-    __slots__ = ("coords", "corner", "key", "size", "buckets", "tables")
+    __slots__ = ("coords", "corner", "key", "size", "buckets", "walks", "tables")
 
     def __init__(self, coords: tuple[int, ...], corner: Vec):
         self.coords = coords
@@ -394,6 +382,7 @@ class Cell:
         self.key = embedding_key(corner)
         self.size = 0
         self.buckets: dict[Label, tuple[list[VertexId], tuple[int, ...]]] = {}
+        self.walks: dict[Label, list[list[float]]] = {}
         # (label, delta) -> per tail dimension, its packed (low, high) columns
         self.tables: dict[tuple[Label, int], list[tuple[int, int]]] = {}
 
@@ -446,16 +435,16 @@ class GridSynopsis:
     +inf): values beyond the frozen domain clamp into it, which keeps the
     key cutoff and cell dominance sound when the graph drifts past the
     initial extent estimate.  The grid fills its cells' box tables from the
-    store.
+    walks its buckets hold.
     """
 
     def __init__(
         self, store: NeighborListStore, group: int, lower: int, upper: float, k_cells: int,
-        domain: float, staged: dict[Label, tuple[list[VertexId], array]],
+        domain: float, staged: dict[Label, tuple[list[VertexId], array, list[list[float]]]],
     ):
         """File the staged entries under their corners, emptying ``staged``:
-        per label, its vertices in graph order and, flat and in turn, their
-        d raw capped sums."""
+        per label, its vertices in graph order, flat and in turn their d raw
+        capped sums, and their walks."""
         self.store = store
         self.group = group
         self.lower = lower
@@ -465,7 +454,7 @@ class GridSynopsis:
         a, d = store.alpha, store.cfg.d
         cells: dict[tuple[int, ...], Cell] = {}
         while staged:  # each label's sums are freed once read
-            label, (vs, sums) = staged.popitem()
+            label, (vs, sums, walks) = staged.popitem()
             head, frame_tail = store.frames[label]
             tails = [[a * s + t for s in sums[k::d]] for k, t in enumerate(frame_tail)]
             by_coords: dict[tuple[int, ...], list[int]] = {}  # tail cell -> entry positions
@@ -477,10 +466,11 @@ class GridSynopsis:
                 cell = cells.get(coords)
                 if cell is None:
                     cell = cells[coords] = Cell(coords, self._cell_corner(coords))
-                members, cols = vs, tails  # the whole label, unless it spans cells
+                members, cols, ws = vs, tails, walks  # the whole label, unless it spans cells
                 if len(by_coords) > 1:
-                    members, cols = [vs[i] for i in at], [[col[i] for i in at] for col in tails]
+                    members, ws, *cols = ([xs[i] for i in at] for xs in (vs, walks, *tails))
                 cell.buckets[label] = (members, tuple(map(pack, cols)))
+                cell.walks[label] = ws
                 cell.size += len(members)
         self.cells: list[Cell] = sorted(cells.values(), key=lambda c: (-c.key, c.coords))
 
@@ -502,15 +492,15 @@ class GridSynopsis:
         """The packed box columns of the cell's label bucket at delta, a
         degree of the grid's group (lower, upper].
 
-        A miss fills the bucket's tables at every degree of a finite group
-        in one ``box_columns`` call, or at delta alone in the open last
-        group, and packs them."""
+        A miss fills the bucket's tables from its walks at every degree of a
+        finite group in one ``box_columns`` call, or at delta alone in the
+        open last group, and packs them."""
         table = cell.tables.get((label, delta))
         if table is None:
             upper = self.upper
             first, last = (self.lower + 1, upper) if upper < math.inf else (delta, delta)
-            vs = cell.buckets[label][0]
-            for at, filled in enumerate(self.store.box_columns(vs, first, last), first):
+            walks = cell.walks[label]
+            for at, filled in enumerate(self.store.box_columns(label, walks, first, last), first):
                 cell.tables[label, at] = [(pack(lows), pack(highs)) for lows, highs in filled]
             table = cell.tables[label, delta]
         return table
@@ -653,32 +643,35 @@ class SynopsisIndex:
         """Every group's grid from one pass over the vertices.
 
         Each vertex of degree deg >= 1 enters groups 0..group_of(deg), at
-        caps min(deg, upper_j): the cutoffs below deg, then deg itself.  One
-        ``capped_sums`` call gives its raw high sums at every cap, and its
-        entries are staged per group and label, the sums in one flat
-        ``array('d')``.  The last cap's sums are the full neighbor sums,
-        whose largest component sets the domain on the first build; each
-        grid then files its staged entries a label at a time."""
+        caps min(deg, upper_j): the cutoffs below deg, then deg itself.  Its
+        walk, expanded once, gives its raw high sums at every cap in one
+        ``capped_sums`` call, and its entries are staged per group and
+        label: the sums in one flat ``array('d')``, the walk beside them.
+        The last cap's sums are the full neighbor sums, whose largest
+        component sets the domain on the first build; each grid then files
+        its staged entries a label at a time."""
         store, groups = self.lists, self.groups
         adj, labels = self.graph.adj, self.graph.labels
-        cutoffs, capped_sums = groups.cutoffs, store.capped_sums
-        staged: list[dict[Label, tuple[list[VertexId], array]]] = [{} for _ in range(groups.m)]
+        cutoffs, walk_of, capped_sums = groups.cutoffs, store.walk, store.capped_sums
+        staged: list[dict] = [{} for _ in range(groups.m)]  # as GridSynopsis takes them
         sum_max = 0.0
         for v in self.graph.vertices():
             deg = len(adj[v])
             if not deg:
                 continue
             caps = (*cutoffs[: bisect_left(cutoffs, deg)], deg)
-            sums = capped_sums(v, caps)
+            walk = walk_of(v)
+            sums = capped_sums(walk, caps)
             r = len(caps)
             sum_max = max(sum_max, *sums[r - 1 :: r])
             label = labels[v]
             for j in range(r):
                 entries = staged[j].get(label)
                 if entries is None:
-                    entries = staged[j][label] = ([], array("d"))
+                    entries = staged[j][label] = ([], array("d"), [])
                 entries[0].append(v)
                 entries[1].extend(sums[j::r])
+                entries[2].append(walk)
         if self.domain is None:
             self.domain = default_domain(self.cfg, sum_max)
         return [

@@ -157,6 +157,19 @@ def test_sweep_subcommand(tmp_path):
     assert rows[0]["initial_answers"] == rows[1]["initial_answers"]
 
 
+def test_sweep_with_a_malformed_value_fails_before_any_run(tmp_path, monkeypatch, capsys):
+    import dsmatch.bench as bench_mod
+
+    runs = []
+    monkeypatch.setattr(bench_mod, "run_engine", lambda *args: runs.append(args))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", *BASE_FLAGS, "--param", "n", "--values", "300", "abc", "--out", str(out)]
+    assert main(argv) == 2
+    assert runs == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'abc'" in err and "Traceback" not in err
+
+
 def test_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("DSMATCH_N", "64")
     from dsmatch.cli import build_parser

@@ -297,6 +297,13 @@ def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
     store = engine.index.lists
     d = any_mode_cfg.d
     box_columns, walk = store.box_columns, NeighborListStore.walk
+    owner = {  # a filed walk -> its vertex
+        id(w): v
+        for syn in engine.index.synopses
+        for cell in syn.cells
+        for label, (vs, _) in cell.buckets.items()
+        for v, w in zip(vs, cell.walks[label])
+    }
     fills = defaultdict(list)  # (vertex, delta) -> its tail bounds, per fill
     joining, join_walks = [False], []
 
@@ -311,11 +318,11 @@ def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
     hist, adj = Recording(store.hist), Recording(engine.graph.adj)
     hist.reads, adj.reads = Counter(), Counter()
 
-    def recorded(vs, first, last):
-        tables = box_columns(vs, first, last)
+    def recorded(label, walks, first, last):
+        tables = box_columns(label, walks, first, last)
         for delta, table in zip(range(first, last + 1), tables):
-            for i, v in enumerate(vs):
-                fills[v, delta].append([(lows[i], highs[i]) for lows, highs in table])
+            for i, w in enumerate(walks):
+                fills[owner[id(w)], delta].append([(lows[i], highs[i]) for lows, highs in table])
         return tables
 
     def counted_walk(self, v):
@@ -363,30 +370,31 @@ def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
 def test_register_fills_each_bucket_of_a_finite_group_once(any_mode_cfg, monkeypatch):
     # query vertices of one label at every degree of group 0, (0, 4]: the
     # first scan to box-test a bucket fills its tables at all four degrees
-    # in one box_columns call, and the scans at the other degrees read them
+    # in one box_columns call over the bucket's walks, and the scans at the
+    # other degrees read them
     g = small_world(n=120, avg_deg=5.0, alphabet=3, seed=3)
     engine = MatchEngine(g.copy(), any_mode_cfg)
     index = engine.index
     assert (index.groups.lower(0), index.groups.upper(0)) == (0, 4)
     q = QueryGraph({i: 0 for i in range(5)}, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
     assert sorted(q.degree(u) for u in q.vertex_order) == [1, 2, 2, 3, 4]
-    cells = {  # bucket -> its cell and label
-        id(vs): (cell, label)
+    cells = {  # bucket, by its walks -> its cell and label
+        id(cell.walks[label]): (cell, label)
         for syn in index.synopses
         for cell in syn.cells
-        for label, (vs, _) in cell.buckets.items()
+        for label in cell.buckets
     }
     calls = Counter()  # bucket -> box_columns calls, each filling (1, 4]
     reads = defaultdict(set)  # bucket -> the degrees a scan read its tables at
     box_columns, box_table = index.lists.box_columns, GridSynopsis.box_table
 
-    def recorded(vs, first, last):
-        assert (first, last) == (1, 4)
-        calls[id(vs)] += 1
-        return box_columns(vs, first, last)
+    def recorded(label, walks, first, last):
+        assert (first, last) == (1, 4) and cells[id(walks)][1] == label
+        calls[id(walks)] += 1
+        return box_columns(label, walks, first, last)
 
     def read(syn, cell, label, delta):
-        reads[id(cell.buckets[label][0])].add(delta)
+        reads[id(cell.walks[label])].add(delta)
         return box_table(syn, cell, label, delta)
 
     monkeypatch.setattr(index.lists, "box_columns", recorded)
@@ -736,17 +744,23 @@ def hub_stream_engine(cfg):
 
 @HUB_CONFIGS
 def test_updates_read_no_walk(cfg_kw, monkeypatch):
-    # inserts count-test seeds against histograms and deletes edit them and
-    # the answer index: no update expands a walk, so none computes a box
-    engine, _, ops = hub_stream_engine(EmbeddingConfig(**cfg_kw))
-    walks = []
+    # the build expands each non-isolated vertex's walk once and files it
+    # with the vertex, so the six registrations right after it, whose box
+    # tables fill from the filed walks, expand none.  Inserts count-test
+    # seeds against histograms and deletes edit them and the answer index:
+    # no update expands a walk either, so none computes a box
+    walks = Counter()
     walk = NeighborListStore.walk
 
     def counted(self, v):
-        walks.append(v)
+        walks[v] += 1
         return walk(self, v)
 
     monkeypatch.setattr(NeighborListStore, "walk", counted)
+    engine, g, ops = hub_stream_engine(EmbeddingConfig(**cfg_kw))
+    assert walks == Counter(v for v in g.vertices() if g.degree(v))
+    assert any(cell.tables for syn in engine.index.synopses for cell in syn.cells)
+    walks.clear()
     seen = Counter()  # (kind, filed pair, created a vertex)
     added = removed = 0
     for op in ops:
@@ -756,9 +770,31 @@ def test_updates_read_no_walk(cfg_kw, monkeypatch):
         seen[op.kind, (labels[op.u], labels[op.v]) in engine.pairs, created] += 1
         added += sum(len(d.added) for d in result.deltas.values())
         removed += sum(len(d.removed) for d in result.deltas.values())
-    assert walks == []
+    assert not walks
     assert seen[INSERT, True, False] and seen[INSERT, True, True] and seen[DELETE, True, False]
     assert added > 0 and removed > 0
+
+
+def test_stage_times_add_up_to_each_ops_stamped_span(monkeypatch):
+    # a clock reading 0, 1, 2, ... makes every difference exact: each op's
+    # stage times must sum to its last stamp minus its first, over inserts
+    # that refine, inserts that do not, and deletes
+    engine, _, ops = hub_stream_engine(EmbeddingConfig(d=2, mode="zipf"))
+    stamps = []
+
+    def clock():
+        stamps.append(float(len(stamps)))
+        return stamps[-1]
+
+    monkeypatch.setattr(matcher_mod, "perf_counter", clock)
+    kinds = Counter()  # (kind, refined)
+    for op in ops:
+        stamps.clear()
+        timings = engine.process_update(op).timings
+        assert sum(timings.values()) == stamps[-1] - stamps[0] > 0
+        assert min(timings.values()) >= 0
+        kinds[op.kind, timings["refinement"] > 0] += 1
+    assert kinds[INSERT, True] and kinds[INSERT, False] and kinds[DELETE, False]
 
 
 def covers(graph, v, need):

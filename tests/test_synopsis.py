@@ -445,10 +445,11 @@ def test_maintenance_equals_rebuild_after_stream(mode):
     # maintained neighbor sums equal from-scratch sums
     for v in g.vertices():
         deg = g.degree(v)
+        walk = idx.lists.walk(v)
         if deg:
-            assert tuple(idx.lists.capped_sums(v, (deg,))) == neighbor_sum(g, v, cfg)
+            assert tuple(idx.lists.capped_sums(walk, (deg,))) == neighbor_sum(g, v, cfg)
         else:
-            assert idx.lists.walk(v) == []
+            assert walk == []
 
 
 def test_hub_degree_boxes_and_rebuild_under_churn(any_mode_cfg):
@@ -555,32 +556,34 @@ def reference_box(g, v, delta, cfg):
 def assert_reads_equal_enumeration(idx, g):
     """Everything the store reads is exact, checked with ``==``: label
     vectors sit on their grid; each walk is d ascending segments of deg(v)
-    entries, the sorted neighbor components; the neighbor sum, and
-    ``capped_sums`` at every degree, equal ``math.fsum`` of the components;
-    ``mbr`` and every ``box_columns`` row equal ``reference_box``, a row of
-    (+inf, -inf) past the vertex's degree, in fills from degree 1 and in
-    fills over a range that some of the bucket's degrees fall below, some
-    inside and some above; and ``mbr`` contains a query tail exactly on
-    each bound and not one float step outside it, and has no box past the
-    degree."""
+    entries, the sorted neighbor components, and the walks a grid files
+    with its buckets equal them; the neighbor sum, and ``capped_sums`` at
+    every degree, equal ``math.fsum`` of the components; ``mbr`` and every
+    ``box_columns`` row over a bucket's walks equal ``reference_box``, a
+    row of (+inf, -inf) past the vertex's degree, in fills from degree 1
+    and in fills over a range that some of the bucket's degrees fall
+    below, some inside and some above; and ``mbr`` contains a query tail
+    exactly on each bound and not one float step outside it, and has no
+    box past the degree."""
     lists, cfg = idx.lists, idx.cfg
     d = cfg.d
     grid = 2.0 ** (10 if cfg.mode == "zipf" else 20)
     for lbl in set(g.labels.values()):
         assert all(0 < c <= 1 and (c * grid).is_integer() for c in label_vector(lbl, cfg))
-    boxes = {}
+    boxes, walks = {}, {}
     for v in g.vertices():
         vecs = [label_vector(g.labels[n], cfg) for n in g.neighbors(v)]
-        assert lists.walk(v) == [c for k in range(d) for c in sorted(x[k] for x in vecs)]
+        walk = walks[v] = lists.walk(v)
+        assert walk == [c for k in range(d) for c in sorted(x[k] for x in vecs)]
         exact = tuple(math.fsum(x[k] for x in vecs) for k in range(d))
         assert neighbor_sum(g, v, cfg) == exact
         deg = g.degree(v)
         if deg:
-            assert tuple(lists.capped_sums(v, (deg,))) == exact
+            assert tuple(lists.capped_sums(walk, (deg,))) == exact
             largest = [sorted((x[k] for x in vecs), reverse=True) for k in range(d)]
             caps = range(1, deg + 1)
             want = [math.fsum(c[:cap]) for c in largest for cap in caps]
-            assert lists.capped_sums(v, caps) == want
+            assert lists.capped_sums(walk, caps) == want
         for delta in range(1, deg + 1):
             box = boxes[v, delta] = reference_box(g, v, delta, cfg)
             read = lists.mbr(v, delta)
@@ -595,14 +598,15 @@ def assert_reads_equal_enumeration(idx, g):
     straddled = False  # some bucket had degrees below, inside and above a range
     for syn in idx.synopses:
         for cell in syn.cells:
-            for vs, _ in cell.buckets.values():
+            for label, (vs, _) in cell.buckets.items():
+                assert cell.walks[label] == [walks[v] for v in vs]
                 degs = sorted({g.degree(v) for v in vs})
                 ranges = [(1, degs[-1] + 1)]
                 if len(degs) >= 3:
                     ranges.append((degs[1], degs[-2]))
                     straddled = True
                 for first, last in ranges:
-                    tables = lists.box_columns(vs, first, last)
+                    tables = lists.box_columns(label, cell.walks[label], first, last)
                     assert len(tables) == last - first + 1
                     for delta, table in enumerate(tables, start=first):
                         for i, v in enumerate(vs):
@@ -726,24 +730,25 @@ def test_box_tables_equal_reference_boxes(mode):
 
 
 def assert_ranged_fills_equal_single_degree_fills(idx, g):
-    """Fill each bucket's tables over delta ranges below, around and above
-    each of its entries' degrees in one ``box_columns`` call; each table
-    must equal, byte for byte, the one filled at its delta alone, its
-    (+inf, -inf) rows included."""
+    """Fill each bucket's tables from its walks over delta ranges below,
+    around and above each of its entries' degrees in one ``box_columns``
+    call; each table must equal, byte for byte, the one filled at its delta
+    alone, its (+inf, -inf) rows included."""
     lists = idx.lists
     rows = set()  # (has a box, is a hub's row)
     for syn in idx.synopses:
         for cell in syn.cells:
-            for vs, _ in cell.buckets.values():
+            for label, (vs, _) in cell.buckets.items():
+                walks = cell.walks[label]
                 ranges = set()
                 for deg in {g.degree(v) for v in vs}:
                     ranges |= {(max(deg - 3, 1), deg - 1), (max(deg - 2, 1), deg + 2),
                                (deg + 1, deg + 3)}
                 for first, last in sorted(r for r in ranges if r[0] <= r[1]):
-                    tables = lists.box_columns(vs, first, last)
+                    tables = lists.box_columns(label, walks, first, last)
                     assert len(tables) == last - first + 1
                     for delta, table in zip(range(first, last + 1), tables):
-                        [alone] = lists.box_columns(vs, delta, delta)
+                        [alone] = lists.box_columns(label, walks, delta, delta)
                         assert [(lo.tobytes(), hi.tobytes()) for lo, hi in table] == [
                             (lo.tobytes(), hi.tobytes()) for lo, hi in alone
                         ]
@@ -764,22 +769,30 @@ def test_ranged_box_fills_equal_single_degree_fills(mode):
     run_hub_churn(mode, assert_ranged_fills_equal_single_degree_fills)
 
 
-def test_walk_is_dropped_by_a_histogram_edit(cfg_zipf):
-    # a box read before an update must not be served after it
+def test_box_reads_follow_a_histogram_edit(cfg_zipf):
+    # a box read before an update must not be served after it: neither by
+    # the store, which expands a fresh walk per read, nor by the grid's box
+    # table, whose walk was dropped with the grid
     g = make_graph([(0, 1), (0, 2), (3, 4)], {0: 0, 1: 1, 2: 2, 3: 3, 4: 4})
     idx = build_index(g, cfg_zipf, m=1)
-    lists = idx.lists
-    steps = [UpdateOp(INSERT, 0, 3), UpdateOp(DELETE, 0, 1), UpdateOp(INSERT, 0, 4)]
-    for op in steps:
-        before = lists.mbr(0, 2), tuple(lists.capped_sums(0, (g.degree(0),)))
+    lists, d = idx.lists, cfg_zipf.d
+
+    def reads():
+        [syn] = idx.synopses
+        [(cell, vs)] = [(c, vs) for c in syn.cells for vs, _ in c.buckets.values() if 0 in vs]
+        at, n = vs.index(0), len(vs)
+        table = syn.box_table(cell, g.labels[0], 2)
+        filed = tuple((unpack(lo, n)[at], unpack(hi, n)[at]) for lo, hi in table)
+        return lists.mbr(0, 2), tuple(lists.capped_sums(lists.walk(0), (g.degree(0),))), filed
+
+    for op in [UpdateOp(INSERT, 0, 3), UpdateOp(DELETE, 0, 1), UpdateOp(INSERT, 0, 4)]:
+        before = reads()
         g.apply_update(op)
         idx.maintain(op)
-        after = lists.mbr(0, 2), tuple(lists.capped_sums(0, (g.degree(0),)))
-        assert after == (reference_box(g, 0, 2, cfg_zipf), neighbor_sum(g, 0, cfg_zipf))
+        after = reads()
+        box = reference_box(g, 0, 2, cfg_zipf)
+        assert after == (box, neighbor_sum(g, 0, cfg_zipf), tuple(zip(box.low[d:], box.high[d:])))
         assert all(a != b for a, b in zip(after, before))
-        [table] = lists.box_columns((0,), 2, 2)  # the fills read the new walk too
-        d = cfg_zipf.d
-        assert [(lo[0], hi[0]) for lo, hi in table] == list(zip(after[0].low[d:], after[0].high[d:]))
 
 
 # -- scans ---------------------------------------------------------------------
@@ -1151,7 +1164,7 @@ def test_every_packed_value_and_query_tail_is_nonnegative(mode):
                 for col in packed:
                     assert all(map(_is_nonnegative, unpack(col, len(vs))))
                 top = max(g.degree(v) for v in vs) + 1
-                for table in idx.lists.box_columns(vs, 1, top):
+                for table in idx.lists.box_columns(label, cell.walks[label], 1, top):
                     for lows, highs in table:
                         assert all(map(_is_nonnegative, lows))
                         assert all(_is_nonnegative(h) or h == -math.inf for h in highs)
