@@ -13,12 +13,13 @@ label counts each endpoint of an inserted edge must cover.  A data vertex
 can take a query vertex only if, for every label, it has at least as many
 neighbors carrying it as the query vertex has: the count test, read off
 the store's neighbor-label histograms.  It implies the per-degree box
-test, so it prunes at least as much, and reads no walk.  An update reads
-only its edge's label pair: an insertion count-tests every seed there
-against both endpoints' histograms and completes each admitted seed on the
-new edge by refinement; a deletion drops each of the pair's queries'
-stored answers whose edge image contains the deleted edge, found through
-an inverted edge index.
+test, so it prunes at least as much, and reads no walk.  Registration's
+grid scans apply it to each query vertex's candidates, and the join to
+every vertex it maps.  An update reads only its edge's label pair: an
+insertion count-tests every seed there against both endpoints' histograms
+and completes each admitted seed on the new edge by refinement; a deletion
+drops each of the pair's queries' stored answers whose edge image contains
+the deleted edge, found through an inverted edge index.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .synopsis import (
     K_CELLS,
     M_GROUPS,
     NeighborListStore,
+    Need,
     ScanStats,
     SynopsisIndex,
     compute_degree_groups,
@@ -43,7 +45,6 @@ from .synopsis import (
 
 Mapping = tuple[VertexId, ...]  # images aligned with QueryGraph.vertex_order
 EdgeKey = tuple[VertexId, VertexId]  # data edge as (min, max)
-Need = tuple[tuple[Label, int], ...]  # (label, neighbors carrying it), by label
 
 _NO_ANSWERS: frozenset[Mapping] = frozenset()
 
@@ -392,7 +393,7 @@ class MatchEngine:
         scan_stats: dict[VertexId, ScanStats] = {}
         for qi in query.vertex_order:
             cands, stats = self.index.scan_for_degree(
-                embeds[qi], query.degree(qi), query.labels[qi]
+                embeds[qi], query.degree(qi), query.labels[qi], needs[qi]
             )
             cand_sets[qi] = cands
             scan_stats[qi] = stats

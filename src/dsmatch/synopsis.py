@@ -16,15 +16,15 @@ that dimension's segment of the vertex's walk, its deg(v) neighbor
 components in ascending order, expanded from the histogram.  An update is
 one histogram edit per endpoint.  A grid cell buckets its vertices by
 label, whose d head coordinates a scan tests once per bucket, and keeps
-their walks and, one packed column per dimension (:func:`pack`), their
-tail coordinates in filing order.  A scan tests a whole column against a
-query coordinate with a few big-int operations (:func:`at_least`,
-:func:`at_most`): the tail columns for dominance, and the bucket's box
-table at the query degree, every entry's tail bounds as packed columns,
-for the box.  The first scan to need one of a bucket's tables fills them
-from its walks at every degree of its group, one column per degree,
-dimension and bound, each adding every entry's next walk component to the
-column before it; the open last group fills the query degree's alone.
+their tail coordinates in filing order, one packed column per dimension
+(:func:`pack`).  A scan tests a whole column against a query coordinate
+with a few big-int operations (:func:`at_least`): the tail columns for
+dominance, and then, given the query vertex's need (its neighbor label
+counts), per needed label the bucket's column of neighbor counts of that
+label, which the grid fills from the histograms the first time a scan
+needs it.  A scan without a need tests each dominated entry's box at the
+query degree instead (:meth:`NeighborListStore.mbr`).  Covering the
+counts implies the box test, so a need only narrows the candidates.
 
 No comparison carries a slack: neighbor sums are exact and rounding is
 monotone (:mod:`dsmatch.embedding`), so every filter admits each true match
@@ -35,17 +35,18 @@ expanding each vertex's walk once: per vertex and dimension, the sums of
 the last entries of its walk segment give the exact sum at each of its
 group caps, the last at its degree, so the same pass yields the full
 neighbor sums the default grid domain is read off (:func:`default_domain`).
-Only candidate scans read the grids, so an update just drops them, with
-their walks and box tables, and the next scan, snapshot or dump rebuilds
-them from the histograms with the same frozen degree groups, domain and
-cell count: a maintained index equals a rebuild by construction.
+The walk is dropped once summed.  Only candidate scans read the grids, so
+an update just drops them, with their count columns, and the next scan,
+snapshot or dump rebuilds them from the histograms with the same frozen
+degree groups, domain and cell count: a maintained index equals a rebuild
+by construction.
 
 Scans and maintenance follow the single-writer contract of the graph.
 Maintenance is exclusive, and so are two kinds of first read after it:
 the first scan, snapshot or dump, which rebuilds the grids, and the first
-scan to reach the box test in a bucket at a degree without a table, which
-fills the bucket's tables.  Later reads may run concurrently.  The store
-keeps no walk, so its box reads write nothing, and the matcher reads only
+scan to need a bucket's count column of a label, which fills it.  Later
+reads may run concurrently.  The store keeps no walk and a need-less scan
+caches no box, so their reads write nothing, and the matcher reads only
 the histograms on updates, never a walk.
 """
 
@@ -92,11 +93,13 @@ K_CELLS = 5
 
 _SIGN = bytes(7) + b"\x80"  # a packed field with only bit 63 set
 
+Need = tuple[tuple[Label, int], ...]  # (label, neighbors carrying it), by label
+
 
 def pack(col: Sequence[float]) -> int:
     """One int whose i-th 8-byte little-endian field holds the IEEE-754 bits
     of ``col[i]``, whatever the host's byte order.  Every packed value is
-    +0.0 or above, or -inf (a high bound past a vertex's degree)."""
+    +0.0 or above: a tail coordinate or a neighbor count."""
     col = array("d", col)
     if sys.byteorder == "big":
         col.byteswap()
@@ -112,18 +115,11 @@ def at_least(col: int, xs: int, signs: int) -> int:
     """Bit 63 of field i set iff ``col[i] >= x``, where each field of ``xs``
     holds a packed x >= +0.0 and each field of ``signs`` bit 63 alone.
 
-    Bit 63 is clear in x and in every non-negative value, whose bits then
-    order as unsigned ints as the floats do: setting it puts a field 2^63
-    above x, and the difference keeps it iff the float is at least x.
-    Flipping it on -inf leaves +inf's bits, at most 2^63 - 1 after the
-    subtraction, so -inf fails.  No field goes negative: no borrow crosses."""
+    Bit 63 is clear in x and in every value of ``col``, +0.0 or above,
+    whose bits then order as unsigned ints as the floats do: setting it
+    puts a field 2^63 above x, and the difference keeps it iff the float is
+    at least x.  No field goes negative: no borrow crosses."""
     return ((col ^ signs) - xs) & signs
-
-
-def at_most(col: int, xs: int, signs: int) -> int:
-    """:func:`at_least` with the sides swapped: ``col[i] <= x``, for every
-    field of ``col`` +0.0 or above."""
-    return ((xs | signs) - col) & signs
 
 
 # -- degree grouping ----------------------------------------------------------
@@ -318,45 +314,15 @@ class NeighborListStore:
         deg = self.degree(v)
         if not 1 <= delta <= deg:
             raise DegreeOutOfRange(f"delta {delta} outside [1, {deg}] for vertex {v}")
-        label = self.graph.label(v)
-        head = self._frame(label)[0]
-        [cols] = self.box_columns(label, [self.walk(v)], delta, delta)
-        return Mbr(
-            low=head + tuple(lows[0] for lows, _ in cols),
-            high=head + tuple(highs[0] for _, highs in cols),
+        head, tail = self._frame(self.graph.label(v))
+        a, walk = self.alpha, self.walk(v)
+        starts = range(0, len(walk), deg)  # each dimension's segment
+        return Mbr(  # per segment, the sums of its delta smallest and delta largest
+            low=head + tuple(a * sum(walk[i : i + delta]) + t for i, t in zip(starts, tail)),
+            high=head + tuple(
+                a * sum(walk[i + deg - delta : i + deg]) + t for i, t in zip(starts, tail)
+            ),
         )
-
-    def box_columns(
-        self, label: Label, walks: Sequence[Sequence[float]], first: int, last: int
-    ) -> list[list[tuple[array, array]]]:
-        """Per delta in first..last, the box table at delta of vertices of
-        ``label`` given by their walks, one or more: per tail dimension, the
-        columns of the low and the high bounds of their boxes, in order, and
-        (+inf, -inf), a box no point lies in, past a vertex's degree.
-
-        Per tail dimension, a running low and a running high column serve
-        every delta: each delta adds each walk's delta-th smallest (largest)
-        component on its segment to the exact sum of the delta - 1 before
-        it, or +inf (-inf) once delta is past its degree.
-        """
-        a, d = self.alpha, self.cfg.d
-        tail = self.frames[label][1]
-        ns = [len(w) // d for w in walks]  # per vertex, its degree: its segments' length
-        tables: list[list[tuple[array, array]]] = [[] for _ in range(first, last + 1)]
-        for k, t in enumerate(tail):
-            rows = list(zip(walks, [k * n for n in ns], ns))  # each segment starts at k * n
-            lows = highs = [0.0] * len(walks)
-            for delta in range(1, last + 1):
-                lows = [s + w[i + delta - 1] if delta <= n else math.inf
-                        for s, (w, i, n) in zip(lows, rows)]
-                highs = [s + w[i + n - delta] if delta <= n else -math.inf
-                         for s, (w, i, n) in zip(highs, rows)]
-                if delta >= first:
-                    tables[delta - first].append((
-                        array("d", [a * s + t for s in lows]),
-                        array("d", [a * s + t for s in highs]),
-                    ))
-        return tables
 
 
 # -- grid synopses ------------------------------------------------------------
@@ -368,13 +334,13 @@ class Cell:
 
     A bucket holds its vertices in filing order and, per tail dimension,
     their tail coordinates in that order as one packed column (:func:`pack`).
-    ``walks`` holds each bucket's walks in that order, and ``tables`` its
-    box tables, packed alike, which the owning grid fills from the walks
-    (:meth:`GridSynopsis.box_table`).  Both die with the grid, so they
-    always describe the current graph.
+    ``counts`` holds, per (bucket label, needed label), the bucket's
+    neighbor counts of the needed label in that order, packed alike, which
+    the owning grid fills from the histograms (:meth:`GridSynopsis.count_column`).
+    They die with the grid, so they always describe the current graph.
     """
 
-    __slots__ = ("coords", "corner", "key", "size", "buckets", "walks", "tables")
+    __slots__ = ("coords", "corner", "key", "size", "buckets", "counts")
 
     def __init__(self, coords: tuple[int, ...], corner: Vec):
         self.coords = coords
@@ -382,9 +348,7 @@ class Cell:
         self.key = embedding_key(corner)
         self.size = 0
         self.buckets: dict[Label, tuple[list[VertexId], tuple[int, ...]]] = {}
-        self.walks: dict[Label, list[list[float]]] = {}
-        # (label, delta) -> per tail dimension, its packed (low, high) columns
-        self.tables: dict[tuple[Label, int], list[tuple[int, int]]] = {}
+        self.counts: dict[tuple[Label, Label], int] = {}
 
 
 @dataclass
@@ -394,8 +358,9 @@ class ScanStats:
     ``examined`` counts entries in every cell reached before the key
     cutoff; the pruned_* fields partition examined - survivors by the
     filter that removed each entry, applied in order: whole-cell
-    dominance, per-entry corner dominance, label equality, per-degree
-    box membership.
+    dominance, per-entry corner dominance, label equality, and the last
+    stage, ``pruned_box``: the neighbor label count test given a need,
+    else box membership at the query degree.
     """
 
     cells_scanned: int = 0
@@ -434,17 +399,17 @@ class GridSynopsis:
     interval on each dimension is unbounded (its corner coordinate is
     +inf): values beyond the frozen domain clamp into it, which keeps the
     key cutoff and cell dominance sound when the graph drifts past the
-    initial extent estimate.  The grid fills its cells' box tables from the
-    walks its buckets hold.
+    initial extent estimate.  The grid fills its cells' count columns from
+    the histograms.
     """
 
     def __init__(
         self, store: NeighborListStore, group: int, lower: int, upper: float, k_cells: int,
-        domain: float, staged: dict[Label, tuple[list[VertexId], array, list[list[float]]]],
+        domain: float, staged: dict[Label, tuple[list[VertexId], array]],
     ):
         """File the staged entries under their corners, emptying ``staged``:
-        per label, its vertices in graph order, flat and in turn their d raw
-        capped sums, and their walks."""
+        per label, its vertices in graph order, and flat and in turn their d
+        raw capped sums."""
         self.store = store
         self.group = group
         self.lower = lower
@@ -454,7 +419,7 @@ class GridSynopsis:
         a, d = store.alpha, store.cfg.d
         cells: dict[tuple[int, ...], Cell] = {}
         while staged:  # each label's sums are freed once read
-            label, (vs, sums, walks) = staged.popitem()
+            label, (vs, sums) = staged.popitem()
             head, frame_tail = store.frames[label]
             tails = [[a * s + t for s in sums[k::d]] for k, t in enumerate(frame_tail)]
             by_coords: dict[tuple[int, ...], list[int]] = {}  # tail cell -> entry positions
@@ -466,11 +431,10 @@ class GridSynopsis:
                 cell = cells.get(coords)
                 if cell is None:
                     cell = cells[coords] = Cell(coords, self._cell_corner(coords))
-                members, cols, ws = vs, tails, walks  # the whole label, unless it spans cells
+                members, cols = vs, tails  # the whole label, unless it spans cells
                 if len(by_coords) > 1:
-                    members, ws, *cols = ([xs[i] for i in at] for xs in (vs, walks, *tails))
+                    members, *cols = ([xs[i] for i in at] for xs in (vs, *tails))
                 cell.buckets[label] = (members, tuple(map(pack, cols)))
-                cell.walks[label] = ws
                 cell.size += len(members)
         self.cells: list[Cell] = sorted(cells.values(), key=lambda c: (-c.key, c.coords))
 
@@ -488,22 +452,15 @@ class GridSynopsis:
             math.inf if c == self.k_cells - 1 else (c + 1) * self.width for c in coords
         )
 
-    def box_table(self, cell: Cell, label: Label, delta: int) -> list[tuple[int, int]]:
-        """The packed box columns of the cell's label bucket at delta, a
-        degree of the grid's group (lower, upper].
-
-        A miss fills the bucket's tables from its walks at every degree of a
-        finite group in one ``box_columns`` call, or at delta alone in the
-        open last group, and packs them."""
-        table = cell.tables.get((label, delta))
-        if table is None:
-            upper = self.upper
-            first, last = (self.lower + 1, upper) if upper < math.inf else (delta, delta)
-            walks = cell.walks[label]
-            for at, filled in enumerate(self.store.box_columns(label, walks, first, last), first):
-                cell.tables[label, at] = [(pack(lows), pack(highs)) for lows, highs in filled]
-            table = cell.tables[label, delta]
-        return table
+    def count_column(self, cell: Cell, label: Label, needed: Label) -> int:
+        """The packed column of the neighbor counts of ``needed`` in the
+        cell's label bucket, filled from the histograms on a miss."""
+        col = cell.counts.get((label, needed))
+        if col is None:
+            hist = self.store.hist
+            vs = cell.buckets[label][0]
+            col = cell.counts[label, needed] = pack([hist[v].get(needed, 0) for v in vs])
+        return col
 
     def snapshot(self) -> dict:
         """Canonical content for equality checks (entry order independent):
@@ -527,24 +484,27 @@ class GridSynopsis:
 
 
 def scan_candidates(
-    syn: GridSynopsis, q_embed: Vec, q_degree: int, q_label: int
+    syn: GridSynopsis, q_embed: Vec, q_degree: int, q_label: int, need: Need | None = None
 ) -> tuple[list[VertexId], ScanStats]:
     """Candidate vertices for one query vertex from one synopsis, whose
     degree group must hold ``q_degree``.
 
     Walks cells in descending key order and stops once a cell key falls
     below the query key; inside surviving cells keeps a vertex only if the
-    query embedding dominates the stored corner, its label matches, and the
-    query embedding lies inside the vertex's box at exactly the query
-    degree.  All three are necessary conditions for a match, so no true
-    match image is ever dropped.
+    query embedding dominates the stored corner, its label matches, and it
+    passes the last stage.  Given ``need``, the query vertex's neighbor
+    label counts (``matcher.label_needs``), that keeps a vertex with at
+    least as many neighbors of each needed label; without one, a vertex
+    whose box at exactly the query degree holds the query embedding.  Each
+    test is a necessary condition for a match, so no true match image is
+    ever dropped, and the count test implies the box test.
 
     A bucket fails dominance whole when the query's head coordinates exceed
     its label's.  Otherwise each tail dimension tests the whole bucket at
     once: its packed column against the query coordinate repeated in every
-    field (:func:`at_least`), and for a same-label bucket the packed low and
-    high columns of its box table at the query degree (:func:`at_most`,
-    :func:`at_least`).  The masks AND into one whose set bits count and
+    field (:func:`at_least`), and for a same-label bucket each needed
+    label's count column (:meth:`GridSynopsis.count_column`) against the
+    needed count alike.  The masks AND into one whose set bits count and
     select the survivors, in bucket order.  The query's tail coordinates
     must be +0.0 or above, as every embedding's are.
     """
@@ -555,9 +515,12 @@ def scan_candidates(
         )
     out: list[VertexId] = []
     cutoff = embedding_key(q_embed)
-    frames, d = syn.store.frames, syn.store.cfg.d
+    store = syn.store
+    frames, d = store.frames, store.cfg.d
     q_head = q_embed[:d]
     q_fields = [struct.pack("<d", x) for x in q_embed[d:]]
+    if need is not None:
+        need_fields = [(needed, struct.pack("<d", c)) for needed, c in need]
     scanned = examined = pruned_cell = pruned_dominance = pruned_label = pruned_box = 0
     for cell in syn.cells:
         if cell.key < cutoff:
@@ -585,10 +548,19 @@ def scan_candidates(
             if label != q_label:
                 pruned_label += dominated
                 continue
-            for x, (lows, highs) in zip(xs, syn.box_table(cell, label, q_degree)):
-                mask &= at_most(lows, x, signs) & at_least(highs, x, signs)
-            pruned_box += dominated - mask.bit_count()
-            out.extend(compress(vs, mask.to_bytes(8 * n, "little")[7::8]))
+            if need is None:
+                degree, mbr = store.degree, store.mbr
+                kept = [v for v in compress(vs, mask.to_bytes(8 * n, "little")[7::8])
+                        if q_degree <= degree(v) and mbr(v, q_degree).contains(q_embed)]
+            else:
+                for needed, c in need_fields:
+                    col = syn.count_column(cell, label, needed)
+                    mask &= at_least(col, int.from_bytes(c * n, "little"), signs)
+                    if not mask:
+                        break
+                kept = list(compress(vs, mask.to_bytes(8 * n, "little")[7::8]))
+            pruned_box += dominated - len(kept)
+            out += kept
     return out, ScanStats(
         scanned, examined, pruned_cell, pruned_dominance, pruned_label, pruned_box, len(out)
     )
@@ -646,7 +618,7 @@ class SynopsisIndex:
         caps min(deg, upper_j): the cutoffs below deg, then deg itself.  Its
         walk, expanded once, gives its raw high sums at every cap in one
         ``capped_sums`` call, and its entries are staged per group and
-        label: the sums in one flat ``array('d')``, the walk beside them.
+        label: its sums in one flat ``array('d')``, and the walk is dropped.
         The last cap's sums are the full neighbor sums, whose largest
         component sets the domain on the first build; each grid then files
         its staged entries a label at a time."""
@@ -660,18 +632,16 @@ class SynopsisIndex:
             if not deg:
                 continue
             caps = (*cutoffs[: bisect_left(cutoffs, deg)], deg)
-            walk = walk_of(v)
-            sums = capped_sums(walk, caps)
+            sums = capped_sums(walk_of(v), caps)
             r = len(caps)
             sum_max = max(sum_max, *sums[r - 1 :: r])
             label = labels[v]
             for j in range(r):
                 entries = staged[j].get(label)
                 if entries is None:
-                    entries = staged[j][label] = ([], array("d"), [])
+                    entries = staged[j][label] = ([], array("d"))
                 entries[0].append(v)
                 entries[1].extend(sums[j::r])
-                entries[2].append(walk)
         if self.domain is None:
             self.domain = default_domain(self.cfg, sum_max)
         return [
@@ -703,10 +673,11 @@ class SynopsisIndex:
         return MaintenanceReport(list_update_seconds=perf_counter() - t0)
 
     def scan_for_degree(
-        self, q_embed: Vec, q_degree: int, q_label: int
+        self, q_embed: Vec, q_degree: int, q_label: int, need: Need | None = None
     ) -> tuple[list[VertexId], ScanStats]:
+        """:func:`scan_candidates` on the grid of ``q_degree``'s group."""
         syn = self.synopses[self.groups.group_of(q_degree)]
-        return scan_candidates(syn, q_embed, q_degree, q_label)
+        return scan_candidates(syn, q_embed, q_degree, q_label, need)
 
     def embedding_of(self, v: VertexId) -> Vec:
         return embed_vertex(self.graph, v, self.cfg)

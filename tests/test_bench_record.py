@@ -1,6 +1,7 @@
 """``tools/bench_record.py``: it parses perfbench's output, its summaries
 and verdicts are right on synthetic pairs, it alternates which tree runs
-first, and it exits nonzero on a run that reports ``correct: false``.
+first, it records the src tree each side ran, and it exits nonzero on a
+run that reports ``correct: false``, whose record it still writes.
 Perfbench itself is never run here."""
 
 import importlib.util
@@ -43,6 +44,17 @@ exactness gate: passed
 "update_us_p50": {"value": 6.409187841630296, "unit": "us"}, \
 "update_us_p99": {"value": 8.9458144335585, "unit": "us"}, \
 "peak_rss_mb": {"value": 52.08984375, "unit": "MB"}}}
+"""
+
+# the same with --seconds 1 --plant-wrong-answer: the exactness gate fails
+# before the measured replays, so the result holds no metric
+PLANTED = """\
+workload sw-delete-q20, seed 3: |V|=20000 |E|=50105, 5010 ops (0 inserts, 5010 deletes), \
+20 queries; generated in 0.2 s
+EXACTNESS: q0: initial + added - removed differs from final answers
+EXACTNESS: q0: final answers differ from the oracle
+exactness gate: FAILED
+{"correct": false, "attempted": 5010, "failed": 0, "metrics": {}}
 """
 
 METRICS = ["setup_s", "register_s", "stream_ups", "update_us_p50", "update_us_p99", "peak_rss_mb"]
@@ -188,6 +200,24 @@ def test_a_run_that_is_not_correct_exits_nonzero(monkeypatch, tmp_path, capsys):
     assert tool.main(["--workload", "sw-delete-q20", "--runs", "1", "--out", str(out)]) == 1
 
 
+def test_a_failed_gate_writes_a_record_without_a_summary(monkeypatch, tmp_path, capsys):
+    tool = load_tool()
+    planted = tool.parse(PLANTED)
+    assert planted == {"seed": 3, "correct": False, "attempted": 5010, "failed": 0,
+                       "metrics": {}, "speeds": []}
+    out = tmp_path / "bench.json"
+    stub_trees(monkeypatch, tool, {"work": [planted], "other": [run([1.0] * 6)]})
+    args = ["--workload", "sw-delete-q20", "--runs", "1", "--out", str(out)]
+    assert tool.main([*args, "--against", "HEAD~1"]) == 1
+    rec = json.loads(out.read_text())
+    assert rec["correct"] is False and rec["summary"] is None
+    assert rec["runs"] == [planted]
+    assert "correct: false" in capsys.readouterr().err
+    stub_trees(monkeypatch, tool, {"work": [tool.parse(PLANTED)]})
+    assert tool.main(args) == 1
+    assert json.loads(out.read_text())["summary"] is None
+
+
 def test_a_run_without_a_result_exits_2(monkeypatch, tmp_path, capsys):
     tool = load_tool()
     stub_trees(monkeypatch, tool, {})
@@ -198,23 +228,58 @@ def test_a_run_without_a_result_exits_2(monkeypatch, tmp_path, capsys):
     assert "no perfbench result" in capsys.readouterr().err
 
 
-def test_uncommitted_changes_ignore_the_records_the_tool_writes(monkeypatch, tmp_path):
-    # a second record in one tree must not count the BENCH_*.json the first wrote
-    tool = load_tool()
+def throwaway_repo(monkeypatch, tool, root):
+    """A git repository at ``root`` holding BENCH_x.json and src/engine.py
+    in one commit, which the tool's git commands then run in; perfbench
+    runs return fixed results.  Returns a git runner for ``root``."""
     git = tool.git
 
     def git_in_repo(*args, **kw):
-        return git(*args, cwd=tmp_path)
+        return git(*args, cwd=root)
 
-    for name in ("BENCH_x.json", "engine.py"):
-        (tmp_path / name).write_text("1\n")
+    (root / "src").mkdir()
+    for name in ("BENCH_x.json", "src/engine.py"):
+        (root / name).write_text("1\n")
     git_in_repo("init", "-q")
     git_in_repo("add", "-A")
-    git_in_repo("-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
-                "commit", "-q", "-m", "init")
+    commit(git_in_repo, "init")
     monkeypatch.setattr(tool, "git", git_in_repo)
     monkeypatch.setattr(tool, "run_perfbench", lambda tree, args: run([1.0] * 6))
+    return git_in_repo
+
+
+def commit(git_in_repo, message):
+    git_in_repo("-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+                "commit", "-q", "-a", "-m", message)
+
+
+def test_uncommitted_changes_ignore_the_records_the_tool_writes(monkeypatch, tmp_path):
+    # a second record in one tree must not count the BENCH_*.json the first wrote
+    tool = load_tool()
+    throwaway_repo(monkeypatch, tool, tmp_path)
     (tmp_path / "BENCH_x.json").write_text("2\n")
     assert tool.record("sw-delete-q20", 1, None, [])["uncommitted_changes"] is False
-    (tmp_path / "engine.py").write_text("2\n")
+    (tmp_path / "src" / "engine.py").write_text("2\n")
     assert tool.record("sw-delete-q20", 1, None, [])["uncommitted_changes"] is True
+
+
+def test_the_record_names_the_src_tree_each_side_ran(monkeypatch, tmp_path):
+    # the src tree hash matches any commit with the same sources: the
+    # working tree's includes its uncommitted edits, and a record names the
+    # compared commit's too; neither counts files outside src
+    tool = load_tool()
+    git = throwaway_repo(monkeypatch, tool, tmp_path)
+    monkeypatch.setattr(tool, "checkout", lambda rev: contextmanager(lambda: (yield tmp_path))())
+    first = git("rev-parse", "HEAD:src")
+    assert tool.record("sw-delete-q20", 1, None, [])["src_tree"] == first
+    (tmp_path / "BENCH_x.json").write_text("2\n")
+    assert tool.record("sw-delete-q20", 1, None, [])["src_tree"] == first
+    (tmp_path / "src" / "engine.py").write_text("2\n")
+    edited = tool.record("sw-delete-q20", 1, "HEAD", [])
+    assert edited["src_tree"] != first and edited["against_src_tree"] == first
+    # recording left the edits where they were
+    assert git("diff", "--name-only").splitlines() == ["BENCH_x.json", "src/engine.py"]
+    assert git("stash", "list") == ""
+    commit(git, "edit")
+    assert git("rev-parse", "HEAD:src") == edited["src_tree"]
+    assert tool.record("sw-delete-q20", 1, "HEAD~1", [])["against_src_tree"] == first

@@ -286,26 +286,32 @@ def test_initial_match_equals_oracle_many(mode):
             assert rq.answers.mappings() == enumerate_matches(g, q)
 
 
-def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
-    # the scan box-tests plan.order[0]'s candidates against its bucket's box
-    # table; refine takes them as roots and count-tests them against their
-    # histograms, reading no walk, so no root is boxed again.  The leaves'
-    # labels differ from the centre's, which keeps their scans off the
-    # roots' buckets.
+def spy_on_boxes(monkeypatch):
+    """Count, by name, the calls of the store's walk and box reads."""
+    calls = Counter()
+    for name in ("walk", "mbr"):
+        real = getattr(NeighborListStore, name)
+
+        def spy(self, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(NeighborListStore, name, spy)
+    return calls
+
+
+def test_register_count_tests_each_root_and_reads_no_box(any_mode_cfg, monkeypatch):
+    # the scan count-tests plan.order[0]'s candidates against its buckets'
+    # count columns, so the join's roots are exactly the need-less scan's
+    # box candidates that cover the level's label counts, fewer than them;
+    # refine count-tests each root again, reading its histogram once, as
+    # no later level draws the centre's label.  Neither the scans nor the
+    # join expand a walk or compute a box.  The leaves' labels differ from
+    # the centre's, which keeps their scans off the roots' buckets.
     g = small_world(n=120, avg_deg=5.0, alphabet=3, seed=3)
     engine = MatchEngine(g.copy(), any_mode_cfg)
     store = engine.index.lists
-    d = any_mode_cfg.d
-    box_columns, walk = store.box_columns, NeighborListStore.walk
-    owner = {  # a filed walk -> its vertex
-        id(w): v
-        for syn in engine.index.synopses
-        for cell in syn.cells
-        for label, (vs, _) in cell.buckets.items()
-        for v, w in zip(vs, cell.walks[label])
-    }
-    fills = defaultdict(list)  # (vertex, delta) -> its tail bounds, per fill
-    joining, join_walks = [False], []
+    joining = [False]
 
     class Recording(dict):
         """A mapping that counts, in ``reads``, the join's reads of each key."""
@@ -315,21 +321,8 @@ def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
                 self.reads[v] += 1
             return super().__getitem__(v)
 
-    hist, adj = Recording(store.hist), Recording(engine.graph.adj)
-    hist.reads, adj.reads = Counter(), Counter()
-
-    def recorded(label, walks, first, last):
-        tables = box_columns(label, walks, first, last)
-        for delta, table in zip(range(first, last + 1), tables):
-            for i, w in enumerate(walks):
-                fills[owner[id(w)], delta].append([(lows[i], highs[i]) for lows, highs in table])
-        return tables
-
-    def counted_walk(self, v):
-        if joining[0]:
-            join_walks.append(v)
-        return walk(self, v)
-
+    hist = Recording(store.hist)
+    hist.reads = Counter()
     runs = []
     real_refine = matcher_mod.refine
 
@@ -342,70 +335,62 @@ def test_register_box_tests_each_root_once(any_mode_cfg, monkeypatch):
         finally:
             joining[0] = False
 
-    monkeypatch.setattr(store, "box_columns", recorded)
     monkeypatch.setattr(store, "hist", hist)
-    monkeypatch.setattr(engine.graph, "adj", adj)
-    monkeypatch.setattr(NeighborListStore, "walk", counted_walk)
     monkeypatch.setattr(matcher_mod, "refine", recording)
+    calls = spy_on_boxes(monkeypatch)
     q = QueryGraph({0: 0, 1: 1, 2: 2, 3: 1}, [(0, 1), (0, 2), (0, 3)])
     rq = engine.register("star", q)
     assert rq.answers.mappings() == enumerate_matches(g, q) != set()
+    assert calls == Counter()
     [(plan, roots)] = runs
     assert plan.order[0] == 0
-    assert roots and join_walks == []
-    delta, q_embed = q.degree(plan.order[0]), rq.embeds[plan.order[0]]
-    for r in roots:
-        [bounds] = fills[r, delta]  # one table fill holds r's box at delta
-        assert all(lo <= x <= hi for x, (lo, hi) in zip(q_embed[d:], bounds))
-    # the join reads each root's histogram once, as no later level draws
-    # the centre's label; some roots pass the box but not the level's
-    # label counts, and the join extends none of them: it never reads
-    # their neighbors
     assert all(hist.reads[r] == 1 for r in roots)
-    short = {r for r in roots if any(hist[r].get(l, 0) < c for l, c in plan.needs[0])}
-    assert short and all(adj.reads[r] == 0 for r in short)
-    assert any(adj.reads[r] for r in roots)
+    boxed, stats = engine.index.scan_for_degree(rq.embeds[0], q.degree(0), q.labels[0])
+    assert sorted(roots) == sorted(v for v in boxed if covers(g, v, plan.needs[0]))
+    assert 0 < len(roots) < len(boxed)
+    # the two scans differ only in how the last stage splits what reaches it
+    counted = rq.scan_stats[0]
+    assert counted.survivors + counted.pruned_box == stats.survivors + stats.pruned_box
+    assert counted.dominated == stats.dominated and counted.pruned_label == stats.pruned_label
 
 
-def test_register_fills_each_bucket_of_a_finite_group_once(any_mode_cfg, monkeypatch):
-    # query vertices of one label at every degree of group 0, (0, 4]: the
-    # first scan to box-test a bucket fills its tables at all four degrees
-    # in one box_columns call over the bucket's walks, and the scans at the
-    # other degrees read them
+def test_register_fills_each_count_column_once(any_mode_cfg, monkeypatch):
+    # query vertices of label 0 at every degree of group 0, (0, 4], whose
+    # neighbors all carry label 0: the first scan to count-test a label-0
+    # bucket fills its column of label-0 neighbor counts from the
+    # histograms, the scans at the other degrees read it, and registration
+    # fills no other column and reads no walk or box
     g = small_world(n=120, avg_deg=5.0, alphabet=3, seed=3)
     engine = MatchEngine(g.copy(), any_mode_cfg)
     index = engine.index
     assert (index.groups.lower(0), index.groups.upper(0)) == (0, 4)
     q = QueryGraph({i: 0 for i in range(5)}, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
     assert sorted(q.degree(u) for u in q.vertex_order) == [1, 2, 2, 3, 4]
-    cells = {  # bucket, by its walks -> its cell and label
-        id(cell.walks[label]): (cell, label)
-        for syn in index.synopses
-        for cell in syn.cells
-        for label in cell.buckets
-    }
-    calls = Counter()  # bucket -> box_columns calls, each filling (1, 4]
-    reads = defaultdict(set)  # bucket -> the degrees a scan read its tables at
-    box_columns, box_table = index.lists.box_columns, GridSynopsis.box_table
+    fills = Counter()  # (cell, label, needed label) -> fills
+    reads = defaultdict(set)  # the same -> the query degrees it was read at
+    degree = [0]
+    scan_for_degree, count_column = index.scan_for_degree, GridSynopsis.count_column
 
-    def recorded(label, walks, first, last):
-        assert (first, last) == (1, 4) and cells[id(walks)][1] == label
-        calls[id(walks)] += 1
-        return box_columns(label, walks, first, last)
+    def scan(q_embed, q_degree, *args):
+        degree[0] = q_degree
+        return scan_for_degree(q_embed, q_degree, *args)
 
-    def read(syn, cell, label, delta):
-        reads[id(cell.walks[label])].add(delta)
-        return box_table(syn, cell, label, delta)
+    def read(syn, cell, label, needed):
+        key = (id(cell), label, needed)
+        fills[key] += (label, needed) not in cell.counts
+        reads[key].add(degree[0])
+        return count_column(syn, cell, label, needed)
 
-    monkeypatch.setattr(index.lists, "box_columns", recorded)
-    monkeypatch.setattr(GridSynopsis, "box_table", read)
+    monkeypatch.setattr(index, "scan_for_degree", scan)
+    monkeypatch.setattr(GridSynopsis, "count_column", read)
+    calls = spy_on_boxes(monkeypatch)
     rq = engine.register("degrees", q)
     assert rq.answers.mappings() == enumerate_matches(g, q)
-    assert set(calls) == set(reads) and set(calls.values()) == {1}  # no table filled twice
+    assert calls == Counter()
+    assert fills and set(fills.values()) == {1}  # no column filled twice
     assert {1, 2, 3, 4} in reads.values()
-    for bucket in calls:
-        cell, label = cells[bucket]
-        assert {delta for lbl, delta in cell.tables if lbl == label} == {1, 2, 3, 4}
+    filled = [key for syn in index.synopses for cell in syn.cells for key in cell.counts]
+    assert len(filled) == len(fills) and set(filled) == {(0, 0)}
 
 
 @pytest.mark.slow
@@ -518,7 +503,8 @@ def test_register_files_one_plan_per_query_edge(monkeypatch, cfg_zipf):
         needs = label_needs(q)
         shared = {}  # query vertex -> the one count tuple its plans hold
         sizes = {
-            qi: len(engine.index.scan_for_degree(embeds[qi], q.degree(qi), q.labels[qi])[0])
+            qi: len(engine.index.scan_for_degree(
+                embeds[qi], q.degree(qi), q.labels[qi], needs[qi])[0])
             for qi in q.vertex_order
         }
         plans, filed = {}, defaultdict(list)
@@ -744,11 +730,11 @@ def hub_stream_engine(cfg):
 
 @HUB_CONFIGS
 def test_updates_read_no_walk(cfg_kw, monkeypatch):
-    # the build expands each non-isolated vertex's walk once and files it
-    # with the vertex, so the six registrations right after it, whose box
-    # tables fill from the filed walks, expand none.  Inserts count-test
-    # seeds against histograms and deletes edit them and the answer index:
-    # no update expands a walk either, so none computes a box
+    # the build expands each non-isolated vertex's walk once, for its capped
+    # sums, and the six registrations right after it, whose scans fill count
+    # columns from the histograms, expand none.  Inserts count-test seeds
+    # against histograms and deletes edit them and the answer index: no
+    # update expands a walk either, so none computes a box
     walks = Counter()
     walk = NeighborListStore.walk
 
@@ -759,7 +745,7 @@ def test_updates_read_no_walk(cfg_kw, monkeypatch):
     monkeypatch.setattr(NeighborListStore, "walk", counted)
     engine, g, ops = hub_stream_engine(EmbeddingConfig(**cfg_kw))
     assert walks == Counter(v for v in g.vertices() if g.degree(v))
-    assert any(cell.tables for syn in engine.index.synopses for cell in syn.cells)
+    assert any(cell.counts for syn in engine.index.synopses for cell in syn.cells)
     walks.clear()
     seen = Counter()  # (kind, filed pair, created a vertex)
     added = removed = 0
@@ -1101,7 +1087,7 @@ def test_register_mid_stream(any_mode_cfg):
         domain=engine.index.domain,
     )
     for qi in q2.vertex_order:
-        args = (rq2.embeds[qi], q2.degree(qi), q2.labels[qi])
+        args = (rq2.embeds[qi], q2.degree(qi), q2.labels[qi], label_needs(q2)[qi])
         want, want_stats = rebuilt.scan_for_degree(*args)
         assert sorted(engine.index.scan_for_degree(*args)[0]) == sorted(want)
         assert rq2.scan_stats[qi] == want_stats

@@ -2,13 +2,16 @@
 
 A hypothesis rule-based machine drives one engine over a small labeled
 graph with inserts (some of them creating a labeled vertex), deletes,
-re-inserts of deleted edges, rejected ops and queries registered
-mid-stream.  A shadow graph receives the same accepted ops.  After every
-step each registered query's answers equal the brute-force oracle's on
-the shadow graph, and the engine's index equals a fresh build over the
-engine's graph with the same degree groups, cell count and domain: its
-snapshot, and every box table its grids have filled, once the latest
-query's vertices are scanned again as a registration now would.  On a
+re-inserts of deleted edges, hubs (several new labeled leaves on one
+vertex, whose degree then passes the top frozen degree cutoff and, in
+plain mode, whose neighbor sums can pass the frozen grid domain and clamp
+into the top interval), rejected ops and queries registered mid-stream.
+A shadow graph receives the same accepted ops.  After every step each
+registered query's answers equal the brute-force oracle's on the shadow
+graph, and the engine's index equals a fresh build over the engine's
+graph with the same degree groups, cell count and domain: its snapshot,
+and every count column its grids have filled, once the latest query's
+vertices are scanned again as a registration now would.  On a
 third of the vertices in turn, the count test the matcher runs is sound
 against the box test: a vertex whose histogram covers a registered
 query vertex's neighbor label counts (as its shadow adjacency does too)
@@ -98,6 +101,17 @@ class EngineMachine(RuleBasedStateMachine):
             op = UpdateOp(INSERT, u, new, label_v=label)
         self.apply(op)
 
+    @rule(data=st.data(), labels=st.lists(st.integers(0, ALPHABET), min_size=3, max_size=6))
+    def hub(self, data, labels):
+        # on a vertex of the largest degree, which the initial graph's top
+        # cutoff lies below, so the open last group holds it
+        top = max(self.shadow.degree(v) for v in self.shadow.labels)
+        u = data.draw(st.sampled_from(
+            sorted(v for v in self.shadow.labels if self.shadow.degree(v) == top)
+        ))
+        for label in labels:
+            self.apply(UpdateOp(INSERT, u, max(self.shadow.labels) + 1, label_v=label))
+
     @precondition(lambda self: self.shadow.num_edges)
     @rule(data=st.data())
     def delete(self, data):
@@ -148,13 +162,14 @@ class EngineMachine(RuleBasedStateMachine):
             self.engine.graph, index.groups, index.cfg, index.k_cells, domain=index.domain
         )
         rq = self.engine.queries[f"q{len(self.queries) - 1}"]
-        for qi in rq.query.vertex_order:
-            index.scan_for_degree(rq.embeds[qi], rq.query.degree(qi), rq.query.labels[qi])
+        q, needs = rq.query, label_needs(rq.query)
+        for qi in q.vertex_order:
+            index.scan_for_degree(rq.embeds[qi], q.degree(qi), q.labels[qi], needs[qi])
         for syn, twin in zip(index.synopses, fresh.synopses):
             cells = {cell.coords: cell for cell in twin.cells}
             for cell in syn.cells:
-                for (label, delta), table in cell.tables.items():
-                    assert twin.box_table(cells[cell.coords], label, delta) == table
+                for (label, needed), col in cell.counts.items():
+                    assert twin.count_column(cells[cell.coords], label, needed) == col
         assert index.snapshot() == fresh.snapshot()
 
     @invariant()

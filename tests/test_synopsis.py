@@ -28,7 +28,6 @@ from dsmatch.synopsis import (
     ScanStats,
     SynopsisIndex,
     at_least,
-    at_most,
     compute_degree_groups,
     default_domain,
     dominated_within,
@@ -556,24 +555,19 @@ def reference_box(g, v, delta, cfg):
 def assert_reads_equal_enumeration(idx, g):
     """Everything the store reads is exact, checked with ``==``: label
     vectors sit on their grid; each walk is d ascending segments of deg(v)
-    entries, the sorted neighbor components, and the walks a grid files
-    with its buckets equal them; the neighbor sum, and ``capped_sums`` at
-    every degree, equal ``math.fsum`` of the components; ``mbr`` and every
-    ``box_columns`` row over a bucket's walks equal ``reference_box``, a
-    row of (+inf, -inf) past the vertex's degree, in fills from degree 1
-    and in fills over a range that some of the bucket's degrees fall
-    below, some inside and some above; and ``mbr`` contains a query tail
-    exactly on each bound and not one float step outside it, and has no
-    box past the degree."""
+    entries, the sorted neighbor components; the neighbor sum, and
+    ``capped_sums`` at every degree, equal ``math.fsum`` of the components;
+    ``mbr`` equals ``reference_box``, contains a query tail exactly on each
+    bound and not one float step outside it, and has no box past the
+    degree."""
     lists, cfg = idx.lists, idx.cfg
     d = cfg.d
     grid = 2.0 ** (10 if cfg.mode == "zipf" else 20)
     for lbl in set(g.labels.values()):
         assert all(0 < c <= 1 and (c * grid).is_integer() for c in label_vector(lbl, cfg))
-    boxes, walks = {}, {}
     for v in g.vertices():
         vecs = [label_vector(g.labels[n], cfg) for n in g.neighbors(v)]
-        walk = walks[v] = lists.walk(v)
+        walk = lists.walk(v)
         assert walk == [c for k in range(d) for c in sorted(x[k] for x in vecs)]
         exact = tuple(math.fsum(x[k] for x in vecs) for k in range(d))
         assert neighbor_sum(g, v, cfg) == exact
@@ -585,7 +579,7 @@ def assert_reads_equal_enumeration(idx, g):
             want = [math.fsum(c[:cap]) for c in largest for cap in caps]
             assert lists.capped_sums(walk, caps) == want
         for delta in range(1, deg + 1):
-            box = boxes[v, delta] = reference_box(g, v, delta, cfg)
+            box = reference_box(g, v, delta, cfg)
             read = lists.mbr(v, delta)
             assert read == box
             centre = tuple((lo + hi) / 2 for lo, hi in zip(box.low, box.high))
@@ -595,29 +589,6 @@ def assert_reads_equal_enumeration(idx, g):
                         assert read.contains(centre[:j] + (x,) + centre[j + 1:]) == inside
         with pytest.raises(DegreeOutOfRange):
             lists.mbr(v, deg + 1)
-    straddled = False  # some bucket had degrees below, inside and above a range
-    for syn in idx.synopses:
-        for cell in syn.cells:
-            for label, (vs, _) in cell.buckets.items():
-                assert cell.walks[label] == [walks[v] for v in vs]
-                degs = sorted({g.degree(v) for v in vs})
-                ranges = [(1, degs[-1] + 1)]
-                if len(degs) >= 3:
-                    ranges.append((degs[1], degs[-2]))
-                    straddled = True
-                for first, last in ranges:
-                    tables = lists.box_columns(label, cell.walks[label], first, last)
-                    assert len(tables) == last - first + 1
-                    for delta, table in enumerate(tables, start=first):
-                        for i, v in enumerate(vs):
-                            box = boxes.get((v, delta))
-                            lows = tuple(col[i] for col, _ in table)
-                            highs = tuple(col[i] for _, col in table)
-                            if box is None:
-                                assert (lows, highs) == ((math.inf,) * d, (-math.inf,) * d)
-                            else:
-                                assert (lows, highs) == (box.low[d:], box.high[d:])
-    assert straddled
 
 
 def run_hub_churn(mode, check, m=3):
@@ -677,122 +648,79 @@ def test_reads_equal_star_subset_enumeration(mode):
     run_hub_churn(mode, assert_reads_equal_enumeration)
 
 
-def assert_box_tables_equal_reference_boxes(idx, g):
-    """Fill every bucket's box tables as scans fill them: through the grid's
-    group range at once in a finite group, and at each delta from the
-    group's lowest to one past the bucket's largest degree in the open one.
-    Each filled table holds, per tail dimension, the packed columns of
-    ``reference_box``'s low and high bounds in bucket order; decoded, its
-    test, ``lo <= x <= hi`` per tail dimension, must give the reference
-    box's containment on every entry it covers, probed at each bound and
-    one ulp either side of it; past an entry's degree it holds (+inf,
-    -inf), which no probe passes."""
-    lists, d = idx.lists, idx.cfg.d
+def assert_count_columns_equal_histograms(idx, g):
+    """Fill every bucket's count column of every label the store has seen,
+    and of one it has not, as scans fill them.  Each holds, packed in
+    bucket order, its entries' neighbor counts of that label from the
+    shadow graph's adjacency; its test against a count c, ``at_least``,
+    must give ``count >= c`` on every entry, probed at c from 0 to one past
+    the bucket's largest count.  Every column dies with the grid."""
     outcomes = set()
     for syn in idx.synopses:
         for cell in syn.cells:
+            assert cell.counts == {}  # a fresh grid has filled none
             for label, (vs, _) in cell.buckets.items():
-                top = min(max(g.degree(v) for v in vs) + 1, syn.upper)
-                for delta in range(syn.lower + 1, top + 1):
-                    syn.box_table(cell, label, delta)
-            for (label, delta), packed in cell.tables.items():
-                vs = cell.buckets[label][0]
-                head = lists.frames[label][0]
-                assert len(packed) == d
-                # unpack raises OverflowError on a column wider than the bucket
-                table = [(unpack(lows, len(vs)), unpack(highs, len(vs))) for lows, highs in packed]
-                for i, v in enumerate(vs):
-                    lows = tuple(col[i] for col, _ in table)
-                    highs = tuple(col[i] for _, col in table)
-                    if delta > g.degree(v):  # no box: nothing passes the test
-                        assert (lows, highs) == ((math.inf,) * d, (-math.inf,) * d)
-                        continue
-                    box = reference_box(g, v, delta, idx.cfg)
-                    assert (lows, highs) == (box.low[d:], box.high[d:])
-                    centre = tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))
-                    for k in range(d):
-                        for edge in (lows[k], highs[k]):
-                            for x in (math.nextafter(edge, -math.inf), edge,
-                                      math.nextafter(edge, math.inf)):
-                                q_tail = centre[:k] + (x,) + centre[k + 1:]
-                                want = box.contains(head + q_tail)
-                                assert want == all(
-                                    lo <= y <= hi for y, lo, hi in zip(q_tail, lows, highs)
-                                )
-                                outcomes.add(want)
+                n = len(vs)
+                signs = int.from_bytes((bytes(7) + b"\x80") * n, "little")
+                for needed in (*idx.lists.frames, max(idx.lists.frames) + 1):
+                    col = syn.count_column(cell, label, needed)
+                    assert syn.count_column(cell, label, needed) is cell.counts[label, needed] == col
+                    want = [sum(g.labels[u] == needed for u in g.neighbors(v)) for v in vs]
+                    assert unpack(col, n) == tuple(want)  # unpack raises on a wider column
+                    for c in range(max(want) + 2):
+                        xs = int.from_bytes(struct.pack("<d", c) * n, "little")
+                        got = _fields(at_least(col, xs, signs), n)
+                        assert got == [w >= c for w in want]
+                        outcomes.update(got)
     assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
-def test_box_tables_equal_reference_boxes(mode):
-    # tables die with the grid: after maintenance each is filled afresh
-    run_hub_churn(mode, assert_box_tables_equal_reference_boxes)
-
-
-def assert_ranged_fills_equal_single_degree_fills(idx, g):
-    """Fill each bucket's tables from its walks over delta ranges below,
-    around and above each of its entries' degrees in one ``box_columns``
-    call; each table must equal, byte for byte, the one filled at its delta
-    alone, its (+inf, -inf) rows included."""
-    lists = idx.lists
-    rows = set()  # (has a box, is a hub's row)
-    for syn in idx.synopses:
-        for cell in syn.cells:
-            for label, (vs, _) in cell.buckets.items():
-                walks = cell.walks[label]
-                ranges = set()
-                for deg in {g.degree(v) for v in vs}:
-                    ranges |= {(max(deg - 3, 1), deg - 1), (max(deg - 2, 1), deg + 2),
-                               (deg + 1, deg + 3)}
-                for first, last in sorted(r for r in ranges if r[0] <= r[1]):
-                    tables = lists.box_columns(label, walks, first, last)
-                    assert len(tables) == last - first + 1
-                    for delta, table in zip(range(first, last + 1), tables):
-                        [alone] = lists.box_columns(label, walks, delta, delta)
-                        assert [(lo.tobytes(), hi.tobytes()) for lo, hi in table] == [
-                            (lo.tobytes(), hi.tobytes()) for lo, hi in alone
-                        ]
-                        for i, v in enumerate(vs):
-                            boxed = delta <= g.degree(v)
-                            assert all(
-                                (lows[i] < math.inf and highs[i] > -math.inf) == boxed
-                                for lows, highs in table
-                            )
-                            rows.add((boxed, g.degree(v) > 100))
-    assert rows == {(True, False), (False, False), (True, True), (False, True)}
-
-
-@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
-def test_ranged_box_fills_equal_single_degree_fills(mode):
-    # one ascending and one descending pass per entry serve every delta of
-    # a range with the floats a fill at each delta alone computes
-    run_hub_churn(mode, assert_ranged_fills_equal_single_degree_fills)
+def test_count_columns_equal_histograms(mode):
+    # columns die with the grid: after maintenance each is filled afresh
+    run_hub_churn(mode, assert_count_columns_equal_histograms)
 
 
 def test_box_reads_follow_a_histogram_edit(cfg_zipf):
-    # a box read before an update must not be served after it: neither by
-    # the store, which expands a fresh walk per read, nor by the grid's box
-    # table, whose walk was dropped with the grid
+    # a box read before an update must not be served after it: the store
+    # expands a fresh walk per read, and the need-less scan's last stage
+    # reads its boxes from the store
     g = make_graph([(0, 1), (0, 2), (3, 4)], {0: 0, 1: 1, 2: 2, 3: 3, 4: 4})
     idx = build_index(g, cfg_zipf, m=1)
-    lists, d = idx.lists, cfg_zipf.d
+    lists = idx.lists
 
     def reads():
-        [syn] = idx.synopses
-        [(cell, vs)] = [(c, vs) for c in syn.cells for vs, _ in c.buckets.values() if 0 in vs]
-        at, n = vs.index(0), len(vs)
-        table = syn.box_table(cell, g.labels[0], 2)
-        filed = tuple((unpack(lo, n)[at], unpack(hi, n)[at]) for lo, hi in table)
-        return lists.mbr(0, 2), tuple(lists.capped_sums(lists.walk(0), (g.degree(0),))), filed
+        return lists.mbr(0, 2), tuple(lists.capped_sums(lists.walk(0), (g.degree(0),)))
 
     for op in [UpdateOp(INSERT, 0, 3), UpdateOp(DELETE, 0, 1), UpdateOp(INSERT, 0, 4)]:
         before = reads()
         g.apply_update(op)
         idx.maintain(op)
         after = reads()
-        box = reference_box(g, 0, 2, cfg_zipf)
-        assert after == (box, neighbor_sum(g, 0, cfg_zipf), tuple(zip(box.low[d:], box.high[d:])))
+        assert after == (reference_box(g, 0, 2, cfg_zipf), neighbor_sum(g, 0, cfg_zipf))
         assert all(a != b for a, b in zip(after, before))
+
+
+def test_count_reads_follow_a_histogram_edit(cfg_zipf):
+    # a count column read before an update must not be served after it:
+    # the grid's count columns are dropped with the grid
+    g = make_graph([(0, 1), (0, 2), (3, 4)], {0: 0, 1: 1, 2: 2, 3: 3, 4: 4})
+    idx = build_index(g, cfg_zipf, m=1)
+    labels = (1, 3, 4)
+
+    def reads():
+        [syn] = idx.synopses
+        [(cell, vs)] = [(c, vs) for c in syn.cells for vs, _ in c.buckets.values() if 0 in vs]
+        at, n = vs.index(0), len(vs)
+        return tuple(unpack(syn.count_column(cell, g.labels[0], lbl), n)[at] for lbl in labels)
+
+    for op in [UpdateOp(INSERT, 0, 3), UpdateOp(DELETE, 0, 1), UpdateOp(INSERT, 0, 4)]:
+        before = reads()
+        g.apply_update(op)
+        idx.maintain(op)
+        after = reads()
+        counts = tuple(float(sum(g.labels[u] == lbl for u in g.neighbors(0))) for lbl in labels)
+        assert after == counts and after != before
 
 
 # -- scans ---------------------------------------------------------------------
@@ -878,7 +806,20 @@ def test_synopsis_dump_format(cfg_base):
     assert "key=" in text and "entries=" in text
 
 
-def naive_candidates(idx, q_embed, q_degree, q_label):
+def covers(g, v, need):
+    """v has at least c neighbors labeled l for every (l, c) of ``need``,
+    counted from the graph's adjacency."""
+    return all(sum(g.labels[u] == lbl for u in g.neighbors(v)) >= c for lbl, c in need)
+
+
+def last_stage(g, lists, v, q_embed, q_degree, need):
+    """The scan's last test on v: count cover given a need, else the box."""
+    if need is not None:
+        return covers(g, v, need)
+    return q_degree <= lists.degree(v) and lists.mbr(v, q_degree).contains(q_embed)
+
+
+def naive_candidates(idx, q_embed, q_degree, q_label, need=None):
     """Linear-scan reference: same per-vertex predicates, no grid at all."""
     group = idx.groups.group_of(q_degree)
     syn = idx.synopses[group]
@@ -893,19 +834,19 @@ def naive_candidates(idx, q_embed, q_degree, q_label):
             continue
         if idx.graph.labels[v] != q_label:
             continue
-        if q_degree > deg or not idx.lists.mbr(v, q_degree).contains(q_embed):
-            continue
-        out.add(v)
+        if last_stage(idx.graph, idx.lists, v, q_embed, q_degree, need):
+            out.add(v)
     return out
 
 
-def reference_scan(syn, q_embed, q_degree, q_label):
+def reference_scan(syn, q_embed, q_degree, q_label, need=None):
     """The per-entry scan loop that label buckets replaced.
 
     Every entry meets every filter in turn: dominance of the full corner,
     boxed through ``mbr`` at the group-capped degree rather than read from
-    the grid, then label, then the box at the query degree through
-    ``mbr().contains``.
+    the grid, then label, then the neighbor label counts of ``need``
+    counted from the adjacency, or without one the box at the query degree
+    through ``mbr().contains``.
     """
     lists = syn.store
     stats = ScanStats()
@@ -926,10 +867,7 @@ def reference_scan(syn, q_embed, q_degree, q_label):
                 stats.pruned_dominance += 1
             elif lists.graph.labels.get(v) != q_label:
                 stats.pruned_label += 1
-            elif not (
-                q_degree <= lists.degree(v)
-                and lists.mbr(v, q_degree).contains(q_embed)
-            ):
+            elif not last_stage(lists.graph, lists, v, q_embed, q_degree, need):
                 stats.pruned_box += 1
             else:
                 out.append(v)
@@ -940,8 +878,10 @@ def reference_scan(syn, q_embed, q_degree, q_label):
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
 def test_scan_stats_equal_reference_scan(mode):
     # bucketed scan and per-entry reference: equal candidate lists and
-    # equal ScanStats, before and after incremental maintenance
-    from dsmatch.matcher import embed_query
+    # equal ScanStats, with and without each query vertex's need, before
+    # and after incremental maintenance; a need keeps a subset of the box's
+    # candidates, and fewer of them overall
+    from dsmatch.matcher import embed_query, label_needs
     from dsmatch.generate import sample_queries
 
     cfg = EmbeddingConfig(d=2, mode=mode)
@@ -950,17 +890,22 @@ def test_scan_stats_equal_reference_scan(mode):
     queries = sample_queries(g, 6, 4, 2.0, seed=43)
 
     def check():
-        total = ScanStats()
+        total, counted = ScanStats(), 0
         for q in queries:
-            embeds = embed_query(q, cfg)
+            embeds, needs = embed_query(q, cfg), label_needs(q)
             for qi in q.vertex_order:
                 args = (embeds[qi], q.degree(qi), q.labels[qi])
                 syn = idx.synopses[idx.groups.group_of(q.degree(qi))]
                 got = scan_candidates(syn, *args)
                 assert got == reference_scan(syn, *args)
+                with_need = scan_candidates(syn, *args, needs[qi])
+                assert with_need == reference_scan(syn, *args, needs[qi])
+                assert set(with_need[0]) <= set(got[0])
+                counted += with_need[1].survivors
                 for f in ("pruned_cell", "pruned_dominance", "pruned_label", "pruned_box",
                           "survivors"):
                     setattr(total, f, getattr(total, f) + getattr(got[1], f))
+        assert counted < total.survivors
         # every filter removed something; in base and zipf modes no other
         # label's corner is dominated, so only plain mode prunes by label
         assert min(total.pruned_cell, total.pruned_dominance, total.pruned_box) > 0
@@ -977,9 +922,10 @@ def test_scan_stats_equal_reference_scan(mode):
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
 def test_scan_equals_linear_filter(mode):
     # the grid path (key cutoff, cell dominance, per-cell entries) must
-    # return exactly the vertices the raw predicates admit, before and
-    # after incremental maintenance
-    from dsmatch.matcher import embed_query
+    # return exactly the vertices the raw predicates admit, with and
+    # without each query vertex's need, before and after incremental
+    # maintenance
+    from dsmatch.matcher import embed_query, label_needs
     from dsmatch.generate import sample_queries
 
     cfg = EmbeddingConfig(d=2, mode=mode)
@@ -989,11 +935,12 @@ def test_scan_equals_linear_filter(mode):
 
     def check():
         for q in queries:
-            embeds = embed_query(q, cfg)
+            embeds, needs = embed_query(q, cfg), label_needs(q)
             for qi in q.vertex_order:
-                got, _ = idx.scan_for_degree(embeds[qi], q.degree(qi), q.labels[qi])
-                want = naive_candidates(idx, embeds[qi], q.degree(qi), q.labels[qi])
-                assert set(got) == want
+                for need in (None, needs[qi]):
+                    args = (embeds[qi], q.degree(qi), q.labels[qi], need)
+                    got, _ = idx.scan_for_degree(*args)
+                    assert set(got) == naive_candidates(idx, *args)
 
     check()
     for op in random_update_stream(g, 150, seed=47, alphabet=4):
@@ -1108,7 +1055,7 @@ def _fields(mask, n):
 @given(data=st.data())
 def test_packed_tests_equal_float_comparisons(data):
     # columns mixing zero, subnormals, +inf, exact ties with x and x one
-    # float step either side; a high column may also hold -inf
+    # float step either side
     x = data.draw(NONNEGATIVE, label="x")
     near = st.sampled_from([x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)])
     col = data.draw(st.lists(st.one_of(near, NONNEGATIVE), min_size=1, max_size=24), label="col")
@@ -1119,35 +1066,55 @@ def test_packed_tests_equal_float_comparisons(data):
     signs = int.from_bytes((bytes(7) + b"\x80") * n, "little")
     xs = int.from_bytes(struct.pack("<d", x) * n, "little")
     assert _fields(at_least(packed, xs, signs), n) == [c >= x for c in col]
-    assert _fields(at_most(packed, xs, signs), n) == [c <= x for c in col]
-    highs = [-math.inf if i % 3 == 1 else c for i, c in enumerate(col)]
-    assert _fields(at_least(pack(highs), xs, signs), n) == [c >= x for c in highs]
-    # a row past a vertex's degree, (+inf, -inf), fails whatever x is
-    no_box = at_most(pack([math.inf] * n), xs, signs) & at_least(pack([-math.inf] * n), xs, signs)
-    assert no_box == 0
 
 
-def test_rows_past_a_vertex_degree_fail_the_box_test(cfg_plain):
+def _two_label_0_stars(cfg):
     # vertices 0 (degree 1) and 2 (degree 3) share label 0 in the open
-    # group; a query at degree 2 equal to vertex 0's embedding dominates its
-    # corner, but its table row at degree 2 is (+inf, -inf): pruned by box
+    # group, and all their neighbors carry label 1
     g = make_graph([(0, 1), (2, 3), (2, 4), (2, 5)], {0: 0, 1: 1, 2: 0, 3: 1, 4: 1, 5: 1})
-    idx = SynopsisIndex(g, DegreeGroups(()), cfg_plain, 1)
+    idx = SynopsisIndex(g, DegreeGroups(()), cfg, 1)
     [syn] = idx.synopses
     [cell] = syn.cells
     assert cell.buckets[0][0] == [0, 2]
+    return idx, syn
+
+
+def test_rows_past_a_vertex_degree_fail_the_box_test(cfg_plain):
+    # a need-less query at degree 2 equal to vertex 0's embedding dominates
+    # both corners: the box prunes 0 by its degree and 2 by its box low.
+    # The star with two label-1 leaves keeps 2 alone
+    idx, syn = _two_label_0_stars(cfg_plain)
     q = idx.embedding_of(0)
     cands, stats = scan_candidates(syn, q, 2, 0)
     assert (cands, stats) == reference_scan(syn, q, 2, 0)
-    assert cands == [] and stats.pruned_box == 2  # 0 by its fill, 2 by its box low
-    for lows, highs in syn.box_table(cell, 0, 2):
-        assert (unpack(lows, 2)[0], unpack(highs, 2)[0]) == (math.inf, -math.inf)
+    assert cands == [] and stats.pruned_box == 2
+    leaves = tuple(2 * c for c in label_vector(1, cfg_plain))
+    star = compose(label_vector(0, cfg_plain), leaves, 0, cfg_plain)
+    cands, stats = scan_candidates(syn, star, 2, 0)
+    assert (cands, stats) == reference_scan(syn, star, 2, 0)
+    assert cands == [2]
+
+
+def test_entries_below_the_query_degree_fail_the_last_stage(cfg_plain):
+    # the same query with a need of two label-1 neighbors: the count test
+    # prunes 0 by its count and keeps 2, as it does for the star
+    idx, syn = _two_label_0_stars(cfg_plain)
+    need = ((1, 2),)
+    q = idx.embedding_of(0)
+    cands, stats = scan_candidates(syn, q, 2, 0, need)
+    assert (cands, stats) == reference_scan(syn, q, 2, 0, need)
+    assert cands == [2] and stats.pruned_box == 1
+    leaves = tuple(2 * c for c in label_vector(1, cfg_plain))
+    star = compose(label_vector(0, cfg_plain), leaves, 0, cfg_plain)
+    cands, stats = scan_candidates(syn, star, 2, 0, need)
+    assert (cands, stats) == reference_scan(syn, star, 2, 0, need)
+    assert cands == [2]
 
 
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
 def test_every_packed_value_and_query_tail_is_nonnegative(mode):
-    # the packed tests' precondition: query tails, corners and box lows are
-    # +0.0 or above, box highs too or -inf past a vertex's degree
+    # the packed test's precondition: query tails, corners and neighbor
+    # counts are +0.0 or above
     from dsmatch.generate import sample_queries
     from dsmatch.matcher import embed_query
 
@@ -1161,10 +1128,7 @@ def test_every_packed_value_and_query_tail_is_nonnegative(mode):
     for syn in idx.synopses:
         for cell in syn.cells:
             for label, (vs, packed) in cell.buckets.items():
+                for needed in idx.lists.frames:
+                    packed += (syn.count_column(cell, label, needed),)
                 for col in packed:
                     assert all(map(_is_nonnegative, unpack(col, len(vs))))
-                top = max(g.degree(v) for v in vs) + 1
-                for table in idx.lists.box_columns(label, cell.walks[label], 1, top):
-                    for lows, highs in table:
-                        assert all(map(_is_nonnegative, lows))
-                        assert all(_is_nonnegative(h) or h == -math.inf for h in highs)

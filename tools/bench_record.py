@@ -12,12 +12,16 @@ working tree runs as it stands, uncommitted edits included; the record
 says whether it had any.
 
 ``BENCH_<workload>.json`` (in the repository root unless ``--out`` says
-otherwise) holds the commit and the one compared against, the seed, the
-Python version, every run, and per end-to-end metric of ``BENCHMARK.json``:
-the median and quartiles of each tree's runs, and with ``--against`` the
-pairs the working tree won, the metric's bound and whether the working
-tree's median stayed within it.  The tool exits 1 if any run reported
-``correct: false``, and 2 if a run printed no result.
+otherwise) holds the commit and the one compared against, the hash of the
+``src`` tree each ran (``git rev-parse <rev>:src``, the working tree's with
+its uncommitted edits to tracked files), so a record matches every commit
+with the same sources, the seed, the Python version, every run, and per
+end-to-end metric of ``BENCHMARK.json``: the median and quartiles of each
+tree's runs, and with ``--against`` the pairs the working tree won, the
+metric's bound and whether the working tree's median stayed within it.
+The tool exits 1 if any run reported ``correct: false``; that record has
+no summary, as a failed exactness gate stops perfbench before it measures
+anything.  It exits 2 if a run printed no result.
 """
 
 from __future__ import annotations
@@ -83,6 +87,14 @@ def git(*args: str, cwd: Path = ROOT) -> str:
     return subprocess.run(
         ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def worktree_commit() -> str:
+    """A dangling commit of the working tree's edits to tracked files, or
+    HEAD without any; the identity it names is a placeholder."""
+    made = git("-c", "user.name=bench_record", "-c", "user.email=bench_record@localhost",
+               "stash", "create")
+    return made or "HEAD"
 
 
 @contextmanager
@@ -157,21 +169,24 @@ def record(workload: str, n: int, rev: str | None, extra: list[str]) -> dict:
                 for out, at in order if i % 2 == 0 else reversed(order):
                     out.append(run_perfbench(at, args))
     every = runs + (against or [])
+    correct = all(r["correct"] for r in every)
     return {
         "workload": workload,
         "commit": git("rev-parse", "HEAD"),
+        "src_tree": git("rev-parse", f"{worktree_commit()}:src"),
         # the BENCH_*.json files this tool rewrites are not changes to what it measures
         "uncommitted_changes": bool(
             git("status", "--porcelain", "--untracked-files=no", "--", ":(exclude)BENCH_*.json")
         ),
         "against": git("rev-parse", rev) if rev else None,
+        "against_src_tree": git("rev-parse", f"{rev}:src") if rev else None,
         "seed": every[0]["seed"],
         "python": platform.python_version(),
         "perfbench_args": args,
-        "summary": summarize(runs, against),
+        "summary": summarize(runs, against) if correct else None,
         "runs": runs,
         "against_runs": against,
-        "correct": all(r["correct"] for r in every),
+        "correct": correct,
     }
 
 
@@ -194,7 +209,7 @@ def main(argv=None) -> int:
         return 2
     out = args.out or ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(rec, indent=1) + "\n")
-    for metric, row in rec["summary"].items():
+    for metric, row in (rec["summary"] or {}).items():
         line = f"{metric:<14} {row['median']:14.4f}"
         if args.against:
             line += (f" against {row['against_median']:14.4f} ({100 * row['change']:+6.1f}%)"

@@ -20,7 +20,8 @@ per line for:
   each grid's cells as ``[coords, rows]`` lists;
 * ``scan_stats``: every query's per-vertex ``ScanStats``;
 * ``candidates``: every query vertex's sorted ``scan_for_degree``
-  candidates, scanned again right after registration;
+  candidates, scanned again with its need (``label_needs``) right after
+  registration, as registration scans;
 * ``initial``:    the answers right after registration;
 * ``deltas``:     each op's non-empty per-query deltas, or that it raised;
 * ``final``:      the answers after the last op.
@@ -50,7 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from dsmatch.errors import DsmatchError  # noqa: E402
-from dsmatch.matcher import MatchEngine  # noqa: E402
+from dsmatch.matcher import MatchEngine, label_needs  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
 
 
@@ -111,14 +112,14 @@ def replay(inputs) -> tuple[dict[str, str], dict[str, int]]:
         name: [[qi, dataclasses.asdict(s)] for qi, s in rq.scan_stats.items()]
         for name, rq in engine.queries.items()
     }
-    candidates = {
-        name: [
+    candidates = {}
+    for name, rq in engine.queries.items():
+        q, needs = rq.query, label_needs(rq.query)
+        candidates[name] = [
             [qi, sorted(engine.index.scan_for_degree(
-                rq.embeds[qi], rq.query.degree(qi), rq.query.labels[qi])[0])]
-            for qi in rq.query.vertex_order
+                rq.embeds[qi], q.degree(qi), q.labels[qi], needs[qi])[0])]
+            for qi in q.vertex_order
         ]
-        for name, rq in engine.queries.items()
-    }
     initial = answers(engine)
     deltas = []
     for op in inputs.stream:
