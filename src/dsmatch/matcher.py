@@ -13,7 +13,7 @@ label counts each endpoint of an inserted edge must cover.  A data vertex
 can take a query vertex only if, for every label, it has at least as many
 neighbors carrying it as the query vertex has: the count test, read off
 the store's neighbor-label histograms.  It implies the per-degree box
-test, so it prunes at least as much, and reads no walk.  Registration's
+test, so it prunes at least as much, and computes no box.  Registration's
 grid scans apply it to each query vertex's candidates, and the join to
 every vertex it maps.  An update reads only its edge's label pair: an
 insertion count-tests every seed there against both endpoints' histograms
@@ -430,7 +430,7 @@ class MatchEngine:
         after an accepted op can raise (the histogram and answer-set edits
         are plain dict and set updates, and the count tests read histograms
         that maintenance has just given both endpoints), so every op applies
-        fully or not at all.  No step reads a walk or computes a box.
+        fully or not at all.  No step computes a capped sum or a box.
         Only the queries filed under the edge's label pair are visited, and
         the result's deltas name only the queries whose answers changed.
         Each stage time is the difference of neighbouring clock stamps, the

@@ -11,32 +11,32 @@ Per-degree bounding boxes are never materialized.  Every neighbor
 contributes its label's vector, so each vertex keeps only a histogram of
 its neighbors' labels.  On each dimension, the box for any degree delta
 spans the sum of the delta smallest to the sum of the delta largest
-neighbor components: the sums of the first and the last delta entries of
-that dimension's segment of the vertex's walk, its deg(v) neighbor
-components in ascending order, expanded from the histogram.  An update is
-one histogram edit per endpoint.  A grid cell buckets its vertices by
-label, whose d head coordinates a scan tests once per bucket, and keeps
-their tail coordinates in filing order, one packed column per dimension
-(:func:`pack`).  A scan tests a whole column against a query coordinate
-with a few big-int operations (:func:`at_least`): the tail columns for
-dominance, and then, given the query vertex's need (its neighbor label
-counts), per needed label the bucket's column of neighbor counts of that
-label, which the grid fills from the histograms the first time a scan
-needs it.  A scan without a need tests each dominated entry's box at the
-query degree instead (:meth:`NeighborListStore.mbr`).  Covering the
-counts implies the box test, so a need only narrows the candidates.
+neighbor components, read off the histogram: each label is a run of
+equal components, the runs, largest first, are summed until delta are
+taken, and the delta smallest are all deg less the deg - delta largest.
+An update is one histogram edit per endpoint.  A grid cell buckets its
+vertices by label, whose d head coordinates a scan tests once per bucket,
+and keeps their tail coordinates in filing order, one packed column per
+dimension (:func:`pack`).  A scan tests a whole column against a query
+coordinate with a few big-int operations (:func:`at_least`): the tail
+columns for dominance, and then, given the query vertex's need (its
+neighbor label counts), per needed label the bucket's column of neighbor
+counts of that label, which the grid fills from the histograms the first
+time a scan needs it.  A scan without a need tests each dominated entry's
+box at the query degree instead (:meth:`NeighborListStore.mbr`).
+Covering the counts implies the box test, so a need only narrows the
+candidates.
 
 No comparison carries a slack: neighbor sums are exact and rounding is
 monotone (:mod:`dsmatch.embedding`), so every filter admits each true match
 image by construction.
 
 The grids are build-only.  One pass over the vertices builds all of them,
-expanding each vertex's walk once: per vertex and dimension, the sums of
-the last entries of its walk segment give the exact sum at each of its
-group caps, the last at its degree, so the same pass yields the full
-neighbor sums the default grid domain is read off (:func:`default_domain`).
-The walk is dropped once summed.  Only candidate scans read the grids, so
-an update just drops them, with their count columns, and the next scan,
+reading each vertex's histogram once: per dimension, its runs give the
+exact sum at each of its group caps, the last at its degree, so the same
+pass yields the full neighbor sums the default grid domain is read off
+(:func:`default_domain`).  Only candidate scans read the grids, so an
+update just drops them, with their count columns, and the next scan,
 snapshot or dump rebuilds them from the histograms with the same frozen
 degree groups, domain and cell count: a maintained index equals a rebuild
 by construction.
@@ -45,9 +45,9 @@ Scans and maintenance follow the single-writer contract of the graph.
 Maintenance is exclusive, and so are two kinds of first read after it:
 the first scan, snapshot or dump, which rebuilds the grids, and the first
 scan to need a bucket's count column of a label, which fills it.  Later
-reads may run concurrently.  The store keeps no walk and a need-less scan
-caches no box, so their reads write nothing, and the matcher reads only
-the histograms on updates, never a walk.
+reads may run concurrently.  The store's sums and boxes and a need-less
+scan cache nothing, so their reads write nothing, and the matcher reads
+only the histograms on updates, never a box.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 from time import perf_counter
 from typing import Sequence
 
@@ -236,12 +236,9 @@ class NeighborListStore:
     coordinates, and the constant added to ``alpha * raw_sum`` on each tail
     dimension (plain mode is alpha = 1 with zero constants).  ``comps[k]``
     maps each label seen to its label-vector component on dimension k.
-    Boxes and capped sums read walks (:meth:`walk`), which the store
-    expands afresh and never keeps.  Every bound is a sum over a slice of a
-    walk segment, and sums of components are exact, so every float read
-    from the store is a pure function of a histogram and the label table,
-    whatever order equal components take: a maintained store equals a
-    rebuild by construction.
+    Boxes and capped sums (:meth:`capped_sums`) are read off a histogram
+    afresh and never kept.  Sums of components are exact in any order, so
+    each is a pure function of a histogram and the label table.
     """
 
     def __init__(self, graph: DynamicGraph, cfg: EmbeddingConfig):
@@ -288,40 +285,44 @@ class NeighborListStore:
     def degree(self, v: VertexId) -> int:
         return len(self.graph.adj.get(v, ()))
 
-    def walk(self, v: VertexId) -> list[float]:
-        """v's walk, expanded from its histogram: one flat list of d segments
-        of deg(v) neighbor components, each ascending."""
-        hist = self.hist.get(v, {})
-        walk: list[float] = []
+    def capped_sums(self, v: VertexId, caps: Sequence[int]) -> list[float]:
+        """Per dimension in turn, the sum of v's ``cap`` largest neighbor
+        components at each cap of ``caps``, ascending in [0, deg(v)]: its
+        raw high box bounds.  Each label is a run of equal components, one
+        per neighbor carrying it; the runs, largest first, are taken
+        greedily, each cap's sum emitted in the run it ends in.  A lone cap
+        of deg(v) takes every run, unsorted."""
+        hist = self.hist[v]
+        whole = caps[0] == len(self.graph.adj[v])
+        out, n = [], len(caps)
         for comps in self.comps:
-            for lbl in sorted(hist, key=comps.__getitem__):
-                c = hist[lbl]
-                if c == 1:
-                    walk.append(comps[lbl])
-                else:
-                    walk += repeat(comps[lbl], c)
-        return walk
-
-    def capped_sums(self, walk: Sequence[float], caps: Sequence[int]) -> list[float]:
-        """Per segment of a walk in turn, the sum of its last ``cap`` entries
-        at each cap of ``caps``, from 1 to its length, 1 or more: the
-        vertex's raw high box bounds at those degrees."""
-        n = len(walk) // self.cfg.d
-        return [sum(walk[end - cap : end]) for end in range(n, len(walk) + 1, n) for cap in caps]
+            total, taken, i = 0.0, 0, 0
+            for lbl in hist if whole else sorted(hist, key=comps.__getitem__, reverse=True):
+                c, x = hist[lbl], comps[lbl]
+                while i < n and caps[i] <= taken + c:
+                    out.append(total + (caps[i] - taken) * x)
+                    i += 1
+                if i == n:
+                    break
+                total += c * x
+                taken += c
+        return out
 
     def mbr(self, v: VertexId, delta: int) -> Mbr:
-        """Bounds over embeddings of all delta-leaf star subsets of v."""
+        """Bounds over embeddings of all delta-leaf star subsets of v: per
+        dimension, the sums of its delta smallest and delta largest neighbor
+        components, the former all deg(v) of them less the deg(v) - delta
+        largest: sums are exact, so one ``capped_sums`` call gives both."""
         deg = self.degree(v)
         if not 1 <= delta <= deg:
             raise DegreeOutOfRange(f"delta {delta} outside [1, {deg}] for vertex {v}")
         head, tail = self._frame(self.graph.label(v))
-        a, walk = self.alpha, self.walk(v)
-        starts = range(0, len(walk), deg)  # each dimension's segment
-        return Mbr(  # per segment, the sums of its delta smallest and delta largest
-            low=head + tuple(a * sum(walk[i : i + delta]) + t for i, t in zip(starts, tail)),
-            high=head + tuple(
-                a * sum(walk[i + deg - delta : i + deg]) + t for i, t in zip(starts, tail)
-            ),
+        caps = sorted((delta, deg - delta, deg))
+        a, sums = self.alpha, self.capped_sums(v, caps)
+        rest, high = sums[caps.index(deg - delta) :: 3], sums[caps.index(delta) :: 3]
+        return Mbr(
+            low=head + tuple(a * (s - x) + t for s, x, t in zip(sums[2::3], rest, tail)),
+            high=head + tuple(a * s + t for s, t in zip(high, tail)),
         )
 
 
@@ -615,16 +616,15 @@ class SynopsisIndex:
         """Every group's grid from one pass over the vertices.
 
         Each vertex of degree deg >= 1 enters groups 0..group_of(deg), at
-        caps min(deg, upper_j): the cutoffs below deg, then deg itself.  Its
-        walk, expanded once, gives its raw high sums at every cap in one
-        ``capped_sums`` call, and its entries are staged per group and
-        label: its sums in one flat ``array('d')``, and the walk is dropped.
-        The last cap's sums are the full neighbor sums, whose largest
+        caps min(deg, upper_j): the cutoffs below deg, then deg itself.  One
+        ``capped_sums`` call gives its raw high sums at every cap, and its
+        entries are staged per group and label: its sums in one flat
+        ``array('d')``.  The last cap's sums are the full neighbor sums, whose largest
         component sets the domain on the first build; each grid then files
         its staged entries a label at a time."""
         store, groups = self.lists, self.groups
         adj, labels = self.graph.adj, self.graph.labels
-        cutoffs, walk_of, capped_sums = groups.cutoffs, store.walk, store.capped_sums
+        cutoffs, capped_sums = groups.cutoffs, store.capped_sums
         staged: list[dict] = [{} for _ in range(groups.m)]  # as GridSynopsis takes them
         sum_max = 0.0
         for v in self.graph.vertices():
@@ -632,7 +632,7 @@ class SynopsisIndex:
             if not deg:
                 continue
             caps = (*cutoffs[: bisect_left(cutoffs, deg)], deg)
-            sums = capped_sums(walk_of(v), caps)
+            sums = capped_sums(v, caps)
             r = len(caps)
             sum_max = max(sum_max, *sums[r - 1 :: r])
             label = labels[v]

@@ -287,14 +287,15 @@ def test_initial_match_equals_oracle_many(mode):
 
 
 def spy_on_boxes(monkeypatch):
-    """Count, by name, the calls of the store's walk and box reads."""
+    """Count, by name and vertex, the calls of the store's capped-sum and
+    box reads."""
     calls = Counter()
-    for name in ("walk", "mbr"):
+    for name in ("capped_sums", "mbr"):
         real = getattr(NeighborListStore, name)
 
-        def spy(self, *args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(self, *args)
+        def spy(self, v, *args, _real=real, _name=name):
+            calls[_name, v] += 1
+            return _real(self, v, *args)
 
         monkeypatch.setattr(NeighborListStore, name, spy)
     return calls
@@ -306,7 +307,7 @@ def test_register_count_tests_each_root_and_reads_no_box(any_mode_cfg, monkeypat
     # box candidates that cover the level's label counts, fewer than them;
     # refine count-tests each root again, reading its histogram once, as
     # no later level draws the centre's label.  Neither the scans nor the
-    # join expand a walk or compute a box.  The leaves' labels differ from
+    # join compute a capped sum or a box.  The leaves' labels differ from
     # the centre's, which keeps their scans off the roots' buckets.
     g = small_world(n=120, avg_deg=5.0, alphabet=3, seed=3)
     engine = MatchEngine(g.copy(), any_mode_cfg)
@@ -359,7 +360,7 @@ def test_register_fills_each_count_column_once(any_mode_cfg, monkeypatch):
     # neighbors all carry label 0: the first scan to count-test a label-0
     # bucket fills its column of label-0 neighbor counts from the
     # histograms, the scans at the other degrees read it, and registration
-    # fills no other column and reads no walk or box
+    # fills no other column and computes no capped sum or box
     g = small_world(n=120, avg_deg=5.0, alphabet=3, seed=3)
     engine = MatchEngine(g.copy(), any_mode_cfg)
     index = engine.index
@@ -730,23 +731,16 @@ def hub_stream_engine(cfg):
 
 @HUB_CONFIGS
 def test_updates_read_no_walk(cfg_kw, monkeypatch):
-    # the build expands each non-isolated vertex's walk once, for its capped
-    # sums, and the six registrations right after it, whose scans fill count
-    # columns from the histograms, expand none.  Inserts count-test seeds
-    # against histograms and deletes edit them and the answer index: no
-    # update expands a walk either, so none computes a box
-    walks = Counter()
-    walk = NeighborListStore.walk
-
-    def counted(self, v):
-        walks[v] += 1
-        return walk(self, v)
-
-    monkeypatch.setattr(NeighborListStore, "walk", counted)
+    # the build reads each non-isolated vertex's capped sums once, and the
+    # six registrations right after it, whose scans fill count columns from
+    # the histograms, read none and compute no box.  Inserts count-test
+    # seeds against histograms and deletes edit them and the answer index:
+    # no update reads a capped sum or a box either
+    calls = spy_on_boxes(monkeypatch)
     engine, g, ops = hub_stream_engine(EmbeddingConfig(**cfg_kw))
-    assert walks == Counter(v for v in g.vertices() if g.degree(v))
+    assert calls == Counter(("capped_sums", v) for v in g.vertices() if g.degree(v))
     assert any(cell.counts for syn in engine.index.synopses for cell in syn.cells)
-    walks.clear()
+    calls.clear()
     seen = Counter()  # (kind, filed pair, created a vertex)
     added = removed = 0
     for op in ops:
@@ -756,7 +750,7 @@ def test_updates_read_no_walk(cfg_kw, monkeypatch):
         seen[op.kind, (labels[op.u], labels[op.v]) in engine.pairs, created] += 1
         added += sum(len(d.added) for d in result.deltas.values())
         removed += sum(len(d.removed) for d in result.deltas.values())
-    assert not walks
+    assert not calls
     assert seen[INSERT, True, False] and seen[INSERT, True, True] and seen[DELETE, True, False]
     assert added > 0 and removed > 0
 

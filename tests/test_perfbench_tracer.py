@@ -57,7 +57,7 @@ def test_tracer_on_small_engine(cfg_zipf, monkeypatch):
         # path must call by name for the count to see them
         assert tr.counts["matcher.seeds"] == sum(seeds) > 0
         # the stream dropped the grids; this registration rebuilds them from
-        # the vertices' walks, without calling lists.mbr
+        # the vertices' capped sums, without calling lists.mbr
         engine.register("q1", q1)
         boxed = [v for v in engine.graph.vertices() if engine.graph.degree(v)][:3]
         for v in boxed:

@@ -11,17 +11,22 @@ registered query's answers equal the brute-force oracle's on the shadow
 graph, and the engine's index equals a fresh build over the engine's
 graph with the same degree groups, cell count and domain: its snapshot,
 and every count column its grids have filled, once the latest query's
-vertices are scanned again as a registration now would.  On a
-third of the vertices in turn, the count test the matcher runs is sound
-against the box test: a vertex whose histogram covers a registered
-query vertex's neighbor label counts (as its shadow adjacency does too)
-has the query vertex's embedding in its box at the query degree.
+vertices are scanned again as a registration now would.  A fresh build
+runs the same capped sums as the engine's, so on a third of the vertices
+in turn the store's capped sums at the vertex's group caps equal sums
+over its shadow adjacency's sorted components, and the count test the
+matcher runs is sound against the box test: a vertex whose histogram
+covers a registered query vertex's neighbor label counts (as its shadow
+adjacency does too) has the query vertex's embedding in its box at the
+query degree.
 Each accepted op's deltas are the answer-set differences it caused,
 naming only the queries it changed; a rejected op changes neither graph,
 index nor answers.  The label-pair table equals a refiling of every
 registered query's plans.
 """
 
+import math
+from bisect import bisect_left
 from collections import Counter
 
 from hypothesis import settings
@@ -34,7 +39,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from dsmatch.embedding import EmbeddingConfig
+from dsmatch.embedding import EmbeddingConfig, label_vector
 from dsmatch.errors import DuplicateEdge, MissingEdge, SelfLoop
 from dsmatch.generate import sample_queries
 from dsmatch.graph import DELETE, INSERT, UpdateOp, dump_graph
@@ -196,10 +201,19 @@ class EngineMachine(RuleBasedStateMachine):
         assert got == want
 
     @invariant()
-    def label_counts_imply_box_containment(self):
-        lists, shadow = self.engine.index.lists, self.shadow
+    def capped_sums_and_label_counts_are_sound(self):
+        index, shadow = self.engine.index, self.shadow
+        lists, cutoffs = index.lists, index.groups.cutoffs
         self.checks += 1
         for v in sorted(shadow.labels)[self.checks % 3 :: 3]:  # a third per step
+            deg = shadow.degree(v)
+            if deg:
+                caps = (*cutoffs[: bisect_left(cutoffs, deg)], deg)
+                comps = [sorted((label_vector(shadow.labels[n], index.cfg)[k]
+                                 for n in shadow.adj[v]), reverse=True)
+                         for k in range(index.cfg.d)]
+                want = [math.fsum(c[:cap]) for c in comps for cap in caps]
+                assert lists.capped_sums(v, caps) == want
             have = Counter(shadow.labels[n] for n in shadow.adj[v])
             for rq in self.engine.queries.values():
                 q = rq.query

@@ -3,7 +3,7 @@ import math
 import re
 import struct
 from array import array
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -444,11 +444,10 @@ def test_maintenance_equals_rebuild_after_stream(mode):
     # maintained neighbor sums equal from-scratch sums
     for v in g.vertices():
         deg = g.degree(v)
-        walk = idx.lists.walk(v)
         if deg:
-            assert tuple(idx.lists.capped_sums(walk, (deg,))) == neighbor_sum(g, v, cfg)
+            assert tuple(idx.lists.capped_sums(v, (deg,))) == neighbor_sum(g, v, cfg)
         else:
-            assert walk == []
+            assert idx.lists.hist[v] == {}
 
 
 def test_hub_degree_boxes_and_rebuild_under_churn(any_mode_cfg):
@@ -552,14 +551,53 @@ def reference_box(g, v, delta, cfg):
     )
 
 
+@pytest.mark.parametrize("hub", [0, 5_000])
+@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_capped_sums_and_boxes_equal_sorted_components(mode, hub, data):
+    # a star over a random histogram of labels 0-15, whose zipf components
+    # tie, one label raised by ``hub`` neighbors.  The store reads each
+    # label as a run of equal components; caps and deltas land on the runs'
+    # boundaries, inside runs and at the degree, and every read equals the
+    # expanded components, sorted, summed with math.fsum
+    cfg = EmbeddingConfig(d=2, mode=mode)
+    hist = data.draw(st.dictionaries(st.integers(0, 15), st.integers(1, 40), min_size=1,
+                                     max_size=8), label="hist")
+    if hub:
+        hist[data.draw(st.sampled_from(sorted(hist)), label="hub label")] += hub
+    leaves = [lbl for lbl, c in sorted(hist.items()) for _ in range(c)]
+    g = make_graph([(0, n) for n in range(1, len(leaves) + 1)],
+                   {0: data.draw(st.integers(0, 15), label="centre"),
+                    **{n: lbl for n, lbl in enumerate(leaves, 1)}})
+    lists, deg = NeighborListStore(g, cfg), len(leaves)
+    assert lists.hist[0] == hist
+    comps = [sorted((label_vector(lbl, cfg)[k] for lbl in leaves), reverse=True)
+             for k in range(cfg.d)]
+    # per dimension, the label runs' ends in either order and one past each,
+    # 1, and one short of the degree
+    ends = {deg}
+    for k, smallest in itertools.product(range(cfg.d), (False, True)):
+        runs = sorted(hist, key=lambda lbl: label_vector(lbl, cfg)[k], reverse=not smallest)
+        ends.update(itertools.accumulate(hist[lbl] for lbl in runs))
+    marks = sorted(({1, deg - 1} | ends | {e + 1 for e in ends if e < deg}) - {0})
+    chosen = data.draw(st.lists(st.one_of(st.sampled_from(marks), st.integers(0, deg)),
+                                max_size=6), label="caps")
+    caps = sorted({*chosen, deg})
+    assert lists.capped_sums(0, caps) == [math.fsum(c[:cap]) for c in comps for cap in caps]
+    drawn = data.draw(st.lists(st.sampled_from(marks), max_size=4), label="deltas")
+    # one short of the degree is the first box that must sort its runs
+    for delta in sorted({1, deg - 1, deg, *drawn} - {0}):
+        assert lists.mbr(0, delta) == reference_box(g, 0, delta, cfg)
+
+
 def assert_reads_equal_enumeration(idx, g):
     """Everything the store reads is exact, checked with ``==``: label
-    vectors sit on their grid; each walk is d ascending segments of deg(v)
-    entries, the sorted neighbor components; the neighbor sum, and
-    ``capped_sums`` at every degree, equal ``math.fsum`` of the components;
-    ``mbr`` equals ``reference_box``, contains a query tail exactly on each
-    bound and not one float step outside it, and has no box past the
-    degree."""
+    vectors sit on their grid; each histogram counts its vertex's neighbor
+    labels; the neighbor sum, and ``capped_sums`` at every degree, equal
+    ``math.fsum`` of the largest components; ``mbr`` equals
+    ``reference_box``, contains a query tail exactly on each bound and not
+    one float step outside it, and has no box past the degree."""
     lists, cfg = idx.lists, idx.cfg
     d = cfg.d
     grid = 2.0 ** (10 if cfg.mode == "zipf" else 20)
@@ -567,17 +605,16 @@ def assert_reads_equal_enumeration(idx, g):
         assert all(0 < c <= 1 and (c * grid).is_integer() for c in label_vector(lbl, cfg))
     for v in g.vertices():
         vecs = [label_vector(g.labels[n], cfg) for n in g.neighbors(v)]
-        walk = lists.walk(v)
-        assert walk == [c for k in range(d) for c in sorted(x[k] for x in vecs)]
+        assert lists.hist[v] == Counter(g.labels[n] for n in g.neighbors(v))
         exact = tuple(math.fsum(x[k] for x in vecs) for k in range(d))
         assert neighbor_sum(g, v, cfg) == exact
         deg = g.degree(v)
         if deg:
-            assert tuple(lists.capped_sums(walk, (deg,))) == exact
+            assert tuple(lists.capped_sums(v, (deg,))) == exact
             largest = [sorted((x[k] for x in vecs), reverse=True) for k in range(d)]
             caps = range(1, deg + 1)
             want = [math.fsum(c[:cap]) for c in largest for cap in caps]
-            assert lists.capped_sums(walk, caps) == want
+            assert lists.capped_sums(v, caps) == want
         for delta in range(1, deg + 1):
             box = reference_box(g, v, delta, cfg)
             read = lists.mbr(v, delta)
@@ -630,7 +667,7 @@ def run_hub_churn(mode, check, m=3):
     for n in sorted(g.neighbors(loner)):
         apply(UpdateOp(DELETE, loner, n))
     assert g.degree(loner) == 0
-    assert lists.walk(loner) == [] and neighbor_sum(g, loner, cfg) == (0.0,) * cfg.d
+    assert lists.hist[loner] == {} and neighbor_sum(g, loner, cfg) == (0.0,) * cfg.d
     check(idx, g)
     apply(UpdateOp(INSERT, loner, hub))
     for i in range(200):
@@ -683,14 +720,14 @@ def test_count_columns_equal_histograms(mode):
 
 def test_box_reads_follow_a_histogram_edit(cfg_zipf):
     # a box read before an update must not be served after it: the store
-    # expands a fresh walk per read, and the need-less scan's last stage
-    # reads its boxes from the store
+    # sums the histogram afresh per read, and the need-less scan's last
+    # stage reads its boxes from the store
     g = make_graph([(0, 1), (0, 2), (3, 4)], {0: 0, 1: 1, 2: 2, 3: 3, 4: 4})
     idx = build_index(g, cfg_zipf, m=1)
     lists = idx.lists
 
     def reads():
-        return lists.mbr(0, 2), tuple(lists.capped_sums(lists.walk(0), (g.degree(0),)))
+        return lists.mbr(0, 2), tuple(lists.capped_sums(0, (g.degree(0),)))
 
     for op in [UpdateOp(INSERT, 0, 3), UpdateOp(DELETE, 0, 1), UpdateOp(INSERT, 0, 4)]:
         before = reads()
