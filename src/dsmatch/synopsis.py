@@ -21,9 +21,10 @@ dimension (:func:`pack`).  A scan tests a whole column against a query
 coordinate with a few big-int operations (:func:`at_least`): the tail
 columns for dominance, and then, given the query vertex's need (its
 neighbor label counts), per needed label the bucket's column of neighbor
-counts of that label, which the grid fills from the histograms the first
-time a scan needs it.  A scan without a need tests each dominated entry's
-box at the query degree instead (:meth:`NeighborListStore.mbr`).
+counts of that label.  The first scan to need any of a bucket's count
+columns fills all of them in one pass over its vertices' histograms.  A
+scan without a need tests each dominated entry's box at the query degree
+instead (:meth:`NeighborListStore.mbr`).
 Covering the counts implies the box test, so a need only narrows the
 candidates.
 
@@ -44,10 +45,10 @@ by construction.
 Scans and maintenance follow the single-writer contract of the graph.
 Maintenance is exclusive, and so are two kinds of first read after it:
 the first scan, snapshot or dump, which rebuilds the grids, and the first
-scan to need a bucket's count column of a label, which fills it.  Later
-reads may run concurrently.  The store's sums and boxes and a need-less
-scan cache nothing, so their reads write nothing, and the matcher reads
-only the histograms on updates, never a box.
+scan to need any count column of a bucket, which fills all of the bucket's
+columns.  Later reads may run concurrently.  The store's sums and boxes
+and a need-less scan cache nothing, so their reads write nothing, and the
+matcher reads only the histograms on updates, never a box.
 """
 
 from __future__ import annotations
@@ -335,9 +336,10 @@ class Cell:
 
     A bucket holds its vertices in filing order and, per tail dimension,
     their tail coordinates in that order as one packed column (:func:`pack`).
-    ``counts`` holds, per (bucket label, needed label), the bucket's
-    neighbor counts of the needed label in that order, packed alike, which
-    the owning grid fills from the histograms (:meth:`GridSynopsis.count_column`).
+    ``counts`` maps a bucket's label to its count columns: per label that
+    some histogram in the bucket holds, the bucket's neighbor counts of it
+    in that order, packed alike.  The owning grid fills all of a bucket's
+    columns when a scan first needs one (:meth:`GridSynopsis.count_column`).
     They die with the grid, so they always describe the current graph.
     """
 
@@ -349,7 +351,7 @@ class Cell:
         self.key = embedding_key(corner)
         self.size = 0
         self.buckets: dict[Label, tuple[list[VertexId], tuple[int, ...]]] = {}
-        self.counts: dict[tuple[Label, Label], int] = {}
+        self.counts: dict[Label, dict[Label, int]] = {}
 
 
 @dataclass
@@ -455,13 +457,24 @@ class GridSynopsis:
 
     def count_column(self, cell: Cell, label: Label, needed: Label) -> int:
         """The packed column of the neighbor counts of ``needed`` in the
-        cell's label bucket, filled from the histograms on a miss."""
-        col = cell.counts.get((label, needed))
-        if col is None:
-            hist = self.store.hist
+        cell's label bucket.  The bucket's first need fills all of its
+        columns in one pass over its vertices' histograms, each count going
+        into its label's column at the vertex's position.  A label that no
+        histogram in the bucket holds reads 0, the all-zero column."""
+        cols = cell.counts.get(label)
+        if cols is None:
             vs = cell.buckets[label][0]
-            col = cell.counts[label, needed] = pack([hist[v].get(needed, 0) for v in vs])
-        return col
+            zeros = array("d", bytes(8 * len(vs)))
+            filled: dict[Label, array] = {}
+            hist = self.store.hist
+            for i, v in enumerate(vs):
+                for lbl, c in hist[v].items():
+                    col = filled.get(lbl)
+                    if col is None:
+                        col = filled[lbl] = zeros[:]
+                    col[i] = c
+            cols = cell.counts[label] = {lbl: pack(col) for lbl, col in filled.items()}
+        return cols.get(needed, 0)
 
     def snapshot(self) -> dict:
         """Canonical content for equality checks (entry order independent):
@@ -570,17 +583,17 @@ def scan_candidates(
 # -- the full index -----------------------------------------------------------
 
 
-@dataclass(slots=True)
 class MaintenanceReport:
     """Time spent on one update's histogram edits.  Grids are rebuilt, not
-    edited, so the entry fields stay zero for the report's readers."""
+    edited, so the entry fields are class-level zeros for the report's
+    readers, and one positional slot keeps the per-update build cheap."""
 
-    entries_added: int = 0
-    entries_removed: int = 0
-    entries_moved: int = 0
-    entries_refreshed: int = 0
-    list_update_seconds: float = 0.0
-    entry_update_seconds: float = 0.0
+    __slots__ = ("list_update_seconds",)
+    entries_added = entries_removed = entries_moved = entries_refreshed = 0
+    entry_update_seconds = 0.0
+
+    def __init__(self, list_update_seconds: float):
+        self.list_update_seconds = list_update_seconds
 
 
 class SynopsisIndex:
@@ -670,7 +683,7 @@ class SynopsisIndex:
         count(op.u, labels[op.v], step)
         count(op.v, labels[op.u], step)
         self._grids = None
-        return MaintenanceReport(list_update_seconds=perf_counter() - t0)
+        return MaintenanceReport(perf_counter() - t0)
 
     def scan_for_degree(
         self, q_embed: Vec, q_degree: int, q_label: int, need: Need | None = None

@@ -31,7 +31,7 @@ from dsmatch.matcher import (
 )
 from dsmatch.oracle import enumerate_matches
 from dsmatch.rng import Rng
-from dsmatch.synopsis import GridSynopsis, NeighborListStore, SynopsisIndex
+from dsmatch.synopsis import GridSynopsis, NeighborListStore, SynopsisIndex, unpack
 
 from conftest import make_graph, small_world
 from test_synopsis import random_update_stream
@@ -358,17 +358,19 @@ def test_register_count_tests_each_root_and_reads_no_box(any_mode_cfg, monkeypat
 def test_register_fills_each_count_column_once(any_mode_cfg, monkeypatch):
     # query vertices of label 0 at every degree of group 0, (0, 4], whose
     # neighbors all carry label 0: the first scan to count-test a label-0
-    # bucket fills its column of label-0 neighbor counts from the
-    # histograms, the scans at the other degrees read it, and registration
-    # fills no other column and computes no capped sum or box
+    # bucket fills all of its count columns from the histograms, the scans
+    # at the other degrees read its column of label-0 counts, and
+    # registration fills no other bucket and computes no capped sum or box.
+    # Each filled bucket holds one column per label its histograms hold,
+    # equal to its entries' neighbor counts of that label
     g = small_world(n=120, avg_deg=5.0, alphabet=3, seed=3)
     engine = MatchEngine(g.copy(), any_mode_cfg)
     index = engine.index
     assert (index.groups.lower(0), index.groups.upper(0)) == (0, 4)
     q = QueryGraph({i: 0 for i in range(5)}, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
     assert sorted(q.degree(u) for u in q.vertex_order) == [1, 2, 2, 3, 4]
-    fills = Counter()  # (cell, label, needed label) -> fills
-    reads = defaultdict(set)  # the same -> the query degrees it was read at
+    fills = Counter()  # (cell, bucket label) -> fills
+    reads = defaultdict(set)  # (cell, bucket label, needed label) -> query degrees read at
     degree = [0]
     scan_for_degree, count_column = index.scan_for_degree, GridSynopsis.count_column
 
@@ -377,9 +379,8 @@ def test_register_fills_each_count_column_once(any_mode_cfg, monkeypatch):
         return scan_for_degree(q_embed, q_degree, *args)
 
     def read(syn, cell, label, needed):
-        key = (id(cell), label, needed)
-        fills[key] += (label, needed) not in cell.counts
-        reads[key].add(degree[0])
+        fills[id(cell), label] += label not in cell.counts
+        reads[id(cell), label, needed].add(degree[0])
         return count_column(syn, cell, label, needed)
 
     monkeypatch.setattr(index, "scan_for_degree", scan)
@@ -388,10 +389,64 @@ def test_register_fills_each_count_column_once(any_mode_cfg, monkeypatch):
     rq = engine.register("degrees", q)
     assert rq.answers.mappings() == enumerate_matches(g, q)
     assert calls == Counter()
-    assert fills and set(fills.values()) == {1}  # no column filled twice
+    assert fills and set(fills.values()) == {1}  # no bucket filled twice
     assert {1, 2, 3, 4} in reads.values()
-    filled = [key for syn in index.synopses for cell in syn.cells for key in cell.counts]
-    assert len(filled) == len(fills) and set(filled) == {(0, 0)}
+    assert {needed for _, _, needed in reads} == {0}
+    filled = []
+    for syn in index.synopses:
+        for cell in syn.cells:
+            for label, cols in cell.counts.items():
+                filled.append((id(cell), label))
+                vs = cell.buckets[label][0]
+                want = {lbl: [sum(g.labels[u] == lbl for u in g.neighbors(v)) for v in vs]
+                        for lbl in {g.labels[u] for v in vs for u in g.neighbors(v)}}
+                assert {lbl: list(unpack(col, len(vs))) for lbl, col in cols.items()} == want
+    assert sorted(filled) == sorted(fills) and {label for _, label in filled} == {0}
+
+
+def test_register_reads_each_bucket_histogram_once_per_grid(any_mode_cfg, monkeypatch):
+    # the label-0 query vertices need neighbors of labels 0, 1 and 2, so
+    # each label-0 bucket a scan count-tests is asked for up to three
+    # columns; its first need fills them all in one pass, reading each of
+    # its vertices' histograms once, and the later needs read no histogram
+    g = small_world(n=120, avg_deg=5.0, alphabet=3, seed=3)
+    engine = MatchEngine(g.copy(), any_mode_cfg)
+    store = engine.index.lists
+    q = QueryGraph({0: 0, 1: 1, 2: 2, 3: 0}, [(0, 1), (0, 2), (0, 3), (3, 1), (3, 2)])
+    assert label_needs(q)[0] == label_needs(q)[3] == ((0, 1), (1, 1), (2, 1))
+    filling = [None]  # the grid whose count_column is running
+
+    class Recording(dict):
+        """A mapping that counts, in ``reads``, the fills' reads per (grid, key)."""
+
+        def __getitem__(self, v):
+            if filling[0] is not None:
+                self.reads[filling[0].group, v] += 1
+            return super().__getitem__(v)
+
+    hist = Recording(store.hist)
+    hist.reads = Counter()
+    needs = defaultdict(set)  # (grid, cell, bucket label) -> needed labels asked for
+    bucketed = Counter()  # (grid, vertex) -> asked-for buckets holding it
+    count_column = GridSynopsis.count_column
+
+    def read(syn, cell, label, needed):
+        if (syn.group, id(cell), label) not in needs:
+            bucketed.update((syn.group, v) for v in cell.buckets[label][0])
+        needs[syn.group, id(cell), label].add(needed)
+        filling[0] = syn
+        try:
+            return count_column(syn, cell, label, needed)
+        finally:
+            filling[0] = None
+
+    monkeypatch.setattr(store, "hist", hist)
+    monkeypatch.setattr(GridSynopsis, "count_column", read)
+    rq = engine.register("two-needs", q)
+    assert rq.answers.mappings() == enumerate_matches(g, q) != set()
+    assert max(map(len, needs.values())) >= 2
+    assert set(bucketed.values()) == {1}  # a vertex sits in one bucket per grid
+    assert hist.reads == bucketed  # one read per bucket vertex and grid
 
 
 @pytest.mark.slow

@@ -173,8 +173,11 @@ class EngineMachine(RuleBasedStateMachine):
         for syn, twin in zip(index.synopses, fresh.synopses):
             cells = {cell.coords: cell for cell in twin.cells}
             for cell in syn.cells:
-                for (label, needed), col in cell.counts.items():
-                    assert twin.count_column(cells[cell.coords], label, needed) == col
+                twin_cell = cells[cell.coords]
+                for label, cols in cell.counts.items():
+                    for needed, col in cols.items():
+                        assert twin.count_column(twin_cell, label, needed) == col
+                    assert twin_cell.counts[label] == cols
         assert index.snapshot() == fresh.snapshot()
 
     @invariant()

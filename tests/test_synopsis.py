@@ -686,22 +686,29 @@ def test_reads_equal_star_subset_enumeration(mode):
 
 
 def assert_count_columns_equal_histograms(idx, g):
-    """Fill every bucket's count column of every label the store has seen,
-    and of one it has not, as scans fill them.  Each holds, packed in
+    """Read every bucket's count column of every label the store has seen,
+    and of one it has not, as scans read them.  Each holds, packed in
     bucket order, its entries' neighbor counts of that label from the
     shadow graph's adjacency; its test against a count c, ``at_least``,
     must give ``count >= c`` on every entry, probed at c from 0 to one past
-    the bucket's largest count.  Every column dies with the grid."""
+    the bucket's largest count.  The first read fills a column for each
+    label the bucket's histograms hold; any other label, the unseen one
+    included, reads 0, the all-zero column.  Every column dies with the
+    grid."""
     outcomes = set()
+    unseen = max(idx.lists.frames) + 1
     for syn in idx.synopses:
         for cell in syn.cells:
             assert cell.counts == {}  # a fresh grid has filled none
             for label, (vs, _) in cell.buckets.items():
                 n = len(vs)
                 signs = int.from_bytes((bytes(7) + b"\x80") * n, "little")
-                for needed in (*idx.lists.frames, max(idx.lists.frames) + 1):
+                held = {g.labels[u] for v in vs for u in g.neighbors(v)}
+                for needed in (*idx.lists.frames, unseen):
                     col = syn.count_column(cell, label, needed)
-                    assert syn.count_column(cell, label, needed) is cell.counts[label, needed] == col
+                    assert syn.count_column(cell, label, needed) == col
+                    assert set(cell.counts[label]) == held  # the first read filled them all
+                    assert col is cell.counts[label][needed] if needed in held else col == 0
                     want = [sum(g.labels[u] == needed for u in g.neighbors(v)) for v in vs]
                     assert unpack(col, n) == tuple(want)  # unpack raises on a wider column
                     for c in range(max(want) + 2):
