@@ -20,12 +20,9 @@ from .embedding import EmbeddingConfig
 from .errors import InvalidParams
 from .generate import SCENARIO_PARAMS
 from .graph import DynamicGraph, UpdateOp
-from .matcher import UNCHANGED, MatchEngine, Mapping, QueryDelta, QueryGraph
+from .matcher import STAGES, UNCHANGED, MatchEngine, Mapping, QueryDelta, QueryGraph
 from .oracle import _recompute
 from .synopsis import K_CELLS, M_GROUPS
-
-# UpdateResult.timings keys, in column order
-_STAGES = ("graph", "filtering", "refinement", "answers_index", "embedding_update")
 
 RUN_COLUMNS = (
     "mode",
@@ -38,7 +35,7 @@ RUN_COLUMNS = (
     "build_s",
     "initial_match_s",
     "stream_s",
-    *(f"{stage}_s" for stage in _STAGES),
+    *(f"{stage}_s" for stage in STAGES),
     "total_s",
 )
 
@@ -65,7 +62,7 @@ class RunMetrics:
             "build_s": self.build_seconds,
             "initial_match_s": self.initial_match_seconds,
             "stream_s": self.stream_seconds,
-            **{f"{stage}_s": self.stage_seconds.get(stage, 0.0) for stage in _STAGES},
+            **{f"{stage}_s": self.stage_seconds.get(stage, 0.0) for stage in STAGES},
             "total_s": self.total_seconds,
         }
         run = {"mode": self.mode, **{c: f"{s:.6f}" for c, s in seconds.items()}}
@@ -124,9 +121,7 @@ def run_engine(
     log: list[tuple[int, dict]] = []
     t0 = perf_counter()
     for op in stream:
-        result = engine.process_update(op)
-        for k, v in result.timings.items():
-            stages[k] += v
+        result = engine.process_update(op, stages)
         log.append((op.timestamp, result.deltas))
     stream_s = perf_counter() - t0
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import ClassVar, Iterable, Iterator
 
 from .embedding import EmbeddingConfig, Vec, embed_vertex
 from .errors import InvalidParams
@@ -341,16 +342,20 @@ class LabelPair:
 
 _NO_PAIR = LabelPair()  # the empty filing of every label pair that no query edge has
 
+# the keys under which process_update adds an op's seconds to a caller's sink
+STAGES = ("graph", "filtering", "refinement", "answers_index", "embedding_update")
+
 
 @dataclass(slots=True)
 class UpdateResult:
-    """One applied op, its seconds per stage, and the deltas of the queries
-    whose answers changed, in registration order; read ``deltas`` with
-    ``.get(name, UNCHANGED)``."""
+    """One applied op and the deltas of the queries whose answers changed,
+    in registration order; read ``deltas`` with ``.get(name, UNCHANGED)``.
+    ``timings`` is one shared, read-only empty mapping: stage seconds go
+    only to a sink passed to :meth:`MatchEngine.process_update`."""
 
     op: UpdateOp
     deltas: dict[str, QueryDelta]
-    timings: dict[str, float]
+    timings: ClassVar[MappingProxyType] = MappingProxyType({})
 
 
 class MatchEngine:
@@ -423,7 +428,7 @@ class MatchEngine:
 
     # -- incremental maintenance ------------------------------------------
 
-    def process_update(self, op: UpdateOp) -> UpdateResult:
+    def process_update(self, op: UpdateOp, stages: dict[str, float] | None = None) -> UpdateResult:
         """Apply one op to graph and index, then to the queries it can touch.
 
         The graph rejects a bad op before mutating anything, and nothing
@@ -433,23 +438,23 @@ class MatchEngine:
         fully or not at all.  No step computes a capped sum or a box.
         Only the queries filed under the edge's label pair are visited, and
         the result's deltas name only the queries whose answers changed.
-        Each stage time is the difference of neighbouring clock stamps, the
-        refinement calls' spans split off the seeding stage's, so the
-        stages add up to the op's stamped span.
+        Without ``stages`` no clock is read; given that dict, each
+        :data:`STAGES` key gains its difference of neighbouring clock stamps,
+        refinement split off filtering, so they add up to the op's span.
         """
-        t0 = perf_counter()
+        timed = stages is not None
+        t0 = perf_counter() if timed else 0.0
         self.graph.apply_update(op)
-        t1 = perf_counter()
+        t1 = perf_counter() if timed else 0.0
         self.index.maintain(op)
-        t2 = t3 = perf_counter()  # a delete seeds nothing
+        t2 = t3 = perf_counter() if timed else 0.0  # a delete seeds nothing
 
         labels = self.graph.labels
         pair = self.pairs.get((labels[op.u], labels[op.v]), _NO_PAIR)
         deltas: dict[str, QueryDelta] = {}
-        refine_s = 0.0
         if op.kind == INSERT:
-            found, refine_s = self._on_insert(pair, op.u, op.v)
-            t3 = perf_counter()
+            found = self._on_insert(pair, op.u, op.v, stages)
+            t3 = perf_counter() if timed else 0.0
             for name, added in found.items():
                 answers = self.queries[name].answers
                 for m in added:
@@ -463,21 +468,21 @@ class MatchEngine:
                     for m in victims:
                         rq.answers.discard(m)
                     deltas[name] = QueryDelta(removed=victims)
-        t4 = perf_counter()
-        return UpdateResult(op, deltas, {
-            "graph": t1 - t0, "embedding_update": t2 - t1, "filtering": t3 - t2 - refine_s,
-            "refinement": refine_s, "answers_index": t4 - t3,
-        })
+        if timed:
+            t4 = perf_counter()
+            for stage, seconds in zip(STAGES, (t1 - t0, t3 - t2, 0.0, t4 - t3, t2 - t1)):
+                stages[stage] = stages.get(stage, 0.0) + seconds
+        return UpdateResult(op, deltas)
 
     def _on_insert(
-        self, pair: LabelPair, u: VertexId, v: VertexId
-    ) -> tuple[dict[str, set[Mapping]], float]:
-        """New answers, per query name, that use the just-inserted edge (u, v),
-        and the seconds spent refining them.
+        self, pair: LabelPair, u: VertexId, v: VertexId, stages: dict[str, float] | None
+    ) -> dict[str, set[Mapping]]:
+        """New answers, per query name, that use the just-inserted edge (u, v).
 
         Each seed of ``pair``, the label pair (label(u), label(v)), is
         count-tested against u's and then v's histograms; one both cover is
-        refined from [u, v], or from [v, u] when it is filed flipped.
+        refined from [u, v], or from [v, u] when it is filed flipped.  The
+        joins' seconds move from ``stages``' filtering to its refinement.
         """
         graph, store = self.graph, self.index.lists
         found: dict[str, set[Mapping]] = {}
@@ -492,12 +497,16 @@ class MatchEngine:
                     if hv.get(lbl, 0) < c:
                         break
                 else:
-                    t0 = perf_counter()
+                    t0 = perf_counter() if stages is not None else 0.0
                     added = refine(plan, graph, store, [v, u] if flip else [u, v], 2)
-                    refine_s += perf_counter() - t0
+                    if stages is not None:
+                        refine_s += perf_counter() - t0
                     if added:
                         found.setdefault(name, set()).update(added)
-        return found, refine_s
+        if refine_s:  # stamped, so given a sink
+            stages["refinement"] = stages.get("refinement", 0.0) + refine_s
+            stages["filtering"] = stages.get("filtering", 0.0) - refine_s
+        return found
 
 
 def format_mapping(query: QueryGraph, m: Mapping) -> str:

@@ -61,7 +61,6 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
-from time import perf_counter
 from typing import Sequence
 
 from .embedding import (
@@ -403,7 +402,7 @@ class GridSynopsis:
     +inf): values beyond the frozen domain clamp into it, which keeps the
     key cutoff and cell dominance sound when the graph drifts past the
     initial extent estimate.  The grid fills its cells' count columns from
-    the histograms.
+    the histograms, and keeps the repeated operands its scans share.
     """
 
     def __init__(
@@ -440,6 +439,7 @@ class GridSynopsis:
                 cell.buckets[label] = (members, tuple(map(pack, cols)))
                 cell.size += len(members)
         self.cells: list[Cell] = sorted(cells.values(), key=lambda c: (-c.key, c.coords))
+        self._repeats: dict[tuple[bytes, int], int] = {}
 
     def __len__(self) -> int:
         return sum(c.size for c in self.cells)
@@ -475,6 +475,11 @@ class GridSynopsis:
                     col[i] = c
             cols = cell.counts[label] = {lbl: pack(col) for lbl, col in filled.items()}
         return cols.get(needed, 0)
+
+    def repeated(self, field: bytes, n: int) -> int:
+        """``field`` packed n times, kept while the grid lives."""
+        reps, key = self._repeats, (field, n)
+        return reps.get(key) or reps.setdefault(key, int.from_bytes(field * n, "little"))
 
     def snapshot(self) -> dict:
         """Canonical content for equality checks (entry order independent):
@@ -518,8 +523,8 @@ def scan_candidates(
     once: its packed column against the query coordinate repeated in every
     field (:func:`at_least`), and for a same-label bucket each needed
     label's count column (:meth:`GridSynopsis.count_column`) against the
-    needed count alike.  The masks AND into one whose set bits count and
-    select the survivors, in bucket order.  The query's tail coordinates
+    needed count alike (:meth:`GridSynopsis.repeated`).  The masks AND
+    into one whose set bits count and select the survivors, in bucket order.  The query's tail coordinates
     must be +0.0 or above, as every embedding's are.
     """
     if not syn.lower < q_degree <= syn.upper:
@@ -550,7 +555,7 @@ def scan_candidates(
             if not dominates(q_head, frames[label][0]):
                 pruned_dominance += n
                 continue
-            signs = int.from_bytes(_SIGN * n, "little")
+            signs = syn.repeated(_SIGN, n)
             xs = [int.from_bytes(x * n, "little") for x in q_fields]
             mask = signs  # bit 63 of an entry's field: set while it passes every test
             for x, col in zip(xs, cols):
@@ -569,7 +574,7 @@ def scan_candidates(
             else:
                 for needed, c in need_fields:
                     col = syn.count_column(cell, label, needed)
-                    mask &= at_least(col, int.from_bytes(c * n, "little"), signs)
+                    mask &= at_least(col, syn.repeated(c, n), signs)
                     if not mask:
                         break
                 kept = list(compress(vs, mask.to_bytes(8 * n, "little")[7::8]))
@@ -584,16 +589,16 @@ def scan_candidates(
 
 
 class MaintenanceReport:
-    """Time spent on one update's histogram edits.  Grids are rebuilt, not
-    edited, so the entry fields are class-level zeros for the report's
-    readers, and one positional slot keeps the per-update build cheap."""
+    """Six class-level zeros, in the one report that
+    :meth:`SynopsisIndex.maintain` returns for every update: grids are
+    rebuilt, not edited, and maintenance reads no clock."""
 
-    __slots__ = ("list_update_seconds",)
+    __slots__ = ()
     entries_added = entries_removed = entries_moved = entries_refreshed = 0
-    entry_update_seconds = 0.0
+    list_update_seconds = entry_update_seconds = 0.0
 
-    def __init__(self, list_update_seconds: float):
-        self.list_update_seconds = list_update_seconds
+
+_MAINTAINED = MaintenanceReport()
 
 
 class SynopsisIndex:
@@ -632,14 +637,14 @@ class SynopsisIndex:
         caps min(deg, upper_j): the cutoffs below deg, then deg itself.  One
         ``capped_sums`` call gives its raw high sums at every cap, and its
         entries are staged per group and label: its sums in one flat
-        ``array('d')``.  The last cap's sums are the full neighbor sums, whose largest
-        component sets the domain on the first build; each grid then files
-        its staged entries a label at a time."""
+        ``array('d')``.  The last cap's sums are the full neighbor sums; only
+        the first build folds their largest component, which sets the
+        domain.  Each grid then files its staged entries a label at a time."""
         store, groups = self.lists, self.groups
         adj, labels = self.graph.adj, self.graph.labels
         cutoffs, capped_sums = groups.cutoffs, store.capped_sums
         staged: list[dict] = [{} for _ in range(groups.m)]  # as GridSynopsis takes them
-        sum_max = 0.0
+        first, sum_max = self.domain is None, 0.0
         for v in self.graph.vertices():
             deg = len(adj[v])
             if not deg:
@@ -647,7 +652,10 @@ class SynopsisIndex:
             caps = (*cutoffs[: bisect_left(cutoffs, deg)], deg)
             sums = capped_sums(v, caps)
             r = len(caps)
-            sum_max = max(sum_max, *sums[r - 1 :: r])
+            if first:
+                for s in sums[r - 1 :: r]:
+                    if s > sum_max:
+                        sum_max = s
             label = labels[v]
             for j in range(r):
                 entries = staged[j].get(label)
@@ -655,7 +663,7 @@ class SynopsisIndex:
                     entries = staged[j][label] = ([], array("d"))
                 entries[0].append(v)
                 entries[1].extend(sums[j::r])
-        if self.domain is None:
+        if first:
             self.domain = default_domain(self.cfg, sum_max)
         return [
             GridSynopsis(store, j, groups.lower(j), groups.upper(j), self.k_cells, self.domain,
@@ -675,15 +683,15 @@ class SynopsisIndex:
 
         Must be called with the op that the graph this index was built over
         has just accepted, before any other op is applied.  Both endpoints
-        then exist, so neither histogram edit can fail.
+        then exist, so neither histogram edit can fail.  Reads no clock
+        and returns one shared all-zero report.
         """
-        t0 = perf_counter()
         labels, count = self.graph.labels, self.lists.count
         step = 1 if op.kind == INSERT else -1
         count(op.u, labels[op.v], step)
         count(op.v, labels[op.u], step)
         self._grids = None
-        return MaintenanceReport(perf_counter() - t0)
+        return _MAINTAINED
 
     def scan_for_degree(
         self, q_embed: Vec, q_degree: int, q_label: int, need: Need | None = None

@@ -1,10 +1,12 @@
 import gc
 import itertools
+import time
 from collections import Counter, defaultdict
 
 import pytest
 
 import dsmatch.matcher as matcher_mod
+import dsmatch.synopsis as synopsis_mod
 from dsmatch.embedding import EmbeddingConfig, dominates, embed_vertex
 from dsmatch.errors import (
     DsmatchError,
@@ -811,9 +813,9 @@ def test_updates_read_no_walk(cfg_kw, monkeypatch):
 
 
 def test_stage_times_add_up_to_each_ops_stamped_span(monkeypatch):
-    # a clock reading 0, 1, 2, ... makes every difference exact: each op's
-    # stage times must sum to its last stamp minus its first, over inserts
-    # that refine, inserts that do not, and deletes
+    # a clock reading 0, 1, 2, ... makes every difference exact: what each
+    # op adds to the caller's sink must sum to its last stamp minus its
+    # first, over inserts that refine, inserts that do not, and deletes
     engine, _, ops = hub_stream_engine(EmbeddingConfig(d=2, mode="zipf"))
     stamps = []
 
@@ -822,14 +824,52 @@ def test_stage_times_add_up_to_each_ops_stamped_span(monkeypatch):
         return stamps[-1]
 
     monkeypatch.setattr(matcher_mod, "perf_counter", clock)
+    stages = {}  # a plain dict: the engine must not rely on defaultdict
     kinds = Counter()  # (kind, refined)
     for op in ops:
         stamps.clear()
-        timings = engine.process_update(op).timings
-        assert sum(timings.values()) == stamps[-1] - stamps[0] > 0
-        assert min(timings.values()) >= 0
-        kinds[op.kind, timings["refinement"] > 0] += 1
+        before = dict(stages)
+        engine.process_update(op, stages)
+        added = {k: seconds - before.get(k, 0.0) for k, seconds in stages.items()}
+        assert sum(added.values()) == stamps[-1] - stamps[0] > 0
+        assert min(added.values()) >= 0
+        kinds[op.kind, added["refinement"] > 0] += 1
     assert kinds[INSERT, True] and kinds[INSERT, False] and kinds[DELETE, False]
+
+
+def test_updates_without_a_sink_read_no_clock(monkeypatch):
+    # by default neither process_update nor maintain reads a clock, and no
+    # op builds a report of its own: a clock that raises changes nothing,
+    # and the deltas equal a twin engine's, run with a sink
+    cfg = EmbeddingConfig(d=2, mode="zipf")
+    engine, _, ops = hub_stream_engine(cfg)
+    twin, _, _ = hub_stream_engine(cfg)
+    stages = {}
+    want = [twin.process_update(op, stages).deltas for op in ops]
+    assert stages["refinement"] > 0.0
+
+    def no_clock():
+        raise AssertionError("a clock was read without a sink")
+
+    for mod in (matcher_mod, synopsis_mod, time):
+        monkeypatch.setattr(mod, "perf_counter", no_clock, raising=False)
+    reports = []
+    maintain = engine.index.maintain
+
+    def recording_maintain(op):
+        reports.append(maintain(op))
+        return reports[-1]
+
+    monkeypatch.setattr(engine.index, "maintain", recording_maintain)
+    got = [engine.process_update(op).deltas for op in ops]
+    assert got == want
+    assert any(d.added for ds in got for d in ds.values())
+    assert any(d.removed for ds in got for d in ds.values())
+    assert len(reports) == len(ops) and all(r is reports[0] for r in reports)
+    report = reports[0]
+    assert (report.entries_added, report.entries_removed, report.entries_moved,
+            report.entries_refreshed, report.list_update_seconds,
+            report.entry_update_seconds) == (0, 0, 0, 0, 0.0, 0.0)
 
 
 def covers(graph, v, need):
@@ -983,14 +1023,29 @@ def test_insertion_delta_contains_inserted_edge(any_mode_cfg):
 
 
 def test_update_timings_present(any_mode_cfg):
+    # a sink collects the five stages, each op adding to them; without one
+    # the sink is left alone and every result's timings is one shared,
+    # read-only empty mapping
     g = make_graph([(0, 1)], {0: 0, 1: 1, 2: 0, 3: 1})
     engine = MatchEngine(g.copy(), any_mode_cfg)
     engine.register("q", q_edge(0, 1))
-    stages = ["graph", "embedding_update", "filtering", "refinement", "answers_index"]
+    names = ["graph", "embedding_update", "filtering", "refinement", "answers_index"]
+    stages = {}
+    results = []
     for op in (UpdateOp(INSERT, 2, 3), UpdateOp(DELETE, 0, 1)):
-        result = engine.process_update(op)
-        assert sorted(result.timings) == sorted(stages), op
-        assert all(seconds >= 0.0 for seconds in result.timings.values())
+        before = dict(stages)
+        results.append(engine.process_update(op, stages))
+        assert sorted(stages) == sorted(names), op
+        assert all(stages[k] >= before.get(k, 0.0) >= 0.0 for k in names), op
+    assert results[0].deltas["q"].added == {(2, 3)}
+    before = dict(stages)
+    for op in (UpdateOp(INSERT, 0, 1), UpdateOp(DELETE, 2, 3)):
+        results.append(engine.process_update(op))
+    assert stages == before
+    empty = results[0].timings
+    assert len(empty) == 0 and all(r.timings is empty for r in results)
+    with pytest.raises(TypeError):
+        empty["graph"] = 0.0
 
 
 def test_delete_probes_only_queries_filed_under_its_label_pair(cfg_zipf, monkeypatch):

@@ -65,7 +65,8 @@ def test_tracer_on_small_engine(cfg_zipf, monkeypatch):
     names = [name for _, _, name, _, _ in tr.spans]
     for name in ("matcher.process_update", "graph.apply", "synopsis.maintain"):
         assert names.count(name) == len(ops)
-    assert tr.counts["synopsis.lists_s"] > 0.0
+    # maintain reads no clock, so its report's seconds are zero
+    assert tr.counts["synopsis.lists_s"] == 0.0
     assert tr.counts["synopsis.entries_s"] == 0.0
     assert reg.counts["synopsis.mbr_calls"] + tr.counts["synopsis.mbr_calls"] == len(boxed) == 3
     assert "embedding.label_vector_calls" in tr.counts
