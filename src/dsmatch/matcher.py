@@ -14,10 +14,11 @@ can take a query vertex only if, for every label, it has at least as many
 neighbors carrying it as the query vertex has: the count test, read off
 the store's neighbor-label histograms.  It implies the per-degree box
 test, so it prunes at least as much, and computes no box.  Registration's
-grid scans apply it to each query vertex's candidates, and the join to
-every vertex it maps.  An update reads only its edge's label pair: an
-insertion count-tests every seed there against both endpoints' histograms
-and completes each admitted seed on the new edge by refinement; a deletion
+scans apply it to every vertex of a query vertex's label, through packed
+label columns, not a grid, and the join to every vertex it maps.  An
+update reads only its edge's label pair: an insertion count-tests every
+seed there against both endpoints' histograms and completes each
+admitted seed on the new edge by refinement; a deletion
 drops each of the pair's queries' stored answers whose edge image contains
 the deleted edge, found through an inverted edge index.
 """
@@ -139,22 +140,21 @@ def make_plan(
 
     After the two pinned vertices it repeatedly appends the neighbor of the
     chosen prefix with the smallest candidate set (ties to the smallest id),
-    so the continuation depends only on the set ``first`` names.
+    so the continuation depends only on the set ``first`` names.  The
+    frontier gains each chosen vertex's unchosen neighbors as it goes.
     """
     qa, qb = first
     if not q.has_edge(qa, qb):
         raise InvalidParams(f"({qa}, {qb}) is not a query edge")
     plan = [qa, qb]
     chosen = set(plan)
-    while len(plan) < len(q.vertex_order):
-        frontier = [
-            v
-            for v in q.vertex_order
-            if v not in chosen and any(n in chosen for n in q.adj[v])
-        ]
+    frontier = (q.adj[qa] | q.adj[qb]) - chosen
+    while frontier:
         nxt = min(frontier, key=lambda v: (cand_sizes[v], v))
         plan.append(nxt)
         chosen.add(nxt)
+        frontier.discard(nxt)
+        frontier |= q.adj[nxt] - chosen
     return tuple(plan)
 
 

@@ -1,54 +1,40 @@
-"""Degree-grouped grid synopses over vertex embeddings.
+"""Degree-grouped grid synopses and label count columns over vertex
+embeddings.
 
-One synopsis per degree group.  A vertex of degree ``deg`` appears in every
+One grid per degree group.  A vertex of degree ``deg`` appears in every
 group whose lower bound it exceeds, filed under the upper corner of the
 bounding box of its star-subset embeddings at the group-capped degree.
-Cells of each grid are kept in descending order of their squared-norm key
-so scans can stop early once no remaining cell can be dominated by a query
-embedding.
+Cells are kept in descending order of their squared-norm key, so scans stop
+once no remaining cell can be dominated by a query embedding.
 
-Per-degree bounding boxes are never materialized.  Every neighbor
-contributes its label's vector, so each vertex keeps only a histogram of
-its neighbors' labels.  On each dimension, the box for any degree delta
-spans the sum of the delta smallest to the sum of the delta largest
-neighbor components, read off the histogram: each label is a run of
-equal components, the runs, largest first, are summed until delta are
-taken, and the delta smallest are all deg less the deg - delta largest.
-An update is one histogram edit per endpoint.  A grid cell buckets its
-vertices by label, whose d head coordinates a scan tests once per bucket,
-and keeps their tail coordinates in filing order, one packed column per
-dimension (:func:`pack`).  A scan tests a whole column against a query
-coordinate with a few big-int operations (:func:`at_least`): the tail
-columns for dominance, and then, given the query vertex's need (its
-neighbor label counts), per needed label the bucket's column of neighbor
-counts of that label.  The first scan to need any of a bucket's count
-columns fills all of them in one pass over its vertices' histograms.  A
-scan without a need tests each dominated entry's box at the query degree
-instead (:meth:`NeighborListStore.mbr`).
-Covering the counts implies the box test, so a need only narrows the
-candidates.
+Boxes are never materialized.  Each vertex keeps a histogram of its
+neighbors' labels; each label is a run of equal components per dimension,
+so the box for degree delta spans the sum of the delta smallest to the sum
+of the delta largest components, the runs taken largest first.  An update
+is one histogram edit per endpoint.  A grid cell buckets its vertices by
+label, whose d head coordinates a scan tests once per bucket, and keeps
+their tail coordinates as one packed column per dimension (:func:`pack`),
+tested whole against a query coordinate (:func:`at_least`) before each
+dominated entry's box at the query degree.
 
-No comparison carries a slack: neighbor sums are exact and rounding is
-monotone (:mod:`dsmatch.embedding`), so every filter admits each true match
-image by construction.
+Registration reads no grid.  Given a query vertex's need (its neighbor
+label counts), a scan keeps the vertices of its label with at least as many
+neighbors of each needed label: count cover implies the box at the query
+degree, which lies inside the grid corner, so the grid would decide none of
+them.  :class:`LabelColumns` packs those counts per label.  No comparison
+carries a slack: neighbor sums are exact and rounding is monotone
+(:mod:`dsmatch.embedding`), so every filter admits each true match image.
 
-The grids are build-only.  One pass over the vertices builds all of them,
-reading each vertex's histogram once: per dimension, its runs give the
-exact sum at each of its group caps, the last at its degree, so the same
-pass yields the full neighbor sums the default grid domain is read off
-(:func:`default_domain`).  Only candidate scans read the grids, so an
-update just drops them, with their count columns, and the next scan,
-snapshot or dump rebuilds them from the histograms with the same frozen
-degree groups, domain and cell count: a maintained index equals a rebuild
-by construction.
-
-Scans and maintenance follow the single-writer contract of the graph.
-Maintenance is exclusive, and so are two kinds of first read after it:
-the first scan, snapshot or dump, which rebuilds the grids, and the first
-scan to need any count column of a bucket, which fills all of the bucket's
-columns.  Later reads may run concurrently.  The store's sums and boxes
-and a need-less scan cache nothing, so their reads write nothing, and the
-matcher reads only the histograms on updates, never a box.
+Grids and label columns are built only when read: the first need-less
+scan, snapshot or dump builds every grid in one pass over the vertices,
+and a label's first need fills its columns in one pass over its vertices'
+histograms.  An update drops both, so the next read derives them from the
+histograms with the same frozen degree groups, domain and cell count: a
+maintained index equals a rebuild by construction.  Maintenance is
+exclusive (the graph's single-writer contract), and so are the first reads
+that write since construction or the last update: a grid build and a label
+fill.  Later reads may run concurrently; the store's sums and boxes cache
+nothing.
 """
 
 from __future__ import annotations
@@ -109,6 +95,12 @@ def pack(col: Sequence[float]) -> int:
 def unpack(packed: int, n: int) -> tuple[float, ...]:
     """The n floats of a packed column."""
     return struct.unpack(f"<{n}d", packed.to_bytes(8 * n, "little"))
+
+
+def repeated(reps: dict[tuple[bytes, int], int], field: bytes, n: int) -> int:
+    """``field`` packed n times, kept in ``reps`` for later scans."""
+    key = (field, n)
+    return reps.get(key) or reps.setdefault(key, int.from_bytes(field * n, "little"))
 
 
 def at_least(col: int, xs: int, signs: int) -> int:
@@ -335,14 +327,9 @@ class Cell:
 
     A bucket holds its vertices in filing order and, per tail dimension,
     their tail coordinates in that order as one packed column (:func:`pack`).
-    ``counts`` maps a bucket's label to its count columns: per label that
-    some histogram in the bucket holds, the bucket's neighbor counts of it
-    in that order, packed alike.  The owning grid fills all of a bucket's
-    columns when a scan first needs one (:meth:`GridSynopsis.count_column`).
-    They die with the grid, so they always describe the current graph.
     """
 
-    __slots__ = ("coords", "corner", "key", "size", "buckets", "counts")
+    __slots__ = ("coords", "corner", "key", "size", "buckets")
 
     def __init__(self, coords: tuple[int, ...], corner: Vec):
         self.coords = coords
@@ -350,19 +337,19 @@ class Cell:
         self.key = embedding_key(corner)
         self.size = 0
         self.buckets: dict[Label, tuple[list[VertexId], tuple[int, ...]]] = {}
-        self.counts: dict[Label, dict[Label, int]] = {}
 
 
 @dataclass
 class ScanStats:
     """Per-scan pruning accounting.
 
-    ``examined`` counts entries in every cell reached before the key
-    cutoff; the pruned_* fields partition examined - survivors by the
-    filter that removed each entry, applied in order: whole-cell
-    dominance, per-entry corner dominance, label equality, and the last
-    stage, ``pruned_box``: the neighbor label count test given a need,
-    else box membership at the query degree.
+    For a grid scan, ``examined`` counts entries in every cell reached
+    before the key cutoff; the pruned_* fields partition examined -
+    survivors by the filter that removed each entry, applied in order:
+    whole-cell dominance, per-entry corner dominance, label equality, and
+    box membership at the query degree (``pruned_box``).  A need scan
+    examines the query label's vertices, ``pruned_box`` counts those that
+    fail the count test, and the other fields are 0.
     """
 
     cells_scanned: int = 0
@@ -401,8 +388,8 @@ class GridSynopsis:
     interval on each dimension is unbounded (its corner coordinate is
     +inf): values beyond the frozen domain clamp into it, which keeps the
     key cutoff and cell dominance sound when the graph drifts past the
-    initial extent estimate.  The grid fills its cells' count columns from
-    the histograms, and keeps the repeated operands its scans share.
+    initial extent estimate.  The grid keeps the sign operands its scans
+    share.
     """
 
     def __init__(
@@ -439,7 +426,7 @@ class GridSynopsis:
                 cell.buckets[label] = (members, tuple(map(pack, cols)))
                 cell.size += len(members)
         self.cells: list[Cell] = sorted(cells.values(), key=lambda c: (-c.key, c.coords))
-        self._repeats: dict[tuple[bytes, int], int] = {}
+        self.repeats: dict[tuple[bytes, int], int] = {}  # for :func:`repeated`
 
     def __len__(self) -> int:
         return sum(c.size for c in self.cells)
@@ -454,32 +441,6 @@ class GridSynopsis:
         return tuple(
             math.inf if c == self.k_cells - 1 else (c + 1) * self.width for c in coords
         )
-
-    def count_column(self, cell: Cell, label: Label, needed: Label) -> int:
-        """The packed column of the neighbor counts of ``needed`` in the
-        cell's label bucket.  The bucket's first need fills all of its
-        columns in one pass over its vertices' histograms, each count going
-        into its label's column at the vertex's position.  A label that no
-        histogram in the bucket holds reads 0, the all-zero column."""
-        cols = cell.counts.get(label)
-        if cols is None:
-            vs = cell.buckets[label][0]
-            zeros = array("d", bytes(8 * len(vs)))
-            filled: dict[Label, array] = {}
-            hist = self.store.hist
-            for i, v in enumerate(vs):
-                for lbl, c in hist[v].items():
-                    col = filled.get(lbl)
-                    if col is None:
-                        col = filled[lbl] = zeros[:]
-                    col[i] = c
-            cols = cell.counts[label] = {lbl: pack(col) for lbl, col in filled.items()}
-        return cols.get(needed, 0)
-
-    def repeated(self, field: bytes, n: int) -> int:
-        """``field`` packed n times, kept while the grid lives."""
-        reps, key = self._repeats, (field, n)
-        return reps.get(key) or reps.setdefault(key, int.from_bytes(field * n, "little"))
 
     def snapshot(self) -> dict:
         """Canonical content for equality checks (entry order independent):
@@ -503,29 +464,25 @@ class GridSynopsis:
 
 
 def scan_candidates(
-    syn: GridSynopsis, q_embed: Vec, q_degree: int, q_label: int, need: Need | None = None
+    syn: GridSynopsis, q_embed: Vec, q_degree: int, q_label: int
 ) -> tuple[list[VertexId], ScanStats]:
     """Candidate vertices for one query vertex from one synopsis, whose
     degree group must hold ``q_degree``.
 
     Walks cells in descending key order and stops once a cell key falls
     below the query key; inside surviving cells keeps a vertex only if the
-    query embedding dominates the stored corner, its label matches, and it
-    passes the last stage.  Given ``need``, the query vertex's neighbor
-    label counts (``matcher.label_needs``), that keeps a vertex with at
-    least as many neighbors of each needed label; without one, a vertex
-    whose box at exactly the query degree holds the query embedding.  Each
-    test is a necessary condition for a match, so no true match image is
-    ever dropped, and the count test implies the box test.
+    query embedding dominates the stored corner, its label matches, and its
+    box at exactly the query degree holds the query embedding.  Each test
+    is a necessary condition for a match, so no true match image is ever
+    dropped.
 
     A bucket fails dominance whole when the query's head coordinates exceed
     its label's.  Otherwise each tail dimension tests the whole bucket at
     once: its packed column against the query coordinate repeated in every
-    field (:func:`at_least`), and for a same-label bucket each needed
-    label's count column (:meth:`GridSynopsis.count_column`) against the
-    needed count alike (:meth:`GridSynopsis.repeated`).  The masks AND
-    into one whose set bits count and select the survivors, in bucket order.  The query's tail coordinates
-    must be +0.0 or above, as every embedding's are.
+    field (:func:`at_least`).  The masks AND into one whose set bits count
+    and select the entries left for the box test, in bucket order.  The
+    query's tail coordinates must be +0.0 or above, as every embedding's
+    are.
     """
     if not syn.lower < q_degree <= syn.upper:
         raise DegreeOutOfRange(
@@ -538,8 +495,7 @@ def scan_candidates(
     frames, d = store.frames, store.cfg.d
     q_head = q_embed[:d]
     q_fields = [struct.pack("<d", x) for x in q_embed[d:]]
-    if need is not None:
-        need_fields = [(needed, struct.pack("<d", c)) for needed, c in need]
+    degree, mbr = store.degree, store.mbr
     scanned = examined = pruned_cell = pruned_dominance = pruned_label = pruned_box = 0
     for cell in syn.cells:
         if cell.key < cutoff:
@@ -555,7 +511,7 @@ def scan_candidates(
             if not dominates(q_head, frames[label][0]):
                 pruned_dominance += n
                 continue
-            signs = syn.repeated(_SIGN, n)
+            signs = repeated(syn.repeats, _SIGN, n)
             xs = [int.from_bytes(x * n, "little") for x in q_fields]
             mask = signs  # bit 63 of an entry's field: set while it passes every test
             for x, col in zip(xs, cols):
@@ -567,22 +523,50 @@ def scan_candidates(
             if label != q_label:
                 pruned_label += dominated
                 continue
-            if need is None:
-                degree, mbr = store.degree, store.mbr
-                kept = [v for v in compress(vs, mask.to_bytes(8 * n, "little")[7::8])
-                        if q_degree <= degree(v) and mbr(v, q_degree).contains(q_embed)]
-            else:
-                for needed, c in need_fields:
-                    col = syn.count_column(cell, label, needed)
-                    mask &= at_least(col, syn.repeated(c, n), signs)
-                    if not mask:
-                        break
-                kept = list(compress(vs, mask.to_bytes(8 * n, "little")[7::8]))
+            kept = [v for v in compress(vs, mask.to_bytes(8 * n, "little")[7::8])
+                    if q_degree <= degree(v) and mbr(v, q_degree).contains(q_embed)]
             pruned_box += dominated - len(kept)
             out += kept
     return out, ScanStats(
         scanned, examined, pruned_cell, pruned_dominance, pruned_label, pruned_box, len(out)
     )
+
+
+# -- label columns ------------------------------------------------------------
+
+
+class LabelColumns:
+    """Per label, the vertices carrying it in graph order (``members``) and,
+    per needed label, one packed column (:func:`pack`) of their neighbor
+    counts of it.  A label's first need fills all of its columns in one
+    pass over its vertices' histograms (:meth:`fill`); a label that no
+    histogram holds reads 0, the all-zero column.  The index drops the
+    whole structure on every update."""
+
+    def __init__(self, store: NeighborListStore):
+        self.store = store
+        self.members: dict[Label, list[VertexId]] = {}
+        for v, label in store.graph.labels.items():
+            self.members.setdefault(label, []).append(v)
+        self.columns: dict[Label, dict[Label, int]] = {}
+        self.repeats: dict[tuple[bytes, int], int] = {}  # for :func:`repeated`
+
+    def fill(self, label: Label) -> dict[Label, int]:
+        """The label's count columns by needed label, filled on first call."""
+        cols = self.columns.get(label)
+        if cols is None:
+            vs = self.members.get(label, ())
+            zeros = array("d", bytes(8 * len(vs)))
+            filled: dict[Label, array] = {}
+            hist = self.store.hist
+            for i, v in enumerate(vs):
+                for lbl, c in hist[v].items():
+                    col = filled.get(lbl)
+                    if col is None:
+                        col = filled[lbl] = zeros[:]
+                    col[i] = c
+            cols = self.columns[label] = {lbl: pack(col) for lbl, col in filled.items()}
+        return cols
 
 
 # -- the full index -----------------------------------------------------------
@@ -602,16 +586,16 @@ _MAINTAINED = MaintenanceReport()
 
 
 class SynopsisIndex:
-    """All degree-group synopses plus the shared neighbor-label histograms.
+    """All degree-group grids and the label columns over the shared
+    neighbor-label histograms.
 
     Degree groups and the grid domain are frozen at construction: the
     domain, finite and positive, defaults to :func:`default_domain`'s
-    estimate from the first build's neighbor sums.  Maintenance edits only
-    the histograms, which equal a rebuild by construction, and drops the
-    grids; :attr:`synopses` rebuilds them from the histograms when next
-    read.  So every scan, ``snapshot()`` and ``dump()`` sees exactly what a
-    from-scratch build over the current snapshot (with the same frozen
-    parameters) would produce.
+    estimate from the full neighbor sums.  Maintenance edits only the
+    histograms and drops the grids and label columns, which the next read
+    derives afresh.  So every scan, ``snapshot()`` and ``dump()`` sees
+    exactly what a from-scratch build over the current snapshot (with the
+    same frozen parameters) would produce.
     """
 
     def __init__(
@@ -626,25 +610,25 @@ class SynopsisIndex:
         self.groups = groups
         self.cfg = cfg
         self.k_cells = k_cells
-        self.lists = NeighborListStore(graph, cfg)
+        self.lists = store = NeighborListStore(graph, cfg)
+        if domain is None:
+            adj = graph.adj
+            sums = (s for v in graph.vertices() if adj[v]
+                    for s in store.capped_sums(v, (len(adj[v]),)))
+            domain = default_domain(cfg, max(sums, default=0.0))
         self.domain = domain
-        self._grids: list[GridSynopsis] | None = self._build_grids()
+        self._grids: list[GridSynopsis] | None = None
+        self._columns: LabelColumns | None = None
 
     def _build_grids(self) -> list[GridSynopsis]:
-        """Every group's grid from one pass over the vertices.
-
-        Each vertex of degree deg >= 1 enters groups 0..group_of(deg), at
-        caps min(deg, upper_j): the cutoffs below deg, then deg itself.  One
-        ``capped_sums`` call gives its raw high sums at every cap, and its
-        entries are staged per group and label: its sums in one flat
-        ``array('d')``.  The last cap's sums are the full neighbor sums; only
-        the first build folds their largest component, which sets the
-        domain.  Each grid then files its staged entries a label at a time."""
+        """Every group's grid from one pass over the vertices: each vertex of
+        degree deg >= 1 enters groups 0..group_of(deg) at caps min(deg,
+        upper_j), whose raw high sums one ``capped_sums`` call gives, staged
+        per group and label in one flat ``array('d')`` for the grids to file."""
         store, groups = self.lists, self.groups
         adj, labels = self.graph.adj, self.graph.labels
         cutoffs, capped_sums = groups.cutoffs, store.capped_sums
         staged: list[dict] = [{} for _ in range(groups.m)]  # as GridSynopsis takes them
-        first, sum_max = self.domain is None, 0.0
         for v in self.graph.vertices():
             deg = len(adj[v])
             if not deg:
@@ -652,10 +636,6 @@ class SynopsisIndex:
             caps = (*cutoffs[: bisect_left(cutoffs, deg)], deg)
             sums = capped_sums(v, caps)
             r = len(caps)
-            if first:
-                for s in sums[r - 1 :: r]:
-                    if s > sum_max:
-                        sum_max = s
             label = labels[v]
             for j in range(r):
                 entries = staged[j].get(label)
@@ -663,8 +643,6 @@ class SynopsisIndex:
                     entries = staged[j][label] = ([], array("d"))
                 entries[0].append(v)
                 entries[1].extend(sums[j::r])
-        if first:
-            self.domain = default_domain(self.cfg, sum_max)
         return [
             GridSynopsis(store, j, groups.lower(j), groups.upper(j), self.k_cells, self.domain,
                          staged[j])
@@ -673,13 +651,15 @@ class SynopsisIndex:
 
     @property
     def synopses(self) -> list[GridSynopsis]:
-        """The grids, rebuilt first if an update came after the last build."""
+        """The grids, built first if none were built since construction or
+        the last update."""
         if self._grids is None:
             self._grids = self._build_grids()
         return self._grids
 
     def maintain(self, op: UpdateOp) -> MaintenanceReport:
-        """Apply one graph update to the histograms and drop the grids.
+        """Apply one graph update to the histograms and drop the grids and
+        label columns.
 
         Must be called with the op that the graph this index was built over
         has just accepted, before any other op is applied.  Both endpoints
@@ -690,15 +670,33 @@ class SynopsisIndex:
         step = 1 if op.kind == INSERT else -1
         count(op.u, labels[op.v], step)
         count(op.v, labels[op.u], step)
-        self._grids = None
+        self._grids = self._columns = None
         return _MAINTAINED
 
     def scan_for_degree(
         self, q_embed: Vec, q_degree: int, q_label: int, need: Need | None = None
     ) -> tuple[list[VertexId], ScanStats]:
-        """:func:`scan_candidates` on the grid of ``q_degree``'s group."""
-        syn = self.synopses[self.groups.group_of(q_degree)]
-        return scan_candidates(syn, q_embed, q_degree, q_label, need)
+        """Candidates for a query vertex of degree ``q_degree`` >= 1.  Without
+        a need, :func:`scan_candidates` on the grid of its group.  Given one,
+        the vertices of ``q_label`` that cover it, in graph order: each
+        needed label's column (:class:`LabelColumns`) is tested against the
+        needed count in every field (:func:`at_least`), the masks AND, and
+        the scan stops at the first empty one."""
+        group = self.groups.group_of(q_degree)  # raises below degree 1, need or not
+        if need is None:
+            return scan_candidates(self.synopses[group], q_embed, q_degree, q_label)
+        if self._columns is None:
+            self._columns = LabelColumns(self.lists)
+        columns = self._columns
+        vs = columns.members.get(q_label, ())
+        cols, reps, n = columns.fill(q_label), columns.repeats, len(vs)
+        signs = mask = repeated(reps, _SIGN, n)
+        for needed, c in need:
+            mask &= at_least(cols.get(needed, 0), repeated(reps, struct.pack("<d", c), n), signs)
+            if not mask:
+                break
+        kept = list(compress(vs, mask.to_bytes(8 * n, "little")[7::8]))
+        return kept, ScanStats(examined=n, pruned_box=n - len(kept), survivors=len(kept))
 
     def embedding_of(self, v: VertexId) -> Vec:
         return embed_vertex(self.graph, v, self.cfg)
@@ -724,7 +722,8 @@ class SynopsisIndex:
 
 def default_domain(cfg: EmbeddingConfig, sum_max: float) -> float:
     """Grid extent from ``sum_max``, the largest neighbor-sum component over
-    the graph, which the index's first build reads off its own pass.
+    the graph, which the index's constructor reads off one pass of full
+    neighbor sums.
 
     Optimized modes are dominated by the BETA term, so the extent is BETA
     plus headroom plus the (small) alpha image of the sum estimate; plain

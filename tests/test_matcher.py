@@ -4,6 +4,8 @@ import time
 from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsmatch.matcher as matcher_mod
 import dsmatch.synopsis as synopsis_mod
@@ -33,7 +35,7 @@ from dsmatch.matcher import (
 )
 from dsmatch.oracle import enumerate_matches
 from dsmatch.rng import Rng
-from dsmatch.synopsis import GridSynopsis, NeighborListStore, SynopsisIndex, unpack
+from dsmatch.synopsis import LabelColumns, NeighborListStore, ScanStats, SynopsisIndex, unpack
 
 from conftest import make_graph, small_world
 from test_synopsis import random_update_stream
@@ -133,6 +135,40 @@ def test_make_plan_prefix_connectivity():
                 assert sorted(plan) == list(q.vertex_order)
                 for n in range(1, len(plan)):
                     assert any(q.has_edge(plan[i], plan[n]) for i in range(n))
+
+
+def reference_plan(q, cand_sizes, first):
+    """The plan of the frontier rebuilt at every step from all query
+    vertices, as ``make_plan`` once did."""
+    plan = list(first)
+    chosen = set(plan)
+    while len(plan) < len(q.vertex_order):
+        frontier = [
+            v
+            for v in q.vertex_order
+            if v not in chosen and any(n in chosen for n in q.adj[v])
+        ]
+        nxt = min(frontier, key=lambda v: (cand_sizes[v], v))
+        plan.append(nxt)
+        chosen.add(nxt)
+    return tuple(plan)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_make_plan_kept_frontier_equals_the_rebuilt_one(data):
+    # random connected queries (a random tree plus extra edges) whose
+    # candidate sizes, drawn from {0, 1, 2}, tie often: every plan, from
+    # either orientation of every edge, equals the reference's
+    n = data.draw(st.integers(2, 9), label="n")
+    edges = {(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges |= set(data.draw(st.lists(extra, max_size=2 * n), label="extra"))
+    q = QueryGraph({i: 0 for i in range(n)}, edges)
+    sizes = {i: data.draw(st.integers(0, 2)) for i in range(n)}
+    for qa, qb in q.edges:
+        for first in ((qa, qb), (qb, qa)):
+            assert make_plan(q, sizes, first) == reference_plan(q, sizes, first)
 
 
 def test_make_plan_seeded_first_pair():
@@ -304,13 +340,14 @@ def spy_on_boxes(monkeypatch):
 
 
 def test_register_count_tests_each_root_and_reads_no_box(any_mode_cfg, monkeypatch):
-    # the scan count-tests plan.order[0]'s candidates against its buckets'
-    # count columns, so the join's roots are exactly the need-less scan's
-    # box candidates that cover the level's label counts, fewer than them;
-    # refine count-tests each root again, reading its histogram once, as
-    # no later level draws the centre's label.  Neither the scans nor the
-    # join compute a capped sum or a box.  The leaves' labels differ from
-    # the centre's, which keeps their scans off the roots' buckets.
+    # the scan count-tests every vertex of plan.order[0]'s label against
+    # the label's count columns, so the join's roots are exactly the
+    # need-less scan's box candidates that cover the level's label counts,
+    # fewer than them; refine count-tests each root again, reading its
+    # histogram once, as no later level draws the centre's label.  Neither
+    # the scans nor the join compute a capped sum or a box.  The leaves'
+    # labels differ from the centre's, which keeps their scans off the
+    # roots' label.
     g = small_world(n=120, avg_deg=5.0, alphabet=3, seed=3)
     engine = MatchEngine(g.copy(), any_mode_cfg)
     store = engine.index.lists
@@ -348,107 +385,98 @@ def test_register_count_tests_each_root_and_reads_no_box(any_mode_cfg, monkeypat
     [(plan, roots)] = runs
     assert plan.order[0] == 0
     assert all(hist.reads[r] == 1 for r in roots)
-    boxed, stats = engine.index.scan_for_degree(rq.embeds[0], q.degree(0), q.labels[0])
+    boxed, _ = engine.index.scan_for_degree(rq.embeds[0], q.degree(0), q.labels[0])
     assert sorted(roots) == sorted(v for v in boxed if covers(g, v, plan.needs[0]))
     assert 0 < len(roots) < len(boxed)
-    # the two scans differ only in how the last stage splits what reaches it
-    counted = rq.scan_stats[0]
-    assert counted.survivors + counted.pruned_box == stats.survivors + stats.pruned_box
-    assert counted.dominated == stats.dominated and counted.pruned_label == stats.pruned_label
+    # the need scan examines the whole label and prunes by count alone
+    size = sum(label == q.labels[0] for label in g.labels.values())
+    assert rq.scan_stats[0] == ScanStats(
+        examined=size, pruned_box=size - len(roots), survivors=len(roots))
 
 
 def test_register_fills_each_count_column_once(any_mode_cfg, monkeypatch):
-    # query vertices of label 0 at every degree of group 0, (0, 4], whose
-    # neighbors all carry label 0: the first scan to count-test a label-0
-    # bucket fills all of its count columns from the histograms, the scans
-    # at the other degrees read its column of label-0 counts, and
-    # registration fills no other bucket and computes no capped sum or box.
-    # Each filled bucket holds one column per label its histograms hold,
-    # equal to its entries' neighbor counts of that label
+    # query vertices of label 0 at degrees 1 to 4, whose neighbors all
+    # carry label 0: the first scan fills all of label 0's count columns
+    # from the histograms, the scans at the other degrees read them, and
+    # registration fills no other label, builds no grid and computes no
+    # capped sum or box.  The label holds its vertices in graph order and
+    # one column per label their histograms hold, equal to their neighbor
+    # counts of that label
     g = small_world(n=120, avg_deg=5.0, alphabet=3, seed=3)
     engine = MatchEngine(g.copy(), any_mode_cfg)
     index = engine.index
-    assert (index.groups.lower(0), index.groups.upper(0)) == (0, 4)
     q = QueryGraph({i: 0 for i in range(5)}, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
     assert sorted(q.degree(u) for u in q.vertex_order) == [1, 2, 2, 3, 4]
-    fills = Counter()  # (cell, bucket label) -> fills
-    reads = defaultdict(set)  # (cell, bucket label, needed label) -> query degrees read at
+    fills = Counter()  # label -> fills
+    reads = defaultdict(set)  # label -> query degrees read at
     degree = [0]
-    scan_for_degree, count_column = index.scan_for_degree, GridSynopsis.count_column
+    scan_for_degree, fill = index.scan_for_degree, LabelColumns.fill
 
     def scan(q_embed, q_degree, *args):
         degree[0] = q_degree
         return scan_for_degree(q_embed, q_degree, *args)
 
-    def read(syn, cell, label, needed):
-        fills[id(cell), label] += label not in cell.counts
-        reads[id(cell), label, needed].add(degree[0])
-        return count_column(syn, cell, label, needed)
+    def read(columns, label):
+        fills[label] += label not in columns.columns
+        reads[label].add(degree[0])
+        return fill(columns, label)
 
     monkeypatch.setattr(index, "scan_for_degree", scan)
-    monkeypatch.setattr(GridSynopsis, "count_column", read)
+    monkeypatch.setattr(LabelColumns, "fill", read)
     calls = spy_on_boxes(monkeypatch)
     rq = engine.register("degrees", q)
     assert rq.answers.mappings() == enumerate_matches(g, q)
-    assert calls == Counter()
-    assert fills and set(fills.values()) == {1}  # no bucket filled twice
-    assert {1, 2, 3, 4} in reads.values()
-    assert {needed for _, _, needed in reads} == {0}
-    filled = []
-    for syn in index.synopses:
-        for cell in syn.cells:
-            for label, cols in cell.counts.items():
-                filled.append((id(cell), label))
-                vs = cell.buckets[label][0]
-                want = {lbl: [sum(g.labels[u] == lbl for u in g.neighbors(v)) for v in vs]
-                        for lbl in {g.labels[u] for v in vs for u in g.neighbors(v)}}
-                assert {lbl: list(unpack(col, len(vs))) for lbl, col in cols.items()} == want
-    assert sorted(filled) == sorted(fills) and {label for _, label in filled} == {0}
+    assert calls == Counter() and index._grids is None
+    assert fills == {0: 1} and reads == {0: {1, 2, 3, 4}}
+    columns = index._columns
+    vs = columns.members[0]
+    assert vs == [v for v in g.vertices() if g.labels[v] == 0]
+    want = {lbl: [sum(g.labels[u] == lbl for u in g.neighbors(v)) for v in vs]
+            for lbl in {g.labels[u] for v in vs for u in g.neighbors(v)}}
+    got = {lbl: list(unpack(col, len(vs))) for lbl, col in columns.columns[0].items()}
+    assert list(columns.columns) == [0] and got == want
 
 
-def test_register_reads_each_bucket_histogram_once_per_grid(any_mode_cfg, monkeypatch):
-    # the label-0 query vertices need neighbors of labels 0, 1 and 2, so
-    # each label-0 bucket a scan count-tests is asked for up to three
-    # columns; its first need fills them all in one pass, reading each of
-    # its vertices' histograms once, and the later needs read no histogram
+def test_register_reads_each_label_histogram_once(any_mode_cfg, monkeypatch):
+    # the label-0 query vertices 0 and 3 need neighbors of labels 0, 1 and
+    # 2, so label 0's columns are asked for six times; its first need fills
+    # them all in one pass, reading each label-0 vertex's histogram once,
+    # and the later needs read no histogram.  Labels 1 and 2 are filled
+    # alike, so the fills read each vertex of a query label once
     g = small_world(n=120, avg_deg=5.0, alphabet=3, seed=3)
     engine = MatchEngine(g.copy(), any_mode_cfg)
     store = engine.index.lists
     q = QueryGraph({0: 0, 1: 1, 2: 2, 3: 0}, [(0, 1), (0, 2), (0, 3), (3, 1), (3, 2)])
     assert label_needs(q)[0] == label_needs(q)[3] == ((0, 1), (1, 1), (2, 1))
-    filling = [None]  # the grid whose count_column is running
+    filling = [False]  # whether a fill is running
 
     class Recording(dict):
-        """A mapping that counts, in ``reads``, the fills' reads per (grid, key)."""
+        """A mapping that counts, in ``reads``, the fills' reads of each key."""
 
         def __getitem__(self, v):
-            if filling[0] is not None:
-                self.reads[filling[0].group, v] += 1
+            if filling[0]:
+                self.reads[v] += 1
             return super().__getitem__(v)
 
     hist = Recording(store.hist)
     hist.reads = Counter()
-    needs = defaultdict(set)  # (grid, cell, bucket label) -> needed labels asked for
-    bucketed = Counter()  # (grid, vertex) -> asked-for buckets holding it
-    count_column = GridSynopsis.count_column
+    asked = Counter()  # label -> fills asked for
+    fill = LabelColumns.fill
 
-    def read(syn, cell, label, needed):
-        if (syn.group, id(cell), label) not in needs:
-            bucketed.update((syn.group, v) for v in cell.buckets[label][0])
-        needs[syn.group, id(cell), label].add(needed)
-        filling[0] = syn
+    def read(columns, label):
+        asked[label] += 1
+        filling[0] = True
         try:
-            return count_column(syn, cell, label, needed)
+            return fill(columns, label)
         finally:
-            filling[0] = None
+            filling[0] = False
 
     monkeypatch.setattr(store, "hist", hist)
-    monkeypatch.setattr(GridSynopsis, "count_column", read)
+    monkeypatch.setattr(LabelColumns, "fill", read)
     rq = engine.register("two-needs", q)
     assert rq.answers.mappings() == enumerate_matches(g, q) != set()
-    assert max(map(len, needs.values())) >= 2
-    assert set(bucketed.values()) == {1}  # a vertex sits in one bucket per grid
-    assert hist.reads == bucketed  # one read per bucket vertex and grid
+    assert asked == {0: 2, 1: 1, 2: 1}
+    assert hist.reads == Counter(g.vertices())  # one read per vertex of labels 0, 1 and 2
 
 
 @pytest.mark.slow
@@ -788,15 +816,16 @@ def hub_stream_engine(cfg):
 
 @HUB_CONFIGS
 def test_updates_read_no_walk(cfg_kw, monkeypatch):
-    # the build reads each non-isolated vertex's capped sums once, and the
-    # six registrations right after it, whose scans fill count columns from
-    # the histograms, read none and compute no box.  Inserts count-test
+    # construction reads each non-isolated vertex's full capped sums once,
+    # for the grid domain, and builds no grid; the six registrations right
+    # after it, whose scans fill label columns from the histograms, build
+    # no grid, read no capped sum and compute no box.  Inserts count-test
     # seeds against histograms and deletes edit them and the answer index:
     # no update reads a capped sum or a box either
     calls = spy_on_boxes(monkeypatch)
     engine, g, ops = hub_stream_engine(EmbeddingConfig(**cfg_kw))
     assert calls == Counter(("capped_sums", v) for v in g.vertices() if g.degree(v))
-    assert any(cell.counts for syn in engine.index.synopses for cell in syn.cells)
+    assert engine.index._grids is None and engine.index._columns.columns
     calls.clear()
     seen = Counter()  # (kind, filed pair, created a vertex)
     added = removed = 0
@@ -810,6 +839,57 @@ def test_updates_read_no_walk(cfg_kw, monkeypatch):
     assert not calls
     assert seen[INSERT, True, False] and seen[INSERT, True, True] and seen[DELETE, True, False]
     assert added > 0 and removed > 0
+
+
+@HUB_CONFIGS
+def test_registration_builds_no_grid_and_fills_only_its_labels(cfg_kw, monkeypatch):
+    # construction, six registrations and a mixed stream build no grid; a
+    # query registered after one more op, and another after k more, build
+    # none either and fill only their own labels, each once.  The grid
+    # decides none of their candidates: each need scan keeps exactly the
+    # need-less grid scan's candidates that cover the need
+    builds = [0]
+    fills = Counter()  # label -> fills
+    build_grids, fill = SynopsisIndex._build_grids, LabelColumns.fill
+
+    def build(index):
+        builds[0] += 1
+        return build_grids(index)
+
+    def read(columns, label):
+        fills[label] += label not in columns.columns
+        return fill(columns, label)
+
+    monkeypatch.setattr(SynopsisIndex, "_build_grids", build)
+    monkeypatch.setattr(LabelColumns, "fill", read)
+    engine, g, ops = hub_stream_engine(EmbeddingConfig(**cfg_kw))
+    scans = []  # (args, candidates) of registration's scans
+    scan_for_degree = engine.index.scan_for_degree
+
+    def scan(*args):
+        scans.append((args, scan_for_degree(*args)))
+        return scans[-1][1]
+
+    monkeypatch.setattr(engine.index, "scan_for_degree", scan)
+    k = 4
+    for op in ops[: -1 - k]:
+        engine.process_update(op)
+    assert builds == [0]
+    late = sample_queries(g, 2, 4, 2.0, seed=37)
+    for name, q, before in (("late-1", late[0], ops[-1 - k : -k]), ("late-k", late[1], ops[-k:])):
+        for op in before:
+            engine.process_update(op)
+        builds[0] = 0
+        fills.clear()
+        scans.clear()
+        rq = engine.register(name, q)
+        assert builds == [0]
+        assert fills == Counter(set(q.labels.values()))
+        assert rq.answers.mappings() == enumerate_matches(engine.graph, q)
+        assert len(scans) == len(q)
+        for (embed, degree, label, need), (cands, _) in scans:
+            boxed, _ = scan_for_degree(embed, degree, label)  # builds the grids
+            assert sorted(cands) == sorted(v for v in boxed if covers(engine.graph, v, need))
 
 
 def test_stage_times_add_up_to_each_ops_stamped_span(monkeypatch):
@@ -1185,7 +1265,7 @@ def test_register_mid_stream(any_mode_cfg):
         engine.process_update(op)
     rq2 = engine.register("late", q2)
     assert rq2.answers.mappings() == enumerate_matches(engine.graph, q2)
-    # its scans read grids rebuilt over the current snapshot
+    # its scans read label columns filled over the current snapshot
     rebuilt = SynopsisIndex(
         engine.graph, engine.index.groups, any_mode_cfg, engine.index.k_cells,
         domain=engine.index.domain,

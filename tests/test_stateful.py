@@ -10,8 +10,8 @@ A shadow graph receives the same accepted ops.  After every step each
 registered query's answers equal the brute-force oracle's on the shadow
 graph, and the engine's index equals a fresh build over the engine's
 graph with the same degree groups, cell count and domain: its snapshot,
-and every count column its grids have filled, once the latest query's
-vertices are scanned again as a registration now would.  A fresh build
+and every label's members and count columns it has filled, once the
+latest query's vertices are scanned again as a registration now would.  A fresh build
 runs the same capped sums as the engine's, so on a third of the vertices
 in turn the store's capped sums at the vertex's group caps equal sums
 over its shadow adjacency's sorted components, and the count test the
@@ -169,15 +169,12 @@ class EngineMachine(RuleBasedStateMachine):
         rq = self.engine.queries[f"q{len(self.queries) - 1}"]
         q, needs = rq.query, label_needs(rq.query)
         for qi in q.vertex_order:
-            index.scan_for_degree(rq.embeds[qi], q.degree(qi), q.labels[qi], needs[qi])
-        for syn, twin in zip(index.synopses, fresh.synopses):
-            cells = {cell.coords: cell for cell in twin.cells}
-            for cell in syn.cells:
-                twin_cell = cells[cell.coords]
-                for label, cols in cell.counts.items():
-                    for needed, col in cols.items():
-                        assert twin.count_column(twin_cell, label, needed) == col
-                    assert twin_cell.counts[label] == cols
+            args = (rq.embeds[qi], q.degree(qi), q.labels[qi], needs[qi])
+            assert index.scan_for_degree(*args) == fresh.scan_for_degree(*args)
+        columns, twin = index._columns, fresh._columns
+        assert columns.members == twin.members and columns.columns
+        for label, cols in columns.columns.items():
+            assert twin.fill(label) == cols
         assert index.snapshot() == fresh.snapshot()
 
     @invariant()

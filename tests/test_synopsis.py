@@ -23,6 +23,7 @@ from dsmatch.oracle import star_subset_embeddings
 from dsmatch.rng import Rng
 from dsmatch.synopsis import (
     DegreeGroups,
+    LabelColumns,
     Mbr,
     NeighborListStore,
     ScanStats,
@@ -686,42 +687,48 @@ def test_reads_equal_star_subset_enumeration(mode):
 
 
 def assert_count_columns_equal_histograms(idx, g):
-    """Read every bucket's count column of every label the store has seen,
-    and of one it has not, as scans read them.  Each holds, packed in
-    bucket order, its entries' neighbor counts of that label from the
-    shadow graph's adjacency; its test against a count c, ``at_least``,
-    must give ``count >= c`` on every entry, probed at c from 0 to one past
-    the bucket's largest count.  The first read fills a column for each
-    label the bucket's histograms hold; any other label, the unseen one
-    included, reads 0, the all-zero column.  Every column dies with the
-    grid."""
+    """Fill every label's count columns as a need scan does, and read the
+    column of every label the store has seen, and of one it has not.  A
+    label's members are its vertices in graph order, and each column holds,
+    packed in that order, their neighbor counts of the needed label from
+    the shadow graph's adjacency; its test against a count c,
+    ``at_least``, must give ``count >= c`` on every member, probed at c
+    from 0 to one past the largest count.  The first fill makes a column
+    for each label the members' histograms hold; any other label, the
+    unseen one included, is absent and reads 0, the all-zero column, as
+    the scan reads it.  Columns die with every update, and each check here
+    follows construction or an update, so it starts with none."""
+    assert idx._columns is None
     outcomes = set()
     unseen = max(idx.lists.frames) + 1
-    for syn in idx.synopses:
-        for cell in syn.cells:
-            assert cell.counts == {}  # a fresh grid has filled none
-            for label, (vs, _) in cell.buckets.items():
-                n = len(vs)
-                signs = int.from_bytes((bytes(7) + b"\x80") * n, "little")
-                held = {g.labels[u] for v in vs for u in g.neighbors(v)}
-                for needed in (*idx.lists.frames, unseen):
-                    col = syn.count_column(cell, label, needed)
-                    assert syn.count_column(cell, label, needed) == col
-                    assert set(cell.counts[label]) == held  # the first read filled them all
-                    assert col is cell.counts[label][needed] if needed in held else col == 0
-                    want = [sum(g.labels[u] == needed for u in g.neighbors(v)) for v in vs]
-                    assert unpack(col, n) == tuple(want)  # unpack raises on a wider column
-                    for c in range(max(want) + 2):
-                        xs = int.from_bytes(struct.pack("<d", c) * n, "little")
-                        got = _fields(at_least(col, xs, signs), n)
-                        assert got == [w >= c for w in want]
-                        outcomes.update(got)
+    # a need scan reads no embedding; the unseen label has no members
+    assert idx.scan_for_degree((), 1, unseen, ((unseen, 1),)) == ([], ScanStats())
+    columns = idx._columns
+    members = {}
+    for v in g.vertices():
+        members.setdefault(g.labels[v], []).append(v)
+    assert columns.members == members
+    for label, vs in members.items():
+        n = len(vs)
+        signs = int.from_bytes((bytes(7) + b"\x80") * n, "little")
+        cols = columns.fill(label)
+        assert columns.fill(label) is cols is columns.columns[label]
+        assert set(cols) == {g.labels[u] for v in vs for u in g.neighbors(v)}
+        for needed in (*idx.lists.frames, unseen):
+            col = cols.get(needed, 0)
+            want = [sum(g.labels[u] == needed for u in g.neighbors(v)) for v in vs]
+            assert unpack(col, n) == tuple(want)  # unpack raises on a wider column
+            for c in range(max(want) + 2):
+                xs = int.from_bytes(struct.pack("<d", c) * n, "little")
+                got = _fields(at_least(col, xs, signs), n)
+                assert got == [w >= c for w in want]
+                outcomes.update(got)
     assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
 def test_count_columns_equal_histograms(mode):
-    # columns die with the grid: after maintenance each is filled afresh
+    # columns die with every update: after maintenance each is filled afresh
     run_hub_churn(mode, assert_count_columns_equal_histograms)
 
 
@@ -747,16 +754,16 @@ def test_box_reads_follow_a_histogram_edit(cfg_zipf):
 
 def test_count_reads_follow_a_histogram_edit(cfg_zipf):
     # a count column read before an update must not be served after it:
-    # the grid's count columns are dropped with the grid
+    # every update drops the label columns
     g = make_graph([(0, 1), (0, 2), (3, 4)], {0: 0, 1: 1, 2: 2, 3: 3, 4: 4})
     idx = build_index(g, cfg_zipf, m=1)
     labels = (1, 3, 4)
 
     def reads():
-        [syn] = idx.synopses
-        [(cell, vs)] = [(c, vs) for c in syn.cells for vs, _ in c.buckets.values() if 0 in vs]
-        at, n = vs.index(0), len(vs)
-        return tuple(unpack(syn.count_column(cell, g.labels[0], lbl), n)[at] for lbl in labels)
+        idx.scan_for_degree(idx.embedding_of(0), 1, g.labels[0], ((1, 1),))
+        [vs] = [vs for vs in idx._columns.members.values() if 0 in vs]
+        at, n, cols = vs.index(0), len(vs), idx._columns.columns[g.labels[0]]
+        return tuple(unpack(cols.get(lbl, 0), n)[at] for lbl in labels)
 
     for op in [UpdateOp(INSERT, 0, 3), UpdateOp(DELETE, 0, 1), UpdateOp(INSERT, 0, 4)]:
         before = reads()
@@ -856,15 +863,11 @@ def covers(g, v, need):
     return all(sum(g.labels[u] == lbl for u in g.neighbors(v)) >= c for lbl, c in need)
 
 
-def last_stage(g, lists, v, q_embed, q_degree, need):
-    """The scan's last test on v: count cover given a need, else the box."""
-    if need is not None:
-        return covers(g, v, need)
-    return q_degree <= lists.degree(v) and lists.mbr(v, q_degree).contains(q_embed)
-
-
 def naive_candidates(idx, q_embed, q_degree, q_label, need=None):
-    """Linear-scan reference: same per-vertex predicates, no grid at all."""
+    """Linear-scan reference: same per-vertex predicates, no grid at all;
+    given a need, every vertex of the label that covers it."""
+    if need is not None:
+        return set(reference_need_scan(idx, q_label, need)[0])
     group = idx.groups.group_of(q_degree)
     syn = idx.synopses[group]
     out = set()
@@ -878,19 +881,18 @@ def naive_candidates(idx, q_embed, q_degree, q_label, need=None):
             continue
         if idx.graph.labels[v] != q_label:
             continue
-        if last_stage(idx.graph, idx.lists, v, q_embed, q_degree, need):
+        if q_degree <= deg and idx.lists.mbr(v, q_degree).contains(q_embed):
             out.add(v)
     return out
 
 
-def reference_scan(syn, q_embed, q_degree, q_label, need=None):
-    """The per-entry scan loop that label buckets replaced.
+def reference_scan(syn, q_embed, q_degree, q_label):
+    """The per-entry grid scan loop that label buckets replaced.
 
     Every entry meets every filter in turn: dominance of the full corner,
     boxed through ``mbr`` at the group-capped degree rather than read from
-    the grid, then label, then the neighbor label counts of ``need``
-    counted from the adjacency, or without one the box at the query degree
-    through ``mbr().contains``.
+    the grid, then label, then the box at the query degree through
+    ``mbr().contains``.
     """
     lists = syn.store
     stats = ScanStats()
@@ -911,7 +913,7 @@ def reference_scan(syn, q_embed, q_degree, q_label, need=None):
                 stats.pruned_dominance += 1
             elif lists.graph.labels.get(v) != q_label:
                 stats.pruned_label += 1
-            elif not last_stage(lists.graph, lists, v, q_embed, q_degree, need):
+            elif not (q_degree <= lists.degree(v) and lists.mbr(v, q_degree).contains(q_embed)):
                 stats.pruned_box += 1
             else:
                 out.append(v)
@@ -919,12 +921,21 @@ def reference_scan(syn, q_embed, q_degree, q_label, need=None):
     return out, stats
 
 
+def reference_need_scan(idx, q_label, need):
+    """The need scan vertex by vertex: every vertex of the label, in graph
+    order, kept iff its adjacency covers ``need``."""
+    g = idx.graph
+    vs = [v for v in g.vertices() if g.labels[v] == q_label]
+    out = [v for v in vs if covers(g, v, need)]
+    return out, ScanStats(examined=len(vs), pruned_box=len(vs) - len(out), survivors=len(out))
+
+
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
 def test_scan_stats_equal_reference_scan(mode):
-    # bucketed scan and per-entry reference: equal candidate lists and
-    # equal ScanStats, with and without each query vertex's need, before
-    # and after incremental maintenance; a need keeps a subset of the box's
-    # candidates, and fewer of them overall
+    # bucketed grid scan and per-entry reference, and label-column need
+    # scan and per-vertex reference: equal candidate lists and equal
+    # ScanStats, before and after incremental maintenance; a need keeps a
+    # subset of the box's candidates, and fewer of them overall
     from dsmatch.matcher import embed_query, label_needs
     from dsmatch.generate import sample_queries
 
@@ -942,8 +953,8 @@ def test_scan_stats_equal_reference_scan(mode):
                 syn = idx.synopses[idx.groups.group_of(q.degree(qi))]
                 got = scan_candidates(syn, *args)
                 assert got == reference_scan(syn, *args)
-                with_need = scan_candidates(syn, *args, needs[qi])
-                assert with_need == reference_scan(syn, *args, needs[qi])
+                with_need = idx.scan_for_degree(*args, needs[qi])
+                assert with_need == reference_need_scan(idx, q.labels[qi], needs[qi])
                 assert set(with_need[0]) <= set(got[0])
                 counted += with_need[1].survivors
                 for f in ("pruned_cell", "pruned_dominance", "pruned_label", "pruned_box",
@@ -1140,25 +1151,23 @@ def test_rows_past_a_vertex_degree_fail_the_box_test(cfg_plain):
 
 
 def test_entries_below_the_query_degree_fail_the_last_stage(cfg_plain):
-    # the same query with a need of two label-1 neighbors: the count test
-    # prunes 0 by its count and keeps 2, as it does for the star
-    idx, syn = _two_label_0_stars(cfg_plain)
+    # the same queries with a need of two label-1 neighbors: the count test
+    # examines both label-0 vertices, prunes 0 by its count and keeps 2,
+    # whatever the query's embedding
+    idx, _ = _two_label_0_stars(cfg_plain)
     need = ((1, 2),)
-    q = idx.embedding_of(0)
-    cands, stats = scan_candidates(syn, q, 2, 0, need)
-    assert (cands, stats) == reference_scan(syn, q, 2, 0, need)
-    assert cands == [2] and stats.pruned_box == 1
     leaves = tuple(2 * c for c in label_vector(1, cfg_plain))
     star = compose(label_vector(0, cfg_plain), leaves, 0, cfg_plain)
-    cands, stats = scan_candidates(syn, star, 2, 0, need)
-    assert (cands, stats) == reference_scan(syn, star, 2, 0, need)
-    assert cands == [2]
+    for q in (idx.embedding_of(0), star):
+        cands, stats = idx.scan_for_degree(q, 2, 0, need)
+        assert (cands, stats) == reference_need_scan(idx, 0, need)
+        assert cands == [2] and stats == ScanStats(examined=2, pruned_box=1, survivors=1)
 
 
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
 def test_every_packed_value_and_query_tail_is_nonnegative(mode):
-    # the packed test's precondition: query tails, corners and neighbor
-    # counts are +0.0 or above
+    # the packed test's precondition: query tails, corners and every label
+    # column's neighbor counts are +0.0 or above
     from dsmatch.generate import sample_queries
     from dsmatch.matcher import embed_query
 
@@ -1171,8 +1180,10 @@ def test_every_packed_value_and_query_tail_is_nonnegative(mode):
             assert all(map(_is_nonnegative, embed[d:]))
     for syn in idx.synopses:
         for cell in syn.cells:
-            for label, (vs, packed) in cell.buckets.items():
-                for needed in idx.lists.frames:
-                    packed += (syn.count_column(cell, label, needed),)
+            for vs, packed in cell.buckets.values():
                 for col in packed:
                     assert all(map(_is_nonnegative, unpack(col, len(vs))))
+    columns = LabelColumns(idx.lists)
+    for label, vs in columns.members.items():
+        for col in columns.fill(label).values():
+            assert all(map(_is_nonnegative, unpack(col, len(vs))))

@@ -9,32 +9,39 @@ as a block headed ``# <workload>``.  With ``--check`` it compares the
 hashes against ``tools/fingerprints.txt`` instead of printing them, and
 checks that the engine left no cyclic garbage: it names each differing
 (workload, part) and each (workload, phase) that left some, and exits 1,
-or exits 0 when all match and no phase left any.
+or exits 0 when all match and no phase left any.  Either way it names each
+late query whose initial answers differ from its maintained twin's final
+answers, and exits 1 if there is one.
 
 For each workload, builds its inputs with ``perfbench/workloads.py`` at the
 workload's default seed, registers every query
-as ``q0``, ``q1``, ... and replays the stream once.  It prints one SHA-256
+as ``q0``, ``q1``, ... and replays the stream once.  It then registers
+every query again, as ``late0``, ``late1``, ...  It prints one SHA-256
 per line for:
 
 * ``index``:      ``engine.index.snapshot()`` right after construction,
   each grid's cells as ``[coords, rows]`` lists;
-* ``scan_stats``: every query's per-vertex ``ScanStats``;
+* ``scan_stats``: every query's per-vertex ``ScanStats``; a need scan
+  examines the query vertex's whole label and prunes by count alone;
 * ``candidates``: every query vertex's sorted ``scan_for_degree``
   candidates, scanned again with its need (``label_needs``) right after
-  registration, as registration scans;
+  registration, as registration scans, through the label columns;
 * ``initial``:    the answers right after registration;
 * ``deltas``:     each op's non-empty per-query deltas, or that it raised;
-* ``final``:      the answers after the last op.
+* ``final``:      the answers after the last op;
+* ``late``:       every late query's sorted need-scan candidates and its
+  initial answers, so registration after updates is covered too.
 
-Two trees that print the same six hashes built the same index, found the
+Two trees that print the same seven hashes built the same index, found the
 same candidates with the same pruning counts and kept the same answers
-after every op.
+after every op, and register alike on the updated graph.
 
-The collector is off while the engine is built, registers and replays, and
-``gc.collect()`` after each of those phases (``build``, ``register``,
-``stream``) counts the unreachable objects that reference counting left,
-which the engine keeps at zero: a reference cycle per update would make a
-stream pay for the cyclic collector's passes.
+The collector is off while the engine is built, registers, replays and
+registers again, and ``gc.collect()`` after each of those phases
+(``build``, ``register``, ``stream``, ``late``) counts the unreachable
+objects that reference counting left, which the engine keeps at zero: a
+reference cycle per update would make a stream pay for the cyclic
+collector's passes.
 """
 
 from __future__ import annotations
@@ -88,8 +95,10 @@ def committed() -> dict[tuple[str, str], str]:
     return out
 
 
-def fingerprint(workload: str) -> tuple[dict[str, str], dict[str, int]]:
-    """The workload's hashes by part, and the cyclic garbage by phase."""
+def fingerprint(workload: str) -> tuple[dict[str, str], dict[str, int], list[str]]:
+    """The workload's hashes by part, the cyclic garbage by phase, and the
+    late queries whose initial answers differ from their twins' final
+    answers."""
     wl = WORKLOADS[workload]
     inputs = make_inputs(wl, wl.default_seed)
     gc.collect()
@@ -100,7 +109,21 @@ def fingerprint(workload: str) -> tuple[dict[str, str], dict[str, int]]:
         gc.enable()
 
 
-def replay(inputs) -> tuple[dict[str, str], dict[str, int]]:
+def candidates_of(engine: MatchEngine, names) -> dict[str, list]:
+    """Per query, each vertex's sorted candidates, scanned with its need."""
+    out = {}
+    for name in names:
+        rq = engine.queries[name]
+        q, needs = rq.query, label_needs(rq.query)
+        out[name] = [
+            [qi, sorted(engine.index.scan_for_degree(
+                rq.embeds[qi], q.degree(qi), q.labels[qi], needs[qi])[0])]
+            for qi in q.vertex_order
+        ]
+    return out
+
+
+def replay(inputs) -> tuple[dict[str, str], dict[str, int], list[str]]:
     """:func:`fingerprint` on built inputs, run with the collector off."""
     engine = MatchEngine(inputs.g0.copy(), inputs.cfg, inputs.m_groups, inputs.k_cells)
     garbage = {"build": gc.collect()}
@@ -112,14 +135,7 @@ def replay(inputs) -> tuple[dict[str, str], dict[str, int]]:
         name: [[qi, dataclasses.asdict(s)] for qi, s in rq.scan_stats.items()]
         for name, rq in engine.queries.items()
     }
-    candidates = {}
-    for name, rq in engine.queries.items():
-        q, needs = rq.query, label_needs(rq.query)
-        candidates[name] = [
-            [qi, sorted(engine.index.scan_for_degree(
-                rq.embeds[qi], q.degree(qi), q.labels[qi], needs[qi])[0])]
-            for qi in q.vertex_order
-        ]
+    candidates = candidates_of(engine, list(engine.queries))
     initial = answers(engine)
     deltas = []
     for op in inputs.stream:
@@ -134,15 +150,23 @@ def replay(inputs) -> tuple[dict[str, str], dict[str, int]]:
             if d.added or d.removed
         ])
     garbage["stream"] = gc.collect()
+    final = answers(engine)
+    late = [f"late{i}" for i in range(len(inputs.queries))]
+    for name, q in zip(late, inputs.queries):
+        engine.register(name, q)
+    garbage["late"] = gc.collect()
+    late_answers = {name: sorted(engine.queries[name].answers) for name in late}
+    stale = [name for i, name in enumerate(late) if late_answers[name] != final[f"q{i}"]]
     hashes = {
         "index": digest(index),
         "scan_stats": digest(scan_stats),
         "candidates": digest(candidates),
         "initial": digest(initial),
         "deltas": digest(deltas),
-        "final": digest(answers(engine)),
+        "final": digest(final),
+        "late": digest([candidates_of(engine, late), late_answers]),
     }
-    return hashes, garbage
+    return hashes, garbage, stale
 
 
 def main(argv=None) -> int:
@@ -153,14 +177,21 @@ def main(argv=None) -> int:
                         "exit 1 on any difference or garbage")
     args = p.parse_args(argv)
     workloads = [args.workload] if args.workload else list(WORKLOADS)
-    if args.check:
-        want = committed()
-        differing, littered = [], []
-        for workload in workloads:
-            hashes, garbage = fingerprint(workload)
+    differing, littered, stale = [], [], []
+    want = committed() if args.check else {}
+    for workload in workloads:
+        hashes, garbage, late = fingerprint(workload)
+        stale += [(workload, name) for name in late]
+        if args.check:
             differing += [(workload, part) for part, h in hashes.items()
                           if want.get((workload, part)) != h]
             littered += [(workload, phase, n) for phase, n in garbage.items() if n]
+            continue
+        if not args.workload:
+            print(f"# {workload}")
+        for part, h in hashes.items():
+            print(f"{part:<10} {h}")
+    if args.check:
         for workload, part in differing:
             print(f"differs: {workload} {part}")
         if not differing:
@@ -168,14 +199,10 @@ def main(argv=None) -> int:
         for workload, phase, n in littered:
             print(f"cyclic garbage: {workload} {phase} left {n} unreachable objects")
         if not littered:
-            print("no cyclic garbage after build, register or stream")
-        return 1 if differing or littered else 0
-    for workload in workloads:
-        if not args.workload:
-            print(f"# {workload}")
-        for part, h in fingerprint(workload)[0].items():
-            print(f"{part:<10} {h}")
-    return 0
+            print("no cyclic garbage after build, register, stream or late")
+    for workload, name in stale:
+        print(f"late answers differ: {workload} {name}", file=sys.stderr)
+    return 1 if differing or littered or stale else 0
 
 if __name__ == "__main__":
     sys.exit(main())
