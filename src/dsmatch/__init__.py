@@ -2,9 +2,11 @@
 
 The engine maintains, for any number of registered query patterns, the
 exact set of subgraph-isomorphism answers under a stream of edge inserts
-and deletes.  Candidate retrieval goes through incrementally maintained
-vertex embeddings indexed by degree-grouped grid synopses; a brute-force
-oracle and a benchmark harness round out the package.
+and deletes.  Candidate retrieval keeps the vertices of a query vertex's
+label that cover its neighbor-label counts, read off incrementally
+maintained neighbor-label histograms; degree-grouped grid synopses over
+vertex embeddings serve the dominance scans that analyse pruning.  A
+brute-force oracle and a benchmark harness round out the package.
 """
 
 from .embedding import (

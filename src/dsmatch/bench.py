@@ -201,7 +201,10 @@ def sweep(base_config, param: str, values: list) -> list[dict]:
     value first: a malformed one raises ``InvalidParams`` before any run.
 
     The master seed is held fixed, so runs that share the same graph
-    parameters also share the graph, stream, and query sample.
+    parameters also share the graph, stream, and query sample.  Neither
+    registration's count test nor the stream reads an embedding, degree
+    group or grid, so values of ``d``, ``ratio``, ``m`` and ``k`` differ
+    only in the timing columns.
     """
     if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {param!r}; choose from {sorted(SWEEP_PARAMS)}")

@@ -11,19 +11,20 @@ Boxes are never materialized.  Each vertex keeps a histogram of its
 neighbors' labels; each label is a run of equal components per dimension,
 so the box for degree delta spans the sum of the delta smallest to the sum
 of the delta largest components, the runs taken largest first.  An update
-is one histogram edit per endpoint.  A grid cell buckets its vertices by
-label, whose d head coordinates a scan tests once per bucket, and keeps
-their tail coordinates as one packed column per dimension (:func:`pack`),
-tested whole against a query coordinate (:func:`at_least`) before each
-dominated entry's box at the query degree.
+is one histogram edit per endpoint.  A grid cell buckets its entries by
+label, whose d head coordinates a scan tests once per bucket, as plain rows
+in graph order: a vertex and its d tail coordinates, compared as floats
+before each dominated entry's box at the query degree.
 
 Registration reads no grid.  Given a query vertex's need (its neighbor
 label counts), a scan keeps the vertices of its label with at least as many
 neighbors of each needed label: count cover implies the box at the query
 degree, which lies inside the grid corner, so the grid would decide none of
-them.  :class:`LabelColumns` packs those counts per label.  No comparison
-carries a slack: neighbor sums are exact and rounding is monotone
-(:mod:`dsmatch.embedding`), so every filter admits each true match image.
+them.  :class:`LabelColumns` packs those counts into one int per (label,
+needed label) (:func:`pack`), tested whole against a needed count
+(:func:`at_least`).  No comparison carries a slack: neighbor sums are exact
+and rounding is monotone (:mod:`dsmatch.embedding`), so every filter admits
+each true match image.
 
 Grids and label columns are built only when read: the first need-less
 scan, snapshot or dump builds every grid in one pass over the vertices,
@@ -47,7 +48,8 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
+from operator import le
+from typing import Iterable, Sequence
 
 from .embedding import (
     BETA,
@@ -85,16 +87,11 @@ Need = tuple[tuple[Label, int], ...]  # (label, neighbors carrying it), by label
 def pack(col: Sequence[float]) -> int:
     """One int whose i-th 8-byte little-endian field holds the IEEE-754 bits
     of ``col[i]``, whatever the host's byte order.  Every packed value is
-    +0.0 or above: a tail coordinate or a neighbor count."""
+    +0.0 or above: a neighbor count."""
     col = array("d", col)
     if sys.byteorder == "big":
         col.byteswap()
     return int.from_bytes(col.tobytes(), "little")
-
-
-def unpack(packed: int, n: int) -> tuple[float, ...]:
-    """The n floats of a packed column."""
-    return struct.unpack(f"<{n}d", packed.to_bytes(8 * n, "little"))
 
 
 def repeated(reps: dict[tuple[bytes, int], int], field: bytes, n: int) -> int:
@@ -325,8 +322,8 @@ class Cell:
     """One grid cell: its coordinates, corner and key, its entry count, and
     its entries bucketed by label.
 
-    A bucket holds its vertices in filing order and, per tail dimension,
-    their tail coordinates in that order as one packed column (:func:`pack`).
+    A bucket holds one row per entry in graph order: the vertex and its
+    corner's d tail coordinates.  The d head coordinates are the label's.
     """
 
     __slots__ = ("coords", "corner", "key", "size", "buckets")
@@ -336,7 +333,7 @@ class Cell:
         self.corner = corner
         self.key = embedding_key(corner)
         self.size = 0
-        self.buckets: dict[Label, tuple[list[VertexId], tuple[int, ...]]] = {}
+        self.buckets: dict[Label, list[tuple[VertexId, Vec]]] = {}
 
 
 @dataclass
@@ -381,52 +378,38 @@ class ScanStats:
 class GridSynopsis:
     """Equal-width grid over one degree group's capped-degree corners.
 
-    Built once and never edited, from the entries its index stages: each
+    Built once and never edited, from the rows its index hands it: each
     vertex above the group's lower bound, filed under the high corner of
     its box at the group-capped degree.  ``cells`` lists the non-empty
     cells in scan order, descending key with ties on coordinates.  The top
     interval on each dimension is unbounded (its corner coordinate is
     +inf): values beyond the frozen domain clamp into it, which keeps the
     key cutoff and cell dominance sound when the graph drifts past the
-    initial extent estimate.  The grid keeps the sign operands its scans
-    share.
+    initial extent estimate.
     """
 
     def __init__(
         self, store: NeighborListStore, group: int, lower: int, upper: float, k_cells: int,
-        domain: float, staged: dict[Label, tuple[list[VertexId], array]],
+        domain: float, rows: Iterable[tuple[VertexId, Label, Vec]],
     ):
-        """File the staged entries under their corners, emptying ``staged``:
-        per label, its vertices in graph order, and flat and in turn their d
-        raw capped sums."""
+        """File each ``(vertex, label, tail)`` row, given in graph order,
+        under its corner: the label's head, then the tail."""
         self.store = store
         self.group = group
         self.lower = lower
         self.upper = upper
         self.k_cells = k_cells
         self.width = domain / k_cells
-        a, d = store.alpha, store.cfg.d
+        frames = store.frames
         cells: dict[tuple[int, ...], Cell] = {}
-        while staged:  # each label's sums are freed once read
-            label, (vs, sums) = staged.popitem()
-            head, frame_tail = store.frames[label]
-            tails = [[a * s + t for s in sums[k::d]] for k, t in enumerate(frame_tail)]
-            by_coords: dict[tuple[int, ...], list[int]] = {}  # tail cell -> entry positions
-            for i, coords in enumerate(zip(*map(self.intervals, tails))):
-                by_coords.setdefault(coords, []).append(i)
-            head_coords = tuple(self.intervals(head))
-            for tail_coords, at in by_coords.items():
-                coords = head_coords + tail_coords
-                cell = cells.get(coords)
-                if cell is None:
-                    cell = cells[coords] = Cell(coords, self._cell_corner(coords))
-                members, cols = vs, tails  # the whole label, unless it spans cells
-                if len(by_coords) > 1:
-                    members, *cols = ([xs[i] for i in at] for xs in (vs, *tails))
-                cell.buckets[label] = (members, tuple(map(pack, cols)))
-                cell.size += len(members)
+        for v, label, tail in rows:
+            coords = tuple(self.intervals(frames[label][0] + tail))
+            cell = cells.get(coords)
+            if cell is None:
+                cell = cells[coords] = Cell(coords, self._cell_corner(coords))
+            cell.buckets.setdefault(label, []).append((v, tail))
+            cell.size += 1
         self.cells: list[Cell] = sorted(cells.values(), key=lambda c: (-c.key, c.coords))
-        self.repeats: dict[tuple[bytes, int], int] = {}  # for :func:`repeated`
 
     def __len__(self) -> int:
         return sum(c.size for c in self.cells)
@@ -444,14 +427,13 @@ class GridSynopsis:
 
     def snapshot(self) -> dict:
         """Canonical content for equality checks (entry order independent):
-        per cell, sorted (vertex, capped degree, corner), its tail decoded
-        from the packed columns."""
+        per cell, sorted (vertex, capped degree, corner)."""
         adj, frames = self.store.graph.adj, self.store.frames
         return {
             c.coords: sorted(
                 (v, min(len(adj[v]), self.upper), frames[lbl][0] + tail)
-                for lbl, (vs, cols) in c.buckets.items()
-                for v, tail in zip(vs, zip(*(unpack(col, len(vs)) for col in cols)))
+                for lbl, rows in c.buckets.items()
+                for v, tail in rows
             )
             for c in self.cells
         }
@@ -477,12 +459,9 @@ def scan_candidates(
     dropped.
 
     A bucket fails dominance whole when the query's head coordinates exceed
-    its label's.  Otherwise each tail dimension tests the whole bucket at
-    once: its packed column against the query coordinate repeated in every
-    field (:func:`at_least`).  The masks AND into one whose set bits count
-    and select the entries left for the box test, in bucket order.  The
-    query's tail coordinates must be +0.0 or above, as every embedding's
-    are.
+    its label's.  Otherwise each row is dominated when no query tail
+    coordinate exceeds its own, and the dominated rows, in bucket order,
+    meet the label and box tests.
     """
     if not syn.lower < q_degree <= syn.upper:
         raise DegreeOutOfRange(
@@ -493,8 +472,7 @@ def scan_candidates(
     cutoff = embedding_key(q_embed)
     store = syn.store
     frames, d = store.frames, store.cfg.d
-    q_head = q_embed[:d]
-    q_fields = [struct.pack("<d", x) for x in q_embed[d:]]
+    q_head, q_tail = q_embed[:d], q_embed[d:]
     degree, mbr = store.degree, store.mbr
     scanned = examined = pruned_cell = pruned_dominance = pruned_label = pruned_box = 0
     for cell in syn.cells:
@@ -505,27 +483,19 @@ def scan_candidates(
         if not dominates(q_embed, cell.corner):
             pruned_cell += cell.size
             continue
-        for label, (vs, cols) in cell.buckets.items():
-            n = len(vs)
+        for label, rows in cell.buckets.items():
             # every corner in the bucket has its label's frame head
             if not dominates(q_head, frames[label][0]):
-                pruned_dominance += n
+                pruned_dominance += len(rows)
                 continue
-            signs = repeated(syn.repeats, _SIGN, n)
-            xs = [int.from_bytes(x * n, "little") for x in q_fields]
-            mask = signs  # bit 63 of an entry's field: set while it passes every test
-            for x, col in zip(xs, cols):
-                mask &= at_least(col, x, signs)
-            dominated = mask.bit_count()
-            pruned_dominance += n - dominated
-            if not dominated:
-                continue
+            dominated = [v for v, tail in rows if all(map(le, q_tail, tail))]
+            pruned_dominance += len(rows) - len(dominated)
             if label != q_label:
-                pruned_label += dominated
+                pruned_label += len(dominated)
                 continue
-            kept = [v for v in compress(vs, mask.to_bytes(8 * n, "little")[7::8])
+            kept = [v for v in dominated
                     if q_degree <= degree(v) and mbr(v, q_degree).contains(q_embed)]
-            pruned_box += dominated - len(kept)
+            pruned_box += len(dominated) - len(kept)
             out += kept
     return out, ScanStats(
         scanned, examined, pruned_cell, pruned_dominance, pruned_label, pruned_box, len(out)
@@ -623,29 +593,26 @@ class SynopsisIndex:
     def _build_grids(self) -> list[GridSynopsis]:
         """Every group's grid from one pass over the vertices: each vertex of
         degree deg >= 1 enters groups 0..group_of(deg) at caps min(deg,
-        upper_j), whose raw high sums one ``capped_sums`` call gives, staged
-        per group and label in one flat ``array('d')`` for the grids to file."""
+        upper_j), whose raw high sums one ``capped_sums`` call gives; its
+        row in group j carries its tail at cap j."""
         store, groups = self.lists, self.groups
-        adj, labels = self.graph.adj, self.graph.labels
+        adj, frames, a = self.graph.adj, store.frames, store.alpha
         cutoffs, capped_sums = groups.cutoffs, store.capped_sums
-        staged: list[dict] = [{} for _ in range(groups.m)]  # as GridSynopsis takes them
-        for v in self.graph.vertices():
+        rows: list[list] = [[] for _ in range(groups.m)]
+        for v, label in self.graph.labels.items():  # graph order
             deg = len(adj[v])
             if not deg:
                 continue
             caps = (*cutoffs[: bisect_left(cutoffs, deg)], deg)
             sums = capped_sums(v, caps)
             r = len(caps)
-            label = labels[v]
+            frame_tail = frames[label][1]
             for j in range(r):
-                entries = staged[j].get(label)
-                if entries is None:
-                    entries = staged[j][label] = ([], array("d"))
-                entries[0].append(v)
-                entries[1].extend(sums[j::r])
+                tail = tuple(a * s + t for s, t in zip(sums[j::r], frame_tail))
+                rows[j].append((v, label, tail))
         return [
             GridSynopsis(store, j, groups.lower(j), groups.upper(j), self.k_cells, self.domain,
-                         staged[j])
+                         rows[j])
             for j in range(groups.m)
         ]
 

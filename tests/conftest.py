@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from dsmatch.embedding import EmbeddingConfig
@@ -12,6 +14,12 @@ def make_graph(pairs, labels):
     for u, v in pairs:
         g.add_edge(u, v)
     return g
+
+
+def unpack(packed, n):
+    """The n floats of a packed label column (``synopsis.pack``); raises on
+    a wider column."""
+    return struct.unpack(f"<{n}d", packed.to_bytes(8 * n, "little"))
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from dsmatch.generate import SCENARIO_PARAMS, BenchConfig
 from dsmatch.graph import DELETE, UpdateOp, dump_stream, load_graph, load_stream
 from dsmatch.matcher import MatchEngine, QueryDelta, QueryGraph, format_delta
 from dsmatch.oracle import recompute_stream_check
-from dsmatch.synopsis import K_CELLS, M_GROUPS
+from dsmatch.synopsis import K_CELLS, M_GROUPS, SynopsisIndex, compute_degree_groups
 
 
 BASE_FLAGS = [
@@ -48,14 +48,15 @@ def test_run_from_files_and_metrics(tmp_path):
     data = tmp_path / "data"
     main(["gen", *BASE_FLAGS, "--out", str(data)])
     out = tmp_path / "run"
-    rc = main([
+    argv = [
         "run",
         "--graph", str(data / "g0.txt"),
         "--stream", str(data / "stream.txt"),
         "--queries", str(data / "queries"),
         "--out", str(out),
         "--dump-synopses", str(out / "synopses.txt"),
-    ])
+    ]
+    rc = main(argv)
     assert rc == 0
     rows = read_csv(out / "metrics.csv")
     assert len(rows) == 3
@@ -73,7 +74,25 @@ def test_run_from_files_and_metrics(tmp_path):
     for f in answers:
         for line in f.read_text().splitlines():
             assert line.startswith("match q0->")
-    assert "key=" in (out / "synopses.txt").read_text()
+    # the dump is a from-scratch build over the final graph, with the
+    # degree groups and grid domain the engine froze over g0
+    args = build_parser().parse_args(argv)
+    cfg = BenchConfig(**{p.field: getattr(args, p.dest) for p in SCENARIO_PARAMS})
+    g0 = load_graph((data / "g0.txt").read_text())
+    stream = load_stream((data / "stream.txt").read_text())
+    g = g0.copy()
+    for op in stream:
+        g.apply_update(op)
+    ecfg, groups = cfg.embedding_config(), compute_degree_groups(g0, cfg.m_groups)
+    domain = SynopsisIndex(g0, groups, ecfg, cfg.k_cells).domain
+    text = (out / "synopses.txt").read_text()
+    assert stream and groups.m > 1 and "key=" in text
+    assert text == SynopsisIndex(g, groups, ecfg, cfg.k_cells, domain=domain).dump()
+    headers = [line for line in text.splitlines() if line.startswith("# synopsis")]
+    assert len(headers) == groups.m
+    for j, header in enumerate(headers):
+        entries = sum(g.degree(v) > groups.lower(j) for v in g.vertices())
+        assert header.endswith(f" entries={entries}")
 
 
 def test_run_answers_match_oracle_cli(tmp_path, capsys):

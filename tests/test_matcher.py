@@ -35,9 +35,9 @@ from dsmatch.matcher import (
 )
 from dsmatch.oracle import enumerate_matches
 from dsmatch.rng import Rng
-from dsmatch.synopsis import LabelColumns, NeighborListStore, ScanStats, SynopsisIndex, unpack
+from dsmatch.synopsis import LabelColumns, NeighborListStore, ScanStats, SynopsisIndex
 
-from conftest import make_graph, small_world
+from conftest import make_graph, small_world, unpack
 from test_synopsis import random_update_stream
 
 

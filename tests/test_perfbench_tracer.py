@@ -56,8 +56,9 @@ def test_tracer_on_small_engine(cfg_zipf, monkeypatch):
         # the tracer counts seeds from the module's refine, which the insert
         # path must call by name for the count to see them
         assert tr.counts["matcher.seeds"] == sum(seeds) > 0
-        # the stream dropped the grids; this registration rebuilds them from
-        # the vertices' capped sums, without calling lists.mbr
+        # the stream dropped the label columns; this registration refills
+        # them from the histograms and builds no grid (in a traced run,
+        # grid_margin's first scan does), without calling lists.mbr
         engine.register("q1", q1)
         boxed = [v for v in engine.graph.vertices() if engine.graph.degree(v)][:3]
         for v in boxed:

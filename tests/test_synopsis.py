@@ -34,10 +34,9 @@ from dsmatch.synopsis import (
     dominated_within,
     pack,
     scan_candidates,
-    unpack,
 )
 
-from conftest import make_graph, small_world
+from conftest import make_graph, small_world, unpack
 
 
 # -- degree grouping ----------------------------------------------------------
@@ -382,20 +381,23 @@ Entry = namedtuple("Entry", "vertex ub_delta corner")
 
 def _entry(idx, group, v):
     """v's entry in the group's grid, found through its cells' buckets, as
-    its snapshot row (vertex, ub_delta, corner); None if absent."""
+    (vertex, ub_delta, corner): its label's head, then its row's tail.  It
+    must equal v's snapshot row; None if absent."""
     syn = idx.synopses[group]
     found = [
-        cell.coords
+        (cell.coords, idx.lists.frames[label][0] + tail)
         for cell in syn.cells
-        for vs, _ in cell.buckets.values()
-        for u in vs
+        for label, rows in cell.buckets.items()
+        for u, tail in rows
         if u == v
     ]
     assert len(found) <= 1
     if not found:
         return None
-    (row,) = [r for r in syn.snapshot()[found[0]] if r[0] == v]
-    return Entry(*row)
+    [(coords, corner)] = found
+    entry = Entry(v, min(idx.graph.degree(v), syn.upper), corner)
+    assert [r for r in syn.snapshot()[coords] if r[0] == v] == [entry]
+    return entry
 
 
 def random_update_stream(g, n_ops, seed, new_vertex_rate=0.1, alphabet=5):
@@ -901,7 +903,7 @@ def reference_scan(syn, q_embed, q_degree, q_label):
     for cell in syn.cells:
         if cell.key < cutoff:
             break
-        entries = [v for vs, _ in cell.buckets.values() for v in vs]
+        entries = [v for rows in cell.buckets.values() for v, _ in rows]
         stats.cells_scanned += 1
         stats.examined += len(entries)
         if not dominated_within(q_embed, cell.corner):
@@ -1005,28 +1007,26 @@ def test_scan_equals_linear_filter(mode):
 
 
 def assert_scan_equals_reference_at_tail_thresholds(idx, g):
-    """For each tail dimension k and each distinct value t of a bucket's
-    decoded column k, scan for a query whose coordinate k is t, the float
-    the dominance test compares against, and one ulp either side of it; the
-    query's other coordinates are those of an entry with that t, its head
-    the bucket label's and its degree the entry's, capped at the grid's
+    """For each tail dimension k and each distinct coordinate k, t, of a
+    bucket's rows, scan for a query whose coordinate k is t, the float the
+    dominance test compares against, and one ulp either side of it; the
+    query's other coordinates are those of a row with that t, its head the
+    bucket label's and its degree the row's vertex's, capped at the grid's
     upper bound as a scan reads a grid only at degrees of its group.  Each
     scan must equal ``reference_scan``, list and counts."""
     lists = idx.lists
     tied = 0
     for syn in idx.synopses:
         for cell in syn.cells:
-            for label, (vs, packed) in cell.buckets.items():
+            for label, rows in cell.buckets.items():
                 head = lists.frames[label][0]
-                cols = [unpack(col, len(vs)) for col in packed]
-                for k, col in enumerate(cols):
-                    first = {}  # t -> the bucket position of its first entry
-                    for i, t in enumerate(col):
-                        first.setdefault(t, i)
-                    tied += len(first) < len(vs)
-                    for t, i in first.items():
-                        tail = tuple(c[i] for c in cols)
-                        q_degree = min(g.degree(vs[i]), syn.upper)
+                for k in range(lists.cfg.d):
+                    first = {}  # t -> the bucket's first row with it
+                    for v, tail in rows:
+                        first.setdefault(tail[k], (v, tail))
+                    tied += len(first) < len(rows)
+                    for t, (v, tail) in first.items():
+                        q_degree = min(g.degree(v), syn.upper)
                         for x in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)):
                             args = (head + tail[:k] + (x,) + tail[k + 1:], q_degree, label)
                             assert scan_candidates(syn, *args) == reference_scan(syn, *args)
@@ -1035,8 +1035,8 @@ def assert_scan_equals_reference_at_tail_thresholds(idx, g):
 
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
 def test_scan_at_each_tail_threshold(mode):
-    # an entry whose tail coordinate ties the query's passes the packed
-    # dominance test; one ulp above it, it fails
+    # a row whose tail coordinate ties the query's passes the dominance
+    # test; one ulp above it, it fails
     run_hub_churn(mode, assert_scan_equals_reference_at_tail_thresholds)
 
 
@@ -1130,7 +1130,7 @@ def _two_label_0_stars(cfg):
     idx = SynopsisIndex(g, DegreeGroups(()), cfg, 1)
     [syn] = idx.synopses
     [cell] = syn.cells
-    assert cell.buckets[0][0] == [0, 2]
+    assert [v for v, _ in cell.buckets[0]] == [0, 2]
     return idx, syn
 
 
@@ -1165,24 +1165,18 @@ def test_entries_below_the_query_degree_fail_the_last_stage(cfg_plain):
 
 
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
-def test_every_packed_value_and_query_tail_is_nonnegative(mode):
-    # the packed test's precondition: query tails, corners and every label
-    # column's neighbor counts are +0.0 or above
+def test_every_packed_count_and_need_is_nonnegative(mode):
+    # the packed test's precondition: every label column's neighbor counts
+    # and every needed count are +0.0 or above
     from dsmatch.generate import sample_queries
-    from dsmatch.matcher import embed_query
+    from dsmatch.matcher import label_needs
 
     cfg = EmbeddingConfig(d=2, mode=mode)
     g = small_world(n=120, avg_deg=5.0, alphabet=4, seed=71)
     idx = build_index(g, cfg)
-    d = cfg.d
     for q in sample_queries(g, 6, 4, 2.0, seed=43):
-        for embed in embed_query(q, cfg).values():
-            assert all(map(_is_nonnegative, embed[d:]))
-    for syn in idx.synopses:
-        for cell in syn.cells:
-            for vs, packed in cell.buckets.values():
-                for col in packed:
-                    assert all(map(_is_nonnegative, unpack(col, len(vs))))
+        for need in label_needs(q).values():
+            assert all(_is_nonnegative(float(c)) for _, c in need)
     columns = LabelColumns(idx.lists)
     for label, vs in columns.members.items():
         for col in columns.fill(label).values():
