@@ -268,14 +268,16 @@ def load_stream(text: str) -> list[UpdateOp]:
 
 
 def dump_stream(ops: Iterable[UpdateOp]) -> str:
+    """Inverse of :func:`load_stream` up to timestamps.  An insert line
+    carries both labels or neither: one with a single label raises."""
     lines = []
     for op in ops:
-        if op.kind == INSERT and op.label_u is not None and op.label_v is not None:
-            lines.append(f"+ {op.u} {op.v} {op.label_u} {op.label_v}")
-        elif op.kind == INSERT:
-            lines.append(f"+ {op.u} {op.v}")
-        else:
-            lines.append(f"- {op.u} {op.v}")
+        line = f"{op.kind} {op.u} {op.v}"
+        if op.kind == INSERT and (op.label_u, op.label_v) != (None, None):
+            if None in (op.label_u, op.label_v):
+                raise InvalidParams(f"a stream line cannot carry one label: {op}")
+            line += f" {op.label_u} {op.label_v}"
+        lines.append(line)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -82,16 +82,12 @@ class QueryGraph:
         if any(not nbrs for nbrs in self.adj.values()):
             isolated = [v for v, nbrs in self.adj.items() if not nbrs]
             raise InvalidParams(f"query vertices {isolated} have degree 0")
-        seen = {self.vertex_order[0]}
-        frontier = [self.vertex_order[0]]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in self.adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
+        seen, stack = set(), [self.vertex_order[0]]
+        while stack:
+            u = stack.pop()
+            if u not in seen:
+                seen.add(u)
+                stack.extend(self.adj[u])
         if len(seen) != len(self.vertex_order):
             raise InvalidParams("query graph is not connected")
 

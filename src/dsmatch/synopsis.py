@@ -21,10 +21,11 @@ label counts), a scan keeps the vertices of its label with at least as many
 neighbors of each needed label: count cover implies the box at the query
 degree, which lies inside the grid corner, so the grid would decide none of
 them.  :class:`LabelColumns` packs those counts into one int per (label,
-needed label) (:func:`pack`), tested whole against a needed count
-(:func:`at_least`).  No comparison carries a slack: neighbor sums are exact
-and rounding is monotone (:mod:`dsmatch.embedding`), so every filter admits
-each true match image.
+needed label) whose fields are unsigned 64-bit ints (:func:`pack`), and
+its scan tests a column whole against a needed count (:func:`at_least`).
+No comparison carries a slack: neighbor sums are exact and rounding is
+monotone (:mod:`dsmatch.embedding`), so every filter admits each true
+match image.
 
 Grids and label columns are built only when read: the first need-less
 scan, snapshot or dump builds every grid in one pass over the vertices,
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 import sys
 from array import array
 from bisect import bisect_left
@@ -84,11 +84,11 @@ _SIGN = bytes(7) + b"\x80"  # a packed field with only bit 63 set
 Need = tuple[tuple[Label, int], ...]  # (label, neighbors carrying it), by label
 
 
-def pack(col: Sequence[float]) -> int:
-    """One int whose i-th 8-byte little-endian field holds the IEEE-754 bits
-    of ``col[i]``, whatever the host's byte order.  Every packed value is
-    +0.0 or above: a neighbor count."""
-    col = array("d", col)
+def pack(col: Sequence[int]) -> int:
+    """One int whose i-th 8-byte little-endian field holds ``col[i]`` as an
+    unsigned 64-bit int, whatever the host's byte order.  A negative value,
+    or one of 2^64 or more, raises ``OverflowError``."""
+    col = array("Q", col)
     if sys.byteorder == "big":
         col.byteswap()
     return int.from_bytes(col.tobytes(), "little")
@@ -102,12 +102,13 @@ def repeated(reps: dict[tuple[bytes, int], int], field: bytes, n: int) -> int:
 
 def at_least(col: int, xs: int, signs: int) -> int:
     """Bit 63 of field i set iff ``col[i] >= x``, where each field of ``xs``
-    holds a packed x >= +0.0 and each field of ``signs`` bit 63 alone.
+    holds x and each field of ``signs`` bit 63 alone, every value of
+    ``col`` and x an int in [0, 2^63).
 
-    Bit 63 is clear in x and in every value of ``col``, +0.0 or above,
-    whose bits then order as unsigned ints as the floats do: setting it
-    puts a field 2^63 above x, and the difference keeps it iff the float is
-    at least x.  No field goes negative: no borrow crosses."""
+    Bit 63 is clear in x and in every value of ``col``: setting it puts a
+    field at ``col[i] + 2^63``, and the difference ``col[i] + 2^63 - x``
+    lies in [1, 2^64), at or above 2^63 iff ``col[i] >= x``.  No field goes
+    negative or past 64 bits: no borrow crosses."""
     return ((col ^ signs) - xs) & signs
 
 
@@ -158,8 +159,8 @@ def compute_degree_groups(g0: DynamicGraph, m: int) -> DegreeGroups:
     smallest boundaries, found by exhaustive search over boundary
     placements (greedy fallback above a combination-count cap).
     """
-    if m < 1:
-        raise InvalidParams(f"m must be >= 1, got {m}")
+    if type(m) is not int or m < 1:
+        raise InvalidParams(f"m must be >= 1 and an int, got {m!r}")
     freq: dict[int, int] = {}
     for v in g0.vertices():
         d = g0.degree(v)
@@ -175,9 +176,10 @@ def compute_degree_groups(g0: DynamicGraph, m: int) -> DegreeGroups:
     masses = [freq[d] for d in degrees]
     n_cuts = m - 1
     if math.comb(n - 1, n_cuts) <= _MAX_BOUNDARY_COMBOS:
+        ends = list(itertools.accumulate(masses, initial=0))  # ends[i]: mass of degrees[:i]
         best = None
         for cuts in itertools.combinations(range(1, n), n_cuts):
-            sizes = [sum(masses[a:b]) for a, b in zip((0, *cuts), (*cuts, n))]
+            sizes = [ends[b] - ends[a] for a, b in zip((0, *cuts), (*cuts, n))]
             key = (max(sizes) - min(sizes), max(sizes), cuts)
             if best is None or key < best:
                 best = key
@@ -399,11 +401,12 @@ class GridSynopsis:
         self.lower = lower
         self.upper = upper
         self.k_cells = k_cells
-        self.width = domain / k_cells
-        frames = store.frames
+        self.width = w = domain / k_cells
+        frames, top = store.frames, k_cells - 1
         cells: dict[tuple[int, ...], Cell] = {}
         for v, label, tail in rows:
-            coords = tuple(self.intervals(frames[label][0] + tail))
+            # per value, its interval; values past the domain clamp into the top one
+            coords = tuple(min(int(x / w) if x > 0 else 0, top) for x in frames[label][0] + tail)
             cell = cells.get(coords)
             if cell is None:
                 cell = cells[coords] = Cell(coords, self._cell_corner(coords))
@@ -413,12 +416,6 @@ class GridSynopsis:
 
     def __len__(self) -> int:
         return sum(c.size for c in self.cells)
-
-    def intervals(self, xs: Sequence[float]) -> list[int]:
-        """Per value, the index of its interval on a dimension; values past
-        the domain clamp into the top one."""
-        top, w = self.k_cells - 1, self.width
-        return [min(int(x / w) if x > 0 else 0, top) for x in xs]
 
     def _cell_corner(self, coords: tuple[int, ...]) -> Vec:
         return tuple(
@@ -508,10 +505,11 @@ def scan_candidates(
 class LabelColumns:
     """Per label, the vertices carrying it in graph order (``members``) and,
     per needed label, one packed column (:func:`pack`) of their neighbor
-    counts of it.  A label's first need fills all of its columns in one
-    pass over its vertices' histograms (:meth:`fill`); a label that no
-    histogram holds reads 0, the all-zero column.  The index drops the
-    whole structure on every update."""
+    counts of it, one unsigned 64-bit field per vertex.  A label's first
+    need fills all of its columns in one pass over its vertices'
+    histograms (:meth:`fill`); a label that no histogram holds reads 0,
+    the all-zero column.  :meth:`scan` alone reads the field layout.  The
+    index drops the whole structure on every update."""
 
     def __init__(self, store: NeighborListStore):
         self.store = store
@@ -526,7 +524,7 @@ class LabelColumns:
         cols = self.columns.get(label)
         if cols is None:
             vs = self.members.get(label, ())
-            zeros = array("d", bytes(8 * len(vs)))
+            zeros = array("Q", bytes(8 * len(vs)))
             filled: dict[Label, array] = {}
             hist = self.store.hist
             for i, v in enumerate(vs):
@@ -537,6 +535,19 @@ class LabelColumns:
                     col[i] = c
             cols = self.columns[label] = {lbl: pack(col) for lbl, col in filled.items()}
         return cols
+
+    def scan(self, label: Label, need: Need) -> tuple[list[VertexId], int]:
+        """The vertices of ``label`` that cover ``need``, in graph order, and
+        how many it has.  The needed counts' masks (:func:`at_least`) AND
+        until one is empty; byte 7 of each field, holding bit 63, selects."""
+        vs, cols, reps = self.members.get(label, ()), self.fill(label), self.repeats
+        n = len(vs)
+        signs = mask = repeated(reps, _SIGN, n)
+        for needed, c in need:
+            mask &= at_least(cols.get(needed, 0), repeated(reps, c.to_bytes(8, "little"), n), signs)
+            if not mask:
+                break
+        return list(compress(vs, mask.to_bytes(8 * n, "little")[7::8])), n
 
 
 # -- the full index -----------------------------------------------------------
@@ -572,8 +583,8 @@ class SynopsisIndex:
         self, graph: DynamicGraph, groups: DegreeGroups, cfg: EmbeddingConfig, k_cells: int,
         domain: float | None = None,
     ):
-        if k_cells < 1:
-            raise InvalidParams(f"k_cells must be >= 1, got {k_cells}")
+        if type(k_cells) is not int or k_cells < 1:
+            raise InvalidParams(f"k_cells must be >= 1 and an int, got {k_cells!r}")
         if domain is not None and not (math.isfinite(domain) and domain > 0):
             raise InvalidParams(f"domain must be finite and > 0, got {domain}")
         self.graph = graph
@@ -645,24 +656,14 @@ class SynopsisIndex:
     ) -> tuple[list[VertexId], ScanStats]:
         """Candidates for a query vertex of degree ``q_degree`` >= 1.  Without
         a need, :func:`scan_candidates` on the grid of its group.  Given one,
-        the vertices of ``q_label`` that cover it, in graph order: each
-        needed label's column (:class:`LabelColumns`) is tested against the
-        needed count in every field (:func:`at_least`), the masks AND, and
-        the scan stops at the first empty one."""
+        the vertices of ``q_label`` that cover it, in graph order
+        (:meth:`LabelColumns.scan`), all of its vertices examined."""
         group = self.groups.group_of(q_degree)  # raises below degree 1, need or not
         if need is None:
             return scan_candidates(self.synopses[group], q_embed, q_degree, q_label)
         if self._columns is None:
             self._columns = LabelColumns(self.lists)
-        columns = self._columns
-        vs = columns.members.get(q_label, ())
-        cols, reps, n = columns.fill(q_label), columns.repeats, len(vs)
-        signs = mask = repeated(reps, _SIGN, n)
-        for needed, c in need:
-            mask &= at_least(cols.get(needed, 0), repeated(reps, struct.pack("<d", c), n), signs)
-            if not mask:
-                break
-        kept = list(compress(vs, mask.to_bytes(8 * n, "little")[7::8]))
+        kept, n = self._columns.scan(q_label, need)
         return kept, ScanStats(examined=n, pruned_box=n - len(kept), survivors=len(kept))
 
     def embedding_of(self, v: VertexId) -> Vec:

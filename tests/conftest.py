@@ -1,5 +1,3 @@
-import struct
-
 import pytest
 
 from dsmatch.embedding import EmbeddingConfig
@@ -17,9 +15,10 @@ def make_graph(pairs, labels):
 
 
 def unpack(packed, n):
-    """The n floats of a packed label column (``synopsis.pack``); raises on
-    a wider column."""
-    return struct.unpack(f"<{n}d", packed.to_bytes(8 * n, "little"))
+    """The n ints of a packed label column (``synopsis.pack``); raises
+    ``OverflowError`` on a wider column."""
+    raw = packed.to_bytes(8 * n, "little")
+    return tuple(int.from_bytes(raw[i : i + 8], "little") for i in range(0, 8 * n, 8))
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +168,22 @@ def test_load_stream_assigns_positional_timestamps():
     assert load_stream(dump_stream(ops)) == [
         UpdateOp(op.kind, op.u, op.v, op.label_u, op.label_v, op.timestamp) for op in ops
     ]
+
+
+def test_dump_stream_round_trips_inserts_with_both_labels_or_neither():
+    ops = [UpdateOp(INSERT, 0, 1, 3, 4, timestamp=1), UpdateOp(INSERT, 1, 2, timestamp=2),
+           UpdateOp(DELETE, 0, 1, timestamp=3), UpdateOp(INSERT, 2, 3, 0, 0, timestamp=4)]
+    assert dump_stream(ops) == "+ 0 1 3 4\n+ 1 2\n- 0 1\n+ 2 3 0 0\n"
+    assert load_stream(dump_stream(ops)) == ops
+
+
+@pytest.mark.parametrize("op", [UpdateOp(INSERT, 0, 1, label_v=3),
+                                UpdateOp(INSERT, 0, 1, label_u=0)])
+def test_dump_stream_rejects_an_insert_with_one_label(op):
+    # "+ 0 1" would drop the label, and replaying it on a graph without
+    # the new endpoint would raise MissingLabel
+    with pytest.raises(InvalidParams, match=re.escape(repr(op))):
+        dump_stream([UpdateOp(INSERT, 5, 6), op])
 
 
 # -- stream properties ----------------------------------------------------

@@ -1,7 +1,6 @@
 import itertools
 import math
 import re
-import struct
 from array import array
 from collections import Counter, namedtuple
 
@@ -23,7 +22,6 @@ from dsmatch.oracle import star_subset_embeddings
 from dsmatch.rng import Rng
 from dsmatch.synopsis import (
     DegreeGroups,
-    LabelColumns,
     Mbr,
     NeighborListStore,
     ScanStats,
@@ -134,6 +132,52 @@ def test_grouping_matches_exhaustive_oracle(data):
     assert groups.cutoffs == _best_cuts_for(freq_with_leaves, m)
 
 
+class DegreeStub:
+    """Just the graph surface ``compute_degree_groups`` reads: one vertex
+    per entry of ``degrees``, of that degree."""
+
+    def __init__(self, degrees):
+        self.degrees = degrees
+
+    def vertices(self):
+        return range(len(self.degrees))
+
+    def degree(self, v):
+        return self.degrees[v]
+
+
+def test_exhaustive_grouping_equals_slice_sums_on_many_distinct_degrees():
+    # the exhaustive search sizes each bucket off prefix sums of the
+    # masses; on multisets of up to 60 distinct degrees and m = 2 to 5,
+    # every placement count under the cap, its cutoffs equal those of the
+    # slice-summing reference
+    rng = Rng(29)
+    checked = 0
+    while checked < 40:
+        n, m = rng.randint(2, 60), rng.randint(2, 5)
+        if not m < n or math.comb(n - 1, m - 1) > 20_000:
+            continue
+        degrees = sorted(rng.sample(range(1, 200), n))
+        freq = {d: rng.randint(1, 30) for d in degrees}
+        stub = DegreeStub([d for d, f in freq.items() for _ in range(f)])
+        assert compute_degree_groups(stub, m).cutoffs == _best_cuts_for(freq, m)
+        checked += 1
+
+
+@pytest.mark.parametrize("m", [2.5, 3.0, True, "3", None])
+def test_non_int_group_count_is_rejected(m):
+    with pytest.raises(InvalidParams, match=r"m must be >= 1 and an int"):
+        compute_degree_groups(graph_with_degrees([1, 2, 3]), m)
+
+
+@pytest.mark.parametrize("k", [2.5, 5.0, True, "5", None])
+def test_non_int_cell_count_is_rejected(cfg_plain, k):
+    # at 2.5 the grid would have a fractional top interval
+    g = make_graph([(0, 1)], {0: 0, 1: 1})
+    with pytest.raises(InvalidParams, match=r"k_cells must be >= 1 and an int"):
+        SynopsisIndex(g, DegreeGroups(()), cfg_plain, k)
+
+
 def test_grouping_m_exceeding_distinct_collapses():
     g = graph_with_degrees([4, 4, 7])
     groups = compute_degree_groups(g, 10)
@@ -145,19 +189,11 @@ def test_greedy_grouping_fills_every_group_when_mass_sits_on_top():
     # degrees 1..60 once each plus 2,000 vertices of degree 61: C(60, 4)
     # boundary placements exceed the exhaustive cap, so the greedy path runs,
     # and no bucket reaches its fair share before the top degree
-    class DegreeStub:
-        degrees = list(range(1, 61)) + [61] * 2000
-
-        def vertices(self):
-            return range(len(self.degrees))
-
-        def degree(self, v):
-            return self.degrees[v]
-
-    groups = compute_degree_groups(DegreeStub(), 5)
+    degrees = list(range(1, 61)) + [61] * 2000
+    groups = compute_degree_groups(DegreeStub(degrees), 5)
     assert groups.m == 5
     assert all(a < b for a, b in zip(groups.cutoffs, groups.cutoffs[1:]))
-    masses = bucket_masses(groups, DegreeStub.degrees)
+    masses = bucket_masses(groups, degrees)
     assert min(masses) > 0
     assert max(masses) - min(masses) <= 2000  # c08: the largest single-degree mass
 
@@ -721,7 +757,7 @@ def assert_count_columns_equal_histograms(idx, g):
             want = [sum(g.labels[u] == needed for u in g.neighbors(v)) for v in vs]
             assert unpack(col, n) == tuple(want)  # unpack raises on a wider column
             for c in range(max(want) + 2):
-                xs = int.from_bytes(struct.pack("<d", c) * n, "little")
+                xs = int.from_bytes(c.to_bytes(8, "little") * n, "little")
                 got = _fields(at_least(col, xs, signs), n)
                 assert got == [w >= c for w in want]
                 outcomes.update(got)
@@ -772,7 +808,7 @@ def test_count_reads_follow_a_histogram_edit(cfg_zipf):
         g.apply_update(op)
         idx.maintain(op)
         after = reads()
-        counts = tuple(float(sum(g.labels[u] == lbl for u in g.neighbors(0))) for lbl in labels)
+        counts = tuple(sum(g.labels[u] == lbl for u in g.neighbors(0)) for lbl in labels)
         assert after == counts and after != before
 
 
@@ -1087,15 +1123,11 @@ def test_scan_outside_its_group_raises_degree_out_of_range(cfg_zipf):
 # -- the packed column tests ---------------------------------------------------
 
 
-def _is_nonnegative(x):
-    """+0.0 or above, +inf included; -0.0 and NaN are not."""
-    return x >= 0.0 and math.copysign(1.0, x) == 1.0
-
-
-NONNEGATIVE = st.one_of(
-    st.sampled_from([0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
-                     1.0, 1 / 1024, 100.0, math.inf]),
-    st.floats(min_value=0.0, allow_nan=False).filter(_is_nonnegative),
+# ints at_least is argued over: [0, 2^63), with 2^53 + 1, the first a float
+# cannot hold, and both ends
+COUNTS = st.one_of(
+    st.sampled_from([0, 1, 2, 2**32, 2**53, 2**53 + 1, 2**63 - 2, 2**63 - 1]),
+    st.integers(min_value=0, max_value=2**63 - 1),
 )
 
 
@@ -1108,18 +1140,18 @@ def _fields(mask, n):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data())
-def test_packed_tests_equal_float_comparisons(data):
-    # columns mixing zero, subnormals, +inf, exact ties with x and x one
-    # float step either side
-    x = data.draw(NONNEGATIVE, label="x")
-    near = st.sampled_from([x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)])
-    col = data.draw(st.lists(st.one_of(near, NONNEGATIVE), min_size=1, max_size=24), label="col")
+def test_packed_tests_equal_int_comparisons(data):
+    # columns mixing 0, 2^53 + 1, 2^63 - 1, exact ties with x and x one
+    # either side
+    x = data.draw(COUNTS, label="x")
+    near = st.sampled_from([c for c in (x - 1, x, x + 1) if 0 <= c < 2**63])
+    col = data.draw(st.lists(st.one_of(near, COUNTS), min_size=1, max_size=24), label="col")
     n = len(col)
-    packed = pack(array("d", col))
-    assert packed == pack(col) == int.from_bytes(struct.pack(f"<{n}d", *col), "little")
+    packed = pack(array("Q", col))
+    assert packed == pack(col) == sum(c << 64 * i for i, c in enumerate(col))
     assert unpack(packed, n) == tuple(col)
     signs = int.from_bytes((bytes(7) + b"\x80") * n, "little")
-    xs = int.from_bytes(struct.pack("<d", x) * n, "little")
+    xs = int.from_bytes(x.to_bytes(8, "little") * n, "little")
     assert _fields(at_least(packed, xs, signs), n) == [c >= x for c in col]
 
 
@@ -1164,20 +1196,12 @@ def test_entries_below_the_query_degree_fail_the_last_stage(cfg_plain):
         assert cands == [2] and stats == ScanStats(examined=2, pruned_box=1, survivors=1)
 
 
-@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
-def test_every_packed_count_and_need_is_nonnegative(mode):
-    # the packed test's precondition: every label column's neighbor counts
-    # and every needed count are +0.0 or above
-    from dsmatch.generate import sample_queries
-    from dsmatch.matcher import label_needs
-
-    cfg = EmbeddingConfig(d=2, mode=mode)
-    g = small_world(n=120, avg_deg=5.0, alphabet=4, seed=71)
-    idx = build_index(g, cfg)
-    for q in sample_queries(g, 6, 4, 2.0, seed=43):
-        for need in label_needs(q).values():
-            assert all(_is_nonnegative(float(c)) for _, c in need)
-    columns = LabelColumns(idx.lists)
-    for label, vs in columns.members.items():
-        for col in columns.fill(label).values():
-            assert all(map(_is_nonnegative, unpack(col, len(vs))))
+def test_pack_and_needed_count_reject_a_negative_int(cfg_plain):
+    # the packed test's precondition, no negative count or needed count, is
+    # the field type's: a column or a need scan's operand cannot hold -1
+    with pytest.raises(OverflowError):
+        pack([0, -1])
+    idx, _ = _two_label_0_stars(cfg_plain)
+    with pytest.raises(OverflowError):
+        idx.scan_for_degree((), 1, 0, ((1, -1),))
+    assert idx.scan_for_degree((), 1, 0, ((1, 0),))[0] == [0, 2]
