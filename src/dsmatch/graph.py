@@ -125,6 +125,7 @@ class DynamicGraph:
     def add_vertex(self, v: VertexId, label: Label) -> None:
         existing = self.labels.get(v)
         if existing is None:
+            _check_new_vertex(v, label)
             self.labels[v] = label
             self.adj[v] = set()
         elif existing != label:
@@ -157,9 +158,10 @@ class DynamicGraph:
 
         Every check runs before the first mutation: self-loop, unknown kind,
         and for an insert a duplicate edge, then a missing label (a new
-        endpoint must carry one) or a conflicting label on either endpoint;
-        for a delete a missing edge.  Insertions handle all three endpoint
-        cases (both existing, one new, both new).
+        endpoint must carry one), a new endpoint whose id or label is not an
+        int, or a conflicting label on either endpoint; for a delete a
+        missing edge.  Insertions handle all three endpoint cases (both
+        existing, one new, both new).
         """
         u, v = op.u, op.v
         if u == v:
@@ -173,6 +175,7 @@ class DynamicGraph:
                 if have is None:
                     if lbl is None:
                         raise MissingLabel(f"new vertex {w} arrived without a label")
+                    _check_new_vertex(w, lbl)
                 elif lbl is not None and have != lbl:
                     raise LabelConflict(f"vertex {w} already labeled {have}, got {lbl}")
             for w, lbl in endpoints:
@@ -183,6 +186,15 @@ class DynamicGraph:
             self.remove_edge(u, v)
         else:
             raise InvalidParams(f"unknown op kind {op.kind!r}")
+
+
+def _check_new_vertex(v: VertexId, label: Label) -> None:
+    """Reject a vertex id or label that is not an int (a bool included):
+    answer-set edge keys order ids, and label vectors mix labels as ints."""
+    if type(v) is not int or type(label) is not int:
+        raise InvalidParams(
+            f"a new vertex's id and label must be ints, got {v!r} labeled {label!r}"
+        )
 
 
 # -- text formats ------------------------------------------------------------

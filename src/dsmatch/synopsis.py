@@ -27,6 +27,13 @@ No comparison carries a slack: neighbor sums are exact and rounding is
 monotone (:mod:`dsmatch.embedding`), so every filter admits each true
 match image.
 
+The grid domain is frozen at construction from the largest neighbor-sum
+component, read off one packed pass: each label's d components, times
+2^GRID_BITS, are exact ints packed into one int of d fields (:func:`pack`),
+one int sum per vertex over its neighbors' packed labels adds all d at once,
+and the sums' bytes read as one array of unsigned 64-bit fields.  No step
+of it loops in Python per neighbor or per dimension.
+
 Grids and label columns are built only when read: the first need-less
 scan, snapshot or dump builds every grid in one pass over the vertices,
 and a label's first need fills its columns in one pass over its vertices'
@@ -46,13 +53,15 @@ import math
 import sys
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
-from operator import le
+from itertools import compress, repeat
+from operator import le, methodcaller
 from typing import Iterable, Sequence
 
 from .embedding import (
     BETA,
+    GRID_BITS,
     EmbeddingConfig,
     MODE_PLAIN,
     Vec,
@@ -161,11 +170,8 @@ def compute_degree_groups(g0: DynamicGraph, m: int) -> DegreeGroups:
     """
     if type(m) is not int or m < 1:
         raise InvalidParams(f"m must be >= 1 and an int, got {m!r}")
-    freq: dict[int, int] = {}
-    for v in g0.vertices():
-        d = g0.degree(v)
-        if d >= 1:
-            freq[d] = freq.get(d, 0) + 1
+    freq = Counter(map(len, g0.adj.values()))
+    del freq[0]
     degrees = sorted(freq)
     n = len(degrees)
     if n == 0 or m == 1:
@@ -572,7 +578,9 @@ class SynopsisIndex:
 
     Degree groups and the grid domain are frozen at construction: the
     domain, finite and positive, defaults to :func:`default_domain`'s
-    estimate from the full neighbor sums.  Maintenance edits only the
+    estimate from the largest neighbor-sum component, which one packed
+    pass (see the module docstring) reads exactly, computing no capped sum
+    and no box.  Maintenance edits only the
     histograms and drops the grids and label columns, which the next read
     derives afresh.  So every scan, ``snapshot()`` and ``dump()`` sees
     exactly what a from-scratch build over the current snapshot (with the
@@ -593,10 +601,19 @@ class SynopsisIndex:
         self.k_cells = k_cells
         self.lists = store = NeighborListStore(graph, cfg)
         if domain is None:
-            adj = graph.adj
-            sums = (s for v in graph.vertices() if adj[v]
-                    for s in store.capped_sums(v, (len(adj[v]),)))
-            domain = default_domain(cfg, max(sums, default=0.0))
+            # a component times 2^GRID_BITS is an int in [1, 2^GRID_BITS], so
+            # no field of a sum reaches bit 64 below degree 2^44.  Native byte
+            # order keeps each field whole for ``array``; a big-endian host
+            # only flips the fields' order, which ``max`` ignores
+            one = 1 << GRID_BITS
+            packed = {lbl: pack([int(comps[lbl] * one) for comps in store.comps])
+                      for lbl in store.frames}
+            labels = graph.labels
+            of = dict(zip(labels, map(packed.__getitem__, labels.values())))
+            sums = map(sum, map(map, repeat(of.__getitem__), graph.adj.values()))
+            to_bytes = methodcaller("to_bytes", 8 * cfg.d, sys.byteorder)
+            fields = array("Q", b"".join(map(to_bytes, sums)))
+            domain = default_domain(cfg, max(fields, default=0) / one)
         self.domain = domain
         self._grids: list[GridSynopsis] | None = None
         self._columns: LabelColumns | None = None
@@ -690,8 +707,9 @@ class SynopsisIndex:
 
 def default_domain(cfg: EmbeddingConfig, sum_max: float) -> float:
     """Grid extent from ``sum_max``, the largest neighbor-sum component over
-    the graph, which the index's constructor reads off one pass of full
-    neighbor sums.
+    the graph, which the index's constructor reads off one packed pass:
+    per vertex, one int sum of its neighbors' labels' components packed as
+    d 64-bit fields at 2^GRID_BITS to the unit, so ``sum_max`` is exact.
 
     Optimized modes are dominated by the BETA term, so the extent is BETA
     plus headroom plus the (small) alpha image of the sum estimate; plain

@@ -83,11 +83,28 @@ def test_update_errors():
         (LabelConflict, UpdateOp(INSERT, 7, 0, label_u=3, label_v=9)),
         (MissingLabel, UpdateOp(INSERT, 8, 9, label_u=3)),
         (InvalidParams, UpdateOp("*", 0, 2)),
+        # a new endpoint's id and label must be ints, bools excluded
+        (InvalidParams, UpdateOp(INSERT, 0, 2, label_v=1.5)),
+        (InvalidParams, UpdateOp(INSERT, 0, 2, label_v=True)),
+        (InvalidParams, UpdateOp(INSERT, 0, "a", label_v=0)),
+        (InvalidParams, UpdateOp(INSERT, 2.0, 0, label_u=0)),
+        (InvalidParams, UpdateOp(INSERT, 7, 0, label_u="x")),
     ]
     for error, op in rejected:
         with pytest.raises(error):
             g.apply_update(op)
         assert dump_graph(g) == before, op
+
+
+@pytest.mark.parametrize("v, label", [(True, 0), (2.0, 0), ("a", 0), (2, 1.0), (2, False),
+                                      (2, "1"), (2, None)])
+def test_add_vertex_rejects_a_non_int_id_or_label(v, label):
+    # no vertex 1 or 0, which True and False would equal
+    g = make_graph([(5, 6)], {5: 0, 6: 1})
+    before = dump_graph(g)
+    with pytest.raises(InvalidParams, match="must be ints"):
+        g.add_vertex(v, label)
+    assert dump_graph(g) == before
 
 
 # -- parsing -------------------------------------------------------------

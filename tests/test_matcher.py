@@ -693,6 +693,48 @@ def test_rejected_op_leaves_engine_untouched(any_mode_cfg):
     assert result.deltas["path"].added == {(0, 1, 7), (2, 1, 7), (7, 1, 0), (7, 1, 2)}
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        UpdateOp(INSERT, 1, 7, label_v=1.5),
+        UpdateOp(INSERT, 1, 7, label_v="x"),
+        UpdateOp(INSERT, 1, 7, label_v=True),
+        UpdateOp(INSERT, 1, "a", label_v=0),
+        UpdateOp(INSERT, "a", 1, label_u=0),
+        UpdateOp(INSERT, 1, 7.0, label_v=0),
+    ],
+    ids=["float-label", "str-label", "bool-label", "str-id", "str-id-first", "float-id"],
+)
+def test_new_vertex_of_a_non_int_id_or_label_leaves_engine_untouched(cfg_zipf, op):
+    # such an insert once changed the graph and then raised part-way: in
+    # the label vector (the histograms kept no count for the new edge) or
+    # in the answer set's edge keys (after one answer was added); the
+    # delete of that edge then removed it and raised in ``op.edge()``.
+    # The op and that delete now raise before any mutation, and the next
+    # valid op applies
+    g = make_graph([(0, 1), (1, 2)], {0: 0, 1: 1, 2: 0})
+    engine = MatchEngine(g.copy(), cfg_zipf)
+    engine.register("q", q_edge(0, 1))
+    engine.register("path", QueryGraph({0: 0, 1: 1, 2: 0}, [(0, 1), (1, 2)]))
+
+    def state():
+        hist = {v: dict(h) for v, h in engine.index.lists.hist.items()}
+        answers = {name: rq.answers.mappings() for name, rq in engine.queries.items()}
+        return dump_graph(engine.graph), hist, set(engine.index.lists.frames), answers
+
+    before = state()
+    with pytest.raises(DsmatchError):
+        engine.process_update(op)
+    assert state() == before
+    with pytest.raises(DsmatchError):
+        engine.process_update(UpdateOp(DELETE, op.u, op.v))
+    assert state() == before
+    result = engine.process_update(UpdateOp(INSERT, 7, 1, label_u=0))
+    assert result.deltas["q"].added == {(7, 1)}
+    for rq in engine.queries.values():
+        assert rq.answers.mappings() == enumerate_matches(engine.graph, rq.query)
+
+
 def test_duplicate_registration_leaves_engine_untouched(cfg_zipf):
     g = make_graph([(0, 1), (1, 2)], {0: 0, 1: 1, 2: 0})
     engine = MatchEngine(g.copy(), cfg_zipf)
@@ -816,17 +858,16 @@ def hub_stream_engine(cfg):
 
 @HUB_CONFIGS
 def test_updates_read_no_walk(cfg_kw, monkeypatch):
-    # construction reads each non-isolated vertex's full capped sums once,
-    # for the grid domain, and builds no grid; the six registrations right
-    # after it, whose scans fill label columns from the histograms, build
-    # no grid, read no capped sum and compute no box.  Inserts count-test
-    # seeds against histograms and deletes edit them and the answer index:
-    # no update reads a capped sum or a box either
+    # construction reads the grid domain off packed label vectors and
+    # builds no grid; the six registrations right after it, whose scans
+    # fill label columns from the histograms, build no grid either: neither
+    # reads a capped sum or computes a box.  Inserts count-test seeds
+    # against histograms and deletes edit them and the answer index: no
+    # update reads a capped sum or a box either
     calls = spy_on_boxes(monkeypatch)
-    engine, g, ops = hub_stream_engine(EmbeddingConfig(**cfg_kw))
-    assert calls == Counter(("capped_sums", v) for v in g.vertices() if g.degree(v))
+    engine, _, ops = hub_stream_engine(EmbeddingConfig(**cfg_kw))
+    assert not calls
     assert engine.index._grids is None and engine.index._columns.columns
-    calls.clear()
     seen = Counter()  # (kind, filed pair, created a vertex)
     added = removed = 0
     for op in ops:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsmatch.embedding import (
+    GRID_BITS,
     EmbeddingConfig,
     compose,
     embed_vertex,
@@ -133,17 +134,12 @@ def test_grouping_matches_exhaustive_oracle(data):
 
 
 class DegreeStub:
-    """Just the graph surface ``compute_degree_groups`` reads: one vertex
-    per entry of ``degrees``, of that degree."""
+    """Just the graph surface ``compute_degree_groups`` reads, its ``adj``:
+    one vertex per entry of ``degrees``, with that many (unnamed)
+    neighbors."""
 
     def __init__(self, degrees):
-        self.degrees = degrees
-
-    def vertices(self):
-        return range(len(self.degrees))
-
-    def degree(self, v):
-        return self.degrees[v]
+        self.adj = {v: range(d) for v, d in enumerate(degrees)}
 
 
 def test_exhaustive_grouping_equals_slice_sums_on_many_distinct_degrees():
@@ -352,6 +348,37 @@ def test_domain_comes_from_every_neighbor_sum(mode):
     cfg = EmbeddingConfig(d=2, mode=mode)
     g, idx, _ = hub_and_loner(cfg)
     assert idx.domain == default_domain(cfg, largest_neighbor_sum(g, cfg))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_domain_equals_the_largest_fsum_neighbor_sum(mode, d, data):
+    # the constructor sums each label's components, times 2^GRID_BITS, as
+    # packed ints; every such component is an int in [1, 2^GRID_BITS].  On
+    # random graphs, with isolated vertices, maybe a hub of degree >= 100,
+    # and on the edgeless graph over the same vertices, the domain equals
+    # the one read off the largest math.fsum neighbor sum
+    cfg = EmbeddingConfig(d=d, mode=mode)
+    n = data.draw(st.integers(1, 30), label="vertices")
+    labels = dict(enumerate(data.draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n),
+                                      label="labels")))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+    edges = data.draw(st.sets(pairs, max_size=60), label="edges")
+    hub = data.draw(st.one_of(st.just(0), st.integers(100, 300)), label="hub degree")
+    if hub:  # a new vertex, linked to n + 1 .. n + hub, labeled 0-15 off a drawn seed
+        rng = Rng(data.draw(st.integers(0, 2**32), label="hub seed"))
+        labels.update({v: rng.randint(0, 15) for v in range(n, n + hub + 1)})
+        edges |= {(n, v) for v in range(n + 1, n + hub + 1)}
+    one = 2**GRID_BITS
+    for g in (make_graph([], labels), make_graph(sorted(edges), labels)):
+        idx = SynopsisIndex(g, compute_degree_groups(g, 3), cfg, 5)
+        sums = (c for v in g.vertices() for c in neighbor_sum(g, v, cfg))
+        assert idx.domain == default_domain(cfg, max(sums, default=0.0))
+        for comps in idx.lists.comps:
+            assert set(comps) == set(labels.values())
+            assert all((c * one).is_integer() and 1 <= c * one <= one for c in comps.values())
 
 
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
