@@ -26,6 +26,7 @@ from .generate import SCENARIO_PARAMS, BenchConfig
 from .graph import dump_graph, dump_stream, load_graph, load_stream
 from .matcher import UNCHANGED, QueryGraph, format_answers, format_delta
 from .oracle import enumerate_matches, recompute_stream_check
+from .synopsis import SynopsisIndex, estimate_domain
 
 
 def _env(name: str, default):
@@ -128,8 +129,10 @@ def cmd_run(args) -> int:
                 "\n".join(blocks) + ("\n" if blocks else "")
             )
     _write_csv(out / "metrics.csv", RUN_COLUMNS, metrics.rows())
-    if args.dump_synopses:
-        Path(args.dump_synopses).write_text(engine.index.dump())
+    if args.dump_synopses:  # g0's degree groups and grid domain, over the final graph
+        ix = engine.index
+        Path(args.dump_synopses).write_text(SynopsisIndex(
+            engine.graph, ix.groups, ix.cfg, ix.k_cells, estimate_domain(g0, ix.cfg)).dump())
     print(
         f"{len(stream)} updates, {sum(map(len, metrics.final_answers.values()))} "
         f"final answers, total {metrics.total_seconds:.3f}s -> {out}"

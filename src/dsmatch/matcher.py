@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 from types import MappingProxyType
 from typing import ClassVar, Iterable, Iterator
@@ -298,9 +299,14 @@ class AnswerSet:
 class RegisteredQuery:
     name: str
     query: QueryGraph
-    embeds: dict[VertexId, Vec]
+    cfg: EmbeddingConfig
     scan_stats: dict[VertexId, ScanStats]
     answers: AnswerSet
+
+    @cached_property
+    def embeds(self) -> dict[VertexId, Vec]:
+        """:func:`embed_query` on first read; no engine path reads it."""
+        return embed_query(self.query, self.cfg)
 
     @property
     def mean_pruning_power(self) -> float:
@@ -357,8 +363,8 @@ class UpdateResult:
 class MatchEngine:
     """Continuous exact subgraph matching over one dynamic graph.
 
-    Owns the graph, the synopsis index (degree groups frozen from the
-    graph at construction), and any number of registered queries.  All
+    Owns the graph, the synopsis index (degree groups frozen at build, the
+    grid domain at first read), and any number of registered queries.  All
     mutation goes through :meth:`register` and :meth:`process_update`
     (the writers, one at a time); reads may happen freely between them.
     """
@@ -388,13 +394,12 @@ class MatchEngine:
         """
         if name in self.queries:
             raise InvalidParams(f"query {name!r} already registered")
-        embeds = embed_query(query, self.cfg)
         needs = label_needs(query)
         cand_sets: dict[VertexId, list[VertexId]] = {}
         scan_stats: dict[VertexId, ScanStats] = {}
         for qi in query.vertex_order:
             cands, stats = self.index.scan_for_degree(
-                embeds[qi], query.degree(qi), query.labels[qi], needs[qi]
+                (), query.degree(qi), query.labels[qi], needs[qi]
             )
             cand_sets[qi] = cands
             scan_stats[qi] = stats
@@ -408,7 +413,7 @@ class MatchEngine:
         answers = AnswerSet(query)
         for m in refine(plan, self.graph, self.index.lists, [], 0, cand_sets[start]):
             answers.add(m)
-        rq = RegisteredQuery(name, query, embeds, scan_stats, answers)
+        rq = RegisteredQuery(name, query, self.cfg, scan_stats, answers)
         for plan in plans.values():
             (la, lb), (na, nb) = plan.labels[:2], plan.needs[:2]
             for key, seed in (

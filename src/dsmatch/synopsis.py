@@ -27,23 +27,22 @@ No comparison carries a slack: neighbor sums are exact and rounding is
 monotone (:mod:`dsmatch.embedding`), so every filter admits each true
 match image.
 
-The grid domain is frozen at construction from the largest neighbor-sum
-component, read off one packed pass: each label's d components, times
-2^GRID_BITS, are exact ints packed into one int of d fields (:func:`pack`),
-one int sum per vertex over its neighbors' packed labels adds all d at once,
-and the sums' bytes read as one array of unsigned 64-bit fields.  No step
-of it loops in Python per neighbor or per dimension.
+The grid domain is estimated on its first read, over the graph as it then
+stands, from the largest neighbor-sum component, which
+:func:`estimate_domain` reads exactly off one packed pass that loops in
+Python neither per neighbor nor per dimension.
 
 Grids and label columns are built only when read: the first need-less
 scan, snapshot or dump builds every grid in one pass over the vertices,
 and a label's first need fills its columns in one pass over its vertices'
 histograms.  An update drops both, so the next read derives them from the
-histograms with the same frozen degree groups, domain and cell count: a
+histograms with the same degree groups, domain and cell count: a
 maintained index equals a rebuild by construction.  Maintenance is
 exclusive (the graph's single-writer contract), and so are the first reads
-that write since construction or the last update: a grid build and a label
-fill.  Later reads may run concurrently; the store's sums and boxes cache
-nothing.
+that write: the domain's first read, and a grid build or a label fill
+since construction or the last update.  Later reads may run concurrently;
+the store's sums and boxes cache nothing, and its label frames are pure
+functions of a label, filled on first read.
 """
 
 from __future__ import annotations
@@ -55,9 +54,10 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, repeat
 from operator import le, methodcaller
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .embedding import (
     BETA,
@@ -224,29 +224,43 @@ class Mbr:
         return all(lo - eps <= x <= hi + eps for lo, x, hi in zip(self.low, p, self.high))
 
 
+class LabelTable(dict):
+    """Label -> ``of(label)``, computed on its first read by subscript."""
+
+    def __init__(self, of: Callable[[Label], object]):
+        self.of = of
+
+    def __missing__(self, label: Label):
+        return self.setdefault(label, self.of(label))
+
+
+def label_frame(label: Label, cfg: EmbeddingConfig) -> tuple[Vec, Vec]:
+    """The label's box frame: a leafless star's d head coordinates, and the
+    constants its d tail coordinates add to ``alpha * raw_sum``."""
+    e = compose(label_vector(label, cfg), (0.0,) * cfg.d, label, cfg)
+    return e[: cfg.d], e[cfg.d :]
+
+
 class NeighborListStore:
     """Per-vertex neighbor-label histograms for one graph, plus boxes.
 
     Every neighbor contributes its label's vector, so ``hist[v]`` (label ->
-    number of neighbors carrying it) is all the state a box needs.  A
-    store-wide label table holds, per label seen, its box frame: the d head
-    coordinates, and the constant added to ``alpha * raw_sum`` on each tail
-    dimension (plain mode is alpha = 1 with zero constants).  ``comps[k]``
-    maps each label seen to its label-vector component on dimension k.
+    number of neighbors carrying it) is all the state a box needs.  Two
+    label tables, filled on first read, hold per label its box frame
+    (:func:`label_frame`; plain mode is alpha = 1 with zero constants) and,
+    in ``comps[k]``, its label-vector component on dimension k.
     Boxes and capped sums (:meth:`capped_sums`) are read off a histogram
     afresh and never kept.  Sums of components are exact in any order, so
-    each is a pure function of a histogram and the label table.
+    each is a pure function of a histogram and the label tables.
     """
 
     def __init__(self, graph: DynamicGraph, cfg: EmbeddingConfig):
         self.graph = graph
         self.cfg = cfg
         self.alpha = 1.0 if cfg.mode == MODE_PLAIN else cfg.alpha
-        self.frames: dict[Label, tuple[Vec, Vec]] = {}  # head, tail constants
-        self.comps: list[dict[Label, float]] = [{} for _ in range(cfg.d)]
+        self.frames = LabelTable(lambda lbl: label_frame(lbl, cfg))
+        self.comps = [LabelTable(lambda lbl, k=k: label_vector(lbl, cfg)[k]) for k in range(cfg.d)]
         labels = graph.labels
-        for lbl in set(labels.values()):
-            self._frame(lbl)
         self.hist: dict[VertexId, dict[Label, int]] = {}
         for v in graph.vertices():
             hist = self.hist[v] = {}
@@ -254,22 +268,8 @@ class NeighborListStore:
                 lbl = labels[n]
                 hist[lbl] = hist.get(lbl, 0) + 1
 
-    def _frame(self, label: Label) -> tuple[Vec, Vec]:
-        """The label's box frame; a label seen first also gets its components."""
-        frame = self.frames.get(label)
-        if frame is None:
-            d = self.cfg.d
-            x = label_vector(label, self.cfg)
-            for comp, comps in zip(x, self.comps):
-                comps[label] = comp
-            e = compose(x, (0.0,) * d, label, self.cfg)  # a star with no leaves
-            frame = self.frames[label] = (e[:d], e[d:])
-        return frame
-
     def count(self, v: VertexId, label: Label, step: int) -> None:
         """Add ``step`` (+1 or -1) neighbors carrying ``label`` to v."""
-        if label not in self.frames:
-            self._frame(label)
         hist = self.hist.get(v)
         if hist is None:
             hist = self.hist[v] = {}
@@ -313,7 +313,7 @@ class NeighborListStore:
         deg = self.degree(v)
         if not 1 <= delta <= deg:
             raise DegreeOutOfRange(f"delta {delta} outside [1, {deg}] for vertex {v}")
-        head, tail = self._frame(self.graph.label(v))
+        head, tail = self.frames[self.graph.label(v)]
         caps = sorted((delta, deg - delta, deg))
         a, sums = self.alpha, self.capped_sums(v, caps)
         rest, high = sums[caps.index(deg - delta) :: 3], sums[caps.index(delta) :: 3]
@@ -576,15 +576,14 @@ class SynopsisIndex:
     """All degree-group grids and the label columns over the shared
     neighbor-label histograms.
 
-    Degree groups and the grid domain are frozen at construction: the
-    domain, finite and positive, defaults to :func:`default_domain`'s
-    estimate from the largest neighbor-sum component, which one packed
-    pass (see the module docstring) reads exactly, computing no capped sum
-    and no box.  Maintenance edits only the
-    histograms and drops the grids and label columns, which the next read
-    derives afresh.  So every scan, ``snapshot()`` and ``dump()`` sees
+    Degree groups are frozen at construction, and the grid domain, finite
+    and positive, if not given, at its first read: :func:`estimate_domain`
+    over the graph as it then stands.  The first grid build, ``snapshot()``
+    or ``dump()`` reads it; no engine path does.  Maintenance edits only
+    the histograms and drops the grids and label columns, which the next
+    read derives afresh.  So every scan, ``snapshot()`` and ``dump()`` sees
     exactly what a from-scratch build over the current snapshot (with the
-    same frozen parameters) would produce.
+    same groups and domain) would produce.
     """
 
     def __init__(
@@ -593,30 +592,22 @@ class SynopsisIndex:
     ):
         if type(k_cells) is not int or k_cells < 1:
             raise InvalidParams(f"k_cells must be >= 1 and an int, got {k_cells!r}")
-        if domain is not None and not (math.isfinite(domain) and domain > 0):
-            raise InvalidParams(f"domain must be finite and > 0, got {domain}")
+        if domain is not None:
+            if not (math.isfinite(domain) and domain > 0):
+                raise InvalidParams(f"domain must be finite and > 0, got {domain}")
+            self.domain = domain
         self.graph = graph
         self.groups = groups
         self.cfg = cfg
         self.k_cells = k_cells
-        self.lists = store = NeighborListStore(graph, cfg)
-        if domain is None:
-            # a component times 2^GRID_BITS is an int in [1, 2^GRID_BITS], so
-            # no field of a sum reaches bit 64 below degree 2^44.  Native byte
-            # order keeps each field whole for ``array``; a big-endian host
-            # only flips the fields' order, which ``max`` ignores
-            one = 1 << GRID_BITS
-            packed = {lbl: pack([int(comps[lbl] * one) for comps in store.comps])
-                      for lbl in store.frames}
-            labels = graph.labels
-            of = dict(zip(labels, map(packed.__getitem__, labels.values())))
-            sums = map(sum, map(map, repeat(of.__getitem__), graph.adj.values()))
-            to_bytes = methodcaller("to_bytes", 8 * cfg.d, sys.byteorder)
-            fields = array("Q", b"".join(map(to_bytes, sums)))
-            domain = default_domain(cfg, max(fields, default=0) / one)
-        self.domain = domain
+        self.lists = NeighborListStore(graph, cfg)
         self._grids: list[GridSynopsis] | None = None
         self._columns: LabelColumns | None = None
+
+    @cached_property
+    def domain(self) -> float:
+        """The grid extent, estimated on first read unless given."""
+        return estimate_domain(self.graph, self.cfg)
 
     def _build_grids(self) -> list[GridSynopsis]:
         """Every group's grid from one pass over the vertices: each vertex of
@@ -705,11 +696,27 @@ class SynopsisIndex:
         return "\n".join(parts) + "\n"
 
 
+def estimate_domain(graph: DynamicGraph, cfg: EmbeddingConfig) -> float:
+    """:func:`default_domain` of the graph's largest neighbor-sum component,
+    exact: each label's d components, times 2^GRID_BITS, are ints in [1,
+    2^GRID_BITS] packed into one int of d fields (:func:`pack`), so one int
+    sum per vertex adds all d at once and no field reaches bit 64 below
+    degree 2^44.  The sums' bytes read as one array of 64-bit fields: native
+    byte order keeps each whole, and a big-endian host only flips their
+    order, which ``max`` ignores."""
+    one = 1 << GRID_BITS
+    packed = {lbl: pack([int(c * one) for c in label_vector(lbl, cfg)])
+              for lbl in set(graph.labels.values())}
+    of = dict(zip(graph.labels, map(packed.__getitem__, graph.labels.values())))
+    sums = map(sum, map(map, repeat(of.__getitem__), graph.adj.values()))
+    to_bytes = methodcaller("to_bytes", 8 * cfg.d, sys.byteorder)
+    fields = array("Q", b"".join(map(to_bytes, sums)))
+    return default_domain(cfg, max(fields, default=0) / one)
+
+
 def default_domain(cfg: EmbeddingConfig, sum_max: float) -> float:
-    """Grid extent from ``sum_max``, the largest neighbor-sum component over
-    the graph, which the index's constructor reads off one packed pass:
-    per vertex, one int sum of its neighbors' labels' components packed as
-    d 64-bit fields at 2^GRID_BITS to the unit, so ``sum_max`` is exact.
+    """Grid extent from ``sum_max``, the largest neighbor-sum component
+    over the graph (:func:`estimate_domain`).
 
     Optimized modes are dominated by the BETA term, so the extent is BETA
     plus headroom plus the (small) alpha image of the sum estimate; plain

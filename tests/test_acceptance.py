@@ -177,12 +177,13 @@ def test_c04_maintenance_equals_rebuild_after_1000_updates():
     cfg = EmbeddingConfig(d=2, mode="zipf")
     g = small_world(n=200, avg_deg=5.0, alphabet=6, seed=33)
     index = SynopsisIndex(g, compute_degree_groups(g, 3), cfg, 5)
+    domain = index.domain  # read, so frozen over the initial graph
     ops = random_update_stream(g, 1000, seed=77, alphabet=6)
     assert len(ops) == 1000
     for op in ops:
         g.apply_update(op)
         index.maintain(op)
-    rebuilt = SynopsisIndex(g, index.groups, cfg, index.k_cells, domain=index.domain)
+    rebuilt = SynopsisIndex(g, index.groups, cfg, index.k_cells, domain=domain)
     assert index.snapshot() == rebuilt.snapshot()  # entry sets and histograms exact
     worst = 0.0
     for v in g.vertices():

@@ -928,8 +928,9 @@ def test_registration_builds_no_grid_and_fills_only_its_labels(cfg_kw, monkeypat
         assert fills == Counter(set(q.labels.values()))
         assert rq.answers.mappings() == enumerate_matches(engine.graph, q)
         assert len(scans) == len(q)
-        for (embed, degree, label, need), (cands, _) in scans:
-            boxed, _ = scan_for_degree(embed, degree, label)  # builds the grids
+        for qi, ((embed, degree, label, need), (cands, _)) in zip(q.vertex_order, scans):
+            assert embed == ()  # registration embeds no query vertex
+            boxed, _ = scan_for_degree(rq.embeds[qi], degree, label)  # builds the grids
             assert sorted(cands) == sorted(v for v in boxed if covers(engine.graph, v, need))
 
 
@@ -1222,6 +1223,30 @@ def test_deltas_name_exactly_the_changed_queries_in_registration_order(cfg_zipf)
     assert seen["absent"] == 0
     assert {(INSERT, "edge"), (DELETE, "edge"), (INSERT, "path"), (DELETE, "path")} <= kinds
     assert len(seen) == 4
+
+
+@HUB_CONFIGS
+def test_engine_never_estimates_the_grid_domain(cfg_kw, monkeypatch):
+    # only grid reads need the domain and the label frames: construction,
+    # six registrations and a mixed stream that brings a new label compute
+    # neither; the first snapshot estimates the domain once, over the graph
+    # as it stands, and later reads keep that value
+    graphs = []
+    estimate = synopsis_mod.estimate_domain
+
+    def spy(graph, cfg):
+        graphs.append(graph)
+        return estimate(graph, cfg)
+
+    monkeypatch.setattr(synopsis_mod, "estimate_domain", spy)
+    engine, _, ops = hub_stream_engine(EmbeddingConfig(**cfg_kw))
+    for op in ops:
+        engine.process_update(op)
+    assert graphs == [] and not engine.index.lists.frames
+    snapshot = engine.index.snapshot()
+    assert graphs == [engine.graph]
+    assert engine.index.snapshot() == snapshot and engine.index.domain == snapshot["domain"]
+    assert graphs == [engine.graph]
 
 
 def test_answer_output_format():

@@ -69,6 +69,8 @@ class EngineMachine(RuleBasedStateMachine):
         self.checks = 0  # invariant checks run, which rotate the vertices probed
         self.engine.register("q0", self.pool.pop())
         self.queries["q0"] = self.engine.queries["q0"].query
+        # read, so the grid domain is frozen over g0 and hubs can drift past it
+        assert self.engine.index.domain > 0
 
     def answers(self):
         return {name: rq.answers.mappings() for name, rq in self.engine.queries.items()}

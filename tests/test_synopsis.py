@@ -355,7 +355,7 @@ def test_domain_comes_from_every_neighbor_sum(mode):
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(data=st.data())
 def test_domain_equals_the_largest_fsum_neighbor_sum(mode, d, data):
-    # the constructor sums each label's components, times 2^GRID_BITS, as
+    # the domain estimate sums each label's components, times 2^GRID_BITS, as
     # packed ints; every such component is an int in [1, 2^GRID_BITS].  On
     # random graphs, with isolated vertices, maybe a hub of degree >= 100,
     # and on the edgeless graph over the same vertices, the domain equals
@@ -376,9 +376,9 @@ def test_domain_equals_the_largest_fsum_neighbor_sum(mode, d, data):
         idx = SynopsisIndex(g, compute_degree_groups(g, 3), cfg, 5)
         sums = (c for v in g.vertices() for c in neighbor_sum(g, v, cfg))
         assert idx.domain == default_domain(cfg, max(sums, default=0.0))
-        for comps in idx.lists.comps:
-            assert set(comps) == set(labels.values())
-            assert all((c * one).is_integer() and 1 <= c * one <= one for c in comps.values())
+        for lbl in set(labels.values()):
+            assert all((c * one).is_integer() and 1 <= c * one <= one
+                       for c in label_vector(lbl, cfg))
 
 
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
@@ -395,6 +395,26 @@ def test_rebuild_keeps_the_domain_frozen(mode):
     snapshot = idx.snapshot()
     assert snapshot["domain"] == idx.domain == old
     assert snapshot == SynopsisIndex(g, idx.groups, cfg, idx.k_cells, domain=old).snapshot()
+    # a corner coordinate past the kept domain clamps into the top interval;
+    # plain sums pass it here, while the other modes' BETA headroom holds
+    past = {c for syn in snapshot["synopses"] for coords, rows in syn.items()
+            for _, _, corner in rows for c, x in zip(coords, corner) if x > old}
+    assert past == ({idx.k_cells - 1} if mode == "plain" else set())
+
+
+@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
+def test_domain_first_read_after_updates_is_estimated_over_the_current_graph(mode):
+    cfg = EmbeddingConfig(d=2, mode=mode)
+    g, idx, hub = hub_and_loner(cfg)
+    initial = default_domain(cfg, largest_neighbor_sum(g, cfg))
+    for v in range(hub + 41, hub + 81):  # the hub's neighbor sum grows
+        op = UpdateOp(INSERT, hub, v, label_v=v % 3)
+        g.apply_update(op)
+        idx.maintain(op)
+    snapshot = idx.snapshot()
+    assert snapshot == SynopsisIndex(g, idx.groups, cfg, idx.k_cells).snapshot()
+    assert snapshot["domain"] == idx.domain == default_domain(cfg, largest_neighbor_sum(g, cfg))
+    assert idx.domain != initial
 
 
 # -- incremental maintenance ---------------------------------------------------
@@ -502,10 +522,11 @@ def test_maintenance_equals_rebuild_after_stream(mode):
     cfg = EmbeddingConfig(d=2, mode=mode)
     g = small_world(n=80, avg_deg=5.0, alphabet=5, seed=8)
     idx = build_index(g, cfg)
+    domain = idx.domain  # read, so frozen over the initial graph
     for op in random_update_stream(g, 500, seed=21):
         g.apply_update(op)
         idx.maintain(op)
-    rebuilt = SynopsisIndex(g, idx.groups, cfg, idx.k_cells, domain=idx.domain)
+    rebuilt = SynopsisIndex(g, idx.groups, cfg, idx.k_cells, domain=domain)
     assert idx.snapshot() == rebuilt.snapshot()
     # maintained neighbor sums equal from-scratch sums
     for v in g.vertices():
@@ -526,6 +547,7 @@ def test_hub_degree_boxes_and_rebuild_under_churn(any_mode_cfg):
     for v in range(1, 2400, 7):
         g.add_edge(v, v + 1)
     idx = build_index(g, any_mode_cfg)
+    domain = idx.domain  # read, so frozen over the initial graph
     next_vid = 2401
     for i in range(300):
         if i % 2:
@@ -539,7 +561,7 @@ def test_hub_degree_boxes_and_rebuild_under_churn(any_mode_cfg):
         tied = {lbl for lbl in range(16) if label_vector(lbl, any_mode_cfg)[0] == 1 / 1024}
         assert len(tied) == 4
         assert tied <= {g.labels[n] for n in g.neighbors(0)}
-    rebuilt = SynopsisIndex(g, idx.groups, any_mode_cfg, idx.k_cells, domain=idx.domain)
+    rebuilt = SynopsisIndex(g, idx.groups, any_mode_cfg, idx.k_cells, domain=domain)
     assert idx.snapshot() == rebuilt.snapshot()
 
     deg = g.degree(0)
@@ -753,7 +775,7 @@ def test_reads_equal_star_subset_enumeration(mode):
 
 def assert_count_columns_equal_histograms(idx, g):
     """Fill every label's count columns as a need scan does, and read the
-    column of every label the store has seen, and of one it has not.  A
+    column of every label the graph holds, and of one it does not.  A
     label's members are its vertices in graph order, and each column holds,
     packed in that order, their neighbor counts of the needed label from
     the shadow graph's adjacency; its test against a count c,
@@ -765,7 +787,8 @@ def assert_count_columns_equal_histograms(idx, g):
     follows construction or an update, so it starts with none."""
     assert idx._columns is None
     outcomes = set()
-    unseen = max(idx.lists.frames) + 1
+    labels = set(g.labels.values())
+    unseen = max(labels) + 1
     # a need scan reads no embedding; the unseen label has no members
     assert idx.scan_for_degree((), 1, unseen, ((unseen, 1),)) == ([], ScanStats())
     columns = idx._columns
@@ -779,7 +802,7 @@ def assert_count_columns_equal_histograms(idx, g):
         cols = columns.fill(label)
         assert columns.fill(label) is cols is columns.columns[label]
         assert set(cols) == {g.labels[u] for v in vs for u in g.neighbors(v)}
-        for needed in (*idx.lists.frames, unseen):
+        for needed in (*labels, unseen):
             col = cols.get(needed, 0)
             want = [sum(g.labels[u] == needed for u in g.neighbors(v)) for v in vs]
             assert unpack(col, n) == tuple(want)  # unpack raises on a wider column

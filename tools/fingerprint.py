@@ -20,7 +20,8 @@ every query again, as ``late0``, ``late1``, ...  It prints one SHA-256
 per line for:
 
 * ``index``:      ``engine.index.snapshot()`` right after construction,
-  each grid's cells as ``[coords, rows]`` lists;
+  each grid's cells as ``[coords, rows]`` lists; this first read of the
+  grid domain estimates it over the initial graph;
 * ``scan_stats``: every query's per-vertex ``ScanStats``; a need scan
   examines the query vertex's whole label and prunes by count alone;
 * ``candidates``: every query vertex's sorted ``scan_for_degree``
@@ -29,12 +30,15 @@ per line for:
 * ``initial``:    the answers right after registration;
 * ``deltas``:     each op's non-empty per-query deltas, or that it raised;
 * ``final``:      the answers after the last op;
+* ``index_after``: ``engine.index.snapshot()`` after the last op: grids
+  built over the updated graph with the degree groups and grid domain
+  frozen over the initial one;
 * ``late``:       every late query's sorted need-scan candidates and its
   initial answers, so registration after updates is covered too.
 
-Two trees that print the same seven hashes built the same index, found the
+Two trees that print the same eight hashes built the same index, found the
 same candidates with the same pruning counts and kept the same answers
-after every op, and register alike on the updated graph.
+after every op, grid the updated graph alike, and register alike on it.
 
 The collector is off while the engine is built, registers, replays and
 registers again, and ``gc.collect()`` after each of those phases
@@ -151,6 +155,7 @@ def replay(inputs) -> tuple[dict[str, str], dict[str, int], list[str]]:
         ])
     garbage["stream"] = gc.collect()
     final = answers(engine)
+    index_after = index_view(engine.index.snapshot())
     late = [f"late{i}" for i in range(len(inputs.queries))]
     for name, q in zip(late, inputs.queries):
         engine.register(name, q)
@@ -164,6 +169,7 @@ def replay(inputs) -> tuple[dict[str, str], dict[str, int], list[str]]:
         "initial": digest(initial),
         "deltas": digest(deltas),
         "final": digest(final),
+        "index_after": digest(index_after),
         "late": digest([candidates_of(engine, late), late_answers]),
     }
     return hashes, garbage, stale
