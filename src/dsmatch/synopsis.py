@@ -21,8 +21,10 @@ label counts), a scan keeps the vertices of its label with at least as many
 neighbors of each needed label: count cover implies the box at the query
 degree, which lies inside the grid corner, so the grid would decide none of
 them.  :class:`LabelColumns` packs those counts into one int per (label,
-needed label) whose fields are unsigned 64-bit ints (:func:`pack`), and
-its scan tests a column whole against a needed count (:func:`at_least`).
+needed label) of unsigned fields, each label's 1, 2, 4 or 8 bytes wide as
+its vertices' degrees need (:func:`pack`), and its scan tests a column
+whole against a needed count (:func:`at_least`); a needed count too wide
+for the fields keeps no vertex.
 No comparison carries a slack: neighbor sums are exact and rounding is
 monotone (:mod:`dsmatch.embedding`), so every filter admits each true
 match image.
@@ -88,16 +90,16 @@ _MAX_BOUNDARY_COMBOS = 200_000
 M_GROUPS = 3
 K_CELLS = 5
 
-_SIGN = bytes(7) + b"\x80"  # a packed field with only bit 63 set
+# the array typecodes of unsigned ints by byte width, narrowest first
+_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 Need = tuple[tuple[Label, int], ...]  # (label, neighbors carrying it), by label
 
 
-def pack(col: Sequence[int]) -> int:
-    """One int whose i-th 8-byte little-endian field holds ``col[i]`` as an
-    unsigned 64-bit int, whatever the host's byte order.  A negative value,
-    or one of 2^64 or more, raises ``OverflowError``."""
-    col = array("Q", col)
+def pack(col: array) -> int:
+    """One int whose i-th little-endian field of ``col.itemsize`` bytes
+    holds ``col[i]``, whatever the host's byte order; a big-endian host
+    swaps ``col``'s bytes in place."""
     if sys.byteorder == "big":
         col.byteswap()
     return int.from_bytes(col.tobytes(), "little")
@@ -110,14 +112,14 @@ def repeated(reps: dict[tuple[bytes, int], int], field: bytes, n: int) -> int:
 
 
 def at_least(col: int, xs: int, signs: int) -> int:
-    """Bit 63 of field i set iff ``col[i] >= x``, where each field of ``xs``
-    holds x and each field of ``signs`` bit 63 alone, every value of
-    ``col`` and x an int in [0, 2^63).
+    """Bit 8w - 1 of w-byte field i set iff ``col[i] >= x``, where each field
+    of ``xs`` holds x and each of ``signs`` bit 8w - 1 alone, every value of
+    ``col`` and x an int in [0, T), T = 2^(8w - 1).
 
-    Bit 63 is clear in x and in every value of ``col``: setting it puts a
-    field at ``col[i] + 2^63``, and the difference ``col[i] + 2^63 - x``
-    lies in [1, 2^64), at or above 2^63 iff ``col[i] >= x``.  No field goes
-    negative or past 64 bits: no borrow crosses."""
+    The top bit is clear in x and in every value of ``col``: setting it puts
+    a field at ``col[i] + T``, and the difference ``col[i] + T - x`` lies in
+    [1, 2T), at or above T iff ``col[i] >= x``.  No field goes negative or
+    past 8w bits: no borrow crosses."""
     return ((col ^ signs) - xs) & signs
 
 
@@ -511,7 +513,7 @@ def scan_candidates(
 class LabelColumns:
     """Per label, the vertices carrying it in graph order (``members``) and,
     per needed label, one packed column (:func:`pack`) of their neighbor
-    counts of it, one unsigned 64-bit field per vertex.  A label's first
+    counts of it, one field of the label's width per vertex.  A label's first
     need fills all of its columns in one pass over its vertices'
     histograms (:meth:`fill`); a label that no histogram holds reads 0,
     the all-zero column.  :meth:`scan` alone reads the field layout.  The
@@ -522,15 +524,19 @@ class LabelColumns:
         self.members: dict[Label, list[VertexId]] = {}
         for v, label in store.graph.labels.items():
             self.members.setdefault(label, []).append(v)
-        self.columns: dict[Label, dict[Label, int]] = {}
+        self.columns: dict[Label, tuple[int, dict[Label, int]]] = {}
         self.repeats: dict[tuple[bytes, int], int] = {}  # for :func:`repeated`
 
-    def fill(self, label: Label) -> dict[Label, int]:
-        """The label's count columns by needed label, filled on first call."""
+    def fill(self, label: Label) -> tuple[int, dict[Label, int]]:
+        """The label's field width w and count columns by needed label, filled
+        on first call: w bytes, the fewest of 1, 2, 4 and 8 with 2^(8w - 1)
+        above every member's degree, which bounds its counts."""
         cols = self.columns.get(label)
         if cols is None:
             vs = self.members.get(label, ())
-            zeros = array("Q", bytes(8 * len(vs)))
+            top = max(map(len, map(self.store.graph.adj.__getitem__, vs)), default=0)
+            w = next(w for w in _TYPECODES if top < 1 << 8 * w - 1)
+            zeros = array(_TYPECODES[w], bytes(w * len(vs)))
             filled: dict[Label, array] = {}
             hist = self.store.hist
             for i, v in enumerate(vs):
@@ -539,21 +545,24 @@ class LabelColumns:
                     if col is None:
                         col = filled[lbl] = zeros[:]
                     col[i] = c
-            cols = self.columns[label] = {lbl: pack(col) for lbl, col in filled.items()}
+            cols = self.columns[label] = w, {lbl: pack(col) for lbl, col in filled.items()}
         return cols
 
     def scan(self, label: Label, need: Need) -> tuple[list[VertexId], int]:
         """The vertices of ``label`` that cover ``need``, in graph order, and
         how many it has.  The needed counts' masks (:func:`at_least`) AND
-        until one is empty; byte 7 of each field, holding bit 63, selects."""
-        vs, cols, reps = self.members.get(label, ()), self.fill(label), self.repeats
-        n = len(vs)
-        signs = mask = repeated(reps, _SIGN, n)
+        until one is empty; each field's top byte selects.  A needed count
+        of 2^(8w - 1) or more, which no w-byte count reaches, keeps none."""
+        (w, cols), vs, reps = self.fill(label), self.members.get(label, ()), self.repeats
+        n, top = len(vs), 1 << 8 * w - 1
+        signs = mask = repeated(reps, top.to_bytes(w, "little"), n)
         for needed, c in need:
-            mask &= at_least(cols.get(needed, 0), repeated(reps, c.to_bytes(8, "little"), n), signs)
+            if c >= top:
+                return [], n
+            mask &= at_least(cols.get(needed, 0), repeated(reps, c.to_bytes(w, "little"), n), signs)
             if not mask:
                 break
-        return list(compress(vs, mask.to_bytes(8 * n, "little")[7::8])), n
+        return list(compress(vs, mask.to_bytes(w * n, "little")[w - 1 :: w])), n
 
 
 # -- the full index -----------------------------------------------------------
@@ -705,7 +714,7 @@ def estimate_domain(graph: DynamicGraph, cfg: EmbeddingConfig) -> float:
     byte order keeps each whole, and a big-endian host only flips their
     order, which ``max`` ignores."""
     one = 1 << GRID_BITS
-    packed = {lbl: pack([int(c * one) for c in label_vector(lbl, cfg)])
+    packed = {lbl: pack(array("Q", [int(c * one) for c in label_vector(lbl, cfg)]))
               for lbl in set(graph.labels.values())}
     of = dict(zip(graph.labels, map(packed.__getitem__, graph.labels.values())))
     sums = map(sum, map(map, repeat(of.__getitem__), graph.adj.values()))

@@ -14,11 +14,11 @@ def make_graph(pairs, labels):
     return g
 
 
-def unpack(packed, n):
-    """The n ints of a packed label column (``synopsis.pack``); raises
-    ``OverflowError`` on a wider column."""
-    raw = packed.to_bytes(8 * n, "little")
-    return tuple(int.from_bytes(raw[i : i + 8], "little") for i in range(0, 8 * n, 8))
+def unpack(packed, n, w):
+    """The n ints of a packed label column of w-byte fields
+    (``synopsis.pack``); raises ``OverflowError`` on a wider column."""
+    raw = packed.to_bytes(w * n, "little")
+    return tuple(int.from_bytes(raw[i : i + w], "little") for i in range(0, w * n, w))
 
 
 @pytest.fixture

@@ -137,6 +137,34 @@ def test_verdicts_on_synthetic_pairs():
     assert all(row["pairs"] == 4 for row in summary.values())
     assert summary["setup_s"]["quartiles"] == pytest.approx((0.575, 0.8))
     assert summary["setup_s"]["against_quartiles"] == (1.0, 1.0)
+    # 3 of 4 pairs won is short of nine tenths: no claim, however large the gap
+    assert not any(row["claim_met"] for row in summary.values())
+
+
+def test_claims_need_nine_tenths_of_pairs_and_a_gap_past_the_spread():
+    tool = load_tool()
+    # the other tree's setup_s runs 1.0 to 1.9, quartiles (1.225, 1.675):
+    # a spread of 0.45 about a median of 1.45
+    base = [[1.0 + i / 10, 1.0, 100.0, 10.0, 20.0, 50.0] for i in range(10)]
+    assert tool.quartiles([r[0] for r in base]) == pytest.approx((1.225, 1.675))
+
+    def summary(setup, ups):
+        # the working tree's runs: pair i reads setup[i] s and ups[i] 1/s
+        new = [[s, 1.0, u, 10.0, 20.0, 50.0] for s, u in zip(setup, ups)]
+        return tool.summarize([run(v) for v in new], [run(v) for v in base])
+
+    # every pair won and a median of 0.95, 0.5 below the other's: met.
+    # Higher is better for stream_ups: 9 of 10 pairs won by 10 against a
+    # spread of 0, so met too
+    met = summary([0.5 + i / 10 for i in range(10)], [110.0] * 9 + [100.0])
+    assert met["setup_s"]["pairs_won"] == 10 and met["setup_s"]["claim_met"]
+    assert met["stream_ups"]["pairs_won"] == 9 and met["stream_ups"]["claim_met"]
+    assert not met["register_s"]["claim_met"]  # ten ties win nothing
+    # every pair won but a median of 1.05, 0.4 below the other's, inside
+    # its spread; stream_ups won 8 of 10, under nine tenths: neither met
+    unmet = summary([0.6 + i / 10 for i in range(10)], [110.0] * 8 + [100.0] * 2)
+    assert unmet["setup_s"]["pairs_won"] == 10 and not unmet["setup_s"]["claim_met"]
+    assert unmet["stream_ups"]["pairs_won"] == 8 and not unmet["stream_ups"]["claim_met"]
 
 
 def test_runs_alone_have_no_verdict():
@@ -181,8 +209,12 @@ def test_pairs_alternate_and_the_record_is_written(monkeypatch, tmp_path, capsys
     assert rec["python"].count(".") == 2
     assert len(rec["runs"]) == len(rec["against_runs"]) == 4
     assert rec["summary"]["register_s"]["pairs_won"] == 4
+    assert rec["summary"]["register_s"]["claim_met"]
     assert not rec["summary"]["stream_ups"]["within_bound"]  # higher is better there
-    assert "written to" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "written to" in out
+    assert "won 4/4 within bound 0.25 claim met" in out
+    assert "won 0/4 OUTSIDE bound 0.25 claim not met" in out
 
 
 def test_a_run_that_is_not_correct_exits_nonzero(monkeypatch, tmp_path, capsys):

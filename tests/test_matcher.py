@@ -401,7 +401,7 @@ def test_register_fills_each_count_column_once(any_mode_cfg, monkeypatch):
     # registration fills no other label, builds no grid and computes no
     # capped sum or box.  The label holds its vertices in graph order and
     # one column per label their histograms hold, equal to their neighbor
-    # counts of that label
+    # counts of that label, in 1-byte fields, as no degree reaches 128
     g = small_world(n=120, avg_deg=5.0, alphabet=3, seed=3)
     engine = MatchEngine(g.copy(), any_mode_cfg)
     index = engine.index
@@ -433,7 +433,9 @@ def test_register_fills_each_count_column_once(any_mode_cfg, monkeypatch):
     assert vs == [v for v in g.vertices() if g.labels[v] == 0]
     want = {lbl: [sum(g.labels[u] == lbl for u in g.neighbors(v)) for v in vs]
             for lbl in {g.labels[u] for v in vs for u in g.neighbors(v)}}
-    got = {lbl: list(unpack(col, len(vs))) for lbl, col in columns.columns[0].items()}
+    w, cols = columns.columns[0]
+    assert w == 1 and max(map(g.degree, vs)) < 128
+    got = {lbl: list(unpack(col, len(vs), w)) for lbl, col in cols.items()}
     assert list(columns.columns) == [0] and got == want
 
 

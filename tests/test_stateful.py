@@ -5,7 +5,9 @@ graph with inserts (some of them creating a labeled vertex), deletes,
 re-inserts of deleted edges, hubs (several new labeled leaves on one
 vertex, whose degree then passes the top frozen degree cutoff and, in
 plain mode, whose neighbor sums can pass the frozen grid domain and clamp
-into the top interval), rejected ops and queries registered mid-stream.
+into the top interval), rejected ops (duplicate and missing edges,
+self-loops, and inserts whose new endpoint has a float, str or bool id or
+label) and queries registered mid-stream.
 A shadow graph receives the same accepted ops.  After every step each
 registered query's answers equal the brute-force oracle's on the shadow
 graph, and the engine's index equals a fresh build over the engine's
@@ -21,7 +23,7 @@ adjacency does too) has the query vertex's embedding in its box at the
 query degree.
 Each accepted op's deltas are the answer-set differences it caused,
 naming only the queries it changed; a rejected op changes neither graph,
-index nor answers.  The label-pair table equals a refiling of every
+index snapshot, filled label columns nor answers.  The label-pair table equals a refiling of every
 registered query's plans.
 """
 
@@ -40,7 +42,7 @@ from hypothesis.stateful import (
 )
 
 from dsmatch.embedding import EmbeddingConfig, label_vector
-from dsmatch.errors import DuplicateEdge, MissingEdge, SelfLoop
+from dsmatch.errors import DsmatchError, DuplicateEdge, MissingEdge, SelfLoop
 from dsmatch.generate import sample_queries
 from dsmatch.graph import DELETE, INSERT, UpdateOp, dump_graph
 from dsmatch.matcher import UNCHANGED, MatchEngine, label_needs
@@ -151,6 +153,34 @@ class EngineMachine(RuleBasedStateMachine):
         else:
             raise AssertionError(f"{op} was accepted")
         assert self.state() == before
+
+    @rule(
+        data=st.data(),
+        bad_id=st.booleans(),
+        bad=st.sampled_from([0.5, 1.0, "0", "x", True, False]),
+    )
+    def rejected_non_int(self, data, bad_id, bad):
+        # an insert from an existing vertex to a new one whose id (a float
+        # or str no vertex id equals) or label is not an int
+        u = data.draw(st.sampled_from(sorted(self.shadow.labels)))
+        new = max(self.shadow.labels) + 1
+        if bad_id:
+            bad = new + bad if isinstance(bad, float) else str(bad)
+            op = UpdateOp(INSERT, u, bad, label_v=0)
+        else:
+            op = UpdateOp(INSERT, u, new, label_v=bad)
+        index = self.engine.index
+        columns = index._columns
+        filled = columns and dict(columns.columns)
+        before = self.state()
+        try:
+            self.engine.process_update(op)
+        except DsmatchError:
+            pass
+        else:
+            raise AssertionError(f"{op} was accepted")
+        assert self.state() == before
+        assert index._columns is columns and (columns and columns.columns) == filled
 
     @precondition(lambda self: self.pool)
     @rule()

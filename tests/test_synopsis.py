@@ -27,6 +27,7 @@ from dsmatch.synopsis import (
     NeighborListStore,
     ScanStats,
     SynopsisIndex,
+    _TYPECODES,
     at_least,
     compute_degree_groups,
     default_domain,
@@ -777,14 +778,16 @@ def assert_count_columns_equal_histograms(idx, g):
     """Fill every label's count columns as a need scan does, and read the
     column of every label the graph holds, and of one it does not.  A
     label's members are its vertices in graph order, and each column holds,
-    packed in that order, their neighbor counts of the needed label from
-    the shadow graph's adjacency; its test against a count c,
-    ``at_least``, must give ``count >= c`` on every member, probed at c
-    from 0 to one past the largest count.  The first fill makes a column
-    for each label the members' histograms hold; any other label, the
-    unseen one included, is absent and reads 0, the all-zero column, as
-    the scan reads it.  Columns die with every update, and each check here
-    follows construction or an update, so it starts with none."""
+    packed in that order at the label's field width, their neighbor counts
+    of the needed label from the shadow graph's adjacency; its test against
+    a count c, ``at_least``, must give ``count >= c`` on every member,
+    probed at c from 0 to one past the largest count.  The width is 1 byte
+    while every member's degree stays below 128, else 2 bytes below 2^15.
+    The first fill makes a column for each label the members' histograms
+    hold; any other label, the unseen one included, is absent and reads 0,
+    the all-zero column, as the scan reads it.  Columns die with every
+    update, and each check here follows construction or an update, so it
+    starts with none.  Returns each label's width."""
     assert idx._columns is None
     outcomes = set()
     labels = set(g.labels.values())
@@ -796,28 +799,43 @@ def assert_count_columns_equal_histograms(idx, g):
     for v in g.vertices():
         members.setdefault(g.labels[v], []).append(v)
     assert columns.members == members
+    widths = {}
     for label, vs in members.items():
         n = len(vs)
-        signs = int.from_bytes((bytes(7) + b"\x80") * n, "little")
-        cols = columns.fill(label)
-        assert columns.fill(label) is cols is columns.columns[label]
+        filled = columns.fill(label)
+        assert columns.fill(label) is filled is columns.columns[label]
+        w, cols = filled
+        top = max(map(g.degree, vs))
+        assert w == (1 if top < 2**7 else 2) and top < 2**15
+        widths[label] = w
+        signs = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
         assert set(cols) == {g.labels[u] for v in vs for u in g.neighbors(v)}
         for needed in (*labels, unseen):
             col = cols.get(needed, 0)
             want = [sum(g.labels[u] == needed for u in g.neighbors(v)) for v in vs]
-            assert unpack(col, n) == tuple(want)  # unpack raises on a wider column
+            assert unpack(col, n, w) == tuple(want)  # unpack raises on a wider column
             for c in range(max(want) + 2):
-                xs = int.from_bytes(c.to_bytes(8, "little") * n, "little")
-                got = _fields(at_least(col, xs, signs), n)
-                assert got == [w >= c for w in want]
+                xs = int.from_bytes(c.to_bytes(w, "little") * n, "little")
+                got = _fields(at_least(col, xs, signs), n, w)
+                assert got == [k >= c for k in want]
                 outcomes.update(got)
     assert outcomes == {True, False}
+    return widths
 
 
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
 def test_count_columns_equal_histograms(mode):
-    # columns die with every update: after maintenance each is filled afresh
-    run_hub_churn(mode, assert_count_columns_equal_histograms)
+    # columns die with every update: after maintenance each is filled
+    # afresh.  The hub, of label 0 and degree 240 or so at every check,
+    # gets its label 2-byte fields; the other labels stay at 1 byte
+    seen = []
+
+    def check(idx, g):
+        seen.append(assert_count_columns_equal_histograms(idx, g))
+
+    run_hub_churn(mode, check)
+    assert len(seen) == 3
+    assert all(w[0] == 2 and set(w.values()) == {1, 2} for w in seen)
 
 
 def test_box_reads_follow_a_histogram_edit(cfg_zipf):
@@ -850,8 +868,9 @@ def test_count_reads_follow_a_histogram_edit(cfg_zipf):
     def reads():
         idx.scan_for_degree(idx.embedding_of(0), 1, g.labels[0], ((1, 1),))
         [vs] = [vs for vs in idx._columns.members.values() if 0 in vs]
-        at, n, cols = vs.index(0), len(vs), idx._columns.columns[g.labels[0]]
-        return tuple(unpack(cols.get(lbl, 0), n)[at] for lbl in labels)
+        at, n, (w, cols) = vs.index(0), len(vs), idx._columns.columns[g.labels[0]]
+        assert w == 1
+        return tuple(unpack(cols.get(lbl, 0), n, w)[at] for lbl in labels)
 
     for op in [UpdateOp(INSERT, 0, 3), UpdateOp(DELETE, 0, 1), UpdateOp(INSERT, 0, 4)]:
         before = reads()
@@ -1173,36 +1192,40 @@ def test_scan_outside_its_group_raises_degree_out_of_range(cfg_zipf):
 # -- the packed column tests ---------------------------------------------------
 
 
-# ints at_least is argued over: [0, 2^63), with 2^53 + 1, the first a float
-# cannot hold, and both ends
-COUNTS = st.one_of(
-    st.sampled_from([0, 1, 2, 2**32, 2**53, 2**53 + 1, 2**63 - 2, 2**63 - 1]),
-    st.integers(min_value=0, max_value=2**63 - 1),
-)
+def counts(w):
+    """Ints at_least is argued over at width w: [0, T), T = 2^(8w - 1), with
+    2^53 + 1, the first a float cannot hold, and both ends."""
+    top = 2 ** (8 * w - 1)
+    marks = [c for c in (0, 1, 2, 2**32, 2**53, 2**53 + 1, top - 2, top - 1) if c < top]
+    return st.one_of(st.sampled_from(marks), st.integers(min_value=0, max_value=top - 1))
 
 
-def _fields(mask, n):
-    """Per field of a test's mask, whether bit 63 is set; no other bit may be."""
-    signs = int.from_bytes((bytes(7) + b"\x80") * n, "little")
+def _fields(mask, n, w):
+    """Per w-byte field of a test's mask, whether its top bit is set; no
+    other bit may be."""
+    signs = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
     assert mask & ~signs == 0
-    return [bool(mask >> (64 * i + 63) & 1) for i in range(n)]
+    return [bool(mask >> (8 * w * (i + 1) - 1) & 1) for i in range(n)]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_packed_tests_equal_int_comparisons(data):
-    # columns mixing 0, 2^53 + 1, 2^63 - 1, exact ties with x and x one
-    # either side
-    x = data.draw(COUNTS, label="x")
-    near = st.sampled_from([c for c in (x - 1, x, x + 1) if 0 <= c < 2**63])
-    col = data.draw(st.lists(st.one_of(near, COUNTS), min_size=1, max_size=24), label="col")
+    # at each field width, columns mixing 0, 2^53 + 1 where it fits, the
+    # largest count, exact ties with x and x one either side
+    w = data.draw(st.sampled_from(sorted(_TYPECODES)), label="w")
+    code = _TYPECODES[w]
+    assert array(code).itemsize == w
+    x = data.draw(counts(w), label="x")
+    near = st.sampled_from([c for c in (x - 1, x, x + 1) if 0 <= c < 2 ** (8 * w - 1)])
+    col = data.draw(st.lists(st.one_of(near, counts(w)), min_size=1, max_size=24), label="col")
     n = len(col)
-    packed = pack(array("Q", col))
-    assert packed == pack(col) == sum(c << 64 * i for i, c in enumerate(col))
-    assert unpack(packed, n) == tuple(col)
-    signs = int.from_bytes((bytes(7) + b"\x80") * n, "little")
-    xs = int.from_bytes(x.to_bytes(8, "little") * n, "little")
-    assert _fields(at_least(packed, xs, signs), n) == [c >= x for c in col]
+    packed = pack(array(code, col))
+    assert packed == sum(c << 8 * w * i for i, c in enumerate(col))
+    assert unpack(packed, n, w) == tuple(col)
+    signs = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    xs = int.from_bytes(x.to_bytes(w, "little") * n, "little")
+    assert _fields(at_least(packed, xs, signs), n, w) == [c >= x for c in col]
 
 
 def _two_label_0_stars(cfg):
@@ -1248,10 +1271,68 @@ def test_entries_below_the_query_degree_fail_the_last_stage(cfg_plain):
 
 def test_pack_and_needed_count_reject_a_negative_int(cfg_plain):
     # the packed test's precondition, no negative count or needed count, is
-    # the field type's: a column or a need scan's operand cannot hold -1
-    with pytest.raises(OverflowError):
-        pack([0, -1])
-    idx, _ = _two_label_0_stars(cfg_plain)
-    with pytest.raises(OverflowError):
-        idx.scan_for_degree((), 1, 0, ((1, -1),))
-    assert idx.scan_for_degree((), 1, 0, ((1, 0),))[0] == [0, 2]
+    # the field type's: at no width can a column or a need scan's operand
+    # hold -1
+    for code in _TYPECODES.values():
+        with pytest.raises(OverflowError):
+            pack(array(code, [0, -1]))
+    for degree in (127, 128):
+        idx = SynopsisIndex(_label_0_hub(degree), DegreeGroups(()), cfg_plain, 1)
+        with pytest.raises(OverflowError):
+            idx.scan_for_degree((), 1, 0, ((1, -1),))
+        assert idx._columns.columns[0][0] == (1 if degree < 128 else 2)
+        assert idx.scan_for_degree((), 1, 0, ((1, 0),))[0] == [0, 1]
+
+
+def _label_0_hub(degree):
+    """Vertex 0, of label 0 and the given degree, over leaves of labels 1
+    and 2 in turn, and vertex 1, of label 0 too, over two of them."""
+    leaves = {v: 1 + v % 2 for v in range(2, degree + 2)}
+    return make_graph([(0, v) for v in leaves] + [(1, 2), (1, 3)], {0: 0, 1: 0, **leaves})
+
+
+def test_field_width_follows_the_largest_degree(cfg_plain):
+    # label 0's largest member degree at 127 gives 1-byte fields and at
+    # 128 2-byte ones; at each width, need scans equal the per-vertex
+    # count test, and a need of 2^(8w - 1) or more examines every member
+    # and keeps none
+    for degree, w in ((127, 1), (128, 2)):
+        g = _label_0_hub(degree)
+        idx = SynopsisIndex(g, DegreeGroups(()), cfg_plain, 1)
+        halves = (degree // 2, degree - degree // 2)  # label-2 and label-1 leaves
+        needs = [((1, c),) for c in range(halves[1] + 2)] + [
+            ((1, 1), (2, c)) for c in (0, 1, halves[0] - 1, halves[0], halves[0] + 1)
+        ]
+        for need in needs:
+            assert idx.scan_for_degree((), 1, 0, need) == reference_need_scan(idx, 0, need)
+        assert idx._columns.columns[0][0] == w
+        top = 2 ** (8 * w - 1)
+        for need in (((1, top),), ((1, top + 1),), ((1, 1), (2, top)), ((1, 2**64),)):
+            assert idx.scan_for_degree((), 1, 0, need) == ([], ScanStats(examined=2, pruned_box=2))
+
+
+def test_answers_hold_across_a_width_boundary(cfg_base):
+    # a 3-vertex path over labels 1, 0, 2 registered while label 0's hub
+    # has degree 128 (2-byte fields), kept through a delete that takes the
+    # label back to 1-byte fields and an insert that brings it to 2 again;
+    # a copy registered after each update fills the label at its new width
+    from dsmatch.matcher import MatchEngine, QueryGraph
+    from dsmatch.oracle import enumerate_matches
+
+    g = _label_0_hub(128)
+    engine = MatchEngine(g.copy(), cfg_base)
+    q = QueryGraph({0: 1, 1: 0, 2: 2}, [(0, 1), (1, 2)])
+
+    def register(w):
+        engine.register(f"q{len(engine.queries)}", q)
+        assert engine.index._columns.columns[0][0] == w
+        want = enumerate_matches(g, q)
+        assert all(rq.answers.mappings() == want for rq in engine.queries.values())
+        return want
+
+    assert len(register(2)) == 64 * 64 + 1
+    for op, w in ((UpdateOp(DELETE, 0, 2), 1), (UpdateOp(INSERT, 0, 2), 2)):
+        engine.process_update(op)
+        g.apply_update(op)
+        register(w)
+    assert len(engine.queries) == 3

@@ -18,7 +18,10 @@ its uncommitted edits to tracked files), so a record matches every commit
 with the same sources, the seed, the Python version, every run, and per
 end-to-end metric of ``BENCHMARK.json``: the median and quartiles of each
 tree's runs, and with ``--against`` the pairs the working tree won, the
-metric's bound and whether the working tree's median stayed within it.
+metric's bound, whether the working tree's median stayed within it, and
+whether a gain may be claimed (``claim_met``): the working tree won at
+least nine tenths of the pairs, ties counting for neither, and its median
+beats the other tree's by more than that tree's quartile spread.
 The tool exits 1 if any run reported ``correct: false``; that record has
 no summary, as a failed exactness gate stops perfbench before it measures
 anything.  It exits 2 if a run printed no result.
@@ -130,25 +133,35 @@ def within_bound(metric: str, new: float, old: float) -> bool:
     return new >= old * (1 - bound)
 
 
+def claim_met(metric: str, won: int, pairs: int, new: float, old: float,
+              spread: float) -> bool:
+    """A gain may be claimed: ``won`` of ``pairs`` is at least nine tenths,
+    and the median ``new`` beats ``old`` by more than ``spread``."""
+    gap = old - new if benchmark()["metrics"][metric]["better"] == "lower" else new - old
+    return 10 * won >= 9 * pairs and gap > spread
+
+
 def summarize(runs: list[dict], against: list[dict] | None) -> dict:
     """Per end-to-end metric, each tree's median and quartiles and, given
-    the paired runs of ``against``, the pairs won, the bound and whether
-    the median stayed within it."""
+    the paired runs of ``against``, the pairs won, the bound, whether the
+    median stayed within it and whether a gain may be claimed."""
     out = {}
     for metric, spec in benchmark()["metrics"].items():
         xs = [r["metrics"][metric] for r in runs]
         row = {"median": statistics.median(xs), "quartiles": quartiles(xs)}
         if against is not None:
             ys = [r["metrics"][metric] for r in against]
-            base = statistics.median(ys)
+            base, (q1, q3) = statistics.median(ys), quartiles(ys)
+            won = sum(better(metric, x, y) for x, y in zip(xs, ys))
             row.update(
                 against_median=base,
-                against_quartiles=quartiles(ys),
+                against_quartiles=(q1, q3),
                 change=row["median"] / base - 1,
-                pairs_won=sum(better(metric, x, y) for x, y in zip(xs, ys)),
+                pairs_won=won,
                 pairs=len(xs),
                 bound=spec["bound"],
                 within_bound=within_bound(metric, row["median"], base),
+                claim_met=claim_met(metric, won, len(xs), row["median"], base, q3 - q1),
             )
         out[metric] = row
     return out
@@ -214,7 +227,8 @@ def main(argv=None) -> int:
         if args.against:
             line += (f" against {row['against_median']:14.4f} ({100 * row['change']:+6.1f}%)"
                      f" won {row['pairs_won']}/{row['pairs']}"
-                     f" {'within' if row['within_bound'] else 'OUTSIDE'} bound {row['bound']}")
+                     f" {'within' if row['within_bound'] else 'OUTSIDE'} bound {row['bound']}"
+                     f" claim {'met' if row['claim_met'] else 'not met'}")
         print(line)
     print(f"written to {out}")
     if not rec["correct"]:
