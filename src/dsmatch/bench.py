@@ -16,13 +16,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
-from .embedding import EmbeddingConfig
 from .errors import InvalidParams
 from .generate import SCENARIO_PARAMS
 from .graph import DynamicGraph, UpdateOp
 from .matcher import STAGES, UNCHANGED, MatchEngine, Mapping, QueryDelta, QueryGraph
 from .oracle import _recompute
-from .synopsis import K_CELLS, M_GROUPS
 
 RUN_COLUMNS = (
     "mode",
@@ -102,14 +100,11 @@ def run_engine(
     g0: DynamicGraph,
     stream: list[UpdateOp],
     queries: list[QueryGraph],
-    cfg: EmbeddingConfig,
-    m_groups: int = M_GROUPS,
-    k_cells: int = K_CELLS,
     collect_deltas: bool = False,
 ) -> tuple[RunMetrics, MatchEngine]:
     """Build, register, replay; returns metrics plus the live engine."""
     t0 = perf_counter()
-    engine = MatchEngine(g0.copy(), cfg, m_groups=m_groups, k_cells=k_cells)
+    engine = MatchEngine(g0.copy())
     build_s = perf_counter() - t0
 
     names = [f"q{i}" for i in range(len(queries))]
@@ -201,10 +196,10 @@ def sweep(base_config, param: str, values: list) -> list[dict]:
     value first: a malformed one raises ``InvalidParams`` before any run.
 
     The master seed is held fixed, so runs that share the same graph
-    parameters also share the graph, stream, and query sample.  Neither
-    registration's count test nor the stream reads an embedding, degree
-    group or grid, so values of ``d``, ``ratio``, ``m`` and ``k`` differ
-    only in the timing columns.
+    parameters also share the graph, stream, and query sample.  Only the
+    parameters of the graph and the queries sweep: no engine path reads an
+    embedding, degree group or grid, so the grid view's parameters would
+    move only the timing columns.
     """
     if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {param!r}; choose from {sorted(SWEEP_PARAMS)}")
@@ -216,9 +211,7 @@ def sweep(base_config, param: str, values: list) -> list[dict]:
     rows = []
     for value, cfg in zip(values, configs):
         _, g0, stream, queries = cfg.make_inputs()
-        metrics, _ = run_engine(
-            g0, stream, queries, cfg.embedding_config(), cfg.m_groups, cfg.k_cells
-        )
+        metrics, _ = run_engine(g0, stream, queries)
         powers = [q["pruning_power"] for q in metrics.per_query]
         rows.append(
             {

@@ -18,6 +18,7 @@ import csv
 import os
 import sys
 from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 from .bench import RUN_COLUMNS, SWEEP_COLUMNS, SWEEP_PARAMS, run_engine, run_naive, sweep
@@ -26,24 +27,29 @@ from .generate import SCENARIO_PARAMS, BenchConfig
 from .graph import dump_graph, dump_stream, load_graph, load_stream
 from .matcher import UNCHANGED, QueryGraph, format_answers, format_delta
 from .oracle import enumerate_matches, recompute_stream_check
-from .synopsis import SynopsisIndex, estimate_domain
+from .synopsis import SynopsisIndex, check_k_cells, compute_degree_groups, estimate_domain
 
 
 def _env(name: str, default):
     return os.environ.get("DSMATCH_" + name.upper().replace("-", "_"), default)
 
 
-def _add_config_args(p: argparse.ArgumentParser, n_default: int = 50_000) -> None:
+def _add_config_args(p: argparse.ArgumentParser, n_default: int = 50_000, view=False) -> None:
+    """The scenario flags, the grid view's only if ``view``."""
     g = p.add_argument_group("scenario parameters")
     defaults = BenchConfig(n_vertices=n_default)
     for param in SCENARIO_PARAMS:
+        if param.view and not view:
+            continue
         kind = {"choices": param.kind} if isinstance(param.kind, tuple) else {"type": param.kind}
         default = _env(param.flag, getattr(defaults, param.field))
         g.add_argument("--" + param.flag, default=default, help=param.help, **kind)
 
 
 def _config_from(args) -> BenchConfig:
-    return BenchConfig(**{p.field: getattr(args, p.dest) for p in SCENARIO_PARAMS})
+    """The flags' scenario; a subcommand without the view's flags takes their defaults."""
+    return BenchConfig(**{p.field: getattr(args, p.dest) for p in SCENARIO_PARAMS
+                          if p.dest in args})
 
 
 def _load_queries(paths: list[str]) -> list[QueryGraph]:
@@ -72,12 +78,12 @@ def _inputs_from(args) -> tuple:
     return cfg, g0, stream, queries
 
 
-def _add_input_args(p: argparse.ArgumentParser, n_default: int = 50_000) -> None:
+def _add_input_args(p: argparse.ArgumentParser, n_default: int = 50_000, view=False) -> None:
     g = p.add_argument_group("inputs (files, or omit --graph to generate)")
     g.add_argument("--graph", help="initial graph file")
     g.add_argument("--stream", help="update stream file")
     g.add_argument("--queries", nargs="*", help="query files or directories")
-    _add_config_args(p, n_default=n_default)
+    _add_config_args(p, n_default, view)
 
 
 def _write_csv(path: str | Path | None, columns: tuple[str, ...], rows: list[dict]) -> None:
@@ -110,10 +116,10 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     cfg, g0, stream, queries = _inputs_from(args)
-    metrics, engine = run_engine(
-        g0, stream, queries, cfg.embedding_config(), cfg.m_groups, cfg.k_cells,
-        collect_deltas=args.emit_deltas,
-    )
+    # the grid view's parameters, checked before the run though only the dump reads them
+    ecfg, groups = cfg.embedding_config(), compute_degree_groups(g0, cfg.m_groups)
+    k_cells = check_k_cells(cfg.k_cells)
+    metrics, engine = run_engine(g0, stream, queries, collect_deltas=args.emit_deltas)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, (q, (name, answers)) in enumerate(zip(queries, metrics.final_answers.items())):
@@ -130,9 +136,8 @@ def cmd_run(args) -> int:
             )
     _write_csv(out / "metrics.csv", RUN_COLUMNS, metrics.rows())
     if args.dump_synopses:  # g0's degree groups and grid domain, over the final graph
-        ix = engine.index
-        Path(args.dump_synopses).write_text(SynopsisIndex(
-            engine.graph, ix.groups, ix.cfg, ix.k_cells, estimate_domain(g0, ix.cfg)).dump())
+        view = SynopsisIndex(engine.graph, groups, ecfg, k_cells, estimate_domain(g0, ecfg))
+        Path(args.dump_synopses).write_text(view.dump())
     print(
         f"{len(stream)} updates, {sum(map(len, metrics.final_answers.values()))} "
         f"final answers, total {metrics.total_seconds:.3f}s -> {out}"
@@ -153,19 +158,15 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, g0, stream, queries = _inputs_from(args)
-    report = recompute_stream_check(
-        g0, stream, queries, cfg.embedding_config(), cfg.m_groups, cfg.k_cells
-    )
+    _, g0, stream, queries = _inputs_from(args)
+    report = recompute_stream_check(g0, stream, queries)
     print(report.describe())
     return 0 if report.ok else 1
 
 
 def cmd_bench(args) -> int:
-    cfg, g0, stream, queries = _inputs_from(args)
-    engine_metrics, _ = run_engine(
-        g0, stream, queries, cfg.embedding_config(), cfg.m_groups, cfg.k_cells
-    )
+    _, g0, stream, queries = _inputs_from(args)
+    engine_metrics, _ = run_engine(g0, stream, queries)
     rows = engine_metrics.rows()
     status = 0
     if not args.skip_naive:
@@ -194,7 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact continuous subgraph matching over dynamic labeled graphs.",
         epilog="Flag defaults can be set via DSMATCH_* environment variables.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    # no abbreviated flags: where a subcommand has no --d, --d must not read as --deletion-rate
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     g = sub.add_parser("gen", help="generate a synthetic graph, stream, and queries")
     _add_config_args(g)
@@ -202,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen)
 
     r = sub.add_parser("run", help="run the engine over a stream")
-    _add_input_args(r)
+    _add_input_args(r, view=True)
     r.add_argument("--out", required=True, help="output directory")
     r.add_argument("--emit-deltas", action="store_true",
                    help="write per-update answer deltas alongside final answers")

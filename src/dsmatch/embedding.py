@@ -77,8 +77,10 @@ class EmbeddingConfig:
     seed_salt: int = 0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise InvalidParams(f"d must be >= 1, got {self.d}")
+        if type(self.d) is not int or self.d < 1:
+            raise InvalidParams(f"d must be >= 1 and an int, got {self.d!r}")
+        if type(self.seed_salt) is not int:
+            raise InvalidParams(f"seed_salt must be an int, got {self.seed_salt!r}")
         if self.mode not in MODES:
             raise InvalidParams(f"mode must be one of {MODES}, got {self.mode!r}")
         if not math.isfinite(self.alpha):

@@ -227,7 +227,8 @@ class BenchConfig:
     """Knobs for one benchmark scenario, seed included.
 
     Embedding parameters mirror EmbeddingConfig; beta is the fixed
-    ``embedding.BETA`` and ``beta_alpha_ratio`` derives alpha.  The
+    ``embedding.BETA`` and ``beta_alpha_ratio`` derives alpha.  They, the
+    degree groups and the grid cells shape only the grid view.  The
     ring lattice's k and shortcut probability are derived from ``avg_deg``.
     Each field is a CLI flag through ``SCENARIO_PARAMS``, which reads its
     default from here.
@@ -300,7 +301,9 @@ class ScenarioParam(NamedTuple):
     """A scenario flag ``--<flag>`` setting BenchConfig's ``field``.
 
     ``kind`` is the flag's type, or its tuple of choices; ``sweep`` marks
-    the numeric parameters the ``sweep`` subcommand may vary.
+    the numeric parameters the ``sweep`` subcommand may vary, and ``view``
+    the grid view's parameters, which no engine path reads and only
+    ``run`` offers, for its ``--dump-synopses`` file.
     """
 
     flag: str
@@ -308,6 +311,7 @@ class ScenarioParam(NamedTuple):
     kind: type | tuple[str, ...]
     help: str | None = None
     sweep: bool = False
+    view: bool = False
 
     @property
     def dest(self) -> str:
@@ -320,17 +324,17 @@ SCENARIO_PARAMS = (
     ScenarioParam("avg-deg", "avg_deg", float, sweep=True),
     ScenarioParam("alphabet", "alphabet", int, "number of distinct labels", sweep=True),
     ScenarioParam("label-dist", "label_dist", LABEL_DISTRIBUTIONS),
-    ScenarioParam("d", "d", int, "label-vector arity", sweep=True),
+    ScenarioParam("d", "d", int, "label-vector arity", view=True),
     ScenarioParam("ratio", "beta_alpha_ratio", float,
-                  "beta/alpha ratio of the embedding relocation", sweep=True),
-    ScenarioParam("mode", "mode", MODES, "embedding mode"),
-    ScenarioParam("m", "m_groups", int, "degree groups", sweep=True),
-    ScenarioParam("k", "k_cells", int, "grid cells per dimension", sweep=True),
+                  "beta/alpha ratio of the embedding relocation", view=True),
+    ScenarioParam("mode", "mode", MODES, "embedding mode", view=True),
+    ScenarioParam("m", "m_groups", int, "degree groups", view=True),
+    ScenarioParam("k", "k_cells", int, "grid cells per dimension", view=True),
     ScenarioParam("query-count", "query_count", int),
     ScenarioParam("query-size", "query_size", int, sweep=True),
     ScenarioParam("query-avg-deg", "query_avg_deg", float, sweep=True),
     ScenarioParam("insertion-rate", "insertion_rate", float),
     ScenarioParam("deletion-rate", "deletion_rate", float),
     ScenarioParam("seed", "master_seed", int, "master seed"),
-    ScenarioParam("salt", "seed_salt", int, "embedding seed salt"),
+    ScenarioParam("salt", "seed_salt", int, "embedding seed salt", view=True),
 )

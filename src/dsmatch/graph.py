@@ -157,16 +157,19 @@ class DynamicGraph:
         """Apply one stream op, or raise and leave the graph untouched.
 
         Every check runs before the first mutation: self-loop, unknown kind,
-        and for an insert a duplicate edge, then a missing label (a new
-        endpoint must carry one), a new endpoint whose id or label is not an
-        int, or a conflicting label on either endpoint; for a delete a
-        missing edge.  Insertions handle all three endpoint cases (both
+        and for an insert an endpoint id that is not an int (a float or bool
+        equal to an existing id included), a duplicate edge, then a missing
+        label (a new endpoint must carry one), a new endpoint whose label is
+        not an int, or a conflicting label on either endpoint; for a delete
+        a missing edge.  Insertions handle all three endpoint cases (both
         existing, one new, both new).
         """
         u, v = op.u, op.v
         if u == v:
             raise SelfLoop(f"self-loop update on vertex {u}")
         if op.kind == INSERT:
+            if type(u) is not int or type(v) is not int:
+                raise InvalidParams(f"an insert's endpoint ids must be ints, got {u!r} and {v!r}")
             if self.has_edge(u, v):
                 raise DuplicateEdge(f"edge ({u}, {v}) already present")
             endpoints = ((u, op.label_u), (v, op.label_v))

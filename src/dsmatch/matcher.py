@@ -367,12 +367,15 @@ class MatchEngine:
     grid domain at first read), and any number of registered queries.  All
     mutation goes through :meth:`register` and :meth:`process_update`
     (the writers, one at a time); reads may happen freely between them.
+    No engine path reads an embedding, a degree group or a grid, so ``cfg``,
+    ``m_groups`` and ``k_cells`` shape only the index's grid view, and
+    ``MatchEngine(graph)`` takes their defaults.
     """
 
     def __init__(
         self,
         graph: DynamicGraph,
-        cfg: EmbeddingConfig,
+        cfg: EmbeddingConfig = EmbeddingConfig(),
         m_groups: int = M_GROUPS,
         k_cells: int = K_CELLS,
     ):

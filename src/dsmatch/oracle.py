@@ -19,7 +19,6 @@ from itertools import combinations
 
 from .errors import DegreeOutOfRange, DegreeTooLarge
 from .graph import DynamicGraph, UpdateOp, VertexId
-from .synopsis import K_CELLS, M_GROUPS  # the recompute harness's grid defaults
 
 Mapping = tuple[VertexId, ...]
 
@@ -166,9 +165,6 @@ def recompute_stream_check(
     g0: DynamicGraph,
     stream: list[UpdateOp],
     queries: list,
-    cfg,
-    m_groups: int = M_GROUPS,
-    k_cells: int = K_CELLS,
     engine=None,
 ) -> VerdictReport:
     """Replay a stream through the engine and full recompute side by side.
@@ -183,7 +179,7 @@ def recompute_stream_check(
     from .matcher import MatchEngine  # harness wiring, not ground-truth code
 
     if engine is None:
-        engine = MatchEngine(g0.copy(), cfg, m_groups=m_groups, k_cells=k_cells)
+        engine = MatchEngine(g0.copy())
     names = [f"q{i}" for i in range(len(queries))]
     for name, q in zip(names, queries):
         engine.register(name, q)

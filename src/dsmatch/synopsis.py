@@ -30,9 +30,8 @@ monotone (:mod:`dsmatch.embedding`), so every filter admits each true
 match image.
 
 The grid domain is estimated on its first read, over the graph as it then
-stands, from the largest neighbor-sum component, which
-:func:`estimate_domain` reads exactly off one packed pass that loops in
-Python neither per neighbor nor per dimension.
+stands, from the largest exact neighbor-sum component
+(:func:`estimate_domain`).
 
 Grids and label columns are built only when read: the first need-less
 scan, snapshot or dump builds every grid in one pass over the vertices,
@@ -57,13 +56,12 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
-from operator import le, methodcaller
+from itertools import compress
+from operator import le
 from typing import Callable, Iterable, Sequence
 
 from .embedding import (
     BETA,
-    GRID_BITS,
     EmbeddingConfig,
     MODE_PLAIN,
     Vec,
@@ -72,6 +70,7 @@ from .embedding import (
     embed_vertex,
     embedding_key,
     label_vector,
+    neighbor_sum,
 )
 from .errors import DegreeOutOfRange, InvalidParams
 from .graph import DynamicGraph, INSERT, Label, UpdateOp, VertexId
@@ -581,6 +580,13 @@ class MaintenanceReport:
 _MAINTAINED = MaintenanceReport()
 
 
+def check_k_cells(k_cells: int) -> int:
+    """``k_cells``, a grid's cells per dimension, if it is an int >= 1."""
+    if type(k_cells) is not int or k_cells < 1:
+        raise InvalidParams(f"k_cells must be >= 1 and an int, got {k_cells!r}")
+    return k_cells
+
+
 class SynopsisIndex:
     """All degree-group grids and the label columns over the shared
     neighbor-label histograms.
@@ -599,8 +605,7 @@ class SynopsisIndex:
         self, graph: DynamicGraph, groups: DegreeGroups, cfg: EmbeddingConfig, k_cells: int,
         domain: float | None = None,
     ):
-        if type(k_cells) is not int or k_cells < 1:
-            raise InvalidParams(f"k_cells must be >= 1 and an int, got {k_cells!r}")
+        self.k_cells = check_k_cells(k_cells)
         if domain is not None:
             if not (math.isfinite(domain) and domain > 0):
                 raise InvalidParams(f"domain must be finite and > 0, got {domain}")
@@ -608,7 +613,6 @@ class SynopsisIndex:
         self.graph = graph
         self.groups = groups
         self.cfg = cfg
-        self.k_cells = k_cells
         self.lists = NeighborListStore(graph, cfg)
         self._grids: list[GridSynopsis] | None = None
         self._columns: LabelColumns | None = None
@@ -707,20 +711,9 @@ class SynopsisIndex:
 
 def estimate_domain(graph: DynamicGraph, cfg: EmbeddingConfig) -> float:
     """:func:`default_domain` of the graph's largest neighbor-sum component,
-    exact: each label's d components, times 2^GRID_BITS, are ints in [1,
-    2^GRID_BITS] packed into one int of d fields (:func:`pack`), so one int
-    sum per vertex adds all d at once and no field reaches bit 64 below
-    degree 2^44.  The sums' bytes read as one array of 64-bit fields: native
-    byte order keeps each whole, and a big-endian host only flips their
-    order, which ``max`` ignores."""
-    one = 1 << GRID_BITS
-    packed = {lbl: pack(array("Q", [int(c * one) for c in label_vector(lbl, cfg)]))
-              for lbl in set(graph.labels.values())}
-    of = dict(zip(graph.labels, map(packed.__getitem__, graph.labels.values())))
-    sums = map(sum, map(map, repeat(of.__getitem__), graph.adj.values()))
-    to_bytes = methodcaller("to_bytes", 8 * cfg.d, sys.byteorder)
-    fields = array("Q", b"".join(map(to_bytes, sums)))
-    return default_domain(cfg, max(fields, default=0) / one)
+    read off every vertex's exact sums (:func:`neighbor_sum`)."""
+    sums = itertools.chain.from_iterable(neighbor_sum(graph, v, cfg) for v in graph.vertices())
+    return default_domain(cfg, max(sums, default=0.0))
 
 
 def default_domain(cfg: EmbeddingConfig, sum_max: float) -> float:

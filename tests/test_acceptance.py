@@ -259,7 +259,7 @@ def test_c07_incremental_speedup_over_naive_recompute():
     g = cfg.make_graph()
     g0, stream = cfg.make_split(g)
     queries = cfg.make_queries(g)
-    engine_metrics, _ = run_engine(g0, stream, queries, cfg.embedding_config())
+    engine_metrics, _ = run_engine(g0, stream, queries)
     naive_metrics = run_naive(g0, stream, queries)
     assert engine_metrics.final_answers == naive_metrics.final_answers
     ratio = naive_metrics.total_seconds / engine_metrics.total_seconds

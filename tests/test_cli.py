@@ -7,12 +7,18 @@ import pytest
 
 from dsmatch.bench import RUN_COLUMNS, SWEEP_PARAMS, run_engine, run_naive, sweep
 from dsmatch.cli import build_parser, main
-from dsmatch.embedding import MODES
+from dsmatch.embedding import BETA, MODES, EmbeddingConfig
 from dsmatch.generate import SCENARIO_PARAMS, BenchConfig
 from dsmatch.graph import DELETE, UpdateOp, dump_stream, load_graph, load_stream
 from dsmatch.matcher import MatchEngine, QueryDelta, QueryGraph, format_delta
 from dsmatch.oracle import recompute_stream_check
-from dsmatch.synopsis import K_CELLS, M_GROUPS, SynopsisIndex, compute_degree_groups
+from dsmatch.synopsis import (
+    K_CELLS,
+    M_GROUPS,
+    SynopsisIndex,
+    compute_degree_groups,
+    estimate_domain,
+)
 
 
 BASE_FLAGS = [
@@ -75,7 +81,7 @@ def test_run_from_files_and_metrics(tmp_path):
         for line in f.read_text().splitlines():
             assert line.startswith("match q0->")
     # the dump is a from-scratch build over the final graph, with the
-    # degree groups and grid domain the engine froze over g0
+    # degree groups and grid domain frozen over g0
     args = build_parser().parse_args(argv)
     cfg = BenchConfig(**{p.field: getattr(args, p.dest) for p in SCENARIO_PARAMS})
     g0 = load_graph((data / "g0.txt").read_text())
@@ -93,6 +99,39 @@ def test_run_from_files_and_metrics(tmp_path):
     for j, header in enumerate(headers):
         entries = sum(g.degree(v) > groups.lower(j) for v in g.vertices())
         assert header.endswith(f" entries={entries}")
+
+
+VIEW_FLAGS = {"m": 2, "k": 3, "d": 3, "mode": "base", "ratio": 500, "salt": 9}
+
+
+def test_dump_at_non_default_view_flags_reads_every_flag(tmp_path):
+    # the view's six flags all differ from their defaults, and the dump is
+    # the one view built with all six: a flag wired to the wrong place, or
+    # to nothing, gives another dump
+    data = tmp_path / "data"
+    assert main(["gen", *BASE_FLAGS, "--out", str(data)]) == 0
+    dump = tmp_path / "synopses.txt"
+    assert main([
+        "run", "--graph", str(data / "g0.txt"), "--stream", str(data / "stream.txt"),
+        "--queries", str(data / "queries"), "--out", str(tmp_path / "out"),
+        *(a for flag, value in VIEW_FLAGS.items() for a in (f"--{flag}", str(value))),
+        "--dump-synopses", str(dump),
+    ]) == 0
+    g0 = load_graph((data / "g0.txt").read_text())
+    g = g0.copy()
+    for op in load_stream((data / "stream.txt").read_text()):
+        g.apply_update(op)
+
+    def view(m, k, d, mode, ratio, salt):
+        ecfg = EmbeddingConfig(d=d, alpha=BETA / ratio, mode=mode, seed_salt=salt)
+        return SynopsisIndex(g, compute_degree_groups(g0, m), ecfg, k, estimate_domain(g0, ecfg))
+
+    text = dump.read_text()
+    assert text == view(**VIEW_FLAGS).dump()
+    defaults = BenchConfig()
+    for flag, field in [("m", "m_groups"), ("k", "k_cells"), ("d", "d"), ("mode", "mode"),
+                        ("ratio", "beta_alpha_ratio"), ("salt", "seed_salt")]:
+        assert text != view(**{**VIEW_FLAGS, flag: getattr(defaults, field)}).dump(), flag
 
 
 def test_run_answers_match_oracle_cli(tmp_path, capsys):
@@ -170,15 +209,19 @@ def test_sweep_subcommand(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main([
         "sweep", "--n", "100", "--alphabet", "5", "--query-count", "2",
-        "--query-size", "4", "--seed", "6", "--param", "k",
-        "--values", "2", "5", "--out", str(out),
+        "--query-size", "4", "--seed", "6", "--param", "n",
+        "--values", "100", "120", "--out", str(out),
     ])
     assert rc == 0
     rows = read_csv(out)
-    assert [r["value"] for r in rows] == ["2", "5"]
-    # answers are parameter-independent: only timing may differ
-    assert rows[0]["final_answers"] == rows[1]["final_answers"]
-    assert rows[0]["initial_answers"] == rows[1]["initial_answers"]
+    assert [(r["value"], r["n_vertices"]) for r in rows] == [("100", "100"), ("120", "120")]
+    # each row holds one engine run over its value's scenario, seed held fixed
+    for row, n in zip(rows, (100, 120)):
+        cfg = BenchConfig(n_vertices=n, alphabet=5, query_count=2, query_size=4, master_seed=6)
+        _, g0, stream, queries = cfg.make_inputs()
+        metrics, _ = run_engine(g0, stream, queries)
+        assert int(row["updates"]) == len(stream)
+        assert int(row["final_answers"]) == sum(map(len, metrics.final_answers.values()))
 
 
 def test_sweep_with_a_malformed_value_fails_before_any_run(tmp_path, monkeypatch, capsys):
@@ -222,7 +265,29 @@ def test_cli_error_exit_code(tmp_path):
     assert rc == 2
 
 
+# exit 1 from verify means a divergence was found; a bad flag is exit 2
+EXTRA_ARGS = {
+    "run": ["--out", "{tmp}/out"],
+    "dump": ["--out", "{tmp}/out", "--dump-synopses", "{tmp}/synopses.txt"],
+    "sweep": ["--param", "n", "--values", "120"],
+}
+
+
 @pytest.mark.parametrize("command", ["run", "verify", "bench", "sweep"])
+@pytest.mark.parametrize("flag, value, says", [
+    ("--avg-deg", "nan", "average degree must be finite"),
+    ("--query-avg-deg", "nan", "query average degree must be finite"),
+])
+def test_out_of_domain_scenario_parameter_is_an_error_not_a_traceback(
+    tmp_path, capsys, command, flag, value, says
+):
+    extra = [a.format(tmp=tmp_path) for a in EXTRA_ARGS.get(command, [])]
+    assert main([command, *BASE_FLAGS, flag, value, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and says in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "dump"])
 @pytest.mark.parametrize("flag, value, says", [
     ("--k", "0", "k_cells must be >= 1"),
     ("--m", "0", "m must be >= 1"),
@@ -231,20 +296,35 @@ def test_cli_error_exit_code(tmp_path):
     ("--ratio", "0", "beta/alpha ratio must be positive and finite"),
     ("--ratio", "nan", "beta/alpha ratio must be positive and finite"),
     ("--ratio", "inf", "beta/alpha ratio must be positive and finite"),
-    ("--avg-deg", "nan", "average degree must be finite"),
-    ("--query-avg-deg", "nan", "query average degree must be finite"),
 ])
 def test_out_of_domain_index_parameter_is_an_error_not_a_traceback(
     tmp_path, capsys, command, flag, value, says
 ):
-    # exit 1 from verify means a divergence was found; a bad flag is exit 2
-    extra = {
-        "run": ["--out", str(tmp_path / "out")],
-        "sweep": ["--param", "n", "--values", "120"],
-    }.get(command, [])
-    assert main([command, *BASE_FLAGS, flag, value, *extra]) == 2
+    # only run takes the grid view's flags, and checks them before the run
+    # whether or not it writes the dump that reads them
+    extra = [a.format(tmp=tmp_path) for a in EXTRA_ARGS[command]]
+    assert main(["run", *BASE_FLAGS, flag, value, *extra]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and says in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "synopses.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "verify", "bench", "sweep"])
+@pytest.mark.parametrize("flag", ["--d", "--ratio", "--mode", "--m", "--k", "--salt"])
+def test_only_run_takes_the_grid_view_flags(tmp_path, capsys, command, flag):
+    # --d is no abbreviation of --deletion-rate either
+    extra = {"gen": ["--out", str(tmp_path / "out")], **EXTRA_ARGS}.get(command, [])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *BASE_FLAGS, flag, "2", *extra])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
+def test_sweep_takes_no_grid_view_parameter(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *BASE_FLAGS, "--param", "k", "--values", "2", "5"])
+    assert exc.value.code == 2
+    assert "argument --param: invalid choice: 'k'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "bench"])
@@ -301,7 +381,7 @@ def test_engine_and_naive_final_answers_agree():
     g = cfg.make_graph()
     g0, stream = cfg.make_split(g)
     queries = cfg.make_queries(g)
-    engine_metrics, _ = run_engine(g0, stream, queries, cfg.embedding_config())
+    engine_metrics, _ = run_engine(g0, stream, queries)
     naive_metrics = run_naive(g0, stream, queries)
     assert engine_metrics.final_answers == naive_metrics.final_answers
 
@@ -309,13 +389,13 @@ def test_engine_and_naive_final_answers_agree():
 def test_metric_rows_fill_every_run_column():
     cfg = BenchConfig(n_vertices=100, alphabet=5, query_count=2, query_size=4, master_seed=5)
     _, g0, stream, queries = cfg.make_inputs()
-    engine_metrics, _ = run_engine(g0, stream, queries, cfg.embedding_config())
+    engine_metrics, _ = run_engine(g0, stream, queries)
     for row in engine_metrics.rows() + run_naive(g0, stream, queries).rows():
         assert set(row) == set(RUN_COLUMNS), row["mode"]
 
 
 def test_csv_to_stdout_equals_csv_to_file(tmp_path, capsys):
-    argv = ["sweep", *BASE_FLAGS, "--param", "k", "--values", "2", "5"]
+    argv = ["sweep", *BASE_FLAGS, "--param", "n", "--values", "100", "120"]
     assert main([*argv, "--out", str(tmp_path / "sweep.csv")]) == 0
     assert main(argv) == 0
 
@@ -373,7 +453,7 @@ def test_emitted_deltas_equal_answer_snapshot_differences(tmp_path):
     ]) == 0
 
     queries = [QueryGraph.from_text(f.read_text()) for f in sorted((data / "queries").glob("*.txt"))]
-    engine = MatchEngine(load_graph((data / "g0.txt").read_text()), BenchConfig().embedding_config())
+    engine = MatchEngine(load_graph((data / "g0.txt").read_text()))
     for i, q in enumerate(queries):
         engine.register(f"q{i}", q)
     blocks = [[] for _ in queries]
@@ -411,25 +491,33 @@ def test_scenario_flags_take_bench_config_defaults(monkeypatch):
     ).choices
     n_defaults = {"gen": 50_000, "run": 50_000, "verify": 200, "bench": 1000, "sweep": 1000}
     defaults = BenchConfig()
+    flags = 0
     for command, n_default in n_defaults.items():
         actions = {a.dest: a for a in subparsers[command]._actions}
         for param in SCENARIO_PARAMS:
+            if param.view and command != "run":  # only run writes the grid view
+                assert param.dest not in actions, (command, param.flag)
+                continue
             got = actions[param.dest].default
             want = n_default if param.dest == "n" else getattr(defaults, param.field)
             assert (got, type(got)) == (want, type(want)), (command, param.flag)
-        assert actions["mode"].choices == MODES
+            flags += 1
+    assert next(a for a in subparsers["run"]._actions if a.dest == "mode").choices == MODES
+    assert [p.flag for p in SCENARIO_PARAMS if p.view] == ["d", "ratio", "mode", "m", "k", "salt"]
+    assert flags == 56  # 16 on run, 10 on each of the other four
 
 
-def test_sweep_params_are_the_documented_nine():
-    assert set(SWEEP_PARAMS) == {
-        "d", "ratio", "m", "k", "alphabet", "query_size", "query_avg_deg", "avg_deg", "n",
-    }
+def test_sweep_params_are_the_documented_five():
+    # the view's parameters reach no engine path, so they do not sweep
+    assert set(SWEEP_PARAMS) == {"n", "avg_deg", "alphabet", "query_size", "query_avg_deg"}
 
 
 def test_grid_defaults_have_one_definition():
-    for fn in (MatchEngine, run_engine, recompute_stream_check):
-        params = inspect.signature(fn).parameters
-        assert params["m_groups"].default == M_GROUPS, fn
-        assert params["k_cells"].default == K_CELLS, fn
+    params = inspect.signature(MatchEngine).parameters
+    assert params["cfg"].default == EmbeddingConfig() == BenchConfig().embedding_config()
+    assert (params["m_groups"].default, params["k_cells"].default) == (M_GROUPS, K_CELLS)
     defaults = BenchConfig()
     assert (defaults.m_groups, defaults.k_cells) == (M_GROUPS, K_CELLS)
+    # the engine's callers leave the grid's parameters to those defaults
+    for fn in (run_engine, recompute_stream_check):
+        assert not {"cfg", "m_groups", "k_cells"} & set(inspect.signature(fn).parameters), fn

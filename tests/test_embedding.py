@@ -38,6 +38,15 @@ def test_config_validation():
     EmbeddingConfig(mode="plain", alpha=50.0)  # ratio unconstrained
 
 
+@pytest.mark.parametrize("field, says", [("d", "d must be >= 1"), ("seed_salt", "must be an int")])
+@pytest.mark.parametrize("bad", [2.0, 1.5, True, False, "2", None])
+def test_config_rejects_a_non_int_d_or_seed_salt(field, says, bad):
+    # d=2.0 once built and then failed in the engine with a bare TypeError,
+    # d=True acted as d=1, and seed_salt=1.5 raised in the mixer
+    with pytest.raises(InvalidParams, match=says):
+        EmbeddingConfig(**{field: bad})
+
+
 def test_zipf_rank_takes_zero_and_draw_reads_it():
     # Rng.random() is in [0, 1): rank takes 0, draw keeps its (0, 1] domain
     table = ZipfTable(1.0, 5)

@@ -89,6 +89,9 @@ def test_update_errors():
         (InvalidParams, UpdateOp(INSERT, 0, "a", label_v=0)),
         (InvalidParams, UpdateOp(INSERT, 2.0, 0, label_u=0)),
         (InvalidParams, UpdateOp(INSERT, 7, 0, label_u="x")),
+        # so must an existing endpoint's, which 1.0 and True equal
+        (InvalidParams, UpdateOp(INSERT, 1.0, 7, label_v=0)),
+        (InvalidParams, UpdateOp(INSERT, 7, True, label_u=0)),
     ]
     for error, op in rejected:
         with pytest.raises(error):

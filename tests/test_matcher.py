@@ -737,6 +737,43 @@ def test_new_vertex_of_a_non_int_id_or_label_leaves_engine_untouched(cfg_zipf, o
         assert rq.answers.mappings() == enumerate_matches(engine.graph, rq.query)
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        UpdateOp(INSERT, 0, 1.0),
+        UpdateOp(INSERT, 1.0, 0),
+        UpdateOp(INSERT, True, 0),
+        UpdateOp(INSERT, 2, False),
+        UpdateOp(INSERT, True, 3, label_v=0),
+        UpdateOp(INSERT, 3, 2.0, label_u=1),
+    ],
+    ids=["float", "float-first", "true", "false", "true-to-new", "new-to-float"],
+)
+def test_insert_by_an_equal_non_int_id_leaves_engine_untouched(cfg_zipf, op):
+    # 1.0 and True equal vertex 1, and False vertex 0: such an insert was
+    # once accepted, and left the float or bool in an adjacency set and an
+    # answer, in a graph that its own dump could not load.  Now it raises
+    # before any mutation, and the same edge by int ids applies
+    g = make_graph([(1, 2)], {0: 0, 1: 1, 2: 0})
+    engine = MatchEngine(g.copy(), cfg_zipf)
+    engine.register("q", q_edge(0, 1))
+    engine.register("path", QueryGraph({0: 0, 1: 1, 2: 0}, [(0, 1), (1, 2)]))
+
+    def state():
+        hist = {v: dict(h) for v, h in engine.index.lists.hist.items()}
+        answers = {name: rq.answers.mappings() for name, rq in engine.queries.items()}
+        return dump_graph(engine.graph), hist, answers
+
+    before = state()
+    with pytest.raises(InvalidParams, match="must be ints"):
+        engine.process_update(op)
+    assert state() == before
+    engine.process_update(UpdateOp(INSERT, int(op.u), int(op.v), op.label_u, op.label_v))
+    assert all(type(n) is int for nbrs in engine.graph.adj.values() for n in nbrs)
+    for rq in engine.queries.values():
+        assert rq.answers.mappings() == enumerate_matches(engine.graph, rq.query)
+
+
 def test_duplicate_registration_leaves_engine_untouched(cfg_zipf):
     g = make_graph([(0, 1), (1, 2)], {0: 0, 1: 1, 2: 0})
     engine = MatchEngine(g.copy(), cfg_zipf)

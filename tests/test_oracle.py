@@ -111,10 +111,10 @@ def test_star_subsets_guards(any_mode_cfg):
 # -- stream verdicts --------------------------------------------------------------
 
 
-def test_recompute_check_empty_stream(cfg_zipf):
+def test_recompute_check_empty_stream():
     g = make_graph([(0, 1)], {0: 0, 1: 1})
     q = QueryGraph({0: 0, 1: 1}, [(0, 1)])
-    report = recompute_stream_check(g, [], [q], cfg_zipf)
+    report = recompute_stream_check(g, [], [q])
     assert report.ok
     assert report.updates_checked == 0
     assert "zero divergences" in report.describe()
@@ -136,7 +136,7 @@ def test_recompute_check_catches_missing_orientation(cfg_zipf, monkeypatch):
 
     monkeypatch.setattr(engine, "register", register_then_drop)
     stream = [UpdateOp(INSERT, 0, 1, timestamp=1)]
-    report = recompute_stream_check(g, stream, [q], cfg_zipf, engine=engine)
+    report = recompute_stream_check(g, stream, [q], engine=engine)
     assert not report.ok
     assert report.divergence.timestamp == 1
     assert report.divergence.missing == {(1, 0)}
@@ -159,7 +159,7 @@ def test_recompute_check_catches_dropped_op(cfg_zipf, monkeypatch):
         UpdateOp(INSERT, 2, 3, timestamp=2),
         UpdateOp(INSERT, 0, 3, timestamp=3),
     ]
-    report = recompute_stream_check(g, stream, [q], cfg_zipf, engine=engine)
+    report = recompute_stream_check(g, stream, [q], engine=engine)
     assert not report.ok
     assert report.updates_checked == 2
     assert report.divergence.timestamp == 2
@@ -177,16 +177,16 @@ def test_recompute_check_box_filter_is_optional(cfg_zipf, monkeypatch):
     g0, stream = split_stream(g, 0.1, 0.0, seed=7)
     monkeypatch.setattr(Mbr, "contains", lambda self, p, eps=0.0: True)
     engine = MatchEngine(g0.copy(), cfg_zipf)
-    report = recompute_stream_check(g0, stream, queries, cfg_zipf, engine=engine)
+    report = recompute_stream_check(g0, stream, queries, engine=engine)
     assert report.ok, report.describe()
 
 
-def test_recompute_check_full_stream(cfg_base):
+def test_recompute_check_full_stream():
     g = small_world(n=60, avg_deg=4.0, alphabet=3, seed=52)
     from dsmatch.generate import sample_queries, split_stream
 
     queries = sample_queries(g, 3, 4, 2.0, seed=28)
     g0, stream = split_stream(g, 0.1, 0.0, seed=8)
-    report = recompute_stream_check(g0, stream, queries, cfg_base)
+    report = recompute_stream_check(g0, stream, queries)
     assert report.ok, report.describe()
     assert report.updates_checked == len(stream)

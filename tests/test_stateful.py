@@ -156,15 +156,21 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule(
         data=st.data(),
-        bad_id=st.booleans(),
+        bad_id=st.sampled_from(["new", "equal", None]),
         bad=st.sampled_from([0.5, 1.0, "0", "x", True, False]),
     )
     def rejected_non_int(self, data, bad_id, bad):
         # an insert from an existing vertex to a new one whose id (a float
-        # or str no vertex id equals) or label is not an int
+        # or str no vertex id equals) or label is not an int, or to another
+        # existing one by a non-int id equal to its own (a float, or a bool
+        # for 1 and 0)
         u = data.draw(st.sampled_from(sorted(self.shadow.labels)))
         new = max(self.shadow.labels) + 1
-        if bad_id:
+        if bad_id == "equal":
+            others = sorted(set(self.shadow.labels) - {u})
+            twins = [bool(w) for w in others if w in (0, 1)] + [float(w) for w in others]
+            op = UpdateOp(INSERT, u, data.draw(st.sampled_from(twins)))
+        elif bad_id == "new":
             bad = new + bad if isinstance(bad, float) else str(bad)
             op = UpdateOp(INSERT, u, bad, label_v=0)
         else:

@@ -356,11 +356,11 @@ def test_domain_comes_from_every_neighbor_sum(mode):
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(data=st.data())
 def test_domain_equals_the_largest_fsum_neighbor_sum(mode, d, data):
-    # the domain estimate sums each label's components, times 2^GRID_BITS, as
-    # packed ints; every such component is an int in [1, 2^GRID_BITS].  On
-    # random graphs, with isolated vertices, maybe a hub of degree >= 100,
+    # on random graphs, with isolated vertices, maybe a hub of degree >= 100,
     # and on the edgeless graph over the same vertices, the domain equals
-    # the one read off the largest math.fsum neighbor sum
+    # the one read off the largest math.fsum neighbor sum; every label
+    # component, times 2^GRID_BITS, is an int in [1, 2^GRID_BITS], so those
+    # sums are exact
     cfg = EmbeddingConfig(d=d, mode=mode)
     n = data.draw(st.integers(1, 30), label="vertices")
     labels = dict(enumerate(data.draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n),
