@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import le
@@ -83,6 +84,8 @@ class EmbeddingConfig:
             raise InvalidParams(f"seed_salt must be an int, got {self.seed_salt!r}")
         if self.mode not in MODES:
             raise InvalidParams(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not is_real(self.alpha):
+            raise InvalidParams(f"alpha must be a real number, got {self.alpha!r}")
         if not math.isfinite(self.alpha):
             raise InvalidParams(f"alpha must be finite, got {self.alpha}")
         if self.alpha <= 0:
@@ -92,6 +95,11 @@ class EmbeddingConfig:
                 f"beta/alpha must be >= 10 for mode {self.mode!r}, "
                 f"got {BETA / self.alpha:g}"
             )
+
+
+def is_real(x) -> bool:
+    """Whether ``x`` is a real number and not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 # -- seeded Zipf draws --------------------------------------------------------

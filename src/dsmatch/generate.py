@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .embedding import BETA, MODES, EmbeddingConfig, ZipfTable
+from .embedding import BETA, MODES, EmbeddingConfig, ZipfTable, is_real
 from .errors import InvalidParams, InvalidRate, Unsatisfiable
 from .graph import DELETE, INSERT, DynamicGraph, UpdateOp
 from .matcher import QueryGraph
@@ -253,6 +253,8 @@ class BenchConfig:
 
     def embedding_config(self) -> EmbeddingConfig:
         ratio = self.beta_alpha_ratio
+        if not is_real(ratio):
+            raise InvalidParams(f"beta/alpha ratio must be a real number, got {ratio!r}")
         if not 0 < ratio < math.inf:
             raise InvalidParams(f"beta/alpha ratio must be positive and finite, got {ratio}")
         return EmbeddingConfig(

@@ -15,7 +15,9 @@ neighbors carrying it as the query vertex has: the count test, read off
 the store's neighbor-label histograms.  It implies the per-degree box
 test, so it prunes at least as much, and computes no box.  Registration's
 scans apply it to every vertex of a query vertex's label, through packed
-label columns, not a grid, and the join to every vertex it maps.  An
+label columns, not a grid, and the join to every vertex it maps.  Plans
+are ordered by the scans' candidate counts, and only the initial join's
+start vertex has its candidates decoded.  An
 update reads only its edge's label pair: an insertion count-tests every
 seed there against both endpoints' histograms and completes each
 admitted seed on the new edge by refinement; a deletion
@@ -53,11 +55,23 @@ _NO_ANSWERS: frozenset[Mapping] = frozenset()
 
 
 class QueryGraph:
-    """Connected undirected labeled pattern; every vertex has degree >= 1."""
+    """Connected undirected labeled pattern over int ids and labels; every
+    vertex has degree >= 1."""
 
     __slots__ = ("vertex_order", "labels", "adj", "edges", "index_of", "edge_index_pairs")
 
     def __init__(self, labels: dict[VertexId, Label], edges: Iterable[EdgeKey]):
+        # the graph's rule for a new vertex (a bool is no int here either):
+        # answers order ids, and a label must equal a data vertex's to match
+        for v, label in labels.items():
+            if type(v) is not int or type(label) is not int:
+                raise InvalidParams(
+                    f"query vertex ids and labels must be ints, got {v!r} labeled {label!r}"
+                )
+        edges = tuple(edges)
+        for e in edges:
+            if any(type(v) is not int for v in e):
+                raise InvalidParams(f"query edge {e!r} has a vertex id that is not an int")
         self.labels = dict(labels)
         self.adj: dict[VertexId, set[VertexId]] = {v: set() for v in self.labels}
         edge_set = set()
@@ -139,15 +153,17 @@ def make_plan(
     chosen prefix with the smallest candidate set (ties to the smallest id),
     so the continuation depends only on the set ``first`` names.  The
     frontier gains each chosen vertex's unchosen neighbors as it goes.
+    Each vertex's (size, id) key is built once per call, not per comparison.
     """
     qa, qb = first
     if not q.has_edge(qa, qb):
         raise InvalidParams(f"({qa}, {qb}) is not a query edge")
+    key = {v: (size, v) for v, size in cand_sizes.items()}
     plan = [qa, qb]
     chosen = set(plan)
     frontier = (q.adj[qa] | q.adj[qb]) - chosen
     while frontier:
-        nxt = min(frontier, key=lambda v: (cand_sizes[v], v))
+        nxt = min(frontier, key=key.__getitem__)
         plan.append(nxt)
         chosen.add(nxt)
         frontier.discard(nxt)
@@ -176,15 +192,23 @@ class JoinPlan:
     def compile(
         cls, q: QueryGraph, order: tuple[VertexId, ...], needs: dict[VertexId, Need]
     ) -> "JoinPlan":
+        """The plan of ``order``, an ordering of all of ``q``'s vertices.
+        One pass over ``q.adj`` in level order, through each vertex's
+        position in ``order``, appends each level to the back-levels of
+        its later neighbors, so each lists them ascending, with no probe
+        per pair of levels."""
+        pos = {qn: n for n, qn in enumerate(order)}
+        back: list[list[int]] = [[] for _ in order]
+        for n, qn in enumerate(order):
+            for m in map(pos.__getitem__, q.adj[qn]):
+                if m > n:
+                    back[m].append(n)
         return cls(
             order=order,
-            back=tuple(
-                tuple(i for i in range(n) if q.has_edge(order[i], qn))
-                for n, qn in enumerate(order)
-            ),
-            labels=tuple(q.labels[qn] for qn in order),
-            needs=tuple(needs[qn] for qn in order),
-            norm_pos=tuple(q.index_of[qn] for qn in order),
+            back=tuple(map(tuple, back)),
+            labels=tuple(map(q.labels.__getitem__, order)),
+            needs=tuple(map(needs.__getitem__, order)),
+            norm_pos=tuple(map(q.index_of.__getitem__, order)),
         )
 
 
@@ -391,22 +415,23 @@ class MatchEngine:
     def register(self, name: str, query: QueryGraph) -> RegisteredQuery:
         """Exact answers on the current snapshot, and one plan per query edge.
 
-        Each plan leads with its edge's endpoint of smaller (candidate count,
-        id); the initial join runs the plan of the edge from the cheapest
-        vertex to its cheapest neighbor.
+        One need scan per query vertex gives its candidate count, its
+        ``ScanStats.survivors``.  Each plan leads with its edge's endpoint
+        of smaller (candidate count, id); the initial join runs the plan of
+        the edge from the cheapest vertex to its cheapest neighbor, and
+        decodes that vertex's candidates, the only ones read, as it
+        iterates them.
         """
         if name in self.queries:
             raise InvalidParams(f"query {name!r} already registered")
         needs = label_needs(query)
-        cand_sets: dict[VertexId, list[VertexId]] = {}
+        cand_sets: dict[VertexId, Iterable[VertexId]] = {}
         scan_stats: dict[VertexId, ScanStats] = {}
         for qi in query.vertex_order:
-            cands, stats = self.index.scan_for_degree(
+            cand_sets[qi], scan_stats[qi] = self.index.scan_for_degree(
                 (), query.degree(qi), query.labels[qi], needs[qi]
             )
-            cand_sets[qi] = cands
-            scan_stats[qi] = stats
-        sizes = {qi: len(c) for qi, c in cand_sets.items()}
+        sizes = {qi: stats.survivors for qi, stats in scan_stats.items()}
         plans: dict[tuple[VertexId, VertexId], JoinPlan] = {}  # by leading pair
         for qa, qb in query.edges:  # qa < qb, so a tie leads with qa
             first = (qa, qb) if sizes[qa] <= sizes[qb] else (qb, qa)

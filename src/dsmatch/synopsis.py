@@ -24,7 +24,9 @@ them.  :class:`LabelColumns` packs those counts into one int per (label,
 needed label) of unsigned fields, each label's 1, 2, 4 or 8 bytes wide as
 its vertices' degrees need (:func:`pack`), and its scan tests a column
 whole against a needed count (:func:`at_least`); a needed count too wide
-for the fields keeps no vertex.
+for the fields keeps no vertex.  A scan counts its candidates off the
+mask's set bits and returns them as a one-pass iterator
+(:func:`selected`), decoded only when read.
 No comparison carries a slack: neighbor sums are exact and rounding is
 monotone (:mod:`dsmatch.embedding`), so every filter admits each true
 match image.
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import le
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .embedding import (
     BETA,
@@ -547,21 +549,32 @@ class LabelColumns:
             cols = self.columns[label] = w, {lbl: pack(col) for lbl, col in filled.items()}
         return cols
 
-    def scan(self, label: Label, need: Need) -> tuple[list[VertexId], int]:
-        """The vertices of ``label`` that cover ``need``, in graph order, and
-        how many it has.  The needed counts' masks (:func:`at_least`) AND
-        until one is empty; each field's top byte selects.  A needed count
-        of 2^(8w - 1) or more, which no w-byte count reaches, keeps none."""
+    def scan(self, label: Label, need: Need) -> tuple[Iterator[VertexId], int, int]:
+        """The vertices of ``label`` that cover ``need``, as a one-pass
+        iterator in graph order (:func:`selected`), how many they are, and
+        how many vertices the label has.  The needed counts' masks
+        (:func:`at_least`) AND until one is empty; each field's top bit
+        selects, and a kept field holds that bit alone, so the mask's bit
+        count is the kept count.  A needed count of 2^(8w - 1) or more,
+        which no w-byte count reaches, keeps none."""
         (w, cols), vs, reps = self.fill(label), self.members.get(label, ()), self.repeats
         n, top = len(vs), 1 << 8 * w - 1
         signs = mask = repeated(reps, top.to_bytes(w, "little"), n)
         for needed, c in need:
             if c >= top:
-                return [], n
+                return iter(()), 0, n
             mask &= at_least(cols.get(needed, 0), repeated(reps, c.to_bytes(w, "little"), n), signs)
             if not mask:
                 break
-        return list(compress(vs, mask.to_bytes(w * n, "little")[w - 1 :: w])), n
+        return selected(vs, mask, w), mask.bit_count(), n
+
+
+def selected(vs: list[VertexId], mask: int, w: int) -> Iterator[VertexId]:
+    """The members ``vs[i]`` whose w-byte field i of ``mask`` has its top
+    bit set, in order.  A generator: it cuts the mask into bytes on the
+    first read, not before.  No update edits ``vs``, so it yields the
+    scanned snapshot's vertices whenever it is read."""
+    yield from compress(vs, mask.to_bytes(w * len(vs), "little")[w - 1 :: w])
 
 
 # -- the full index -----------------------------------------------------------
@@ -674,18 +687,20 @@ class SynopsisIndex:
 
     def scan_for_degree(
         self, q_embed: Vec, q_degree: int, q_label: int, need: Need | None = None
-    ) -> tuple[list[VertexId], ScanStats]:
+    ) -> tuple[Iterable[VertexId], ScanStats]:
         """Candidates for a query vertex of degree ``q_degree`` >= 1.  Without
-        a need, :func:`scan_candidates` on the grid of its group.  Given one,
-        the vertices of ``q_label`` that cover it, in graph order
-        (:meth:`LabelColumns.scan`), all of its vertices examined."""
+        a need, a list: :func:`scan_candidates` on the grid of its group.
+        Given one, the vertices of ``q_label`` that cover it, all of its
+        vertices examined (:meth:`LabelColumns.scan`): a one-pass iterator
+        in graph order, decoded only as it is read, which yields this
+        snapshot's candidates even if read after an update."""
         group = self.groups.group_of(q_degree)  # raises below degree 1, need or not
         if need is None:
             return scan_candidates(self.synopses[group], q_embed, q_degree, q_label)
         if self._columns is None:
             self._columns = LabelColumns(self.lists)
-        kept, n = self._columns.scan(q_label, need)
-        return kept, ScanStats(examined=n, pruned_box=n - len(kept), survivors=len(kept))
+        kept, survivors, n = self._columns.scan(q_label, need)
+        return kept, ScanStats(examined=n, pruned_box=n - survivors, survivors=survivors)
 
     def embedding_of(self, v: VertexId) -> Vec:
         return embed_vertex(self.graph, v, self.cfg)

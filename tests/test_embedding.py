@@ -38,6 +38,21 @@ def test_config_validation():
     EmbeddingConfig(mode="plain", alpha=50.0)  # ratio unconstrained
 
 
+@pytest.mark.parametrize("bad", ["x", "0.1", None, True, False, 0.1j, (0.1,)])
+def test_config_rejects_an_alpha_that_is_not_a_real_number(bad):
+    # alpha="x" and alpha=None once raised a bare TypeError, and
+    # alpha=True built a config with alpha 1
+    with pytest.raises(InvalidParams, match="alpha must be a real number"):
+        EmbeddingConfig(alpha=bad)
+
+
+@pytest.mark.parametrize("bad, says", [(0, "positive"), (-1.0, "positive"), (50, "beta/alpha")])
+def test_config_keeps_its_out_of_range_alpha_messages(bad, says):
+    with pytest.raises(InvalidParams, match=says):
+        EmbeddingConfig(alpha=bad)
+    assert EmbeddingConfig(alpha=1).alpha == 1  # an int is a real number
+
+
 @pytest.mark.parametrize("field, says", [("d", "d must be >= 1"), ("seed_salt", "must be an int")])
 @pytest.mark.parametrize("bad", [2.0, 1.5, True, False, "2", None])
 def test_config_rejects_a_non_int_d_or_seed_salt(field, says, bad):

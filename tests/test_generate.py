@@ -1,3 +1,4 @@
+import math
 import statistics
 
 import pytest
@@ -219,3 +220,16 @@ def test_bench_config_wiring():
     assert (dump_graph(full), dump_graph(g0_)) == (dump_graph(g), dump_graph(g0))
     assert dump_stream(stream_) == dump_stream(stream)
     assert [q.to_text() for q in queries_] == [q.to_text() for q in queries]
+
+
+@pytest.mark.parametrize("bad, says", [
+    ("x", "must be a real number"), ("1000", "must be a real number"),
+    (None, "must be a real number"), (True, "must be a real number"),
+    (1000j, "must be a real number"), (0, "positive and finite"),
+    (-1.0, "positive and finite"), (math.inf, "positive and finite"),
+    (math.nan, "positive and finite"),
+])
+def test_embedding_config_rejects_a_bad_beta_alpha_ratio(bad, says):
+    # ratio="x" once raised a bare TypeError from the range check
+    with pytest.raises(InvalidParams, match=says):
+        BenchConfig(beta_alpha_ratio=bad).embedding_config()

@@ -63,6 +63,24 @@ def test_query_validation():
         QueryGraph({0: 1, 1: 2}, [(0, 0)])  # self-loop
 
 
+@pytest.mark.parametrize("labels, edges", [
+    ({0: 1, "x": 2}, [(0, "x")]),  # once a bare TypeError from sorted
+    ({0.0: 1, 1: 2}, [(0.0, 1)]),
+    ({True: 1, 2: 1}, [(True, 2)]),
+    ({0: True, 1: 1}, [(0, 1)]),  # once matched label-1 data vertices
+    ({0: 1.5, 1: 1}, [(0, 1)]),  # once registered with no answers
+    ({0: None, 1: 1}, [(0, 1)]),
+    ({0: "1", 1: 1}, [(0, 1)]),
+    ({0: 1, 1: 1}, [(0, 1.0)]),  # 1.0 == 1, a labeled id, but no int
+    ({0: 1, 1: 1}, [(0, 1), (False, 1)]),
+], ids=["str-id", "float-id", "bool-id", "bool-label", "float-label", "none-label",
+        "str-label", "float-edge-id", "bool-edge-id"])
+def test_query_rejects_an_id_or_label_that_is_not_an_int(labels, edges):
+    # the graph's rule for a new vertex: ids and labels are ints, no bool
+    with pytest.raises(InvalidParams, match="must be ints|not an int"):
+        QueryGraph(labels, edges)
+
+
 def test_query_text_roundtrip():
     q = q_triangle()
     q2 = QueryGraph.from_text(q.to_text())
@@ -199,6 +217,41 @@ def test_join_plan_levels(cfg_zipf):
     assert plan.needs == (((1, 2), (3, 1)), ((2, 1),), ((2, 1),), ((2, 1),))
     assert all(plan.needs[n] is needs[qn] for n, qn in enumerate(plan.order))
     assert plan.norm_pos == (1, 2, 0, 3)
+
+
+def probed_back(q, order):
+    """``JoinPlan.back`` by a ``has_edge`` probe per pair of levels, as
+    ``JoinPlan.compile`` once built it."""
+    return tuple(
+        tuple(i for i in range(n) if q.has_edge(order[i], qn)) for n, qn in enumerate(order)
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_join_plan_back_levels_equal_the_pairwise_probes(data):
+    # random connected queries (a random tree plus extra edges) on ids
+    # spread apart, so a set's order is not the ids': for any order of
+    # the vertices and for make_plan's orders, each level's back-levels
+    # equal the probes', ascending, and the per-level reads equal the
+    # vertex's own
+    n = data.draw(st.integers(2, 9), label="n")
+    edges = {(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges |= set(data.draw(st.lists(extra, max_size=2 * n), label="extra"))
+    ids = data.draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True), label="ids")
+    q = QueryGraph({ids[i]: data.draw(st.integers(0, 2)) for i in range(n)},
+                   [(ids[a], ids[b]) for a, b in edges])
+    needs = label_needs(q)
+    sizes = {qi: data.draw(st.integers(0, 2)) for qi in q.vertex_order}
+    orders = [tuple(data.draw(st.permutations(q.vertex_order), label="order"))]
+    orders += [make_plan(q, sizes, first) for e in q.edges for first in (e, e[::-1])]
+    for order in orders:
+        plan = JoinPlan.compile(q, order, needs)
+        assert plan.back == probed_back(q, order)
+        assert plan.labels == tuple(q.labels[qn] for qn in order)
+        assert plan.needs == tuple(needs[qn] for qn in order)
+        assert plan.norm_pos == tuple(q.vertex_order.index(qn) for qn in order)
 
 
 def test_refine_full_seed_returns_it(triangle, cfg_zipf):
@@ -591,8 +644,8 @@ def test_register_files_one_plan_per_query_edge(monkeypatch, cfg_zipf):
         needs = label_needs(q)
         shared = {}  # query vertex -> the one count tuple its plans hold
         sizes = {
-            qi: len(engine.index.scan_for_degree(
-                embeds[qi], q.degree(qi), q.labels[qi], needs[qi])[0])
+            qi: len(list(engine.index.scan_for_degree(
+                embeds[qi], q.degree(qi), q.labels[qi], needs[qi])[0]))
             for qi in q.vertex_order
         }
         plans, filed = {}, defaultdict(list)
@@ -921,6 +974,56 @@ def test_updates_read_no_walk(cfg_kw, monkeypatch):
     assert added > 0 and removed > 0
 
 
+class CountedReads:
+    """An iterator over ``items`` that counts the items it was asked for,
+    the one that ended it included."""
+
+    def __init__(self, items):
+        self.items, self.reads, self.yielded = iter(items), 0, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.reads += 1
+        item = next(self.items)
+        self.yielded += 1
+        return item
+
+
+def test_registration_reads_only_the_start_vertex_candidates(monkeypatch):
+    # every need scan's candidates are wrapped: a registration, before or
+    # amid a stream, reads one vertex's alone, the one of smallest
+    # (survivors, id), through to its end, and its answers are exact
+    g = small_world(n=150, avg_deg=5.0, alphabet=3, seed=53)
+    engine = MatchEngine(g.copy())
+    spies = []
+    scan_for_degree = engine.index.scan_for_degree
+
+    def scan(*args):
+        cands, stats = scan_for_degree(*args)
+        spies.append(CountedReads(cands))
+        return spies[-1], stats
+
+    monkeypatch.setattr(engine.index, "scan_for_degree", scan)
+    ops = random_update_stream(g, 80, seed=59, alphabet=3)
+    queries = sample_queries(g, 8, 4, 2.0, seed=61) + [
+        QueryGraph({0: 0, 1: 9}, [(0, 1)]),  # label 9 has no vertex: nothing survives
+    ]
+    for i, q in enumerate(queries):
+        for op in ops[10 * i : 10 * i + 10]:
+            engine.process_update(op)
+        spies.clear()
+        rq = engine.register(f"q{i}", q)
+        assert len(spies) == len(q)
+        start = min(q.vertex_order, key=lambda qi: (rq.scan_stats[qi].survivors, qi))
+        read = [qi for qi, spy in zip(q.vertex_order, spies) if spy.reads]
+        assert read == [start]
+        spy = spies[q.vertex_order.index(start)]
+        assert spy.yielded == rq.scan_stats[start].survivors == spy.reads - 1
+        assert rq.answers.mappings() == enumerate_matches(engine.graph, q)
+
+
 @HUB_CONFIGS
 def test_registration_builds_no_grid_and_fills_only_its_labels(cfg_kw, monkeypatch):
     # construction, six registrations and a mixed stream build no grid; a
@@ -946,9 +1049,10 @@ def test_registration_builds_no_grid_and_fills_only_its_labels(cfg_kw, monkeypat
     scans = []  # (args, candidates) of registration's scans
     scan_for_degree = engine.index.scan_for_degree
 
-    def scan(*args):
-        scans.append((args, scan_for_degree(*args)))
-        return scans[-1][1]
+    def scan(*args):  # reads each scan's one-pass candidates into a list
+        cands, stats = scan_for_degree(*args)
+        scans.append((args, (list(cands), stats)))
+        return iter(scans[-1][1][0]), stats
 
     monkeypatch.setattr(engine.index, "scan_for_degree", scan)
     k = 4

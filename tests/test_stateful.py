@@ -25,12 +25,15 @@ Each accepted op's deltas are the answer-set differences it caused,
 naming only the queries it changed; a rejected op changes neither graph,
 index snapshot, filled label columns nor answers.  The label-pair table equals a refiling of every
 registered query's plans.
+Two profiles run the machine, both derandomized: 50 examples of 30 steps,
+and a slow-marked one of 150 examples of 60 steps.
 """
 
 import math
 from bisect import bisect_left
 from collections import Counter
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -208,7 +211,8 @@ class EngineMachine(RuleBasedStateMachine):
         q, needs = rq.query, label_needs(rq.query)
         for qi in q.vertex_order:
             args = (rq.embeds[qi], q.degree(qi), q.labels[qi], needs[qi])
-            assert index.scan_for_degree(*args) == fresh.scan_for_degree(*args)
+            (got, stats), (want, want_stats) = (i.scan_for_degree(*args) for i in (index, fresh))
+            assert (list(got), stats) == (list(want), want_stats)
         columns, twin = index._columns, fresh._columns
         assert columns.members == twin.members and columns.columns
         for label, cols in columns.columns.items():
@@ -268,3 +272,12 @@ EngineMachine.TestCase.settings = settings(
     max_examples=50, stateful_step_count=30, derandomize=True, deadline=None
 )
 TestEngineMachine = EngineMachine.TestCase
+
+
+@pytest.mark.slow
+class TestEngineMachineLong(EngineMachine.TestCase):
+    """The same machine, longer: more examples of more steps each."""
+
+    settings = settings(
+        max_examples=150, stateful_step_count=60, derandomize=True, deadline=None
+    )

@@ -793,7 +793,7 @@ def assert_count_columns_equal_histograms(idx, g):
     labels = set(g.labels.values())
     unseen = max(labels) + 1
     # a need scan reads no embedding; the unseen label has no members
-    assert idx.scan_for_degree((), 1, unseen, ((unseen, 1),)) == ([], ScanStats())
+    assert need_scan(idx, (), 1, unseen, ((unseen, 1),)) == ([], ScanStats())
     columns = idx._columns
     members = {}
     for v in g.vertices():
@@ -1028,6 +1028,13 @@ def reference_scan(syn, q_embed, q_degree, q_label):
     return out, stats
 
 
+def need_scan(idx, *args):
+    """``idx.scan_for_degree(*args)`` with its one-pass candidates read
+    into a list."""
+    cands, stats = idx.scan_for_degree(*args)
+    return list(cands), stats
+
+
 def reference_need_scan(idx, q_label, need):
     """The need scan vertex by vertex: every vertex of the label, in graph
     order, kept iff its adjacency covers ``need``."""
@@ -1060,7 +1067,7 @@ def test_scan_stats_equal_reference_scan(mode):
                 syn = idx.synopses[idx.groups.group_of(q.degree(qi))]
                 got = scan_candidates(syn, *args)
                 assert got == reference_scan(syn, *args)
-                with_need = idx.scan_for_degree(*args, needs[qi])
+                with_need = need_scan(idx, *args, needs[qi])
                 assert with_need == reference_need_scan(idx, q.labels[qi], needs[qi])
                 assert set(with_need[0]) <= set(got[0])
                 counted += with_need[1].survivors
@@ -1264,7 +1271,7 @@ def test_entries_below_the_query_degree_fail_the_last_stage(cfg_plain):
     leaves = tuple(2 * c for c in label_vector(1, cfg_plain))
     star = compose(label_vector(0, cfg_plain), leaves, 0, cfg_plain)
     for q in (idx.embedding_of(0), star):
-        cands, stats = idx.scan_for_degree(q, 2, 0, need)
+        cands, stats = need_scan(idx, q, 2, 0, need)
         assert (cands, stats) == reference_need_scan(idx, 0, need)
         assert cands == [2] and stats == ScanStats(examined=2, pruned_box=1, survivors=1)
 
@@ -1281,7 +1288,7 @@ def test_pack_and_needed_count_reject_a_negative_int(cfg_plain):
         with pytest.raises(OverflowError):
             idx.scan_for_degree((), 1, 0, ((1, -1),))
         assert idx._columns.columns[0][0] == (1 if degree < 128 else 2)
-        assert idx.scan_for_degree((), 1, 0, ((1, 0),))[0] == [0, 1]
+        assert need_scan(idx, (), 1, 0, ((1, 0),))[0] == [0, 1]
 
 
 def _label_0_hub(degree):
@@ -1289,6 +1296,39 @@ def _label_0_hub(degree):
     and 2 in turn, and vertex 1, of label 0 too, over two of them."""
     leaves = {v: 1 + v % 2 for v in range(2, degree + 2)}
     return make_graph([(0, v) for v in leaves] + [(1, 2), (1, 3)], {0: 0, 1: 0, **leaves})
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_need_scan_iterator_equals_the_per_vertex_count_test(data):
+    # random graphs on labels 0..2, with or without a label-0 hub of
+    # degree 128 (2-byte fields for label 0, else 1-byte), and random
+    # needs over labels 0..3, label 3 held by no vertex (its column all
+    # zero), counts drawn around both widths' limits: each scan yields,
+    # once and in graph order, the vertices the per-vertex count test
+    # keeps, and its survivors count them
+    n = data.draw(st.integers(1, 24), label="n")
+    labels = dict(enumerate(data.draw(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n), label="labels")))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+    edges = data.draw(st.sets(pairs, max_size=3 * n), label="edges")
+    hub = data.draw(st.booleans(), label="hub")
+    if hub:  # vertex n over 128 new leaves of labels 1 and 2 in turn
+        labels |= {n: 0, **{v: 1 + v % 2 for v in range(n + 1, n + 129)}}
+        edges |= {(n, v) for v in range(n + 1, n + 129)}
+    g = make_graph(sorted(edges), labels)
+    idx = SynopsisIndex(g, DegreeGroups(()), EmbeddingConfig(mode="plain"), 1)
+    counts = st.sampled_from([0, 1, 2, 3, 64, 65, 127, 128, 2**15 - 1, 2**15, 2**64])
+    for label in range(4):
+        need = tuple(sorted(data.draw(
+            st.dictionaries(st.integers(0, 3), counts, max_size=3), label="need").items()))
+        cands, stats = idx.scan_for_degree((), 1, label, need)
+        got = list(cands)
+        want = reference_need_scan(idx, label, need)[0]
+        assert got == want == [v for v in g.vertices() if g.labels[v] == label
+                               and covers(g, v, need)]
+        assert stats.survivors == len(got) and list(cands) == []
+    assert idx._columns.columns[0][0] == (2 if hub else 1)
 
 
 def test_field_width_follows_the_largest_degree(cfg_plain):
@@ -1304,11 +1344,11 @@ def test_field_width_follows_the_largest_degree(cfg_plain):
             ((1, 1), (2, c)) for c in (0, 1, halves[0] - 1, halves[0], halves[0] + 1)
         ]
         for need in needs:
-            assert idx.scan_for_degree((), 1, 0, need) == reference_need_scan(idx, 0, need)
+            assert need_scan(idx, (), 1, 0, need) == reference_need_scan(idx, 0, need)
         assert idx._columns.columns[0][0] == w
         top = 2 ** (8 * w - 1)
         for need in (((1, top),), ((1, top + 1),), ((1, 1), (2, top)), ((1, 2**64),)):
-            assert idx.scan_for_degree((), 1, 0, need) == ([], ScanStats(examined=2, pruned_box=2))
+            assert need_scan(idx, (), 1, 0, need) == ([], ScanStats(examined=2, pruned_box=2))
 
 
 def test_answers_hold_across_a_width_boundary(cfg_base):

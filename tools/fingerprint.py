@@ -25,8 +25,9 @@ per line for:
 * ``scan_stats``: every query's per-vertex ``ScanStats``; a need scan
   examines the query vertex's whole label and prunes by count alone;
 * ``candidates``: every query vertex's sorted ``scan_for_degree``
-  candidates, scanned again with its need (``label_needs``) right after
-  registration, as registration scans, through the label columns;
+  candidates, scanned again with its need (``label_needs``) and no
+  embedding right after registration, as registration scans, through the
+  label columns;
 * ``initial``:    the answers right after registration;
 * ``deltas``:     each op's non-empty per-query deltas, or that it raised;
 * ``final``:      the answers after the last op;
@@ -114,14 +115,15 @@ def fingerprint(workload: str) -> tuple[dict[str, str], dict[str, int], list[str
 
 
 def candidates_of(engine: MatchEngine, names) -> dict[str, list]:
-    """Per query, each vertex's sorted candidates, scanned with its need."""
+    """Per query, each vertex's sorted candidates, scanned with its need and,
+    as registration scans, no embedding: a need scan reads none."""
     out = {}
     for name in names:
-        rq = engine.queries[name]
-        q, needs = rq.query, label_needs(rq.query)
+        q = engine.queries[name].query
+        needs = label_needs(q)
         out[name] = [
             [qi, sorted(engine.index.scan_for_degree(
-                rq.embeds[qi], q.degree(qi), q.labels[qi], needs[qi])[0])]
+                (), q.degree(qi), q.labels[qi], needs[qi])[0])]
             for qi in q.vertex_order
         ]
     return out
