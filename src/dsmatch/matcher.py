@@ -70,6 +70,8 @@ class QueryGraph:
                 )
         edges = tuple(edges)
         for e in edges:
+            if not isinstance(e, (tuple, list)) or len(e) != 2:
+                raise InvalidParams(f"query edge {e!r} is not a pair of vertex ids")
             if any(type(v) is not int for v in e):
                 raise InvalidParams(f"query edge {e!r} has a vertex id that is not an int")
         self.labels = dict(labels)

@@ -11,10 +11,9 @@ Boxes are never materialized.  Each vertex keeps a histogram of its
 neighbors' labels; each label is a run of equal components per dimension,
 so the box for degree delta spans the sum of the delta smallest to the sum
 of the delta largest components, the runs taken largest first.  An update
-is one histogram edit per endpoint.  A grid cell buckets its entries by
-label, whose d head coordinates a scan tests once per bucket, as plain rows
-in graph order: a vertex and its d tail coordinates, compared as floats
-before each dominated entry's box at the query degree.
+is one histogram edit per endpoint.  A grid cell keeps its entries as rows
+in graph order, each a vertex, its label and its corner; a scan compares
+the corner as floats, then the label, then the box at the query degree.
 
 Registration reads no grid.  Given a query vertex's need (its neighbor
 label counts), a scan keeps the vertices of its label with at least as many
@@ -36,16 +35,17 @@ stands, from the largest exact neighbor-sum component
 (:func:`estimate_domain`).
 
 Grids and label columns are built only when read: the first need-less
-scan, snapshot or dump builds every grid in one pass over the vertices,
-and a label's first need fills its columns in one pass over its vertices'
-histograms.  An update drops both, so the next read derives them from the
-histograms with the same degree groups, domain and cell count: a
-maintained index equals a rebuild by construction.  Maintenance is
-exclusive (the graph's single-writer contract), and so are the first reads
-that write: the domain's first read, and a grid build or a label fill
-since construction or the last update.  Later reads may run concurrently;
-the store's sums and boxes cache nothing, and its label frames are pure
-functions of a label, filled on first read.
+scan, snapshot or dump builds each grid in one pass over the vertices,
+boxing each at the group-capped degree, and a label's first need fills
+its columns in one pass over its vertices' histograms.  An update drops
+both, so the next read derives them from the histograms with the same
+degree groups, domain and cell count: a maintained index equals a rebuild
+by construction.  Maintenance is exclusive (the graph's single-writer
+contract), and so are the first reads that write: the domain's first
+read, and a grid build or a label fill since construction or the last
+update.  Later reads may run concurrently; the store's sums and boxes
+cache nothing, and its label frames are pure functions of a label, filled
+on first read.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import le
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .embedding import (
@@ -71,6 +70,7 @@ from .embedding import (
     dominates,
     embed_vertex,
     embedding_key,
+    is_real,
     label_vector,
     neighbor_sum,
 )
@@ -139,7 +139,7 @@ class DegreeGroups:
 
     def __post_init__(self):
         c = self.cutoffs
-        ints = isinstance(c, tuple) and all(isinstance(x, int) for x in c)
+        ints = isinstance(c, tuple) and all(type(x) is int for x in c)
         if not ints or not all(a < b for a, b in zip((0, *c), c)):
             raise InvalidParams(
                 f"degree-group cutoffs must be a tuple of strictly increasing ints >= 1, got {c}"
@@ -290,14 +290,12 @@ class NeighborListStore:
         components at each cap of ``caps``, ascending in [0, deg(v)]: its
         raw high box bounds.  Each label is a run of equal components, one
         per neighbor carrying it; the runs, largest first, are taken
-        greedily, each cap's sum emitted in the run it ends in.  A lone cap
-        of deg(v) takes every run, unsorted."""
+        greedily, each cap's sum emitted in the run it ends in."""
         hist = self.hist[v]
-        whole = caps[0] == len(self.graph.adj[v])
         out, n = [], len(caps)
         for comps in self.comps:
             total, taken, i = 0.0, 0, 0
-            for lbl in hist if whole else sorted(hist, key=comps.__getitem__, reverse=True):
+            for lbl in sorted(hist, key=comps.__getitem__, reverse=True):
                 c, x = hist[lbl], comps[lbl]
                 while i < n and caps[i] <= taken + c:
                     out.append(total + (caps[i] - taken) * x)
@@ -330,21 +328,16 @@ class NeighborListStore:
 
 
 class Cell:
-    """One grid cell: its coordinates, corner and key, its entry count, and
-    its entries bucketed by label.
+    """One grid cell: its coordinates, corner and key, and one row per
+    entry in graph order: the vertex, its label and its corner."""
 
-    A bucket holds one row per entry in graph order: the vertex and its
-    corner's d tail coordinates.  The d head coordinates are the label's.
-    """
-
-    __slots__ = ("coords", "corner", "key", "size", "buckets")
+    __slots__ = ("coords", "corner", "key", "rows")
 
     def __init__(self, coords: tuple[int, ...], corner: Vec):
         self.coords = coords
         self.corner = corner
         self.key = embedding_key(corner)
-        self.size = 0
-        self.buckets: dict[Label, list[tuple[VertexId, Vec]]] = {}
+        self.rows: list[tuple[VertexId, Label, Vec]] = []
 
 
 @dataclass
@@ -389,9 +382,9 @@ class ScanStats:
 class GridSynopsis:
     """Equal-width grid over one degree group's capped-degree corners.
 
-    Built once and never edited, from the rows its index hands it: each
-    vertex above the group's lower bound, filed under the high corner of
-    its box at the group-capped degree.  ``cells`` lists the non-empty
+    Built once and never edited, in one pass over the graph's vertices:
+    each vertex above the group's lower bound, filed under the high corner
+    of its box at the group-capped degree.  ``cells`` lists the non-empty
     cells in scan order, descending key with ties on coordinates.  The top
     interval on each dimension is unbounded (its corner coordinate is
     +inf): values beyond the frozen domain clamp into it, which keeps the
@@ -401,30 +394,31 @@ class GridSynopsis:
 
     def __init__(
         self, store: NeighborListStore, group: int, lower: int, upper: float, k_cells: int,
-        domain: float, rows: Iterable[tuple[VertexId, Label, Vec]],
+        domain: float,
     ):
-        """File each ``(vertex, label, tail)`` row, given in graph order,
-        under its corner: the label's head, then the tail."""
         self.store = store
         self.group = group
         self.lower = lower
         self.upper = upper
         self.k_cells = k_cells
         self.width = w = domain / k_cells
-        frames, top = store.frames, k_cells - 1
+        adj, mbr, top = store.graph.adj, store.mbr, k_cells - 1
         cells: dict[tuple[int, ...], Cell] = {}
-        for v, label, tail in rows:
+        for v, label in store.graph.labels.items():  # graph order
+            deg = len(adj[v])
+            if deg <= lower:
+                continue
+            corner = mbr(v, min(deg, upper)).high
             # per value, its interval; values past the domain clamp into the top one
-            coords = tuple(min(int(x / w) if x > 0 else 0, top) for x in frames[label][0] + tail)
+            coords = tuple(min(int(x / w) if x > 0 else 0, top) for x in corner)
             cell = cells.get(coords)
             if cell is None:
                 cell = cells[coords] = Cell(coords, self._cell_corner(coords))
-            cell.buckets.setdefault(label, []).append((v, tail))
-            cell.size += 1
+            cell.rows.append((v, label, corner))
         self.cells: list[Cell] = sorted(cells.values(), key=lambda c: (-c.key, c.coords))
 
     def __len__(self) -> int:
-        return sum(c.size for c in self.cells)
+        return sum(len(c.rows) for c in self.cells)
 
     def _cell_corner(self, coords: tuple[int, ...]) -> Vec:
         return tuple(
@@ -434,19 +428,15 @@ class GridSynopsis:
     def snapshot(self) -> dict:
         """Canonical content for equality checks (entry order independent):
         per cell, sorted (vertex, capped degree, corner)."""
-        adj, frames = self.store.graph.adj, self.store.frames
+        adj = self.store.graph.adj
         return {
-            c.coords: sorted(
-                (v, min(len(adj[v]), self.upper), frames[lbl][0] + tail)
-                for lbl, rows in c.buckets.items()
-                for v, tail in rows
-            )
+            c.coords: sorted((v, min(len(adj[v]), self.upper), corner) for v, _, corner in c.rows)
             for c in self.cells
         }
 
     def dump(self) -> str:
         return "\n".join(
-            f"cell {','.join(map(str, c.coords))} key={c.key:.6g} entries={c.size}"
+            f"cell {','.join(map(str, c.coords))} key={c.key:.6g} entries={len(c.rows)}"
             for c in self.cells
         )
 
@@ -460,14 +450,10 @@ def scan_candidates(
     Walks cells in descending key order and stops once a cell key falls
     below the query key; inside surviving cells keeps a vertex only if the
     query embedding dominates the stored corner, its label matches, and its
-    box at exactly the query degree holds the query embedding.  Each test
-    is a necessary condition for a match, so no true match image is ever
+    box at exactly the query degree holds the query embedding, each row of
+    a surviving cell meeting the tests in that order.  Each test is a
+    necessary condition for a match, so no true match image is ever
     dropped.
-
-    A bucket fails dominance whole when the query's head coordinates exceed
-    its label's.  Otherwise each row is dominated when no query tail
-    coordinate exceeds its own, and the dominated rows, in bucket order,
-    meet the label and box tests.
     """
     if not syn.lower < q_degree <= syn.upper:
         raise DegreeOutOfRange(
@@ -476,33 +462,25 @@ def scan_candidates(
         )
     out: list[VertexId] = []
     cutoff = embedding_key(q_embed)
-    store = syn.store
-    frames, d = store.frames, store.cfg.d
-    q_head, q_tail = q_embed[:d], q_embed[d:]
-    degree, mbr = store.degree, store.mbr
+    degree, mbr = syn.store.degree, syn.store.mbr
     scanned = examined = pruned_cell = pruned_dominance = pruned_label = pruned_box = 0
     for cell in syn.cells:
         if cell.key < cutoff:
             break
         scanned += 1
-        examined += cell.size
+        examined += len(cell.rows)
         if not dominates(q_embed, cell.corner):
-            pruned_cell += cell.size
+            pruned_cell += len(cell.rows)
             continue
-        for label, rows in cell.buckets.items():
-            # every corner in the bucket has its label's frame head
-            if not dominates(q_head, frames[label][0]):
-                pruned_dominance += len(rows)
-                continue
-            dominated = [v for v, tail in rows if all(map(le, q_tail, tail))]
-            pruned_dominance += len(rows) - len(dominated)
-            if label != q_label:
-                pruned_label += len(dominated)
-                continue
-            kept = [v for v in dominated
-                    if q_degree <= degree(v) and mbr(v, q_degree).contains(q_embed)]
-            pruned_box += len(dominated) - len(kept)
-            out += kept
+        for v, label, corner in cell.rows:
+            if not dominates(q_embed, corner):
+                pruned_dominance += 1
+            elif label != q_label:
+                pruned_label += 1
+            elif q_degree <= degree(v) and mbr(v, q_degree).contains(q_embed):
+                out.append(v)
+            else:
+                pruned_box += 1
     return out, ScanStats(
         scanned, examined, pruned_cell, pruned_dominance, pruned_label, pruned_box, len(out)
     )
@@ -620,7 +598,7 @@ class SynopsisIndex:
     ):
         self.k_cells = check_k_cells(k_cells)
         if domain is not None:
-            if not (math.isfinite(domain) and domain > 0):
+            if not (is_real(domain) and math.isfinite(domain) and domain > 0):
                 raise InvalidParams(f"domain must be finite and > 0, got {domain}")
             self.domain = domain
         self.graph = graph
@@ -635,38 +613,17 @@ class SynopsisIndex:
         """The grid extent, estimated on first read unless given."""
         return estimate_domain(self.graph, self.cfg)
 
-    def _build_grids(self) -> list[GridSynopsis]:
-        """Every group's grid from one pass over the vertices: each vertex of
-        degree deg >= 1 enters groups 0..group_of(deg) at caps min(deg,
-        upper_j), whose raw high sums one ``capped_sums`` call gives; its
-        row in group j carries its tail at cap j."""
-        store, groups = self.lists, self.groups
-        adj, frames, a = self.graph.adj, store.frames, store.alpha
-        cutoffs, capped_sums = groups.cutoffs, store.capped_sums
-        rows: list[list] = [[] for _ in range(groups.m)]
-        for v, label in self.graph.labels.items():  # graph order
-            deg = len(adj[v])
-            if not deg:
-                continue
-            caps = (*cutoffs[: bisect_left(cutoffs, deg)], deg)
-            sums = capped_sums(v, caps)
-            r = len(caps)
-            frame_tail = frames[label][1]
-            for j in range(r):
-                tail = tuple(a * s + t for s, t in zip(sums[j::r], frame_tail))
-                rows[j].append((v, label, tail))
-        return [
-            GridSynopsis(store, j, groups.lower(j), groups.upper(j), self.k_cells, self.domain,
-                         rows[j])
-            for j in range(groups.m)
-        ]
-
     @property
     def synopses(self) -> list[GridSynopsis]:
         """The grids, built first if none were built since construction or
         the last update."""
         if self._grids is None:
-            self._grids = self._build_grids()
+            groups = self.groups
+            self._grids = [
+                GridSynopsis(self.lists, j, groups.lower(j), groups.upper(j), self.k_cells,
+                             self.domain)
+                for j in range(groups.m)
+            ]
         return self._grids
 
     def maintain(self, op: UpdateOp) -> MaintenanceReport:

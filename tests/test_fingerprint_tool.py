@@ -34,7 +34,7 @@ def test_one_workload_prints_bare_lines_and_none_prints_every_block(monkeypatch,
 def test_check_names_each_differing_hash_and_exits_1(monkeypatch, capsys):
     tool = load_tool()
     want = tool.committed()
-    assert len(want) == 8 * len(tool.WORKLOADS)
+    assert len(want) == 9 * len(tool.WORKLOADS)
 
     def committed_parts(workload):
         return {part: h for (w, part), h in want.items() if w == workload}

@@ -35,7 +35,13 @@ from dsmatch.matcher import (
 )
 from dsmatch.oracle import enumerate_matches
 from dsmatch.rng import Rng
-from dsmatch.synopsis import LabelColumns, NeighborListStore, ScanStats, SynopsisIndex
+from dsmatch.synopsis import (
+    GridSynopsis,
+    LabelColumns,
+    NeighborListStore,
+    ScanStats,
+    SynopsisIndex,
+)
 
 from conftest import make_graph, small_world, unpack
 from test_synopsis import random_update_stream
@@ -73,11 +79,15 @@ def test_query_validation():
     ({0: "1", 1: 1}, [(0, 1)]),
     ({0: 1, 1: 1}, [(0, 1.0)]),  # 1.0 == 1, a labeled id, but no int
     ({0: 1, 1: 1}, [(0, 1), (False, 1)]),
+    ({0: 1, 1: 1}, [(0, 1, 2)]),  # once a bare ValueError from unpacking
+    ({0: 1, 1: 1}, [(0,)]),
+    ({0: 1, 1: 1}, [5]),  # once a bare TypeError from iterating the edge
 ], ids=["str-id", "float-id", "bool-id", "bool-label", "float-label", "none-label",
-        "str-label", "float-edge-id", "bool-edge-id"])
+        "str-label", "float-edge-id", "bool-edge-id", "triple-edge", "single-edge", "int-edge"])
 def test_query_rejects_an_id_or_label_that_is_not_an_int(labels, edges):
-    # the graph's rule for a new vertex: ids and labels are ints, no bool
-    with pytest.raises(InvalidParams, match="must be ints|not an int"):
+    # the graph's rule for a new vertex: ids and labels are ints, no bool;
+    # and an edge is a pair of them
+    with pytest.raises(InvalidParams, match="must be ints|not an int|not a pair"):
         QueryGraph(labels, edges)
 
 
@@ -1033,17 +1043,17 @@ def test_registration_builds_no_grid_and_fills_only_its_labels(cfg_kw, monkeypat
     # need-less grid scan's candidates that cover the need
     builds = [0]
     fills = Counter()  # label -> fills
-    build_grids, fill = SynopsisIndex._build_grids, LabelColumns.fill
+    build_grid, fill = GridSynopsis.__init__, LabelColumns.fill
 
-    def build(index):
+    def build(grid, *args):
         builds[0] += 1
-        return build_grids(index)
+        build_grid(grid, *args)
 
     def read(columns, label):
         fills[label] += label not in columns.columns
         return fill(columns, label)
 
-    monkeypatch.setattr(SynopsisIndex, "_build_grids", build)
+    monkeypatch.setattr(GridSynopsis, "__init__", build)
     monkeypatch.setattr(LabelColumns, "fill", read)
     engine, g, ops = hub_stream_engine(EmbeddingConfig(**cfg_kw))
     scans = []  # (args, candidates) of registration's scans

@@ -306,7 +306,9 @@ def test_cell_order_matches_keys(any_mode_cfg):
             assert cell.corner == syn._cell_corner(cell.coords)
 
 
-@pytest.mark.parametrize("cutoffs", [(5, 4), (4, 4), (0, 3), (-2, 3), (2.5, 4), [2, 4]])
+@pytest.mark.parametrize(
+    "cutoffs", [(5, 4), (4, 4), (0, 3), (-2, 3), (2.5, 4), [2, 4], (True, 2), (1, 2, True)]
+)
 def test_malformed_cutoffs_are_rejected(cutoffs):
     # the build reads each vertex's caps in ascending order off the cutoffs;
     # a list would build groups that the frozen dataclass cannot hash
@@ -314,10 +316,11 @@ def test_malformed_cutoffs_are_rejected(cutoffs):
         DegreeGroups(cutoffs)
 
 
-@pytest.mark.parametrize("domain", [0.0, math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("domain", [0.0, math.nan, -1.0, math.inf, True, False, "x", "1.0", 1j])
 def test_bad_domain_is_rejected(cfg_plain, domain):
     # at -1.0 the grid would file vertex 0 where its own embedding's scan
-    # at degree 1 cannot reach it
+    # at degree 1 cannot reach it; True once built a grid of domain 1, and
+    # "x" once raised a bare TypeError
     g = make_graph([(0, 1)], {0: 0, 1: 1})
     with pytest.raises(InvalidParams, match="domain"):
         SynopsisIndex(g, DegreeGroups(()), cfg_plain, 5, domain=domain)
@@ -464,17 +467,11 @@ Entry = namedtuple("Entry", "vertex ub_delta corner")
 
 
 def _entry(idx, group, v):
-    """v's entry in the group's grid, found through its cells' buckets, as
-    (vertex, ub_delta, corner): its label's head, then its row's tail.  It
-    must equal v's snapshot row; None if absent."""
+    """v's entry in the group's grid, found through its cells' rows, as
+    (vertex, ub_delta, corner).  It must equal v's snapshot row; None if
+    absent."""
     syn = idx.synopses[group]
-    found = [
-        (cell.coords, idx.lists.frames[label][0] + tail)
-        for cell in syn.cells
-        for label, rows in cell.buckets.items()
-        for u, tail in rows
-        if u == v
-    ]
+    found = [(cell.coords, corner) for cell in syn.cells for u, _, corner in cell.rows if u == v]
     assert len(found) <= 1
     if not found:
         return None
@@ -994,12 +991,12 @@ def naive_candidates(idx, q_embed, q_degree, q_label, need=None):
 
 
 def reference_scan(syn, q_embed, q_degree, q_label):
-    """The per-entry grid scan loop that label buckets replaced.
+    """The grid scan loop, entry by entry, against the graph.
 
     Every entry meets every filter in turn: dominance of the full corner,
     boxed through ``mbr`` at the group-capped degree rather than read from
-    the grid, then label, then the box at the query degree through
-    ``mbr().contains``.
+    the grid, then its label read off the graph, then the box at the query
+    degree through ``mbr().contains``.
     """
     lists = syn.store
     stats = ScanStats()
@@ -1008,7 +1005,7 @@ def reference_scan(syn, q_embed, q_degree, q_label):
     for cell in syn.cells:
         if cell.key < cutoff:
             break
-        entries = [v for rows in cell.buckets.values() for v, _ in rows]
+        entries = [v for v, _, _ in cell.rows]
         stats.cells_scanned += 1
         stats.examined += len(entries)
         if not dominated_within(q_embed, cell.corner):
@@ -1119,30 +1116,30 @@ def test_scan_equals_linear_filter(mode):
 
 
 def assert_scan_equals_reference_at_tail_thresholds(idx, g):
-    """For each tail dimension k and each distinct coordinate k, t, of a
-    bucket's rows, scan for a query whose coordinate k is t, the float the
-    dominance test compares against, and one ulp either side of it; the
-    query's other coordinates are those of a row with that t, its head the
-    bucket label's and its degree the row's vertex's, capped at the grid's
-    upper bound as a scan reads a grid only at degrees of its group.  Each
-    scan must equal ``reference_scan``, list and counts."""
-    lists = idx.lists
+    """For each tail dimension k and each distinct tail coordinate k, t, of
+    a cell's rows of one label, scan for a query whose tail coordinate k is
+    t, the float the dominance test compares against, and one ulp either
+    side of it; the query's other coordinates are those of a row with that
+    t, its label the row's and its degree the row's vertex's, capped at the
+    grid's upper bound as a scan reads a grid only at degrees of its group.
+    Each scan must equal ``reference_scan``, list and counts."""
+    d = idx.lists.cfg.d
     tied = 0
     for syn in idx.synopses:
         for cell in syn.cells:
-            for label, rows in cell.buckets.items():
-                head = lists.frames[label][0]
-                for k in range(lists.cfg.d):
-                    first = {}  # t -> the bucket's first row with it
-                    for v, tail in rows:
-                        first.setdefault(tail[k], (v, tail))
+            for label in {lbl for _, lbl, _ in cell.rows}:
+                rows = [(v, corner) for v, lbl, corner in cell.rows if lbl == label]
+                for k in range(d, 2 * d):
+                    first = {}  # t -> the first row of the label with it
+                    for v, corner in rows:
+                        first.setdefault(corner[k], (v, corner))
                     tied += len(first) < len(rows)
-                    for t, (v, tail) in first.items():
+                    for t, (v, corner) in first.items():
                         q_degree = min(g.degree(v), syn.upper)
                         for x in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)):
-                            args = (head + tail[:k] + (x,) + tail[k + 1:], q_degree, label)
+                            args = (corner[:k] + (x,) + corner[k + 1:], q_degree, label)
                             assert scan_candidates(syn, *args) == reference_scan(syn, *args)
-    assert tied  # some bucket holds entries that tie on a tail coordinate
+    assert tied  # some cell holds rows of one label that tie on a tail coordinate
 
 
 @pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
@@ -1150,6 +1147,73 @@ def test_scan_at_each_tail_threshold(mode):
     # a row whose tail coordinate ties the query's passes the dominance
     # test; one ulp above it, it fails
     run_hub_churn(mode, assert_scan_equals_reference_at_tail_thresholds)
+
+
+# per query coordinate, what a drawn query does to the real one it starts from
+_NUDGES = {
+    "same": lambda x: x,
+    "down": lambda x: math.nextafter(x, -math.inf),
+    "up": lambda x: math.nextafter(x, math.inf),
+    "half": lambda x: x / 2,
+}
+
+
+@pytest.mark.parametrize("mode", ["plain", "base", "zipf"])
+def test_need_less_scan_equals_reference_scan(mode):
+    # random graphs on labels 0..3 plus a hub past the top cutoff, random
+    # cutoffs and cells per dimension, and queries that start at a real
+    # corner, box bound or embedding, each coordinate kept, one ulp either
+    # side or halved, of the vertex's label or another: each need-less
+    # scan equals the per-entry reference, candidates in order and every
+    # ScanStats field, and some scans keep several vertices
+    cfg = EmbeddingConfig(d=2, mode=mode)
+    kept = Counter()  # scans by candidate count, capped at 2
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 20), label="n")
+        labels = dict(enumerate(data.draw(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n), label="labels")))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] < e[1])
+        edges = data.draw(st.sets(pairs, max_size=3 * n), label="edges")
+        cutoffs = tuple(sorted(data.draw(st.sets(st.integers(1, 8), max_size=3), label="cutoffs")))
+        hub_degree = max(cutoffs, default=0) + data.draw(st.integers(1, 12), label="past the top")
+        leaves = data.draw(st.lists(st.integers(0, 3), min_size=hub_degree, max_size=hub_degree),
+                           label="leaf labels")
+        hub = data.draw(st.integers(0, n - 1), label="hub")
+        labels |= {n + i: lbl for i, lbl in enumerate(leaves)}
+        edges |= {(hub, n + i) for i in range(hub_degree)}
+        g = make_graph(sorted(edges), labels)
+        idx = SynopsisIndex(g, DegreeGroups(cutoffs), cfg, data.draw(st.integers(1, 5), label="k"))
+        lists, vs = idx.lists, [v for v in g.vertices() if g.degree(v)]
+        for _ in range(data.draw(st.integers(1, 6), label="queries")):
+            v = data.draw(st.sampled_from(vs), label="v")
+            q_degree = data.draw(st.integers(1, g.degree(v)), label="q_degree")
+            syn = idx.synopses[idx.groups.group_of(q_degree)]
+            start = data.draw(st.sampled_from([
+                lists.mbr(v, min(g.degree(v), syn.upper)).high,  # v's corner in the scanned grid
+                lists.mbr(v, q_degree).high,
+                lists.mbr(v, q_degree).low,
+                idx.embedding_of(v),
+            ]), label="start")
+            # a box at a vertex's degree is a point: a query that keeps every
+            # coordinate of a hub leaf's is the one its like leaves survive
+            nudges = data.draw(st.one_of(
+                st.just(["same"] * len(start)),
+                st.lists(st.sampled_from(sorted(_NUDGES)), min_size=len(start),
+                         max_size=len(start)),
+            ), label="nudges")
+            q_embed = tuple(_NUDGES[how](x) for how, x in zip(nudges, start))
+            q_label = data.draw(st.one_of(st.just(g.labels[v]), st.integers(0, 4)),
+                                label="q_label")
+            got = idx.scan_for_degree(q_embed, q_degree, q_label)
+            assert got == reference_scan(syn, q_embed, q_degree, q_label)
+            kept[min(len(got[0]), 2)] += 1
+
+    check()
+    assert kept[2] > 0
 
 
 def assert_snapshot_corners_equal_boxes(idx, g):
@@ -1242,7 +1306,7 @@ def _two_label_0_stars(cfg):
     idx = SynopsisIndex(g, DegreeGroups(()), cfg, 1)
     [syn] = idx.synopses
     [cell] = syn.cells
-    assert [v for v, _ in cell.buckets[0]] == [0, 2]
+    assert [v for v, label, _ in cell.rows if label == 0] == [0, 2]
     return idx, syn
 
 

@@ -28,6 +28,11 @@ per line for:
   candidates, scanned again with its need (``label_needs``) and no
   embedding right after registration, as registration scans, through the
   label columns;
+* ``grid_scans``: for the first ``MARGIN_QUERIES`` queries (as many as
+  perfbench's ``synopsis.grid_margin`` scans), each vertex's need-less
+  ``scan_for_degree`` candidates in scan order and its ``ScanStats``,
+  scanned right after registration with the vertex embedded by
+  ``embed_query``: the grid path, which no engine path reads;
 * ``initial``:    the answers right after registration;
 * ``deltas``:     each op's non-empty per-query deltas, or that it raised;
 * ``final``:      the answers after the last op;
@@ -37,16 +42,17 @@ per line for:
 * ``late``:       every late query's sorted need-scan candidates and its
   initial answers, so registration after updates is covered too.
 
-Two trees that print the same eight hashes built the same index, found the
-same candidates with the same pruning counts and kept the same answers
-after every op, grid the updated graph alike, and register alike on it.
+Two trees that print the same nine hashes built the same index, found the
+same candidates with the same pruning counts, by need and by grid, and kept
+the same answers after every op, grid the updated graph alike, and
+register alike on it.
 
 The collector is off while the engine is built, registers, replays and
 registers again, and ``gc.collect()`` after each of those phases
-(``build``, ``register``, ``stream``, ``late``) counts the unreachable
-objects that reference counting left, which the engine keeps at zero: a
-reference cycle per update would make a stream pay for the cyclic
-collector's passes.
+(``build``, ``register`` with its grid scans, ``stream``, ``late``) counts
+the unreachable objects that reference counting left, which the engine
+keeps at zero: a reference cycle per update would make a stream pay for
+the cyclic collector's passes.
 """
 
 from __future__ import annotations
@@ -63,7 +69,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from dsmatch.errors import DsmatchError  # noqa: E402
-from dsmatch.matcher import MatchEngine, label_needs  # noqa: E402
+from dsmatch.matcher import MatchEngine, embed_query, label_needs  # noqa: E402
+from harness import MARGIN_QUERIES  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
 
 
@@ -129,6 +136,19 @@ def candidates_of(engine: MatchEngine, names) -> dict[str, list]:
     return out
 
 
+def grid_scans_of(engine: MatchEngine, names, cfg) -> list[list]:
+    """Per query vertex, its need-less grid scan's candidates in scan order
+    and its ``ScanStats``, the query embedded afresh by ``embed_query``."""
+    out = []
+    for name in names:
+        q = engine.queries[name].query
+        embeds = embed_query(q, cfg)
+        for qi in q.vertex_order:
+            cands, stats = engine.index.scan_for_degree(embeds[qi], q.degree(qi), q.labels[qi])
+            out.append([name, qi, list(cands), dataclasses.asdict(stats)])
+    return out
+
+
 def replay(inputs) -> tuple[dict[str, str], dict[str, int], list[str]]:
     """:func:`fingerprint` on built inputs, run with the collector off."""
     engine = MatchEngine(inputs.g0.copy(), inputs.cfg, inputs.m_groups, inputs.k_cells)
@@ -136,6 +156,7 @@ def replay(inputs) -> tuple[dict[str, str], dict[str, int], list[str]]:
     index = index_view(engine.index.snapshot())
     for i, q in enumerate(inputs.queries):
         engine.register(f"q{i}", q)
+    grid_scans = grid_scans_of(engine, list(engine.queries)[:MARGIN_QUERIES], inputs.cfg)
     garbage["register"] = gc.collect()
     scan_stats = {
         name: [[qi, dataclasses.asdict(s)] for qi, s in rq.scan_stats.items()]
@@ -168,6 +189,7 @@ def replay(inputs) -> tuple[dict[str, str], dict[str, int], list[str]]:
         "index": digest(index),
         "scan_stats": digest(scan_stats),
         "candidates": digest(candidates),
+        "grid_scans": digest(grid_scans),
         "initial": digest(initial),
         "deltas": digest(deltas),
         "final": digest(final),
